@@ -174,26 +174,46 @@ def _dr_results(panel, run):
 
 def _heterogeneity_results(catt_panel, k_bins, oracle_values=None,
                            most_affected="highest"):
-    """BLP and CLAN tables for each emitted target."""
+    """BLP and CLAN tables for each emitted target, and what they leave out.
+
+    An event time with fewer than p + 2 rows has no per-event BLP, and one
+    with fewer than 2 * k_bins rows no CLAN; each such skip is returned as
+    a ``{"table", "e", "reason"}`` record. The pooled BLP keeps every row.
+    """
     targets = [("catt", catt_panel.tau), ("score", catt_panel.score)]
     if oracle_values is not None:
         targets.append(("oracle", oracle_values))
-    blps, clans = [], []
     names = catt_panel.covariate_names
+    p = len(names)
+    skipped = []
+    blp_rows = np.ones(catt_panel.e.shape[0], dtype=bool)
+    clan_times = []
+    for e in sorted({int(v) for v in np.unique(catt_panel.e) if v >= 0}):
+        rows = catt_panel.e == e
+        n = int(rows.sum())
+        if n < p + 2:
+            blp_rows &= ~rows
+            skipped.append({"table": "blp", "e": e,
+                            "reason": f"{n} rows for {p} covariates"})
+        if n < 2 * k_bins:
+            skipped.append({"table": "clan", "e": e,
+                            "reason": f"{n} rows cannot fill 2x{k_bins} bins"})
+        else:
+            clan_times.append(e)
+    blps, clans = [], []
     for label, values in targets:
-        blps.append(blp(values, catt_panel.e, catt_panel.X, names,
+        blps.append(blp(values[blp_rows], catt_panel.e[blp_rows],
+                        catt_panel.X[blp_rows], names,
                         mode="per-event", target=label))
         blps.append(blp(values, catt_panel.e, catt_panel.X, names,
                         mode="pooled", target=label))
-        for e in sorted({int(v) for v in np.unique(catt_panel.e) if v >= 0}):
+        for e in clan_times:
             rows = catt_panel.e == e
-            if int(rows.sum()) < 2 * k_bins:
-                continue
             clans.append(clan(values[rows], catt_panel.X[rows],
                               catt_panel.unit_ids[rows], names,
                               n_bins=k_bins, e=e, target=label,
                               most_affected=most_affected))
-    return blps, clans
+    return blps, clans, skipped
 
 
 @cli.command("estimate")
@@ -232,9 +252,11 @@ def cmd_estimate(input_path, out, seed, delimiter, k_bins,
     event_study_svg(out_dir / "event_study.svg", run.dynamics)
     write_dr_cells_csv(out_dir / "dr_cells.csv", _dr_results(panel, run))
     outputs = ["cells.csv", "dynamics.csv", "dr_cells.csv", "event_study.svg"]
+    heterogeneity_skipped = []
     if run.catt_panel is not None:
         write_catt_panel_csv(out_dir / "catt_panel.csv", run.catt_panel)
-        blps, clans = _heterogeneity_results(run.catt_panel, k_bins)
+        blps, clans, heterogeneity_skipped = _heterogeneity_results(
+            run.catt_panel, k_bins)
         write_blp_csv(out_dir / "blp.csv", blps)
         write_clan_csv(out_dir / "clan.csv", clans)
         outputs += ["catt_panel.csv", "blp.csv", "clan.csv"]
@@ -246,6 +268,7 @@ def cmd_estimate(input_path, out, seed, delimiter, k_bins,
         "skipped_cells": [
             {"g": g, "t": t, "reason": r} for g, t, r in run.skipped
         ],
+        "skipped_heterogeneity": heterogeneity_skipped,
         "versions": environment_versions(),
         "wall_seconds": time.time() - t0,
         "outputs": outputs,
@@ -289,8 +312,8 @@ def _benchmark_rep(args):
                    "skipped": len(run.skipped), "blp": [], "clan": []}
         if run.catt_panel is not None:
             oracle_vals = _aligned_oracle_catt(oracle, run.catt_panel)
-            blps, clans = _heterogeneity_results(run.catt_panel, k_bins,
-                                                 oracle_vals)
+            blps, clans, _ = _heterogeneity_results(run.catt_panel, k_bins,
+                                                    oracle_vals)
             payload["blp"] = [
                 (r.target, c.e, c.covariate, c.coef, c.se, c.p)
                 for r in blps for c in r.coefficients
@@ -476,8 +499,8 @@ def cmd_heterogeneity(input_path, catt_path, out, k_bins, delimiter,
         X=X,
         covariate_names=panel.covariate_names,
     )
-    blps, clans = _heterogeneity_results(catt_panel, k_bins,
-                                         most_affected=most_affected)
+    blps, clans, skipped = _heterogeneity_results(
+        catt_panel, k_bins, most_affected=most_affected)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_blp_csv(out_dir / "blp.csv", blps)
@@ -488,6 +511,7 @@ def cmd_heterogeneity(input_path, catt_path, out, k_bins, delimiter,
         "catt": str(catt_path),
         "k_bins": k_bins,
         "most_affected": most_affected,
+        "skipped_heterogeneity": skipped,
         "versions": environment_versions(),
         "wall_seconds": time.time() - t0,
         "outputs": ["blp.csv", "clan.csv"],

@@ -5,6 +5,18 @@ an elastic-net linear model solved by covariance-update coordinate descent,
 and penalized logistic / softmax probability models solved by damped Newton
 iterations. Both are deterministic given their inputs, which keeps every
 downstream estimate reproducible from a single seed.
+
+Every elastic-net fit goes through one batched engine, ``_lasso_path``
+(covariance updates with warm starts along the l1 path, after Friedman,
+Hastie & Tibshirani 2010). It takes a batch of standardized Gram systems
+and runs each coordinate update as one vector operation over the batch.
+:func:`fit_penalized_ls_batch` hands it, in two batches, the inner-CV paths
+of many regressions and then their refits at the chosen (or fixed) l1;
+``estimate_nuisances`` passes all outcome regressions of a cell at once,
+and :func:`fit_penalized_ls` / :func:`fit_penalized_ls_cv` are its
+one-regression calls. Each member follows exactly the iterates of a solve
+on its own, so the l1 chosen and the coefficients do not depend on what
+else is in the batch.
 """
 
 from __future__ import annotations
@@ -100,81 +112,354 @@ class LinearModel:
         return self.intercept + float(self.center @ self.coef)
 
 
-def _soft_threshold(z: float, thresh: float) -> float:
-    if z > thresh:
-        return z - thresh
-    if z < -thresh:
-        return z + thresh
-    return 0.0
+def _ridge_solve(G, c, l2, pf):
+    """Closed-form solution of the l1 = 0 problem (ridge, or OLS at l2 = 0)."""
+    A = G + l2 * np.diag(pf)
+    diag = np.diag(A).copy()
+    if np.any(diag <= 0):
+        # Constant columns contribute nothing; pin them at zero.
+        keep = diag > 0
+        beta = np.zeros(c.shape[0])
+        if keep.any():
+            beta[keep] = np.linalg.lstsq(A[np.ix_(keep, keep)], c[keep], rcond=None)[0]
+        return beta
+    return np.linalg.lstsq(A, c, rcond=None)[0]
 
 
-def _enet_objective(beta, G, c, half_yy, l1, l2, pf):
-    quad = 0.5 * beta @ G @ beta - c @ beta + half_yy
-    return quad + l1 * float(pf @ np.abs(beta)) + 0.5 * l2 * float(pf @ beta**2)
+def _lasso_path(G, c, grid, l2, pf):
+    """Warm-started coordinate descent along l1 paths for a batch of Gram systems.
 
+    Member b minimizes ``0.5 b'G[b]b - c[b]'b + l1*sum(pf|b|) +
+    0.5*l2*sum(pf b^2)`` at each ``l1 = grid[b, i]``, starting from its
+    solution at the previous grid point (zeros at the first); an l1 of zero
+    is solved in closed form. Each coordinate update is one vector operation
+    over the members still moving at the current grid point. A member whose
+    largest step falls below ``CD_TOL`` is frozen until the next point, so
+    every member follows exactly the iterates of a solve on its own.
 
-def _cd_solve(G, c, half_yy, l1, l2, pf, beta0=None):
-    """Coordinate descent on the standardized Gram system.
-
-    Minimizes 0.5 b'Gb - c'b + half_yy + l1*sum(pf|b|) + 0.5*l2*sum(pf b^2).
-    Returns (beta, n_sweeps, final_delta). The objective is asserted
-    non-increasing across sweeps.
+    Returns ``(path, sweeps, failed)``: the solutions ``(B, L, p)``, the
+    sweeps taken at each point ``(B, L)``, and per member the last largest
+    step of a solve that hit ``CD_MAX_SWEEPS`` (NaN if none did). A member
+    that fails is dropped from the later points of its path.
     """
-    p = c.shape[0]
-    beta = np.zeros(p) if beta0 is None else beta0.copy()
+    B, p = c.shape
+    L = grid.shape[1]
+    path = np.zeros((B, L, p))
+    sweeps = np.zeros((B, L), dtype=np.int64)
+    failed = np.full(B, np.nan)
     if p == 0:
-        return beta, 0, 0.0
-    if l1 == 0.0:
-        # Pure ridge/OLS has a closed form; solve the normal equations.
-        A = G + l2 * np.diag(pf)
-        diag = np.diag(A).copy()
-        if np.any(diag <= 0):
-            # Constant columns contribute nothing; pin them at zero.
-            keep = diag > 0
-            beta = np.zeros(p)
-            if keep.any():
-                beta[keep] = np.linalg.lstsq(
-                    A[np.ix_(keep, keep)], c[keep], rcond=None
-                )[0]
-            return beta, 1, 0.0
-        beta = np.linalg.lstsq(A, c, rcond=None)[0]
-        return beta, 1, 0.0
+        return path, sweeps, failed
+    # Working arrays are coordinate-major, (p, members), so that every
+    # per-coordinate slice is contiguous. A column with a zero denominator
+    # has an all-zero Gram row and column; an infinite denominator keeps it
+    # at zero, which is what skipping it would do.
+    diag = np.diagonal(G, axis1=1, axis2=2)
+    denom = diag + l2 * pf
+    den_all = np.where(denom > 0, denom, np.inf).T
+    diag_all = diag.T
+    c_all = c.T
+    cols_all = G.transpose(2, 1, 0)  # cols_all[j, i, b] = G[b, i, j]
+    beta = np.zeros((B, p))
+    alive = np.ones(B, dtype=bool)
+    for i in range(L):
+        lam = grid[:, i]
+        for b in np.flatnonzero(alive & (lam == 0.0)):
+            beta[b] = _ridge_solve(G[b], c[b], l2, pf)
+            sweeps[b, i] = 1
+        idx = np.flatnonzero(alive & (lam != 0.0))
+        if idx.size:
+            # q = G @ beta is rebuilt per member at each grid point, as the
+            # solve on its own does, so its rounding is the same.
+            q = np.zeros((p, idx.size))
+            if i > 0:
+                for a, b in enumerate(idx):
+                    q[:, a] = G[b] @ beta[b]
+            bt = beta[idx].T.copy()
+            ct = c_all[:, idx].copy()
+            dg = diag_all[:, idx].copy()
+            den = den_all[:, idx].copy()
+            cols = cols_all[:, :, idx].copy()
+            hi = (lam[idx, None] * pf).T.copy()
+            lo = -hi
+            for sweep in range(1, CD_MAX_SWEEPS + 1):
+                delta = np.zeros(idx.size)
+                for j in range(p):
+                    old = bt[j]
+                    z = ct[j] - q[j] + dg[j] * old
+                    # Soft threshold: z minus its clip to [-l1*pf, l1*pf].
+                    new = (z - np.minimum(np.maximum(z, lo[j]), hi[j])) / den[j]
+                    step = new - old
+                    bt[j] = new
+                    q += cols[j] * step
+                    np.maximum(delta, np.abs(step), out=delta)
+                done = delta < CD_TOL
+                if not done.any():
+                    continue
+                beta[idx[done]] = bt[:, done].T
+                sweeps[idx[done], i] = sweep
+                if done.all():
+                    break
+                keep = ~done
+                idx = idx[keep]
+                bt, q, ct, dg, den = (a[:, keep] for a in (bt, q, ct, dg, den))
+                hi, lo, cols = hi[:, keep], lo[:, keep], cols[:, :, keep]
+            else:
+                failed[idx] = delta[~done]
+                alive[idx] = False
+        path[:, i] = beta
+    return path, sweeps, failed
 
-    q = G @ beta
-    denom = np.diag(G) + l2 * pf
-    active = denom > 0
-    obj = _enet_objective(beta, G, c, half_yy, l1, l2, pf)
-    delta = np.inf
-    for sweep in range(1, CD_MAX_SWEEPS + 1):
-        delta = 0.0
-        for j in range(p):
-            if not active[j]:
+
+@dataclass(frozen=True)
+class Regression:
+    """Training data for :func:`fit_penalized_ls_batch`.
+
+    The design is ``X[rows]`` (all of ``X`` when ``rows`` is None). Every
+    entry of ``responses`` is an outcome aligned with ``X`` and gets its
+    own model; responses of one Regression share the standardization, the
+    inner folds and the Gram matrices of their design. ``weights`` (aligned
+    with ``X``) default to uniform.
+    """
+
+    X: np.ndarray
+    responses: tuple[np.ndarray, ...]
+    rows: np.ndarray | None = None
+    weights: np.ndarray | None = None
+
+
+def _training_data(reg: Regression, penalty_factor):
+    """Validated training rows: (X, responses, normalized weights, pf).
+
+    Responses are not checked for finiteness here; each is checked on its
+    own so that one bad outcome fails only its own fit.
+    """
+    X = np.asarray(reg.X, dtype=float)
+    if X.ndim != 2:
+        raise MldidError("X must be 2-dimensional")
+    ys = [np.asarray(y, dtype=float) for y in reg.responses]
+    for y in ys:
+        if y.ndim != 1:
+            raise MldidError("y must be 1-dimensional")
+        if y.shape[0] != X.shape[0]:
+            raise MldidError("X and y have different lengths")
+    weights = reg.weights
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != (X.shape[0],):
+            raise MldidError("weights and X have different lengths")
+    if reg.rows is not None:
+        X = X[reg.rows]
+        ys = [y[reg.rows] for y in ys]
+        weights = None if weights is None else weights[reg.rows]
+    n, p = X.shape
+    if n < 2:
+        raise MldidError("need at least 2 rows to fit")
+    _check_finite("X", X)
+    w = _normalized_weights(weights, n)
+    pf = np.ones(p) if penalty_factor is None else np.asarray(penalty_factor, float)
+    if pf.shape != (p,):
+        raise MldidError(f"penalty_factor has shape {pf.shape}, X has {p} columns")
+    return X, ys, w, pf
+
+
+def _lambda_max(G, c, pf, l2):
+    """Smallest l1 at which every penalized coefficient is zero."""
+    free = pf == 0.0
+    resid = c.copy()
+    if free.any():
+        b_free = np.linalg.lstsq(G[np.ix_(free, free)], c[free], rcond=None)[0]
+        resid = c - G[:, free] @ b_free
+    pen = pf > 0.0
+    if not pen.any():
+        return 0.0
+    return float(np.max(np.abs(resid[pen]) / pf[pen]))
+
+
+@dataclass
+class _Fit:
+    """One (design, response) of a batch while its l1 is chosen and refit."""
+
+    G: np.ndarray
+    c: np.ndarray
+    center: np.ndarray
+    scale: np.ndarray
+    ybar: float
+    l1: float | None
+    grid: np.ndarray | None = None
+    # (row in the path batch, inner fold, training mean of y) per inner fold
+    members: list = field(default_factory=list)
+    result: object = None
+
+
+def _inner_folds(n, n_folds):
+    fold_id = np.arange(n) % n_folds
+    return [fold_id == k for k in range(n_folds)]
+
+
+def fit_penalized_ls_batch(
+    regressions: Sequence[Regression],
+    *,
+    l2: float = 1e-6,
+    penalty_factor: np.ndarray | None = None,
+    fit_intercept: bool = True,
+    n_folds: int = CV_FOLDS,
+    n_lambdas: int = CV_N_LAMBDAS,
+    fixed_l1: float | None = None,
+    cv_rule: str = "min",
+) -> list[list]:
+    """Elastic-net fits of many regressions, solved as two engine batches.
+
+    Each (regression, response) is fit as by :func:`fit_penalized_ls_cv`
+    with the same settings. First the inner-fold l1 paths of all of them go
+    to :func:`_lasso_path` as one batch; then every chosen (or fixed) l1 is
+    refit on its full training rows as a second batch of one-point paths.
+    Only Gram matrices are kept between the stages; the held-out rows are
+    standardized again when the path errors are scored.
+
+    All regressions of a batch have the same number of columns. Returns,
+    per regression, one entry per response: the LinearModel, or the
+    MldidError its fit raised (bad input or NoConvergence).
+    """
+    if cv_rule not in ("min", "1se"):
+        raise MldidError(f"unknown cv_rule: {cv_rule}")
+    if fixed_l1 is None and n_folds < 2:
+        raise MldidError("need at least 2 inner folds")
+    if fixed_l1 is None and n_lambdas < 1:
+        raise MldidError("need at least 1 penalty on the l1 grid")
+
+    entries: list[MldidError | list[_Fit]] = []
+    pf = None
+    path_G, path_c, path_grid = [], [], []
+    for reg in regressions:
+        try:
+            X, ys, w, pf = _training_data(reg, penalty_factor)
+        except MldidError as err:
+            entries.append(err)
+            continue
+        Z, m, s = _standardize(X, w, center=fit_intercept)
+        wZ = Z * w[:, None]
+        G = Z.T @ wZ
+        fits = []
+        for y in ys:
+            fit = _Fit(G, None, m, s, 0.0, fixed_l1)
+            fits.append(fit)
+            try:
+                _check_finite("y", y)
+            except NonFiniteData as err:
+                fit.result = err
                 continue
-            old = beta[j]
-            grad_j = c[j] - q[j] + G[j, j] * old
-            new = _soft_threshold(grad_j, l1 * pf[j]) / denom[j]
-            if new != old:
-                step = new - old
-                beta[j] = new
-                q += G[:, j] * step
-                delta = max(delta, abs(step))
-        # q == G @ beta is maintained incrementally, so the objective is
-        # available without another matrix product.
-        new_obj = (
-            0.5 * float(beta @ q) - float(c @ beta) + half_yy
-            + l1 * float(pf @ np.abs(beta)) + 0.5 * l2 * float(pf @ beta**2)
+            if fit_intercept:
+                fit.ybar = float(w @ y)
+            fit.c = wZ.T @ (y - fit.ybar)
+            if fixed_l1 is None:
+                lam_max = _lambda_max(G, fit.c, pf, l2)
+                if lam_max <= 0.0:
+                    fit.l1 = 0.0
+                else:
+                    fit.grid = np.geomspace(
+                        lam_max * CV_LAMBDA_MAX_RATIO,
+                        lam_max * CV_LAMBDA_MIN_RATIO,
+                        n_lambdas,
+                    )
+        entries.append(fits)
+        cv_fits = [(fit, y) for fit, y in zip(fits, ys) if fit.grid is not None]
+        if not cv_fits:
+            continue
+        for k, test in enumerate(_inner_folds(X.shape[0], n_folds)):
+            train = ~test
+            w_tr = w[train]
+            tot = w_tr.sum()
+            w_tr = w_tr / tot
+            Z_tr = Z[train]
+            wZ_tr = Z_tr * w_tr[:, None]
+            G_k = Z_tr.T @ wZ_tr
+            for fit, y in cv_fits:
+                ybar_tr = float(w_tr @ y[train]) if fit_intercept else 0.0
+                fit.members.append((len(path_G), k, ybar_tr))
+                path_G.append(G_k)
+                path_c.append(wZ_tr.T @ (y[train] - ybar_tr))
+                path_grid.append(fit.grid)
+
+    if path_G:
+        path, _, failed = _lasso_path(
+            np.stack(path_G), np.stack(path_c), np.stack(path_grid), l2, pf
         )
-        assert new_obj <= obj + 1e-10 * max(1.0, abs(obj)), (
-            "coordinate descent objective increased"
+        for reg, fits in zip(regressions, entries):
+            if isinstance(fits, MldidError) or all(f.grid is None for f in fits):
+                continue
+            X, ys, w, _ = _training_data(reg, penalty_factor)
+            Z = _standardize(X, w, center=fit_intercept)[0]
+            tests = _inner_folds(X.shape[0], n_folds)
+            for fit, y in zip(fits, ys):
+                if fit.grid is None:
+                    continue
+                fail = [failed[b] for b, _, _ in fit.members if not np.isnan(failed[b])]
+                if fail:
+                    # The lowest failing fold, which a fold-by-fold solve meets first.
+                    fit.result = _no_convergence(fail[0])
+                    continue
+                fold_err = np.zeros((n_folds, n_lambdas))
+                for b, k, ybar_tr in fit.members:
+                    test = tests[k]
+                    Z_te = Z[test]
+                    r_te = y[test] - ybar_tr
+                    w_te = w[test] / w[test].sum()
+                    for i in range(n_lambdas):
+                        resid = r_te - Z_te @ path[b, i]
+                        fold_err[k, i] = float(w_te @ resid**2)
+                fit.l1 = float(fit.grid[_cv_choice(fold_err, cv_rule)])
+
+    refits = [fit for fits in entries if not isinstance(fits, MldidError)
+              for fit in fits if fit.result is None]
+    if refits:
+        path, sweeps, failed = _lasso_path(
+            np.stack([fit.G for fit in refits]),
+            np.stack([fit.c for fit in refits]),
+            np.array([[fit.l1] for fit in refits], dtype=float),
+            l2, pf,
         )
-        obj = new_obj
-        if delta < CD_TOL:
-            return beta, sweep, delta
-    raise NoConvergence(
+        for b, fit in enumerate(refits):
+            if not np.isnan(failed[b]):
+                fit.result = _no_convergence(failed[b])
+                continue
+            coef = path[b, 0] / fit.scale
+            intercept = fit.ybar - float(fit.center @ coef) if fit_intercept else 0.0
+            fit.result = LinearModel(intercept, coef, fit.l1, l2, fit.center,
+                                     fit.scale, int(sweeps[b, 0]))
+    return [
+        [fits] * len(reg.responses) if isinstance(fits, MldidError)
+        else [fit.result for fit in fits]
+        for reg, fits in zip(regressions, entries)
+    ]
+
+
+def _no_convergence(delta: float) -> NoConvergence:
+    return NoConvergence(
         f"coordinate descent did not converge in {CD_MAX_SWEEPS} sweeps "
         f"(last max step {delta:.3e})",
-        final_delta=delta,
+        final_delta=float(delta),
     )
+
+
+def _cv_choice(fold_err: np.ndarray, cv_rule: str) -> int:
+    """Grid index picked from the (fold, l1) held-out errors."""
+    n_folds = fold_err.shape[0]
+    cv_mean = fold_err.mean(axis=0)
+    best = int(np.argmin(cv_mean))
+    if cv_rule == "1se":
+        cv_se = fold_err.std(axis=0, ddof=1) / np.sqrt(n_folds)
+        cutoff = cv_mean[best] + cv_se[best]
+        # The grid is descending, so the first index within the cutoff is
+        # the largest admissible penalty.
+        best = int(np.flatnonzero(cv_mean <= cutoff)[0])
+    return best
+
+
+def _single(results: list[list]) -> LinearModel:
+    result = results[0][0]
+    if isinstance(result, MldidError):
+        raise result
+    return result
 
 
 def fit_penalized_ls(
@@ -194,48 +479,11 @@ def fit_penalized_ls(
     ``penalty_factor`` (0 leaves a column unpenalized). Features are
     standardized internally; penalties apply on the standardized scale.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2:
-        raise MldidError("X must be 2-dimensional")
-    n, p = X.shape
-    if n != y.shape[0]:
-        raise MldidError("X and y have different lengths")
-    if n < 2:
-        raise MldidError("need at least 2 rows to fit")
-    _check_finite("X", X)
-    _check_finite("y", y)
-
-    w = _normalized_weights(weights, n)
-    pf = np.ones(p) if penalty_factor is None else np.asarray(penalty_factor, float)
-
-    Z, m, s = _standardize(X, w, center=fit_intercept)
-    ybar = float(w @ y) if fit_intercept else 0.0
-    r = y - ybar
-
-    wZ = Z * w[:, None]
-    G = Z.T @ wZ
-    c = wZ.T @ r
-    half_yy = 0.5 * float(w @ r**2)
-
-    beta, n_sweeps, _ = _cd_solve(G, c, half_yy, l1, l2, pf)
-
-    coef = beta / s
-    intercept = ybar - float(m @ coef) if fit_intercept else 0.0
-    return LinearModel(intercept, coef, l1, l2, m, s, n_sweeps)
-
-
-def _lambda_max(G, c, pf, l2):
-    """Smallest l1 at which every penalized coefficient is zero."""
-    free = pf == 0.0
-    resid = c.copy()
-    if free.any():
-        b_free = np.linalg.lstsq(G[np.ix_(free, free)], c[free], rcond=None)[0]
-        resid = c - G[:, free] @ b_free
-    pen = pf > 0.0
-    if not pen.any():
-        return 0.0
-    return float(np.max(np.abs(resid[pen]) / pf[pen]))
+    return _single(fit_penalized_ls_batch(
+        [Regression(X, (y,), weights=weights)],
+        l2=l2, penalty_factor=penalty_factor, fit_intercept=fit_intercept,
+        fixed_l1=l1,
+    ))
 
 
 def fit_penalized_ls_cv(
@@ -261,77 +509,12 @@ def fit_penalized_ls_cv(
     the usual choice when selection matters more than prediction).
     ``fixed_l1`` bypasses the search entirely.
     """
-    if fixed_l1 is not None:
-        return fit_penalized_ls(
-            X, y, fixed_l1, l2,
-            weights=weights, penalty_factor=penalty_factor,
-            fit_intercept=fit_intercept,
-        )
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, p = X.shape
-    _check_finite("X", X)
-    _check_finite("y", y)
-    w = _normalized_weights(weights, n)
-    pf = np.ones(p) if penalty_factor is None else np.asarray(penalty_factor, float)
-
-    Z, m, s = _standardize(X, w, center=fit_intercept)
-    ybar = float(w @ y) if fit_intercept else 0.0
-    r = y - ybar
-
-    wZ = Z * w[:, None]
-    G_full = Z.T @ wZ
-    c_full = wZ.T @ r
-
-    lam_max = _lambda_max(G_full, c_full, pf, l2)
-    if lam_max <= 0.0:
-        return fit_penalized_ls(
-            X, y, 0.0, l2,
-            weights=weights, penalty_factor=penalty_factor,
-            fit_intercept=fit_intercept,
-        )
-    grid = np.geomspace(
-        lam_max * CV_LAMBDA_MAX_RATIO, lam_max * CV_LAMBDA_MIN_RATIO, n_lambdas
-    )
-
-    fold_id = np.arange(n) % n_folds
-    fold_err = np.zeros((n_folds, n_lambdas))
-    for k in range(n_folds):
-        test = fold_id == k
-        train = ~test
-        w_tr = w[train]
-        tot = w_tr.sum()
-        w_tr = w_tr / tot
-        Z_tr, Z_te = Z[train], Z[test]
-        ybar_tr = float(w_tr @ y[train]) if fit_intercept else 0.0
-        r_tr = y[train] - ybar_tr
-        wZ_tr = Z_tr * w_tr[:, None]
-        G = Z_tr.T @ wZ_tr
-        c = wZ_tr.T @ r_tr
-        half_yy = 0.5 * float(w_tr @ r_tr**2)
-        beta = np.zeros(p)
-        r_te = y[test] - ybar_tr
-        w_te = w[test] / w[test].sum()
-        for i, lam in enumerate(grid):
-            beta, _, _ = _cd_solve(G, c, half_yy, lam, l2, pf, beta0=beta)
-            resid = r_te - Z_te @ beta
-            fold_err[k, i] = float(w_te @ resid**2)
-
-    cv_mean = fold_err.mean(axis=0)
-    best = int(np.argmin(cv_mean))
-    if cv_rule == "1se":
-        cv_se = fold_err.std(axis=0, ddof=1) / np.sqrt(n_folds)
-        cutoff = cv_mean[best] + cv_se[best]
-        # The grid is descending, so the first index within the cutoff is
-        # the largest admissible penalty.
-        best = int(np.flatnonzero(cv_mean <= cutoff)[0])
-    elif cv_rule != "min":
-        raise MldidError(f"unknown cv_rule: {cv_rule}")
-    return fit_penalized_ls(
-        X, y, float(grid[best]), l2,
-        weights=weights, penalty_factor=penalty_factor,
-        fit_intercept=fit_intercept,
-    )
+    return _single(fit_penalized_ls_batch(
+        [Regression(X, (y,), weights=weights)],
+        l2=l2, penalty_factor=penalty_factor, fit_intercept=fit_intercept,
+        n_folds=n_folds, n_lambdas=n_lambdas, fixed_l1=fixed_l1,
+        cv_rule=cv_rule,
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import MissingStratum, SingularShrinkFactor
+from .exceptions import (
+    DegenerateFold,
+    MissingStratum,
+    MldidError,
+    SingularShrinkFactor,
+)
 from .learners import (
     CV_FOLDS,
     CV_N_LAMBDAS,
     DEFAULT_CLIP,
     FoldPlan,
+    Regression,
     cross_fit,
+    fit_penalized_ls_batch,
     fit_penalized_ls_cv,
     fit_probability,
 )
@@ -45,17 +52,17 @@ class LearnerConfig:
     n_lambdas: int = CV_N_LAMBDAS
     fixed_l1: float | None = None
 
+    def lasso_options(self) -> dict:
+        """Keyword arguments of the regression fits under this config."""
+        return dict(l2=self.l2, n_folds=self.inner_cv_folds,
+                    n_lambdas=self.n_lambdas, fixed_l1=self.fixed_l1)
+
     def fit_regression(self, X, y, *, weights=None, penalty_factor=None,
                        fit_intercept=True):
+        """One regression fit as :func:`estimate_nuisances` fits each."""
         return fit_penalized_ls_cv(
-            X, y,
-            l2=self.l2,
-            weights=weights,
-            penalty_factor=penalty_factor,
-            fit_intercept=fit_intercept,
-            n_folds=self.inner_cv_folds,
-            n_lambdas=self.n_lambdas,
-            fixed_l1=self.fixed_l1,
+            X, y, weights=weights, penalty_factor=penalty_factor,
+            fit_intercept=fit_intercept, **self.lasso_options(),
         )
 
 
@@ -158,12 +165,8 @@ def estimate_nuisances(sl, plan: FoldPlan, config: LearnerConfig | None = None) 
     t_hat = np.clip(t_raw, clip, 1.0 - clip)
     iota_hat = np.clip(iota_raw, clip, 1.0 - clip)
 
-    fit_reg = lambda Xtr, ytr: config.fit_regression(Xtr, ytr)
-    m_hat = cross_fit(X, y, units, plan, fit_reg)
-    mu_t1 = cross_fit(X, y, units, plan, fit_reg, train_mask=t == 1)
-    mu_t0 = cross_fit(X, y, units, plan, fit_reg, train_mask=t == 0)
-    mu_g1 = cross_fit(X, y, units, plan, fit_reg, train_mask=g == 1)
-    mu_g0 = cross_fit(X, y, units, plan, fit_reg, train_mask=g == 0)
+    m_hat, mu_t1, mu_t0, mu_g1, mu_g0 = _cross_fit_regressions(
+        X, y, g, units, plan, config)
 
     delta_hat = iota_hat[:, 3] - g_hat * t_hat
 
@@ -183,6 +186,62 @@ def estimate_nuisances(sl, plan: FoldPlan, config: LearnerConfig | None = None) 
         zeta_hat=mu_g1 - mu_g0,
         delta_hat=delta_hat,
     )
+
+
+def _cross_fit_regressions(X, y, g, units, plan: FoldPlan, config: LearnerConfig):
+    """Out-of-fold m, mu_t1, mu_t0, mu_g1 and mu_g0 from one batched fit.
+
+    The regressions of every outer fold go to the lasso engine together.
+    Each is the fit ``cross_fit`` would make with ``config.fit_regression``
+    and gives the same predictions. Rows 0..m-1 and m..2m-1 are the pre and
+    post rows of the same units with the same covariates, so mu_t1 (post
+    outcomes) and mu_t0 (pre outcomes) share one design: the covariates of
+    the training units. A failure
+    surfaces as the DegenerateFold that regression-by-regression
+    cross-fitting would raise first.
+    """
+    m = units.shape[0] // 2
+    names = ("m", "t1", "t0", "g1", "g0")
+    row_fold = plan.assignment[units]
+    regressions, slots, tests = [], {}, {}
+    for k in range(plan.n_folds):
+        test = row_fold == k
+        if not test.any():
+            continue
+        tests[k] = test
+        train = ~test
+        designs = (
+            (("m",), Regression(X, (y,), rows=train)),
+            (("t1", "t0"), Regression(X[:m], (y[m:], y[:m]),
+                                      rows=plan.assignment != k)),
+            (("g1",), Regression(X, (y,), rows=train & (g == 1))),
+            (("g0",), Regression(X, (y,), rows=train & (g == 0))),
+        )
+        for targets, reg in designs:
+            n_train = int(np.count_nonzero(reg.rows))
+            if n_train < 2:
+                fault = DegenerateFold(
+                    f"fold {k}: training complement has {n_train} rows")
+                slots.update({(name, k): fault for name in targets})
+                continue
+            slots.update({(name, k): (len(regressions), j)
+                          for j, name in enumerate(targets)})
+            regressions.append(reg)
+    results = fit_penalized_ls_batch(regressions, **config.lasso_options())
+
+    outs = []
+    for name in names:
+        out = np.full(X.shape[0], np.nan)
+        for k, test in tests.items():
+            slot = slots[name, k]
+            if isinstance(slot, DegenerateFold):
+                raise slot
+            model = results[slot[0]][slot[1]]
+            if isinstance(model, MldidError):
+                raise DegenerateFold(f"fold {k}: {model}") from model
+            out[test] = model.predict(X[test])
+        outs.append(out)
+    return outs
 
 
 def abch_terms(g_flag, t_flag, g_hat, t_hat, iota11, delta):

@@ -198,3 +198,34 @@ def test_env_var_override(tmp_path, sim_dir, monkeypatch):
     assert res.exit_code == 0, res.output
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 77
+
+
+def test_estimate_skips_thin_event_time_in_heterogeneity(tmp_path):
+    # Cohort 2 cut to 5 units leaves event time 2 with 5 rows, fewer than
+    # the 7 a per-event BLP on 5 covariates needs (and than CLAN's 2x4 bins).
+    panel = simulate(DgpConfig(n_units=400, seed=3)).panel
+    rows = np.flatnonzero(panel.groups != 2)
+    rows = np.sort(np.concatenate([rows, np.flatnonzero(panel.groups == 2)[:5]]))
+    thin = type(panel)(
+        unit_ids=panel.unit_ids[rows], groups=panel.groups[rows],
+        n_periods=panel.n_periods, outcomes=panel.outcomes[rows],
+        covariates=panel.covariates[rows],
+        covariate_names=panel.covariate_names,
+    )
+    path = tmp_path / "thin.csv"
+    write_panel_csv(thin, path)
+    out = tmp_path / "out"
+    res = run_cli(["estimate", "--input", str(path), "--out", str(out),
+                   "--fixed-l1", "0.01"])
+    assert res.exit_code == 0, res.output
+    for name in ("blp.csv", "clan.csv", "manifest.json"):
+        assert (out / name).exists(), name
+    manifest = json.loads((out / "manifest.json").read_text())
+    p = len(panel.covariate_names)
+    assert {"table": "blp", "e": 2, "reason": f"5 rows for {p} covariates"} \
+        in manifest["skipped_heterogeneity"]
+    assert {"table": "clan", "e": 2,
+            "reason": "5 rows cannot fill 2x4 bins"} in manifest["skipped_heterogeneity"]
+    with open(out / "blp.csv", newline="") as fh:
+        blp_rows = list(csv.DictReader(fh))
+    assert {r["e"] for r in blp_rows} == {"0", "1", "pooled"}

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mldid import make_fold_plan
-from mldid.exceptions import MissingStratum, SingularShrinkFactor
+from mldid import cross_fit, make_fold_plan
+from mldid.exceptions import DegenerateFold, MissingStratum, SingularShrinkFactor
 from mldid.nuisance import (
     LearnerConfig,
+    _cross_fit_regressions,
+    _stack_slice,
     abch_terms,
     compute_abch,
     estimate_nuisances,
 )
 
+import _sequential_lasso as sequential
 from _utils import oracle_bundle, two_period_dgp
 
 
@@ -158,6 +161,59 @@ def test_singular_shrink_factor_raises_when_universal():
     )
     with pytest.raises(SingularShrinkFactor):
         compute_abch(bundle)
+
+
+def _per_fold_regressions(sl, plan, config, fit=None):
+    """m, mu_t1, mu_t0, mu_g1, mu_g0 fit one regression and fold at a time."""
+    y, g, t, X, units = _stack_slice(sl)
+    if fit is None:
+        opts = config.lasso_options()
+        opts.pop("l2")
+        fit = lambda a, b: sequential.fit_ls_cv(a, b, l2=config.l2, **opts)
+    masks = (None, t == 1, t == 0, g == 1, g == 0)
+    return [cross_fit(X, y, units, plan, fit, train_mask=mask) for mask in masks]
+
+
+@pytest.mark.parametrize("fixed_l1", [None, 0.02])
+def test_batched_regressions_match_per_fold_cross_fit(fixed_l1):
+    sl, _ = two_period_dgp(150, seed=9, tau_fn=lambda x: x[:, 0], p=3)
+    plan = make_fold_plan(sl.n_units, 5, seed=5)
+    config = LearnerConfig(fixed_l1=fixed_l1)
+    y, g, t, X, units = _stack_slice(sl)
+    got = _cross_fit_regressions(X, y, g, units, plan, config)
+    want = _per_fold_regressions(sl, plan, config)
+    for a, b in zip(got, want):
+        assert_allclose(a, b, rtol=0, atol=1e-12)
+    bundle = estimate_nuisances(sl, plan, config)
+    assert_allclose(bundle.m_hat, want[0], rtol=0, atol=1e-12)
+    assert_allclose(bundle.nu_hat, want[1] - want[2], rtol=0, atol=1e-12)
+    assert_allclose(bundle.zeta_hat, want[3] - want[4], rtol=0, atol=1e-12)
+
+
+def _first_error(thunk):
+    with pytest.raises(DegenerateFold) as err:
+        thunk()
+    return str(err.value)
+
+
+def test_batched_regressions_raise_per_fold_errors():
+    sl, _ = two_period_dgp(40, seed=10, tau_fn=lambda x: x[:, 0])
+    plan = make_fold_plan(sl.n_units, 5, seed=6)
+    config = LearnerConfig(fixed_l1=0.02)
+    fit = lambda a, b: config.fit_regression(a, b)
+    # A single treated unit leaves the mu_g1 training set of its own fold
+    # empty; every other regression still fits.
+    one_treated = dataclasses.replace(
+        sl, g_flag=(np.arange(sl.n_units) == 7).astype(np.int8))
+    # A non-finite outcome fails the first fit whose training rows hold it.
+    bad_y = dataclasses.replace(sl, y_post=np.where(
+        np.arange(sl.n_units) == 3, np.nan, sl.y_post))
+    for case in (one_treated, bad_y):
+        y, g, t, X, units = _stack_slice(case)
+        got = _first_error(lambda: _cross_fit_regressions(X, y, g, units, plan, config))
+        want = _first_error(lambda: _per_fold_regressions(case, plan, config, fit))
+        assert got == want
+        assert got.startswith("fold ")
 
 
 # ---------------------------------------------------------------------------
