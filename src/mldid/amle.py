@@ -72,14 +72,13 @@ def _feature_names(cov_names) -> tuple[str, ...]:
 def build_function_class(bundle: NuisanceBundle, sigma2: float) -> AmleProblem:
     """Assemble the basis and its four-point contrast targets.
 
-    Covariates are standardized over the retained rows. Each feature's
+    Covariates are standardized over the stacked rows. Each feature's
     target is the sample mean of psi(x,1,1) - psi(x,0,1) - psi(x,1,0)
     + psi(x,0,0), the difference-in-differences contrast.
     """
-    rows = bundle.valid if bundle.valid is not None else np.ones(bundle.n_rows, bool)
-    X = bundle.X[rows]
-    g = bundle.g[rows].astype(float)
-    t = bundle.t[rows].astype(float)
+    X = bundle.X
+    g = bundle.g.astype(float)
+    t = bundle.t.astype(float)
     mean = X.mean(axis=0)
     sd = X.std(axis=0)
     sd[sd == 0.0] = 1.0
@@ -155,9 +154,8 @@ def estimate_sigma2(
     supplied, H alone otherwise; its sample variance is inflated by a
     fixed factor and floored away from zero.
     """
-    rows = bundle.valid if bundle.valid is not None else np.ones(bundle.n_rows, bool)
-    resid = bundle.H[rows]
+    resid = bundle.H
     if tau_row is not None:
-        resid = resid - bundle.C[rows] * tau_row[rows]
+        resid = resid - bundle.C * tau_row
     var = float(np.var(resid, ddof=1)) if resid.shape[0] > 1 else 0.0
     return max(inflation * var, floor)

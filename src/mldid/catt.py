@@ -39,13 +39,10 @@ def fit_catt(
     config = config or LearnerConfig()
     if bundle.C is None or bundle.H is None:
         raise MldidError("bundle is missing A/B/C/H; run compute_abch first")
-    rows = bundle.valid if bundle.valid is not None else np.ones(bundle.n_rows, bool)
-    C = bundle.C[rows]
-    H = bundle.H[rows]
-    X = bundle.X[rows]
+    C, H, X = bundle.C, bundle.H, bundle.X
     n, p = X.shape
     if n < p + 2:
-        raise MldidError(f"need at least {p + 2} valid rows to fit tau, have {n}")
+        raise MldidError(f"need at least {p + 2} rows to fit tau, have {n}")
     if float(np.sum(C**2)) < MIN_WEIGHT_MASS:
         raise AllWeightsZero("sum of C^2 is numerically zero; tau is unidentified")
 
@@ -90,8 +87,7 @@ def predict_catt(model: CattModel, X: np.ndarray) -> np.ndarray:
 
 def catt_loss(bundle: NuisanceBundle, model: CattModel, l1: float | None = None) -> float:
     """The penalized objective evaluated at a candidate effect function."""
-    rows = bundle.valid if bundle.valid is not None else np.ones(bundle.n_rows, bool)
-    tau = predict_catt(model, bundle.X[rows])
-    resid = bundle.H[rows] - bundle.C[rows] * tau
+    tau = predict_catt(model, bundle.X)
+    resid = bundle.H - bundle.C * tau
     pen = (l1 if l1 is not None else model.l1) * float(np.sum(np.abs(model.coef)))
     return float(np.sum(resid**2)) + pen

@@ -264,7 +264,7 @@ def cmd_estimate(input_path, out, seed, delimiter, k_bins,
     write_manifest(out_dir / "manifest.json", {
         "command": "estimate",
         "input": str(input_path),
-        "config": _config_dict(config),
+        "config": dataclasses.asdict(config),
         "skipped_cells": [
             {"g": g, "t": t, "reason": r} for g, t, r in run.skipped
         ],
@@ -277,11 +277,6 @@ def cmd_estimate(input_path, out, seed, delimiter, k_bins,
         f"estimated {sum(not c.is_reference for c in run.cells)} cells "
         f"({len(run.skipped)} skipped) -> {out_dir}"
     )
-
-
-def _config_dict(config: EstimatorConfig) -> dict:
-    d = dataclasses.asdict(config)
-    return d
 
 
 def _aligned_oracle_catt(oracle, catt_panel) -> np.ndarray:
@@ -427,7 +422,7 @@ def cmd_benchmark(n, periods, tau, assignment, confounding, chi, reps, seed,
     write_manifest(out_dir / "manifest.json", {
         "command": "benchmark",
         "dgp": dgp_kwargs | {"seed": seed},
-        "config": _config_dict(config),
+        "config": dataclasses.asdict(config),
         "reps": reps,
         "failed_reps": len(failures),
         "failure_reasons": [p["error"] for p in failures][:10],

@@ -56,8 +56,7 @@ def estimate_cell_dr(
     dy = sl.y_post - sl.y_pre
 
     if propensity is None:
-        model_p = fit_probability(sl.X, sl.g_flag.astype(np.int64), "logistic", l2=l2,
-                                  clip=clip)
+        model_p = fit_probability(sl.X, sl.g_flag.astype(np.int64), l2=l2, clip=clip)
         p_hat = model_p.predict_proba(sl.X)[:, 1]
     else:
         p_hat = np.clip(np.asarray(propensity, float), clip, 1.0 - clip)

@@ -57,9 +57,9 @@ class EstimatorConfig:
 class GroupTimeResult:
     """One cell's effect estimate with its per-unit components.
 
-    ``tau_unit``/``score_unit`` cover every retained slice unit in slice
-    order; ``g_flag`` marks cohort members. The reference cell (t = g-1)
-    is a hard zero with empty arrays.
+    ``tau_unit``/``score_unit`` cover every slice unit in slice order;
+    ``g_flag`` marks cohort members. The reference cell (t = g-1) is a
+    hard zero with empty arrays.
     """
 
     g: int
@@ -74,7 +74,6 @@ class GroupTimeResult:
     X_unit: np.ndarray
     is_reference: bool = False
     se: float | None = None
-    n_rows_dropped: int = 0
     sigma2: float | None = None
     catt_l1: float | None = None
 
@@ -139,19 +138,16 @@ class MldidRun:
 def estimate_from_bundle(bundle: NuisanceBundle, config: EstimatorConfig):
     """Effect fit, balancing weights and robust scores for a built bundle.
 
-    Returns (att, row_scores, tau_row, gamma, catt_model, sigma2) on the
-    retained rows; exposed separately so properties can be checked with
+    Returns (att, row_scores, tau_row, gamma, catt_model, sigma2) per
+    stacked row; exposed separately so properties can be checked with
     known nuisance values substituted for the fitted ones.
     """
     catt_model = fit_catt(bundle, l1=config.catt_l1, config=config.learners)
-    valid = bundle.valid
-    tau_row = np.full(bundle.n_rows, np.nan)
-    tau_row[valid] = predict_catt(catt_model, bundle.X[valid])
+    tau_row = predict_catt(catt_model, bundle.X)
     sigma2 = estimate_sigma2(bundle, tau_row)
     problem = build_function_class(bundle, sigma2)
     gamma = solve_amle(problem)
-    resid = bundle.H[valid] - bundle.C[valid] * tau_row[valid]
-    row_scores = tau_row[valid] + gamma * resid
+    row_scores = tau_row + gamma * (bundle.H - bundle.C * tau_row)
     att = float(row_scores.mean())
     return att, row_scores, tau_row, gamma, catt_model, sigma2
 
@@ -199,20 +195,12 @@ def estimate_cell(
         bundle, config
     )
 
-    # Collapse row-level corrections to one score per unit; a unit's two
-    # stacked rows average, so the unit-score mean reproduces att exactly
-    # when no rows were dropped.
+    # A unit's score correction is the mean of its two stacked rows, so the
+    # unit-score mean reproduces att.
     m = sl.n_units
-    valid = bundle.valid
-    corr = np.zeros(bundle.n_rows)
-    corr[valid] = gamma * (bundle.H[valid] - bundle.C[valid] * tau_row[valid])
-    counts = valid[:m].astype(int) + valid[m:].astype(int)
-    keep_unit = counts > 0
-    corr_unit = np.where(
-        keep_unit, (corr[:m] + corr[m:]) / np.maximum(counts, 1), np.nan
-    )
+    corr = gamma * (bundle.H - bundle.C * tau_row)
     tau_unit = predict_catt(catt_model, sl.X)
-    score_unit = tau_unit + corr_unit
+    score_unit = tau_unit + (corr[:m] + corr[m:]) / 2
 
     return GroupTimeResult(
         g=g,
@@ -220,12 +208,11 @@ def estimate_cell(
         att=att,
         n_treated=sl.n_treated,
         n_control=sl.n_control,
-        unit_ids=sl.unit_ids[keep_unit],
-        g_flag=sl.g_flag[keep_unit],
-        tau_unit=tau_unit[keep_unit],
-        score_unit=score_unit[keep_unit],
-        X_unit=sl.X[keep_unit],
-        n_rows_dropped=bundle.n_dropped,
+        unit_ids=sl.unit_ids,
+        g_flag=sl.g_flag,
+        tau_unit=tau_unit,
+        score_unit=score_unit,
+        X_unit=sl.X,
         sigma2=sigma2,
         catt_l1=catt_model.l1,
     )

@@ -68,11 +68,7 @@ class DegenerateFold(MldidError):
 # ---------------------------------------------------------------------------
 
 class MissingStratum(MldidError):
-    """A (G, T) cell of the stacked slice contains no rows."""
-
-
-class SingularShrinkFactor(MldidError):
-    """Every row's shrink factor is numerically non-positive."""
+    """A slice, or a fold's training part, lacks treated or control units."""
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import numpy as np
 from .exceptions import RankDeficient, TooFewUnits
 
 Z_95 = 1.959963984540054
+# Residuals this small relative to the target are rounding, not noise.
+EXACT_FIT_RTOL = 1e-10
 
 
 def _normal_p(t_stat: float) -> float:
@@ -28,7 +30,13 @@ def _collinear_columns(X: np.ndarray, names: list[str]) -> list[str]:
 
 
 def ols_hc1(X: np.ndarray, y: np.ndarray, names: list[str]):
-    """OLS with heteroskedasticity-robust (HC1) standard errors."""
+    """OLS with heteroskedasticity-robust (HC1) standard errors.
+
+    When the fit is exact (residual norm within ``EXACT_FIT_RTOL`` of the
+    target's), the standard errors measure rounding only: t and p are
+    NaN, while the coefficients and standard errors are returned as
+    computed.
+    """
     n, k = X.shape
     if np.linalg.matrix_rank(X) < k:
         cols = _collinear_columns(X, names)
@@ -39,6 +47,9 @@ def ols_hc1(X: np.ndarray, y: np.ndarray, names: list[str]):
     meat = X.T @ (X * resid[:, None] ** 2)
     vcov = xtx_inv @ meat @ xtx_inv * (n / max(n - k, 1))
     se = np.sqrt(np.diag(vcov))
+    if np.linalg.norm(resid) <= EXACT_FIT_RTOL * np.linalg.norm(y):
+        nan = np.full(k, np.nan)
+        return beta, se, nan, nan.copy()
     t_stat = beta / se
     p = np.array([_normal_p(t) for t in t_stat])
     return beta, se, t_stat, p

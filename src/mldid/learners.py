@@ -1,10 +1,11 @@
 """Penalized base learners and the unit-level cross-fitting engine.
 
 All nuisance quantities are estimated with the two model families here:
-an elastic-net linear model solved by covariance-update coordinate descent,
-and penalized logistic / softmax probability models solved by damped Newton
-iterations. Both are deterministic given their inputs, which keeps every
-downstream estimate reproducible from a single seed.
+an elastic-net linear model solved by covariance-update coordinate descent
+(the outcome regressions and the effect function), and a penalized binary
+logistic model solved by damped Newton iterations on one d x d Hessian
+(the treatment propensity). Both are deterministic given their inputs,
+which keeps every downstream estimate reproducible from a single seed.
 
 Every elastic-net fit goes through one batched engine, ``_lasso_path``
 (covariance updates with warm starts along the l1 path, after Friedman,
@@ -523,17 +524,16 @@ def fit_penalized_ls_cv(
 
 @dataclass(frozen=True)
 class ProbabilityModel:
-    """Penalized logistic or softmax classifier.
+    """Penalized binary logistic classifier.
 
-    ``coef`` has one row per class (the first class is the softmax
-    reference and carries zeros); ``predict_proba`` emits probabilities
-    clipped to ``[clip, 1 - clip]``. Pre-clip softmax rows sum to one.
+    The model is kept in two-class form: ``coef`` and ``intercepts`` have
+    one row per label, 0 then 1, and the label-0 row is zero.
+    ``predict_proba`` returns the columns P(0), P(1), clipped to
+    ``[clip, 1 - clip]`` unless ``clipped=False``; unclipped rows sum to one.
     """
 
-    kind: str  # "logistic" or "softmax"
-    classes: np.ndarray
-    intercepts: np.ndarray  # (n_classes,)
-    coef: np.ndarray        # (n_classes, p)
+    intercepts: np.ndarray  # (2,)
+    coef: np.ndarray        # (2, p)
     l2: float
     clip: float
     center: np.ndarray
@@ -542,64 +542,48 @@ class ProbabilityModel:
 
     def predict_proba(self, X: np.ndarray, clipped: bool = True) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        eta = X @ self.coef.T + self.intercepts
-        eta -= eta.max(axis=1, keepdims=True)
-        expeta = np.exp(eta)
-        proba = expeta / expeta.sum(axis=1, keepdims=True)
+        proba = _label_proba(X @ self.coef.T + self.intercepts)
         if clipped and self.clip > 0:
             proba = np.clip(proba, self.clip, 1.0 - self.clip)
         return proba
 
 
-def _softmax_nll_grad_hess(theta, Xd, y_onehot, w, l2, pf_mask, want_hess=True):
-    """Objective, gradient and Hessian for reference-class softmax.
+def _label_proba(eta: np.ndarray) -> np.ndarray:
+    """Probabilities of the labels from their (n, 2) linear scores."""
+    eta = eta - eta.max(axis=1, keepdims=True)
+    expeta = np.exp(eta)
+    return expeta / expeta.sum(axis=1, keepdims=True)
 
-    ``theta`` is ((C-1), d) for the non-reference classes; the reference
-    class has a fixed zero row. ``pf_mask`` marks penalized entries.
+
+def _logistic_nll_grad_hess(theta, Xd, y, w, l2, pen):
+    """Objective, gradient and Hessian of the penalized logistic loss.
+
+    ``theta`` holds the label-1 intercept and slopes on the design ``Xd``;
+    ``pen`` marks the penalized entries (all but the intercept).
     """
-    n, d = Xd.shape
-    cm1 = theta.shape[0]
-    eta = Xd @ theta.T                          # (n, C-1)
-    eta_full = np.concatenate([np.zeros((n, 1)), eta], axis=1)
-    eta_full -= eta_full.max(axis=1, keepdims=True)
-    expeta = np.exp(eta_full)
-    proba = expeta / expeta.sum(axis=1, keepdims=True)
-
-    loglik = np.sum(w * np.log(np.maximum((proba * y_onehot).sum(axis=1), 1e-300)))
-    obj = -loglik + 0.5 * l2 * float(np.sum((theta * pf_mask) ** 2))
-
-    resid = proba[:, 1:] - y_onehot[:, 1:]      # (n, C-1)
-    grad = (resid * w[:, None]).T @ Xd + l2 * theta * pf_mask
-
-    if not want_hess:
-        return obj, grad, None
-
-    H = np.empty((cm1 * d, cm1 * d))
-    for a in range(cm1):
-        pa = proba[:, a + 1]
-        for b in range(a, cm1):
-            pb = proba[:, b + 1]
-            r = pa * ((1.0 if a == b else 0.0) - pb) * w
-            block = Xd.T @ (Xd * r[:, None])
-            H[a * d:(a + 1) * d, b * d:(b + 1) * d] = block
-            if b != a:
-                H[b * d:(b + 1) * d, a * d:(a + 1) * d] = block
-    H[np.arange(cm1 * d), np.arange(cm1 * d)] += l2 * pf_mask.ravel()
+    eta = Xd @ theta
+    proba = _label_proba(np.column_stack([np.zeros_like(eta), eta]))
+    p1 = proba[:, 1]
+    loglik = np.sum(w * np.log(np.maximum(np.where(y, p1, proba[:, 0]), 1e-300)))
+    obj = -loglik + 0.5 * l2 * float(np.sum((theta * pen) ** 2))
+    grad = ((p1 - y) * w) @ Xd + l2 * theta * pen
+    r = p1 * (1.0 - p1) * w
+    H = Xd.T @ (Xd * r[:, None])
+    H[np.diag_indices_from(H)] += l2 * pen
     return obj, grad, H
 
 
 def fit_probability(
     X: np.ndarray,
     labels: np.ndarray,
-    kind: str = "logistic",
     l2: float = 1e-6,
     clip: float = DEFAULT_CLIP,
 ) -> ProbabilityModel:
-    """Fit a penalized logistic (binary) or softmax (multiclass) model.
+    """Fit a penalized logistic model of 0/1 ``labels``.
 
     Newton iterations with step halving on the penalized negative
     log-likelihood; converged when the gradient max-norm drops below
-    ``NEWTON_TOL``. Intercepts are never penalized.
+    ``NEWTON_TOL``. The intercept is never penalized.
     """
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
@@ -608,33 +592,20 @@ def fit_probability(
     n, p = X.shape
     _check_finite("X", X)
     classes = np.unique(labels)
-    if kind == "logistic":
-        if not np.all(np.isin(classes, [0, 1])) or classes.shape[0] != 2:
-            raise MldidError("binary logistic requires both labels 0 and 1 present")
-        classes = np.array([0, 1])
-    elif kind == "softmax":
-        if classes.shape[0] < 2:
-            raise MldidError("softmax requires at least 2 classes present")
-    else:
-        raise MldidError(f"unknown probability model kind: {kind}")
+    if not np.all(np.isin(classes, [0, 1])) or classes.shape[0] != 2:
+        raise MldidError("binary logistic requires both labels 0 and 1 present")
+    y = (labels == 1).astype(float)
 
     w = np.full(n, 1.0 / n)
     Z, m, s = _standardize(X, w, center=True)
     Xd = np.concatenate([np.ones((n, 1)), Z], axis=1)
     d = p + 1
+    theta = np.zeros(d)
+    # Unpenalized intercept, penalized slopes.
+    pen = np.ones(d)
+    pen[0] = 0.0
 
-    class_index = np.searchsorted(classes, labels)
-    n_classes = classes.shape[0]
-    y_onehot = np.zeros((n, n_classes))
-    y_onehot[np.arange(n), class_index] = 1.0
-
-    cm1 = n_classes - 1
-    theta = np.zeros((cm1, d))
-    # Unpenalized intercept column, penalized slopes.
-    pf_mask = np.ones((cm1, d))
-    pf_mask[:, 0] = 0.0
-
-    obj, grad, H = _softmax_nll_grad_hess(theta, Xd, y_onehot, w, l2, pf_mask)
+    obj, grad, H = _logistic_nll_grad_hess(theta, Xd, y, w, l2, pen)
     n_iter = 0
     while np.max(np.abs(grad)) >= NEWTON_TOL:
         if n_iter >= NEWTON_MAX_ITER:
@@ -648,15 +619,15 @@ def fit_probability(
             )
         n_iter += 1
         try:
-            step = np.linalg.solve(H, grad.ravel()).reshape(cm1, d)
+            step = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(H, grad.ravel(), rcond=None)[0].reshape(cm1, d)
+            step = np.linalg.lstsq(H, grad, rcond=None)[0]
         t = 1.0
         improved = False
         while t > 1e-12:
             cand = theta - t * step
-            cand_obj, cand_grad, cand_H = _softmax_nll_grad_hess(
-                cand, Xd, y_onehot, w, l2, pf_mask
+            cand_obj, cand_grad, cand_H = _logistic_nll_grad_hess(
+                cand, Xd, y, w, l2, pen
             )
             if cand_obj <= obj + 1e-12 * max(1.0, abs(obj)):
                 theta, obj, grad, H = cand, cand_obj, cand_grad, cand_H
@@ -677,13 +648,11 @@ def fit_probability(
             "likelihood diverges: data separable and l2 penalty is zero"
         )
 
-    # Unscale back to the original covariate units, reference class first.
-    theta_full = np.concatenate([np.zeros((1, d)), theta], axis=0)
+    # Unscale back to the original covariate units, label-0 row first.
+    theta_full = np.stack([np.zeros(d), theta])
     slopes = theta_full[:, 1:] / s
     intercepts = theta_full[:, 0] - slopes @ m
     return ProbabilityModel(
-        kind=kind,
-        classes=classes,
         intercepts=intercepts,
         coef=slopes,
         l2=l2,
@@ -732,7 +701,6 @@ def cross_fit(
     *,
     predict: Callable[[object, np.ndarray], np.ndarray] | None = None,
     train_mask: np.ndarray | None = None,
-    out_shape: tuple | None = None,
 ) -> np.ndarray:
     """Out-of-fold predictions with fold membership defined by unit.
 
@@ -745,8 +713,7 @@ def cross_fit(
     row_fold = plan.assignment[units]
     if predict is None:
         predict = lambda model, Xnew: model.predict(Xnew)
-    out = np.empty((n,) + (out_shape or ()))
-    out.fill(np.nan)
+    out = np.full(n, np.nan)
     for k in range(plan.n_folds):
         test = row_fold == k
         if not test.any():

@@ -1,11 +1,17 @@
 """Cross-fitted nuisance functions and the orthogonal decomposition terms.
 
 For one two-period slice this module estimates the treatment propensity
-g(x), the period probability t(x), the joint class probabilities
-iota(x), the pooled outcome regression m(x), and the conditional-mean
+g(x), the pooled outcome regression m(x), and the conditional-mean
 contrasts nu(x) (over time) and zeta(x) (over treatment group), then
 derives the per-row quantities A, B, C and the partial residual H that
 feed the effect-function fit.
+
+Every unit of a slice contributes one pre and one post row with the same
+covariates and group, so the period probability t(x) is 1/2 and the
+conditional covariance of G and T given X is zero by construction. The
+decomposition coefficients then have the closed forms A = T - 1/2,
+B = G - g(x) and C = (G - g(x))(T - 1/2), and g(x) is the only
+probability model a cell fits.
 """
 
 from __future__ import annotations
@@ -15,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    DegenerateFold,
-    MissingStratum,
-    MldidError,
-    SingularShrinkFactor,
-)
+from .exceptions import DegenerateFold, MissingStratum, MldidError
 from .learners import (
     CV_FOLDS,
     CV_N_LAMBDAS,
@@ -32,8 +33,6 @@ from .learners import (
     fit_penalized_ls_cv,
     fit_probability,
 )
-
-SHRINK_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -71,9 +70,8 @@ class NuisanceBundle:
     """Stacked two-period rows with their nuisance predictions.
 
     Rows 0..m-1 are the pre-period observations, rows m..2m-1 the post
-    ones; ``units`` maps each row back to its slice unit. A, B, C, H and
-    ``valid`` are filled by :func:`compute_abch` (rows whose shrink
-    factor is non-positive are flagged invalid and carry NaNs).
+    ones; ``units`` maps each row back to its slice unit. A, B, C and H
+    are filled by :func:`compute_abch`.
     """
 
     y: np.ndarray
@@ -84,17 +82,13 @@ class NuisanceBundle:
     unit_ids: np.ndarray
     covariate_names: tuple[str, ...]
     g_hat: np.ndarray
-    t_hat: np.ndarray
-    iota_hat: np.ndarray
     m_hat: np.ndarray
     nu_hat: np.ndarray
     zeta_hat: np.ndarray
-    delta_hat: np.ndarray
     A: np.ndarray | None = None
     B: np.ndarray | None = None
     C: np.ndarray | None = None
     H: np.ndarray | None = None
-    valid: np.ndarray | None = None
 
     @property
     def n_rows(self) -> int:
@@ -106,9 +100,9 @@ class NuisanceBundle:
 
     @property
     def n_dropped(self) -> int:
-        if self.valid is None:
-            return 0
-        return int(np.sum(~self.valid))
+        # The closed-form decomposition keeps every row. The benchmark's
+        # nuisance.rows_dropped counter still reads this attribute.
+        return 0
 
 
 def _stack_slice(sl):
@@ -122,53 +116,37 @@ def _stack_slice(sl):
 
 
 def estimate_nuisances(sl, plan: FoldPlan, config: LearnerConfig | None = None) -> NuisanceBundle:
-    """Cross-fit all five nuisance functions on a slice's stacked rows.
+    """Cross-fit the nuisance functions of a slice.
 
-    g(x) and t(x) come from binary logistic fits, iota from a four-class
-    softmax on the (G, T) configuration, m(x) from the pooled outcome
-    regression, and nu(x)/zeta(x) from conditional regressions fit on the
-    respective subsets and differenced. Every prediction for a row is
-    produced by models that never saw that row's unit.
+    g(x) comes from a binary logistic fit on the slice's unit rows (a
+    unit's two stacked rows would only repeat it) and is stacked for both
+    periods. m(x) is the pooled outcome regression on the stacked rows and
+    nu(x)/zeta(x) are differences of conditional regressions fit on the
+    respective subsets. Every prediction for a row is produced by models
+    that never saw that row's unit.
     """
     config = config or LearnerConfig()
     y, g, t, X, units = _stack_slice(sl)
-    classes = 2 * g.astype(np.int64) + t.astype(np.int64)
-    present = np.unique(classes)
-    if present.shape[0] < 4:
-        missing = sorted(set(range(4)) - set(present.tolist()))
-        raise MissingStratum(f"empty (G,T) strata: {missing}")
+    n_treated = int(np.count_nonzero(sl.g_flag))
+    if n_treated in (0, sl.n_units):
+        missing = "treated" if n_treated == 0 else "control"
+        raise MissingStratum(f"slice has no {missing} units")
 
     clip = config.clip
 
     def fit_binary(Xtr, ytr):
         if np.unique(ytr).shape[0] < 2:
             raise MissingStratum("training fold lacks both binary classes")
-        return fit_probability(Xtr, ytr, "logistic", l2=config.prob_l2, clip=clip)
+        return fit_probability(Xtr, ytr, l2=config.prob_l2, clip=clip)
 
-    def fit_four(Xtr, ytr):
-        if np.unique(ytr).shape[0] < 4:
-            raise MissingStratum("training fold lacks a (G,T) stratum")
-        return fit_probability(Xtr, ytr, "softmax", l2=config.prob_l2, clip=clip)
-
-    proba1 = lambda model, Xn: model.predict_proba(Xn, clipped=False)[:, 1]
-    proba_all = lambda model, Xn: model.predict_proba(Xn, clipped=False)
-
-    g_raw = cross_fit(X, g.astype(np.int64), units, plan, fit_binary, predict=proba1)
-    t_raw = cross_fit(X, t.astype(np.int64), units, plan, fit_binary, predict=proba1)
-    iota_raw = cross_fit(
-        X, classes, units, plan, fit_four, predict=proba_all, out_shape=(4,)
+    g_unit = cross_fit(
+        sl.X, sl.g_flag.astype(np.int64), np.arange(sl.n_units), plan, fit_binary,
+        predict=lambda model, Xn: model.predict_proba(Xn, clipped=False)[:, 1],
     )
-    row_sums = iota_raw.sum(axis=1)
-    assert np.all(np.abs(row_sums - 1.0) < 1e-12), "softmax rows must sum to one"
-
-    g_hat = np.clip(g_raw, clip, 1.0 - clip)
-    t_hat = np.clip(t_raw, clip, 1.0 - clip)
-    iota_hat = np.clip(iota_raw, clip, 1.0 - clip)
+    g_hat = np.clip(np.concatenate([g_unit, g_unit]), clip, 1.0 - clip)
 
     m_hat, mu_t1, mu_t0, mu_g1, mu_g0 = _cross_fit_regressions(
         X, y, g, units, plan, config)
-
-    delta_hat = iota_hat[:, 3] - g_hat * t_hat
 
     return NuisanceBundle(
         y=y,
@@ -179,12 +157,9 @@ def estimate_nuisances(sl, plan: FoldPlan, config: LearnerConfig | None = None) 
         unit_ids=sl.unit_ids,
         covariate_names=sl.covariate_names,
         g_hat=g_hat,
-        t_hat=t_hat,
-        iota_hat=iota_hat,
         m_hat=m_hat,
         nu_hat=mu_t1 - mu_t0,
         zeta_hat=mu_g1 - mu_g0,
-        delta_hat=delta_hat,
     )
 
 
@@ -244,43 +219,10 @@ def _cross_fit_regressions(X, y, g, units, plan: FoldPlan, config: LearnerConfig
     return outs
 
 
-def abch_terms(g_flag, t_flag, g_hat, t_hat, iota11, delta):
-    """The decomposition coefficients A, B, C for given nuisance values.
-
-    Rows whose shrink factor 1 - delta^2 / (g(1-g)t(1-t)) falls below
-    SHRINK_TOL come back NaN along with a False entry in the validity
-    mask.
-    """
-    gg = g_hat * (1.0 - g_hat)
-    tt = t_hat * (1.0 - t_hat)
-    shrink = 1.0 - delta**2 / (gg * tt)
-    valid = shrink > SHRINK_TOL
-    inv = np.where(valid, 1.0 / np.where(valid, shrink, 1.0), np.nan)
-    A = inv * (t_flag - t_hat - delta * (g_flag - g_hat) / gg)
-    B = inv * (g_flag - g_hat - delta * (t_flag - t_hat) / tt)
-    C = (
-        g_flag * t_flag
-        - iota11
-        - (g_hat + delta / t_hat) * A
-        - (t_hat + delta / g_hat) * B
-    )
-    return A, B, C, valid
-
-
 def compute_abch(bundle: NuisanceBundle) -> NuisanceBundle:
-    """Fill A, B, C and the partial residual H = Y - (m + A*nu + B*zeta)."""
-    A, B, C, valid = abch_terms(
-        bundle.g.astype(float),
-        bundle.t.astype(float),
-        bundle.g_hat,
-        bundle.t_hat,
-        bundle.iota_hat[:, 3],
-        bundle.delta_hat,
-    )
-    if not valid.any():
-        raise SingularShrinkFactor(
-            "every row has a non-positive shrink factor; the joint propensity "
-            "estimates are incoherent"
-        )
+    """Fill A = T - 1/2, B = G - g_hat, C = B*A and H = Y - (m + A*nu + B*zeta)."""
+    A = bundle.t - 0.5
+    B = bundle.g - bundle.g_hat
+    C = B * A
     H = bundle.y - (bundle.m_hat + A * bundle.nu_hat + B * bundle.zeta_hat)
-    return dataclasses.replace(bundle, A=A, B=B, C=C, H=H, valid=valid)
+    return dataclasses.replace(bundle, A=A, B=B, C=C, H=H)

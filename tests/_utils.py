@@ -73,8 +73,8 @@ def oracle_bundle(sl, truth, y_shift=0.0):
     """NuisanceBundle with the true nuisance values of two_period_dgp.
 
     With each unit stacked into both periods, t(x) = 1/2 and G is
-    independent of T given X, so the joint probabilities factor and the
-    conditional covariance is exactly zero.
+    independent of T given X, which is what the closed-form A, B, C of
+    compute_abch assume.
     """
     m_units = sl.n_units
     gx = truth["g"]
@@ -86,11 +86,6 @@ def oracle_bundle(sl, truth, y_shift=0.0):
     def stack(a):
         return np.concatenate([a, a])
 
-    g_hat = stack(gx)
-    t_hat = np.full(2 * m_units, 0.5)
-    iota = np.column_stack([
-        (1 - g_hat) * 0.5, (1 - g_hat) * 0.5, g_hat * 0.5, g_hat * 0.5,
-    ])
     bundle = NuisanceBundle(
         y=np.concatenate([sl.y_pre, sl.y_post]) + y_shift,
         g=stack(sl.g_flag).astype(np.int8),
@@ -99,12 +94,9 @@ def oracle_bundle(sl, truth, y_shift=0.0):
         units=np.concatenate([np.arange(m_units), np.arange(m_units)]),
         unit_ids=sl.unit_ids,
         covariate_names=sl.covariate_names,
-        g_hat=g_hat,
-        t_hat=t_hat,
-        iota_hat=iota,
+        g_hat=stack(gx),
         m_hat=stack(m_x) + y_shift,
         nu_hat=stack(nu_x),
         zeta_hat=stack(zeta_x),
-        delta_hat=iota[:, 3] - g_hat * t_hat,
     )
     return compute_abch(bundle)

@@ -38,7 +38,7 @@ from mldid import (
 )
 from mldid.amle import AmleProblem
 from mldid.estimator import derive_seed
-from mldid.nuisance import abch_terms
+from mldid.nuisance import NuisanceBundle, compute_abch
 from mldid.report import write_cells_csv
 
 pytestmark = pytest.mark.acceptance
@@ -283,18 +283,25 @@ def test_criterion_7_algebraic_suite(tmp_path):
     """Noise-free algebra, closed forms, leakage and determinism checks."""
     ok = True
 
-    # Decomposition reduction at zero conditional covariance, to 1e-12.
+    # Decomposition reduction at t = 1/2 and zero conditional covariance
+    # (each unit stacked into both periods), to 1e-12.
     rng = np.random.default_rng(0)
     n = 300
-    g_flag = rng.integers(0, 2, n).astype(float)
-    t_flag = rng.integers(0, 2, n).astype(float)
+    g_flag = rng.integers(0, 2, n)
+    t_flag = rng.integers(0, 2, n)
     g = rng.uniform(0.05, 0.95, n)
-    t = rng.uniform(0.05, 0.95, n)
-    A, B, C, valid = abch_terms(g_flag, t_flag, g, t, g * t, np.zeros(n))
-    ok &= valid.all()
-    ok &= np.allclose(A, t_flag - t, atol=1e-12)
-    ok &= np.allclose(B, g_flag - g, atol=1e-12)
-    ok &= np.allclose(C, (g_flag - g) * (t_flag - t), atol=1e-12)
+    y, m_hat, nu, zeta = rng.standard_normal((4, n))
+    bundle = compute_abch(NuisanceBundle(
+        y=y, g=g_flag.astype(np.int8), t=t_flag.astype(np.int8),
+        X=np.zeros((n, 1)), units=np.arange(n),
+        unit_ids=np.arange(n, dtype=object), covariate_names=("x_1",),
+        g_hat=g, m_hat=m_hat, nu_hat=nu, zeta_hat=zeta,
+    ))
+    ok &= np.allclose(bundle.A, t_flag - 0.5, atol=1e-12)
+    ok &= np.allclose(bundle.B, g_flag - g, atol=1e-12)
+    ok &= np.allclose(bundle.C, (g_flag - g) * (t_flag - 0.5), atol=1e-12)
+    ok &= np.allclose(bundle.H, y - (m_hat + bundle.A * nu + bundle.B * zeta),
+                      atol=1e-12)
 
     # Lasso against the soft-threshold closed form, to 1e-8.
     Q, _ = np.linalg.qr(rng.standard_normal((64, 4)))

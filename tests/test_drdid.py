@@ -61,7 +61,7 @@ def test_control_weights_normalized():
     # Reproduce the internal weighting and confirm exact normalization.
     from mldid.learners import fit_probability
 
-    model = fit_probability(sl.X, sl.g_flag.astype(np.int64), "logistic")
+    model = fit_probability(sl.X, sl.g_flag.astype(np.int64))
     p = model.predict_proba(sl.X)[:, 1]
     control = sl.g_flag == 0
     w = p[control] / (1 - p[control])

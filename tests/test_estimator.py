@@ -62,7 +62,6 @@ def test_att_invariant_to_outcome_level_shift():
 def test_unit_score_mean_reproduces_att():
     oracle = simulate(DgpConfig(n_units=300, seed=3))
     res = estimate_cell(oracle.panel, 2, 2, FAST)
-    assert res.n_rows_dropped == 0
     assert_allclose(res.score_unit.mean(), res.att, atol=1e-12)
 
 

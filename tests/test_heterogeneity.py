@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -26,6 +28,31 @@ def test_per_event_exact_recovery_of_linear_target():
         assert_allclose(res.coef("x_1", e).coef, e + 1.0, atol=1e-8)
         assert_allclose(res.coef("x_2", e).coef, 0.0, atol=1e-8)
         assert_allclose(res.coef("(intercept)", e).coef, 0.0, atol=1e-8)
+    # An exact fit leaves residuals at rounding level: no t or p is reported.
+    for c in res.coefficients:
+        assert np.isnan(c.t) and np.isnan(c.p), c
+        assert np.isfinite(c.coef) and np.isfinite(c.se)
+
+
+def test_noisy_target_keeps_t_and_p():
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((300, 3))
+    vals = 2.0 * X[:, 0] + rng.standard_normal(300)
+    res = blp(vals, np.zeros(300, dtype=int), X, NAMES, mode="per-event")
+    design = np.column_stack([np.ones(300), X])
+    beta = np.linalg.solve(design.T @ design, design.T @ vals)
+    resid = vals - design @ beta
+    bread = np.linalg.inv(design.T @ design)
+    vcov = bread @ (design.T * resid**2) @ design @ bread * 300 / 296
+    se = np.sqrt(np.diag(vcov))
+    for j, name in enumerate(["(intercept)", *NAMES]):
+        c = res.coef(name, 0)
+        assert_allclose(c.coef, beta[j], rtol=1e-10)
+        assert_allclose(c.se, se[j], rtol=1e-10)
+        assert_allclose(c.t, beta[j] / se[j], rtol=1e-10)
+        assert_allclose(c.p, math.erfc(abs(beta[j] / se[j]) / math.sqrt(2.0)),
+                        rtol=1e-8, atol=1e-300)
+    assert res.coef("x_1", 0).p < 1e-10
 
 
 def test_constant_target():

@@ -376,13 +376,6 @@ def test_logistic_intercept_only_matches_base_rate():
     assert_allclose(p, 0.4, atol=1e-6)
 
 
-def test_softmax_intercept_only_matches_class_shares():
-    labels = np.repeat([0, 1, 2, 3], [10, 20, 30, 40])
-    m = fit_probability(np.empty((100, 0)), labels, kind="softmax")
-    p = m.predict_proba(np.empty((1, 0)), clipped=False)[0]
-    assert_allclose(p, [0.1, 0.2, 0.3, 0.4], atol=1e-6)
-
-
 def test_logistic_recovers_known_slope():
     rng = np.random.default_rng(9)
     n = 5000

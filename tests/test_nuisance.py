@@ -5,12 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mldid import cross_fit, make_fold_plan
-from mldid.exceptions import DegenerateFold, MissingStratum, SingularShrinkFactor
+from mldid.exceptions import DegenerateFold, MissingStratum
+from mldid.learners import DEFAULT_CLIP, fit_probability
 from mldid.nuisance import (
     LearnerConfig,
+    NuisanceBundle,
     _cross_fit_regressions,
     _stack_slice,
-    abch_terms,
     compute_abch,
     estimate_nuisances,
 )
@@ -33,74 +34,75 @@ def straight_line_abc(g_flag, t_flag, g, t, iota11, delta):
     return a, b, c
 
 
+def abch_bundle(g_flag, t_flag, g_hat, rng):
+    """A bundle with the given G, T and g_hat, ready for compute_abch."""
+    n = g_flag.shape[0]
+    return NuisanceBundle(
+        y=rng.standard_normal(n), g=g_flag.astype(np.int8),
+        t=t_flag.astype(np.int8), X=np.zeros((n, 1)), units=np.arange(n),
+        unit_ids=np.arange(n, dtype=object), covariate_names=("x_1",),
+        g_hat=g_hat, m_hat=rng.standard_normal(n), nu_hat=rng.standard_normal(n),
+        zeta_hat=rng.standard_normal(n),
+    )
+
+
 def test_delta_zero_reduction_exact():
+    # Balanced stacking gives t = 1/2, iota11 = g/2 and delta = 0; the
+    # general coefficients must reduce to the closed forms, including at
+    # both clip bounds of g_hat.
     rng = np.random.default_rng(0)
-    n = 200
+    n = 400
     g_flag = rng.integers(0, 2, n).astype(float)
     t_flag = rng.integers(0, 2, n).astype(float)
-    g = rng.uniform(0.05, 0.95, n)
-    t = rng.uniform(0.05, 0.95, n)
-    iota11 = g * t
-    delta = np.zeros(n)
-    A, B, C, valid = abch_terms(g_flag, t_flag, g, t, iota11, delta)
-    assert valid.all()
-    assert_allclose(A, t_flag - t, atol=1e-12)
-    assert_allclose(B, g_flag - g, atol=1e-12)
-    assert_allclose(C, (g_flag - g) * (t_flag - t), atol=1e-12)
-
-
-def test_delta_zero_a_vanishes_when_t_matches():
-    A, B, C, valid = abch_terms(
-        np.array([1.0]), np.array([0.5]), np.array([0.3]), np.array([0.5]),
-        np.array([0.15]), np.array([0.0]),
+    g = rng.uniform(DEFAULT_CLIP, 1.0 - DEFAULT_CLIP, n)
+    g[:4] = [DEFAULT_CLIP, DEFAULT_CLIP, 1.0 - DEFAULT_CLIP, 1.0 - DEFAULT_CLIP]
+    g_flag[:4] = [0.0, 1.0, 0.0, 1.0]
+    bundle = compute_abch(abch_bundle(g_flag, t_flag, g, rng))
+    a2, b2, c2 = straight_line_abc(g_flag, t_flag, g, np.full(n, 0.5), g / 2,
+                                   np.zeros(n))
+    assert_allclose(bundle.A, a2, rtol=0, atol=1e-12)
+    assert_allclose(bundle.B, b2, rtol=0, atol=1e-12)
+    assert_allclose(bundle.C, c2, rtol=0, atol=1e-12)
+    assert_allclose(bundle.A, t_flag - 0.5, rtol=0, atol=0)
+    assert_allclose(bundle.B, g_flag - g, rtol=0, atol=0)
+    assert_allclose(bundle.C, (g_flag - g) * (t_flag - 0.5), rtol=0, atol=0)
+    assert_allclose(
+        bundle.H,
+        bundle.y - (bundle.m_hat + bundle.A * bundle.nu_hat
+                    + bundle.B * bundle.zeta_hat),
+        rtol=0, atol=1e-12,
     )
-    assert_allclose(A, 0.0, atol=1e-12)
 
 
 def test_fixed_point_against_independent_transcription():
-    # g=0.3, t=0.5, iota11=0.2 (delta=0.05), observed G=T=1: the shrink
-    # factor is 20/21, giving A=0.35, B=0.63, C=0.24 exactly.
-    args = (np.array([1.0]), np.array([1.0]), np.array([0.3]),
-            np.array([0.5]), np.array([0.2]), np.array([0.05]))
-    A, B, C, valid = abch_terms(*args)
-    assert_allclose(A, 0.35, atol=1e-12)
-    assert_allclose(B, 0.63, atol=1e-12)
-    assert_allclose(C, 0.24, atol=1e-12)
-    a2, b2, c2 = straight_line_abc(*args)
-    assert_allclose(A, a2, atol=1e-12)
-    assert_allclose(B, b2, atol=1e-12)
-    assert_allclose(C, c2, atol=1e-12)
+    # g_hat = 0.3 and observed G = T = 1 give A = 0.5, B = 0.7, C = 0.35.
+    one = np.array([1.0])
+    bundle = compute_abch(abch_bundle(one, one, np.array([0.3]),
+                                      np.random.default_rng(0)))
+    assert_allclose(bundle.A, 0.5, atol=1e-12)
+    assert_allclose(bundle.B, 0.7, atol=1e-12)
+    assert_allclose(bundle.C, 0.35, atol=1e-12)
+    a2, b2, c2 = straight_line_abc(one, one, np.array([0.3]), np.array([0.5]),
+                                   np.array([0.15]), np.array([0.0]))
+    assert_allclose(bundle.A, a2, atol=1e-12)
+    assert_allclose(bundle.B, b2, atol=1e-12)
+    assert_allclose(bundle.C, c2, atol=1e-12)
 
 
 def test_random_draws_against_independent_transcription():
-    rng = np.random.default_rng(1)
-    n = 500
-    g = rng.uniform(0.1, 0.9, n)
-    t = rng.uniform(0.1, 0.9, n)
-    # Keep the joint probability coherent so the shrink factor is positive.
-    lo = np.maximum(0.0, g + t - 1.0)
-    hi = np.minimum(g, t)
-    iota11 = lo + rng.uniform(0.25, 0.75, n) * (hi - lo)
-    delta = iota11 - g * t
-    g_flag = rng.integers(0, 2, n).astype(float)
-    t_flag = rng.integers(0, 2, n).astype(float)
-    A, B, C, valid = abch_terms(g_flag, t_flag, g, t, iota11, delta)
-    a2, b2, c2 = straight_line_abc(g_flag[valid], t_flag[valid], g[valid],
-                                   t[valid], iota11[valid], delta[valid])
-    assert_allclose(A[valid], a2, atol=1e-12)
-    assert_allclose(B[valid], b2, atol=1e-12)
-    assert_allclose(C[valid], c2, atol=1e-12)
-
-
-def test_shrink_factor_flags_rows():
-    # delta^2 >= g(1-g)t(1-t) makes the decomposition undefined.
-    A, B, C, valid = abch_terms(
-        np.array([1.0, 1.0]), np.array([1.0, 1.0]),
-        np.array([0.5, 0.5]), np.array([0.5, 0.5]),
-        np.array([0.5, 0.3]), np.array([0.25, 0.05]),
-    )
-    assert not valid[0] and valid[1]
-    assert np.isnan(A[0]) and np.isfinite(A[1])
+    # The closed forms on fitted nuisances: compute_abch on an estimated
+    # bundle matches the transcription at t = 1/2, iota11 = g_hat/2, delta = 0.
+    sl, _ = two_period_dgp(300, seed=1, tau_fn=lambda x: x[:, 0],
+                           g_fn=lambda x: 1 / (1 + np.exp(-2.0 * x[:, 1])))
+    plan = make_fold_plan(sl.n_units, 5, seed=0)
+    bundle = compute_abch(estimate_nuisances(sl, plan, LearnerConfig(fixed_l1=0.02)))
+    g_flag, t_flag = bundle.g.astype(float), bundle.t.astype(float)
+    n = bundle.n_rows
+    a2, b2, c2 = straight_line_abc(g_flag, t_flag, bundle.g_hat, np.full(n, 0.5),
+                                   bundle.g_hat / 2, np.zeros(n))
+    assert_allclose(bundle.A, a2, rtol=0, atol=1e-12)
+    assert_allclose(bundle.B, b2, rtol=0, atol=1e-12)
+    assert_allclose(bundle.C, c2, rtol=0, atol=1e-12)
 
 
 def test_constant_outcome_nuisances():
@@ -115,52 +117,61 @@ def test_constant_outcome_nuisances():
 
 
 def test_time_probability_balanced_by_construction():
+    # The premise of the closed forms: every unit has one pre and one post
+    # row with the same covariates, group and propensity, so t(x) = 1/2 and
+    # G, T are uncorrelated given X.
     sl, _ = two_period_dgp(400, seed=3, tau_fn=lambda x: x[:, 0])
     plan = make_fold_plan(sl.n_units, 5, seed=1)
     bundle = estimate_nuisances(sl, plan)
-    assert abs(bundle.t_hat.mean() - 0.5) < 0.01
+    m = sl.n_units
+    assert np.array_equal(bundle.t, np.repeat(np.array([0, 1], np.int8), m))
+    assert np.array_equal(bundle.X[:m], bundle.X[m:])
+    assert np.array_equal(bundle.g[:m], bundle.g[m:])
+    assert np.array_equal(bundle.g_hat[:m], bundle.g_hat[m:])
+    assert np.array_equal(bundle.units[:m], bundle.units[m:])
 
 
-def test_delta_small_under_independence():
-    sl, _ = two_period_dgp(5000, seed=4, tau_fn=lambda x: x[:, 0])
-    plan = make_fold_plan(sl.n_units, 5, seed=2)
-    bundle = estimate_nuisances(sl, plan)
-    assert np.mean(np.abs(bundle.delta_hat)) < 0.02
-
-
-def test_iota_raw_rows_sum_to_one_and_clip_applied():
-    sl, _ = two_period_dgp(300, seed=5, tau_fn=lambda x: x[:, 0])
+def test_propensity_clip_applied():
+    sl, _ = two_period_dgp(300, seed=5, tau_fn=lambda x: x[:, 0],
+                           g_fn=lambda x: 1 / (1 + np.exp(-3.0 * x[:, 1])))
     plan = make_fold_plan(sl.n_units, 5, seed=3)
     bundle = estimate_nuisances(sl, plan, LearnerConfig(clip=0.05))
-    assert bundle.g_hat.min() >= 0.05 and bundle.g_hat.max() <= 0.95
-    assert bundle.iota_hat.min() >= 0.05
+    assert bundle.g_hat.min() == 0.05 and bundle.g_hat.max() == 0.95
+
+
+def test_propensity_on_unit_rows_matches_stacked_rows():
+    # Fitting g on the m unit rows has the same objective as fitting it on
+    # the 2m stacked rows, where every unit appears twice.
+    for seed in range(5):
+        sl, _ = two_period_dgp(200 + 100 * seed, seed=20 + seed,
+                               tau_fn=lambda x: x[:, 0], p=3,
+                               g_fn=lambda x: 1 / (1 + np.exp(-x[:, 0] + x[:, 2])))
+        labels = sl.g_flag.astype(np.int64)
+        unit = fit_probability(sl.X, labels)
+        stacked = fit_probability(np.vstack([sl.X, sl.X]),
+                                  np.concatenate([labels, labels]))
+        assert_allclose(unit.predict_proba(sl.X, clipped=False),
+                        stacked.predict_proba(sl.X, clipped=False),
+                        rtol=0, atol=1e-10)
+        plan = make_fold_plan(sl.n_units, 5, seed=seed)
+        y, g, t, X, units = _stack_slice(sl)
+        stacked_cf = cross_fit(
+            X, g.astype(np.int64), units, plan, fit_probability,
+            predict=lambda mod, Xn: mod.predict_proba(Xn, clipped=False)[:, 1])
+        bundle = estimate_nuisances(sl, plan)
+        assert_allclose(bundle.g_hat, np.clip(stacked_cf, DEFAULT_CLIP,
+                                              1.0 - DEFAULT_CLIP),
+                        rtol=0, atol=1e-10)
 
 
 def test_missing_stratum_detected():
     sl, truth = two_period_dgp(60, seed=6, tau_fn=lambda x: x[:, 0])
-    all_treated = dataclasses.replace(sl, g_flag=np.ones(sl.n_units,
-                                                        dtype=np.int8))
     plan = make_fold_plan(sl.n_units, 5, seed=4)
-    with pytest.raises(MissingStratum):
-        estimate_nuisances(all_treated, plan)
-
-
-def test_singular_shrink_factor_raises_when_universal():
-    from mldid.nuisance import NuisanceBundle
-
-    n = 4
-    ones = np.ones(n)
-    bundle = NuisanceBundle(
-        y=ones, g=np.ones(n, np.int8), t=np.ones(n, np.int8),
-        X=np.zeros((n, 1)), units=np.arange(n),
-        unit_ids=np.arange(n, dtype=object), covariate_names=("x_1",),
-        g_hat=0.5 * ones, t_hat=0.5 * ones,
-        iota_hat=np.column_stack([0.5 * ones, 0 * ones, 0 * ones, 0.5 * ones]),
-        m_hat=ones, nu_hat=ones, zeta_hat=ones,
-        delta_hat=0.25 * ones,
-    )
-    with pytest.raises(SingularShrinkFactor):
-        compute_abch(bundle)
+    for flag in (1, 0):
+        one_group = dataclasses.replace(
+            sl, g_flag=np.full(sl.n_units, flag, dtype=np.int8))
+        with pytest.raises(MissingStratum):
+            estimate_nuisances(one_group, plan)
 
 
 def _per_fold_regressions(sl, plan, config, fit=None):
@@ -241,7 +252,6 @@ def test_oracle_nuisance_reduction_matches_reduced_formulas():
     bundle = oracle_bundle(sl, truth)
     g = bundle.g.astype(float)
     t = bundle.t.astype(float)
-    assert_allclose(bundle.A, t - bundle.t_hat, atol=1e-12)
+    assert_allclose(bundle.A, t - 0.5, atol=1e-12)
     assert_allclose(bundle.B, g - bundle.g_hat, atol=1e-12)
-    assert_allclose(bundle.C, (g - bundle.g_hat) * (t - bundle.t_hat),
-                    atol=1e-12)
+    assert_allclose(bundle.C, (g - bundle.g_hat) * (t - 0.5), atol=1e-12)
