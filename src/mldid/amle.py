@@ -74,7 +74,9 @@ def build_function_class(bundle: NuisanceBundle, sigma2: float) -> AmleProblem:
 
     Covariates are standardized over the stacked rows. Each feature's
     target is the sample mean of psi(x,1,1) - psi(x,0,1) - psi(x,1,0)
-    + psi(x,0,0), the difference-in-differences contrast.
+    + psi(x,0,0), the difference-in-differences contrast. Only the
+    features with a g*t factor survive it: the target is 1 on G*T, the
+    mean of the standardized x on x*G*T, and 0 everywhere else.
     """
     X = bundle.X
     g = bundle.g.astype(float)
@@ -85,16 +87,12 @@ def build_function_class(bundle: NuisanceBundle, sigma2: float) -> AmleProblem:
     Xs = (X - mean) / sd
 
     basis = _feature_map(Xs, g, t)
-    n = Xs.shape[0]
-    ones = np.ones(n)
-    zeros = np.zeros(n)
-    contrast = (
-        _feature_map(Xs, ones, ones)
-        - _feature_map(Xs, zeros, ones)
-        - _feature_map(Xs, ones, zeros)
-        + _feature_map(Xs, zeros, zeros)
-    )
-    target = contrast.mean(axis=0)
+    # Columns as _feature_map lays them out: 1, x (p), G, T, G*T, x*G,
+    # x*T, x*G*T (p each).
+    p = Xs.shape[1]
+    target = np.zeros(basis.shape[1])
+    target[p + 3] = 1.0
+    target[3 * p + 4:] = Xs.mean(axis=0)
     return AmleProblem(
         basis=basis,
         target=target,

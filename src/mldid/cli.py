@@ -20,6 +20,7 @@ import numpy as np
 
 from .drdid import estimate_cell_dr, compare_rmse, DrCellResult
 from .estimator import (
+    MIN_BOOTSTRAP_REPLICATES,
     EstimatorConfig,
     attach_bootstrap_se,
     bootstrap_se,
@@ -106,11 +107,21 @@ def _dgp_options(f):
     return f
 
 
+def _check_bootstrap(ctx, param, value):
+    """Reject replicate counts the bootstrap would refuse after estimation."""
+    if value != 0 and value < MIN_BOOTSTRAP_REPLICATES:
+        raise click.BadParameter(
+            f"must be 0 (off) or at least {MIN_BOOTSTRAP_REPLICATES}, got {value}")
+    return value
+
+
 def _estimator_options(f):
     opts = [
         click.option("--folds", type=int, default=5, show_default=True),
         click.option("--bootstrap", type=int, default=0, show_default=True,
-                     help="Bootstrap replicates for standard errors (0 = off)."),
+                     callback=_check_bootstrap,
+                     help=f"Bootstrap replicates for standard errors (0 = off, "
+                          f"else at least {MIN_BOOTSTRAP_REPLICATES})."),
         click.option("--placebo", type=click.BOOL, default=True,
                      show_default=True, help="Include pre-treatment cells."),
         click.option("--threads", type=int, default=1, show_default=True),

@@ -35,6 +35,9 @@ _SEED_FOLDS = 101
 _SEED_BOOT = 202
 _SEED_REP = 303
 
+# Fewest replicates whose standard deviation the bootstrap reports.
+MIN_BOOTSTRAP_REPLICATES = 50
+
 
 def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
@@ -402,8 +405,9 @@ def bootstrap_se(
     standard deviation. The run is invalid if more than 10% of
     replicates fail.
     """
-    if n_replicates < 50:
-        raise MldidError("bootstrap needs at least 50 replicates")
+    if n_replicates < MIN_BOOTSTRAP_REPLICATES:
+        raise MldidError(
+            f"bootstrap needs at least {MIN_BOOTSTRAP_REPLICATES} replicates")
     tasks = [(panel, config, b) for b in range(n_replicates)]
     outputs = []
     if config.threads > 1:

@@ -3,21 +3,30 @@
 All nuisance quantities are estimated with the two model families here:
 an elastic-net linear model solved by covariance-update coordinate descent
 (the outcome regressions and the effect function), and a penalized binary
-logistic model solved by damped Newton iterations on one d x d Hessian
-(the treatment propensity). Both are deterministic given their inputs,
-which keeps every downstream estimate reproducible from a single seed.
+logistic model solved by damped Newton iterations (the treatment
+propensity). Both are deterministic given their inputs, which keeps every
+downstream estimate reproducible from a single seed. Each family has one
+batched engine, and its one-fit entry points are one-member calls into it.
 
-Every elastic-net fit goes through one batched engine, ``_lasso_path``
-(covariance updates with warm starts along the l1 path, after Friedman,
-Hastie & Tibshirani 2010). It takes a batch of standardized Gram systems
-and runs each coordinate update as one vector operation over the batch.
-:func:`fit_penalized_ls_batch` hands it, in two batches, the inner-CV paths
-of many regressions and then their refits at the chosen (or fixed) l1;
-``estimate_nuisances`` passes all outcome regressions of a cell at once,
-and :func:`fit_penalized_ls` / :func:`fit_penalized_ls_cv` are its
-one-regression calls. Each member follows exactly the iterates of a solve
-on its own, so the l1 chosen and the coefficients do not depend on what
-else is in the batch.
+Every elastic-net fit goes through ``_lasso_path`` (covariance updates with
+warm starts along the l1 path, after Friedman, Hastie & Tibshirani 2010).
+It takes a batch of standardized Gram systems and runs each coordinate
+update as one vector operation over the batch. :func:`fit_penalized_ls_batch`
+hands it, in two batches, the inner-CV paths of many regressions and then
+their refits at the chosen (or fixed) l1; ``estimate_nuisances`` passes all
+outcome regressions of a cell at once, and :func:`fit_penalized_ls` /
+:func:`fit_penalized_ls_cv` are its one-regression calls.
+
+Every logistic fit goes through :func:`fit_probability_batch`: fits that
+share one design and label vector and differ in their row weights (a
+cross-fit's folds) iterate together on one shared standardized design, each
+in its own coordinates, so that one Newton step of the batch is one matrix
+product, one batched Hessian product and one batched d x d solve.
+``estimate_nuisances`` cross-fits the propensity of a cell in one call, and
+:func:`fit_probability` is the one-member call.
+
+In both engines each member follows the iterates of a solve on its own, so
+its result does not depend on what else is in the batch.
 """
 
 from __future__ import annotations
@@ -64,15 +73,38 @@ def _normalized_weights(weights: np.ndarray | None, n: int) -> np.ndarray:
     return weights / total
 
 
+def _pin_constant_columns(X, center, scale, rows=None):
+    """Center each column constant on the rows exactly at its value, with unit scale.
+
+    A weighted mean can round off a constant column's value and leave it a
+    spread of a few ulps, which would scale the column (and any other rows
+    it is applied to) up by ~1e16. Only a column whose spread is at
+    rounding level can be constant, so only those are compared. ``center``
+    and ``scale`` are updated in place; returns the mask of constant
+    columns. ``rows`` (a boolean mask) restricts the rows considered.
+    """
+    const = np.zeros(X.shape[1], dtype=bool)
+    for j in np.flatnonzero(scale <= 1e-6 * np.abs(center)):
+        values = X[:, j] if rows is None else X[rows, j]
+        if values.size and np.all(values == values[0]):
+            const[j] = True
+            center[j], scale[j] = values[0], 1.0
+    return const
+
+
 def _standardize(X: np.ndarray, w: np.ndarray, center: bool):
-    """Weighted center/scale. Without centering, columns are RMS-scaled only."""
+    """Weighted center/scale. Without centering, columns are RMS-scaled only.
+
+    With centering, a column constant on these rows standardizes to exact
+    zeros (see :func:`_pin_constant_columns`).
+    """
     if center:
         m = w @ X
-        var = w @ (X - m) ** 2
+        s = np.sqrt(w @ (X - m) ** 2)
+        _pin_constant_columns(X, m, s)
     else:
         m = np.zeros(X.shape[1])
-        var = w @ X**2
-    s = np.sqrt(var)
+        s = np.sqrt(w @ X**2)
     s[s == 0.0] = 1.0
     return (X - m) / s, m, s
 
@@ -555,22 +587,210 @@ def _label_proba(eta: np.ndarray) -> np.ndarray:
     return expeta / expeta.sum(axis=1, keepdims=True)
 
 
-def _logistic_nll_grad_hess(theta, Xd, y, w, l2, pen):
-    """Objective, gradient and Hessian of the penalized logistic loss.
+def _separable() -> SeparableWithoutPenalty:
+    return SeparableWithoutPenalty(
+        "likelihood diverges: data separable and l2 penalty is zero"
+    )
 
-    ``theta`` holds the label-1 intercept and slopes on the design ``Xd``;
-    ``pen`` marks the penalized entries (all but the intercept).
+
+def _newton_steps(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Solve ``H[b] step[b] = grad[b]`` for a batch; lstsq where H[b] is singular."""
+    try:
+        return np.linalg.solve(H, grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        steps = np.empty_like(grad)
+        for b in range(H.shape[0]):
+            try:
+                steps[b] = np.linalg.solve(H[b], grad[b])
+            except np.linalg.LinAlgError:
+                steps[b] = np.linalg.lstsq(H[b], grad[b], rcond=None)[0]
+        return steps
+
+
+def fit_probability_batch(
+    X: np.ndarray,
+    labels: np.ndarray,
+    weights: np.ndarray,
+    *,
+    l2: float = 1e-6,
+    clip: float = DEFAULT_CLIP,
+) -> list:
+    """Penalized logistic fits of 0/1 ``labels`` on one design, one per weight column.
+
+    Member b fits the rows of ``X`` weighted by ``weights[:, b]`` (rows of
+    weight zero are left out) as :func:`fit_probability` fits those rows on
+    their own: its slopes are standardized by its own weighted center and
+    scale, ``l2`` penalizes them on that scale, and the intercept is never
+    penalized. A cross-fit passes one member per fold, weighting the units
+    outside it.
+
+    All members iterate on one design standardized over every row. Member
+    b's standardized covariates are an affine map of it, ``Z_b = Z r_b +
+    a_b``, so its coordinates, gradient and Hessian are those of the shared
+    design mapped through that map, and each Newton step, which is
+    affine-invariant, is the step of a fit on its own. One iteration is a
+    batch of linear scores, one batched Hessian product and one batched
+    d x d solve over the members still moving. Each member keeps its own
+    convergence test (gradient max-norm in its coordinates below
+    ``NEWTON_TOL``), step halving and iteration count, and is frozen once it
+    stops, so its result does not depend on the rest of the batch.
+
+    Returns per member the ProbabilityModel, or the MldidError its fit
+    raised (non-finite covariates on its rows, a missing label,
+    NoConvergence or SeparableWithoutPenalty).
     """
-    eta = Xd @ theta
-    proba = _label_proba(np.column_stack([np.zeros_like(eta), eta]))
-    p1 = proba[:, 1]
-    loglik = np.sum(w * np.log(np.maximum(np.where(y, p1, proba[:, 0]), 1e-300)))
-    obj = -loglik + 0.5 * l2 * float(np.sum((theta * pen) ** 2))
-    grad = ((p1 - y) * w) @ Xd + l2 * theta * pen
-    r = p1 * (1.0 - p1) * w
-    H = Xd.T @ (Xd * r[:, None])
-    H[np.diag_indices_from(H)] += l2 * pen
-    return obj, grad, H
+    X = np.asarray(X, dtype=float)
+    labels = np.asarray(labels)
+    W = np.asarray(weights, dtype=float)
+    if X.ndim != 2:
+        raise MldidError("X must be 2-dimensional")
+    n, p = X.shape
+    if labels.shape != (n,):
+        raise MldidError("X and labels have different lengths")
+    if W.ndim != 2 or W.shape[0] != n:
+        raise MldidError("weights must be an (n, members) array aligned with X")
+    if np.any(W < 0):
+        raise MldidError("weights must be nonnegative")
+    n_members, d = W.shape[1], p + 1
+
+    # Per member: its rows, the checks a fit on those rows alone makes (in
+    # the same order), its normalized weights and its standardization.
+    rows = W > 0
+    finite = np.isfinite(X).all(axis=1)
+    y = labels == 1
+    bad_x = np.any(rows & ~finite[:, None], axis=0)
+    bad_label = np.any(rows & ~(y | (labels == 0))[:, None], axis=0)
+    has_both = np.any(rows & y[:, None], axis=0) & np.any(rows & ~y[:, None], axis=0)
+    results: list = [None] * n_members
+    for b in np.flatnonzero(bad_x | bad_label | ~has_both):
+        results[b] = (NonFiniteData("X contains NaN or infinite entries") if bad_x[b]
+                      else MldidError("binary logistic requires both labels 0 and 1 present"))
+    live = np.flatnonzero([r is None for r in results])
+    if not live.size:
+        return results
+    Xf = np.where(finite[:, None], X, 0.0)
+    w = np.zeros((n_members, n))
+    w[live] = (W[:, live] / W[:, live].sum(axis=0)).T
+    center = w @ Xf
+    scale = np.sqrt((w[:, None, :] @ (Xf[None] - center[:, None]) ** 2)[:, 0])
+    # As in _standardize. A column constant on a member's rows carries
+    # nothing for it, so its map below is zero and its coefficient stays
+    # exactly zero.
+    const = np.array([_pin_constant_columns(Xf, center[b], scale[b], rows[:, b])
+                      for b in range(n_members)])
+    scale[scale == 0.0] = 1.0
+
+    # The shared design [1, Z] and each member's map theta -> phi onto it:
+    # phi_0 = theta_0 + a_b . theta_s, phi_s = r_b * theta_s.
+    Z, m0, s0 = _standardize(Xf, np.full(n, 1.0 / n), center=True)
+    D = np.concatenate([np.ones((n, 1)), Z], axis=1)
+    DT = np.ascontiguousarray(D.T)
+    T = np.zeros((n_members, d, d))
+    T[:, 0, 0] = 1.0
+    T[:, 0, 1:] = np.where(const, 0.0, (m0 - center) / scale)
+    T[:, np.arange(1, d), np.arange(1, d)] = np.where(const, 0.0, s0 / scale)
+    pen = np.ones(d)
+    pen[0] = 0.0
+    y_float = y.astype(float)
+
+    def objective(theta, idx):
+        """Penalized negative log-likelihood and P(1) for members ``idx``."""
+        eta = (T[idx] @ theta[..., None])[..., 0] @ DT
+        # The label probabilities as _label_proba gives them from the
+        # scores (0, eta): 1 / (1 + e) and e / (1 + e) with e = exp(-|eta|).
+        e = np.exp(-np.abs(eta))
+        high, low = 1.0 / (1.0 + e), e / (1.0 + e)
+        positive = eta >= 0.0
+        p1 = np.where(positive, high, low)
+        observed = np.where(positive == y, high, low)
+        loglik = np.sum(w[idx] * np.log(np.maximum(observed, 1e-300)), axis=1)
+        return -loglik + 0.5 * l2 * np.sum((theta * pen) ** 2, axis=1), p1
+
+    def derivatives(theta, p1, idx):
+        """Gradient and Hessian in each member's coordinates."""
+        Tt = T[idx].transpose(0, 2, 1)
+        grad = (Tt @ (((p1 - y_float) * w[idx]) @ D)[..., None])[..., 0] + l2 * theta * pen
+        r = p1 * (1.0 - p1) * w[idx]
+        k = idx.shape[0]
+        H_shared = ((DT[None] * r[:, None, :]).reshape(k * d, n) @ D).reshape(k, d, d)
+        H = Tt @ H_shared @ T[idx]
+        H[:, np.arange(d), np.arange(d)] += l2 * pen
+        return grad, H
+
+    theta = np.zeros((n_members, d))
+    obj = np.zeros(n_members)
+    grad = np.zeros((n_members, d))
+    H = np.zeros((n_members, d, d))
+    n_iter = np.zeros(n_members, dtype=np.int64)
+    obj[live], p1 = objective(theta[live], live)
+    grad[live], H[live] = derivatives(theta[live], p1, live)
+
+    moving = live
+    while moving.size:
+        gmax = np.max(np.abs(grad[moving]), axis=1)
+        still = gmax >= NEWTON_TOL
+        moving, gmax = moving[still], gmax[still]
+        capped = n_iter[moving] >= NEWTON_MAX_ITER
+        for b, g in zip(moving[capped], gmax[capped]):
+            results[b] = _separable() if l2 == 0.0 else NoConvergence(
+                f"probability fit did not converge in {NEWTON_MAX_ITER} iterations",
+                final_delta=float(g),
+            )
+        moving = moving[~capped]
+        if not moving.size:
+            break
+        n_iter[moving] += 1
+        step = _newton_steps(H[moving], grad[moving])
+        # Step halving: every member starts at t = 1 and halves until its
+        # objective does not rise, so the members still searching share t.
+        improved = np.zeros(moving.size, dtype=bool)
+        p1 = np.empty((moving.size, n))
+        pending = np.arange(moving.size)
+        t = 1.0
+        while t > 1e-12 and pending.size:
+            idx = moving[pending]
+            cand = theta[idx] - t * step[pending]
+            cand_obj, cand_p1 = objective(cand, idx)
+            ok = cand_obj <= obj[idx] + 1e-12 * np.maximum(1.0, np.abs(obj[idx]))
+            theta[idx[ok]], obj[idx[ok]] = cand[ok], cand_obj[ok]
+            p1[pending[ok]] = cand_p1[ok]
+            improved[pending[ok]] = True
+            pending = pending[~ok]
+            t *= 0.5
+        up = moving[improved]
+        if up.size:
+            grad[up], H[up] = derivatives(theta[up], p1[improved], up)
+        # A stalled line search (at numerical precision) accepts its point.
+        stop = ~improved
+        if l2 == 0.0:
+            diverged = np.max(np.abs(theta[moving]), axis=1) > 1e8
+            for b in moving[diverged]:
+                results[b] = _separable()
+            stop |= diverged
+        moving = moving[~stop]
+
+    for b in live:
+        if results[b] is not None:
+            continue
+        if l2 == 0.0 and obj[b] < 1e-6:
+            # A vanishing mean log-loss means every point is classified with
+            # near-certainty: the unpenalized optimum sits at infinity.
+            results[b] = _separable()
+            continue
+        # Unscale back to the original covariate units, label-0 row first.
+        theta_full = np.stack([np.zeros(d), theta[b]])
+        slopes = theta_full[:, 1:] / scale[b]
+        intercepts = theta_full[:, 0] - slopes @ center[b]
+        results[b] = ProbabilityModel(
+            intercepts=intercepts,
+            coef=slopes,
+            l2=l2,
+            clip=clip,
+            center=center[b],
+            scale=scale[b],
+            n_iter=int(n_iter[b]),
+        )
+    return results
 
 
 def fit_probability(
@@ -582,85 +802,18 @@ def fit_probability(
     """Fit a penalized logistic model of 0/1 ``labels``.
 
     Newton iterations with step halving on the penalized negative
-    log-likelihood; converged when the gradient max-norm drops below
-    ``NEWTON_TOL``. The intercept is never penalized.
+    log-likelihood of the standardized design; converged when the gradient
+    max-norm drops below ``NEWTON_TOL``. The intercept is never penalized.
+    This is the one-member call of :func:`fit_probability_batch`.
     """
     X = np.asarray(X, dtype=float)
-    labels = np.asarray(labels)
     if X.ndim != 2:
         raise MldidError("X must be 2-dimensional")
-    n, p = X.shape
-    _check_finite("X", X)
-    classes = np.unique(labels)
-    if not np.all(np.isin(classes, [0, 1])) or classes.shape[0] != 2:
-        raise MldidError("binary logistic requires both labels 0 and 1 present")
-    y = (labels == 1).astype(float)
-
-    w = np.full(n, 1.0 / n)
-    Z, m, s = _standardize(X, w, center=True)
-    Xd = np.concatenate([np.ones((n, 1)), Z], axis=1)
-    d = p + 1
-    theta = np.zeros(d)
-    # Unpenalized intercept, penalized slopes.
-    pen = np.ones(d)
-    pen[0] = 0.0
-
-    obj, grad, H = _logistic_nll_grad_hess(theta, Xd, y, w, l2, pen)
-    n_iter = 0
-    while np.max(np.abs(grad)) >= NEWTON_TOL:
-        if n_iter >= NEWTON_MAX_ITER:
-            if l2 == 0.0:
-                raise SeparableWithoutPenalty(
-                    "likelihood diverges: data separable and l2 penalty is zero"
-                )
-            raise NoConvergence(
-                f"probability fit did not converge in {NEWTON_MAX_ITER} iterations",
-                final_delta=float(np.max(np.abs(grad))),
-            )
-        n_iter += 1
-        try:
-            step = np.linalg.solve(H, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(H, grad, rcond=None)[0]
-        t = 1.0
-        improved = False
-        while t > 1e-12:
-            cand = theta - t * step
-            cand_obj, cand_grad, cand_H = _logistic_nll_grad_hess(
-                cand, Xd, y, w, l2, pen
-            )
-            if cand_obj <= obj + 1e-12 * max(1.0, abs(obj)):
-                theta, obj, grad, H = cand, cand_obj, cand_grad, cand_H
-                improved = True
-                break
-            t *= 0.5
-        if l2 == 0.0 and np.max(np.abs(theta)) > 1e8:
-            raise SeparableWithoutPenalty(
-                "likelihood diverges: data separable and l2 penalty is zero"
-            )
-        if not improved:
-            # Line search stalled at numerical precision; accept the point.
-            break
-    if l2 == 0.0 and obj < 1e-6:
-        # A vanishing mean log-loss means every point is classified with
-        # near-certainty: the unpenalized optimum sits at infinity.
-        raise SeparableWithoutPenalty(
-            "likelihood diverges: data separable and l2 penalty is zero"
-        )
-
-    # Unscale back to the original covariate units, label-0 row first.
-    theta_full = np.stack([np.zeros(d), theta])
-    slopes = theta_full[:, 1:] / s
-    intercepts = theta_full[:, 0] - slopes @ m
-    return ProbabilityModel(
-        intercepts=intercepts,
-        coef=slopes,
-        l2=l2,
-        clip=clip,
-        center=m,
-        scale=s,
-        n_iter=n_iter,
-    )
+    result = fit_probability_batch(
+        X, labels, np.ones((X.shape[0], 1)), l2=l2, clip=clip)[0]
+    if isinstance(result, MldidError):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,14 @@ conditional covariance of G and T given X is zero by construction. The
 decomposition coefficients then have the closed forms A = T - 1/2,
 B = G - g(x) and C = (G - g(x))(T - 1/2), and g(x) is the only
 probability model a cell fits.
+
+Each nuisance is cross-fit over the folds of a unit-level plan in one
+batched engine call per cell: g(x) as one logistic member per fold on the
+slice's unit rows (:func:`_cross_fit_propensity`), and the five outcome
+regressions of every fold as one lasso batch (:func:`_cross_fit_regressions`).
+Each prediction is the one a fold-by-fold cross-fit would make, and a fold
+that cannot be fit raises the DegenerateFold that fold-by-fold
+cross-fitting would raise first.
 """
 
 from __future__ import annotations
@@ -28,11 +36,14 @@ from .learners import (
     DEFAULT_CLIP,
     FoldPlan,
     Regression,
-    cross_fit,
     fit_penalized_ls_batch,
     fit_penalized_ls_cv,
-    fit_probability,
+    fit_probability_batch,
 )
+
+# The benchmark's tracer (perfbench/tracing.py) wraps these names in this
+# module, so they stay importable here although no fit below calls them.
+from .learners import cross_fit, fit_probability  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -132,18 +143,8 @@ def estimate_nuisances(sl, plan: FoldPlan, config: LearnerConfig | None = None) 
         missing = "treated" if n_treated == 0 else "control"
         raise MissingStratum(f"slice has no {missing} units")
 
-    clip = config.clip
-
-    def fit_binary(Xtr, ytr):
-        if np.unique(ytr).shape[0] < 2:
-            raise MissingStratum("training fold lacks both binary classes")
-        return fit_probability(Xtr, ytr, l2=config.prob_l2, clip=clip)
-
-    g_unit = cross_fit(
-        sl.X, sl.g_flag.astype(np.int64), np.arange(sl.n_units), plan, fit_binary,
-        predict=lambda model, Xn: model.predict_proba(Xn, clipped=False)[:, 1],
-    )
-    g_hat = np.clip(np.concatenate([g_unit, g_unit]), clip, 1.0 - clip)
+    g_unit = _cross_fit_propensity(sl.X, sl.g_flag, plan, config)
+    g_hat = np.clip(np.concatenate([g_unit, g_unit]), config.clip, 1.0 - config.clip)
 
     m_hat, mu_t1, mu_t0, mu_g1, mu_g0 = _cross_fit_regressions(
         X, y, g, units, plan, config)
@@ -161,6 +162,47 @@ def estimate_nuisances(sl, plan: FoldPlan, config: LearnerConfig | None = None) 
         nu_hat=mu_t1 - mu_t0,
         zeta_hat=mu_g1 - mu_g0,
     )
+
+
+def _cross_fit_propensity(X, g_flag, plan: FoldPlan, config: LearnerConfig):
+    """Out-of-fold unclipped g(x) on the slice's unit rows from one engine call.
+
+    Fold k is the engine member that weights the units outside fold k, so
+    each fit is the one a fold-by-fold cross-fit makes on its training
+    units. A failure surfaces as the DegenerateFold that fold-by-fold
+    cross-fitting would raise first.
+    """
+    labels = g_flag.astype(np.int64)
+    fold = plan.assignment[:labels.shape[0]]
+    n_test = np.bincount(fold, minlength=plan.n_folds)
+    n_train = labels.shape[0] - n_test
+    treated_train = np.count_nonzero(labels) - np.bincount(
+        fold, weights=labels, minlength=plan.n_folds).astype(np.int64)
+    fits = {}
+    for k in np.flatnonzero(n_test):
+        if n_train[k] < 2:
+            fits[k] = DegenerateFold(f"fold {k}: training complement has {n_train[k]} rows")
+        elif treated_train[k] in (0, n_train[k]):
+            fits[k] = MissingStratum("training fold lacks both binary classes")
+        else:
+            fits[k] = None
+    members = [k for k, fit in fits.items() if fit is None]
+    if members:
+        models = fit_probability_batch(
+            X, labels, (fold[:, None] != np.array(members)).astype(float),
+            l2=config.prob_l2, clip=config.clip,
+        )
+        fits.update(zip(members, models))
+
+    out = np.full(labels.shape[0], np.nan)
+    for k, fit in fits.items():
+        if isinstance(fit, DegenerateFold):
+            raise fit
+        if isinstance(fit, MldidError):
+            raise DegenerateFold(f"fold {k}: {fit}") from fit
+        test = fold == k
+        out[test] = fit.predict_proba(X[test], clipped=False)[:, 1]
+    return out
 
 
 def _cross_fit_regressions(X, y, g, units, plan: FoldPlan, config: LearnerConfig):

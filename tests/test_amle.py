@@ -13,6 +13,7 @@ from mldid import (
     solve_amle,
 )
 from mldid.exceptions import IllConditionedWarning
+from mldid.nuisance import NuisanceBundle
 
 from _utils import oracle_bundle, two_period_dgp
 
@@ -40,6 +41,41 @@ def test_contrast_targets():
     xs = (X[:, 0] - X[:, 0].mean()) / X[:, 0].std()
     hand = np.mean(xs * 1 * 1 - xs * 0 * 1 - xs * 1 * 0 + xs * 0 * 0)
     assert_allclose(problem.target[names.index("x_1*G*T")], hand, atol=1e-12)
+
+
+def four_map_target(bundle):
+    """The contrast target as the mean of four feature-map evaluations."""
+    from mldid.amle import _feature_map
+
+    X = bundle.X
+    sd = X.std(axis=0)
+    sd[sd == 0.0] = 1.0
+    Xs = (X - X.mean(axis=0)) / sd
+    ones, zeros = np.ones(X.shape[0]), np.zeros(X.shape[0])
+    contrast = (_feature_map(Xs, ones, ones) - _feature_map(Xs, zeros, ones)
+                - _feature_map(Xs, ones, zeros) + _feature_map(Xs, zeros, zeros))
+    return contrast.mean(axis=0)
+
+
+def test_closed_form_target_matches_four_map_contrast():
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        n, p = int(rng.integers(5, 60)), int(rng.integers(1, 6))
+        X = rng.standard_normal((n, p)) * rng.uniform(0.1, 10.0, p) + rng.uniform(-5, 5, p)
+        if rng.random() < 0.3:
+            X[:, 0] = 2.5  # a constant column keeps its unit scale
+        X = np.vstack([X, X])
+        g = np.tile(rng.integers(0, 2, n), 2).astype(np.int8)
+        t = np.repeat(np.array([0, 1], np.int8), n)
+        bundle = NuisanceBundle(
+            y=rng.standard_normal(2 * n), g=g, t=t, X=X,
+            units=np.tile(np.arange(n), 2), unit_ids=np.arange(n),
+            covariate_names=tuple(f"x_{j + 1}" for j in range(p)),
+            g_hat=np.full(2 * n, 0.5), m_hat=np.zeros(2 * n),
+            nu_hat=np.zeros(2 * n), zeta_hat=np.zeros(2 * n),
+        )
+        problem = build_function_class(bundle, sigma2=1.0)
+        assert_allclose(problem.target, four_map_target(bundle), rtol=0, atol=1e-12)
 
 
 def test_huge_variance_shrinks_weights_to_zero():

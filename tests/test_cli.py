@@ -160,6 +160,43 @@ def test_benchmark_small_run(tmp_path):
     assert (out / "rmse.csv").read_bytes() == (out2 / "rmse.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["estimate", "benchmark"])
+@pytest.mark.parametrize("replicates", ["1", "10", "49"])
+def test_too_few_bootstrap_replicates_is_a_usage_error(command, replicates,
+                                                       sim_dir, tmp_path):
+    # Rejected before any estimation: no output directory is made.
+    out = tmp_path / "out"
+    data = (["--input", str(sim_dir / "panel.csv")] if command == "estimate"
+            else ["--n", "300", "--reps", "2"])
+    res = run_cli([command, *data, "--out", str(out), "--fixed-l1", "0.02",
+                   "--bootstrap", replicates])
+    assert res.exit_code == 2
+    assert "--bootstrap" in res.output and "at least 50" in res.output
+    assert not out.exists()
+
+
+def test_bootstrap_off_and_fifty_replicates_accepted(sim_dir, tmp_path):
+    for replicates, has_se in (("0", False), ("50", True)):
+        out = tmp_path / f"est_{replicates}"
+        res = run_cli(["estimate", "--input", str(sim_dir / "panel.csv"),
+                       "--out", str(out), "--seed", "5", "--fixed-l1", "0.02",
+                       "--placebo", "false", "--bootstrap", replicates])
+        assert res.exit_code == 0, res.output
+        with open(out / "cells.csv", newline="") as fh:
+            rows = [r for r in csv.DictReader(fh) if int(r["n_control"]) > 0]
+        assert rows
+        if has_se:
+            assert all(np.isfinite(float(r["se"])) for r in rows)
+        else:
+            assert all(r["se"] == "" for r in rows)
+    out = tmp_path / "bench"
+    res = run_cli(["benchmark", "--n", "200", "--reps", "1", "--seed", "9",
+                   "--fixed-l1", "0.02", "--placebo", "false", "--bootstrap", "50",
+                   "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert (out / "coverage.csv").exists()
+
+
 def test_heterogeneity_from_exported_tables(sim_dir, est_dir, tmp_path):
     out = tmp_path / "het"
     res = run_cli([

@@ -18,13 +18,16 @@ from mldid.exceptions import (
 )
 from mldid import learners
 from mldid.learners import (
+    ProbabilityModel,
     Regression,
     _lasso_path,
     _standardize,
     fit_penalized_ls_batch,
+    fit_probability_batch,
 )
 
 import _sequential_lasso as sequential
+import _sequential_newton as newton_ref
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +86,28 @@ def test_standardization_round_trip():
     direct = m.predict(X)
     standardized = ((X - m.center) / m.scale) @ m.std_coef + m.std_intercept
     assert_allclose(direct, standardized, atol=1e-10)
+
+
+def test_column_constant_on_training_rows_is_ignored():
+    # A weighted mean of a constant column can round off its value (3.7
+    # over 90 rows does); the column must still standardize to zeros, so
+    # the fit gives it no weight and rows where it differs predict the same.
+    rng = np.random.default_rng(6)
+    X = rng.standard_normal((90, 2))
+    X[:, 1] = 3.7
+    w = np.full(90, 1.0 / 90)
+    assert w @ X[:, 1] != 3.7
+    Z, m, s = _standardize(X, w, center=True)
+    assert np.all(Z[:, 1] == 0.0) and m[1] == 3.7 and s[1] == 1.0
+    y = X[:, 0] + rng.standard_normal(90)
+    labels = (y > 0).astype(int)
+    moved = np.array([[0.3, 3.7], [0.3, 4.7]])
+    lin = fit_penalized_ls(X, y, 0.0, 1e-6)
+    prob = fit_probability(X, labels)
+    assert lin.coef[1] == 0.0 and prob.coef[1, 1] == 0.0
+    assert lin.predict(moved)[0] == lin.predict(moved)[1]
+    proba = prob.predict_proba(moved, clipped=False)
+    assert np.array_equal(proba[0], proba[1])
 
 
 def test_weights_match_replication():
@@ -410,6 +435,169 @@ def test_separable_without_penalty_raises():
 def test_logistic_requires_both_labels():
     with pytest.raises(MldidError):
         fit_probability(np.zeros((5, 1)), np.ones(5, dtype=int))
+
+
+# ---------------------------------------------------------------------------
+# Batched probability engine against the per-fit Newton loop
+# ---------------------------------------------------------------------------
+
+def _fold_weights(fold, n_folds):
+    return np.stack([(fold != k).astype(float) for k in range(n_folds)], axis=1)
+
+
+def _assert_same_probability_fit(got, want, X):
+    assert isinstance(got, ProbabilityModel), got
+    assert got.n_iter == want.n_iter
+    assert_allclose(got.predict_proba(X, clipped=False),
+                    want.predict_proba(X, clipped=False), rtol=0, atol=1e-10)
+
+
+def _assert_matches_reference(X, labels, fold, n_folds, l2):
+    """Each cross-fit member against the per-fit loop on its training rows.
+
+    Returns the number of members that fit (the others must raise the same
+    error type and message as the reference).
+    """
+    got = fit_probability_batch(X, labels, _fold_weights(fold, n_folds), l2=l2)
+    fitted = 0
+    for k in range(n_folds):
+        train = fold != k
+        try:
+            want = newton_ref.fit_probability(X[train], labels[train], l2=l2)
+        except MldidError as err:
+            assert type(got[k]) is type(err), (got[k], err)
+            assert str(got[k]) == str(err)
+            continue
+        _assert_same_probability_fit(got[k], want, X)
+        fitted += 1
+    return fitted
+
+
+def test_probability_engine_matches_per_fit_loop_on_random_problems():
+    rng = np.random.default_rng(40)
+    fitted = 0
+    for _ in range(240):
+        n = int(rng.integers(12, 300))
+        p = int(rng.integers(0, 7))
+        n_folds = int(rng.integers(2, 6))
+        X = (rng.standard_normal((n, p)) * rng.uniform(0.05, 20.0, p)
+             + rng.uniform(-10.0, 10.0, p))
+        slope = rng.standard_normal(p) * rng.uniform(0.0, 3.0)
+        eta = ((X - X.mean(axis=0)) / X.std(axis=0).clip(1e-12)) @ slope
+        labels = (rng.random(n) < 1 / (1 + np.exp(-eta - rng.uniform(-2, 2)))).astype(int)
+        fold = rng.integers(0, n_folds, n)  # unequal, possibly empty, folds
+        l2 = float(rng.choice([1e-6, 1e-4, 1e-2]))
+        fitted += _assert_matches_reference(X, labels, fold, n_folds, l2)
+    assert fitted >= 200 * 2
+
+
+@pytest.mark.parametrize("l2", [1e-6, 1e-4])
+def test_probability_engine_edge_cases(l2):
+    rng = np.random.default_rng(41)
+    n = 90
+    fold = np.arange(n) % 3
+    labels = (rng.random(n) < 0.4).astype(int)
+    # Intercept only.
+    assert _assert_matches_reference(np.empty((n, 0)), labels, fold, 3, l2) == 3
+    # A constant column, at values whose weighted mean rounds off them.
+    for value in (3.7, 0.1, 1e5, -2.3):
+        X = rng.standard_normal((n, 3))
+        X[:, 1] = value
+        assert _assert_matches_reference(X, labels, fold, 3, l2) == 3
+        # Constant on fold 0's training rows only: that member ignores it.
+        X = rng.standard_normal((n, 3))
+        X[fold != 0, 2] = value
+        assert _assert_matches_reference(X, labels, fold, 3, l2) == 3
+        model = fit_probability_batch(X, labels, _fold_weights(fold, 3), l2=l2)[0]
+        assert model.coef[1, 2] == 0.0
+    # Unequal fold sizes.
+    X = rng.standard_normal((n, 2))
+    uneven = np.repeat([0, 1, 2], [3, 20, 67])
+    assert _assert_matches_reference(X, labels, uneven, 3, l2) == 3
+    # A fold whose training rows hold a single class.
+    one_class = np.where(fold == 0, labels, 1)
+    assert _assert_matches_reference(X, one_class, fold, 3, l2) == 2
+    got = fit_probability_batch(X, one_class, _fold_weights(fold, 3), l2=l2)
+    assert "both labels 0 and 1" in str(got[0])
+    # A non-finite covariate fails the members whose rows hold it.
+    X_bad = X.copy()
+    X_bad[0, 1] = np.nan  # row 0 is in fold 0
+    assert _assert_matches_reference(X_bad, labels, fold, 3, l2) == 1
+
+
+def test_probability_engine_separable_without_penalty():
+    X = np.concatenate([np.full((20, 1), -2.0), np.full((20, 1), 2.0)])
+    labels = np.array([0] * 20 + [1] * 20)
+    fold = np.arange(40) % 2
+    assert _assert_matches_reference(X, labels, fold, 2, 0.0) == 0
+    # Without separation an unpenalized fit converges as before.
+    rng = np.random.default_rng(42)
+    X = rng.standard_normal((60, 2))
+    labels = (rng.random(60) < 0.5).astype(int)
+    assert _assert_matches_reference(X, labels, np.arange(60) % 3, 3, 0.0) == 3
+
+
+def test_probability_engine_iteration_cap(monkeypatch):
+    rng = np.random.default_rng(43)
+    X = rng.standard_normal((80, 3)) * 3.0
+    labels = (X[:, 0] + rng.standard_normal(80) > 0).astype(int)
+    fold = np.arange(80) % 4
+    monkeypatch.setattr(learners, "NEWTON_MAX_ITER", 2)
+    monkeypatch.setattr(newton_ref, "NEWTON_MAX_ITER", 2)
+    for l2 in (1e-6, 0.0):
+        got = fit_probability_batch(X, labels, _fold_weights(fold, 4), l2=l2)
+        for k in range(4):
+            with pytest.raises(MldidError) as err:
+                newton_ref.fit_probability(X[fold != k], labels[fold != k], l2=l2)
+            assert type(got[k]) is type(err.value)
+            assert str(got[k]) == str(err.value)
+            if l2 > 0:
+                assert isinstance(got[k], NoConvergence)
+                assert_allclose(got[k].final_delta, err.value.final_delta,
+                                rtol=1e-8)
+
+
+def test_probability_batch_members_do_not_interact():
+    # A member fits the same alone as next to members that converge at
+    # other speeds, fail, or weight the rows unevenly.
+    rng = np.random.default_rng(44)
+    n = 120
+    X = rng.standard_normal((n, 3)) * np.array([1.0, 5.0, 0.3])
+    labels = (X[:, 0] - 0.5 * X[:, 2] + rng.standard_normal(n) > 0).astype(int)
+    W = np.column_stack([
+        np.arange(n) % 4 != 0,                # a cross-fit member
+        np.ones(n),                           # every row
+        np.where(X[:, 0] > 1.0, 1.0, 0.0),    # a single class: fails
+        rng.uniform(0.0, 2.0, n),             # uneven weights
+        np.arange(n) < 15,                    # few rows, slow
+    ]).astype(float)
+    batch = fit_probability_batch(X, labels, W)
+    for b in range(W.shape[1]):
+        alone = fit_probability_batch(X, labels, W[:, [b]])[0]
+        if isinstance(alone, MldidError):
+            assert type(batch[b]) is type(alone) and str(batch[b]) == str(alone)
+            continue
+        assert batch[b].n_iter == alone.n_iter
+        assert_allclose(batch[b].predict_proba(X, clipped=False),
+                        alone.predict_proba(X, clipped=False), rtol=0, atol=1e-13)
+    assert isinstance(batch[2], MldidError)
+    # Integer weights act as repeated rows.
+    repeated = newton_ref.fit_probability(np.repeat(X, 2, axis=0), np.repeat(labels, 2))
+    doubled = fit_probability_batch(X, labels, np.full((n, 1), 2.0))[0]
+    _assert_same_probability_fit(doubled, repeated, X)
+
+
+def test_probability_batch_validates_input():
+    X = np.zeros((4, 1))
+    labels = np.array([0, 1, 0, 1])
+    with pytest.raises(MldidError, match="2-dimensional"):
+        fit_probability_batch(np.zeros(4), labels, np.ones((4, 1)))
+    with pytest.raises(MldidError, match="lengths"):
+        fit_probability_batch(X, labels[:3], np.ones((4, 1)))
+    with pytest.raises(MldidError, match="weights"):
+        fit_probability_batch(X, labels, np.ones(4))
+    with pytest.raises(MldidError, match="nonnegative"):
+        fit_probability_batch(X, labels, -np.ones((4, 1)))
 
 
 # ---------------------------------------------------------------------------

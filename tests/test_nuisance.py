@@ -10,6 +10,7 @@ from mldid.learners import DEFAULT_CLIP, fit_probability
 from mldid.nuisance import (
     LearnerConfig,
     NuisanceBundle,
+    _cross_fit_propensity,
     _cross_fit_regressions,
     _stack_slice,
     compute_abch,
@@ -17,6 +18,7 @@ from mldid.nuisance import (
 )
 
 import _sequential_lasso as sequential
+import _sequential_newton as newton_ref
 from _utils import oracle_bundle, two_period_dgp
 
 
@@ -162,6 +164,49 @@ def test_propensity_on_unit_rows_matches_stacked_rows():
         assert_allclose(bundle.g_hat, np.clip(stacked_cf, DEFAULT_CLIP,
                                               1.0 - DEFAULT_CLIP),
                         rtol=0, atol=1e-10)
+
+
+def test_propensity_engine_matches_per_fold_loop():
+    # One engine call per cell gives the g_hat of one Newton fit per fold.
+    for seed, n in ((0, 60), (1, 157), (2, 400)):
+        sl, _ = two_period_dgp(n, seed=30 + seed, tau_fn=lambda x: x[:, 0], p=3,
+                               g_fn=lambda x: 1 / (1 + np.exp(-x[:, 0] + x[:, 2])))
+        for n_folds, prob_l2 in ((2, 1e-6), (5, 1e-6), (7, 1e-4)):
+            plan = make_fold_plan(sl.n_units, n_folds, seed=seed)
+            config = LearnerConfig(prob_l2=prob_l2, fixed_l1=0.02)
+            want, _ = newton_ref.cross_fit_propensity(
+                sl.X, sl.g_flag.astype(np.int64), plan.assignment, n_folds,
+                l2=prob_l2)
+            got = _cross_fit_propensity(sl.X, sl.g_flag, plan, config)
+            assert_allclose(got, want, rtol=0, atol=1e-10)
+            bundle = estimate_nuisances(sl, plan, config)
+            clipped = np.clip(want, config.clip, 1.0 - config.clip)
+            assert_allclose(bundle.g_hat, np.concatenate([clipped, clipped]),
+                            rtol=0, atol=1e-10)
+
+
+def test_propensity_engine_raises_per_fold_errors():
+    sl, _ = two_period_dgp(40, seed=11, tau_fn=lambda x: x[:, 0])
+    plan = make_fold_plan(sl.n_units, 5, seed=6)
+    config = LearnerConfig()
+    # One treated unit: its fold's training units are all controls.
+    one_treated = (np.arange(sl.n_units) == 7).astype(np.int8)
+    # A non-finite covariate fails every fold that trains on its unit.
+    X_bad = sl.X.copy()
+    X_bad[np.flatnonzero(plan.assignment == 0)[0], 0] = np.nan
+    cases = [(sl.X, one_treated, plan), (X_bad, sl.g_flag, plan)]
+    # Two units in two folds: each training complement holds one unit.
+    tiny = make_fold_plan(2, 2, seed=0)
+    cases.append((sl.X[:2], np.array([0, 1], np.int8), tiny))
+    for X, g_flag, fold_plan in cases:
+        got = _first_error(lambda: _cross_fit_propensity(X, g_flag, fold_plan, config))
+        want = _first_error(lambda: newton_ref.cross_fit_propensity(
+            X, g_flag.astype(np.int64), fold_plan.assignment, fold_plan.n_folds))
+        assert got == want
+        assert got.startswith("fold ")
+    lone = _first_error(lambda: _cross_fit_propensity(sl.X, one_treated, plan, config))
+    k = plan.assignment[7]
+    assert lone == f"fold {k}: training fold lacks both binary classes"
 
 
 def test_missing_stratum_detected():
