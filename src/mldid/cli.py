@@ -227,6 +227,18 @@ def _heterogeneity_results(catt_panel, k_bins, oracle_values=None,
     return blps, clans, skipped
 
 
+def _bootstrap_summary(boot) -> dict:
+    """Replicate counts of a bootstrap, with every key some replicates missed."""
+    return {
+        "replicates": boot.n_replicates,
+        "failed": boot.n_failed,
+        "missing_cells": [{"g": g, "t": t, "replicates": n}
+                          for (g, t), n in sorted(boot.cell_missing.items()) if n],
+        "missing_event_times": [{"e": e, "replicates": n}
+                                for e, n in sorted(boot.dynamic_missing.items()) if n],
+    }
+
+
 @cli.command("estimate")
 @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False),
               required=True, help="Long-format panel CSV.")
@@ -253,8 +265,10 @@ def cmd_estimate(input_path, out, seed, delimiter, k_bins,
         for g, t, reason in run.skipped:
             click.echo(f"  (g={g}, t={t}): {reason}", err=True)
         sys.exit(EXIT_ESTIMATION)
+    boot = None
     if bootstrap > 0:
-        run = attach_bootstrap_se(run, bootstrap_se(panel, config, bootstrap))
+        boot = bootstrap_se(panel, config, bootstrap)
+        run = attach_bootstrap_se(run, boot)
 
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -280,6 +294,7 @@ def cmd_estimate(input_path, out, seed, delimiter, k_bins,
             {"g": g, "t": t, "reason": r} for g, t, r in run.skipped
         ],
         "skipped_heterogeneity": heterogeneity_skipped,
+        "bootstrap": None if boot is None else _bootstrap_summary(boot),
         "versions": environment_versions(),
         "wall_seconds": time.time() - t0,
         "outputs": outputs,

@@ -372,10 +372,21 @@ def resample_panel(panel: PanelDataset, rng: np.random.Generator) -> PanelDatase
 
 @dataclass(frozen=True)
 class BootstrapSE:
+    """Replicate standard deviations of the cell atts and event-study thetas.
+
+    ``n_failed`` counts replicates that failed as a whole. Per key,
+    ``cell_missing`` and ``dynamic_missing`` count the other replicates
+    that did not supply the value: a skipped cell, or an event time whose
+    aggregate lacked one of its cohorts (and so averaged other cohorts). A
+    key has an SE only if at least 90% of all replicates supplied it.
+    """
+
     cell_se: dict[tuple[int, int], float]
     dynamic_se: dict[int, float]
     n_replicates: int
     n_failed: int
+    cell_missing: dict[tuple[int, int], int] = field(default_factory=dict)
+    dynamic_missing: dict[int, int] = field(default_factory=dict)
 
 
 def _bootstrap_task(args):
@@ -391,8 +402,20 @@ def _bootstrap_task(args):
     cell_atts = {
         (c.g, c.t): c.att for c in run.cells if not c.is_reference
     }
-    thetas = {d.e: d.theta for d in run.dynamics if not d.is_reference}
+    thetas = {d.e: d.theta for d in run.dynamics
+              if not d.is_reference and not d.missing_cohorts}
     return b, cell_atts, thetas
+
+
+def _replicate_se(values: dict, keys, n_replicates: int, n_ran: int):
+    """SE and missing-replicate count of every key, by the 90% rule."""
+    se, missing = {}, {}
+    for key in keys:
+        vals = values.get(key, [])
+        missing[key] = n_ran - len(vals)
+        if len(vals) >= max(2, 0.9 * n_replicates):
+            se[key] = float(np.std(vals, ddof=1))
+    return se, missing
 
 
 def bootstrap_se(
@@ -403,7 +426,8 @@ def bootstrap_se(
     Each replicate re-runs the full estimation on a unit resample with a
     seed derived from (master seed, replicate); the SE is the replicate
     standard deviation. The run is invalid if more than 10% of
-    replicates fail.
+    replicates fail, and a cell or event time gets no SE if more than 10%
+    of replicates did not supply it.
     """
     if n_replicates < MIN_BOOTSTRAP_REPLICATES:
         raise MldidError(
@@ -432,17 +456,13 @@ def bootstrap_se(
         raise BootstrapFailed(
             f"{n_failed} of {n_replicates} bootstrap replicates failed"
         )
-    cell_se = {
-        key: float(np.std(vals, ddof=1))
-        for key, vals in cell_values.items()
-        if len(vals) >= 2
-    }
-    dynamic_se = {
-        e: float(np.std(vals, ddof=1))
-        for e, vals in theta_values.items()
-        if len(vals) >= 2
-    }
-    return BootstrapSE(cell_se, dynamic_se, n_replicates, n_failed)
+    keys = enumerate_cells(panel, config.include_placebo)
+    n_ran = n_replicates - n_failed
+    cell_se, cell_missing = _replicate_se(cell_values, keys, n_replicates, n_ran)
+    dynamic_se, dynamic_missing = _replicate_se(
+        theta_values, sorted({t - g for g, t in keys}), n_replicates, n_ran)
+    return BootstrapSE(cell_se, dynamic_se, n_replicates, n_failed,
+                       cell_missing, dynamic_missing)
 
 
 def attach_bootstrap_se(run: MldidRun, boot: BootstrapSE) -> MldidRun:

@@ -11,11 +11,17 @@ batched engine, and its one-fit entry points are one-member calls into it.
 Every elastic-net fit goes through ``_lasso_path`` (covariance updates with
 warm starts along the l1 path, after Friedman, Hastie & Tibshirani 2010).
 It takes a batch of standardized Gram systems and runs each coordinate
-update as one vector operation over the batch. :func:`fit_penalized_ls_batch`
-hands it, in two batches, the inner-CV paths of many regressions and then
-their refits at the chosen (or fixed) l1; ``estimate_nuisances`` passes all
-outcome regressions of a cell at once, and :func:`fit_penalized_ls` /
-:func:`fit_penalized_ls_cv` are its one-regression calls.
+update as one vector operation over the batch. :func:`fit_gram_batch` holds
+the stages after the Gram matrices, shared by both front ends: it solves
+the inner-CV paths of many fits as one batch, scores them on the held-out
+rows through the front end's callback, chooses each l1 and refits every
+chosen (or fixed) l1 as a second batch. The row front end,
+:func:`fit_penalized_ls_batch`, builds the Gram systems from each
+regression's training rows; :func:`fit_penalized_ls` and
+:func:`fit_penalized_ls_cv` are its one-regression calls, used by the
+effect-function fit and the doubly-robust baseline. The moment front end in
+``nuisance`` builds the outcome regressions of a cell from sums of moment
+blocks instead of from rows.
 
 Every logistic fit goes through :func:`fit_probability_batch`: fits that
 share one design and label vector and differ in their row weights (a
@@ -309,19 +315,102 @@ def _lambda_max(G, c, pf, l2):
 
 
 @dataclass
-class _Fit:
-    """One (design, response) of a batch while its l1 is chosen and refit."""
+class GramFit:
+    """One (design, response) of a batch while its l1 is chosen and refit.
 
-    G: np.ndarray
-    c: np.ndarray
-    center: np.ndarray
-    scale: np.ndarray
+    A front end fills in the standardized Gram system of the fit's training
+    rows (``G``, ``c``), the standardization it undoes (``center``,
+    ``scale``, ``ybar``) and, for an l1 chosen by cross-validation, the
+    ``grid`` (see :func:`cv_grid`) and one ``members`` entry per inner fold,
+    whose first field is that fold's row in the path batch. ``data`` is the
+    front end's own handle on the held-out rows; ``result`` is preset to an
+    MldidError for a fit that cannot be solved.
+    """
+
+    G: np.ndarray | None
+    c: np.ndarray | None
+    center: np.ndarray | None
+    scale: np.ndarray | None
     ybar: float
     l1: float | None
     grid: np.ndarray | None = None
-    # (row in the path batch, inner fold, training mean of y) per inner fold
     members: list = field(default_factory=list)
+    data: object = None
     result: object = None
+
+
+def check_lasso_options(n_folds: int, n_lambdas: int, fixed_l1, cv_rule: str) -> None:
+    """Reject settings no fit of a batch could use."""
+    if cv_rule not in ("min", "1se"):
+        raise MldidError(f"unknown cv_rule: {cv_rule}")
+    if fixed_l1 is None and n_folds < 2:
+        raise MldidError("need at least 2 inner folds")
+    if fixed_l1 is None and n_lambdas < 1:
+        raise MldidError("need at least 1 penalty on the l1 grid")
+
+
+def cv_grid(fit: GramFit, pf: np.ndarray, l2: float, n_lambdas: int) -> None:
+    """Set the l1 grid of a fit to choose by CV, or l1 = 0 when lambda_max <= 0."""
+    lam_max = _lambda_max(fit.G, fit.c, pf, l2)
+    if lam_max <= 0.0:
+        fit.l1 = 0.0
+    else:
+        fit.grid = np.geomspace(
+            lam_max * CV_LAMBDA_MAX_RATIO, lam_max * CV_LAMBDA_MIN_RATIO, n_lambdas)
+
+
+def fit_gram_batch(
+    fits: Sequence[GramFit],
+    path_G: Sequence[np.ndarray],
+    path_c: Sequence[np.ndarray],
+    fold_errors: Callable[[GramFit, np.ndarray], np.ndarray],
+    *,
+    l2: float,
+    pf: np.ndarray,
+    fit_intercept: bool,
+    cv_rule: str,
+) -> None:
+    """The stages after the Gram matrices: CV paths, l1 choice and refit.
+
+    Row b of ``path_G``/``path_c`` is an inner-fold system of the fit whose
+    ``members`` name it; all of them go to :func:`_lasso_path` as one batch
+    along their fit's grid. ``fold_errors(fit, path)`` scores the solved
+    paths on the held-out rows, returning the (inner fold, l1) errors from
+    which :func:`_cv_choice` picks the l1. Then every fit without a result
+    is refit at its chosen (or fixed) l1 as a second batch of one-point
+    paths, and ``result`` becomes its LinearModel or NoConvergence.
+    """
+    cv = [fit for fit in fits if fit.grid is not None and fit.result is None]
+    if cv:
+        grid = np.empty((len(path_G), cv[0].grid.shape[0]))
+        for fit in cv:
+            for member in fit.members:
+                grid[member[0]] = fit.grid
+        path, _, failed = _lasso_path(np.asarray(path_G), np.asarray(path_c), grid, l2, pf)
+        for fit in cv:
+            fail = [failed[m[0]] for m in fit.members if not np.isnan(failed[m[0]])]
+            if fail:
+                # The lowest failing fold, which a fold-by-fold solve meets first.
+                fit.result = _no_convergence(fail[0])
+                continue
+            fit.l1 = float(fit.grid[_cv_choice(fold_errors(fit, path), cv_rule)])
+
+    refits = [fit for fit in fits if fit.result is None]
+    if refits:
+        path, sweeps, failed = _lasso_path(
+            np.stack([fit.G for fit in refits]),
+            np.stack([fit.c for fit in refits]),
+            np.array([[fit.l1] for fit in refits], dtype=float),
+            l2, pf,
+        )
+        for b, fit in enumerate(refits):
+            if not np.isnan(failed[b]):
+                fit.result = _no_convergence(failed[b])
+                continue
+            coef = path[b, 0] / fit.scale
+            intercept = fit.ybar - float(fit.center @ coef) if fit_intercept else 0.0
+            fit.result = LinearModel(intercept, coef, fit.l1, l2, fit.center,
+                                     fit.scale, int(sweeps[b, 0]))
 
 
 def _inner_folds(n, n_folds):
@@ -340,30 +429,24 @@ def fit_penalized_ls_batch(
     fixed_l1: float | None = None,
     cv_rule: str = "min",
 ) -> list[list]:
-    """Elastic-net fits of many regressions, solved as two engine batches.
+    """Elastic-net fits of many regressions from their training rows.
 
     Each (regression, response) is fit as by :func:`fit_penalized_ls_cv`
-    with the same settings. First the inner-fold l1 paths of all of them go
-    to :func:`_lasso_path` as one batch; then every chosen (or fixed) l1 is
-    refit on its full training rows as a second batch of one-point paths.
-    Only Gram matrices are kept between the stages; the held-out rows are
-    standardized again when the path errors are scored.
+    with the same settings. This is the row front end of
+    :func:`fit_gram_batch`: it standardizes each design's training rows and
+    forms the Gram systems of the full rows and of every inner fold. Only
+    those are kept between the stages; the held-out rows are standardized
+    again when the path errors are scored.
 
     All regressions of a batch have the same number of columns. Returns,
     per regression, one entry per response: the LinearModel, or the
     MldidError its fit raised (bad input or NoConvergence).
     """
-    if cv_rule not in ("min", "1se"):
-        raise MldidError(f"unknown cv_rule: {cv_rule}")
-    if fixed_l1 is None and n_folds < 2:
-        raise MldidError("need at least 2 inner folds")
-    if fixed_l1 is None and n_lambdas < 1:
-        raise MldidError("need at least 1 penalty on the l1 grid")
-
-    entries: list[MldidError | list[_Fit]] = []
+    check_lasso_options(n_folds, n_lambdas, fixed_l1, cv_rule)
+    entries: list[MldidError | list[GramFit]] = []
     pf = None
-    path_G, path_c, path_grid = [], [], []
-    for reg in regressions:
+    path_G, path_c = [], []
+    for i, reg in enumerate(regressions):
         try:
             X, ys, w, pf = _training_data(reg, penalty_factor)
         except MldidError as err:
@@ -374,7 +457,7 @@ def fit_penalized_ls_batch(
         G = Z.T @ wZ
         fits = []
         for y in ys:
-            fit = _Fit(G, None, m, s, 0.0, fixed_l1)
+            fit = GramFit(G, None, m, s, 0.0, fixed_l1, data=(i, y))
             fits.append(fit)
             try:
                 _check_finite("y", y)
@@ -385,17 +468,9 @@ def fit_penalized_ls_batch(
                 fit.ybar = float(w @ y)
             fit.c = wZ.T @ (y - fit.ybar)
             if fixed_l1 is None:
-                lam_max = _lambda_max(G, fit.c, pf, l2)
-                if lam_max <= 0.0:
-                    fit.l1 = 0.0
-                else:
-                    fit.grid = np.geomspace(
-                        lam_max * CV_LAMBDA_MAX_RATIO,
-                        lam_max * CV_LAMBDA_MIN_RATIO,
-                        n_lambdas,
-                    )
+                cv_grid(fit, pf, l2, n_lambdas)
         entries.append(fits)
-        cv_fits = [(fit, y) for fit, y in zip(fits, ys) if fit.grid is not None]
+        cv_fits = [fit for fit in fits if fit.grid is not None]
         if not cv_fits:
             continue
         for k, test in enumerate(_inner_folds(X.shape[0], n_folds)):
@@ -406,59 +481,38 @@ def fit_penalized_ls_batch(
             Z_tr = Z[train]
             wZ_tr = Z_tr * w_tr[:, None]
             G_k = Z_tr.T @ wZ_tr
-            for fit, y in cv_fits:
+            for fit in cv_fits:
+                y = fit.data[1]
                 ybar_tr = float(w_tr @ y[train]) if fit_intercept else 0.0
                 fit.members.append((len(path_G), k, ybar_tr))
                 path_G.append(G_k)
                 path_c.append(wZ_tr.T @ (y[train] - ybar_tr))
-                path_grid.append(fit.grid)
 
-    if path_G:
-        path, _, failed = _lasso_path(
-            np.stack(path_G), np.stack(path_c), np.stack(path_grid), l2, pf
-        )
-        for reg, fits in zip(regressions, entries):
-            if isinstance(fits, MldidError) or all(f.grid is None for f in fits):
-                continue
-            X, ys, w, _ = _training_data(reg, penalty_factor)
-            Z = _standardize(X, w, center=fit_intercept)[0]
-            tests = _inner_folds(X.shape[0], n_folds)
-            for fit, y in zip(fits, ys):
-                if fit.grid is None:
-                    continue
-                fail = [failed[b] for b, _, _ in fit.members if not np.isnan(failed[b])]
-                if fail:
-                    # The lowest failing fold, which a fold-by-fold solve meets first.
-                    fit.result = _no_convergence(fail[0])
-                    continue
-                fold_err = np.zeros((n_folds, n_lambdas))
-                for b, k, ybar_tr in fit.members:
-                    test = tests[k]
-                    Z_te = Z[test]
-                    r_te = y[test] - ybar_tr
-                    w_te = w[test] / w[test].sum()
-                    for i in range(n_lambdas):
-                        resid = r_te - Z_te @ path[b, i]
-                        fold_err[k, i] = float(w_te @ resid**2)
-                fit.l1 = float(fit.grid[_cv_choice(fold_err, cv_rule)])
+    held_out = {}
 
-    refits = [fit for fits in entries if not isinstance(fits, MldidError)
-              for fit in fits if fit.result is None]
-    if refits:
-        path, sweeps, failed = _lasso_path(
-            np.stack([fit.G for fit in refits]),
-            np.stack([fit.c for fit in refits]),
-            np.array([[fit.l1] for fit in refits], dtype=float),
-            l2, pf,
-        )
-        for b, fit in enumerate(refits):
-            if not np.isnan(failed[b]):
-                fit.result = _no_convergence(failed[b])
-                continue
-            coef = path[b, 0] / fit.scale
-            intercept = fit.ybar - float(fit.center @ coef) if fit_intercept else 0.0
-            fit.result = LinearModel(intercept, coef, fit.l1, l2, fit.center,
-                                     fit.scale, int(sweeps[b, 0]))
+    def fold_errors(fit, path):
+        i, y = fit.data
+        if i not in held_out:
+            # Fits arrive grouped by regression, so one design is held at a time.
+            held_out.clear()
+            X, _, w, _ = _training_data(regressions[i], penalty_factor)
+            held_out[i] = (_standardize(X, w, center=fit_intercept)[0], w,
+                           _inner_folds(X.shape[0], n_folds))
+        Z, w, tests = held_out[i]
+        fold_err = np.zeros((n_folds, path.shape[1]))
+        for b, k, ybar_tr in fit.members:
+            test = tests[k]
+            Z_te = Z[test]
+            r_te = y[test] - ybar_tr
+            w_te = w[test] / w[test].sum()
+            for j in range(path.shape[1]):
+                resid = r_te - Z_te @ path[b, j]
+                fold_err[k, j] = float(w_te @ resid**2)
+        return fold_err
+
+    fits = [fit for fits in entries if not isinstance(fits, MldidError) for fit in fits]
+    fit_gram_batch(fits, path_G, path_c, fold_errors, l2=l2, pf=pf,
+                   fit_intercept=fit_intercept, cv_rule=cv_rule)
     return [
         [fits] * len(reg.responses) if isinstance(fits, MldidError)
         else [fit.result for fit in fits]

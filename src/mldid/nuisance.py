@@ -17,9 +17,14 @@ Each nuisance is cross-fit over the folds of a unit-level plan in one
 batched engine call per cell: g(x) as one logistic member per fold on the
 slice's unit rows (:func:`_cross_fit_propensity`), and the five outcome
 regressions of every fold as one lasso batch (:func:`_cross_fit_regressions`).
-Each prediction is the one a fold-by-fold cross-fit would make, and a fold
-that cannot be fit raises the DegenerateFold that fold-by-fold
-cross-fitting would raise first.
+The regressions are built from moments, not rows: one pass over the cell's
+unit rows gives moment blocks per (fold, group), every regression's
+standardized Gram system, and those of its inner CV folds, is a sum of
+blocks (the covariance-update form of Friedman, Hastie & Tibshirani 2010),
+and all of them go to ``learners.fit_gram_batch`` together. Each prediction
+is the one a fold-by-fold cross-fit would make (to rounding, for the
+regressions), and a fold that cannot be fit raises the DegenerateFold that
+fold-by-fold cross-fitting would raise first.
 """
 
 from __future__ import annotations
@@ -29,14 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateFold, MissingStratum, MldidError
+from .exceptions import DegenerateFold, MissingStratum, MldidError, NonFiniteData
 from .learners import (
     CV_FOLDS,
     CV_N_LAMBDAS,
     DEFAULT_CLIP,
     FoldPlan,
-    Regression,
-    fit_penalized_ls_batch,
+    GramFit,
+    check_lasso_options,
+    cv_grid,
+    fit_gram_batch,
     fit_penalized_ls_cv,
     fit_probability_batch,
 )
@@ -205,60 +212,250 @@ def _cross_fit_propensity(X, g_flag, plan: FoldPlan, config: LearnerConfig):
     return out
 
 
+# The five outcome regressions of a cross-fit fold: name, the units it trains
+# on (those outside the fold with G = s, or all of them for s = 2) and whether
+# it trains on their pre rows (with y_pre) and their post rows (with y_post).
+_REGRESSIONS = (
+    ("m", 2, 1, 1),
+    ("t1", 2, 0, 1),
+    ("t0", 2, 1, 0),
+    ("g1", 1, 1, 1),
+    ("g0", 0, 1, 1),
+)
+
+
 def _cross_fit_regressions(X, y, g, units, plan: FoldPlan, config: LearnerConfig):
-    """Out-of-fold m, mu_t1, mu_t0, mu_g1 and mu_g0 from one batched fit.
+    """Out-of-fold m, mu_t1, mu_t0, mu_g1 and mu_g0 from one pass over the cell's rows.
 
-    The regressions of every outer fold go to the lasso engine together.
-    Each is the fit ``cross_fit`` would make with ``config.fit_regression``
-    and gives the same predictions. Rows 0..m-1 and m..2m-1 are the pre and
-    post rows of the same units with the same covariates, so mu_t1 (post
-    outcomes) and mu_t0 (pre outcomes) share one design: the covariates of
-    the training units. A failure
-    surfaces as the DegenerateFold that regression-by-regression
-    cross-fitting would raise first.
+    Each regression is the fit ``cross_fit`` would make with
+    ``config.fit_regression`` on its training rows (see
+    :func:`_regression_fits`), and its predictions agree with that fit's to
+    rounding. A regression that cannot be fit surfaces as the DegenerateFold
+    that regression-by-regression cross-fitting would raise first.
     """
-    m = units.shape[0] // 2
-    names = ("m", "t1", "t0", "g1", "g0")
-    row_fold = plan.assignment[units]
-    regressions, slots, tests = [], {}, {}
-    for k in range(plan.n_folds):
-        test = row_fold == k
-        if not test.any():
-            continue
-        tests[k] = test
-        train = ~test
-        designs = (
-            (("m",), Regression(X, (y,), rows=train)),
-            (("t1", "t0"), Regression(X[:m], (y[m:], y[:m]),
-                                      rows=plan.assignment != k)),
-            (("g1",), Regression(X, (y,), rows=train & (g == 1))),
-            (("g0",), Regression(X, (y,), rows=train & (g == 0))),
-        )
-        for targets, reg in designs:
-            n_train = int(np.count_nonzero(reg.rows))
-            if n_train < 2:
-                fault = DegenerateFold(
-                    f"fold {k}: training complement has {n_train} rows")
-                slots.update({(name, k): fault for name in targets})
-                continue
-            slots.update({(name, k): (len(regressions), j)
-                          for j, name in enumerate(targets)})
-            regressions.append(reg)
-    results = fit_penalized_ls_batch(regressions, **config.lasso_options())
-
-    outs = []
-    for name in names:
-        out = np.full(X.shape[0], np.nan)
-        for k, test in tests.items():
-            slot = slots[name, k]
-            if isinstance(slot, DegenerateFold):
-                raise slot
-            model = results[slot[0]][slot[1]]
+    fits = _regression_fits(X, y, g, units, plan, config)
+    tests = sorted({k for _, k in fits})
+    for name, *_ in _REGRESSIONS:
+        for k in tests:
+            model = fits[name, k]
+            if isinstance(model, DegenerateFold):
+                raise model
             if isinstance(model, MldidError):
                 raise DegenerateFold(f"fold {k}: {model}") from model
-            out[test] = model.predict(X[test])
-        outs.append(out)
-    return outs
+    # A unit's pre and post rows get the same predictions.
+    m = units.shape[0] // 2
+    fold = plan.assignment[units[:m]]
+    pred = np.full((len(_REGRESSIONS), m), np.nan)
+    for k in tests:
+        models = [fits[name, k] for name, *_ in _REGRESSIONS]
+        rows = np.flatnonzero(fold == k)
+        pred[:, rows] = (X[rows] @ np.stack([mod.coef for mod in models]).T
+                         + [mod.intercept for mod in models]).T
+    return list(np.concatenate([pred, pred], axis=1))
+
+
+def _regression_fits(X, y, g, units, plan: FoldPlan, config: LearnerConfig):
+    """The LinearModel, or the MldidError, of every (regression, outer fold) of a cell.
+
+    Rows 0..m-1 and m..2m-1 of the stacked arrays are the pre and post rows
+    of the same units, so every training set is the pre and/or post rows of
+    a set of units: m(x) and mu_g train on both rows of the units outside
+    the fold (all of them, or those of one group), mu_t1 on their post rows
+    and mu_t0 on their pre rows.
+
+    The cell's unit rows are read once into moments of
+    ``[1, x - xbar, y_pre - ybar, y_post - ybar]`` per (outer fold, G)
+    block. A regression's centre, scale, standardized Gram, ``c`` and mean
+    outcome come from sums of its blocks; a column constant on its rows is
+    pinned as ``learners._pin_constant_columns`` pins it. With CV the
+    inner folds keep the row-position order of the training rows (the j-th
+    training unit's pre row is in fold ``j % K`` and its post row in fold
+    ``(n_units + j) % K``), so each inner training set is the regression's
+    moments less those of two held-out classes of units, and the held-out
+    residuals of all l1 of an inner fold come from one product. All Gram
+    systems of the cell then go to :func:`fit_gram_batch` together.
+
+    A regression with fewer than 2 training rows gets the DegenerateFold a
+    fold-by-fold cross-fit raises, and one with a non-finite covariate or
+    outcome on its rows the NonFiniteData of a fit on those rows; the
+    other regressions are unaffected.
+    """
+    check_lasso_options(config.inner_cv_folds, config.n_lambdas, config.fixed_l1, "min")
+    m, p = units.shape[0] // 2, X.shape[1]
+    fold, g_unit = plan.assignment[units[:m]], g[:m]
+    y_unit = np.stack([y[:m], y[m:]], axis=1)
+    finite_x, finite_y = np.isfinite(X[:m]), np.isfinite(y_unit)
+    Xf = np.where(finite_x, X[:m], 0.0)
+    yf = np.where(finite_y, y_unit, 0.0)
+    x_shift = Xf.mean(axis=0)
+    y_shift = yf.sum() / max(int(finite_y.sum()), 1)
+    V = np.concatenate([np.ones((m, 1)), Xf - x_shift, yf - y_shift], axis=1)
+    # Per unit: non-finite X, y_pre, y_post.
+    bad = np.column_stack([~finite_x.all(axis=1), ~finite_y])
+    train_M, train_size, train_bad, train_lo, train_hi = _training_sums(
+        V, Xf, bad, fold, g_unit, plan.n_folds)
+
+    # The checks, in their order, of a fit on the regression's own rows.
+    fits, live = {}, []
+    sizes, flags = train_size.tolist(), train_bad.tolist()
+    for k in np.unique(fold).tolist():
+        for name, s, pre, post in _REGRESSIONS:
+            n_rows = sizes[k][s] * (pre + post)
+            bad_x, bad_pre, bad_post = flags[k][s]
+            if n_rows < 2:
+                fits[name, k] = DegenerateFold(
+                    f"fold {k}: training complement has {n_rows} rows")
+            elif bad_x:
+                fits[name, k] = NonFiniteData("X contains NaN or infinite entries")
+            elif (pre and bad_pre) or (post and bad_post):
+                fits[name, k] = NonFiniteData("y contains NaN or infinite entries")
+            else:
+                live.append((name, k, s, pre, post))
+    if not live:
+        return fits
+
+    _, ks, subsets, pre, post = (np.array(col) for col in zip(*live))
+    N = _row_moments(train_M[ks, subsets], pre, post)
+    n = N[:, 0, 0]
+    mean = N[:, 0, 1:p + 1] / n[:, None]
+    var = np.diagonal(N[:, 1:p + 1, 1:p + 1], axis1=1, axis2=2) / n[:, None] - mean**2
+    scale = np.sqrt(np.maximum(var, 0.0))
+    scale[scale == 0.0] = 1.0
+    # A column constant on the rows is centred at its value with unit scale
+    # and standardizes to exact zeros.
+    const = train_lo[ks, subsets] == train_hi[ks, subsets]
+    center = np.where(const, train_lo[ks, subsets], x_shift + mean)
+    scale[const] = 1.0
+    inv_scale = np.where(const, 0.0, 1.0 / scale)
+    G, c, ybar = _gram_systems(N, mean, inv_scale)
+    gram_fits = [GramFit(G[i], c[i], center[i], scale[i], float(ybar[i] + y_shift),
+                         config.fixed_l1) for i in range(len(live))]
+
+    K_in = config.inner_cv_folds
+    path_N, path_owner, classes = [], [], {}
+    for i, fit in enumerate(gram_fits if config.fixed_l1 is None else []):
+        cv_grid(fit, np.ones(p), config.l2, config.n_lambdas)
+        if fit.grid is None:
+            continue
+        key = ks[i], subsets[i]
+        if key not in classes:
+            # The training units in order; class r holds those of rank j
+            # with j % K_in == r.
+            train = (fold != key[0]) & ((g_unit == key[1]) | (key[1] == 2))
+            ranked = np.flatnonzero(train)
+            cls = [ranked[r::K_in] for r in range(K_in)]
+            classes[key] = cls, [V[idx].T @ V[idx] for idx in cls]
+        cls, cls_M = classes[key]
+        held = []
+        for r in range(K_in):
+            # Inner fold r holds out the pre rows of class r and the post rows
+            # of the class whose stacked positions fall in fold r.
+            r_post = (r - pre[i] * int(train_size[key])) % K_in
+            fit.members.append((len(path_N), r))
+            held.append((cls[r], cls[r_post]))
+            path_owner.append(i)
+            path_N.append(N[i] - _row_moments(cls_M[r], pre[i], 0)
+                          - _row_moments(cls_M[r_post], 0, post[i]))
+        fit.data = i, held
+    path_G = path_c = path_ybar = ()
+    if path_N:
+        path_G, path_c, path_ybar = _gram_systems(
+            np.stack(path_N), mean[path_owner], inv_scale[path_owner])
+
+    def fold_errors(fit, path):
+        i, held = fit.data
+        fold_err = np.zeros((K_in, path.shape[1]))
+        for (b, r), (pre_units, post_units) in zip(fit.members, held):
+            parts = []
+            if pre[i]:
+                parts.append(V[pre_units][:, np.r_[1:p + 2]])
+            if post[i]:
+                parts.append(V[post_units][:, np.r_[1:p + 1, p + 2]])
+            held_out = np.concatenate(parts)
+            if held_out.shape[0]:
+                Z = (held_out[:, :p] - mean[i]) * inv_scale[i]
+                resid = (held_out[:, p] - path_ybar[b])[:, None] - Z @ path[b].T
+                fold_err[r] = np.mean(resid**2, axis=0)
+        return fold_err
+
+    fit_gram_batch(gram_fits, path_G, path_c, fold_errors, l2=config.l2,
+                   pf=np.ones(p), fit_intercept=True, cv_rule="min")
+    fits.update({(name, k): fit.result for (name, k, *_), fit in zip(live, gram_fits)})
+    return fits
+
+
+def _training_sums(V, Xf, bad, fold, g_unit, n_folds):
+    """Moments, sizes, non-finite flags and covariate ranges of every training set.
+
+    Each is summed over the (outer fold, G) blocks of the unit rows it
+    spans; entry ``[k, s]`` covers the units outside fold k with G = s, or
+    all of them for s = 2.
+    """
+    block = 2 * fold + g_unit
+    order = np.argsort(block, kind="stable")
+    size = np.bincount(block, minlength=2 * n_folds)
+    starts = np.cumsum(size) - size
+    filled = np.flatnonzero(size)
+    Vs, Xs = V[order], Xf[order]
+    M = np.zeros((2 * n_folds, V.shape[1], V.shape[1]))
+    for b in filled:
+        rows = Vs[starts[b]:starts[b] + size[b]]
+        M[b] = rows.T @ rows
+    lo = np.full((2 * n_folds, Xf.shape[1]), np.inf)
+    hi = np.full((2 * n_folds, Xf.shape[1]), -np.inf)
+    lo[filled] = np.minimum.reduceat(Xs, starts[filled], axis=0)
+    hi[filled] = np.maximum.reduceat(Xs, starts[filled], axis=0)
+    n_bad = np.stack([np.bincount(block, weights=col, minlength=2 * n_folds)
+                      for col in bad.T], axis=1)
+
+    M, size, n_bad, lo, hi = (a.reshape(n_folds, 2, *a.shape[1:])
+                              for a in (M, size, n_bad, lo, hi))
+    M, size, n_bad = (a.sum(axis=0) - a for a in (M, size, n_bad))
+    outside = ~np.eye(n_folds, dtype=bool)[:, :, None, None]
+    lo = np.where(outside, lo[None], np.inf).min(axis=1)
+    hi = np.where(outside, hi[None], -np.inf).max(axis=1)
+    return (
+        np.concatenate([M, M.sum(axis=1, keepdims=True)], axis=1),
+        np.concatenate([size, size.sum(axis=1, keepdims=True)], axis=1),
+        np.concatenate([n_bad, n_bad.sum(axis=1, keepdims=True)], axis=1) > 0,
+        np.concatenate([lo, lo.min(axis=1, keepdims=True)], axis=1),
+        np.concatenate([hi, hi.max(axis=1, keepdims=True)], axis=1),
+    )
+
+
+def _row_moments(M, pre, post):
+    """Moments of [1, u, y] over the pre rows (if ``pre``) and post rows (if ``post``).
+
+    ``M`` holds unit moments of [1, u, y_pre, y_post]; the 0/1 flags may be
+    arrays, one per leading entry of M.
+    """
+    q = M.shape[-1] - 1
+    keep_pre = np.r_[0:q]
+    keep_post = np.r_[0:q - 1, q]
+    pre = np.asarray(pre, float)[..., None, None]
+    post = np.asarray(post, float)[..., None, None]
+    return (pre * M[..., keep_pre[:, None], keep_pre]
+            + post * M[..., keep_post[:, None], keep_post])
+
+
+def _gram_systems(N, center, inv_scale):
+    """Standardized Gram systems of row sets from their moments N of [1, u, y].
+
+    The covariates are standardized as ``(u - center) * inv_scale`` (an
+    inner fold keeps the standardization of its regression's training rows)
+    and y is centered at the row set's own mean. Returns G, c and that mean.
+    """
+    q = N.shape[-1] - 1
+    n = N[:, 0, 0]
+    mean = N[:, 0, 1:q] / n[:, None]
+    ybar = N[:, 0, q] / n
+    # sum (u - center)(u - center)' / n, taken about the row set's own mean
+    off = mean - center
+    cov = (N[:, 1:q, 1:q] / n[:, None, None] - mean[:, :, None] * mean[:, None, :]
+           + off[:, :, None] * off[:, None, :])
+    G = cov * inv_scale[:, :, None] * inv_scale[:, None, :]
+    c = (N[:, 1:q, q] / n[:, None] - ybar[:, None] * mean) * inv_scale
+    return G, c, ybar
 
 
 def compute_abch(bundle: NuisanceBundle) -> NuisanceBundle:

@@ -197,6 +197,23 @@ def test_bootstrap_off_and_fifty_replicates_accepted(sim_dir, tmp_path):
     assert (out / "coverage.csv").exists()
 
 
+def test_estimate_manifest_counts_replicates_missing_a_cell(tmp_path):
+    # A panel on which some bootstrap replicates skip a thin cell. Read back
+    # from CSV its units are sorted as id strings ("0", "1", "10", ...), so
+    # the resamples differ from those of the in-memory panel.
+    write_panel_csv(simulate(DgpConfig(n_units=120, seed=3)).panel, tmp_path / "panel.csv")
+    out = tmp_path / "est"
+    res = run_cli(["estimate", "--input", str(tmp_path / "panel.csv"), "--out", str(out),
+                   "--seed", "1", "--fixed-l1", "0.01", "--bootstrap", "50"])
+    assert res.exit_code == 0, res.output
+    boot = json.loads((out / "manifest.json").read_text())["bootstrap"]
+    assert boot["replicates"] == 50 and boot["failed"] == 0
+    assert {(c["g"], c["t"]): c["replicates"] for c in boot["missing_cells"]} == {
+        (2, 2): 2, (2, 3): 2, (2, 4): 2, (3, 1): 1, (4, 1): 1, (4, 2): 1, (4, 4): 1}
+    assert {d["e"]: d["replicates"] for d in boot["missing_event_times"]} == {
+        -3: 1, -2: 2, 0: 3, 1: 2, 2: 2}
+
+
 def test_heterogeneity_from_exported_tables(sim_dir, est_dir, tmp_path):
     out = tmp_path / "het"
     res = run_cli([

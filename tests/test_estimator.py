@@ -16,7 +16,7 @@ from mldid import (
     run_mldid,
     simulate,
 )
-from mldid.estimator import GroupTimeResult, estimate_from_bundle
+from mldid.estimator import GroupTimeResult, _replicate_se, estimate_from_bundle
 from mldid.exceptions import CellSkipped, MldidError
 
 from _utils import make_panel, oracle_bundle, two_period_dgp
@@ -209,6 +209,35 @@ def test_bootstrap_reproducible_and_attaches():
     for c in run.cells:
         if not c.is_reference:
             assert c.se is not None and c.se > 0
+
+
+# At 120 units some replicates of this panel skip a thin cell.
+THIN_CELLS_PANEL = DgpConfig(n_units=120, seed=3)
+THIN_CELLS_CONFIG = EstimatorConfig(seed=1, learners=LearnerConfig(fixed_l1=0.01))
+THIN_CELLS_MISSING = {(2, 2): 1, (2, 3): 3, (2, 4): 2, (4, 1): 1, (4, 4): 1}
+
+
+@pytest.mark.slow
+def test_bootstrap_counts_replicates_missing_a_cell():
+    boot = bootstrap_se(simulate(THIN_CELLS_PANEL).panel, THIN_CELLS_CONFIG, 50)
+    assert boot.n_failed == 0
+    assert {k: n for k, n in boot.cell_missing.items() if n} == THIN_CELLS_MISSING
+    # theta(e) is missing where one of its cohorts' cells is: e = -3 has
+    # only (4,1), e = 0 lost (2,2) once and (4,4) once, e = 1 (2,3) three
+    # times, e = 2 (2,4) twice.
+    assert {e: n for e, n in boot.dynamic_missing.items() if n} == {-3: 1, 0: 2, 1: 3, 2: 2}
+    assert len(boot.cell_missing) == 9 and set(boot.dynamic_missing) == {-3, -2, 0, 1, 2}
+    # At least 47 of 50 replicates supplied every key.
+    assert set(boot.cell_se) == set(boot.cell_missing)
+    assert set(boot.dynamic_se) == set(boot.dynamic_missing)
+
+
+def test_replicate_se_needs_ninety_percent_of_replicates():
+    values = {"a": [float(v) for v in range(45)], "b": [float(v) for v in range(44)],
+              "c": [1.0]}
+    se, missing = _replicate_se(values, ["a", "b", "c", "d"], 50, 48)
+    assert se == {"a": float(np.std(values["a"], ddof=1))}
+    assert missing == {"a": 3, "b": 4, "c": 47, "d": 48}
 
 
 @pytest.mark.slow

@@ -4,18 +4,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mldid import cross_fit, make_fold_plan
-from mldid.exceptions import DegenerateFold, MissingStratum
+from mldid import DgpConfig, cross_fit, make_fold_plan, simulate
+from mldid.estimator import _SEED_FOLDS, EstimatorConfig, derive_seed
+from mldid.exceptions import DegenerateFold, MissingStratum, MldidError
 from mldid.learners import DEFAULT_CLIP, fit_probability
 from mldid.nuisance import (
     LearnerConfig,
     NuisanceBundle,
     _cross_fit_propensity,
     _cross_fit_regressions,
+    _regression_fits,
     _stack_slice,
     compute_abch,
     estimate_nuisances,
 )
+from mldid.panel import enumerate_cells, slice_two_period
 
 import _sequential_lasso as sequential
 import _sequential_newton as newton_ref
@@ -270,6 +273,138 @@ def test_batched_regressions_raise_per_fold_errors():
         want = _first_error(lambda: _per_fold_regressions(case, plan, config, fit))
         assert got == want
         assert got.startswith("fold ")
+
+
+def _member_reference(case, plan, config):
+    """Every (regression, outer fold) of a cell fit on its own rows by the row path.
+
+    Each entry is the LinearModel, or the (error type, message) that a
+    fold-by-fold cross-fit with ``config.fit_regression`` reports for it.
+    """
+    y, g, t, X, units = _stack_slice(case)
+    row_fold = plan.assignment[units]
+    masks = dict(m=None, t1=t == 1, t0=t == 0, g1=g == 1, g0=g == 0)
+    out = {}
+    for name, mask in masks.items():
+        for k in range(plan.n_folds):
+            test = row_fold == k
+            if not test.any():
+                continue
+            train = ~test if mask is None else ~test & mask
+            n = int(train.sum())
+            if n < 2:
+                out[name, k] = (DegenerateFold, f"fold {k}: training complement has {n} rows")
+                continue
+            try:
+                out[name, k] = config.fit_regression(X[train], y[train])
+            except MldidError as err:
+                out[name, k] = (type(err), f"fold {k}: {err}")
+    return out
+
+
+def _assert_members_match_reference(case, plan, config):
+    """Block-moment fits equal the row path's fits, one regression at a time.
+
+    Predictions agree to 1e-12 and every l1 sits on the reference's grid
+    point (neighbouring points differ by a factor of about 1.8); a
+    regression that fails does so with the reference's error type and
+    message. Returns the number of regressions fit.
+    """
+    y, g, t, X, units = _stack_slice(case)
+    row_fold = plan.assignment[units]
+    got = _regression_fits(X, y, g, units, plan, config)
+    want = _member_reference(case, plan, config)
+    assert got.keys() == want.keys()
+    n_fit = 0
+    for (name, k), ref in want.items():
+        fit = got[name, k]
+        if isinstance(ref, tuple):
+            assert isinstance(fit, ref[0]), (name, k, fit)
+            msg = str(fit) if isinstance(fit, DegenerateFold) else f"fold {k}: {fit}"
+            assert msg == ref[1]
+            continue
+        test = row_fold == k
+        with np.errstate(invalid="ignore"):  # a non-finite X predicts NaN
+            assert_allclose(fit.predict(X[test]), ref.predict(X[test]), rtol=0, atol=1e-12)
+        assert fit.l1 == pytest.approx(ref.l1, rel=1e-9, abs=0), (name, k)
+        n_fit += 1
+    return n_fit
+
+
+def _block_front_end_cases():
+    sl, _ = two_period_dgp(150, seed=12, tau_fn=lambda x: x[:, 0], p=3)
+    plan = make_fold_plan(sl.n_units, 5, seed=7)
+    n = sl.n_units
+    rng = np.random.default_rng(13)
+    idx = rng.integers(0, n, size=n)
+    resampled = dataclasses.replace(
+        sl, X=sl.X[idx], y_pre=sl.y_pre[idx], y_post=sl.y_post[idx],
+        g_flag=sl.g_flag[idx], unit_ids=np.arange(n, dtype=object),
+        unit_rows=np.arange(n))
+    # x_2 is 3.7 on every treated unit outside fold 2: constant on the mu_g1
+    # training rows of fold 2 only, at a value whose mean rounds off.
+    X_const = sl.X.copy()
+    X_const[(sl.g_flag == 1) & (plan.assignment != 2), 1] = 3.7
+    # The treated units all sit in fold 3, so mu_g1 of fold 3 has no rows.
+    g_one_fold = np.where(plan.assignment == 3, sl.g_flag, 0).astype(np.int8)
+    y_post_bad = sl.y_post.copy()
+    y_post_bad[17] = np.nan
+    X_bad = sl.X.copy()
+    X_bad[41, 2] = np.inf
+    return plan, {
+        "resampled": resampled,
+        "constant-on-fold": dataclasses.replace(sl, X=X_const),
+        "empty-g1-fold": dataclasses.replace(sl, g_flag=g_one_fold),
+        "nan-y-post": dataclasses.replace(sl, y_post=y_post_bad),
+        "inf-x": dataclasses.replace(sl, X=X_bad),
+    }
+
+
+@pytest.mark.parametrize("fixed_l1", [None, 0.02])
+@pytest.mark.parametrize("name", ["resampled", "constant-on-fold", "empty-g1-fold",
+                                  "nan-y-post", "inf-x"])
+def test_block_front_end_matches_per_fold_reference(name, fixed_l1):
+    plan, cases = _block_front_end_cases()
+    case = cases[name]
+    config = LearnerConfig(fixed_l1=fixed_l1)
+    assert _assert_members_match_reference(case, plan, config) > 0
+    y, g, t, X, units = _stack_slice(case)
+    if name in ("resampled", "constant-on-fold"):
+        got = _cross_fit_regressions(X, y, g, units, plan, config)
+        for a, b in zip(got, _per_fold_regressions(case, plan, config)):
+            assert_allclose(a, b, rtol=0, atol=1e-12)
+        return
+    fit = lambda a, b: config.fit_regression(a, b)
+    with pytest.raises(DegenerateFold) as got:
+        _cross_fit_regressions(X, y, g, units, plan, config)
+    with pytest.raises(DegenerateFold) as want, np.errstate(invalid="ignore"):
+        _per_fold_regressions(case, plan, config, fit)
+    assert str(got.value) == str(want.value)
+    assert type(got.value.__cause__) is type(want.value.__cause__)
+
+
+def test_constant_column_is_pinned_on_its_fold_only():
+    plan, cases = _block_front_end_cases()
+    y, g, t, X, units = _stack_slice(cases["constant-on-fold"])
+    fits = _regression_fits(X, y, g, units, plan, LearnerConfig(fixed_l1=0.02))
+    assert fits["g1", 2].center[1] == 3.7 and fits["g1", 2].scale[1] == 1.0
+    assert fits["g1", 2].coef[1] == 0.0
+    assert all(fits["g1", k].scale[1] != 1.0 for k in (0, 1, 3, 4))
+
+
+def test_nuisance_l1_matches_row_path_on_covariate_driven_panel():
+    # Every CV-chosen l1 of every cell, block moments against the row path.
+    panel = simulate(DgpConfig(n_units=300, assignment="logit-x123", seed=4)).panel
+    config = EstimatorConfig(seed=2)
+    n_fit = 0
+    for g, t in enumerate_cells(panel, True):
+        if t == g - 1:
+            continue
+        sl = slice_two_period(panel, g, t)
+        plan = make_fold_plan(sl.n_units, config.n_folds,
+                              derive_seed(config.seed, _SEED_FOLDS, g, t))
+        n_fit += _assert_members_match_reference(sl, plan, config.learners)
+    assert n_fit >= 100
 
 
 # ---------------------------------------------------------------------------
