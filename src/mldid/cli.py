@@ -228,11 +228,16 @@ def _heterogeneity_results(catt_panel, k_bins, oracle_values=None,
 
 
 def _bootstrap_summary(boot) -> dict:
-    """Replicate counts of a bootstrap, with every key some replicates missed."""
+    """Replicate counts of a bootstrap, with every key some replicates missed.
+
+    A missing cell lists the messages of the replicates that skipped it,
+    with their counts.
+    """
     return {
         "replicates": boot.n_replicates,
         "failed": boot.n_failed,
-        "missing_cells": [{"g": g, "t": t, "replicates": n}
+        "missing_cells": [{"g": g, "t": t, "replicates": n,
+                           "reasons": boot.cell_reasons.get((g, t), {})}
                           for (g, t), n in sorted(boot.cell_missing.items()) if n],
         "missing_event_times": [{"e": e, "replicates": n}
                                 for e, n in sorted(boot.dynamic_missing.items()) if n],

@@ -5,18 +5,27 @@ orthogonal decomposition, the penalized effect-function fit, balancing
 weights, and the robust-score average. Cell estimates then aggregate into
 event-study effects with cohort-share weights, and a unit-level clustered
 bootstrap supplies standard errors.
+
+A cell is estimated for a matrix of unit counts at once: each column is
+one estimate, with the slice's units weighted by their counts. A run uses
+the single all-ones column. The bootstrap draws every replicate as a
+column of counts over the original panel's units and estimates each cell
+once for all of them, with the cell's own fold plan, so a unit's copies
+share its fold. ``--threads`` maps over cells in both.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .amle import build_function_class, estimate_sigma2, solve_amle
-from .catt import fit_catt, predict_catt
+from .amle import balancing_columns, sigma2_columns
+from .catt import fit_catt_columns
 from .exceptions import (
     BootstrapFailed,
     CellSkipped,
@@ -26,8 +35,21 @@ from .exceptions import (
     NoCellsForEventTime,
 )
 from .learners import make_fold_plan
-from .nuisance import LearnerConfig, NuisanceBundle, compute_abch, estimate_nuisances
-from .panel import PanelDataset, enumerate_cells, slice_two_period
+from .nuisance import LearnerConfig, NuisanceBundle, cross_fit_nuisances
+from .panel import (
+    PanelDataset,
+    empty_control_error,
+    empty_treated_error,
+    enumerate_cells,
+    slice_two_period,
+)
+
+# The benchmark's tracer (perfbench/tracing.py) wraps these names in this
+# module, so they stay importable here although a cell now fits every count
+# column from unit moments without them.
+from .amle import build_function_class, estimate_sigma2, solve_amle  # noqa: F401
+from .catt import fit_catt, predict_catt  # noqa: F401
+from .nuisance import compute_abch, estimate_nuisances  # noqa: F401
 
 # Namespacing constants for derived seeds; results must not depend on
 # scheduling order, so every seed is a pure function of (master, purpose, ids).
@@ -37,6 +59,11 @@ _SEED_REP = 303
 
 # Fewest replicates whose standard deviation the bootstrap reports.
 MIN_BOOTSTRAP_REPLICATES = 50
+
+# Most (unit, count column) entries a cell estimates in one pass; a
+# bootstrap cell with more is estimated in chunks of columns, at least one
+# column each.
+MAX_CELL_ENTRIES = 1 << 14
 
 
 def derive_seed(*parts: int) -> int:
@@ -138,21 +165,105 @@ class MldidRun:
         raise KeyError(e)
 
 
+@dataclass(frozen=True)
+class _Columns:
+    """Per count column of a cell: att, unit effects and scores, sigma2, tau l1.
+
+    Arrays are (units, columns) or (columns,); ``errors[r]`` is the
+    MldidError that stopped column r, or None, and a failed column's
+    entries are NaN.
+    """
+
+    att: np.ndarray
+    tau_unit: np.ndarray
+    score_unit: np.ndarray
+    sigma2: np.ndarray
+    catt_l1: np.ndarray
+    errors: list
+
+
+def _effect_columns(X, g, B, H_pre, H_post, counts, config: EstimatorConfig,
+                    errors=None) -> _Columns:
+    """Effect fit, balancing weights and robust unit scores of every count column.
+
+    The inputs are per unit and column (``X`` and ``g`` per unit): B = G -
+    g_hat and the partial residuals H of the unit's pre and post rows.
+    Columns with an entry in ``errors`` have failed already and are
+    skipped. A unit's score is tau(x) plus the mean of its two rows'
+    corrections gamma * (H - C tau(x)), so the count-weighted mean of the
+    scores is the mean of the column's row scores, its att.
+    """
+    m, n_cols = counts.shape
+    out = _Columns(np.full(n_cols, np.nan), np.full((m, n_cols), np.nan),
+                   np.full((m, n_cols), np.nan), np.full(n_cols, np.nan),
+                   np.full(n_cols, np.nan), list(errors or [None] * n_cols))
+    live = np.flatnonzero([err is None for err in out.errors])
+    if not live.size:
+        return out
+    counts, B, H_pre, H_post = _columns(live, counts, B, H_pre, H_post)
+    coef, l1, fit_errors = fit_catt_columns(X, B, H_pre, H_post, counts,
+                                            l1=config.catt_l1, config=config.learners)
+    for r, err in zip(live, fit_errors):
+        out.errors[r] = err
+    fit = np.flatnonzero([err is None for err in fit_errors])
+    ok = live[fit]
+    if not ok.size:
+        return out
+    c, B, H_pre, H_post = _columns(fit, counts, B, H_pre, H_post)
+    tau = coef[fit, 0] + X @ coef[fit, 1:].T
+    resid_pre = H_pre - B * -0.5 * tau
+    resid_post = H_post - B * 0.5 * tau
+    sigma2 = sigma2_columns(resid_pre, resid_post, c)
+    gamma_pre, gamma_post = balancing_columns(X, g.astype(float), c, sigma2)
+    score = tau + (gamma_pre * resid_pre + gamma_post * resid_post) / 2
+    out.att[ok] = (c * score).sum(axis=0) / c.sum(axis=0)
+    out.tau_unit[:, ok], out.score_unit[:, ok] = tau, score
+    out.sigma2[ok], out.catt_l1[ok] = sigma2, l1[fit]
+    return out
+
+
+def _columns(idx, *arrays):
+    """The columns ``idx`` of each (units, columns) array, without a copy if all."""
+    if all(idx.size == a.shape[1] for a in arrays):
+        return arrays
+    return tuple(a[:, idx] for a in arrays)
+
+
+def _cell_columns(sl, plan, config: EstimatorConfig, counts) -> _Columns:
+    """Estimate a slice for every count column: cross-fit nuisances, then effects.
+
+    Column r weights the slice's units by ``counts[:, r]`` and shares the
+    fold plan, so it is the estimate on a resampled slice whose copies of a
+    unit sit in that unit's fold.
+    """
+    nuis = cross_fit_nuisances(sl, plan, config.learners, counts)
+    # A non-finite value of a unit that a column did not draw must not reach
+    # its sums; one of a drawn unit has failed the column's nuisance fits.
+    X, y_pre, y_post = (np.where(np.isfinite(a), a, 0.0) for a in (sl.X, sl.y_pre, sl.y_post))
+    B = sl.g_flag[:, None] - nuis.g_hat
+    H_pre = y_pre[:, None] - (nuis.m_hat + -0.5 * nuis.nu_hat + B * nuis.zeta_hat)
+    H_post = y_post[:, None] - (nuis.m_hat + 0.5 * nuis.nu_hat + B * nuis.zeta_hat)
+    errors = nuis.errors
+    del nuis  # its (units, columns) arrays are not needed any more
+    return _effect_columns(X, sl.g_flag, B, H_pre, H_post, counts, config, errors)
+
+
 def estimate_from_bundle(bundle: NuisanceBundle, config: EstimatorConfig):
     """Effect fit, balancing weights and robust scores for a built bundle.
 
-    Returns (att, row_scores, tau_row, gamma, catt_model, sigma2) per
-    stacked row; exposed separately so properties can be checked with
-    known nuisance values substituted for the fitted ones.
+    Returns (att, score_unit, tau_unit, sigma2) of the bundle's units (its
+    rows are their pre rows then their post rows); exposed separately so
+    properties can be checked with known nuisance values substituted for
+    the fitted ones.
     """
-    catt_model = fit_catt(bundle, l1=config.catt_l1, config=config.learners)
-    tau_row = predict_catt(catt_model, bundle.X)
-    sigma2 = estimate_sigma2(bundle, tau_row)
-    problem = build_function_class(bundle, sigma2)
-    gamma = solve_amle(problem)
-    row_scores = tau_row + gamma * (bundle.H - bundle.C * tau_row)
-    att = float(row_scores.mean())
-    return att, row_scores, tau_row, gamma, catt_model, sigma2
+    m = bundle.n_rows // 2
+    C, H = bundle.C, bundle.H
+    cols = _effect_columns(bundle.X[:m], bundle.g[:m], (C[m:] - C[:m])[:, None],
+                           H[:m, None], H[m:, None], np.ones((m, 1)), config)
+    if cols.errors[0] is not None:
+        raise cols.errors[0]
+    return (float(cols.att[0]), cols.score_unit[:, 0], cols.tau_unit[:, 0],
+            float(cols.sigma2[0]))
 
 
 def _reference_result(panel: PanelDataset, g: int) -> GroupTimeResult:
@@ -169,6 +280,13 @@ def _reference_result(panel: PanelDataset, g: int) -> GroupTimeResult:
         score_unit=empty,
         X_unit=np.empty((0, len(panel.covariate_names))),
         is_reference=True,
+    )
+
+
+def _cell_plan(sl, config: EstimatorConfig, g: int, t: int):
+    return make_fold_plan(
+        sl.n_units, min(config.n_folds, sl.n_units),
+        derive_seed(config.seed, _SEED_FOLDS, g, t),
     )
 
 
@@ -189,35 +307,23 @@ def estimate_cell(
     except (EmptyControlGroup, EmptyTreatedGroup) as err:
         raise CellSkipped(g, t, err) from err
 
-    plan = make_fold_plan(
-        sl.n_units, min(config.n_folds, sl.n_units),
-        derive_seed(config.seed, _SEED_FOLDS, g, t),
-    )
-    bundle = compute_abch(estimate_nuisances(sl, plan, config.learners))
-    att, row_scores, tau_row, gamma, catt_model, sigma2 = estimate_from_bundle(
-        bundle, config
-    )
-
-    # A unit's score correction is the mean of its two stacked rows, so the
-    # unit-score mean reproduces att.
-    m = sl.n_units
-    corr = gamma * (bundle.H - bundle.C * tau_row)
-    tau_unit = predict_catt(catt_model, sl.X)
-    score_unit = tau_unit + (corr[:m] + corr[m:]) / 2
-
+    cols = _cell_columns(sl, _cell_plan(sl, config, g, t), config,
+                         np.ones((sl.n_units, 1)))
+    if cols.errors[0] is not None:
+        raise cols.errors[0]
     return GroupTimeResult(
         g=g,
         t=t,
-        att=att,
+        att=float(cols.att[0]),
         n_treated=sl.n_treated,
         n_control=sl.n_control,
         unit_ids=sl.unit_ids,
         g_flag=sl.g_flag,
-        tau_unit=tau_unit,
-        score_unit=score_unit,
+        tau_unit=cols.tau_unit[:, 0],
+        score_unit=cols.score_unit[:, 0],
         X_unit=sl.X,
-        sigma2=sigma2,
-        catt_l1=catt_model.l1,
+        sigma2=float(cols.sigma2[0]),
+        catt_l1=float(cols.catt_l1[0]),
     )
 
 
@@ -236,6 +342,27 @@ def event_study_weights(
     return {g: size / total for g, size in eligible.items()}
 
 
+def _event_thetas(atts: dict, group_sizes: dict[int, int], n_periods: int) -> dict:
+    """theta(e), its weights and its missing cohorts at every event time of ``atts``.
+
+    ``atts`` maps each estimated (g, t) to its att. Weights are cohort
+    shares among the cohorts observable at event time e; when an eligible
+    cohort's cell is missing, the remaining weights renormalize and the
+    cohort is listed as missing.
+    """
+    out = {}
+    for e in sorted({t - g for g, t in atts}):
+        weights = event_study_weights(group_sizes, e, n_periods)
+        have = {g: w for g, w in weights.items() if (g, g + e) in atts}
+        if not have:
+            raise NoCellsForEventTime(f"no estimated cells at event time {e}")
+        total = sum(have.values())
+        norm = {g: w / total for g, w in have.items()}
+        theta = sum(w * atts[g, g + e] for g, w in norm.items())
+        out[e] = float(theta), norm, tuple(sorted(set(weights) - set(have)))
+    return out
+
+
 def aggregate_event_study(
     cells: list[GroupTimeResult],
     group_sizes: dict[int, int],
@@ -249,30 +376,16 @@ def aggregate_event_study(
     ``missing_cohorts``.
     """
     by_key = {(c.g, c.t): c for c in cells if not c.is_reference}
-    events = sorted({c.t - c.g for c in cells if not c.is_reference})
+    thetas = _event_thetas({k: c.att for k, c in by_key.items()}, group_sizes, n_periods)
     out = []
-    for e in events:
-        weights = event_study_weights(group_sizes, e, n_periods)
-        have = {g: w for g, w in weights.items() if (g, g + e) in by_key}
-        if not have:
-            raise NoCellsForEventTime(f"no estimated cells at event time {e}")
-        total = sum(have.values())
-        norm = {g: w / total for g, w in have.items()}
-        theta = sum(w * by_key[(g, g + e)].att for g, w in norm.items())
+    for e, (theta, norm, missing) in thetas.items():
         theta_tau = 0.0
         for g, w in norm.items():
             cell = by_key[(g, g + e)]
             treated = cell.g_flag == 1
             theta_tau += w * float(cell.tau_unit[treated].mean())
-        out.append(
-            DynamicEffect(
-                e=e,
-                theta=float(theta),
-                theta_tau=float(theta_tau),
-                weights=norm,
-                missing_cohorts=tuple(sorted(set(weights) - set(have))),
-            )
-        )
+        out.append(DynamicEffect(e=e, theta=theta, theta_tau=float(theta_tau),
+                                 weights=norm, missing_cohorts=missing))
     return out
 
 
@@ -303,6 +416,34 @@ def _build_catt_panel(cells: list[GroupTimeResult], covariate_names) -> CattPane
     )
 
 
+def _map_cells(task, args: list, threads: int) -> list:
+    """``task`` over per-cell arguments, in a pool of ``threads`` processes if > 1.
+
+    Each call runs with its warnings recorded and returns them with its
+    result, so a worker's warnings are not lost; :func:`_reemit` raises
+    them again in the caller.
+    """
+    if threads > 1 and len(args) > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(_recording, [(task, a) for a in args]))
+    return [_recording((task, a)) for a in args]
+
+
+def _recording(job):
+    task, args = job
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = task(args)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _reemit(prefix: str, caught) -> None:
+    """Warn again, once per distinct message, with ``prefix`` and its count."""
+    for (category, message), n in Counter(caught).items():
+        times = f" ({n} times)" if n > 1 else ""
+        warnings.warn(f"{prefix}: {message}{times}", category, stacklevel=3)
+
+
 def _cell_task(args):
     panel, g, t, config = args
     try:
@@ -315,20 +456,18 @@ def run_mldid(panel: PanelDataset, config: EstimatorConfig | None = None) -> Mld
     """Estimate every cell, aggregate, and assemble the per-unit panel.
 
     Skipped cells are recorded with their reason, never silently
-    dropped; reference cells (t = g-1) appear as hard zeros.
+    dropped; reference cells (t = g-1) appear as hard zeros. Warnings of a
+    cell are raised again here, prefixed with its (g, t).
     """
     config = config or EstimatorConfig()
     keys = enumerate_cells(panel, config.include_placebo)
     results: dict[tuple[int, int], GroupTimeResult] = {}
     skipped: list[tuple[int, int, str]] = []
 
-    if config.threads > 1 and len(keys) > 1:
-        tasks = [(panel, g, t, config) for g, t in keys]
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            outputs = list(pool.map(_cell_task, tasks))
-    else:
-        outputs = [_cell_task((panel, g, t, config)) for g, t in keys]
-    for g, t, res, err in outputs:
+    outputs = _map_cells(_cell_task, [(panel, g, t, config) for g, t in keys],
+                         config.threads)
+    for (g, t, res, err), caught in outputs:
+        _reemit(f"cell (g={g}, t={t})", caught)
         if res is None:
             skipped.append((g, t, err))
         else:
@@ -356,20 +495,6 @@ def run_mldid(panel: PanelDataset, config: EstimatorConfig | None = None) -> Mld
     )
 
 
-def resample_panel(panel: PanelDataset, rng: np.random.Generator) -> PanelDataset:
-    """Unit-level (clustered) resample with replacement, units renumbered."""
-    m = panel.n_units
-    idx = rng.integers(0, m, size=m)
-    return PanelDataset(
-        unit_ids=np.arange(m, dtype=object),
-        groups=panel.groups[idx].copy(),
-        n_periods=panel.n_periods,
-        outcomes=panel.outcomes[idx].copy(),
-        covariates=panel.covariates[idx].copy(),
-        covariate_names=panel.covariate_names,
-    )
-
-
 @dataclass(frozen=True)
 class BootstrapSE:
     """Replicate standard deviations of the cell atts and event-study thetas.
@@ -377,8 +502,10 @@ class BootstrapSE:
     ``n_failed`` counts replicates that failed as a whole. Per key,
     ``cell_missing`` and ``dynamic_missing`` count the other replicates
     that did not supply the value: a skipped cell, or an event time whose
-    aggregate lacked one of its cohorts (and so averaged other cohorts). A
-    key has an SE only if at least 90% of all replicates supplied it.
+    aggregate lacked one of its cohorts (and so averaged other cohorts).
+    ``cell_reasons`` counts, per cell, the messages of the replicates that
+    skipped it. A key has an SE only if at least 90% of all replicates
+    supplied it.
     """
 
     cell_se: dict[tuple[int, int], float]
@@ -387,24 +514,53 @@ class BootstrapSE:
     n_failed: int
     cell_missing: dict[tuple[int, int], int] = field(default_factory=dict)
     dynamic_missing: dict[int, int] = field(default_factory=dict)
+    cell_reasons: dict[tuple[int, int], dict[str, int]] = field(default_factory=dict)
+
+
+def replicate_counts(n_units: int, seed: int, n_replicates: int) -> np.ndarray:
+    """(units, replicates) draw counts of the clustered bootstrap.
+
+    Replicate b draws ``n_units`` units with replacement from a generator
+    seeded by (seed, _SEED_BOOT, b), so its column does not depend on how
+    many replicates are drawn or in which order.
+    """
+    counts = np.empty((n_units, n_replicates), dtype=np.int64)
+    for b in range(n_replicates):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, _SEED_BOOT, b]))
+        counts[:, b] = np.bincount(rng.integers(0, n_units, size=n_units),
+                                   minlength=n_units)
+    return counts
 
 
 def _bootstrap_task(args):
-    panel, config, b = args
-    rng = np.random.default_rng(
-        np.random.SeedSequence([config.seed, _SEED_BOOT, b])
-    )
-    rep_config = dataclasses.replace(config, bootstrap=0, threads=1)
+    """Every replicate's att of one cell and, where it has none, the reason."""
+    panel, g, t, config, counts = args
+    n_cols = counts.shape[1]
+    att = np.full(n_cols, np.nan)
+    # A replicate that drew no unit of cohort g, or no control, has no slice;
+    # its reason is what slicing its panel raises.
+    treated = counts[panel.groups == g].sum(axis=0) > 0
     try:
-        run = run_mldid(resample_panel(panel, rng), rep_config)
-    except MldidError:
-        return b, None, None
-    cell_atts = {
-        (c.g, c.t): c.att for c in run.cells if not c.is_reference
-    }
-    thetas = {d.e: d.theta for d in run.dynamics
-              if not d.is_reference and not d.missing_cohorts}
-    return b, cell_atts, thetas
+        sl = slice_two_period(panel, g, t)
+        control = counts[sl.unit_rows[sl.g_flag == 0]].sum(axis=0) > 0
+    except EmptyControlGroup:
+        sl, control = None, np.zeros(n_cols, dtype=bool)
+    live = np.flatnonzero(treated & control)
+    reasons: list[str | None] = [None] * n_cols
+    for r in np.flatnonzero(~(treated & control)):
+        cause = empty_control_error(g, t) if treated[r] else empty_treated_error(g)
+        reasons[r] = str(CellSkipped(g, t, cause))
+    if live.size:
+        plan, sub = _cell_plan(sl, config, g, t), counts[sl.unit_rows]
+        # Chunks of columns bound the (units, columns) arrays and batches;
+        # a column's estimate depends on its chunk only through rounding.
+        n_chunks = -(-live.size * sl.n_units // MAX_CELL_ENTRIES)
+        for part in np.array_split(live, min(n_chunks, live.size)):
+            cols = _cell_columns(sl, plan, config, sub[:, part])
+            att[part] = cols.att
+            for r, err in zip(part, cols.errors):
+                reasons[r] = None if err is None else str(err)
+    return att, reasons
 
 
 def _replicate_se(values: dict, keys, n_replicates: int, n_ran: int):
@@ -423,46 +579,61 @@ def bootstrap_se(
 ) -> BootstrapSE:
     """Clustered nonparametric bootstrap over units.
 
-    Each replicate re-runs the full estimation on a unit resample with a
-    seed derived from (master seed, replicate); the SE is the replicate
-    standard deviation. The run is invalid if more than 10% of
-    replicates fail, and a cell or event time gets no SE if more than 10%
-    of replicates did not supply it.
+    A replicate is a column of unit draw counts (:func:`replicate_counts`)
+    on the original panel, and a cell is estimated once for all columns:
+    each column is the estimate on the resampled panel, with a unit's
+    copies in that unit's fold of the cell. ``--threads`` maps over the
+    cells. The SE is the replicate standard deviation. The run is invalid
+    if more than 10% of replicates fail, and a cell or event time gets no
+    SE if more than 10% of replicates did not supply it.
     """
     if n_replicates < MIN_BOOTSTRAP_REPLICATES:
         raise MldidError(
             f"bootstrap needs at least {MIN_BOOTSTRAP_REPLICATES} replicates")
-    tasks = [(panel, config, b) for b in range(n_replicates)]
-    outputs = []
-    if config.threads > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            outputs = list(pool.map(_bootstrap_task, tasks))
-    else:
-        outputs = [_bootstrap_task(t) for t in tasks]
+    counts = replicate_counts(panel.n_units, config.seed, n_replicates)
+    keys = enumerate_cells(panel, config.include_placebo)
+    outputs = _map_cells(_bootstrap_task, [(panel, g, t, config, counts) for g, t in keys],
+                         config.threads)
+    atts, reasons = {}, {}
+    for (g, t), ((att, why), caught) in zip(keys, outputs):
+        _reemit(f"bootstrap cell (g={g}, t={t})", caught)
+        atts[g, t], reasons[g, t] = att, why
+    sizes = {g: counts[panel.groups == g].sum(axis=0) for g in panel.cohorts}
 
     cell_values: dict[tuple[int, int], list[float]] = {}
     theta_values: dict[int, list[float]] = {}
+    cell_reasons: dict[tuple[int, int], Counter] = {key: Counter() for key in keys}
     n_failed = 0
-    for _, cell_atts, thetas in sorted(outputs, key=lambda o: o[0]):
-        if cell_atts is None:
+    for b in range(n_replicates):
+        # The replicate's panel has the cohorts it drew, with their draw counts.
+        group_sizes = {g: int(size[b]) for g, size in sizes.items() if size[b] > 0}
+        cell_atts = {key: float(att[b]) for key, att in atts.items()
+                     if reasons[key][b] is None}
+        try:
+            thetas = _event_thetas(cell_atts, group_sizes, panel.n_periods)
+        except MldidError:
             n_failed += 1
             continue
         for key, val in cell_atts.items():
             cell_values.setdefault(key, []).append(val)
-        for e, val in thetas.items():
-            theta_values.setdefault(e, []).append(val)
+        for key in keys:
+            if reasons[key][b] is not None:
+                cell_reasons[key][reasons[key][b]] += 1
+        for e, (theta, _, missing) in thetas.items():
+            if not missing:
+                theta_values.setdefault(e, []).append(theta)
 
     if n_replicates - n_failed < 0.9 * n_replicates:
         raise BootstrapFailed(
             f"{n_failed} of {n_replicates} bootstrap replicates failed"
         )
-    keys = enumerate_cells(panel, config.include_placebo)
     n_ran = n_replicates - n_failed
     cell_se, cell_missing = _replicate_se(cell_values, keys, n_replicates, n_ran)
     dynamic_se, dynamic_missing = _replicate_se(
         theta_values, sorted({t - g for g, t in keys}), n_replicates, n_ran)
     return BootstrapSE(cell_se, dynamic_se, n_replicates, n_failed,
-                       cell_missing, dynamic_missing)
+                       cell_missing, dynamic_missing,
+                       {key: dict(why) for key, why in cell_reasons.items() if why})
 
 
 def attach_bootstrap_se(run: MldidRun, boot: BootstrapSE) -> MldidRun:

@@ -21,14 +21,17 @@ regression's training rows; :func:`fit_penalized_ls` and
 :func:`fit_penalized_ls_cv` are its one-regression calls, used by the
 effect-function fit and the doubly-robust baseline. The moment front end in
 ``nuisance`` builds the outcome regressions of a cell from sums of moment
-blocks instead of from rows.
+blocks instead of from rows, and the effect-function fit of ``catt`` from
+unit moments.
 
 Every logistic fit goes through :func:`fit_probability_batch`: fits that
 share one design and label vector and differ in their row weights (a
 cross-fit's folds) iterate together on one shared standardized design, each
 in its own coordinates, so that one Newton step of the batch is one matrix
-product, one batched Hessian product and one batched d x d solve.
-``estimate_nuisances`` cross-fits the propensity of a cell in one call, and
+product, one batched Hessian product and one batched d x d solve; a large
+batch is solved in chunks of members that bound its (members, rows)
+temporaries. ``nuisance`` cross-fits the propensity of a cell, for every
+fold and every bootstrap count column, as one such batch, and
 :func:`fit_probability` is the one-member call.
 
 In both engines each member follows the iterates of a solve on its own, so
@@ -62,6 +65,16 @@ CV_FOLDS = 5
 CV_N_LAMBDAS = 20
 CV_LAMBDA_MIN_RATIO = 1e-4
 CV_LAMBDA_MAX_RATIO = 10.0
+
+# Most (member, row) entries one Newton batch holds at once. A batch with
+# more is solved in chunks of members, which bounds its (members, rows)
+# temporaries; a member's result depends on its chunk only through rounding.
+MAX_BATCH_ENTRIES = 1 << 14
+
+
+def weighted_gram(Z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i w_i z_i z_i' over the rows z_i of Z."""
+    return (Z * w[:, None]).T @ Z
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
@@ -635,10 +648,15 @@ class ProbabilityModel:
 
 
 def _label_proba(eta: np.ndarray) -> np.ndarray:
-    """Probabilities of the labels from their (n, 2) linear scores."""
-    eta = eta - eta.max(axis=1, keepdims=True)
+    """Probabilities of the labels from their linear scores, labels on the last axis."""
+    eta = eta - eta.max(axis=-1, keepdims=True)
     expeta = np.exp(eta)
-    return expeta / expeta.sum(axis=1, keepdims=True)
+    return expeta / expeta.sum(axis=-1, keepdims=True)
+
+
+def _members(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows ``idx`` (sorted, distinct) of ``a``, without a copy when that is all of them."""
+    return a if idx.size == a.shape[0] else a[idx]
 
 
 def _separable() -> SeparableWithoutPenalty:
@@ -684,10 +702,12 @@ def fit_probability_batch(
     design mapped through that map, and each Newton step, which is
     affine-invariant, is the step of a fit on its own. One iteration is a
     batch of linear scores, one batched Hessian product and one batched
-    d x d solve over the members still moving. Each member keeps its own
-    convergence test (gradient max-norm in its coordinates below
-    ``NEWTON_TOL``), step halving and iteration count, and is frozen once it
-    stops, so its result does not depend on the rest of the batch.
+    d x d solve over the members still moving. A batch of more than
+    ``MAX_BATCH_ENTRIES`` (member, row) entries is solved in even chunks of
+    members. Each member keeps its own convergence test (gradient max-norm
+    in its coordinates below ``NEWTON_TOL``), step halving and iteration
+    count, and is frozen once it stops, so its result does not depend on
+    the rest of the batch.
 
     Returns per member the ProbabilityModel, or the MldidError its fit
     raised (non-finite covariates on its rows, a missing label,
@@ -695,7 +715,7 @@ def fit_probability_batch(
     """
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
-    W = np.asarray(weights, dtype=float)
+    W = np.asarray(weights)
     if X.ndim != 2:
         raise MldidError("X must be 2-dimensional")
     n, p = X.shape
@@ -706,6 +726,10 @@ def fit_probability_batch(
     if np.any(W < 0):
         raise MldidError("weights must be nonnegative")
     n_members, d = W.shape[1], p + 1
+    n_parts = -(-n_members * n // MAX_BATCH_ENTRIES)
+    if n_parts > 1 and n_members > 1:
+        return [res for part in np.array_split(np.arange(n_members), min(n_parts, n_members))
+                for res in fit_probability_batch(X, labels, W[:, part], l2=l2, clip=clip)]
 
     # Per member: its rows, the checks a fit on those rows alone makes (in
     # the same order), its normalized weights and its standardization.
@@ -730,8 +754,9 @@ def fit_probability_batch(
     # As in _standardize. A column constant on a member's rows carries
     # nothing for it, so its map below is zero and its coefficient stays
     # exactly zero.
-    const = np.array([_pin_constant_columns(Xf, center[b], scale[b], rows[:, b])
-                      for b in range(n_members)])
+    const = np.zeros((n_members, p), dtype=bool)
+    for b in np.unique(np.nonzero(scale <= 1e-6 * np.abs(center))[0]):
+        const[b] = _pin_constant_columns(Xf, center[b], scale[b], rows[:, b])
     scale[scale == 0.0] = 1.0
 
     # The shared design [1, Z] and each member's map theta -> phi onto it:
@@ -750,21 +775,28 @@ def fit_probability_batch(
     def objective(theta, idx):
         """Penalized negative log-likelihood and P(1) for members ``idx``."""
         eta = (T[idx] @ theta[..., None])[..., 0] @ DT
+        positive = eta >= 0.0
         # The label probabilities as _label_proba gives them from the
         # scores (0, eta): 1 / (1 + e) and e / (1 + e) with e = exp(-|eta|).
-        e = np.exp(-np.abs(eta))
-        high, low = 1.0 / (1.0 + e), e / (1.0 + e)
-        positive = eta >= 0.0
+        # The (members, rows) arrays are reused in place to bound memory.
+        e = np.abs(eta, out=eta)
+        np.exp(np.negative(e, out=e), out=e)
+        denom = 1.0 + e
+        high = np.divide(1.0, denom)
+        low = np.divide(e, denom, out=e)
         p1 = np.where(positive, high, low)
-        observed = np.where(positive == y, high, low)
-        loglik = np.sum(w[idx] * np.log(np.maximum(observed, 1e-300)), axis=1)
+        observed = high
+        np.copyto(observed, low, where=positive != y)
+        np.log(np.maximum(observed, 1e-300, out=observed), out=observed)
+        loglik = np.sum(np.multiply(_members(w, idx), observed, out=observed), axis=1)
         return -loglik + 0.5 * l2 * np.sum((theta * pen) ** 2, axis=1), p1
 
     def derivatives(theta, p1, idx):
         """Gradient and Hessian in each member's coordinates."""
         Tt = T[idx].transpose(0, 2, 1)
-        grad = (Tt @ (((p1 - y_float) * w[idx]) @ D)[..., None])[..., 0] + l2 * theta * pen
-        r = p1 * (1.0 - p1) * w[idx]
+        w_idx = _members(w, idx)
+        grad = (Tt @ (((p1 - y_float) * w_idx) @ D)[..., None])[..., 0] + l2 * theta * pen
+        r = p1 * (1.0 - p1) * w_idx
         k = idx.shape[0]
         H_shared = ((DT[None] * r[:, None, :]).reshape(k * d, n) @ D).reshape(k, d, d)
         H = Tt @ H_shared @ T[idx]

@@ -13,18 +13,23 @@ decomposition coefficients then have the closed forms A = T - 1/2,
 B = G - g(x) and C = (G - g(x))(T - 1/2), and g(x) is the only
 probability model a cell fits.
 
-Each nuisance is cross-fit over the folds of a unit-level plan in one
-batched engine call per cell: g(x) as one logistic member per fold on the
-slice's unit rows (:func:`_cross_fit_propensity`), and the five outcome
-regressions of every fold as one lasso batch (:func:`_cross_fit_regressions`).
-The regressions are built from moments, not rows: one pass over the cell's
-unit rows gives moment blocks per (fold, group), every regression's
-standardized Gram system, and those of its inner CV folds, is a sum of
-blocks (the covariance-update form of Friedman, Hastie & Tibshirani 2010),
-and all of them go to ``learners.fit_gram_batch`` together. Each prediction
-is the one a fold-by-fold cross-fit would make (to rounding, for the
-regressions), and a fold that cannot be fit raises the DegenerateFold that
-fold-by-fold cross-fitting would raise first.
+A cell is cross-fit for a matrix of unit counts at once
+(:func:`cross_fit_nuisances`): column r weights each unit by the number of
+times a bootstrap replicate drew it, and the all-ones column is the sample
+itself. Every column uses the slice's fold plan, so a unit's copies share
+its fold. g(x) of every (fold, column) is one member of the batched
+logistic engine (:func:`_cross_fit_propensity`), and the five outcome
+regressions of every (fold, column) are one lasso batch
+(:func:`_cross_fit_regressions`). The regressions are built from moments,
+not rows: count-weighted products of the unit rows give moment blocks
+per (fold, group), every regression's standardized Gram system,
+and those of its inner CV folds, is a sum of blocks (the covariance-update
+form of Friedman, Hastie & Tibshirani 2010), and all of them go to
+``learners.fit_gram_batch`` together. Each prediction is the one a
+fold-by-fold cross-fit on the column's copies would make (to rounding, for
+the regressions), and a column that cannot be fit gets the DegenerateFold
+that fold-by-fold cross-fitting would raise first; the other columns are
+unaffected. :func:`estimate_nuisances` is the all-ones column, stacked.
 """
 
 from __future__ import annotations
@@ -41,11 +46,13 @@ from .learners import (
     DEFAULT_CLIP,
     FoldPlan,
     GramFit,
+    _label_proba,
     check_lasso_options,
     cv_grid,
     fit_gram_batch,
     fit_penalized_ls_cv,
     fit_probability_batch,
+    weighted_gram,
 )
 
 # The benchmark's tracer (perfbench/tracing.py) wraps these names in this
@@ -123,6 +130,27 @@ class NuisanceBundle:
         return 0
 
 
+@dataclass(frozen=True)
+class ColumnNuisances:
+    """Cross-fitted nuisances on a slice's unit rows, one column per count vector.
+
+    Column r weights unit i by ``counts[i, r]``: the number of times a
+    bootstrap replicate drew the unit, or one for the sample itself. Every
+    fit of column r is the fit a resampled slice makes on the units'
+    copies, with each copy in its unit's fold of the slice's plan, so the
+    all-ones column is the plain cross-fit. The arrays are (units, columns)
+    and ``g_hat`` is clipped. ``errors[r]`` is the DegenerateFold that
+    cross-fitting column r's copies raises first, or None; the entries of
+    a failed column are meaningless.
+    """
+
+    g_hat: np.ndarray
+    m_hat: np.ndarray
+    nu_hat: np.ndarray
+    zeta_hat: np.ndarray
+    errors: list
+
+
 def _stack_slice(sl):
     m = sl.n_units
     y = np.concatenate([sl.y_pre, sl.y_post])
@@ -133,6 +161,27 @@ def _stack_slice(sl):
     return y, g, t, X, units
 
 
+def cross_fit_nuisances(sl, plan: FoldPlan, config: LearnerConfig,
+                        counts: np.ndarray) -> ColumnNuisances:
+    """Cross-fit g(x), m(x), nu(x) and zeta(x) of a slice for every count column.
+
+    The propensity of every (fold, column) is one logistic engine call and
+    the five outcome regressions of every (fold, column) one lasso batch.
+    A column's error is the first a fit-by-fit run on its copies meets:
+    the propensity folds in order, then the regressions.
+    """
+    g_unit, g_errors = _cross_fit_propensity(sl.X, sl.g_flag, plan, counts, config)
+    pred, reg_errors = _cross_fit_regressions(
+        sl.X, sl.y_pre, sl.y_post, sl.g_flag, plan, counts, config)
+    return ColumnNuisances(
+        g_hat=np.clip(g_unit, config.clip, 1.0 - config.clip),
+        m_hat=pred[0],
+        nu_hat=pred[1] - pred[2],
+        zeta_hat=pred[3] - pred[4],
+        errors=[a if a is not None else b for a, b in zip(g_errors, reg_errors)],
+    )
+
+
 def estimate_nuisances(sl, plan: FoldPlan, config: LearnerConfig | None = None) -> NuisanceBundle:
     """Cross-fit the nuisance functions of a slice.
 
@@ -141,7 +190,8 @@ def estimate_nuisances(sl, plan: FoldPlan, config: LearnerConfig | None = None) 
     periods. m(x) is the pooled outcome regression on the stacked rows and
     nu(x)/zeta(x) are differences of conditional regressions fit on the
     respective subsets. Every prediction for a row is produced by models
-    that never saw that row's unit.
+    that never saw that row's unit. This is the all-ones column of
+    :func:`cross_fit_nuisances`, stacked.
     """
     config = config or LearnerConfig()
     y, g, t, X, units = _stack_slice(sl)
@@ -150,11 +200,12 @@ def estimate_nuisances(sl, plan: FoldPlan, config: LearnerConfig | None = None) 
         missing = "treated" if n_treated == 0 else "control"
         raise MissingStratum(f"slice has no {missing} units")
 
-    g_unit = _cross_fit_propensity(sl.X, sl.g_flag, plan, config)
-    g_hat = np.clip(np.concatenate([g_unit, g_unit]), config.clip, 1.0 - config.clip)
+    cols = cross_fit_nuisances(sl, plan, config, np.ones((sl.n_units, 1)))
+    if cols.errors[0] is not None:
+        raise cols.errors[0]
 
-    m_hat, mu_t1, mu_t0, mu_g1, mu_g0 = _cross_fit_regressions(
-        X, y, g, units, plan, config)
+    def stack(a):
+        return np.concatenate([a[:, 0], a[:, 0]])
 
     return NuisanceBundle(
         y=y,
@@ -164,52 +215,81 @@ def estimate_nuisances(sl, plan: FoldPlan, config: LearnerConfig | None = None) 
         units=units,
         unit_ids=sl.unit_ids,
         covariate_names=sl.covariate_names,
-        g_hat=g_hat,
-        m_hat=m_hat,
-        nu_hat=mu_t1 - mu_t0,
-        zeta_hat=mu_g1 - mu_g0,
+        g_hat=stack(cols.g_hat),
+        m_hat=stack(cols.m_hat),
+        nu_hat=stack(cols.nu_hat),
+        zeta_hat=stack(cols.zeta_hat),
     )
 
 
-def _cross_fit_propensity(X, g_flag, plan: FoldPlan, config: LearnerConfig):
+def _in_fold(k, err: MldidError) -> DegenerateFold:
+    """The DegenerateFold a fold-by-fold cross-fit raises for an error of fold k."""
+    if isinstance(err, DegenerateFold):
+        return err
+    wrapped = DegenerateFold(f"fold {k}: {err}")
+    wrapped.__cause__ = err
+    return wrapped
+
+
+def _first_errors(failed: dict, n_columns: int) -> list:
+    """Per column, the error of the lowest key that failed, or None.
+
+    Keys end with the column; the fields before it order the fits as a
+    fit-by-fit cross-fit meets them.
+    """
+    errors = [None] * n_columns
+    for key in sorted(failed):
+        if errors[key[-1]] is None:
+            errors[key[-1]] = failed[key]
+    return errors
+
+
+def _cross_fit_propensity(X, g_flag, plan: FoldPlan, counts, config: LearnerConfig):
     """Out-of-fold unclipped g(x) on the slice's unit rows from one engine call.
 
-    Fold k is the engine member that weights the units outside fold k, so
-    each fit is the one a fold-by-fold cross-fit makes on its training
-    units. A failure surfaces as the DegenerateFold that fold-by-fold
-    cross-fitting would raise first.
+    Member (k, r) weights the units outside fold k by their counts in
+    column r, so its fit is the one a fold-by-fold cross-fit makes on the
+    copies of its training units. Returns the (units, columns) predictions
+    and per column the DegenerateFold that fold-by-fold cross-fitting would
+    raise first, or None. A fold that holds no drawn unit of a column is
+    not fit for it; its units keep a placeholder of 0.5.
     """
     labels = g_flag.astype(np.int64)
     fold = plan.assignment[:labels.shape[0]]
-    n_test = np.bincount(fold, minlength=plan.n_folds)
-    n_train = labels.shape[0] - n_test
-    treated_train = np.count_nonzero(labels) - np.bincount(
-        fold, weights=labels, minlength=plan.n_folds).astype(np.int64)
-    fits = {}
-    for k in np.flatnonzero(n_test):
-        if n_train[k] < 2:
-            fits[k] = DegenerateFold(f"fold {k}: training complement has {n_train[k]} rows")
-        elif treated_train[k] in (0, n_train[k]):
-            fits[k] = MissingStratum("training fold lacks both binary classes")
-        else:
-            fits[k] = None
-    members = [k for k, fit in fits.items() if fit is None]
-    if members:
-        models = fit_probability_batch(
-            X, labels, (fold[:, None] != np.array(members)).astype(float),
-            l2=config.prob_l2, clip=config.clip,
-        )
-        fits.update(zip(members, models))
+    c = np.asarray(counts, dtype=float)
+    in_fold = (fold[:, None] == np.arange(plan.n_folds)).astype(float)
+    n_test = in_fold.T @ c
+    n_train = c.sum(axis=0) - n_test
+    treated_train = labels @ c - in_fold.T @ (c * labels[:, None])
+    tested = n_test > 0
+    few = tested & (n_train < 2)
+    one_class = tested & ~few & ((treated_train == 0) | (treated_train == n_train))
+    failed = {}
+    for k, r in zip(*np.nonzero(few)):
+        failed[k, r] = DegenerateFold(
+            f"fold {k}: training complement has {int(n_train[k, r])} rows")
+    for k, r in zip(*np.nonzero(one_class)):
+        failed[k, r] = _in_fold(k, MissingStratum("training fold lacks both binary classes"))
 
-    out = np.full(labels.shape[0], np.nan)
-    for k, fit in fits.items():
-        if isinstance(fit, DegenerateFold):
-            raise fit
-        if isinstance(fit, MldidError):
-            raise DegenerateFold(f"fold {k}: {fit}") from fit
-        test = fold == k
-        out[test] = fit.predict_proba(X[test], clipped=False)[:, 1]
-    return out
+    out = np.full(c.shape, 0.5)
+    ks, rs = np.nonzero(tested & ~few & ~one_class)
+    if ks.size:
+        weights = c[:, rs]
+        weights[fold[:, None] == ks] = 0.0
+        models = fit_probability_batch(X, labels, weights, l2=config.prob_l2, clip=config.clip)
+        ok = np.array([not isinstance(mod, MldidError) for mod in models])
+        for j in np.flatnonzero(~ok):
+            failed[ks[j], rs[j]] = _in_fold(ks[j], models[j])
+        Xf = np.where(np.isfinite(X), X, 0.0)
+        for k in np.unique(ks[ok]):
+            members = np.flatnonzero(ok & (ks == k))
+            test = np.flatnonzero(fold == k)
+            eta = (Xf[test] @ np.stack([models[j].coef[1] for j in members]).T
+                   + [models[j].intercepts[1] for j in members])
+            # P(1) as ProbabilityModel.predict_proba gives it: label 0 scores 0.
+            out[np.ix_(test, rs[members])] = _label_proba(
+                np.stack([np.zeros_like(eta), eta], axis=-1))[..., 1]
+    return out, _first_errors(failed, c.shape[1])
 
 
 # The five outcome regressions of a cross-fit fold: name, the units it trains
@@ -224,56 +304,64 @@ _REGRESSIONS = (
 )
 
 
-def _cross_fit_regressions(X, y, g, units, plan: FoldPlan, config: LearnerConfig):
-    """Out-of-fold m, mu_t1, mu_t0, mu_g1 and mu_g0 from one pass over the cell's rows.
+def _cross_fit_regressions(X, y_pre, y_post, g_flag, plan: FoldPlan, counts,
+                           config: LearnerConfig):
+    """Out-of-fold m, mu_t1, mu_t0, mu_g1 and mu_g0 on the unit rows, from one lasso batch.
 
     Each regression is the fit ``cross_fit`` would make with
     ``config.fit_regression`` on its training rows (see
     :func:`_regression_fits`), and its predictions agree with that fit's to
-    rounding. A regression that cannot be fit surfaces as the DegenerateFold
-    that regression-by-regression cross-fitting would raise first.
+    rounding. Returns the (5, units, columns) predictions (zero where a
+    column has no model) and per column the DegenerateFold that
+    regression-by-regression cross-fitting would raise first, or None.
     """
-    fits = _regression_fits(X, y, g, units, plan, config)
-    tests = sorted({k for _, k in fits})
-    for name, *_ in _REGRESSIONS:
-        for k in tests:
-            model = fits[name, k]
-            if isinstance(model, DegenerateFold):
-                raise model
-            if isinstance(model, MldidError):
-                raise DegenerateFold(f"fold {k}: {model}") from model
-    # A unit's pre and post rows get the same predictions.
-    m = units.shape[0] // 2
-    fold = plan.assignment[units[:m]]
-    pred = np.full((len(_REGRESSIONS), m), np.nan)
-    for k in tests:
-        models = [fits[name, k] for name, *_ in _REGRESSIONS]
-        rows = np.flatnonzero(fold == k)
-        pred[:, rows] = (X[rows] @ np.stack([mod.coef for mod in models]).T
-                         + [mod.intercept for mod in models]).T
-    return list(np.concatenate([pred, pred], axis=1))
+    fits = _regression_fits(X, y_pre, y_post, g_flag, plan, counts, config)
+    m = X.shape[0]
+    fold = plan.assignment[:m]
+    index = {name: i for i, (name, *_) in enumerate(_REGRESSIONS)}
+    failed, models = {}, {}
+    for r, col in enumerate(fits):
+        for (name, k), fit in col.items():
+            i = index[name]
+            if isinstance(fit, MldidError):
+                failed[i, k, r] = _in_fold(k, fit)
+            else:
+                models.setdefault(k, []).append((i, r, fit))
+    pred = np.zeros((len(_REGRESSIONS), m, len(fits)))
+    Xf = np.where(np.isfinite(X), X, 0.0)
+    for k, entries in models.items():
+        test = np.flatnonzero(fold == k)
+        idx, cols, mods = zip(*entries)
+        vals = (Xf[test] @ np.stack([mod.coef for mod in mods]).T
+                + [mod.intercept for mod in mods])
+        pred[np.array(idx), test[:, None], np.array(cols)] = vals
+    return pred, _first_errors(failed, len(fits))
 
 
-def _regression_fits(X, y, g, units, plan: FoldPlan, config: LearnerConfig):
-    """The LinearModel, or the MldidError, of every (regression, outer fold) of a cell.
+def _regression_fits(X, y_pre, y_post, g_flag, plan: FoldPlan, counts,
+                     config: LearnerConfig):
+    """The LinearModel, or the MldidError, of every (regression, outer fold) of every column.
 
-    Rows 0..m-1 and m..2m-1 of the stacked arrays are the pre and post rows
-    of the same units, so every training set is the pre and/or post rows of
-    a set of units: m(x) and mu_g train on both rows of the units outside
-    the fold (all of them, or those of one group), mu_t1 on their post rows
-    and mu_t0 on their pre rows.
+    Returns one dict per column of ``counts``, keyed (regression name,
+    fold) over the folds that hold a drawn unit of the column. Every
+    training set is the pre and/or post rows of a set of units: m(x) and
+    mu_g train on both rows of the units outside the fold (all of them, or
+    those of one group), mu_t1 on their post rows and mu_t0 on their pre
+    rows, each unit's rows weighted by its count.
 
-    The cell's unit rows are read once into moments of
-    ``[1, x - xbar, y_pre - ybar, y_post - ybar]`` per (outer fold, G)
-    block. A regression's centre, scale, standardized Gram, ``c`` and mean
-    outcome come from sums of its blocks; a column constant on its rows is
-    pinned as ``learners._pin_constant_columns`` pins it. With CV the
-    inner folds keep the row-position order of the training rows (the j-th
-    training unit's pre row is in fold ``j % K`` and its post row in fold
-    ``(n_units + j) % K``), so each inner training set is the regression's
-    moments less those of two held-out classes of units, and the held-out
-    residuals of all l1 of an inner fold come from one product. All Gram
-    systems of the cell then go to :func:`fit_gram_batch` together.
+    The cell's unit rows are read once into rows
+    ``[1, x - xbar, y_pre - ybar, y_post - ybar]``, and one count-weighted
+    product per (outer fold, G) block and column gives the column's moments
+    of that block. A regression's centre, scale, standardized Gram, ``c`` and
+    mean outcome come from sums of its blocks; a column constant on its
+    drawn rows is pinned as ``learners._pin_constant_columns`` pins it.
+    With CV the inner folds rank the drawn training units as the row path
+    ranks its training rows (the j-th drawn unit's pre row is in fold
+    ``j % K`` and its post row in fold ``(n_drawn + j) % K``), so each inner
+    training set is the regression's moments less those of two held-out
+    classes of units, and the held-out residuals of all l1 of an inner fold
+    come from one product. All Gram systems of the cell then go to
+    :func:`fit_gram_batch` together.
 
     A regression with fewer than 2 training rows gets the DegenerateFold a
     fold-by-fold cross-fit raises, and one with a non-finite covariate or
@@ -281,41 +369,46 @@ def _regression_fits(X, y, g, units, plan: FoldPlan, config: LearnerConfig):
     other regressions are unaffected.
     """
     check_lasso_options(config.inner_cv_folds, config.n_lambdas, config.fixed_l1, "min")
-    m, p = units.shape[0] // 2, X.shape[1]
-    fold, g_unit = plan.assignment[units[:m]], g[:m]
-    y_unit = np.stack([y[:m], y[m:]], axis=1)
-    finite_x, finite_y = np.isfinite(X[:m]), np.isfinite(y_unit)
-    Xf = np.where(finite_x, X[:m], 0.0)
+    m, p = X.shape
+    fold, g_unit = plan.assignment[:m], g_flag.astype(np.int64)
+    c = np.asarray(counts, dtype=float)
+    n_cols = c.shape[1]
+    y_unit = np.stack([y_pre, y_post], axis=1)
+    finite_x, finite_y = np.isfinite(X), np.isfinite(y_unit)
+    Xf = np.where(finite_x, X, 0.0)
     yf = np.where(finite_y, y_unit, 0.0)
     x_shift = Xf.mean(axis=0)
     y_shift = yf.sum() / max(int(finite_y.sum()), 1)
     V = np.concatenate([np.ones((m, 1)), Xf - x_shift, yf - y_shift], axis=1)
-    # Per unit: non-finite X, y_pre, y_post.
-    bad = np.column_stack([~finite_x.all(axis=1), ~finite_y])
-    train_M, train_size, train_bad, train_lo, train_hi = _training_sums(
-        V, Xf, bad, fold, g_unit, plan.n_folds)
+    # Per unit: whether its X, y_pre, y_post are non-finite.
+    bad = np.column_stack([~finite_x.all(axis=1), ~finite_y]).astype(float)
+    train_M, train_bad, train_lo, train_hi = _training_sums(
+        V, bad, Xf, fold, g_unit, plan.n_folds, c)
+    train_size = train_M[..., 0, 0].astype(np.int64)
+    drawn = (fold[:, None] == np.arange(plan.n_folds)).T.astype(float) @ c > 0
 
     # The checks, in their order, of a fit on the regression's own rows.
-    fits, live = {}, []
+    fits, live = [{} for _ in range(n_cols)], []
     sizes, flags = train_size.tolist(), train_bad.tolist()
-    for k in np.unique(fold).tolist():
+    for k, r in zip(*np.nonzero(drawn)):
+        k, r = int(k), int(r)
         for name, s, pre, post in _REGRESSIONS:
-            n_rows = sizes[k][s] * (pre + post)
-            bad_x, bad_pre, bad_post = flags[k][s]
+            n_rows = sizes[r][k][s] * (pre + post)
+            bad_x, bad_pre, bad_post = flags[r][k][s]
             if n_rows < 2:
-                fits[name, k] = DegenerateFold(
+                fits[r][name, k] = DegenerateFold(
                     f"fold {k}: training complement has {n_rows} rows")
             elif bad_x:
-                fits[name, k] = NonFiniteData("X contains NaN or infinite entries")
+                fits[r][name, k] = NonFiniteData("X contains NaN or infinite entries")
             elif (pre and bad_pre) or (post and bad_post):
-                fits[name, k] = NonFiniteData("y contains NaN or infinite entries")
+                fits[r][name, k] = NonFiniteData("y contains NaN or infinite entries")
             else:
-                live.append((name, k, s, pre, post))
+                live.append((name, r, k, s, pre, post))
     if not live:
         return fits
 
-    _, ks, subsets, pre, post = (np.array(col) for col in zip(*live))
-    N = _row_moments(train_M[ks, subsets], pre, post)
+    _, rs, ks, subsets, pre, post = (np.array(col) for col in zip(*live))
+    N = _row_moments(train_M[rs, ks, subsets], pre, post)
     n = N[:, 0, 0]
     mean = N[:, 0, 1:p + 1] / n[:, None]
     var = np.diagonal(N[:, 1:p + 1, 1:p + 1], axis1=1, axis2=2) / n[:, None] - mean**2
@@ -323,12 +416,13 @@ def _regression_fits(X, y, g, units, plan: FoldPlan, config: LearnerConfig):
     scale[scale == 0.0] = 1.0
     # A column constant on the rows is centred at its value with unit scale
     # and standardizes to exact zeros.
-    const = train_lo[ks, subsets] == train_hi[ks, subsets]
-    center = np.where(const, train_lo[ks, subsets], x_shift + mean)
+    lo, hi = train_lo[rs, ks, subsets], train_hi[rs, ks, subsets]
+    const = lo == hi
+    center = np.where(const, lo, x_shift + mean)
     scale[const] = 1.0
     inv_scale = np.where(const, 0.0, 1.0 / scale)
-    G, c, ybar = _gram_systems(N, mean, inv_scale)
-    gram_fits = [GramFit(G[i], c[i], center[i], scale[i], float(ybar[i] + y_shift),
+    G, c_vec, ybar = _gram_systems(N, mean, inv_scale)
+    gram_fits = [GramFit(G[i], c_vec[i], center[i], scale[i], float(ybar[i] + y_shift),
                          config.fixed_l1) for i in range(len(live))]
 
     K_in = config.inner_cv_folds
@@ -337,90 +431,99 @@ def _regression_fits(X, y, g, units, plan: FoldPlan, config: LearnerConfig):
         cv_grid(fit, np.ones(p), config.l2, config.n_lambdas)
         if fit.grid is None:
             continue
-        key = ks[i], subsets[i]
+        key = rs[i], ks[i], subsets[i]
         if key not in classes:
-            # The training units in order; class r holds those of rank j
-            # with j % K_in == r.
-            train = (fold != key[0]) & ((g_unit == key[1]) | (key[1] == 2))
+            # The drawn training units in order; class j holds those whose
+            # rank is j modulo K_in.
+            r, k, s = key
+            train = (fold != k) & ((g_unit == s) | (s == 2)) & (c[:, r] > 0)
             ranked = np.flatnonzero(train)
-            cls = [ranked[r::K_in] for r in range(K_in)]
-            classes[key] = cls, [V[idx].T @ V[idx] for idx in cls]
-        cls, cls_M = classes[key]
+            cls = [ranked[j::K_in] for j in range(K_in)]
+            classes[key] = cls, [weighted_gram(V[idx], c[idx, r]) for idx in cls], ranked.size
+        cls, cls_M, n_drawn = classes[key]
         held = []
-        for r in range(K_in):
-            # Inner fold r holds out the pre rows of class r and the post rows
-            # of the class whose stacked positions fall in fold r.
-            r_post = (r - pre[i] * int(train_size[key])) % K_in
-            fit.members.append((len(path_N), r))
-            held.append((cls[r], cls[r_post]))
+        for j in range(K_in):
+            # Inner fold j holds out the pre rows of class j and the post rows
+            # of the class whose stacked positions fall in fold j.
+            j_post = (j - pre[i] * n_drawn) % K_in
+            fit.members.append((len(path_N), j))
+            held.append((cls[j], cls[j_post]))
             path_owner.append(i)
-            path_N.append(N[i] - _row_moments(cls_M[r], pre[i], 0)
-                          - _row_moments(cls_M[r_post], 0, post[i]))
+            path_N.append(N[i] - _row_moments(cls_M[j], pre[i], 0)
+                          - _row_moments(cls_M[j_post], 0, post[i]))
         fit.data = i, held
     path_G = path_c = path_ybar = ()
     if path_N:
         path_G, path_c, path_ybar = _gram_systems(
             np.stack(path_N), mean[path_owner], inv_scale[path_owner])
 
+    # The [u, y] columns of V on a pre row and on a post row.
+    pre_cols, post_cols = np.r_[1:p + 2], np.r_[1:p + 1, p + 2]
+
     def fold_errors(fit, path):
         i, held = fit.data
         fold_err = np.zeros((K_in, path.shape[1]))
-        for (b, r), (pre_units, post_units) in zip(fit.members, held):
-            parts = []
+        for (b, j), (pre_units, post_units) in zip(fit.members, held):
+            parts, weights = [], []
             if pre[i]:
-                parts.append(V[pre_units][:, np.r_[1:p + 2]])
+                parts.append(V[pre_units][:, pre_cols])
+                weights.append(c[pre_units, rs[i]])
             if post[i]:
-                parts.append(V[post_units][:, np.r_[1:p + 1, p + 2]])
-            held_out = np.concatenate(parts)
+                parts.append(V[post_units][:, post_cols])
+                weights.append(c[post_units, rs[i]])
+            held_out, w = np.concatenate(parts), np.concatenate(weights)
             if held_out.shape[0]:
                 Z = (held_out[:, :p] - mean[i]) * inv_scale[i]
                 resid = (held_out[:, p] - path_ybar[b])[:, None] - Z @ path[b].T
-                fold_err[r] = np.mean(resid**2, axis=0)
+                fold_err[j] = w @ resid**2 / w.sum()
         return fold_err
 
     fit_gram_batch(gram_fits, path_G, path_c, fold_errors, l2=config.l2,
                    pf=np.ones(p), fit_intercept=True, cv_rule="min")
-    fits.update({(name, k): fit.result for (name, k, *_), fit in zip(live, gram_fits)})
+    for (name, r, k, *_), fit in zip(live, gram_fits):
+        fits[r][name, k] = fit.result
     return fits
 
 
-def _training_sums(V, Xf, bad, fold, g_unit, n_folds):
-    """Moments, sizes, non-finite flags and covariate ranges of every training set.
+def _training_sums(V, bad, Xf, fold, g_unit, n_folds, c):
+    """Moments, non-finite flags and covariate ranges of every training set.
 
-    Each is summed over the (outer fold, G) blocks of the unit rows it
-    spans; entry ``[k, s]`` covers the units outside fold k with G = s, or
-    all of them for s = 2.
+    Entry ``[r, k, s]`` covers the units of column r outside fold k with
+    G = s, or all of them for s = 2: the count-weighted moments of their
+    rows of ``V``, whether any drawn one has a ``bad`` flag, and the min and
+    max of each covariate over the drawn ones. Each is combined from the
+    (outer fold, G) blocks it spans.
     """
+    n_blocks, n_cols, p, q = 2 * n_folds, c.shape[1], Xf.shape[1], V.shape[1]
     block = 2 * fold + g_unit
     order = np.argsort(block, kind="stable")
-    size = np.bincount(block, minlength=2 * n_folds)
+    size = np.bincount(block, minlength=n_blocks)
     starts = np.cumsum(size) - size
-    filled = np.flatnonzero(size)
-    Vs, Xs = V[order], Xf[order]
-    M = np.zeros((2 * n_folds, V.shape[1], V.shape[1]))
-    for b in filled:
-        rows = Vs[starts[b]:starts[b] + size[b]]
-        M[b] = rows.T @ rows
-    lo = np.full((2 * n_folds, Xf.shape[1]), np.inf)
-    hi = np.full((2 * n_folds, Xf.shape[1]), -np.inf)
-    lo[filled] = np.minimum.reduceat(Xs, starts[filled], axis=0)
-    hi[filled] = np.maximum.reduceat(Xs, starts[filled], axis=0)
-    n_bad = np.stack([np.bincount(block, weights=col, minlength=2 * n_folds)
-                      for col in bad.T], axis=1)
+    Vs, bs, Xs, cs = V[order], bad[order], Xf[order], c[order]
+    M = np.zeros((n_blocks, n_cols, q, q))
+    n_bad = np.zeros((n_blocks, n_cols, bad.shape[1]))
+    lo = np.full((n_blocks, n_cols, p), np.inf)
+    hi = np.full((n_blocks, n_cols, p), -np.inf)
+    for b in np.flatnonzero(size):
+        rows = slice(starts[b], starts[b] + size[b])
+        Vb, cb = Vs[rows], cs[rows]
+        for r in range(n_cols):
+            M[b, r] = weighted_gram(Vb, cb[:, r])
+        n_bad[b] = cb.T @ bs[rows]
+        drawn = (cb > 0)[:, :, None]
+        lo[b] = np.where(drawn, Xs[rows, None, :], np.inf).min(axis=0)
+        hi[b] = np.where(drawn, Xs[rows, None, :], -np.inf).max(axis=0)
 
-    M, size, n_bad, lo, hi = (a.reshape(n_folds, 2, *a.shape[1:])
-                              for a in (M, size, n_bad, lo, hi))
-    M, size, n_bad = (a.sum(axis=0) - a for a in (M, size, n_bad))
-    outside = ~np.eye(n_folds, dtype=bool)[:, :, None, None]
+    M, n_bad, lo, hi = (a.reshape(n_folds, 2, *a.shape[1:]) for a in (M, n_bad, lo, hi))
+    M, n_bad = (a.sum(axis=0) - a for a in (M, n_bad))
+    outside = ~np.eye(n_folds, dtype=bool)[:, :, None, None, None]
     lo = np.where(outside, lo[None], np.inf).min(axis=1)
     hi = np.where(outside, hi[None], -np.inf).max(axis=1)
-    return (
-        np.concatenate([M, M.sum(axis=1, keepdims=True)], axis=1),
-        np.concatenate([size, size.sum(axis=1, keepdims=True)], axis=1),
-        np.concatenate([n_bad, n_bad.sum(axis=1, keepdims=True)], axis=1) > 0,
-        np.concatenate([lo, lo.min(axis=1, keepdims=True)], axis=1),
-        np.concatenate([hi, hi.max(axis=1, keepdims=True)], axis=1),
-    )
+    M, n_bad = (np.concatenate([a, a.sum(axis=1, keepdims=True)], axis=1) for a in (M, n_bad))
+    lo = np.concatenate([lo, lo.min(axis=1, keepdims=True)], axis=1)
+    hi = np.concatenate([hi, hi.max(axis=1, keepdims=True)], axis=1)
+    # (fold, subset, column, ...) -> (column, fold, subset, ...)
+    return tuple(np.moveaxis(a, 2, 0) for a in (M, n_bad > 0, lo, hi))
 
 
 def _row_moments(M, pre, post):

@@ -316,12 +316,9 @@ def slice_two_period(panel: PanelDataset, g: int, t: int) -> TwoPeriodSlice:
         (panel.groups == NEVER_TREATED) | (panel.groups > horizon)
     ) & ~treated
     if not treated.any():
-        raise EmptyTreatedGroup(f"no units in cohort g={g}")
+        raise empty_treated_error(g)
     if not control.any():
-        raise EmptyControlGroup(
-            f"cell (g={g}, t={t}): no unit outside cohort {g} is untreated "
-            f"through period {horizon}"
-        )
+        raise empty_control_error(g, t)
 
     keep = treated | control
     rows = np.flatnonzero(keep)
@@ -336,6 +333,19 @@ def slice_two_period(panel: PanelDataset, g: int, t: int) -> TwoPeriodSlice:
         y_post=panel.outcomes[rows, t - 1].copy(),
         X=panel.covariates[rows, pre - 1, :].copy(),
         covariate_names=panel.covariate_names,
+    )
+
+
+def empty_treated_error(g: int) -> EmptyTreatedGroup:
+    """What slicing cell (g, t) raises when cohort g has no units."""
+    return EmptyTreatedGroup(f"no units in cohort g={g}")
+
+
+def empty_control_error(g: int, t: int) -> EmptyControlGroup:
+    """What slicing cell (g, t) raises when it has no control units."""
+    return EmptyControlGroup(
+        f"cell (g={g}, t={t}): no unit outside cohort {g} is untreated "
+        f"through period {max(g - 1, t)}"
     )
 
 

@@ -100,3 +100,17 @@ def oracle_bundle(sl, truth, y_shift=0.0):
         zeta_hat=stack(zeta_x),
     )
     return compute_abch(bundle)
+
+
+def thin_cohort(panel, g, n_keep):
+    """The panel with only the first ``n_keep`` units of cohort ``g``."""
+    keep = np.sort(np.r_[np.flatnonzero(panel.groups != g),
+                         np.flatnonzero(panel.groups == g)[:n_keep]])
+    return PanelDataset(
+        unit_ids=panel.unit_ids[keep],
+        groups=panel.groups[keep],
+        n_periods=panel.n_periods,
+        outcomes=panel.outcomes[keep],
+        covariates=panel.covariates[keep],
+        covariate_names=panel.covariate_names,
+    )

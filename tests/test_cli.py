@@ -208,10 +208,15 @@ def test_estimate_manifest_counts_replicates_missing_a_cell(tmp_path):
     assert res.exit_code == 0, res.output
     boot = json.loads((out / "manifest.json").read_text())["bootstrap"]
     assert boot["replicates"] == 50 and boot["failed"] == 0
+    # The counts of tests/_bootstrap_reference.py on the panel read back.
     assert {(c["g"], c["t"]): c["replicates"] for c in boot["missing_cells"]} == {
-        (2, 2): 2, (2, 3): 2, (2, 4): 2, (3, 1): 1, (4, 1): 1, (4, 2): 1, (4, 4): 1}
+        (2, 2): 3, (2, 3): 2, (2, 4): 2, (3, 3): 1, (3, 4): 1, (4, 1): 1, (4, 4): 2}
     assert {d["e"]: d["replicates"] for d in boot["missing_event_times"]} == {
-        -3: 1, -2: 2, 0: 3, 1: 2, 2: 2}
+        -3: 1, 0: 6, 1: 3, 2: 2}
+    # Each missing cell says why.
+    for cell in boot["missing_cells"]:
+        assert sum(cell["reasons"].values()) == cell["replicates"]
+        assert all(isinstance(why, str) and why for why in cell["reasons"])
 
 
 def test_heterogeneity_from_exported_tables(sim_dir, est_dir, tmp_path):

@@ -17,9 +17,9 @@ from mldid import (
     simulate,
 )
 from mldid.estimator import GroupTimeResult, _replicate_se, estimate_from_bundle
-from mldid.exceptions import CellSkipped, MldidError
+from mldid.exceptions import CellSkipped, DegenerateFold, MldidError
 
-from _utils import make_panel, oracle_bundle, two_period_dgp
+from _utils import make_panel, oracle_bundle, thin_cohort, two_period_dgp
 
 FAST = EstimatorConfig(seed=0, learners=LearnerConfig(fixed_l1=0.02))
 
@@ -211,10 +211,11 @@ def test_bootstrap_reproducible_and_attaches():
             assert c.se is not None and c.se > 0
 
 
-# At 120 units some replicates of this panel skip a thin cell.
+# At 120 units some replicates of this panel skip a thin cell. The counts
+# are those of tests/_bootstrap_reference.py (one run per resampled panel).
 THIN_CELLS_PANEL = DgpConfig(n_units=120, seed=3)
 THIN_CELLS_CONFIG = EstimatorConfig(seed=1, learners=LearnerConfig(fixed_l1=0.01))
-THIN_CELLS_MISSING = {(2, 2): 1, (2, 3): 3, (2, 4): 2, (4, 1): 1, (4, 4): 1}
+THIN_CELLS_MISSING = {(2, 2): 4, (2, 3): 4, (2, 4): 2, (4, 2): 1, (4, 4): 1}
 
 
 @pytest.mark.slow
@@ -222,14 +223,29 @@ def test_bootstrap_counts_replicates_missing_a_cell():
     boot = bootstrap_se(simulate(THIN_CELLS_PANEL).panel, THIN_CELLS_CONFIG, 50)
     assert boot.n_failed == 0
     assert {k: n for k, n in boot.cell_missing.items() if n} == THIN_CELLS_MISSING
-    # theta(e) is missing where one of its cohorts' cells is: e = -3 has
-    # only (4,1), e = 0 lost (2,2) once and (4,4) once, e = 1 (2,3) three
+    # theta(e) is missing where one of its cohorts' cells is: e = -2 lost
+    # (4,2) once, e = 0 (2,2) four times and (4,4) once, e = 1 (2,3) four
     # times, e = 2 (2,4) twice.
-    assert {e: n for e, n in boot.dynamic_missing.items() if n} == {-3: 1, 0: 2, 1: 3, 2: 2}
+    assert {e: n for e, n in boot.dynamic_missing.items() if n} == {-2: 1, 0: 5, 1: 4, 2: 2}
     assert len(boot.cell_missing) == 9 and set(boot.dynamic_missing) == {-3, -2, 0, 1, 2}
-    # At least 47 of 50 replicates supplied every key.
+    # At least 45 of 50 replicates supplied every key.
     assert set(boot.cell_se) == set(boot.cell_missing)
     assert set(boot.dynamic_se) == set(boot.dynamic_missing)
+    # Every skip says why, and the messages add up to the counts.
+    assert {k: sum(why.values()) for k, why in boot.cell_reasons.items()} == THIN_CELLS_MISSING
+
+
+def test_cell_with_a_one_class_training_fold_is_skipped():
+    # Cohort 4 keeps one unit, so the training set of its fold has no
+    # cohort-4 unit and that fold's propensity cannot be fit.
+    panel = thin_cohort(simulate(DgpConfig(n_units=150, seed=2)).panel, 4, 1)
+    config = EstimatorConfig(seed=4, learners=LearnerConfig(fixed_l1=0.01))
+    with pytest.raises(DegenerateFold, match="training fold lacks both binary classes"):
+        estimate_cell(panel, 4, 4, config)
+    run = run_mldid(panel, config)
+    skipped = {(g, t): why for g, t, why in run.skipped}
+    assert (4, 4) in skipped and skipped[4, 4].endswith("training fold lacks both binary classes")
+    assert all(g == 4 for g, _ in skipped)
 
 
 def test_replicate_se_needs_ninety_percent_of_replicates():

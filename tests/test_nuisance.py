@@ -25,6 +25,29 @@ import _sequential_newton as newton_ref
 from _utils import oracle_bundle, two_period_dgp
 
 
+def _propensity(X, g_flag, plan, config):
+    """Unclipped out-of-fold g(x) of the all-ones column; raises its first error."""
+    out, errors = _cross_fit_propensity(X, g_flag, plan, np.ones((len(g_flag), 1)), config)
+    if errors[0] is not None:
+        raise errors[0]
+    return out[:, 0]
+
+
+def _regressions(sl, plan, config):
+    """m, mu_t1, mu_t0, mu_g1, mu_g0 of the all-ones column on the stacked rows."""
+    pred, errors = _cross_fit_regressions(sl.X, sl.y_pre, sl.y_post, sl.g_flag, plan,
+                                          np.ones((sl.n_units, 1)), config)
+    if errors[0] is not None:
+        raise errors[0]
+    return [np.concatenate([a[:, 0], a[:, 0]]) for a in pred]
+
+
+def _fits(sl, plan, config):
+    """Every (regression, fold) fit of the all-ones column."""
+    return _regression_fits(sl.X, sl.y_pre, sl.y_post, sl.g_flag, plan,
+                            np.ones((sl.n_units, 1)), config)[0]
+
+
 def straight_line_abc(g_flag, t_flag, g, t, iota11, delta):
     """Independent transcription of the decomposition coefficients."""
     shrink = 1.0 - delta**2 / (g * (1.0 - g) * t * (1.0 - t))
@@ -180,7 +203,7 @@ def test_propensity_engine_matches_per_fold_loop():
             want, _ = newton_ref.cross_fit_propensity(
                 sl.X, sl.g_flag.astype(np.int64), plan.assignment, n_folds,
                 l2=prob_l2)
-            got = _cross_fit_propensity(sl.X, sl.g_flag, plan, config)
+            got = _propensity(sl.X, sl.g_flag, plan, config)
             assert_allclose(got, want, rtol=0, atol=1e-10)
             bundle = estimate_nuisances(sl, plan, config)
             clipped = np.clip(want, config.clip, 1.0 - config.clip)
@@ -202,12 +225,12 @@ def test_propensity_engine_raises_per_fold_errors():
     tiny = make_fold_plan(2, 2, seed=0)
     cases.append((sl.X[:2], np.array([0, 1], np.int8), tiny))
     for X, g_flag, fold_plan in cases:
-        got = _first_error(lambda: _cross_fit_propensity(X, g_flag, fold_plan, config))
+        got = _first_error(lambda: _propensity(X, g_flag, fold_plan, config))
         want = _first_error(lambda: newton_ref.cross_fit_propensity(
             X, g_flag.astype(np.int64), fold_plan.assignment, fold_plan.n_folds))
         assert got == want
         assert got.startswith("fold ")
-    lone = _first_error(lambda: _cross_fit_propensity(sl.X, one_treated, plan, config))
+    lone = _first_error(lambda: _propensity(sl.X, one_treated, plan, config))
     k = plan.assignment[7]
     assert lone == f"fold {k}: training fold lacks both binary classes"
 
@@ -238,8 +261,7 @@ def test_batched_regressions_match_per_fold_cross_fit(fixed_l1):
     sl, _ = two_period_dgp(150, seed=9, tau_fn=lambda x: x[:, 0], p=3)
     plan = make_fold_plan(sl.n_units, 5, seed=5)
     config = LearnerConfig(fixed_l1=fixed_l1)
-    y, g, t, X, units = _stack_slice(sl)
-    got = _cross_fit_regressions(X, y, g, units, plan, config)
+    got = _regressions(sl, plan, config)
     want = _per_fold_regressions(sl, plan, config)
     for a, b in zip(got, want):
         assert_allclose(a, b, rtol=0, atol=1e-12)
@@ -268,8 +290,7 @@ def test_batched_regressions_raise_per_fold_errors():
     bad_y = dataclasses.replace(sl, y_post=np.where(
         np.arange(sl.n_units) == 3, np.nan, sl.y_post))
     for case in (one_treated, bad_y):
-        y, g, t, X, units = _stack_slice(case)
-        got = _first_error(lambda: _cross_fit_regressions(X, y, g, units, plan, config))
+        got = _first_error(lambda: _regressions(case, plan, config))
         want = _first_error(lambda: _per_fold_regressions(case, plan, config, fit))
         assert got == want
         assert got.startswith("fold ")
@@ -312,7 +333,7 @@ def _assert_members_match_reference(case, plan, config):
     """
     y, g, t, X, units = _stack_slice(case)
     row_fold = plan.assignment[units]
-    got = _regression_fits(X, y, g, units, plan, config)
+    got = _fits(case, plan, config)
     want = _member_reference(case, plan, config)
     assert got.keys() == want.keys()
     n_fit = 0
@@ -368,15 +389,14 @@ def test_block_front_end_matches_per_fold_reference(name, fixed_l1):
     case = cases[name]
     config = LearnerConfig(fixed_l1=fixed_l1)
     assert _assert_members_match_reference(case, plan, config) > 0
-    y, g, t, X, units = _stack_slice(case)
     if name in ("resampled", "constant-on-fold"):
-        got = _cross_fit_regressions(X, y, g, units, plan, config)
+        got = _regressions(case, plan, config)
         for a, b in zip(got, _per_fold_regressions(case, plan, config)):
             assert_allclose(a, b, rtol=0, atol=1e-12)
         return
     fit = lambda a, b: config.fit_regression(a, b)
     with pytest.raises(DegenerateFold) as got:
-        _cross_fit_regressions(X, y, g, units, plan, config)
+        _regressions(case, plan, config)
     with pytest.raises(DegenerateFold) as want, np.errstate(invalid="ignore"):
         _per_fold_regressions(case, plan, config, fit)
     assert str(got.value) == str(want.value)
@@ -385,8 +405,7 @@ def test_block_front_end_matches_per_fold_reference(name, fixed_l1):
 
 def test_constant_column_is_pinned_on_its_fold_only():
     plan, cases = _block_front_end_cases()
-    y, g, t, X, units = _stack_slice(cases["constant-on-fold"])
-    fits = _regression_fits(X, y, g, units, plan, LearnerConfig(fixed_l1=0.02))
+    fits = _fits(cases["constant-on-fold"], plan, LearnerConfig(fixed_l1=0.02))
     assert fits["g1", 2].center[1] == 3.7 and fits["g1", 2].scale[1] == 1.0
     assert fits["g1", 2].coef[1] == 0.0
     assert all(fits["g1", k].scale[1] != 1.0 for k in (0, 1, 3, 4))
