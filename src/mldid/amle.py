@@ -1,19 +1,20 @@
 """Balancing weights from the bias-variance quadratic program.
 
-The function class is the unit ball of a finite feature map over
-(x, g, t), so the worst-case bias term has a closed form and the program
-reduces to a small ridge-type linear system: with basis matrix Psi and
-representer vector ``target``,
+A cell's effect is a functional of the conditional mean of a unit's first
+difference given (x, g): the mean over the units of its contrast between
+g = 1 and g = 0. The function class is the unit ball of the feature map
+phi(x, g) = [1, x, g, x*g] on standardized x, so the worst-case bias term
+has a closed form and the program reduces to a small ridge-type linear
+system: with basis matrix Phi and representer vector ``target`` (the mean
+of phi(x, 1) - phi(x, 0), which is 1 on g and 0 elsewhere),
 
-    minimize ||Psi' gamma / n - target||^2 + (sigma^2 / n^2) ||gamma||^2
+    minimize ||Phi' w / n - target||^2 + (sigma^2 / n^2) ||w||^2
 
-has solution gamma = n * Psi (Psi'Psi + sigma^2 I)^{-1} target.
-
-A cell's rows are its units' pre and post rows, so Psi'Psi is a sum of
-unit moments: :func:`balancing_columns` solves every bootstrap count
-column of a cell from them, as one batch, without forming the basis.
-:func:`build_function_class` and :func:`solve_amle` are the row form of
-one program.
+has solution w = n * Phi (Phi'Phi + sigma^2 I)^{-1} target
+(Hirshberg & Wager 2021). :func:`balancing_columns` solves every bootstrap
+count column of a cell from count-weighted unit moments, as one batch,
+without forming the basis; :func:`build_function_class` and
+:func:`solve_amle` are the same program on a basis matrix.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ SIGMA2_FLOOR = 1e-8
 class AmleProblem:
     """Feature evaluations, contrast targets and the noise bound."""
 
-    basis: np.ndarray          # (n, q) features at the observed (x, g, t)
-    target: np.ndarray         # (q,) averaged four-point contrast per feature
+    basis: np.ndarray          # (n, q) features at the observed (x, g)
+    target: np.ndarray         # (q,) averaged treatment contrast per feature
     sigma2: float
     ridge: float = 0.0
     feature_names: tuple[str, ...] = ()
@@ -56,50 +57,38 @@ class AmleProblem:
         return int(self.basis.shape[0])
 
 
-def _feature_map(Xs: np.ndarray, g: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Features {1, x, g, t, g*t, x*g, x*t, x*g*t} on standardized x."""
-    n = Xs.shape[0]
-    one = np.ones((n, 1))
+def _feature_map(Xs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Features {1, x, g, x*g} on standardized x."""
     g = g.reshape(-1, 1).astype(float)
-    t = t.reshape(-1, 1).astype(float)
-    return np.concatenate(
-        [one, Xs, g, t, g * t, Xs * g, Xs * t, Xs * g * t], axis=1
-    )
+    return np.concatenate([np.ones((Xs.shape[0], 1)), Xs, g, Xs * g], axis=1)
 
 
 def _feature_names(cov_names) -> tuple[str, ...]:
     xs = list(cov_names)
-    return tuple(
-        ["1", *xs, "G", "T", "G*T",
-         *[f"{c}*G" for c in xs], *[f"{c}*T" for c in xs],
-         *[f"{c}*G*T" for c in xs]]
-    )
+    return tuple(["1", *xs, "G", *[f"{c}*G" for c in xs]])
 
 
 def build_function_class(bundle: NuisanceBundle, sigma2: float) -> AmleProblem:
-    """Assemble the basis and its four-point contrast targets.
+    """Assemble the basis of the bundle's units and its contrast targets.
 
-    Covariates are standardized over the stacked rows. Each feature's
-    target is the sample mean of psi(x,1,1) - psi(x,0,1) - psi(x,1,0)
-    + psi(x,0,0), the difference-in-differences contrast. Only the
-    features with a g*t factor survive it: the target is 1 on G*T, the
-    mean of the standardized x on x*G*T, and 0 everywhere else.
+    Covariates are standardized over the units. Each feature's target is
+    the sample mean of phi(x, 1) - phi(x, 0), the treatment contrast of the
+    first difference. Only the features with a g factor survive it: the
+    target is 1 on G, the mean of the standardized x on x*G, and 0
+    everywhere else.
     """
     X = bundle.X
-    g = bundle.g.astype(float)
-    t = bundle.t.astype(float)
     mean = X.mean(axis=0)
     sd = X.std(axis=0)
     sd[sd == 0.0] = 1.0
     Xs = (X - mean) / sd
 
-    basis = _feature_map(Xs, g, t)
-    # Columns as _feature_map lays them out: 1, x (p), G, T, G*T, x*G,
-    # x*T, x*G*T (p each).
+    basis = _feature_map(Xs, bundle.g)
+    # Columns as _feature_map lays them out: 1, x (p), G, x*G (p).
     p = Xs.shape[1]
     target = np.zeros(basis.shape[1])
-    target[p + 3] = 1.0
-    target[3 * p + 4:] = Xs.mean(axis=0)
+    target[p + 1] = 1.0
+    target[p + 2:] = Xs.mean(axis=0)
     return AmleProblem(
         basis=basis,
         target=target,
@@ -109,7 +98,7 @@ def build_function_class(bundle: NuisanceBundle, sigma2: float) -> AmleProblem:
 
 
 def solve_amle(problem: AmleProblem) -> np.ndarray:
-    """Solve the quadratic program for the per-row weights.
+    """Solve the quadratic program for the per-unit weights.
 
     Uses the q-dimensional normal equations; if their condition number
     exceeds COND_LIMIT the ridge is grown until the system is tractable
@@ -159,19 +148,16 @@ def _solve_normal(gram, target, sigma2, ridge):
 
 
 def balancing_columns(X, g, counts, sigma2):
-    """Balancing weights of every count column's stacked rows, from unit moments.
+    """Balancing weights of every count column's units, from unit moments.
 
-    Column r's rows are ``counts[i, r]`` copies of unit i's pre row
-    psi(x, G, 0) and post row psi(x, G, 1), with x standardized over them
-    as :func:`build_function_class` does. With z = [1, x, G, x*G], and the
-    features ordered as [z, T*z], those rows are [z, 0] and [z, z], so
-    Psi'Psi = [[2S, S], [S, S]] with S the count-weighted sum of z z', and
-    the target is 1 on T*G and 0 elsewhere (standardized x has mean zero).
-    S is the column's affine standardization applied to raw moments of z
-    that one product per column gives, and the columns' systems are
-    solved as one batch with noise bounds ``sigma2``. No row basis is
-    formed. Returns the weights of each unit's pre and post rows,
-    (units, columns) each.
+    Column r's units are ``counts[i, r]`` copies of unit i, with x
+    standardized over them as :func:`build_function_class` does. With
+    z = phi(x, g) = [1, x, G, x*G] on unstandardized x, the column's
+    Phi'Phi is its count-weighted sum of z z' mapped through the column's
+    affine standardization, and the target is 1 on G and 0 elsewhere
+    (standardized x has mean zero). The columns' systems are solved as one
+    batch with noise bounds ``sigma2``; no basis is formed. Returns the
+    (units, columns) weights.
     """
     c = np.asarray(counts, dtype=float)
     m, p = X.shape
@@ -181,14 +167,14 @@ def balancing_columns(X, g, counts, sigma2):
     center = c.T @ Xc / total[:, None]
     var = c.T @ Xc**2 / total[:, None] - center**2
     scale = np.sqrt(np.maximum(var, 0.0))
-    # A column constant on the drawn rows standardizes to zeros.
+    # A column constant on the drawn units standardizes to zeros.
     drawn = c > 0
     for j in range(p):
         lo = np.where(drawn, Xc[:, j, None], np.inf).min(axis=0)
         const = lo == np.where(drawn, Xc[:, j, None], -np.inf).max(axis=0)
         center[const, j], scale[const, j] = lo[const], 1.0
     scale[scale == 0.0] = 1.0
-    Z = np.concatenate([np.ones((m, 1)), Xc, g[:, None], Xc * g[:, None]], axis=1)
+    Z = _feature_map(Xc, g)
     S = np.stack([weighted_gram(Z, c[:, r]) for r in range(n_cols)])
     # z standardized = A z: x -> (x - center) / scale, and the same for x*G.
     A = np.zeros((n_cols, dz, dz))
@@ -197,16 +183,12 @@ def balancing_columns(X, g, counts, sigma2):
         idx = np.arange(first, first + p)
         A[:, idx, anchor] = -center / scale
         A[:, idx, idx] = 1.0 / scale
-    S = A @ S @ A.transpose(0, 2, 1)
-    gram = np.block([[2 * S, S], [S, S]])
-    target = np.zeros((n_cols, 2 * dz))
-    target[:, dz + p + 1] = 1.0
-    u = _solve_normal(gram, target, sigma2, 0.0)
-    # A row's weight is n psi'u = n z'(A'u_z) + T n z'(A'u_Tz).
-    n = 2 * total
-    v_pre = (A.transpose(0, 2, 1) @ u[:, :dz, None])[..., 0] * n[:, None]
-    v_post = v_pre + (A.transpose(0, 2, 1) @ u[:, dz:, None])[..., 0] * n[:, None]
-    return Z @ v_pre.T, Z @ v_post.T
+    target = np.zeros((n_cols, dz))
+    target[:, p + 1] = 1.0
+    u = _solve_normal(A @ S @ A.transpose(0, 2, 1), target, sigma2, 0.0)
+    # A unit's weight is n phi'u = n z'(A'u).
+    v = (A.transpose(0, 2, 1) @ u[..., None])[..., 0] * total[:, None]
+    return Z @ v.T
 
 
 def amle_objective(problem: AmleProblem, gamma: np.ndarray) -> float:
@@ -218,35 +200,36 @@ def amle_objective(problem: AmleProblem, gamma: np.ndarray) -> float:
 
 def estimate_sigma2(
     bundle: NuisanceBundle,
-    tau_row: np.ndarray | None = None,
+    tau: np.ndarray | None = None,
     inflation: float = SIGMA2_INFLATION,
     floor: float = SIGMA2_FLOOR,
 ) -> float:
-    """Upper bound on the outcome noise variance from fit residuals.
+    """Upper bound on the noise variance of the units' first differences.
 
-    The residual is Y - yhat = H - C * tau(x) when an effect function is
-    supplied, H alone otherwise; its sample variance is inflated by a
-    fixed factor and floored away from zero.
+    The residual is dH, or dH - B * tau(x) when an effect function is
+    supplied; its sample variance is inflated by a fixed factor and
+    floored away from zero. A cell uses dH alone: the bound then does not
+    depend on the effect fit, and it is no smaller than the variance of
+    the residual the balancing weights correct, dH - B * tau(x), when tau
+    explains part of dH.
     """
-    resid = bundle.H
-    if tau_row is not None:
-        resid = resid - bundle.C * tau_row
-    m = resid.shape[0] // 2
-    return float(sigma2_columns(resid[:m, None], resid[m:, None], np.ones((m, 1)),
+    resid = bundle.dH
+    if tau is not None:
+        resid = resid - bundle.B * tau
+    return float(sigma2_columns(resid[:, None], np.ones((resid.shape[0], 1)),
                                 inflation, floor)[0])
 
 
-def sigma2_columns(resid_pre, resid_post, counts, inflation=SIGMA2_INFLATION,
-                   floor=SIGMA2_FLOOR):
-    """:func:`estimate_sigma2` of every count column's stacked rows.
+def sigma2_columns(resid, counts, inflation=SIGMA2_INFLATION, floor=SIGMA2_FLOOR):
+    """:func:`estimate_sigma2` of every count column's units.
 
-    ``resid_pre``/``resid_post`` are the residuals of each unit's two rows
-    and ``counts`` the copies of the unit in each column, (units, columns)
-    each.
+    ``resid`` holds the units' residuals and ``counts`` the copies of each
+    unit in each column, (units, columns) each; the variance is the
+    count-weighted one with one degree of freedom removed.
     """
     c = np.asarray(counts, dtype=float)
-    n = 2 * c.sum(axis=0)
-    mean = (c * (resid_pre + resid_post)).sum(axis=0) / n
-    sq = (c * ((resid_pre - mean) ** 2 + (resid_post - mean) ** 2)).sum(axis=0)
+    n = c.sum(axis=0)
+    mean = (c * resid).sum(axis=0) / n
+    sq = (c * (resid - mean) ** 2).sum(axis=0)
     var = np.where(n > 1, sq / np.maximum(n - 1, 1), 0.0)
     return np.maximum(inflation * var, floor)

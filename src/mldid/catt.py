@@ -1,10 +1,15 @@
-"""Conditional effect function fit via the orthogonalized lasso loss.
+"""Conditional effect function fit on a cell's units' first differences.
 
-The loss is a sum over a cell's stacked pre and post rows, but both rows
-of a unit share x and their C is -B/2 and +B/2, so every quantity of the
-fit is a sum of unit moments. :func:`fit_catt_columns` fits every
-bootstrap count column of a cell from them in one lasso batch;
-:func:`fit_catt` is its one-column call on a stacked bundle.
+The MLDID loss sums (H - C tau(x))^2 over a cell's stacked pre and post
+rows. A unit's two rows share x, their C is -B/2 and +B/2, and the
+difference of their H is dH, so the loss is (1/2) sum_units
+(dH - B tau(x))^2 plus a term free of tau (see :mod:`mldid.nuisance`).
+The fit is therefore a lasso on the unit rows, with design (B/2)[1, x] and
+response dH/2, which has the stacked rows' Gram matrix, scale and cross
+product per row, so a fixed l1 gives the stacked fit's tau. Its inner CV
+folds hold out whole units. :func:`fit_catt_columns` fits every bootstrap
+count column of a cell from unit moments in one lasso batch;
+:func:`fit_catt` is its one-column call on a bundle.
 """
 
 from __future__ import annotations
@@ -39,23 +44,20 @@ def fit_catt(
     l1: float | None = None,
     config: LearnerConfig | None = None,
 ) -> CattModel:
-    """Minimize sum_i (H_i - C_i * tau(X_i))^2 + l1 * ||slopes||_1.
+    """Minimize sum_i (dH_i - B_i * tau(X_i))^2 + l1 * ||slopes||_1 over the units.
 
     Writing tau(x) = a + x'b turns this into an l1-penalized regression
-    of H on the transformed design [C, C*X] with the ``a`` column left
-    unpenalized, which is the weighted-lasso form of the loss (weights
-    C^2 on the pseudo-outcome H/C). ``l1=None`` selects the penalty by
-    inner cross-validation on the held-out loss. The bundle's rows are
-    its units' pre rows then their post rows, as :func:`compute_abch`
-    leaves them; this is the all-ones column of :func:`fit_catt_columns`.
+    of dH/2 on the design (B/2)[1, X] with the ``a`` column left
+    unpenalized (penalties on the standardized scale). ``l1=None`` selects
+    the penalty by inner cross-validation on the held-out loss, or uses
+    ``config.fixed_l1`` if set. This is the all-ones column of
+    :func:`fit_catt_columns`.
     """
-    if bundle.C is None or bundle.H is None:
-        raise MldidError("bundle is missing A/B/C/H; run compute_abch first")
-    m = bundle.n_rows // 2
-    C, H = bundle.C, bundle.H
+    if bundle.B is None or bundle.dH is None:
+        raise MldidError("bundle is missing B/dH; run compute_abch first")
     coef, chosen, errors = fit_catt_columns(
-        bundle.X[:m], (C[m:] - C[:m])[:, None], H[:m, None], H[m:, None],
-        np.ones((m, 1)), l1=l1, config=config)
+        bundle.X, bundle.B[:, None], bundle.dH[:, None], np.ones((bundle.n_units, 1)),
+        l1=l1, config=config)
     if errors[0] is not None:
         raise errors[0]
     return CattModel(
@@ -66,26 +68,24 @@ def fit_catt(
     )
 
 
-def fit_catt_columns(X, B, H_pre, H_post, counts, l1=None, config=None):
+def fit_catt_columns(X, B, dH, counts, l1=None, config=None):
     """The effect-function fit of every count column, from unit moments.
 
-    Column r's rows are ``counts[i, r]`` copies of unit i's pre row, with
-    C = -B/2 and H = H_pre, and of its post row, with C = B/2 and H =
-    H_post (each (units, columns)); both rows have the unit's x. So the
-    Gram of the design [C, C*X] over the rows, its RMS scale and its cross
-    product with H are count-weighted sums of unit moments of z = [1, x]:
-    weight B^2/2 for the Gram and B (H_post - H_pre)/2 for the cross
-    product. The fits of all columns are one batch of
-    ``learners.fit_gram_batch``, each the fit :func:`fit_catt` makes on
-    the column's rows.
+    Column r's rows are ``counts[i, r]`` copies of unit i, with design
+    (B/2) z, z = [1, x], and response dH/2 (B and dH are (units, columns)).
+    So the Gram matrix of the design, its RMS scale and its cross product
+    with the response are count-weighted sums of unit moments of z, with
+    weights B^2/4 and B dH/4. The fits of all columns are one batch of
+    ``learners.fit_gram_batch``, each the fit ``fit_penalized_ls_cv`` makes
+    on the column's drawn units with their counts as weights.
 
-    With CV the inner folds are those of the row fit: the rank-j drawn
-    unit's pre row is in fold ``j % K`` and its post row in fold
-    ``(n_drawn + j) % K``, so an inner training set is the column's moments
-    less those of two classes of units, and its held-out error is scored on
-    their rows. Returns the (columns, 1 + p) coefficients (``a`` first), the
-    chosen l1 of each column and per column the MldidError its fit raised,
-    or None.
+    With CV the inner folds rank the column's drawn units: fold j holds
+    out the ranks equal to j modulo K, so an inner training set is the
+    column's moments less those of one class of units, and its held-out
+    error is the count-weighted mean of (dH - B tau(x))^2 over that class.
+    The l1 follows the 1se rule. Returns the (columns, 1 + p) coefficients
+    (``a`` first), the chosen l1 of each column and per column the
+    MldidError its fit raised, or None.
     """
     config = config or LearnerConfig()
     c = np.asarray(counts, dtype=float)
@@ -95,12 +95,11 @@ def fit_catt_columns(X, B, H_pre, H_post, counts, l1=None, config=None):
     if fixed is None:
         check_lasso_options(config.inner_cv_folds, config.n_lambdas, None, "1se")
     Z = np.concatenate([np.ones((m, 1)), X], axis=1)
-    C_pre, C_post = B * -0.5, B * 0.5
-    weight = c * C_pre**2                   # C^2 of each of a unit's rows
-    product = c * C_pre * H_pre, c * C_post * H_post
-    n = 2 * c.sum(axis=0)
-    gram = np.stack([weighted_gram(Z, 2 * weight[:, r]) for r in range(c.shape[1])])
-    cross = (product[0] + product[1]).T @ Z
+    weight = c * B**2 / 4
+    product = c * B * dH / 4
+    n = c.sum(axis=0)
+    gram = np.stack([weighted_gram(Z, weight[:, r]) for r in range(c.shape[1])])
+    cross = product.T @ Z
     scale = np.sqrt(np.diagonal(gram, axis1=1, axis2=2) / n[:, None])
     scale[scale == 0.0] = 1.0
 
@@ -108,10 +107,10 @@ def fit_catt_columns(X, B, H_pre, H_post, counts, l1=None, config=None):
     fits, errors = [], [None] * c.shape[1]
     for r in range(c.shape[1]):
         if n[r] < p + 2:
-            errors[r] = MldidError(f"need at least {p + 2} rows to fit tau, have {int(n[r])}")
+            errors[r] = MldidError(f"need at least {p + 2} units to fit tau, have {int(n[r])}")
             continue
-        if gram[r, 0, 0] < MIN_WEIGHT_MASS:
-            errors[r] = AllWeightsZero("sum of C^2 is numerically zero; tau is unidentified")
+        if 4 * gram[r, 0, 0] < MIN_WEIGHT_MASS:
+            errors[r] = AllWeightsZero("sum of B^2 is numerically zero; tau is unidentified")
             continue
         s = scale[r]
         fit = GramFit(gram[r] / (n[r] * np.outer(s, s)), cross[r] / (n[r] * s),
@@ -127,17 +126,12 @@ def fit_catt_columns(X, B, H_pre, H_post, counts, l1=None, config=None):
             continue
         r, s = fit.data, fit.scale
         ranked = np.flatnonzero(c[:, r] > 0)
-        cls = [ranked[j::K] for j in range(K)]
         for j in range(K):
-            # Held out: the pre rows of class j and the post rows of the class
-            # whose stacked positions fall in fold j.
-            pre, post = cls[j], cls[(j - ranked.size) % K]
-            n_tr = n[r] - c[pre, r].sum() - c[post, r].sum()
-            g_tr = (gram[r] - weighted_gram(Z[pre], weight[pre, r])
-                    - weighted_gram(Z[post], weight[post, r]))
-            c_tr = cross[r] - product[0][pre, r] @ Z[pre] - product[1][post, r] @ Z[post]
+            out = held[r, j] = ranked[j::K]
+            n_tr = n[r] - c[out, r].sum()
+            g_tr = gram[r] - weighted_gram(Z[out], weight[out, r])
+            c_tr = cross[r] - product[out, r] @ Z[out]
             fit.members.append((len(path_G), j))
-            held[r, j] = pre, post
             path_G.append(g_tr / (n_tr * np.outer(s, s)))
             path_c.append(c_tr / (n_tr * s))
 
@@ -145,13 +139,11 @@ def fit_catt_columns(X, B, H_pre, H_post, counts, l1=None, config=None):
         r = fit.data
         fold_err = np.zeros((K, path.shape[1]))
         for b, j in fit.members:
-            pre, post = held[r, j]
-            # Held-out rows: C z / scale against H, weighted by their counts.
-            C_te = np.concatenate([C_pre[pre, r], C_post[post, r]])
-            H_te = np.concatenate([H_pre[pre, r], H_post[post, r]])
-            w_te = np.concatenate([c[pre, r], c[post, r]])
-            resid = H_te[:, None] - C_te[:, None] * (Z[np.r_[pre, post]] / fit.scale @ path[b].T)
-            fold_err[j] = w_te / w_te.sum() @ resid**2
+            out = held[r, j]
+            # tau on the held-out units is z / scale times the path's coefficients.
+            resid = dH[out, r, None] - B[out, r, None] * (Z[out] / fit.scale @ path[b].T)
+            w = c[out, r]
+            fold_err[j] = w / w.sum() @ resid**2
         return fold_err
 
     # The 1se rule keeps the effect function sparse: covariates that do
@@ -178,8 +170,12 @@ def predict_catt(model: CattModel, X: np.ndarray) -> np.ndarray:
 
 
 def catt_loss(bundle: NuisanceBundle, model: CattModel, l1: float | None = None) -> float:
-    """The penalized objective evaluated at a candidate effect function."""
+    """The penalized objective evaluated at a candidate effect function.
+
+    The loss is the part of the stacked rows' sum of squares that involves
+    tau, (1/2) sum_units (dH - B tau(x))^2.
+    """
     tau = predict_catt(model, bundle.X)
-    resid = bundle.H - bundle.C * tau
+    resid = bundle.dH - bundle.B * tau
     pen = (l1 if l1 is not None else model.l1) * float(np.sum(np.abs(model.coef)))
-    return float(np.sum(resid**2)) + pen
+    return 0.5 * float(np.sum(resid**2)) + pen

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import click
@@ -27,6 +26,8 @@ from .estimator import (
     derive_seed,
     run_mldid,
     _SEED_REP,
+    _map_cells,
+    _reemit,
 )
 from .exceptions import MldidError, PanelValidationError
 from .heterogeneity import blp, clan
@@ -374,11 +375,10 @@ def cmd_benchmark(n, periods, tau, assignment, confounding, chi, reps, seed,
     config = _estimator_config(seed, folds, 0, placebo, 1, fixed_l1)
     tasks = [(seed, rep, dgp_kwargs, config, k_bins, bootstrap)
              for rep in range(reps)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            payloads = list(pool.map(_benchmark_rep, tasks))
-    else:
-        payloads = [_benchmark_rep(t) for t in tasks]
+    payloads = []
+    for rep, (payload, caught) in enumerate(_map_cells(_benchmark_rep, tasks, threads)):
+        _reemit(f"benchmark repetition {rep}", caught)
+        payloads.append(payload)
 
     failures = [p for p in payloads if "error" in p]
     good = [p for p in payloads if "error" not in p]

@@ -1,8 +1,12 @@
 """Per-cell effect estimation and event-study aggregation.
 
-The driver walks every estimable (g, t) cell: cross-fitted nuisances, the
-orthogonal decomposition, the penalized effect-function fit, balancing
-weights, and the robust-score average. Cell estimates then aggregate into
+This module walks every estimable (g, t) cell. A cell is estimated on its
+units' first differences: cross-fitted g(x) and nu(x) give B = G - g(x)
+and dH = dY - nu(x) per unit (:mod:`mldid.nuisance`), the lasso of dH on
+B[1, x] gives the effect function tau(x) (:mod:`mldid.catt`), and
+balancing weights w on the features [1, x, G, x*G] (:mod:`mldid.amle`)
+correct it: a unit's robust score is tau(x) + w (dH - B tau(x)) and the
+cell's att is the mean score. Cell estimates then aggregate into
 event-study effects with cohort-share weights, and a unit-level clustered
 bootstrap supplies standard errors.
 
@@ -77,7 +81,6 @@ class EstimatorConfig:
     n_folds: int = 5
     seed: int = 0
     learners: LearnerConfig = field(default_factory=LearnerConfig)
-    catt_l1: float | None = None
     include_placebo: bool = True
     bootstrap: int = 0
     threads: int = 1
@@ -88,8 +91,11 @@ class GroupTimeResult:
     """One cell's effect estimate with its per-unit components.
 
     ``tau_unit``/``score_unit`` cover every slice unit in slice order;
-    ``g_flag`` marks cohort members. The reference cell (t = g-1) is a
-    hard zero with empty arrays.
+    ``g_flag`` marks cohort members. ``sigma2`` is the noise bound of the
+    balancing weights: 1.5 times the variance of the units' differenced
+    partial residual dH = dY - nu(x), at least 1e-8. ``catt_l1`` is the l1
+    of the effect fit. The reference cell (t = g-1) is a hard zero with
+    empty arrays.
     """
 
     g: int
@@ -182,16 +188,14 @@ class _Columns:
     errors: list
 
 
-def _effect_columns(X, g, B, H_pre, H_post, counts, config: EstimatorConfig,
-                    errors=None) -> _Columns:
+def _effect_columns(X, g, B, dH, counts, config: EstimatorConfig, errors=None) -> _Columns:
     """Effect fit, balancing weights and robust unit scores of every count column.
 
     The inputs are per unit and column (``X`` and ``g`` per unit): B = G -
-    g_hat and the partial residuals H of the unit's pre and post rows.
-    Columns with an entry in ``errors`` have failed already and are
-    skipped. A unit's score is tau(x) plus the mean of its two rows'
-    corrections gamma * (H - C tau(x)), so the count-weighted mean of the
-    scores is the mean of the column's row scores, its att.
+    g_hat and dH = dY - nu_hat. Columns with an entry in ``errors`` have
+    failed already and are skipped. A unit's score is tau(x) + w (dH -
+    B tau(x)), and the column's att is the count-weighted mean of the
+    scores.
     """
     m, n_cols = counts.shape
     out = _Columns(np.full(n_cols, np.nan), np.full((m, n_cols), np.nan),
@@ -200,22 +204,19 @@ def _effect_columns(X, g, B, H_pre, H_post, counts, config: EstimatorConfig,
     live = np.flatnonzero([err is None for err in out.errors])
     if not live.size:
         return out
-    counts, B, H_pre, H_post = _columns(live, counts, B, H_pre, H_post)
-    coef, l1, fit_errors = fit_catt_columns(X, B, H_pre, H_post, counts,
-                                            l1=config.catt_l1, config=config.learners)
+    counts, B, dH = _columns(live, counts, B, dH)
+    coef, l1, fit_errors = fit_catt_columns(X, B, dH, counts, config=config.learners)
     for r, err in zip(live, fit_errors):
         out.errors[r] = err
     fit = np.flatnonzero([err is None for err in fit_errors])
     ok = live[fit]
     if not ok.size:
         return out
-    c, B, H_pre, H_post = _columns(fit, counts, B, H_pre, H_post)
+    c, B, dH = _columns(fit, counts, B, dH)
     tau = coef[fit, 0] + X @ coef[fit, 1:].T
-    resid_pre = H_pre - B * -0.5 * tau
-    resid_post = H_post - B * 0.5 * tau
-    sigma2 = sigma2_columns(resid_pre, resid_post, c)
-    gamma_pre, gamma_post = balancing_columns(X, g.astype(float), c, sigma2)
-    score = tau + (gamma_pre * resid_pre + gamma_post * resid_post) / 2
+    sigma2 = sigma2_columns(dH, c)
+    w = balancing_columns(X, g.astype(float), c, sigma2)
+    score = tau + w * (dH - B * tau)
     out.att[ok] = (c * score).sum(axis=0) / c.sum(axis=0)
     out.tau_unit[:, ok], out.score_unit[:, ok] = tau, score
     out.sigma2[ok], out.catt_l1[ok] = sigma2, l1[fit]
@@ -241,25 +242,19 @@ def _cell_columns(sl, plan, config: EstimatorConfig, counts) -> _Columns:
     # its sums; one of a drawn unit has failed the column's nuisance fits.
     X, y_pre, y_post = (np.where(np.isfinite(a), a, 0.0) for a in (sl.X, sl.y_pre, sl.y_post))
     B = sl.g_flag[:, None] - nuis.g_hat
-    H_pre = y_pre[:, None] - (nuis.m_hat + -0.5 * nuis.nu_hat + B * nuis.zeta_hat)
-    H_post = y_post[:, None] - (nuis.m_hat + 0.5 * nuis.nu_hat + B * nuis.zeta_hat)
-    errors = nuis.errors
-    del nuis  # its (units, columns) arrays are not needed any more
-    return _effect_columns(X, sl.g_flag, B, H_pre, H_post, counts, config, errors)
+    dH = (y_post - y_pre)[:, None] - nuis.nu_hat
+    return _effect_columns(X, sl.g_flag, B, dH, counts, config, nuis.errors)
 
 
 def estimate_from_bundle(bundle: NuisanceBundle, config: EstimatorConfig):
     """Effect fit, balancing weights and robust scores for a built bundle.
 
-    Returns (att, score_unit, tau_unit, sigma2) of the bundle's units (its
-    rows are their pre rows then their post rows); exposed separately so
-    properties can be checked with known nuisance values substituted for
-    the fitted ones.
+    Returns (att, score_unit, tau_unit, sigma2) of the bundle's units;
+    exposed separately so properties can be checked with known nuisance
+    values substituted for the fitted ones.
     """
-    m = bundle.n_rows // 2
-    C, H = bundle.C, bundle.H
-    cols = _effect_columns(bundle.X[:m], bundle.g[:m], (C[m:] - C[:m])[:, None],
-                           H[:m, None], H[m:, None], np.ones((m, 1)), config)
+    cols = _effect_columns(bundle.X, bundle.g, bundle.B[:, None], bundle.dH[:, None],
+                           np.ones((bundle.n_units, 1)), config)
     if cols.errors[0] is not None:
         raise cols.errors[0]
     return (float(cols.att[0]), cols.score_unit[:, 0], cols.tau_unit[:, 0],
@@ -419,7 +414,7 @@ def _build_catt_panel(cells: list[GroupTimeResult], covariate_names) -> CattPane
 def _map_cells(task, args: list, threads: int) -> list:
     """``task`` over per-cell arguments, in a pool of ``threads`` processes if > 1.
 
-    Each call runs with its warnings recorded and returns them with its
+    The CLI's benchmark maps its repetitions the same way. Each call runs with its warnings recorded and returns them with its
     result, so a worker's warnings are not lost; :func:`_reemit` raises
     them again in the caller.
     """

@@ -908,7 +908,7 @@ def fit_probability(
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """Assignment of units to folds; both stacked rows of a unit share a fold."""
+    """Assignment of units to folds; a unit and all of its copies share a fold."""
 
     n_folds: int
     assignment: np.ndarray  # fold id per unit

@@ -1,35 +1,39 @@
-"""Cross-fitted nuisance functions and the orthogonal decomposition terms.
+"""Cross-fitted nuisance functions of a cell, on its units' first differences.
 
 For one two-period slice this module estimates the treatment propensity
-g(x), the pooled outcome regression m(x), and the conditional-mean
-contrasts nu(x) (over time) and zeta(x) (over treatment group), then
-derives the per-row quantities A, B, C and the partial residual H that
-feed the effect-function fit.
+g(x) and the time contrast nu(x) = mu_t1(x) - mu_t0(x) of the period
+outcome regressions, and derives per unit B = G - g(x) and the
+differenced partial residual dH = (y_post - y_pre) - nu(x) that feed the
+effect-function fit.
 
-Every unit of a slice contributes one pre and one post row with the same
-covariates and group, so the period probability t(x) is 1/2 and the
-conditional covariance of G and T given X is zero by construction. The
-decomposition coefficients then have the closed forms A = T - 1/2,
-B = G - g(x) and C = (G - g(x))(T - 1/2), and g(x) is the only
-probability model a cell fits.
+The MLDID loss of Lu, Nie & Wager (2019) sums over a cell's stacked pre
+and post rows. Every unit contributes one row of each with the same
+covariates and group, so the period probability is 1/2, G and T are
+uncorrelated given X, and the decomposition coefficients are A = T - 1/2,
+B = G - g(x) and C = B*A. The stacked loss then splits exactly into
+(1/2) sum_units (dH - B tau(x))^2, the R-learner loss on first differences
+(Nie & Wager 2021), and a level term that does not involve tau. The level
+nuisances (the pooled regression m(x) and the group contrast zeta(x))
+enter only that term, so a cell does not fit them: per fold it fits g(x),
+mu_t1(x) and mu_t0(x).
 
 A cell is cross-fit for a matrix of unit counts at once
 (:func:`cross_fit_nuisances`): column r weights each unit by the number of
 times a bootstrap replicate drew it, and the all-ones column is the sample
 itself. Every column uses the slice's fold plan, so a unit's copies share
 its fold. g(x) of every (fold, column) is one member of the batched
-logistic engine (:func:`_cross_fit_propensity`), and the five outcome
+logistic engine (:func:`_cross_fit_propensity`), and the two outcome
 regressions of every (fold, column) are one lasso batch
 (:func:`_cross_fit_regressions`). The regressions are built from moments,
-not rows: count-weighted products of the unit rows give moment blocks
-per (fold, group), every regression's standardized Gram system,
-and those of its inner CV folds, is a sum of blocks (the covariance-update
-form of Friedman, Hastie & Tibshirani 2010), and all of them go to
+not rows: count-weighted products of the unit rows give moment blocks per
+outer fold, every regression's standardized Gram system, and those of its
+inner CV folds, is a sum of blocks (the covariance-update form of
+Friedman, Hastie & Tibshirani 2010), and all of them go to
 ``learners.fit_gram_batch`` together. Each prediction is the one a
 fold-by-fold cross-fit on the column's copies would make (to rounding, for
 the regressions), and a column that cannot be fit gets the DegenerateFold
 that fold-by-fold cross-fitting would raise first; the other columns are
-unaffected. :func:`estimate_nuisances` is the all-ones column, stacked.
+unaffected. :func:`estimate_nuisances` is the all-ones column.
 """
 
 from __future__ import annotations
@@ -92,32 +96,22 @@ class LearnerConfig:
 
 @dataclass(frozen=True)
 class NuisanceBundle:
-    """Stacked two-period rows with their nuisance predictions.
+    """A slice's unit rows with their cross-fitted nuisances.
 
-    Rows 0..m-1 are the pre-period observations, rows m..2m-1 the post
-    ones; ``units`` maps each row back to its slice unit. A, B, C and H
-    are filled by :func:`compute_abch`.
+    Row i is slice unit i, with both of its outcomes. B and dH are filled
+    by :func:`compute_abch`.
     """
 
-    y: np.ndarray
+    y_pre: np.ndarray
+    y_post: np.ndarray
     g: np.ndarray
-    t: np.ndarray
     X: np.ndarray
-    units: np.ndarray
     unit_ids: np.ndarray
     covariate_names: tuple[str, ...]
     g_hat: np.ndarray
-    m_hat: np.ndarray
     nu_hat: np.ndarray
-    zeta_hat: np.ndarray
-    A: np.ndarray | None = None
     B: np.ndarray | None = None
-    C: np.ndarray | None = None
-    H: np.ndarray | None = None
-
-    @property
-    def n_rows(self) -> int:
-        return int(self.y.shape[0])
+    dH: np.ndarray | None = None
 
     @property
     def n_units(self) -> int:
@@ -125,7 +119,7 @@ class NuisanceBundle:
 
     @property
     def n_dropped(self) -> int:
-        # The closed-form decomposition keeps every row. The benchmark's
+        # The closed-form decomposition keeps every unit. The benchmark's
         # nuisance.rows_dropped counter still reads this attribute.
         return 0
 
@@ -145,39 +139,24 @@ class ColumnNuisances:
     """
 
     g_hat: np.ndarray
-    m_hat: np.ndarray
     nu_hat: np.ndarray
-    zeta_hat: np.ndarray
     errors: list
-
-
-def _stack_slice(sl):
-    m = sl.n_units
-    y = np.concatenate([sl.y_pre, sl.y_post])
-    g = np.concatenate([sl.g_flag, sl.g_flag]).astype(np.int8)
-    t = np.concatenate([np.zeros(m, np.int8), np.ones(m, np.int8)])
-    X = np.vstack([sl.X, sl.X])
-    units = np.concatenate([np.arange(m), np.arange(m)])
-    return y, g, t, X, units
 
 
 def cross_fit_nuisances(sl, plan: FoldPlan, config: LearnerConfig,
                         counts: np.ndarray) -> ColumnNuisances:
-    """Cross-fit g(x), m(x), nu(x) and zeta(x) of a slice for every count column.
+    """Cross-fit g(x) and nu(x) of a slice for every count column.
 
     The propensity of every (fold, column) is one logistic engine call and
-    the five outcome regressions of every (fold, column) one lasso batch.
+    the two outcome regressions of every (fold, column) one lasso batch.
     A column's error is the first a fit-by-fit run on its copies meets:
     the propensity folds in order, then the regressions.
     """
     g_unit, g_errors = _cross_fit_propensity(sl.X, sl.g_flag, plan, counts, config)
-    pred, reg_errors = _cross_fit_regressions(
-        sl.X, sl.y_pre, sl.y_post, sl.g_flag, plan, counts, config)
+    pred, reg_errors = _cross_fit_regressions(sl.X, sl.y_pre, sl.y_post, plan, counts, config)
     return ColumnNuisances(
         g_hat=np.clip(g_unit, config.clip, 1.0 - config.clip),
-        m_hat=pred[0],
-        nu_hat=pred[1] - pred[2],
-        zeta_hat=pred[3] - pred[4],
+        nu_hat=pred[0] - pred[1],
         errors=[a if a is not None else b for a, b in zip(g_errors, reg_errors)],
     )
 
@@ -185,16 +164,12 @@ def cross_fit_nuisances(sl, plan: FoldPlan, config: LearnerConfig,
 def estimate_nuisances(sl, plan: FoldPlan, config: LearnerConfig | None = None) -> NuisanceBundle:
     """Cross-fit the nuisance functions of a slice.
 
-    g(x) comes from a binary logistic fit on the slice's unit rows (a
-    unit's two stacked rows would only repeat it) and is stacked for both
-    periods. m(x) is the pooled outcome regression on the stacked rows and
-    nu(x)/zeta(x) are differences of conditional regressions fit on the
-    respective subsets. Every prediction for a row is produced by models
-    that never saw that row's unit. This is the all-ones column of
-    :func:`cross_fit_nuisances`, stacked.
+    g(x) comes from a binary logistic fit on the slice's unit rows, and
+    nu(x) is the difference of the regressions of y_post and of y_pre on
+    x. Every prediction for a unit is produced by models that never saw
+    it. This is the all-ones column of :func:`cross_fit_nuisances`.
     """
     config = config or LearnerConfig()
-    y, g, t, X, units = _stack_slice(sl)
     n_treated = int(np.count_nonzero(sl.g_flag))
     if n_treated in (0, sl.n_units):
         missing = "treated" if n_treated == 0 else "control"
@@ -203,22 +178,15 @@ def estimate_nuisances(sl, plan: FoldPlan, config: LearnerConfig | None = None) 
     cols = cross_fit_nuisances(sl, plan, config, np.ones((sl.n_units, 1)))
     if cols.errors[0] is not None:
         raise cols.errors[0]
-
-    def stack(a):
-        return np.concatenate([a[:, 0], a[:, 0]])
-
     return NuisanceBundle(
-        y=y,
-        g=g,
-        t=t,
-        X=X,
-        units=units,
+        y_pre=sl.y_pre,
+        y_post=sl.y_post,
+        g=sl.g_flag.astype(np.int8),
+        X=sl.X,
         unit_ids=sl.unit_ids,
         covariate_names=sl.covariate_names,
-        g_hat=stack(cols.g_hat),
-        m_hat=stack(cols.m_hat),
-        nu_hat=stack(cols.nu_hat),
-        zeta_hat=stack(cols.zeta_hat),
+        g_hat=cols.g_hat[:, 0],
+        nu_hat=cols.nu_hat[:, 0],
     )
 
 
@@ -292,33 +260,25 @@ def _cross_fit_propensity(X, g_flag, plan: FoldPlan, counts, config: LearnerConf
     return out, _first_errors(failed, c.shape[1])
 
 
-# The five outcome regressions of a cross-fit fold: name, the units it trains
-# on (those outside the fold with G = s, or all of them for s = 2) and whether
-# it trains on their pre rows (with y_pre) and their post rows (with y_post).
-_REGRESSIONS = (
-    ("m", 2, 1, 1),
-    ("t1", 2, 0, 1),
-    ("t0", 2, 1, 0),
-    ("g1", 1, 1, 1),
-    ("g0", 0, 1, 1),
-)
+# The outcome regressions of a cross-fit fold: name and the outcome it fits
+# (0 for y_pre, 1 for y_post). Both train on the unit rows outside the fold.
+_REGRESSIONS = (("t1", 1), ("t0", 0))
 
 
-def _cross_fit_regressions(X, y_pre, y_post, g_flag, plan: FoldPlan, counts,
-                           config: LearnerConfig):
-    """Out-of-fold m, mu_t1, mu_t0, mu_g1 and mu_g0 on the unit rows, from one lasso batch.
+def _cross_fit_regressions(X, y_pre, y_post, plan: FoldPlan, counts, config: LearnerConfig):
+    """Out-of-fold mu_t1 and mu_t0 on the unit rows, from one lasso batch.
 
     Each regression is the fit ``cross_fit`` would make with
     ``config.fit_regression`` on its training rows (see
     :func:`_regression_fits`), and its predictions agree with that fit's to
-    rounding. Returns the (5, units, columns) predictions (zero where a
+    rounding. Returns the (2, units, columns) predictions (zero where a
     column has no model) and per column the DegenerateFold that
     regression-by-regression cross-fitting would raise first, or None.
     """
-    fits = _regression_fits(X, y_pre, y_post, g_flag, plan, counts, config)
+    fits = _regression_fits(X, y_pre, y_post, plan, counts, config)
     m = X.shape[0]
     fold = plan.assignment[:m]
-    index = {name: i for i, (name, *_) in enumerate(_REGRESSIONS)}
+    index = {name: i for i, (name, _) in enumerate(_REGRESSIONS)}
     failed, models = {}, {}
     for r, col in enumerate(fits):
         for (name, k), fit in col.items():
@@ -338,29 +298,25 @@ def _cross_fit_regressions(X, y_pre, y_post, g_flag, plan: FoldPlan, counts,
     return pred, _first_errors(failed, len(fits))
 
 
-def _regression_fits(X, y_pre, y_post, g_flag, plan: FoldPlan, counts,
-                     config: LearnerConfig):
+def _regression_fits(X, y_pre, y_post, plan: FoldPlan, counts, config: LearnerConfig):
     """The LinearModel, or the MldidError, of every (regression, outer fold) of every column.
 
     Returns one dict per column of ``counts``, keyed (regression name,
-    fold) over the folds that hold a drawn unit of the column. Every
-    training set is the pre and/or post rows of a set of units: m(x) and
-    mu_g train on both rows of the units outside the fold (all of them, or
-    those of one group), mu_t1 on their post rows and mu_t0 on their pre
-    rows, each unit's rows weighted by its count.
+    fold) over the folds that hold a drawn unit of the column. Both
+    regressions train on the units outside the fold, each weighted by its
+    count: mu_t1 on their y_post and mu_t0 on their y_pre.
 
     The cell's unit rows are read once into rows
     ``[1, x - xbar, y_pre - ybar, y_post - ybar]``, and one count-weighted
-    product per (outer fold, G) block and column gives the column's moments
-    of that block. A regression's centre, scale, standardized Gram, ``c`` and
-    mean outcome come from sums of its blocks; a column constant on its
-    drawn rows is pinned as ``learners._pin_constant_columns`` pins it.
+    product per outer fold and column gives the column's moments of that
+    fold. A regression's centre, scale, standardized Gram, ``c`` and mean
+    outcome come from the moments outside its fold; a column constant on
+    its drawn rows is pinned as ``learners._pin_constant_columns`` pins it.
     With CV the inner folds rank the drawn training units as the row path
-    ranks its training rows (the j-th drawn unit's pre row is in fold
-    ``j % K`` and its post row in fold ``(n_drawn + j) % K``), so each inner
-    training set is the regression's moments less those of two held-out
-    classes of units, and the held-out residuals of all l1 of an inner fold
-    come from one product. All Gram systems of the cell then go to
+    ranks its training rows (inner fold j holds the ranks equal to j modulo
+    K), so each inner training set is the regression's moments less those
+    of one class of units, and the held-out residuals of all l1 of an inner
+    fold come from one product. All Gram systems of the cell then go to
     :func:`fit_gram_batch` together.
 
     A regression with fewer than 2 training rows gets the DegenerateFold a
@@ -370,7 +326,7 @@ def _regression_fits(X, y_pre, y_post, g_flag, plan: FoldPlan, counts,
     """
     check_lasso_options(config.inner_cv_folds, config.n_lambdas, config.fixed_l1, "min")
     m, p = X.shape
-    fold, g_unit = plan.assignment[:m], g_flag.astype(np.int64)
+    fold = plan.assignment[:m]
     c = np.asarray(counts, dtype=float)
     n_cols = c.shape[1]
     y_unit = np.stack([y_pre, y_post], axis=1)
@@ -382,8 +338,7 @@ def _regression_fits(X, y_pre, y_post, g_flag, plan: FoldPlan, counts,
     V = np.concatenate([np.ones((m, 1)), Xf - x_shift, yf - y_shift], axis=1)
     # Per unit: whether its X, y_pre, y_post are non-finite.
     bad = np.column_stack([~finite_x.all(axis=1), ~finite_y]).astype(float)
-    train_M, train_bad, train_lo, train_hi = _training_sums(
-        V, bad, Xf, fold, g_unit, plan.n_folds, c)
+    train_M, train_bad, train_lo, train_hi = _training_sums(V, bad, Xf, fold, plan.n_folds, c)
     train_size = train_M[..., 0, 0].astype(np.int64)
     drawn = (fold[:, None] == np.arange(plan.n_folds)).T.astype(float) @ c > 0
 
@@ -392,23 +347,26 @@ def _regression_fits(X, y_pre, y_post, g_flag, plan: FoldPlan, counts,
     sizes, flags = train_size.tolist(), train_bad.tolist()
     for k, r in zip(*np.nonzero(drawn)):
         k, r = int(k), int(r)
-        for name, s, pre, post in _REGRESSIONS:
-            n_rows = sizes[r][k][s] * (pre + post)
-            bad_x, bad_pre, bad_post = flags[r][k][s]
+        n_rows = sizes[r][k]
+        bad_x, *bad_y = flags[r][k]
+        for name, out in _REGRESSIONS:
             if n_rows < 2:
                 fits[r][name, k] = DegenerateFold(
                     f"fold {k}: training complement has {n_rows} rows")
             elif bad_x:
                 fits[r][name, k] = NonFiniteData("X contains NaN or infinite entries")
-            elif (pre and bad_pre) or (post and bad_post):
+            elif bad_y[out]:
                 fits[r][name, k] = NonFiniteData("y contains NaN or infinite entries")
             else:
-                live.append((name, r, k, s, pre, post))
+                live.append((name, r, k, out))
     if not live:
         return fits
 
-    _, rs, ks, subsets, pre, post = (np.array(col) for col in zip(*live))
-    N = _row_moments(train_M[rs, ks, subsets], pre, post)
+    _, rs, ks, outs = (np.array(col) for col in zip(*live))
+    # Each regression's columns of V: [1, u] and its outcome.
+    sel = np.concatenate([np.tile(np.arange(p + 1), (len(live), 1)),
+                          (p + 1 + outs)[:, None]], axis=1)
+    N = train_M[rs[:, None, None], ks[:, None, None], sel[:, :, None], sel[:, None, :]]
     n = N[:, 0, 0]
     mean = N[:, 0, 1:p + 1] / n[:, None]
     var = np.diagonal(N[:, 1:p + 1, 1:p + 1], axis1=1, axis2=2) / n[:, None] - mean**2
@@ -416,7 +374,7 @@ def _regression_fits(X, y_pre, y_post, g_flag, plan: FoldPlan, counts,
     scale[scale == 0.0] = 1.0
     # A column constant on the rows is centred at its value with unit scale
     # and standardizes to exact zeros.
-    lo, hi = train_lo[rs, ks, subsets], train_hi[rs, ks, subsets]
+    lo, hi = train_lo[rs, ks], train_hi[rs, ks]
     const = lo == hi
     center = np.where(const, lo, x_shift + mean)
     scale[const] = 1.0
@@ -431,79 +389,61 @@ def _regression_fits(X, y_pre, y_post, g_flag, plan: FoldPlan, counts,
         cv_grid(fit, np.ones(p), config.l2, config.n_lambdas)
         if fit.grid is None:
             continue
-        key = rs[i], ks[i], subsets[i]
+        key = rs[i], ks[i]
         if key not in classes:
             # The drawn training units in order; class j holds those whose
             # rank is j modulo K_in.
-            r, k, s = key
-            train = (fold != k) & ((g_unit == s) | (s == 2)) & (c[:, r] > 0)
-            ranked = np.flatnonzero(train)
+            r, k = key
+            ranked = np.flatnonzero((fold != k) & (c[:, r] > 0))
             cls = [ranked[j::K_in] for j in range(K_in)]
-            classes[key] = cls, [weighted_gram(V[idx], c[idx, r]) for idx in cls], ranked.size
-        cls, cls_M, n_drawn = classes[key]
-        held = []
+            classes[key] = cls, [weighted_gram(V[idx], c[idx, r]) for idx in cls]
+        cls, cls_M = classes[key]
         for j in range(K_in):
-            # Inner fold j holds out the pre rows of class j and the post rows
-            # of the class whose stacked positions fall in fold j.
-            j_post = (j - pre[i] * n_drawn) % K_in
             fit.members.append((len(path_N), j))
-            held.append((cls[j], cls[j_post]))
             path_owner.append(i)
-            path_N.append(N[i] - _row_moments(cls_M[j], pre[i], 0)
-                          - _row_moments(cls_M[j_post], 0, post[i]))
-        fit.data = i, held
+            path_N.append(N[i] - cls_M[j][np.ix_(sel[i], sel[i])])
+        fit.data = i, cls
     path_G = path_c = path_ybar = ()
     if path_N:
         path_G, path_c, path_ybar = _gram_systems(
             np.stack(path_N), mean[path_owner], inv_scale[path_owner])
 
-    # The [u, y] columns of V on a pre row and on a post row.
-    pre_cols, post_cols = np.r_[1:p + 2], np.r_[1:p + 1, p + 2]
-
     def fold_errors(fit, path):
-        i, held = fit.data
+        i, cls = fit.data
         fold_err = np.zeros((K_in, path.shape[1]))
-        for (b, j), (pre_units, post_units) in zip(fit.members, held):
-            parts, weights = [], []
-            if pre[i]:
-                parts.append(V[pre_units][:, pre_cols])
-                weights.append(c[pre_units, rs[i]])
-            if post[i]:
-                parts.append(V[post_units][:, post_cols])
-                weights.append(c[post_units, rs[i]])
-            held_out, w = np.concatenate(parts), np.concatenate(weights)
-            if held_out.shape[0]:
-                Z = (held_out[:, :p] - mean[i]) * inv_scale[i]
-                resid = (held_out[:, p] - path_ybar[b])[:, None] - Z @ path[b].T
+        for b, j in fit.members:
+            held = cls[j]
+            if held.size:
+                Z = (V[held, 1:p + 1] - mean[i]) * inv_scale[i]
+                resid = (V[held, sel[i, -1]] - path_ybar[b])[:, None] - Z @ path[b].T
+                w = c[held, rs[i]]
                 fold_err[j] = w @ resid**2 / w.sum()
         return fold_err
 
     fit_gram_batch(gram_fits, path_G, path_c, fold_errors, l2=config.l2,
                    pf=np.ones(p), fit_intercept=True, cv_rule="min")
-    for (name, r, k, *_), fit in zip(live, gram_fits):
+    for (name, r, k, _), fit in zip(live, gram_fits):
         fits[r][name, k] = fit.result
     return fits
 
 
-def _training_sums(V, bad, Xf, fold, g_unit, n_folds, c):
+def _training_sums(V, bad, Xf, fold, n_folds, c):
     """Moments, non-finite flags and covariate ranges of every training set.
 
-    Entry ``[r, k, s]`` covers the units of column r outside fold k with
-    G = s, or all of them for s = 2: the count-weighted moments of their
-    rows of ``V``, whether any drawn one has a ``bad`` flag, and the min and
-    max of each covariate over the drawn ones. Each is combined from the
-    (outer fold, G) blocks it spans.
+    Entry ``[r, k]`` covers the units of column r outside fold k: the
+    count-weighted moments of their rows of ``V``, whether any drawn one
+    has a ``bad`` flag, and the min and max of each covariate over the
+    drawn ones. Each is combined from the per-fold blocks it spans.
     """
-    n_blocks, n_cols, p, q = 2 * n_folds, c.shape[1], Xf.shape[1], V.shape[1]
-    block = 2 * fold + g_unit
-    order = np.argsort(block, kind="stable")
-    size = np.bincount(block, minlength=n_blocks)
+    n_cols, p, q = c.shape[1], Xf.shape[1], V.shape[1]
+    order = np.argsort(fold, kind="stable")
+    size = np.bincount(fold, minlength=n_folds)
     starts = np.cumsum(size) - size
     Vs, bs, Xs, cs = V[order], bad[order], Xf[order], c[order]
-    M = np.zeros((n_blocks, n_cols, q, q))
-    n_bad = np.zeros((n_blocks, n_cols, bad.shape[1]))
-    lo = np.full((n_blocks, n_cols, p), np.inf)
-    hi = np.full((n_blocks, n_cols, p), -np.inf)
+    M = np.zeros((n_folds, n_cols, q, q))
+    n_bad = np.zeros((n_folds, n_cols, bad.shape[1]))
+    lo = np.full((n_folds, n_cols, p), np.inf)
+    hi = np.full((n_folds, n_cols, p), -np.inf)
     for b in np.flatnonzero(size):
         rows = slice(starts[b], starts[b] + size[b])
         Vb, cb = Vs[rows], cs[rows]
@@ -514,31 +454,12 @@ def _training_sums(V, bad, Xf, fold, g_unit, n_folds, c):
         lo[b] = np.where(drawn, Xs[rows, None, :], np.inf).min(axis=0)
         hi[b] = np.where(drawn, Xs[rows, None, :], -np.inf).max(axis=0)
 
-    M, n_bad, lo, hi = (a.reshape(n_folds, 2, *a.shape[1:]) for a in (M, n_bad, lo, hi))
     M, n_bad = (a.sum(axis=0) - a for a in (M, n_bad))
-    outside = ~np.eye(n_folds, dtype=bool)[:, :, None, None, None]
+    outside = ~np.eye(n_folds, dtype=bool)[:, :, None, None]
     lo = np.where(outside, lo[None], np.inf).min(axis=1)
     hi = np.where(outside, hi[None], -np.inf).max(axis=1)
-    M, n_bad = (np.concatenate([a, a.sum(axis=1, keepdims=True)], axis=1) for a in (M, n_bad))
-    lo = np.concatenate([lo, lo.min(axis=1, keepdims=True)], axis=1)
-    hi = np.concatenate([hi, hi.max(axis=1, keepdims=True)], axis=1)
-    # (fold, subset, column, ...) -> (column, fold, subset, ...)
-    return tuple(np.moveaxis(a, 2, 0) for a in (M, n_bad > 0, lo, hi))
-
-
-def _row_moments(M, pre, post):
-    """Moments of [1, u, y] over the pre rows (if ``pre``) and post rows (if ``post``).
-
-    ``M`` holds unit moments of [1, u, y_pre, y_post]; the 0/1 flags may be
-    arrays, one per leading entry of M.
-    """
-    q = M.shape[-1] - 1
-    keep_pre = np.r_[0:q]
-    keep_post = np.r_[0:q - 1, q]
-    pre = np.asarray(pre, float)[..., None, None]
-    post = np.asarray(post, float)[..., None, None]
-    return (pre * M[..., keep_pre[:, None], keep_pre]
-            + post * M[..., keep_post[:, None], keep_post])
+    # (fold, column, ...) -> (column, fold, ...)
+    return tuple(np.moveaxis(a, 1, 0) for a in (M, n_bad > 0, lo, hi))
 
 
 def _gram_systems(N, center, inv_scale):
@@ -562,9 +483,14 @@ def _gram_systems(N, center, inv_scale):
 
 
 def compute_abch(bundle: NuisanceBundle) -> NuisanceBundle:
-    """Fill A = T - 1/2, B = G - g_hat, C = B*A and H = Y - (m + A*nu + B*zeta)."""
-    A = bundle.t - 0.5
+    """Fill B = G - g_hat and dH = (y_post - y_pre) - nu_hat of every unit.
+
+    On a unit's stacked pre and post rows the decomposition is A = T - 1/2,
+    B = G - g_hat, C = B*A and H = Y - (m + A*nu + B*zeta) for any level
+    nuisances m and zeta, which are the same on both rows. So C is -B/2
+    and +B/2 on the two rows, and H_post - H_pre = dY - nu: the unit's B
+    and dH are all of the decomposition that involves the effect.
+    """
     B = bundle.g - bundle.g_hat
-    C = B * A
-    H = bundle.y - (bundle.m_hat + A * bundle.nu_hat + B * bundle.zeta_hat)
-    return dataclasses.replace(bundle, A=A, B=B, C=C, H=H)
+    dH = (bundle.y_post - bundle.y_pre) - bundle.nu_hat
+    return dataclasses.replace(bundle, B=B, dH=dH)

@@ -2,12 +2,14 @@
 
 Replicate b draws the panel's units with the generator of
 ``estimator.replicate_counts`` and renumbers the copies. Each cell of the
-resampled panel is then estimated on its stacked rows, the way the package
-estimated every replicate before it fit them as count columns of the
-original panel, except that each copy sits in its original unit's fold of
-the cell's plan. The effect fit, sigma^2 and balancing weights are the row
-forms: the lasso on the design [C, C*X] and the basis of
-``build_function_class``.
+resampled panel is then estimated on its units' first differences, one
+row per copy, the way the package would estimate the replicate as a panel
+of its own, except that each copy sits in its original unit's fold of the
+cell's plan. The effect fit, sigma^2 and balancing weights are computed
+on the copies' rows: the lasso of dH/2 on the design (B/2)[1, x] and the
+basis of ``build_function_class``. With CV the effect fit's inner folds
+rank the copies, not the drawn units, so only fixed-l1 replicates are
+comparable with the package's.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from mldid.exceptions import (
     EmptyTreatedGroup,
     MldidError,
 )
-from mldid.learners import fit_penalized_ls, fit_penalized_ls_cv, make_fold_plan
+from mldid.learners import fit_penalized_ls_cv, make_fold_plan
 from mldid.nuisance import compute_abch, estimate_nuisances
 from mldid.panel import empty_treated_error, enumerate_cells, slice_two_period
 
@@ -48,30 +50,25 @@ def resample_panel(panel: PanelDataset, b: int, seed: int):
     return resampled, idx
 
 
-def stacked_att(bundle, config) -> float:
-    """att of a bundle's stacked rows, every step on the rows themselves."""
-    C, H, X = bundle.C, bundle.H, bundle.X
+def unit_att(bundle, config) -> float:
+    """att of a bundle's units, every step on the unit rows themselves."""
+    B, dH, X = bundle.B, bundle.dH, bundle.X
     n, p = X.shape
     if n < p + 2:
-        raise MldidError(f"need at least {p + 2} rows to fit tau, have {n}")
-    if float(np.sum(C**2)) < MIN_WEIGHT_MASS:
-        raise AllWeightsZero("sum of C^2 is numerically zero; tau is unidentified")
-    design = np.concatenate([C[:, None], C[:, None] * X], axis=1)
+        raise MldidError(f"need at least {p + 2} units to fit tau, have {n}")
+    if float(np.sum(B**2)) < MIN_WEIGHT_MASS:
+        raise AllWeightsZero("sum of B^2 is numerically zero; tau is unidentified")
+    design = B[:, None] / 2 * np.concatenate([np.ones((n, 1)), X], axis=1)
     pf = np.concatenate([[0.0], np.ones(p)])
     lc = config.learners
-    if config.catt_l1 is not None:
-        model = fit_penalized_ls(design, H, config.catt_l1, lc.l2, penalty_factor=pf,
-                                 fit_intercept=False)
-    else:
-        model = fit_penalized_ls_cv(design, H, l2=lc.l2, penalty_factor=pf,
-                                    fit_intercept=False, n_folds=lc.inner_cv_folds,
-                                    n_lambdas=lc.n_lambdas, fixed_l1=lc.fixed_l1,
-                                    cv_rule="1se")
+    model = fit_penalized_ls_cv(design, dH / 2, l2=lc.l2, penalty_factor=pf,
+                                fit_intercept=False, n_folds=lc.inner_cv_folds,
+                                n_lambdas=lc.n_lambdas, fixed_l1=lc.fixed_l1,
+                                cv_rule="1se")
     tau = model.coef[0] + X @ model.coef[1:]
-    resid = H - C * tau
-    sigma2 = max(1.5 * float(np.var(resid, ddof=1)), 1e-8)
-    gamma = solve_amle(build_function_class(bundle, sigma2))
-    return float(np.mean(tau + gamma * resid))
+    sigma2 = max(1.5 * float(np.var(dH, ddof=1)), 1e-8)
+    w = solve_amle(build_function_class(bundle, sigma2))
+    return float(np.mean(tau + w * (dH - B * tau)))
 
 
 def reference_cell(panel, resampled, idx, g, t, config) -> float:
@@ -87,7 +84,7 @@ def reference_cell(panel, resampled, idx, g, t, config) -> float:
     fold[original.unit_rows] = plan.assignment
     # Copies of a unit share its fold, so the folds need not be balanced.
     shared = SimpleNamespace(n_folds=plan.n_folds, assignment=fold[idx[sl.unit_rows]])
-    return stacked_att(compute_abch(estimate_nuisances(sl, shared, config.learners)), config)
+    return unit_att(compute_abch(estimate_nuisances(sl, shared, config.learners)), config)
 
 
 def reference_replicate(panel, config, b) -> dict:

@@ -72,32 +72,18 @@ def two_period_dgp(n, seed, tau_fn, g_fn=None, alpha_fn=None, xi_fn=None,
 def oracle_bundle(sl, truth, y_shift=0.0):
     """NuisanceBundle with the true nuisance values of two_period_dgp.
 
-    With each unit stacked into both periods, t(x) = 1/2 and G is
-    independent of T given X, which is what the closed-form A, B, C of
-    compute_abch assume.
+    g(x) is the true propensity and nu(x) = rho(x) + tau(x) g(x) the true
+    time contrast E[Y_post - Y_pre | x]; ``y_shift`` moves both outcomes.
     """
-    m_units = sl.n_units
-    gx = truth["g"]
-    tau = truth["tau"]
-    m_x = truth["alpha"] + truth["xi"] * gx + 0.5 * truth["rho"] + 0.5 * gx * tau
-    nu_x = truth["rho"] + tau * gx
-    zeta_x = truth["xi"] + 0.5 * tau
-
-    def stack(a):
-        return np.concatenate([a, a])
-
     bundle = NuisanceBundle(
-        y=np.concatenate([sl.y_pre, sl.y_post]) + y_shift,
-        g=stack(sl.g_flag).astype(np.int8),
-        t=np.concatenate([np.zeros(m_units, np.int8), np.ones(m_units, np.int8)]),
-        X=np.vstack([sl.X, sl.X]),
-        units=np.concatenate([np.arange(m_units), np.arange(m_units)]),
+        y_pre=sl.y_pre + y_shift,
+        y_post=sl.y_post + y_shift,
+        g=sl.g_flag.astype(np.int8),
+        X=sl.X,
         unit_ids=sl.unit_ids,
         covariate_names=sl.covariate_names,
-        g_hat=stack(gx),
-        m_hat=stack(m_x) + y_shift,
-        nu_hat=stack(nu_x),
-        zeta_hat=stack(zeta_x),
+        g_hat=truth["g"],
+        nu_hat=truth["rho"] + truth["tau"] * truth["g"],
     )
     return compute_abch(bundle)
 

@@ -41,6 +41,8 @@ from mldid.estimator import derive_seed
 from mldid.nuisance import NuisanceBundle, compute_abch
 from mldid.report import write_cells_csv
 
+from _stacked_rows import stacked_decomposition
+
 pytestmark = pytest.mark.acceptance
 
 MASTER_SEED = 20260810
@@ -283,25 +285,26 @@ def test_criterion_7_algebraic_suite(tmp_path):
     """Noise-free algebra, closed forms, leakage and determinism checks."""
     ok = True
 
-    # Decomposition reduction at t = 1/2 and zero conditional covariance
-    # (each unit stacked into both periods), to 1e-12.
+    # The unit decomposition, to 1e-12: B = G - g_hat and dH = dY - nu_hat,
+    # and on a unit's stacked rows (t = 1/2, zero conditional covariance)
+    # C_post - C_pre = B and H_post - H_pre = dH whatever the level
+    # nuisances m and zeta.
     rng = np.random.default_rng(0)
     n = 300
     g_flag = rng.integers(0, 2, n)
-    t_flag = rng.integers(0, 2, n)
     g = rng.uniform(0.05, 0.95, n)
-    y, m_hat, nu, zeta = rng.standard_normal((4, n))
+    y_pre, y_post, m_hat, nu, zeta = rng.standard_normal((5, n))
     bundle = compute_abch(NuisanceBundle(
-        y=y, g=g_flag.astype(np.int8), t=t_flag.astype(np.int8),
-        X=np.zeros((n, 1)), units=np.arange(n),
+        y_pre=y_pre, y_post=y_post, g=g_flag.astype(np.int8), X=np.zeros((n, 1)),
         unit_ids=np.arange(n, dtype=object), covariate_names=("x_1",),
-        g_hat=g, m_hat=m_hat, nu_hat=nu, zeta_hat=zeta,
+        g_hat=g, nu_hat=nu,
     ))
-    ok &= np.allclose(bundle.A, t_flag - 0.5, atol=1e-12)
     ok &= np.allclose(bundle.B, g_flag - g, atol=1e-12)
-    ok &= np.allclose(bundle.C, (g_flag - g) * (t_flag - 0.5), atol=1e-12)
-    ok &= np.allclose(bundle.H, y - (m_hat + bundle.A * nu + bundle.B * zeta),
-                      atol=1e-12)
+    ok &= np.allclose(bundle.dH, (y_post - y_pre) - nu, atol=1e-12)
+    rows = {t: stacked_decomposition(y, g_flag, t, g, m_hat, nu, zeta)
+            for t, y in ((0.0, y_pre), (1.0, y_post))}
+    ok &= np.allclose(rows[1.0][2] - rows[0.0][2], bundle.B, atol=1e-12)
+    ok &= np.allclose(rows[1.0][3] - rows[0.0][3], bundle.dH, atol=1e-12)
 
     # Lasso against the soft-threshold closed form, to 1e-8.
     Q, _ = np.linalg.qr(rng.standard_normal((64, 4)))

@@ -27,24 +27,29 @@ def test_contrast_targets():
     bundle = small_bundle()
     problem = build_function_class(bundle, sigma2=1.0)
     names = list(problem.feature_names)
-    # A constant function has a vanishing four-point contrast; the pure
-    # interaction indicator contrasts to exactly one per row.
+    # A function of x alone has a vanishing treatment contrast; the group
+    # indicator contrasts to exactly one per unit.
     assert problem.target[names.index("1")] == 0.0
-    assert problem.target[names.index("G*T")] == 1.0
-    assert problem.target[names.index("G")] == 0.0
-    assert problem.target[names.index("T")] == 0.0
-    # Standardized covariates are mean zero over the retained rows, so the
-    # x*G*T contrasts average to zero as well.
-    assert abs(problem.target[names.index("x_1*G*T")]) < 1e-12
+    assert problem.target[names.index("G")] == 1.0
+    assert problem.target[names.index("x_1")] == 0.0
+    # Standardized covariates are mean zero over the units, so the x*G
+    # contrasts average to zero as well.
+    assert abs(problem.target[names.index("x_1*G")]) < 1e-12
     # Hand evaluation on the raw definition for one feature.
     X = bundle.X
     xs = (X[:, 0] - X[:, 0].mean()) / X[:, 0].std()
-    hand = np.mean(xs * 1 * 1 - xs * 0 * 1 - xs * 1 * 0 + xs * 0 * 0)
-    assert_allclose(problem.target[names.index("x_1*G*T")], hand, atol=1e-12)
+    hand = np.mean(xs * 1 - xs * 0)
+    assert_allclose(problem.target[names.index("x_1*G")], hand, atol=1e-12)
 
 
 def four_map_target(bundle):
-    """The contrast target as the mean of four feature-map evaluations."""
+    """The contrast target as the mean of four stacked feature-map evaluations.
+
+    On a unit's stacked rows the features are psi(x, g, t) = t * phi(x, g):
+    the first difference's features on the post row. Their
+    difference-in-differences contrast psi(x,1,1) - psi(x,0,1) - psi(x,1,0)
+    + psi(x,0,0) is the unit contrast phi(x, 1) - phi(x, 0).
+    """
     from mldid.amle import _feature_map
 
     X = bundle.X
@@ -52,8 +57,11 @@ def four_map_target(bundle):
     sd[sd == 0.0] = 1.0
     Xs = (X - X.mean(axis=0)) / sd
     ones, zeros = np.ones(X.shape[0]), np.zeros(X.shape[0])
-    contrast = (_feature_map(Xs, ones, ones) - _feature_map(Xs, zeros, ones)
-                - _feature_map(Xs, ones, zeros) + _feature_map(Xs, zeros, zeros))
+
+    def psi(g, t):
+        return t[:, None] * _feature_map(Xs, g)
+
+    contrast = psi(ones, ones) - psi(zeros, ones) - psi(ones, zeros) + psi(zeros, zeros)
     return contrast.mean(axis=0)
 
 
@@ -64,15 +72,11 @@ def test_closed_form_target_matches_four_map_contrast():
         X = rng.standard_normal((n, p)) * rng.uniform(0.1, 10.0, p) + rng.uniform(-5, 5, p)
         if rng.random() < 0.3:
             X[:, 0] = 2.5  # a constant column keeps its unit scale
-        X = np.vstack([X, X])
-        g = np.tile(rng.integers(0, 2, n), 2).astype(np.int8)
-        t = np.repeat(np.array([0, 1], np.int8), n)
         bundle = NuisanceBundle(
-            y=rng.standard_normal(2 * n), g=g, t=t, X=X,
-            units=np.tile(np.arange(n), 2), unit_ids=np.arange(n),
+            y_pre=rng.standard_normal(n), y_post=rng.standard_normal(n),
+            g=rng.integers(0, 2, n).astype(np.int8), X=X, unit_ids=np.arange(n),
             covariate_names=tuple(f"x_{j + 1}" for j in range(p)),
-            g_hat=np.full(2 * n, 0.5), m_hat=np.zeros(2 * n),
-            nu_hat=np.zeros(2 * n), zeta_hat=np.zeros(2 * n),
+            g_hat=np.full(n, 0.5), nu_hat=np.zeros(n),
         )
         problem = build_function_class(bundle, sigma2=1.0)
         assert_allclose(problem.target, four_map_target(bundle), rtol=0, atol=1e-12)
@@ -101,7 +105,7 @@ def test_objective_beats_reference_candidates():
     gamma = solve_amle(problem)
     obj = amle_objective(problem, gamma)
     assert obj <= amle_objective(problem, np.zeros(problem.n)) + 1e-12
-    sign_pattern = bundle.g * bundle.t - 0.5
+    sign_pattern = bundle.g - 0.5
     assert obj <= amle_objective(problem, sign_pattern.astype(float)) + 1e-12
 
 
@@ -151,28 +155,28 @@ def test_ill_conditioned_falls_back_with_warning():
 
 def test_sigma2_floor_when_noiseless():
     bundle = small_bundle(100, seed=6)
-    bundle = dataclasses.replace(bundle, H=np.zeros(bundle.n_rows))
+    bundle = dataclasses.replace(bundle, dH=np.zeros(bundle.n_units))
     assert estimate_sigma2(bundle) == 1e-8
 
 
 def test_sigma2_constant_residual_hits_floor():
     bundle = small_bundle(100, seed=7)
-    bundle = dataclasses.replace(bundle, H=np.full(bundle.n_rows, 3.0))
+    bundle = dataclasses.replace(bundle, dH=np.full(bundle.n_units, 3.0))
     assert estimate_sigma2(bundle) == 1e-8
 
 
 def test_sigma2_standard_normal_residuals():
     bundle = small_bundle(2500, seed=8)
     rng = np.random.default_rng(9)
-    bundle = dataclasses.replace(bundle, H=rng.standard_normal(bundle.n_rows))
+    bundle = dataclasses.replace(bundle, dH=rng.standard_normal(bundle.n_units))
     s2 = estimate_sigma2(bundle)
     assert 1.3 <= s2 <= 1.7
 
 
 def test_sigma2_uses_effect_residual_when_given():
     bundle = small_bundle(500, seed=10)
-    tau_row = bundle.H / np.where(np.abs(bundle.C) < 1e-9, 1.0, bundle.C)
-    tau_row[np.abs(bundle.C) < 1e-9] = 0.0
-    s2_with = estimate_sigma2(bundle, tau_row)
+    tau = bundle.dH / np.where(np.abs(bundle.B) < 1e-9, 1.0, bundle.B)
+    tau[np.abs(bundle.B) < 1e-9] = 0.0
+    s2_with = estimate_sigma2(bundle, tau)
     s2_without = estimate_sigma2(bundle)
     assert s2_with <= s2_without

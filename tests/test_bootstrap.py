@@ -81,7 +81,8 @@ def test_undrawn_non_finite_unit_leaves_column_unchanged():
 
 @pytest.mark.slow
 @pytest.mark.parametrize("panel, seed", [
-    (simulate(DgpConfig(n_units=120, seed=3)).panel, 1),
+    # Replicates that draw cohort 4's four units all in one fold skip its cells.
+    (thin_cohort(simulate(DgpConfig(n_units=120, seed=3)).panel, 4, 4), 1),
     # Some replicates draw none of cohort 4's two units.
     (thin_cohort(simulate(DgpConfig(n_units=150, seed=2)).panel, 4, 2), 4),
 ], ids=["thin-cells", "two-unit-cohort"])
@@ -131,7 +132,7 @@ def test_cv_column_alone_equals_column_in_batch():
         plan = _cell_plan(sl, config, g, t)
         c = counts[sl.unit_rows]
         batch = _cell_columns(sl, plan, config, c)
-        fits = _regression_fits(sl.X, sl.y_pre, sl.y_post, sl.g_flag, plan, c, config.learners)
+        fits = _regression_fits(sl.X, sl.y_pre, sl.y_post, plan, c, config.learners)
         for r in range(c.shape[1]):
             alone = _cell_columns(sl, plan, config, c[:, [r]])
             assert batch.errors[r] is None and alone.errors[0] is None
@@ -139,7 +140,7 @@ def test_cv_column_alone_equals_column_in_batch():
             # The same grid point (neighbouring points differ by a factor of
             # about 1.8); the grids agree to rounding.
             assert alone.catt_l1[0] == pytest.approx(batch.catt_l1[r], rel=1e-9, abs=0)
-            own = _regression_fits(sl.X, sl.y_pre, sl.y_post, sl.g_flag, plan, c[:, [r]],
+            own = _regression_fits(sl.X, sl.y_pre, sl.y_post, plan, c[:, [r]],
                                    config.learners)[0]
             assert own.keys() == fits[r].keys()
             for key, fit in own.items():
@@ -147,13 +148,13 @@ def test_cv_column_alone_equals_column_in_batch():
 
 
 def test_balancing_columns_match_row_basis():
-    # Unit-moment weights against the stacked basis, for counts given as
-    # copies of the rows.
+    # Unit-moment weights against the basis of build_function_class on the
+    # units' copies, for counts given as copies of the units.
     sl, truth = two_period_dgp(90, seed=3, tau_fn=lambda x: x[:, 0], p=3)
     rng = np.random.default_rng(0)
     counts = rng.integers(0, 3, size=(sl.n_units, 4))
     sigma2 = np.array([0.5, 1.0, 2.0, 1e-3])
-    pre, post = balancing_columns(sl.X, sl.g_flag.astype(float), counts, sigma2)
+    w = balancing_columns(sl.X, sl.g_flag.astype(float), counts, sigma2)
     for r in range(counts.shape[1]):
         idx = np.repeat(np.arange(sl.n_units), counts[:, r])
         copies = dataclasses.replace(
@@ -161,13 +162,12 @@ def test_balancing_columns_match_row_basis():
             unit_ids=np.arange(idx.size, dtype=object), unit_rows=np.arange(idx.size))
         bundle = oracle_bundle(copies, {k: v[idx] for k, v in truth.items()})
         gamma = solve_amle(build_function_class(bundle, float(sigma2[r])))
-        assert_allclose(pre[idx, r], gamma[:idx.size], rtol=0, atol=1e-9)
-        assert_allclose(post[idx, r], gamma[idx.size:], rtol=0, atol=1e-9)
+        assert_allclose(w[idx, r], gamma, rtol=0, atol=1e-9)
 
 
 @pytest.mark.slow
 def test_bootstrap_se_does_not_depend_on_threads():
-    panel = simulate(DgpConfig(n_units=120, seed=3)).panel
+    panel = thin_cohort(simulate(DgpConfig(n_units=120, seed=3)).panel, 4, 4)
     config = EstimatorConfig(seed=1, learners=LearnerConfig(fixed_l1=0.01))
     serial = bootstrap_se(panel, config, 50)
     parallel = bootstrap_se(panel, dataclasses.replace(config, threads=2), 50)
@@ -180,13 +180,16 @@ def test_bootstrap_se_does_not_depend_on_threads():
 
 
 def test_worker_warnings_reach_the_caller():
-    # Noiseless outcomes put sigma^2 at its floor, and a duplicated covariate
-    # makes the balancing-weight system singular: the ridge is increased.
+    # Noiseless outcomes put sigma^2 at its floor, and copies of a covariate
+    # make the balancing-weight system singular: the ridge is increased.
+    # Four copies put the condition number of cell (2, 2) at about 1.6e12,
+    # over the limit of 1e12 (one copy: 6.3e11).
     panel = simulate(DgpConfig(n_units=3000, seed=5)).panel
     dup = dataclasses.replace(
         panel, outcomes=np.zeros_like(panel.outcomes),
-        covariates=np.concatenate([panel.covariates, panel.covariates[:, :, :1]], axis=2),
-        covariate_names=panel.covariate_names + ("x_dup",))
+        covariates=np.concatenate([panel.covariates] + [panel.covariates[:, :, :1]] * 4,
+                                  axis=2),
+        covariate_names=panel.covariate_names + tuple(f"x_dup{k}" for k in range(4)))
     config = EstimatorConfig(seed=0, learners=LearnerConfig(fixed_l1=0.02),
                              include_placebo=False, threads=2)
     with pytest.warns(IllConditionedWarning, match=r"cell \(g=\d, t=\d\): .*ridge") as caught:

@@ -1,13 +1,17 @@
 import csv
 import json
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mldid import DgpConfig, load_panel, simulate, write_panel_csv
+from mldid import DgpConfig, amle, load_panel, simulate, write_panel_csv
 from mldid.cli import cli
+from mldid.exceptions import IllConditionedWarning
+
+from _utils import thin_cohort
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +164,28 @@ def test_benchmark_small_run(tmp_path):
     assert (out / "rmse.csv").read_bytes() == (out2 / "rmse.csv").read_bytes()
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the workers must inherit the patched limit")
+def test_benchmark_worker_warnings_reach_the_caller(tmp_path, monkeypatch):
+    # A condition limit of 10 makes every balancing-weight solve grow its
+    # ridge. The warnings of every repetition reach the caller, prefixed
+    # with the repetition and the cell, whether it ran in a worker or not.
+    monkeypatch.setattr(amle, "COND_LIMIT", 10.0)
+    messages = {}
+    for threads in ("1", "2"):
+        with pytest.warns(IllConditionedWarning) as caught:
+            res = run_cli(["benchmark", "--n", "200", "--reps", "2", "--seed", "9",
+                           "--fixed-l1", "0.02", "--placebo", "false",
+                           "--threads", threads, "--out", str(tmp_path / threads)])
+        assert res.exit_code == 0, res.output
+        messages[threads] = sorted(str(w.message) for w in caught)
+    assert messages["1"] == messages["2"]
+    for rep in (0, 1):
+        assert any(m.startswith(f"benchmark repetition {rep}: cell (g=2, t=2): "
+                                "balancing-weight system ill conditioned; ridge increased")
+                   for m in messages["2"])
+
+
 @pytest.mark.parametrize("command", ["estimate", "benchmark"])
 @pytest.mark.parametrize("replicates", ["1", "10", "49"])
 def test_too_few_bootstrap_replicates_is_a_usage_error(command, replicates,
@@ -198,10 +224,12 @@ def test_bootstrap_off_and_fifty_replicates_accepted(sim_dir, tmp_path):
 
 
 def test_estimate_manifest_counts_replicates_missing_a_cell(tmp_path):
-    # A panel on which some bootstrap replicates skip a thin cell. Read back
-    # from CSV its units are sorted as id strings ("0", "1", "10", ...), so
-    # the resamples differ from those of the in-memory panel.
-    write_panel_csv(simulate(DgpConfig(n_units=120, seed=3)).panel, tmp_path / "panel.csv")
+    # A panel on which some bootstrap replicates skip the cells of a thin
+    # cohort. Read back from CSV its units are sorted as id strings ("0",
+    # "1", "10", ...), so the resamples differ from those of the in-memory
+    # panel.
+    thin = thin_cohort(simulate(DgpConfig(n_units=120, seed=3)).panel, 4, 4)
+    write_panel_csv(thin, tmp_path / "panel.csv")
     out = tmp_path / "est"
     res = run_cli(["estimate", "--input", str(tmp_path / "panel.csv"), "--out", str(out),
                    "--seed", "1", "--fixed-l1", "0.01", "--bootstrap", "50"])
@@ -210,9 +238,9 @@ def test_estimate_manifest_counts_replicates_missing_a_cell(tmp_path):
     assert boot["replicates"] == 50 and boot["failed"] == 0
     # The counts of tests/_bootstrap_reference.py on the panel read back.
     assert {(c["g"], c["t"]): c["replicates"] for c in boot["missing_cells"]} == {
-        (2, 2): 3, (2, 3): 2, (2, 4): 2, (3, 3): 1, (3, 4): 1, (4, 1): 1, (4, 4): 2}
+        (4, 1): 8, (4, 2): 6, (4, 4): 6}
     assert {d["e"]: d["replicates"] for d in boot["missing_event_times"]} == {
-        -3: 1, 0: 6, 1: 3, 2: 2}
+        -3: 8, -2: 6, 0: 6}
     # Each missing cell says why.
     for cell in boot["missing_cells"]:
         assert sum(cell["reasons"].values()) == cell["replicates"]

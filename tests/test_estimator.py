@@ -211,28 +211,32 @@ def test_bootstrap_reproducible_and_attaches():
             assert c.se is not None and c.se > 0
 
 
-# At 120 units some replicates of this panel skip a thin cell. The counts
+# Cohort 4 keeps 4 units, so some replicates draw none of them, or draw
+# them all in one fold, whose training set then lacks cohort 4. The counts
 # are those of tests/_bootstrap_reference.py (one run per resampled panel).
 THIN_CELLS_PANEL = DgpConfig(n_units=120, seed=3)
 THIN_CELLS_CONFIG = EstimatorConfig(seed=1, learners=LearnerConfig(fixed_l1=0.01))
-THIN_CELLS_MISSING = {(2, 2): 4, (2, 3): 4, (2, 4): 2, (4, 2): 1, (4, 4): 1}
+THIN_CELLS_MISSING = {(4, 1): 7, (4, 2): 6, (4, 4): 9}
 
 
 @pytest.mark.slow
 def test_bootstrap_counts_replicates_missing_a_cell():
-    boot = bootstrap_se(simulate(THIN_CELLS_PANEL).panel, THIN_CELLS_CONFIG, 50)
+    panel = thin_cohort(simulate(THIN_CELLS_PANEL).panel, 4, 4)
+    boot = bootstrap_se(panel, THIN_CELLS_CONFIG, 50)
     assert boot.n_failed == 0
     assert {k: n for k, n in boot.cell_missing.items() if n} == THIN_CELLS_MISSING
-    # theta(e) is missing where one of its cohorts' cells is: e = -2 lost
-    # (4,2) once, e = 0 (2,2) four times and (4,4) once, e = 1 (2,3) four
-    # times, e = 2 (2,4) twice.
-    assert {e: n for e, n in boot.dynamic_missing.items() if n} == {-2: 1, 0: 5, 1: 4, 2: 2}
+    # theta(e) is missing where a replicate that drew cohort 4 lacks its
+    # cell: one replicate drew no cohort-4 unit, so e = -2 and e = 0 miss
+    # one replicate less than their cells; e = -3 has no cell at all there.
+    assert {e: n for e, n in boot.dynamic_missing.items() if n} == {-3: 7, -2: 5, 0: 8}
     assert len(boot.cell_missing) == 9 and set(boot.dynamic_missing) == {-3, -2, 0, 1, 2}
-    # At least 45 of 50 replicates supplied every key.
-    assert set(boot.cell_se) == set(boot.cell_missing)
-    assert set(boot.dynamic_se) == set(boot.dynamic_missing)
+    # A key has an SE only if at least 45 of 50 replicates supplied it:
+    # theta(-2) keeps its SE with 5 missing, and (4, 2) loses it with 6.
+    assert set(boot.cell_se) == {k for k, n in boot.cell_missing.items() if n <= 5}
+    assert set(boot.dynamic_se) == {-2, 1, 2}
     # Every skip says why, and the messages add up to the counts.
     assert {k: sum(why.values()) for k, why in boot.cell_reasons.items()} == THIN_CELLS_MISSING
+    assert "cell (g=4, t=4) skipped: no units in cohort g=4" in boot.cell_reasons[4, 4]
 
 
 def test_cell_with_a_one_class_training_fold_is_skipped():

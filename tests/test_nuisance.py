@@ -14,7 +14,6 @@ from mldid.nuisance import (
     _cross_fit_propensity,
     _cross_fit_regressions,
     _regression_fits,
-    _stack_slice,
     compute_abch,
     estimate_nuisances,
 )
@@ -22,6 +21,7 @@ from mldid.panel import enumerate_cells, slice_two_period
 
 import _sequential_lasso as sequential
 import _sequential_newton as newton_ref
+from _stacked_rows import stack_slice, stacked_decomposition
 from _utils import oracle_bundle, two_period_dgp
 
 
@@ -34,17 +34,17 @@ def _propensity(X, g_flag, plan, config):
 
 
 def _regressions(sl, plan, config):
-    """m, mu_t1, mu_t0, mu_g1, mu_g0 of the all-ones column on the stacked rows."""
-    pred, errors = _cross_fit_regressions(sl.X, sl.y_pre, sl.y_post, sl.g_flag, plan,
+    """mu_t1 and mu_t0 of the all-ones column on the unit rows."""
+    pred, errors = _cross_fit_regressions(sl.X, sl.y_pre, sl.y_post, plan,
                                           np.ones((sl.n_units, 1)), config)
     if errors[0] is not None:
         raise errors[0]
-    return [np.concatenate([a[:, 0], a[:, 0]]) for a in pred]
+    return [a[:, 0] for a in pred]
 
 
 def _fits(sl, plan, config):
     """Every (regression, fold) fit of the all-ones column."""
-    return _regression_fits(sl.X, sl.y_pre, sl.y_post, sl.g_flag, plan,
+    return _regression_fits(sl.X, sl.y_pre, sl.y_post, plan,
                             np.ones((sl.n_units, 1)), config)[0]
 
 
@@ -62,75 +62,76 @@ def straight_line_abc(g_flag, t_flag, g, t, iota11, delta):
     return a, b, c
 
 
-def abch_bundle(g_flag, t_flag, g_hat, rng):
-    """A bundle with the given G, T and g_hat, ready for compute_abch."""
+def unit_bundle(g_flag, g_hat, rng):
+    """A unit bundle with the given G and g_hat, ready for compute_abch."""
     n = g_flag.shape[0]
+    y_pre, y_post, nu_hat = rng.standard_normal((3, n))
     return NuisanceBundle(
-        y=rng.standard_normal(n), g=g_flag.astype(np.int8),
-        t=t_flag.astype(np.int8), X=np.zeros((n, 1)), units=np.arange(n),
+        y_pre=y_pre, y_post=y_post, g=g_flag.astype(np.int8), X=np.zeros((n, 1)),
         unit_ids=np.arange(n, dtype=object), covariate_names=("x_1",),
-        g_hat=g_hat, m_hat=rng.standard_normal(n), nu_hat=rng.standard_normal(n),
-        zeta_hat=rng.standard_normal(n),
+        g_hat=g_hat, nu_hat=nu_hat,
     )
 
 
 def test_delta_zero_reduction_exact():
     # Balanced stacking gives t = 1/2, iota11 = g/2 and delta = 0; the
-    # general coefficients must reduce to the closed forms, including at
-    # both clip bounds of g_hat.
+    # general coefficients of a unit's pre and post rows must reduce to
+    # the unit form, including at both clip bounds of g_hat: B is the
+    # unit's B, C_post - C_pre = B and, for any level nuisances m and
+    # zeta, H_post - H_pre = dH.
     rng = np.random.default_rng(0)
     n = 400
     g_flag = rng.integers(0, 2, n).astype(float)
-    t_flag = rng.integers(0, 2, n).astype(float)
     g = rng.uniform(DEFAULT_CLIP, 1.0 - DEFAULT_CLIP, n)
     g[:4] = [DEFAULT_CLIP, DEFAULT_CLIP, 1.0 - DEFAULT_CLIP, 1.0 - DEFAULT_CLIP]
     g_flag[:4] = [0.0, 1.0, 0.0, 1.0]
-    bundle = compute_abch(abch_bundle(g_flag, t_flag, g, rng))
-    a2, b2, c2 = straight_line_abc(g_flag, t_flag, g, np.full(n, 0.5), g / 2,
-                                   np.zeros(n))
-    assert_allclose(bundle.A, a2, rtol=0, atol=1e-12)
-    assert_allclose(bundle.B, b2, rtol=0, atol=1e-12)
-    assert_allclose(bundle.C, c2, rtol=0, atol=1e-12)
-    assert_allclose(bundle.A, t_flag - 0.5, rtol=0, atol=0)
+    bundle = compute_abch(unit_bundle(g_flag, g, rng))
+    rows = {}
+    for t in (0.0, 1.0):
+        rows[t] = straight_line_abc(g_flag, np.full(n, t), g, np.full(n, 0.5), g / 2,
+                                    np.zeros(n))
+        assert_allclose(rows[t][0], t - 0.5, rtol=0, atol=1e-12)
+        assert_allclose(rows[t][1], bundle.B, rtol=0, atol=1e-12)
+    assert_allclose(rows[1.0][2] - rows[0.0][2], bundle.B, rtol=0, atol=1e-12)
     assert_allclose(bundle.B, g_flag - g, rtol=0, atol=0)
-    assert_allclose(bundle.C, (g_flag - g) * (t_flag - 0.5), rtol=0, atol=0)
-    assert_allclose(
-        bundle.H,
-        bundle.y - (bundle.m_hat + bundle.A * bundle.nu_hat
-                    + bundle.B * bundle.zeta_hat),
-        rtol=0, atol=1e-12,
-    )
+    m_hat, zeta_hat = rng.standard_normal((2, n))
+    H = {t: stacked_decomposition(y, g_flag, t, g, m_hat, bundle.nu_hat, zeta_hat)[3]
+         for t, y in ((0.0, bundle.y_pre), (1.0, bundle.y_post))}
+    assert_allclose(H[1.0] - H[0.0], bundle.dH, rtol=0, atol=1e-12)
+    assert_allclose(bundle.dH, (bundle.y_post - bundle.y_pre) - bundle.nu_hat,
+                    rtol=0, atol=0)
 
 
 def test_fixed_point_against_independent_transcription():
-    # g_hat = 0.3 and observed G = T = 1 give A = 0.5, B = 0.7, C = 0.35.
+    # g_hat = 0.3 and a treated unit give B = 0.7, and C = -0.35 and 0.35 on
+    # its pre and post rows.
     one = np.array([1.0])
-    bundle = compute_abch(abch_bundle(one, one, np.array([0.3]),
-                                      np.random.default_rng(0)))
-    assert_allclose(bundle.A, 0.5, atol=1e-12)
+    bundle = compute_abch(unit_bundle(one, np.array([0.3]), np.random.default_rng(0)))
     assert_allclose(bundle.B, 0.7, atol=1e-12)
-    assert_allclose(bundle.C, 0.35, atol=1e-12)
-    a2, b2, c2 = straight_line_abc(one, one, np.array([0.3]), np.array([0.5]),
-                                   np.array([0.15]), np.array([0.0]))
-    assert_allclose(bundle.A, a2, atol=1e-12)
-    assert_allclose(bundle.B, b2, atol=1e-12)
-    assert_allclose(bundle.C, c2, atol=1e-12)
+    for t, c in ((0.0, -0.35), (1.0, 0.35)):
+        a2, b2, c2 = straight_line_abc(one, np.array([t]), np.array([0.3]),
+                                       np.array([0.5]), np.array([0.15]), np.array([0.0]))
+        assert_allclose(a2, t - 0.5, atol=1e-12)
+        assert_allclose(b2, bundle.B, atol=1e-12)
+        assert_allclose(c2, c, atol=1e-12)
 
 
 def test_random_draws_against_independent_transcription():
     # The closed forms on fitted nuisances: compute_abch on an estimated
-    # bundle matches the transcription at t = 1/2, iota11 = g_hat/2, delta = 0.
+    # bundle matches the transcription at t = 1/2, iota11 = g_hat/2,
+    # delta = 0 on both of a unit's rows.
     sl, _ = two_period_dgp(300, seed=1, tau_fn=lambda x: x[:, 0],
                            g_fn=lambda x: 1 / (1 + np.exp(-2.0 * x[:, 1])))
     plan = make_fold_plan(sl.n_units, 5, seed=0)
     bundle = compute_abch(estimate_nuisances(sl, plan, LearnerConfig(fixed_l1=0.02)))
-    g_flag, t_flag = bundle.g.astype(float), bundle.t.astype(float)
-    n = bundle.n_rows
-    a2, b2, c2 = straight_line_abc(g_flag, t_flag, bundle.g_hat, np.full(n, 0.5),
-                                   bundle.g_hat / 2, np.zeros(n))
-    assert_allclose(bundle.A, a2, rtol=0, atol=1e-12)
-    assert_allclose(bundle.B, b2, rtol=0, atol=1e-12)
-    assert_allclose(bundle.C, c2, rtol=0, atol=1e-12)
+    g_flag = bundle.g.astype(float)
+    n = bundle.n_units
+    c = {}
+    for t in (0.0, 1.0):
+        a2, b2, c[t] = straight_line_abc(g_flag, np.full(n, t), bundle.g_hat,
+                                         np.full(n, 0.5), bundle.g_hat / 2, np.zeros(n))
+        assert_allclose(bundle.B, b2, rtol=0, atol=1e-12)
+    assert_allclose(c[1.0] - c[0.0], bundle.B, rtol=0, atol=1e-12)
 
 
 def test_constant_outcome_nuisances():
@@ -138,25 +139,24 @@ def test_constant_outcome_nuisances():
     sl = dataclasses.replace(sl, y_pre=np.full(sl.n_units, 3.25),
                              y_post=np.full(sl.n_units, 3.25))
     plan = make_fold_plan(sl.n_units, 5, seed=0)
-    bundle = estimate_nuisances(sl, plan)
-    assert_allclose(bundle.m_hat, 3.25, atol=1e-8)
+    bundle = compute_abch(estimate_nuisances(sl, plan))
     assert_allclose(bundle.nu_hat, 0.0, atol=1e-8)
-    assert_allclose(bundle.zeta_hat, 0.0, atol=1e-8)
+    assert_allclose(bundle.dH, 0.0, atol=1e-8)
 
 
 def test_time_probability_balanced_by_construction():
-    # The premise of the closed forms: every unit has one pre and one post
+    # The premise of the unit form: every unit has one pre and one post
     # row with the same covariates, group and propensity, so t(x) = 1/2 and
-    # G, T are uncorrelated given X.
+    # G, T are uncorrelated given X. The bundle holds one row per unit.
     sl, _ = two_period_dgp(400, seed=3, tau_fn=lambda x: x[:, 0])
     plan = make_fold_plan(sl.n_units, 5, seed=1)
     bundle = estimate_nuisances(sl, plan)
-    m = sl.n_units
-    assert np.array_equal(bundle.t, np.repeat(np.array([0, 1], np.int8), m))
-    assert np.array_equal(bundle.X[:m], bundle.X[m:])
-    assert np.array_equal(bundle.g[:m], bundle.g[m:])
-    assert np.array_equal(bundle.g_hat[:m], bundle.g_hat[m:])
-    assert np.array_equal(bundle.units[:m], bundle.units[m:])
+    assert bundle.n_units == sl.n_units
+    assert np.array_equal(bundle.X, sl.X)
+    assert np.array_equal(bundle.g, sl.g_flag)
+    assert np.array_equal(bundle.y_pre, sl.y_pre)
+    assert np.array_equal(bundle.y_post, sl.y_post)
+    assert bundle.g_hat.shape == bundle.nu_hat.shape == (sl.n_units,)
 
 
 def test_propensity_clip_applied():
@@ -182,14 +182,14 @@ def test_propensity_on_unit_rows_matches_stacked_rows():
                         stacked.predict_proba(sl.X, clipped=False),
                         rtol=0, atol=1e-10)
         plan = make_fold_plan(sl.n_units, 5, seed=seed)
-        y, g, t, X, units = _stack_slice(sl)
+        y, g, t, X, units = stack_slice(sl)
         stacked_cf = cross_fit(
             X, g.astype(np.int64), units, plan, fit_probability,
             predict=lambda mod, Xn: mod.predict_proba(Xn, clipped=False)[:, 1])
         bundle = estimate_nuisances(sl, plan)
-        assert_allclose(bundle.g_hat, np.clip(stacked_cf, DEFAULT_CLIP,
-                                              1.0 - DEFAULT_CLIP),
-                        rtol=0, atol=1e-10)
+        clipped = np.clip(stacked_cf, DEFAULT_CLIP, 1.0 - DEFAULT_CLIP)
+        for rows in (clipped[:sl.n_units], clipped[sl.n_units:]):
+            assert_allclose(bundle.g_hat, rows, rtol=0, atol=1e-10)
 
 
 def test_propensity_engine_matches_per_fold_loop():
@@ -207,8 +207,7 @@ def test_propensity_engine_matches_per_fold_loop():
             assert_allclose(got, want, rtol=0, atol=1e-10)
             bundle = estimate_nuisances(sl, plan, config)
             clipped = np.clip(want, config.clip, 1.0 - config.clip)
-            assert_allclose(bundle.g_hat, np.concatenate([clipped, clipped]),
-                            rtol=0, atol=1e-10)
+            assert_allclose(bundle.g_hat, clipped, rtol=0, atol=1e-10)
 
 
 def test_propensity_engine_raises_per_fold_errors():
@@ -246,14 +245,13 @@ def test_missing_stratum_detected():
 
 
 def _per_fold_regressions(sl, plan, config, fit=None):
-    """m, mu_t1, mu_t0, mu_g1, mu_g0 fit one regression and fold at a time."""
-    y, g, t, X, units = _stack_slice(sl)
+    """mu_t1 and mu_t0 fit one regression and fold at a time on the unit rows."""
     if fit is None:
         opts = config.lasso_options()
         opts.pop("l2")
         fit = lambda a, b: sequential.fit_ls_cv(a, b, l2=config.l2, **opts)
-    masks = (None, t == 1, t == 0, g == 1, g == 0)
-    return [cross_fit(X, y, units, plan, fit, train_mask=mask) for mask in masks]
+    units = np.arange(sl.n_units)
+    return [cross_fit(sl.X, y, units, plan, fit) for y in (sl.y_post, sl.y_pre)]
 
 
 @pytest.mark.parametrize("fixed_l1", [None, 0.02])
@@ -266,9 +264,7 @@ def test_batched_regressions_match_per_fold_cross_fit(fixed_l1):
     for a, b in zip(got, want):
         assert_allclose(a, b, rtol=0, atol=1e-12)
     bundle = estimate_nuisances(sl, plan, config)
-    assert_allclose(bundle.m_hat, want[0], rtol=0, atol=1e-12)
-    assert_allclose(bundle.nu_hat, want[1] - want[2], rtol=0, atol=1e-12)
-    assert_allclose(bundle.zeta_hat, want[3] - want[4], rtol=0, atol=1e-12)
+    assert_allclose(bundle.nu_hat, want[0] - want[1], rtol=0, atol=1e-12)
 
 
 def _first_error(thunk):
@@ -282,16 +278,16 @@ def test_batched_regressions_raise_per_fold_errors():
     plan = make_fold_plan(sl.n_units, 5, seed=6)
     config = LearnerConfig(fixed_l1=0.02)
     fit = lambda a, b: config.fit_regression(a, b)
-    # A single treated unit leaves the mu_g1 training set of its own fold
-    # empty; every other regression still fits.
-    one_treated = dataclasses.replace(
-        sl, g_flag=(np.arange(sl.n_units) == 7).astype(np.int8))
+    # Two units in two folds: each training complement holds one row.
+    tiny = dataclasses.replace(sl, X=sl.X[:2], g_flag=np.array([0, 1], np.int8),
+                               y_pre=sl.y_pre[:2], y_post=sl.y_post[:2],
+                               unit_ids=sl.unit_ids[:2], unit_rows=np.arange(2))
     # A non-finite outcome fails the first fit whose training rows hold it.
     bad_y = dataclasses.replace(sl, y_post=np.where(
         np.arange(sl.n_units) == 3, np.nan, sl.y_post))
-    for case in (one_treated, bad_y):
-        got = _first_error(lambda: _regressions(case, plan, config))
-        want = _first_error(lambda: _per_fold_regressions(case, plan, config, fit))
+    for case, fold_plan in ((tiny, make_fold_plan(2, 2, seed=0)), (bad_y, plan)):
+        got = _first_error(lambda: _regressions(case, fold_plan, config))
+        want = _first_error(lambda: _per_fold_regressions(case, fold_plan, config, fit))
         assert got == want
         assert got.startswith("fold ")
 
@@ -302,22 +298,20 @@ def _member_reference(case, plan, config):
     Each entry is the LinearModel, or the (error type, message) that a
     fold-by-fold cross-fit with ``config.fit_regression`` reports for it.
     """
-    y, g, t, X, units = _stack_slice(case)
-    row_fold = plan.assignment[units]
-    masks = dict(m=None, t1=t == 1, t0=t == 0, g1=g == 1, g0=g == 0)
+    outcomes = dict(t1=case.y_post, t0=case.y_pre)
     out = {}
-    for name, mask in masks.items():
+    for name, y in outcomes.items():
         for k in range(plan.n_folds):
-            test = row_fold == k
+            test = plan.assignment == k
             if not test.any():
                 continue
-            train = ~test if mask is None else ~test & mask
+            train = ~test
             n = int(train.sum())
             if n < 2:
                 out[name, k] = (DegenerateFold, f"fold {k}: training complement has {n} rows")
                 continue
             try:
-                out[name, k] = config.fit_regression(X[train], y[train])
+                out[name, k] = config.fit_regression(case.X[train], y[train])
             except MldidError as err:
                 out[name, k] = (type(err), f"fold {k}: {err}")
     return out
@@ -331,8 +325,6 @@ def _assert_members_match_reference(case, plan, config):
     regression that fails does so with the reference's error type and
     message. Returns the number of regressions fit.
     """
-    y, g, t, X, units = _stack_slice(case)
-    row_fold = plan.assignment[units]
     got = _fits(case, plan, config)
     want = _member_reference(case, plan, config)
     assert got.keys() == want.keys()
@@ -344,9 +336,10 @@ def _assert_members_match_reference(case, plan, config):
             msg = str(fit) if isinstance(fit, DegenerateFold) else f"fold {k}: {fit}"
             assert msg == ref[1]
             continue
-        test = row_fold == k
+        test = plan.assignment == k
         with np.errstate(invalid="ignore"):  # a non-finite X predicts NaN
-            assert_allclose(fit.predict(X[test]), ref.predict(X[test]), rtol=0, atol=1e-12)
+            assert_allclose(fit.predict(case.X[test]), ref.predict(case.X[test]),
+                            rtol=0, atol=1e-12)
         assert fit.l1 == pytest.approx(ref.l1, rel=1e-9, abs=0), (name, k)
         n_fit += 1
     return n_fit
@@ -362,11 +355,12 @@ def _block_front_end_cases():
         sl, X=sl.X[idx], y_pre=sl.y_pre[idx], y_post=sl.y_post[idx],
         g_flag=sl.g_flag[idx], unit_ids=np.arange(n, dtype=object),
         unit_rows=np.arange(n))
-    # x_2 is 3.7 on every treated unit outside fold 2: constant on the mu_g1
-    # training rows of fold 2 only, at a value whose mean rounds off.
+    # x_2 is 3.7 on every unit outside fold 2: constant on the training
+    # rows of fold 2 only, at a value whose mean rounds off.
     X_const = sl.X.copy()
-    X_const[(sl.g_flag == 1) & (plan.assignment != 2), 1] = 3.7
-    # The treated units all sit in fold 3, so mu_g1 of fold 3 has no rows.
+    X_const[plan.assignment != 2, 1] = 3.7
+    # The treated units all sit in fold 3. The regressions do not split by
+    # G, so every fold still fits.
     g_one_fold = np.where(plan.assignment == 3, sl.g_flag, 0).astype(np.int8)
     y_post_bad = sl.y_post.copy()
     y_post_bad[17] = np.nan
@@ -389,7 +383,7 @@ def test_block_front_end_matches_per_fold_reference(name, fixed_l1):
     case = cases[name]
     config = LearnerConfig(fixed_l1=fixed_l1)
     assert _assert_members_match_reference(case, plan, config) > 0
-    if name in ("resampled", "constant-on-fold"):
+    if name in ("resampled", "constant-on-fold", "empty-g1-fold"):
         got = _regressions(case, plan, config)
         for a, b in zip(got, _per_fold_regressions(case, plan, config)):
             assert_allclose(a, b, rtol=0, atol=1e-12)
@@ -406,9 +400,27 @@ def test_block_front_end_matches_per_fold_reference(name, fixed_l1):
 def test_constant_column_is_pinned_on_its_fold_only():
     plan, cases = _block_front_end_cases()
     fits = _fits(cases["constant-on-fold"], plan, LearnerConfig(fixed_l1=0.02))
-    assert fits["g1", 2].center[1] == 3.7 and fits["g1", 2].scale[1] == 1.0
-    assert fits["g1", 2].coef[1] == 0.0
-    assert all(fits["g1", k].scale[1] != 1.0 for k in (0, 1, 3, 4))
+    for name in ("t1", "t0"):
+        assert fits[name, 2].center[1] == 3.7 and fits[name, 2].scale[1] == 1.0
+        assert fits[name, 2].coef[1] == 0.0
+        assert all(fits[name, k].scale[1] != 1.0 for k in (0, 1, 3, 4))
+
+
+def test_count_column_matches_weighted_fit_on_drawn_units():
+    # With CV, a count column's regression is the weighted fit on its drawn
+    # training units, whose inner folds rank those units.
+    sl, _ = two_period_dgp(150, seed=16, tau_fn=lambda x: x[:, 0], p=3)
+    plan = make_fold_plan(sl.n_units, 5, seed=8)
+    counts = np.random.default_rng(17).integers(0, 3, sl.n_units)
+    config = LearnerConfig()
+    fits = _regression_fits(sl.X, sl.y_pre, sl.y_post, plan, counts[:, None], config)[0]
+    for (name, k), fit in fits.items():
+        train = (plan.assignment != k) & (counts > 0)
+        y = sl.y_post if name == "t1" else sl.y_pre
+        ref = config.fit_regression(sl.X[train], y[train], weights=counts[train])
+        assert_allclose(fit.predict(sl.X), ref.predict(sl.X), rtol=0, atol=1e-12)
+        assert fit.l1 == pytest.approx(ref.l1, rel=1e-9, abs=0), (name, k)
+    assert len(fits) == 10
 
 
 def test_nuisance_l1_matches_row_path_on_covariate_driven_panel():
@@ -423,7 +435,8 @@ def test_nuisance_l1_matches_row_path_on_covariate_driven_panel():
         plan = make_fold_plan(sl.n_units, config.n_folds,
                               derive_seed(config.seed, _SEED_FOLDS, g, t))
         n_fit += _assert_members_match_reference(sl, plan, config.learners)
-    assert n_fit >= 100
+    # 9 cells, 5 folds, 2 regressions: every one fits.
+    assert n_fit == 90
 
 
 # ---------------------------------------------------------------------------
@@ -431,26 +444,30 @@ def test_nuisance_l1_matches_row_path_on_covariate_driven_panel():
 # ---------------------------------------------------------------------------
 
 def test_decomposition_orthogonality_with_oracle_nuisances():
+    # With the true g and nu, B and dH have mean zero, and the residual
+    # dH - B tau(x) is the differenced noise, uncorrelated with B.
     sl, truth = two_period_dgp(6000, seed=7, tau_fn=lambda x: 1.0 + x[:, 0],
                                g_fn=lambda x: 1 / (1 + np.exp(-0.5 * x[:, 1])))
     bundle = oracle_bundle(sl, truth)
-    n = bundle.n_rows
-    for name, arr in (("A", bundle.A), ("B", bundle.B), ("C", bundle.C),
-                      ("H", bundle.H)):
+    n = bundle.n_units
+    D = bundle.dH - bundle.B * truth["tau"]
+    for name, arr in (("B", bundle.B), ("dH", bundle.dH), ("D", D)):
         se = arr.std(ddof=1) / np.sqrt(n)
         assert abs(arr.mean()) <= 3 * se, f"{name} mean {arr.mean():.4f}"
-    for a, b in (("A", "B"), ("A", "C"), ("B", "C")):
-        x, y = getattr(bundle, a), getattr(bundle, b)
-        cov = np.mean((x - x.mean()) * (y - y.mean()))
-        se = np.std((x - x.mean()) * (y - y.mean()), ddof=1) / np.sqrt(n)
-        assert abs(cov) <= 3 * se, f"cov({a},{b}) = {cov:.4f}"
+    for a, b in (("B", D), ("B*x_1", D)):
+        x = bundle.B * (bundle.X[:, 0] if a == "B*x_1" else 1.0)
+        cov = np.mean((x - x.mean()) * (b - b.mean()))
+        se = np.std((x - x.mean()) * (b - b.mean()), ddof=1) / np.sqrt(n)
+        assert abs(cov) <= 3 * se, f"cov({a}, D) = {cov:.4f}"
 
 
 def test_oracle_nuisance_reduction_matches_reduced_formulas():
     sl, truth = two_period_dgp(500, seed=8, tau_fn=lambda x: x[:, 0])
     bundle = oracle_bundle(sl, truth)
     g = bundle.g.astype(float)
-    t = bundle.t.astype(float)
-    assert_allclose(bundle.A, t - 0.5, atol=1e-12)
     assert_allclose(bundle.B, g - bundle.g_hat, atol=1e-12)
-    assert_allclose(bundle.C, (g - bundle.g_hat) * (t - 0.5), atol=1e-12)
+    assert_allclose(bundle.dH, (sl.y_post - sl.y_pre) - truth["rho"] - truth["tau"] * truth["g"],
+                    atol=1e-12)
+    # With the true nuisances dH is B tau(x) plus the differenced noise.
+    noise = (sl.y_post - sl.y_pre) - truth["rho"] - truth["tau"] * g
+    assert_allclose(bundle.dH - bundle.B * truth["tau"], noise, atol=1e-12)
