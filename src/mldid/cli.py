@@ -32,7 +32,14 @@ from .estimator import (
 from .exceptions import MldidError, PanelValidationError
 from .heterogeneity import blp, clan
 from .nuisance import LearnerConfig
-from .panel import ColumnSchema, enumerate_cells, load_panel, slice_two_period, write_panel_csv
+from .panel import (
+    ColumnSchema,
+    enumerate_cells,
+    load_panel,
+    read_catt_panel_csv,
+    slice_two_period,
+    write_panel_csv,
+)
 from .report import (
     environment_versions,
     event_study_svg,
@@ -482,8 +489,6 @@ def cmd_benchmark(n, periods, tau, assignment, confounding, chi, reps, seed,
 def cmd_heterogeneity(input_path, catt_path, out, k_bins, delimiter,
                       most_affected):
     """Re-run BLP and CLAN analysis from exported estimation tables."""
-    import csv as _csv
-
     from .estimator import CattPanel
 
     t0 = time.time()
@@ -493,14 +498,11 @@ def cmd_heterogeneity(input_path, catt_path, out, k_bins, delimiter,
         click.echo(f"input validation failed: {err}", err=True)
         sys.exit(EXIT_VALIDATION)
 
-    units, es, taus, scores = [], [], [], []
-    with open(catt_path, newline="", encoding="utf-8") as fh:
-        reader = _csv.DictReader(fh)
-        for row in reader:
-            units.append(row["unit"])
-            es.append(int(row["e"]))
-            taus.append(float(row["tau_hat"]))
-            scores.append(float(row["score"]))
+    try:
+        units, es, taus, scores = read_catt_panel_csv(catt_path)
+    except PanelValidationError as err:
+        click.echo(f"input validation failed: {err}", err=True)
+        sys.exit(EXIT_VALIDATION)
     if not units:
         click.echo("catt panel is empty", err=True)
         sys.exit(EXIT_VALIDATION)
@@ -519,9 +521,9 @@ def cmd_heterogeneity(input_path, catt_path, out, k_bins, delimiter,
     catt_panel = CattPanel(
         unit_ids=np.array(units, dtype=object),
         g=groups,
-        e=np.array(es, dtype=np.int64),
-        tau=np.array(taus),
-        score=np.array(scores),
+        e=es,
+        tau=taus,
+        score=scores,
         X=X,
         covariate_names=panel.covariate_names,
     )

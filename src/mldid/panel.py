@@ -1,10 +1,12 @@
-"""Staggered-adoption panel data model and two-period slice construction."""
+"""Staggered-adoption panel data model, its CSV format and two-period slices."""
 
 from __future__ import annotations
 
 import csv
 import io
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -165,131 +167,265 @@ def load_panel(source, schema: ColumnSchema | None = None) -> PanelDataset:
     return _load_panel_stream(source, schema)
 
 
+def _header_columns(header: list[str]) -> dict[str, int]:
+    """Column index of each (stripped) header name; a repeated name is an error."""
+    col: dict[str, int] = {}
+    for i, raw in enumerate(header):
+        name = raw.strip()
+        if name in col:
+            raise PanelValidationError(f"duplicate column {name!r}")
+        col[name] = i
+    return col
+
+
+def _is_blank(row: list[str]) -> bool:
+    return all(f.strip() == "" for f in row)
+
+
+def _parse_column(raw: list[str], parse, fill):
+    """``parse`` applied to every field; a failing field becomes ``fill``.
+
+    The fast pass hands the fields to ``parse`` as read, which accepts
+    exactly the strings it accepts after ``str.strip`` except for the
+    separators U+001C..U+001F that only ``str.strip`` removes; only a
+    failed pass goes field by field on the stripped text, as a row-wise
+    read would.
+    """
+    try:
+        return list(map(parse, raw))
+    except ValueError:
+        pass
+    out = []
+    for s in raw:
+        try:
+            out.append(parse(s.strip()))
+        except ValueError:
+            out.append(fill)
+    return out
+
+
+def _check_value(raw: str, where: str, label: str) -> None:
+    """Raise the ``MissingValue`` a row-wise read gives for a bad field."""
+    text = raw.strip()
+    if text == "":
+        raise MissingValue(f"{where}: {label} is empty")
+    try:
+        value = float(text)
+    except ValueError:
+        raise MissingValue(f"{where}: {label} {text!r} is not numeric") from None
+    if not np.isfinite(value):
+        raise MissingValue(f"{where}: {label} is not finite")
+
+
 def _load_panel_stream(fh, schema: ColumnSchema) -> PanelDataset:
+    """Read the rows once, then parse and validate the panel a column at a time.
+
+    Every check is a mask over the rows. When one fails, the first failing
+    row in file order raises the message of the first check it fails, in
+    the order a row-by-row read makes them: too few fields or a bad time
+    (before any other check, over all rows), then a repeated period, the
+    group (too few fields, label, change within the unit), the outcome and
+    each covariate. Missing periods are reported last.
+    """
     reader = csv.reader(fh, delimiter=schema.delimiter)
     try:
         header = next(reader)
     except StopIteration:
         raise PanelValidationError("input is empty") from None
-    header = [h.strip() for h in header]
-    col = {name: i for i, name in enumerate(header)}
+    col = _header_columns(header)
     for required in (schema.unit, schema.time, schema.group, schema.outcome):
         if required not in col:
             raise PanelValidationError(f"missing required column {required!r}")
     if schema.covariates is None:
         mapped = {schema.unit, schema.time, schema.group, schema.outcome}
-        cov_names = tuple(h for h in header if h not in mapped)
+        cov_names = tuple(h for h in col if h not in mapped)
     else:
         cov_names = tuple(schema.covariates)
         for name in cov_names:
             if name not in col:
                 raise PanelValidationError(f"missing covariate column {name!r}")
 
-    records = []
-    times = set()
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(f.strip() == "" for f in row):
-            continue
-        try:
-            unit = row[col[schema.unit]].strip()
-            t_raw = row[col[schema.time]].strip()
-        except IndexError:
-            raise PanelValidationError(f"line {line_no}: too few fields") from None
-        try:
-            t = int(t_raw)
-        except ValueError:
-            raise PanelValidationError(
-                f"line {line_no}: time {t_raw!r} is not an integer"
-            ) from None
-        times.add(t)
-        records.append((unit, t, row, line_no))
-    if not records:
+    # Fields in read order: unit, time, group, outcome, covariates.
+    index = [col[name] for name in
+             (schema.unit, schema.time, schema.group, schema.outcome, *cov_names)]
+    width = max(index) + 1
+    rows = list(reader)
+    lens = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    blank = lens == 0
+    # Only a short row or one with a blank time field can be blank; short
+    # rows are padded so every mapped field can be taken, and ``lens``
+    # keeps what was read.
+    for k in np.flatnonzero(lens < width):
+        blank[k] = _is_blank(rows[k])
+        rows[k] = rows[k] + [""] * (width - lens[k])
+    fields = [list(map(itemgetter(j), rows)) for j in index]
+    t_list = _parse_column(fields[1], int, None)
+    bad_time = np.zeros(len(t_list), dtype=bool)
+    if None in t_list:
+        bad_time[[k for k, t in enumerate(t_list) if t is None]] = True
+        for k in np.flatnonzero(bad_time & ~blank & (lens >= width)):
+            blank[k] = _is_blank(rows[k])
+    del rows
+
+    short_key = lens <= max(index[0], index[1])
+    fail = ~blank & (short_key | bad_time)
+    if fail.any():
+        k = int(np.argmax(fail))
+        if short_key[k]:
+            raise PanelValidationError(f"line {k + 2}: too few fields")
+        raise PanelValidationError(
+            f"line {k + 2}: time {fields[1][k].strip()!r} is not an integer"
+        )
+    line_no = np.arange(2, len(t_list) + 2)
+    if blank.any():
+        keep = ~blank
+        fields = [list(compress(f, keep)) for f in fields]
+        t_list = list(compress(t_list, keep))
+        lens, line_no = lens[keep], line_no[keep]
+    if not t_list:
         raise PanelValidationError("no data rows found")
 
+    times = set(t_list)
     T = max(times)
-    if min(times) != 1 or times != set(range(1, T + 1)):
+    # Distinct integers from 1 to T cover 1..T exactly when there are T.
+    if min(times) != 1 or len(times) != T:
         raise UnbalancedPanel(
             f"time values must cover 1..{T} exactly; saw {sorted(times)}"
         )
+    t = np.fromiter(t_list, dtype=np.int64, count=len(t_list))
+    del t_list
 
-    units = sorted({r[0] for r in records})
+    ids = list(map(str.strip, fields[0]))
+    units = sorted(set(ids))
     unit_index = {u: i for i, u in enumerate(units)}
+    ui = np.fromiter(map(unit_index.__getitem__, ids), dtype=np.intp, count=len(ids))
     n, p = len(units), len(cov_names)
-    outcomes = np.full((n, T), np.nan)
-    covariates = np.full((n, T, p), np.nan)
-    groups = np.full(n, -1, dtype=np.int64)
-    seen = np.zeros((n, T), dtype=bool)
+    key = ui * T + (t - 1)
 
-    for unit, t, row, line_no in records:
-        i = unit_index[unit]
-        if seen[i, t - 1]:
-            raise UnbalancedPanel(f"unit {unit}: period {t} appears more than once")
-        seen[i, t - 1] = True
-        g = _parse_group(row[col[schema.group]], unit, T)
-        if groups[i] == -1:
-            groups[i] = g
-        elif groups[i] != g:
-            raise NonMonotoneTreatment(
-                f"unit {unit}: group changes from {groups[i]} to {g} at period {t}"
-            )
-        y_raw = row[col[schema.outcome]].strip()
-        if y_raw == "":
-            raise MissingValue(f"unit {unit}, period {t}: outcome is empty")
+    order = np.argsort(key, kind="stable")
+    repeated = np.zeros(key.shape[0], dtype=bool)
+    repeated[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+    parsed = {}
+    for raw in set(fields[2]):
         try:
-            y_val = float(y_raw)
-        except ValueError:
-            raise MissingValue(
-                f"unit {unit}, period {t}: outcome {y_raw!r} is not numeric"
-            ) from None
-        if not np.isfinite(y_val):
-            raise MissingValue(f"unit {unit}, period {t}: outcome is not finite")
-        outcomes[i, t - 1] = y_val
-        for j, name in enumerate(cov_names):
-            x_raw = row[col[name]].strip()
-            if x_raw == "":
-                raise MissingValue(f"unit {unit}, period {t}: {name} is empty")
-            try:
-                x_val = float(x_raw)
-            except ValueError:
-                raise MissingValue(
-                    f"unit {unit}, period {t}: {name} {x_raw!r} is not numeric"
-                ) from None
-            if not np.isfinite(x_val):
-                raise MissingValue(f"unit {unit}, period {t}: {name} is not finite")
-            covariates[i, t - 1, j] = x_val
+            parsed[raw] = _parse_group(raw, None, T)
+        except PanelValidationError:
+            parsed[raw] = -1
+    g = np.fromiter(map(parsed.__getitem__, fields[2]), dtype=np.int64,
+                    count=key.shape[0])
+    first_row = np.unique(ui, return_index=True)[1]
+    first_g = g[first_row[ui]]
+    # A field that is not a number reads NaN, so it fails the finite check.
+    values = [np.array(_parse_column(f, float, np.nan), dtype=np.float64)
+              for f in fields[3:]]
+    fail = repeated | (g < 0) | (g != first_g) | (lens < width)
+    for v in values:
+        fail |= ~np.isfinite(v)
+    if fail.any():
+        k = int(np.argmax(fail))
+        unit, period = ids[k], int(t[k])
+        if repeated[k]:
+            raise UnbalancedPanel(f"unit {unit}: period {period} appears more than once")
+        where = f"unit {unit}, period {period}"
+        for m, label in enumerate(("group", "outcome", *cov_names), start=2):
+            if lens[k] <= index[m]:
+                raise PanelValidationError(f"line {line_no[k]}: too few fields")
+            if m > 2:
+                _check_value(fields[m][k], where, label)
+                continue
+            g_k = _parse_group(fields[2][k], unit, T)
+            if g_k != first_g[k]:
+                raise NonMonotoneTreatment(
+                    f"unit {unit}: group changes from {first_g[k]} to {g_k} "
+                    f"at period {period}"
+                )
+    del fields
 
-    missing = ~seen
-    if missing.any():
-        i, tm = np.argwhere(missing)[0]
+    if key.shape[0] < n * T:
+        seen = np.zeros(n * T, dtype=bool)
+        seen[key] = True
+        i, tm = divmod(int(np.argmin(seen)), T)
         raise UnbalancedPanel(f"unit {units[i]}: period {tm + 1} is missing")
 
+    groups = np.empty(n, dtype=np.int64)
+    groups[ui] = g
+    outcomes = np.empty(n * T)
+    outcomes[key] = values[0]
+    covariates = np.empty((n * T, p))
+    for j, v in enumerate(values[1:]):
+        covariates[key, j] = v
     return PanelDataset(
         unit_ids=np.array(units, dtype=object),
         groups=groups,
         n_periods=T,
-        outcomes=outcomes,
-        covariates=covariates,
+        outcomes=outcomes.reshape(n, T),
+        covariates=covariates.reshape(n, T, p),
         covariate_names=cov_names,
     )
 
 
 def write_panel_csv(panel: PanelDataset, path, delimiter: str = ",") -> None:
     """Write a panel in the interchange format accepted by load_panel."""
+    n, T, p = panel.n_units, panel.n_periods, len(panel.covariate_names)
+    # One column per field; csv writes a Python float as str(), which is
+    # its repr.
+    columns = [
+        np.repeat(panel.unit_ids, T).tolist(),
+        np.tile(np.arange(1, T + 1), n).tolist(),
+        np.repeat(panel.groups.astype(np.int64), T).tolist(),
+        panel.outcomes.astype(np.float64).ravel().tolist(),
+        *panel.covariates.astype(np.float64).reshape(n * T, p).T.tolist(),
+    ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(["id", "time", "group", "y", *panel.covariate_names])
-        for i in range(panel.n_units):
-            g = int(panel.groups[i])
-            for t in range(1, panel.n_periods + 1):
-                writer.writerow(
-                    [
-                        panel.unit_ids[i],
-                        t,
-                        g,
-                        repr(float(panel.outcomes[i, t - 1])),
-                        *[repr(float(v)) for v in panel.covariates[i, t - 1]],
-                    ]
-                )
+        writer.writerows(zip(*columns))
+
+
+def read_catt_panel_csv(path):
+    """The unit, e, tau_hat and score columns of a ``catt_panel.csv``.
+
+    Returns the unit ids as read (strings), ``e`` as int64 and the two
+    effect columns as float64. Empty lines are skipped. A missing or
+    repeated column, a row without one of the four fields, an ``e`` that is
+    not an integer and an effect that is not a number raise a
+    ``PanelValidationError`` whose message starts with "catt panel".
+    """
+    names = ("unit", "e", "tau_hat", "score")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            col = _header_columns(next(reader, []))
+        except PanelValidationError as err:
+            raise PanelValidationError(f"catt panel: {err}") from None
+        for name in names:
+            if name not in col:
+                raise PanelValidationError(f"catt panel: missing column {name!r}")
+        rows = list(reader)
+    index = [col[name] for name in names]
+    lens = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    short = (lens > 0) & (lens <= max(index))
+    if short.any():
+        raise PanelValidationError(
+            f"catt panel line {np.argmax(short) + 2}: too few fields")
+    line_no = np.flatnonzero(lens) + 2
+    if line_no.shape[0] < len(rows):
+        rows = list(compress(rows, lens))
+    units, e_raw, tau_raw, score_raw = (list(map(itemgetter(j), rows)) for j in index)
+    del rows
+    e = _parse_column(e_raw, int, None)
+    tau = _parse_column(tau_raw, float, None)
+    score = _parse_column(score_raw, float, None)
+    for name, raw, values, kind in (("e", e_raw, e, "an integer"),
+                                    ("tau_hat", tau_raw, tau, "a number"),
+                                    ("score", score_raw, score, "a number")):
+        if None in values:
+            k = values.index(None)
+            raise PanelValidationError(
+                f"catt panel line {line_no[k]}: {name} {raw[k].strip()!r} is not {kind}"
+            )
+    return (units, np.array(e, dtype=np.int64), np.array(tau, dtype=np.float64),
+            np.array(score, dtype=np.float64))
 
 
 def slice_two_period(panel: PanelDataset, g: int, t: int) -> TwoPeriodSlice:

@@ -63,14 +63,12 @@ def write_dynamics_csv(path, dynamics) -> None:
 
 
 def write_catt_panel_csv(path, panel) -> None:
-    _write_rows(
-        path,
-        ["unit", "e", "tau_hat", "score"],
-        [
-            (panel.unit_ids[i], panel.e[i], panel.tau[i], panel.score[i])
-            for i in range(panel.n_rows)
-        ],
-    )
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["unit", "e", "tau_hat", "score"])
+        # csv writes a Python float as str(), which is its repr.
+        writer.writerows(zip(panel.unit_ids.tolist(), panel.e.tolist(),
+                             panel.tau.tolist(), panel.score.tolist()))
 
 
 def write_blp_csv(path, results) -> None:

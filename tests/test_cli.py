@@ -124,6 +124,27 @@ def test_estimate_rejects_group_one(tmp_path):
     assert "period 1" in res.output
 
 
+@pytest.mark.parametrize("header,bad_row,message", [
+    ("id,time,group,y,x_1", "b,2", "line 5: too few fields"),
+    ("id,time,group,y,x_1", "b,1,,1.0", "line 5: too few fields"),
+    ("id,time,group,y,x_1,x_1", "b,2,0,2.0,0.5,0.5", "duplicate column 'x_1'"),
+])
+def test_estimate_rejects_malformed_rows(tmp_path, header, bad_row, message):
+    bad = tmp_path / "bad.csv"
+    fill = ",0.5" * (header.count(",") - 3)
+    lines = [header]
+    for unit, grp in (("a", 0), ("b", 0)):
+        for t in range(1, 4):
+            lines.append(f"{unit},{t},{grp},{t}.0{fill}")
+    lines[4] = bad_row
+    bad.write_text("\n".join(lines) + "\n")
+    res = CliRunner().invoke(cli, ["estimate", "--input", str(bad),
+                                   "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert f"input validation failed: {message}" in res.output
+
+
 def test_estimate_all_treated_panel_reports_skips(tmp_path):
     rng = np.random.default_rng(0)
     from _utils import make_panel
@@ -259,6 +280,32 @@ def test_heterogeneity_from_exported_tables(sim_dir, est_dir, tmp_path):
     targets = {r["target"] for r in rows}
     assert targets == {"catt", "score"}
     assert (out / "clan.csv").exists()
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda rows: [rows[0]] + [[r[0], "1.5", *r[2:]] for r in rows[1:]],
+     "catt panel line 2: e '1.5' is not an integer"),
+    (lambda rows: [r[:3] for r in rows], "catt panel: missing column 'score'"),
+    (lambda rows: rows[:3] + [rows[3][:2]] + rows[4:], "catt panel line 4: too few fields"),
+    (lambda rows: rows[:2] + [[rows[2][0], rows[2][1], "x", rows[2][3]]] + rows[3:],
+     "catt panel line 3: tau_hat 'x' is not a number"),
+    (lambda rows: [rows[0] + ["e"]] + [r + ["0"] for r in rows[1:]],
+     "catt panel: duplicate column 'e'"),
+])
+def test_heterogeneity_rejects_malformed_catt_panel(sim_dir, est_dir, tmp_path,
+                                                     edit, message):
+    with open(est_dir / "catt_panel.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    bad = tmp_path / "catt_panel.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh).writerows(edit(rows))
+    res = CliRunner().invoke(cli, [
+        "heterogeneity", "--input", str(sim_dir / "panel.csv"),
+        "--catt", str(bad), "--out", str(tmp_path / "het"),
+    ])
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert f"input validation failed: {message}" in res.output
 
 
 def test_config_file_defaults(tmp_path, sim_dir):

@@ -89,6 +89,28 @@ def test_group_beyond_horizon_rejected():
         load_panel(csv_bytes(rows))
 
 
+@pytest.mark.parametrize("short_row", ["b,2", "c,2,,1.0", "b,2,3,1.0"])
+def test_short_row_is_too_few_fields(short_row):
+    rows = minimal_rows()
+    rows[5] = short_row  # line 7, after the header and five full rows
+    with pytest.raises(PanelValidationError) as err:
+        load_panel(csv_bytes(rows))
+    assert type(err.value) is PanelValidationError
+    assert str(err.value) == "line 7: too few fields"
+
+
+@pytest.mark.parametrize("header,name", [
+    ("id,time,group,y,x_1,x_1", "x_1"),
+    ("id,time,group,y, x_1,x_1 ", "x_1"),
+    ("id,time,time,group,y,x_1", "time"),
+])
+def test_repeated_column_name_rejected(header, name):
+    rows = [r + ",0.5" for r in minimal_rows()]
+    with pytest.raises(PanelValidationError) as err:
+        load_panel(csv_bytes(rows, header=header))
+    assert str(err.value) == f"duplicate column {name!r}"
+
+
 def test_custom_delimiter():
     rows = [r.replace(",", ";") for r in minimal_rows()]
     text = "\n".join(["id;time;group;y;x_1"] + rows) + "\n"

@@ -1,0 +1,255 @@
+"""The columnar panel reader and table writers against the row-by-row reference.
+
+``tests/_row_loader.py`` keeps the loader and writers that read and wrote a
+panel one row and one field at a time. Every fuzzed CSV must load to
+bit-identical arrays under both, or fail with the same exception type and
+message; the only exemption is a row that lacks a mapped field after its
+unit and time, where the reference crashes with an ``IndexError`` and the
+columnar loader must report "line N: too few fields" for the row the
+reference crashed on. The writers must produce the same bytes.
+"""
+
+import csv
+import io
+import random
+
+import numpy as np
+import pytest
+
+from mldid import ColumnSchema, load_panel, write_panel_csv
+from mldid.estimator import CattPanel
+from mldid.exceptions import PanelValidationError
+from mldid.report import write_catt_panel_csv
+
+from _row_loader import (
+    load_panel_rows,
+    write_catt_panel_csv_rows,
+    write_panel_csv_rows,
+)
+from _utils import make_panel
+
+N_FUZZ = 3000
+
+# \x1c is removed by str.strip but rejected by int() and float().
+PADS = (" ", "\t", "  ", "\x1c")
+BAD_TIMES = ("x", "1.5", "", " ", "0", "-1", "+1", " 2", "1e0", "٣")
+BAD_GROUPS = ("1", "-2", "2.5", "abc", " 3 ", "", "0", "02", "-0", "\x1c2")
+BAD_VALUES = ("", "  ", "abc", "nan", "inf", "-inf", "1e999", "0x1", "1,5",
+              "1_000.5", " -0.0 ", "\x1c1.5")
+
+
+def _field(rng, value):
+    """A value, sometimes padded with whitespace."""
+    if rng.random() < 0.1:
+        return rng.choice(PADS) + value + rng.choice(PADS)
+    return value
+
+
+def _fuzz_case(rng):
+    """A small panel CSV with 0-3 corruptions; returns (text, schema)."""
+    T, n, p = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 2)
+    ids = rng.sample(["a", "b", "c", "10", "2", "u 1", "Z"], n)
+    covs = [f"x_{j + 1}" for j in range(p)]
+    header = ["id", "time", "group", "y", *covs]
+    if rng.random() < 0.2:
+        header.append("note")
+    if rng.random() < 0.3:
+        rng.shuffle(header)
+    group_of = {u: rng.choice(["", "0", *map(str, range(2, T + 1))]) for u in ids}
+    rows = []
+    for u in ids:
+        for t in range(1, T + 1):
+            row = {"id": u, "time": str(t), "group": group_of[u],
+                   "y": repr(rng.gauss(0, 1)), "note": "n"}
+            for c in covs:
+                row[c] = rng.choice([repr(rng.gauss(0, 1)), str(rng.randint(-3, 3))])
+            rows.append({k: _field(rng, v) for k, v in row.items()})
+    if rng.random() < 0.3:
+        rng.shuffle(rows)
+
+    lines = [[r[h] for h in header] for r in rows]
+    for _ in range(rng.choice([0, 1, 1, 2, 2, 3])):
+        kind = rng.choice(["time", "dup", "drop", "group", "group-unit", "value",
+                           "blank", "extra", "pad-id", "short"])
+        k = rng.randrange(len(lines)) if lines else None
+        if k is None or len(lines[k]) < len(header):
+            kind = "blank"
+        if kind == "time":
+            lines[k][header.index("time")] = rng.choice(BAD_TIMES + (str(T + 1),))
+        elif kind == "dup":
+            copy = list(lines[k])
+            copy[header.index("y")] = "7.5"
+            lines.insert(rng.randrange(len(lines) + 1), copy)
+        elif kind == "drop":
+            del lines[k]
+        elif kind == "group":
+            lines[k][header.index("group")] = rng.choice(BAD_GROUPS + (str(T + 1),))
+        elif kind == "group-unit":
+            unit = lines[k][header.index("id")]
+            label = rng.choice(BAD_GROUPS + (str(T + 1),))
+            for line in lines:
+                if len(line) == len(header) and line[header.index("id")] == unit:
+                    line[header.index("group")] = label
+        elif kind == "value":
+            name = rng.choice(["y", *covs])
+            lines[k][header.index(name)] = rng.choice(BAD_VALUES)
+        elif kind == "blank":
+            blank = rng.choice([[], [""] * len(header), [" ", "\t"], ["  "] * 7])
+            lines.insert(rng.randrange(len(lines) + 1), blank)
+        elif kind == "extra":
+            lines[k] = lines[k] + ["e"] * rng.randint(1, 3)
+        elif kind == "pad-id":
+            lines[k][header.index("id")] = " " + lines[k][header.index("id")] + "\t"
+        elif kind == "short":
+            lines[k] = lines[k][: rng.randrange(len(header))]
+
+    delimiter = rng.choice([",", ",", ";"])
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delimiter)
+    writer.writerow(header)
+    writer.writerows(lines)
+    if rng.random() < 0.3 and covs:
+        schema = ColumnSchema(covariates=tuple(reversed(covs)), delimiter=delimiter)
+    else:
+        schema = ColumnSchema(delimiter=delimiter)
+    return buf.getvalue(), schema
+
+
+# Message part -> outcome; the first part found names the message, so
+# "line N: too few fields" is matched before ": time ".
+CATEGORIES = {
+    "too few fields": "unit or time field missing",
+    "time values must cover": "time coverage",
+    "no data rows found": "no data rows",
+    "appears more than once": "repeated period",
+    "cannot start in period 1": "group one",
+    "outside the panel horizon": "group past horizon",
+    "group changes": "group changes",
+    "is empty": "empty value",
+    "is not numeric": "non-numeric value",
+    "is not finite": "non-finite value",
+    "is missing": "missing period",
+    ": time ": "bad time",
+    "is not an integer": "bad group label",
+}
+
+
+def _category(message):
+    return next(label for part, label in CATEGORIES.items() if part in message)
+
+
+def _run(loader, text, schema):
+    try:
+        return loader(io.StringIO(text, newline=""), schema), None
+    except Exception as err:  # noqa: BLE001 - the test compares what was raised
+        return None, err
+
+
+def _crash_line(err):
+    """The line the reference was reading when it crashed."""
+    tb = err.__traceback__
+    line = None
+    while tb is not None:
+        if tb.tb_frame.f_code.co_name == "_load_panel_stream":
+            line = tb.tb_frame.f_locals.get("line_no")
+        tb = tb.tb_next
+    return line
+
+
+def _assert_same_panel(a, b, text):
+    assert a.unit_ids.dtype == b.unit_ids.dtype == object, text
+    assert a.unit_ids.tolist() == b.unit_ids.tolist() == sorted(b.unit_ids.tolist()), text
+    assert a.n_periods == b.n_periods, text
+    assert a.covariate_names == b.covariate_names, text
+    for name in ("groups", "outcomes", "covariates"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, (name, text)
+        assert x.tobytes() == y.tobytes(), (name, text)
+        assert x.flags.c_contiguous, (name, text)
+
+
+def test_fuzzed_panels_match_row_reference():
+    rng = random.Random(20261018)
+    seen = {}
+    for _ in range(N_FUZZ):
+        text, schema = _fuzz_case(rng)
+        new, new_err = _run(load_panel, text, schema)
+        ref, ref_err = _run(load_panel_rows, text, schema)
+        if ref_err is None:
+            assert new_err is None, (text, new_err)
+            _assert_same_panel(new, ref, text)
+            outcome = "loaded"
+        elif isinstance(ref_err, IndexError):
+            line = _crash_line(ref_err)
+            assert line is not None, text
+            assert type(new_err) is PanelValidationError, (text, new_err)
+            assert str(new_err) == f"line {line}: too few fields", (text, new_err)
+            outcome = "short row (reference crashes)"
+        else:
+            assert isinstance(ref_err, PanelValidationError), (text, ref_err)
+            assert type(new_err) is type(ref_err), (text, ref_err, new_err)
+            assert str(new_err) == str(ref_err), text
+            outcome = _category(str(ref_err))
+        seen[outcome] = seen.get(outcome, 0) + 1
+    # Every branch of the reader was reached many times.
+    for outcome in ("loaded", "short row (reference crashes)", *CATEGORIES.values()):
+        assert seen.get(outcome, 0) >= 10, (outcome, seen)
+
+
+def test_reference_panels_load_bit_identical(tmp_path):
+    rng = np.random.default_rng(3)
+    for n, T, p in ((40, 8, 5), (25, 4, 0), (3, 2, 2)):
+        panel = make_panel(
+            groups=rng.choice([0, *range(2, T + 1)], n),
+            n_periods=T,
+            outcomes=rng.standard_normal((n, T)) * 1e3,
+            covariates=rng.standard_normal((n, T, p)) if p else np.zeros((n, T, 0)),
+            unit_ids=[f"u{k}" for k in rng.permutation(n)],
+        )
+        path = tmp_path / f"panel_{n}.csv"
+        write_panel_csv(panel, path)
+        _assert_same_panel(load_panel(path), load_panel_rows(path), str(path))
+
+
+def _panel_for_writing(unit_ids, p):
+    rng = np.random.default_rng(5)
+    n, T = len(unit_ids), 3
+    y = rng.standard_normal((n, T))
+    y[0, 1] = -0.0
+    x = rng.standard_normal((n, T, p)) * 10.0 ** rng.integers(-20, 20, (n, T, p))
+    return make_panel(rng.choice([0, 2, 3], n), T, y, x, unit_ids=unit_ids)
+
+
+@pytest.mark.parametrize("unit_ids,p,delimiter", [
+    (["b", "a", "c, d", 'q"t'], 2, ","),
+    (np.arange(4, dtype=object), 1, ";"),
+    (np.arange(3, dtype=np.int64), 3, ","),
+    (["x"], 0, ","),
+])
+def test_write_panel_csv_matches_row_writer(tmp_path, unit_ids, p, delimiter):
+    panel = _panel_for_writing(unit_ids, p)
+    write_panel_csv(panel, tmp_path / "new.csv", delimiter=delimiter)
+    write_panel_csv_rows(panel, tmp_path / "ref.csv", delimiter=delimiter)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("unit_ids", [
+    np.array(["u3", "u1", "a,b", "7"], dtype=object),
+    np.arange(4, dtype=object),
+])
+def test_write_catt_panel_csv_matches_row_writer(tmp_path, unit_ids):
+    rng = np.random.default_rng(9)
+    tau = rng.standard_normal(4) * 10.0 ** rng.integers(-30, 30, 4)
+    tau[1] = -0.0
+    catt = CattPanel(
+        unit_ids=unit_ids,
+        g=np.array([2, 2, 3, 3]),
+        e=np.array([-2, 0, 1, 5], dtype=np.int64),
+        tau=tau,
+        score=np.array([np.nan, 1e-300, -2.5, 1 / 3]),
+        X=np.zeros((4, 1)),
+        covariate_names=("x_1",),
+    )
+    write_catt_panel_csv(tmp_path / "new.csv", catt)
+    write_catt_panel_csv_rows(tmp_path / "ref.csv", catt)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
