@@ -7,13 +7,21 @@ difference of their H is dH, so the loss is (1/2) sum_units
 The fit is therefore a lasso on the unit rows, with design (B/2)[1, x] and
 response dH/2, which has the stacked rows' Gram matrix, scale and cross
 product per row, so a fixed l1 gives the stacked fit's tau. Its inner CV
-folds hold out whole units. :func:`fit_catt_columns` fits every bootstrap
-count column of a cell from unit moments in one lasso batch;
-:func:`fit_catt` is its one-column call on a bundle.
+folds hold out whole units.
+
+The fit of every bootstrap count column of a cell is built from unit
+moments in stages, for the stage-major engine of :mod:`mldid.estimator`:
+:func:`catt_fits` returns the columns' ``learners.GramFit`` systems, each
+with its own held-out scorer, :func:`solve_catt` solves those of every
+cell of a group as one lasso batch, and the function :func:`catt_fits`
+returned then collects the coefficients. :func:`fit_catt_columns` runs
+the stages for one cell, and :func:`fit_catt` is its one-column call on a
+bundle.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,21 +79,47 @@ def fit_catt(
 def fit_catt_columns(X, B, dH, counts, l1=None, config=None):
     """The effect-function fit of every count column, from unit moments.
 
+    The stages of :func:`catt_fits` for these columns alone. Returns the
+    (columns, 1 + p) coefficients (``a`` first), the chosen l1 of each
+    column and per column the MldidError its fit raised, or None.
+    """
+    config = config or LearnerConfig()
+    fits, collect = catt_fits(X, B, dH, counts, l1=l1, config=config)
+    solve_catt(fits, config)
+    return collect()
+
+
+def solve_catt(fits: list[GramFit], config: LearnerConfig) -> None:
+    """Solve the effect-function GramFits of any number of cells as one batch.
+
+    The ``a`` column is unpenalized, and a CV-chosen l1 follows the 1se
+    rule, which keeps the effect function sparse: covariates that do not
+    drive heterogeneity should carry exactly zero coefficients.
+    """
+    if fits:
+        d = fits[0].G.shape[0]
+        fit_gram_batch(fits, l2=config.l2, pf=np.concatenate([[0.0], np.ones(d - 1)]),
+                       fit_intercept=False, cv_rule="1se")
+
+
+def catt_fits(X, B, dH, counts, l1=None, config=None):
+    """The Gram systems of every count column's effect-function fit.
+
     Column r's rows are ``counts[i, r]`` copies of unit i, with design
     (B/2) z, z = [1, x], and response dH/2 (B and dH are (units, columns)).
     So the Gram matrix of the design, its RMS scale and its cross product
     with the response are count-weighted sums of unit moments of z, with
-    weights B^2/4 and B dH/4. The fits of all columns are one batch of
-    ``learners.fit_gram_batch``, each the fit ``fit_penalized_ls_cv`` makes
-    on the column's drawn units with their counts as weights.
+    weights B^2/4 and B dH/4. Once :func:`solve_catt` has solved them,
+    together with those of other cells, each fit is the one
+    ``fit_penalized_ls_cv`` makes on the column's drawn units with their
+    counts as weights.
 
     With CV the inner folds rank the column's drawn units: fold j holds
     out the ranks equal to j modulo K, so an inner training set is the
     column's moments less those of one class of units, and its held-out
     error is the count-weighted mean of (dH - B tau(x))^2 over that class.
-    The l1 follows the 1se rule. Returns the (columns, 1 + p) coefficients
-    (``a`` first), the chosen l1 of each column and per column the
-    MldidError its fit raised, or None.
+    Returns the GramFits and a function that then returns what
+    :func:`fit_catt_columns` returns.
     """
     config = config or LearnerConfig()
     c = np.asarray(counts, dtype=float)
@@ -104,7 +138,18 @@ def fit_catt_columns(X, B, dH, counts, l1=None, config=None):
     scale[scale == 0.0] = 1.0
 
     pf = np.concatenate([[0.0], np.ones(p)])
-    fits, errors = [], [None] * c.shape[1]
+    K = config.inner_cv_folds
+
+    def fold_errors(r, held, path):
+        fold_err = np.zeros((K, path.shape[1]))
+        for j, out in enumerate(held):
+            # tau on the held-out units is z / scale times the path's coefficients.
+            resid = dH[out, r, None] - B[out, r, None] * (Z[out] / scale[r] @ path[j].T)
+            w = c[out, r]
+            fold_err[j] = w / w.sum() @ resid**2
+        return fold_err
+
+    fits, cols, errors = [], [], [None] * c.shape[1]
     for r in range(c.shape[1]):
         if n[r] < p + 2:
             errors[r] = MldidError(f"need at least {p + 2} units to fit tau, have {int(n[r])}")
@@ -114,49 +159,34 @@ def fit_catt_columns(X, B, dH, counts, l1=None, config=None):
             continue
         s = scale[r]
         fit = GramFit(gram[r] / (n[r] * np.outer(s, s)), cross[r] / (n[r] * s),
-                      np.zeros(d), s, 0.0, fixed, data=r)
+                      np.zeros(d), s, 0.0, fixed)
         if fixed is None:
             cv_grid(fit, pf, config.l2, config.n_lambdas)
+        if fit.grid is not None:
+            ranked = np.flatnonzero(c[:, r] > 0)
+            held = [ranked[j::K] for j in range(K)]
+            fold_G, fold_c = [], []
+            for out in held:
+                n_tr = n[r] - c[out, r].sum()
+                g_tr = gram[r] - weighted_gram(Z[out], weight[out, r])
+                c_tr = cross[r] - product[out, r] @ Z[out]
+                fold_G.append(g_tr / (n_tr * np.outer(s, s)))
+                fold_c.append(c_tr / (n_tr * s))
+            fit.fold_G, fit.fold_c = np.stack(fold_G), np.stack(fold_c)
+            fit.score = functools.partial(fold_errors, r, held)
         fits.append(fit)
+        cols.append(r)
 
-    K = config.inner_cv_folds
-    path_G, path_c, held = [], [], {}
-    for fit in fits:
-        if fit.grid is None:
-            continue
-        r, s = fit.data, fit.scale
-        ranked = np.flatnonzero(c[:, r] > 0)
-        for j in range(K):
-            out = held[r, j] = ranked[j::K]
-            n_tr = n[r] - c[out, r].sum()
-            g_tr = gram[r] - weighted_gram(Z[out], weight[out, r])
-            c_tr = cross[r] - product[out, r] @ Z[out]
-            fit.members.append((len(path_G), j))
-            path_G.append(g_tr / (n_tr * np.outer(s, s)))
-            path_c.append(c_tr / (n_tr * s))
+    def collect():
+        coef, chosen = np.zeros((c.shape[1], d)), np.full(c.shape[1], np.nan)
+        for r, fit in zip(cols, fits):
+            if isinstance(fit.result, MldidError):
+                errors[r] = fit.result
+            else:
+                coef[r], chosen[r] = fit.result.coef, fit.result.l1
+        return coef, chosen, errors
 
-    def fold_errors(fit, path):
-        r = fit.data
-        fold_err = np.zeros((K, path.shape[1]))
-        for b, j in fit.members:
-            out = held[r, j]
-            # tau on the held-out units is z / scale times the path's coefficients.
-            resid = dH[out, r, None] - B[out, r, None] * (Z[out] / fit.scale @ path[b].T)
-            w = c[out, r]
-            fold_err[j] = w / w.sum() @ resid**2
-        return fold_err
-
-    # The 1se rule keeps the effect function sparse: covariates that do
-    # not drive heterogeneity should carry exactly zero coefficients.
-    fit_gram_batch(fits, path_G, path_c, fold_errors, l2=config.l2, pf=pf,
-                   fit_intercept=False, cv_rule="1se")
-    coef, chosen = np.zeros((c.shape[1], d)), np.full(c.shape[1], np.nan)
-    for fit in fits:
-        if isinstance(fit.result, MldidError):
-            errors[fit.data] = fit.result
-        else:
-            coef[fit.data], chosen[fit.data] = fit.result.coef, fit.result.l1
-    return coef, chosen, errors
+    return fits, collect
 
 
 def predict_catt(model: CattModel, X: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from .estimator import (
     derive_seed,
     run_mldid,
     _SEED_REP,
-    _map_cells,
+    _map_tasks,
     _reemit,
 )
 from .exceptions import MldidError, PanelValidationError
@@ -383,7 +383,7 @@ def cmd_benchmark(n, periods, tau, assignment, confounding, chi, reps, seed,
     tasks = [(seed, rep, dgp_kwargs, config, k_bins, bootstrap)
              for rep in range(reps)]
     payloads = []
-    for rep, (payload, caught) in enumerate(_map_cells(_benchmark_rep, tasks, threads)):
+    for rep, (payload, caught) in enumerate(_map_tasks(_benchmark_rep, tasks, threads)):
         _reemit(f"benchmark repetition {rep}", caught)
         payloads.append(payload)
 

@@ -15,21 +15,36 @@ one estimate, with the slice's units weighted by their counts. A run uses
 the single all-ones column. The bootstrap draws every replicate as a
 column of counts over the original panel's units and estimates each cell
 once for all of them, with the cell's own fold plan, so a unit's copies
-share its fold. ``--threads`` maps over cells in both.
+share its fold.
+
+The engine is stage-major. Cells (for the bootstrap, parts of a cell's
+columns) are estimated in groups of at most MAX_GROUP_ENTRIES (unit,
+column) entries, and a group goes through the stages together
+(:func:`_estimate_parts`): every cell cross-fits its propensity and builds
+its outcome regressions, all the group's regressions are one lasso batch,
+every cell then builds its effect fit, and all of those are a second
+batch, before each cell forms its balancing weights and scores. Every
+member of a lasso batch follows the iterates of its own solve, so a cell's
+estimate does not depend on its group. Between stages a cell keeps only
+what the next stage reads. ``--threads`` maps over the groups, and the
+warnings of each cell are raised again with its (g, t).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .amle import balancing_columns, sigma2_columns
-from .catt import fit_catt_columns
+from .catt import catt_fits, solve_catt
 from .exceptions import (
     BootstrapFailed,
     CellSkipped,
@@ -39,12 +54,14 @@ from .exceptions import (
     NoCellsForEventTime,
 )
 from .learners import make_fold_plan
-from .nuisance import LearnerConfig, NuisanceBundle, cross_fit_nuisances
+from .nuisance import LearnerConfig, NuisanceBundle, solve_regressions, start_nuisances
 from .panel import (
     PanelDataset,
+    TwoPeriodSlice,
     empty_control_error,
     empty_treated_error,
     enumerate_cells,
+    slice_rows,
     slice_two_period,
 )
 
@@ -64,10 +81,10 @@ _SEED_REP = 303
 # Fewest replicates whose standard deviation the bootstrap reports.
 MIN_BOOTSTRAP_REPLICATES = 50
 
-# Most (unit, count column) entries a cell estimates in one pass; a
-# bootstrap cell with more is estimated in chunks of columns, at least one
-# column each.
-MAX_CELL_ENTRIES = 1 << 14
+# Most (unit, count column) entries a group of cells holds through the
+# stages; a bootstrap cell with more is estimated in parts of columns, at
+# least one column each.
+MAX_GROUP_ENTRIES = 1 << 14
 
 
 def derive_seed(*parts: int) -> int:
@@ -188,14 +205,16 @@ class _Columns:
     errors: list
 
 
-def _effect_columns(X, g, B, dH, counts, config: EstimatorConfig, errors=None) -> _Columns:
-    """Effect fit, balancing weights and robust unit scores of every count column.
+def _effect_fits(X, g, B, dH, counts, config: EstimatorConfig, errors=None):
+    """The effect fits of every count column, and the step that completes the columns.
 
     The inputs are per unit and column (``X`` and ``g`` per unit): B = G -
     g_hat and dH = dY - nu_hat. Columns with an entry in ``errors`` have
-    failed already and are skipped. A unit's score is tau(x) + w (dH -
-    B tau(x)), and the column's att is the count-weighted mean of the
-    scores.
+    failed already and are skipped. Returns the columns' effect-function
+    GramFits (:func:`catt.catt_fits`) and a function that, once they are
+    solved, forms the balancing weights and the robust unit scores and
+    returns the _Columns. A unit's score is tau(x) + w (dH - B tau(x)), and
+    the column's att is the count-weighted mean of the scores.
     """
     m, n_cols = counts.shape
     out = _Columns(np.full(n_cols, np.nan), np.full((m, n_cols), np.nan),
@@ -203,24 +222,29 @@ def _effect_columns(X, g, B, dH, counts, config: EstimatorConfig, errors=None) -
                    np.full(n_cols, np.nan), list(errors or [None] * n_cols))
     live = np.flatnonzero([err is None for err in out.errors])
     if not live.size:
-        return out
+        return [], lambda: out
     counts, B, dH = _columns(live, counts, B, dH)
-    coef, l1, fit_errors = fit_catt_columns(X, B, dH, counts, config=config.learners)
-    for r, err in zip(live, fit_errors):
-        out.errors[r] = err
-    fit = np.flatnonzero([err is None for err in fit_errors])
-    ok = live[fit]
-    if not ok.size:
+    fits, collect = catt_fits(X, B, dH, counts, config=config.learners)
+
+    def finish() -> _Columns:
+        coef, l1, fit_errors = collect()
+        for r, err in zip(live, fit_errors):
+            out.errors[r] = err
+        fit = np.flatnonzero([err is None for err in fit_errors])
+        ok = live[fit]
+        if not ok.size:
+            return out
+        c, b, dh = _columns(fit, counts, B, dH)
+        tau = coef[fit, 0] + X @ coef[fit, 1:].T
+        sigma2 = sigma2_columns(dh, c)
+        w = balancing_columns(X, g.astype(float), c, sigma2)
+        score = tau + w * (dh - b * tau)
+        out.att[ok] = (c * score).sum(axis=0) / c.sum(axis=0)
+        out.tau_unit[:, ok], out.score_unit[:, ok] = tau, score
+        out.sigma2[ok], out.catt_l1[ok] = sigma2, l1[fit]
         return out
-    c, B, dH = _columns(fit, counts, B, dH)
-    tau = coef[fit, 0] + X @ coef[fit, 1:].T
-    sigma2 = sigma2_columns(dH, c)
-    w = balancing_columns(X, g.astype(float), c, sigma2)
-    score = tau + w * (dH - B * tau)
-    out.att[ok] = (c * score).sum(axis=0) / c.sum(axis=0)
-    out.tau_unit[:, ok], out.score_unit[:, ok] = tau, score
-    out.sigma2[ok], out.catt_l1[ok] = sigma2, l1[fit]
-    return out
+
+    return fits, finish
 
 
 def _columns(idx, *arrays):
@@ -230,20 +254,102 @@ def _columns(idx, *arrays):
     return tuple(a[:, idx] for a in arrays)
 
 
-def _cell_columns(sl, plan, config: EstimatorConfig, counts) -> _Columns:
-    """Estimate a slice for every count column: cross-fit nuisances, then effects.
+@dataclass
+class _Part:
+    """A cell's slice and count columns on their way through the stages.
 
-    Column r weights the slice's units by ``counts[:, r]`` and shares the
-    fold plan, so it is the estimate on a resampled slice whose copies of a
-    unit sit in that unit's fold.
+    ``counts`` weights the slice's units, one column per estimate, and
+    ``columns`` names those columns among the bootstrap's replicates (None
+    for a run's all-ones column). Between stages ``fits`` holds the part's
+    GramFits of the next lasso batch and ``advance`` the step that reads
+    them; only these are kept. ``result`` is the final _Columns, ``error``
+    an MldidError that stopped the whole part, and ``caught`` the
+    (category, message) of every warning the part's steps raised.
     """
-    nuis = cross_fit_nuisances(sl, plan, config.learners, counts)
+
+    g: int
+    t: int
+    sl: TwoPeriodSlice | None = None
+    counts: np.ndarray | None = None
+    columns: np.ndarray | None = None
+    fits: list = field(default_factory=list)
+    advance: Callable | None = None
+    result: _Columns | None = None
+    error: MldidError | None = None
+    caught: list = field(default_factory=list)
+
+    @contextlib.contextmanager
+    def step(self):
+        """Run one step of the part: record its warnings, and an MldidError as its error."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                yield
+            except MldidError as err:
+                self.error = err
+        self.caught += [(w.category, str(w.message)) for w in caught]
+
+
+def _sliced(panel: PanelDataset, g: int, t: int, counts=None, columns=None) -> _Part:
+    """The part of cell (g, t) for ``columns`` of ``counts``, or its all-ones column.
+
+    ``counts`` holds draw counts over the panel's units. A slice that
+    cannot be built is the part's error, a CellSkipped with the (g, t).
+    """
+    part = _Part(g, t, columns=columns)
+    with part.step():
+        try:
+            part.sl = slice_two_period(panel, g, t)
+        except (EmptyControlGroup, EmptyTreatedGroup) as err:
+            raise CellSkipped(g, t, err) from err
+        part.counts = (np.ones((part.sl.n_units, 1)) if columns is None
+                       else counts[part.sl.unit_rows][:, columns])
+    return part
+
+
+def _estimate_parts(parts: list[_Part], config: EstimatorConfig) -> list[_Part]:
+    """Estimate a group of sliced parts stage by stage.
+
+    Every part cross-fits its propensity (its own Newton batch: each cell
+    takes x at its own base period) and builds its outcome regressions;
+    the regressions of all parts are solved as one lasso batch. Then every
+    part forms B and dH and builds its effect fits, and those of all parts
+    are a second batch. Last, every part forms its balancing weights,
+    scores and att. A batch member's result does not depend on the rest
+    of the batch, so a part's estimate is the one of a group of its own.
+    A part whose step raises an MldidError stops with it; the others go on.
+    """
+    def live():
+        return [part for part in parts if part.error is None]
+
+    for part in live():
+        with part.step():
+            plan = _cell_plan(part.sl, config, part.g, part.t)
+            part.fits, finish = start_nuisances(part.sl, plan, config.learners, part.counts)
+            part.advance = functools.partial(_effect_stage, part, finish, config)
+    solve_regressions([fit for part in live() for fit in part.fits], config.learners)
+    for part in live():
+        with part.step():
+            part.fits, part.advance = part.advance()
+    solve_catt([fit for part in live() for fit in part.fits], config.learners)
+    for part in live():
+        with part.step():
+            part.result = part.advance()
+    for part in parts:
+        part.fits, part.advance = [], None
+    return parts
+
+
+def _effect_stage(part: _Part, finish_nuisances, config: EstimatorConfig):
+    """B and dH of a part from its solved nuisances, and its effect fits."""
+    sl = part.sl
+    nuis = finish_nuisances()
     # A non-finite value of a unit that a column did not draw must not reach
     # its sums; one of a drawn unit has failed the column's nuisance fits.
     X, y_pre, y_post = (np.where(np.isfinite(a), a, 0.0) for a in (sl.X, sl.y_pre, sl.y_post))
     B = sl.g_flag[:, None] - nuis.g_hat
     dH = (y_post - y_pre)[:, None] - nuis.nu_hat
-    return _effect_columns(X, sl.g_flag, B, dH, counts, config, nuis.errors)
+    return _effect_fits(X, sl.g_flag, B, dH, part.counts, config, nuis.errors)
 
 
 def estimate_from_bundle(bundle: NuisanceBundle, config: EstimatorConfig):
@@ -253,8 +359,10 @@ def estimate_from_bundle(bundle: NuisanceBundle, config: EstimatorConfig):
     exposed separately so properties can be checked with known nuisance
     values substituted for the fitted ones.
     """
-    cols = _effect_columns(bundle.X, bundle.g, bundle.B[:, None], bundle.dH[:, None],
-                           np.ones((bundle.n_units, 1)), config)
+    fits, finish = _effect_fits(bundle.X, bundle.g, bundle.B[:, None], bundle.dH[:, None],
+                                np.ones((bundle.n_units, 1)), config)
+    solve_catt(fits, config.learners)
+    cols = finish()
     if cols.errors[0] is not None:
         raise cols.errors[0]
     return (float(cols.att[0]), cols.score_unit[:, 0], cols.tau_unit[:, 0],
@@ -285,30 +393,15 @@ def _cell_plan(sl, config: EstimatorConfig, g: int, t: int):
     )
 
 
-def estimate_cell(
-    panel: PanelDataset, g: int, t: int, config: EstimatorConfig | None = None
-) -> GroupTimeResult:
-    """Estimate one group-time effect.
-
-    The reference cell t = g-1 returns a fixed zero. Slice construction
-    failures are wrapped as CellSkipped with the (g, t) context; other
-    module errors propagate.
-    """
-    config = config or EstimatorConfig()
-    if t == g - 1:
-        return _reference_result(panel, g)
-    try:
-        sl = slice_two_period(panel, g, t)
-    except (EmptyControlGroup, EmptyTreatedGroup) as err:
-        raise CellSkipped(g, t, err) from err
-
-    cols = _cell_columns(sl, _cell_plan(sl, config, g, t), config,
-                         np.ones((sl.n_units, 1)))
-    if cols.errors[0] is not None:
-        raise cols.errors[0]
+def _cell_result(part: _Part) -> GroupTimeResult:
+    """The result of a part's all-ones column; raises the error that stopped it."""
+    error = part.error or part.result.errors[0]
+    if error is not None:
+        raise error
+    sl, cols = part.sl, part.result
     return GroupTimeResult(
-        g=g,
-        t=t,
+        g=part.g,
+        t=part.t,
         att=float(cols.att[0]),
         n_treated=sl.n_treated,
         n_control=sl.n_control,
@@ -320,6 +413,24 @@ def estimate_cell(
         sigma2=float(cols.sigma2[0]),
         catt_l1=float(cols.catt_l1[0]),
     )
+
+
+def estimate_cell(
+    panel: PanelDataset, g: int, t: int, config: EstimatorConfig | None = None
+) -> GroupTimeResult:
+    """Estimate one group-time effect, as a group of one cell.
+
+    The reference cell t = g-1 returns a fixed zero. Slice construction
+    failures are wrapped as CellSkipped with the (g, t) context; other
+    module errors propagate.
+    """
+    config = config or EstimatorConfig()
+    if t == g - 1:
+        return _reference_result(panel, g)
+    part, = _estimate_parts([_sliced(panel, g, t)], config)
+    for category, message in part.caught:
+        warnings.warn(message, category, stacklevel=2)
+    return _cell_result(part)
 
 
 def event_study_weights(
@@ -411,12 +522,13 @@ def _build_catt_panel(cells: list[GroupTimeResult], covariate_names) -> CattPane
     )
 
 
-def _map_cells(task, args: list, threads: int) -> list:
-    """``task`` over per-cell arguments, in a pool of ``threads`` processes if > 1.
+def _map_tasks(task, args: list, threads: int) -> list:
+    """``task`` over ``args``, in a pool of ``threads`` processes if > 1.
 
-    The CLI's benchmark maps its repetitions the same way. Each call runs with its warnings recorded and returns them with its
+    Each call runs with its warnings recorded and returns them with its
     result, so a worker's warnings are not lost; :func:`_reemit` raises
-    them again in the caller.
+    them again in the caller. The CLI's benchmark maps its repetitions the
+    same way.
     """
     if threads > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -432,41 +544,76 @@ def _recording(job):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
-def _reemit(prefix: str, caught) -> None:
+def _reemit(prefix: str | None, caught) -> None:
     """Warn again, once per distinct message, with ``prefix`` and its count."""
+    head = f"{prefix}: " if prefix else ""
     for (category, message), n in Counter(caught).items():
         times = f" ({n} times)" if n > 1 else ""
-        warnings.warn(f"{prefix}: {message}{times}", category, stacklevel=3)
+        warnings.warn(f"{head}{message}{times}", category, stacklevel=3)
 
 
-def _cell_task(args):
-    panel, g, t, config = args
+def _groups(items: list, sizes: list[int], threads: int) -> list[list]:
+    """Consecutive items in groups of at most MAX_GROUP_ENTRIES entries.
+
+    An item larger than that is a group of its own. With ``threads`` > 1 a
+    group holds at most 1/threads of all entries, so that every process of
+    the pool gets a group.
+    """
+    cap = min(MAX_GROUP_ENTRIES, -(-sum(sizes) // max(threads, 1)))
+    groups, total = [], 0
+    for item, size in zip(items, sizes):
+        if not groups or total + size > cap:
+            groups.append([])
+            total = 0
+        groups[-1].append(item)
+        total += size
+    return groups
+
+
+def _n_units(panel: PanelDataset, g: int, t: int) -> int:
+    """Units of the (g, t) slice; 0 if it has none, which its group then reports."""
     try:
-        return g, t, estimate_cell(panel, g, t, config), None
-    except MldidError as err:
-        return g, t, None, str(err)
+        return int(slice_rows(panel, g, t).size)
+    except MldidError:
+        return 0
+
+
+def _run_task(args):
+    """The GroupTimeResult, or the skip reason, and the warnings of each cell of a group."""
+    panel, config, keys = args
+    out = []
+    for part in _estimate_parts([_sliced(panel, g, t) for g, t in keys], config):
+        try:
+            res = _cell_result(part)
+        except MldidError as err:
+            res = str(err)
+        out.append(((part.g, part.t), res, part.caught))
+    return out
 
 
 def run_mldid(panel: PanelDataset, config: EstimatorConfig | None = None) -> MldidRun:
     """Estimate every cell, aggregate, and assemble the per-unit panel.
 
-    Skipped cells are recorded with their reason, never silently
+    The cells are estimated in groups (:func:`_groups`), each group stage
+    by stage (:func:`_estimate_parts`). Skipped cells are recorded with their reason, never silently
     dropped; reference cells (t = g-1) appear as hard zeros. Warnings of a
     cell are raised again here, prefixed with its (g, t).
     """
     config = config or EstimatorConfig()
     keys = enumerate_cells(panel, config.include_placebo)
+    groups = _groups(keys, [_n_units(panel, g, t) for g, t in keys], config.threads)
     results: dict[tuple[int, int], GroupTimeResult] = {}
     skipped: list[tuple[int, int, str]] = []
-
-    outputs = _map_cells(_cell_task, [(panel, g, t, config) for g, t in keys],
+    outputs = _map_tasks(_run_task, [(panel, config, group) for group in groups],
                          config.threads)
-    for (g, t, res, err), caught in outputs:
-        _reemit(f"cell (g={g}, t={t})", caught)
-        if res is None:
-            skipped.append((g, t, err))
-        else:
-            results[(g, t)] = res
+    for cells, caught in outputs:
+        for (g, t), res, cell_caught in cells:
+            _reemit(f"cell (g={g}, t={t})", cell_caught)
+            if isinstance(res, str):
+                skipped.append((g, t, res))
+            else:
+                results[(g, t)] = res
+        _reemit(None, caught)
 
     cells = [results[k] for k in sorted(results)]
     for g in panel.cohorts:
@@ -528,34 +675,68 @@ def replicate_counts(n_units: int, seed: int, n_replicates: int) -> np.ndarray:
 
 
 def _bootstrap_task(args):
-    """Every replicate's att of one cell and, where it has none, the reason."""
-    panel, g, t, config, counts = args
+    """Every replicate's att, and where it has none the reason, of each part of a group."""
+    panel, config, counts, items = args
+    parts = _estimate_parts([_sliced(panel, g, t, counts, cols) for g, t, cols in items], config)
+    out = []
+    for part in parts:
+        if part.error is not None:
+            att = np.full(part.columns.size, np.nan)
+            reasons = [str(part.error)] * part.columns.size
+        else:
+            att = part.result.att
+            reasons = [None if err is None else str(err) for err in part.result.errors]
+        out.append(((part.g, part.t), part.columns, att, reasons, part.caught))
+    return out
+
+
+def _replicate_atts(panel: PanelDataset, config: EstimatorConfig, counts, keys):
+    """Every replicate's att of each cell and, where it has none, the reason.
+
+    A cell's live replicates are estimated in parts of columns, of at most
+    MAX_GROUP_ENTRIES (unit, column) entries or one column each, and the
+    parts in groups (:func:`_groups`). A column's estimate depends on its
+    part only through rounding. Warnings are raised again with the cell's
+    (g, t). Returns the atts and the reasons, each a dict by cell.
+    """
     n_cols = counts.shape[1]
-    att = np.full(n_cols, np.nan)
-    # A replicate that drew no unit of cohort g, or no control, has no slice;
-    # its reason is what slicing its panel raises.
-    treated = counts[panel.groups == g].sum(axis=0) > 0
-    try:
-        sl = slice_two_period(panel, g, t)
-        control = counts[sl.unit_rows[sl.g_flag == 0]].sum(axis=0) > 0
-    except EmptyControlGroup:
-        sl, control = None, np.zeros(n_cols, dtype=bool)
-    live = np.flatnonzero(treated & control)
-    reasons: list[str | None] = [None] * n_cols
-    for r in np.flatnonzero(~(treated & control)):
-        cause = empty_control_error(g, t) if treated[r] else empty_treated_error(g)
-        reasons[r] = str(CellSkipped(g, t, cause))
-    if live.size:
-        plan, sub = _cell_plan(sl, config, g, t), counts[sl.unit_rows]
-        # Chunks of columns bound the (units, columns) arrays and batches;
-        # a column's estimate depends on its chunk only through rounding.
-        n_chunks = -(-live.size * sl.n_units // MAX_CELL_ENTRIES)
-        for part in np.array_split(live, min(n_chunks, live.size)):
-            cols = _cell_columns(sl, plan, config, sub[:, part])
-            att[part] = cols.att
-            for r, err in zip(part, cols.errors):
-                reasons[r] = None if err is None else str(err)
-    return att, reasons
+    atts = {key: np.full(n_cols, np.nan) for key in keys}
+    reasons: dict = {key: [None] * n_cols for key in keys}
+    items, sizes = [], []
+    for g, t in keys:
+        # A replicate that drew no unit of cohort g, or no control, has no
+        # slice; its reason is what slicing its panel raises.
+        treated = counts[panel.groups == g].sum(axis=0) > 0
+        try:
+            rows = slice_rows(panel, g, t)
+            control = counts[rows[panel.groups[rows] != g]].sum(axis=0) > 0
+        except EmptyControlGroup:
+            rows, control = None, np.zeros(n_cols, dtype=bool)
+        for r in np.flatnonzero(~(treated & control)):
+            cause = empty_control_error(g, t) if treated[r] else empty_treated_error(g)
+            reasons[g, t][r] = str(CellSkipped(g, t, cause))
+        live = np.flatnonzero(treated & control)
+        if live.size:
+            n_parts = -(-live.size * rows.size // MAX_GROUP_ENTRIES)
+            for cols in np.array_split(live, min(n_parts, live.size)):
+                items.append((g, t, cols))
+                sizes.append(rows.size * cols.size)
+    groups = _groups(items, sizes, config.threads)
+    outputs = _map_tasks(_bootstrap_task, [(panel, config, counts, group) for group in groups],
+                         config.threads)
+    caught = {key: [] for key in keys}
+    leftover = []
+    for parts, group_caught in outputs:
+        for key, cols, att, why, part_caught in parts:
+            atts[key][cols] = att
+            for r, reason in zip(cols, why):
+                reasons[key][r] = reason
+            caught[key] += part_caught
+        leftover += group_caught
+    for (g, t), cell_caught in caught.items():
+        _reemit(f"bootstrap cell (g={g}, t={t})", cell_caught)
+    _reemit(None, leftover)
+    return atts, reasons
 
 
 def _replicate_se(values: dict, keys, n_replicates: int, n_ran: int):
@@ -578,7 +759,7 @@ def bootstrap_se(
     on the original panel, and a cell is estimated once for all columns:
     each column is the estimate on the resampled panel, with a unit's
     copies in that unit's fold of the cell. ``--threads`` maps over the
-    cells. The SE is the replicate standard deviation. The run is invalid
+    groups of cells (:func:`_replicate_atts`). The SE is the replicate standard deviation. The run is invalid
     if more than 10% of replicates fail, and a cell or event time gets no
     SE if more than 10% of replicates did not supply it.
     """
@@ -587,12 +768,7 @@ def bootstrap_se(
             f"bootstrap needs at least {MIN_BOOTSTRAP_REPLICATES} replicates")
     counts = replicate_counts(panel.n_units, config.seed, n_replicates)
     keys = enumerate_cells(panel, config.include_placebo)
-    outputs = _map_cells(_bootstrap_task, [(panel, g, t, config, counts) for g, t in keys],
-                         config.threads)
-    atts, reasons = {}, {}
-    for (g, t), ((att, why), caught) in zip(keys, outputs):
-        _reemit(f"bootstrap cell (g={g}, t={t})", caught)
-        atts[g, t], reasons[g, t] = att, why
+    atts, reasons = _replicate_atts(panel, config, counts, keys)
     sizes = {g: counts[panel.groups == g].sum(axis=0) for g in panel.cohorts}
 
     cell_values: dict[tuple[int, int], list[float]] = {}

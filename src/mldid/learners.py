@@ -12,17 +12,20 @@ Every elastic-net fit goes through ``_lasso_path`` (covariance updates with
 warm starts along the l1 path, after Friedman, Hastie & Tibshirani 2010).
 It takes a batch of standardized Gram systems and runs each coordinate
 update as one vector operation over the batch. :func:`fit_gram_batch` holds
-the stages after the Gram matrices, shared by both front ends: it solves
-the inner-CV paths of many fits as one batch, scores them on the held-out
-rows through the front end's callback, chooses each l1 and refits every
-chosen (or fixed) l1 as a second batch. The row front end,
+the stages after the Gram matrices, shared by every front end: it solves
+the inner-CV paths of many fits as one batch, scores each fit on its
+held-out rows through the scorer that fit carries (:class:`GramFit`),
+chooses each l1 and refits every chosen (or fixed) l1 as a second batch.
+Because every fit carries its own scorer and held-out data, one batch can
+hold the fits of many cells: the stage-major engine of ``estimator``
+solves the outcome regressions of a group of cells as one batch, and
+their effect fits as another. The row front end,
 :func:`fit_penalized_ls_batch`, builds the Gram systems from each
 regression's training rows; :func:`fit_penalized_ls` and
 :func:`fit_penalized_ls_cv` are its one-regression calls, used by the
-effect-function fit and the doubly-robust baseline. The moment front end in
-``nuisance`` builds the outcome regressions of a cell from sums of moment
-blocks instead of from rows, and the effect-function fit of ``catt`` from
-unit moments.
+doubly-robust baseline. The moment front ends in ``nuisance`` and ``catt``
+build the outcome regressions of a cell from sums of moment blocks
+instead of from rows, and the effect-function fit from unit moments.
 
 Every logistic fit goes through :func:`fit_probability_batch`: fits that
 share one design and label vector and differ in their row weights (a
@@ -40,7 +43,8 @@ its result does not depend on what else is in the batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -334,10 +338,12 @@ class GramFit:
     A front end fills in the standardized Gram system of the fit's training
     rows (``G``, ``c``), the standardization it undoes (``center``,
     ``scale``, ``ybar``) and, for an l1 chosen by cross-validation, the
-    ``grid`` (see :func:`cv_grid`) and one ``members`` entry per inner fold,
-    whose first field is that fold's row in the path batch. ``data`` is the
-    front end's own handle on the held-out rows; ``result`` is preset to an
-    MldidError for a fit that cannot be solved.
+    ``grid`` (see :func:`cv_grid`), the Gram systems of its inner training
+    folds (``fold_G``, ``fold_c``, one row per inner fold) and ``score``,
+    which maps the fit's solved inner paths ``(folds, l1, p)`` to their
+    ``(folds, l1)`` held-out errors. Each fit carries its own scorer and
+    held-out data, so fits of different cells can share one batch.
+    ``result`` is preset to an MldidError for a fit that cannot be solved.
     """
 
     G: np.ndarray | None
@@ -347,8 +353,9 @@ class GramFit:
     ybar: float
     l1: float | None
     grid: np.ndarray | None = None
-    members: list = field(default_factory=list)
-    data: object = None
+    fold_G: np.ndarray | None = None
+    fold_c: np.ndarray | None = None
+    score: Callable[[np.ndarray], np.ndarray] | None = None
     result: object = None
 
 
@@ -374,9 +381,6 @@ def cv_grid(fit: GramFit, pf: np.ndarray, l2: float, n_lambdas: int) -> None:
 
 def fit_gram_batch(
     fits: Sequence[GramFit],
-    path_G: Sequence[np.ndarray],
-    path_c: Sequence[np.ndarray],
-    fold_errors: Callable[[GramFit, np.ndarray], np.ndarray],
     *,
     l2: float,
     pf: np.ndarray,
@@ -385,28 +389,31 @@ def fit_gram_batch(
 ) -> None:
     """The stages after the Gram matrices: CV paths, l1 choice and refit.
 
-    Row b of ``path_G``/``path_c`` is an inner-fold system of the fit whose
-    ``members`` name it; all of them go to :func:`_lasso_path` as one batch
-    along their fit's grid. ``fold_errors(fit, path)`` scores the solved
-    paths on the held-out rows, returning the (inner fold, l1) errors from
-    which :func:`_cv_choice` picks the l1. Then every fit without a result
-    is refit at its chosen (or fixed) l1 as a second batch of one-point
-    paths, and ``result`` becomes its LinearModel or NoConvergence.
+    The inner-fold systems of every fit to choose by CV go to
+    :func:`_lasso_path` as one batch along their fit's grid, and each fit's
+    ``score`` rates its own rows of the solved paths, from which
+    :func:`_cv_choice` picks the l1. Then every fit without a result is
+    refit at its chosen (or fixed) l1 as a second batch of one-point paths,
+    and ``result`` becomes its LinearModel or NoConvergence. A fit's result
+    does not depend on the other fits of the batch.
     """
     cv = [fit for fit in fits if fit.grid is not None and fit.result is None]
     if cv:
-        grid = np.empty((len(path_G), cv[0].grid.shape[0]))
-        for fit in cv:
-            for member in fit.members:
-                grid[member[0]] = fit.grid
-        path, _, failed = _lasso_path(np.asarray(path_G), np.asarray(path_c), grid, l2, pf)
-        for fit in cv:
-            fail = [failed[m[0]] for m in fit.members if not np.isnan(failed[m[0]])]
-            if fail:
+        sizes = [fit.fold_G.shape[0] for fit in cv]
+        path, _, failed = _lasso_path(
+            np.concatenate([fit.fold_G for fit in cv]),
+            np.concatenate([fit.fold_c for fit in cv]),
+            np.repeat(np.stack([fit.grid for fit in cv]), sizes, axis=0),
+            l2, pf,
+        )
+        for fit, stop, size in zip(cv, np.cumsum(sizes), sizes):
+            rows = slice(stop - size, stop)
+            fail = failed[rows][~np.isnan(failed[rows])]
+            if fail.size:
                 # The lowest failing fold, which a fold-by-fold solve meets first.
                 fit.result = _no_convergence(fail[0])
                 continue
-            fit.l1 = float(fit.grid[_cv_choice(fold_errors(fit, path), cv_rule)])
+            fit.l1 = float(fit.grid[_cv_choice(fit.score(path[rows]), cv_rule)])
 
     refits = [fit for fit in fits if fit.result is None]
     if refits:
@@ -456,9 +463,29 @@ def fit_penalized_ls_batch(
     MldidError its fit raised (bad input or NoConvergence).
     """
     check_lasso_options(n_folds, n_lambdas, fixed_l1, cv_rule)
+    held_out = {}
+
+    def fold_errors(i, y, ybars, path):
+        if i not in held_out:
+            # Fits are scored in batch order, so one design is held at a time.
+            held_out.clear()
+            X, _, w, _ = _training_data(regressions[i], penalty_factor)
+            held_out[i] = (_standardize(X, w, center=fit_intercept)[0], w,
+                           _inner_folds(X.shape[0], n_folds))
+        Z, w, tests = held_out[i]
+        fold_err = np.zeros((n_folds, path.shape[1]))
+        for k, ybar_tr in enumerate(ybars):
+            test = tests[k]
+            Z_te = Z[test]
+            r_te = y[test] - ybar_tr
+            w_te = w[test] / w[test].sum()
+            for j in range(path.shape[1]):
+                resid = r_te - Z_te @ path[k, j]
+                fold_err[k, j] = float(w_te @ resid**2)
+        return fold_err
+
     entries: list[MldidError | list[GramFit]] = []
     pf = None
-    path_G, path_c = [], []
     for i, reg in enumerate(regressions):
         try:
             X, ys, w, pf = _training_data(reg, penalty_factor)
@@ -468,9 +495,9 @@ def fit_penalized_ls_batch(
         Z, m, s = _standardize(X, w, center=fit_intercept)
         wZ = Z * w[:, None]
         G = Z.T @ wZ
-        fits = []
+        fits, cv_fits = [], []
         for y in ys:
-            fit = GramFit(G, None, m, s, 0.0, fixed_l1, data=(i, y))
+            fit = GramFit(G, None, m, s, 0.0, fixed_l1)
             fits.append(fit)
             try:
                 _check_finite("y", y)
@@ -482,50 +509,27 @@ def fit_penalized_ls_batch(
             fit.c = wZ.T @ (y - fit.ybar)
             if fixed_l1 is None:
                 cv_grid(fit, pf, l2, n_lambdas)
+                if fit.grid is not None:
+                    cv_fits.append((fit, y, [], []))
         entries.append(fits)
-        cv_fits = [fit for fit in fits if fit.grid is not None]
-        if not cv_fits:
-            continue
-        for k, test in enumerate(_inner_folds(X.shape[0], n_folds)):
+        fold_G = []
+        for k, test in enumerate(_inner_folds(X.shape[0], n_folds) if cv_fits else ()):
             train = ~test
             w_tr = w[train]
             tot = w_tr.sum()
             w_tr = w_tr / tot
             Z_tr = Z[train]
             wZ_tr = Z_tr * w_tr[:, None]
-            G_k = Z_tr.T @ wZ_tr
-            for fit in cv_fits:
-                y = fit.data[1]
-                ybar_tr = float(w_tr @ y[train]) if fit_intercept else 0.0
-                fit.members.append((len(path_G), k, ybar_tr))
-                path_G.append(G_k)
-                path_c.append(wZ_tr.T @ (y[train] - ybar_tr))
-
-    held_out = {}
-
-    def fold_errors(fit, path):
-        i, y = fit.data
-        if i not in held_out:
-            # Fits arrive grouped by regression, so one design is held at a time.
-            held_out.clear()
-            X, _, w, _ = _training_data(regressions[i], penalty_factor)
-            held_out[i] = (_standardize(X, w, center=fit_intercept)[0], w,
-                           _inner_folds(X.shape[0], n_folds))
-        Z, w, tests = held_out[i]
-        fold_err = np.zeros((n_folds, path.shape[1]))
-        for b, k, ybar_tr in fit.members:
-            test = tests[k]
-            Z_te = Z[test]
-            r_te = y[test] - ybar_tr
-            w_te = w[test] / w[test].sum()
-            for j in range(path.shape[1]):
-                resid = r_te - Z_te @ path[b, j]
-                fold_err[k, j] = float(w_te @ resid**2)
-        return fold_err
+            fold_G.append(Z_tr.T @ wZ_tr)
+            for _, y, fold_c, ybars in cv_fits:
+                ybars.append(float(w_tr @ y[train]) if fit_intercept else 0.0)
+                fold_c.append(wZ_tr.T @ (y[train] - ybars[-1]))
+        for fit, y, fold_c, ybars in cv_fits:
+            fit.fold_G, fit.fold_c = np.stack(fold_G), np.stack(fold_c)
+            fit.score = functools.partial(fold_errors, i, y, ybars)
 
     fits = [fit for fits in entries if not isinstance(fits, MldidError) for fit in fits]
-    fit_gram_batch(fits, path_G, path_c, fold_errors, l2=l2, pf=pf,
-                   fit_intercept=fit_intercept, cv_rule=cv_rule)
+    fit_gram_batch(fits, l2=l2, pf=pf, fit_intercept=fit_intercept, cv_rule=cv_rule)
     return [
         [fits] * len(reg.responses) if isinstance(fits, MldidError)
         else [fit.result for fit in fits]

@@ -17,28 +17,35 @@ nuisances (the pooled regression m(x) and the group contrast zeta(x))
 enter only that term, so a cell does not fit them: per fold it fits g(x),
 mu_t1(x) and mu_t0(x).
 
-A cell is cross-fit for a matrix of unit counts at once
-(:func:`cross_fit_nuisances`): column r weights each unit by the number of
-times a bootstrap replicate drew it, and the all-ones column is the sample
-itself. Every column uses the slice's fold plan, so a unit's copies share
-its fold. g(x) of every (fold, column) is one member of the batched
-logistic engine (:func:`_cross_fit_propensity`), and the two outcome
-regressions of every (fold, column) are one lasso batch
-(:func:`_cross_fit_regressions`). The regressions are built from moments,
-not rows: count-weighted products of the unit rows give moment blocks per
-outer fold, every regression's standardized Gram system, and those of its
-inner CV folds, is a sum of blocks (the covariance-update form of
-Friedman, Hastie & Tibshirani 2010), and all of them go to
-``learners.fit_gram_batch`` together. Each prediction is the one a
-fold-by-fold cross-fit on the column's copies would make (to rounding, for
-the regressions), and a column that cannot be fit gets the DegenerateFold
-that fold-by-fold cross-fitting would raise first; the other columns are
-unaffected. :func:`estimate_nuisances` is the all-ones column.
+A cell is cross-fit for a matrix of unit counts at once: column r
+weights each unit by the number of times a bootstrap replicate drew it,
+and the all-ones column is the sample itself. Every column uses the
+slice's fold plan, so a unit's copies share its fold. g(x) of every
+(fold, column) is one member of the batched logistic engine
+(:func:`_cross_fit_propensity`). The outcome regressions are built from
+moments, not rows (:func:`_regression_systems`): count-weighted products
+of the unit rows give moment blocks per outer fold, and every
+regression's standardized Gram system, and those of its inner CV folds,
+is a sum of blocks (the covariance-update form of Friedman, Hastie &
+Tibshirani 2010). Each prediction is the one a fold-by-fold cross-fit on
+the column's copies would make (to rounding, for the regressions), and a
+column that cannot be fit gets the DegenerateFold that fold-by-fold
+cross-fitting would raise first; the other columns are unaffected.
+
+The cross-fit is split into stages for the stage-major engine of
+:mod:`mldid.estimator`. :func:`start_nuisances` fits a cell's propensity
+and returns its regressions as ``learners.GramFit`` systems, each with its
+own held-out scorer; :func:`solve_regressions` solves the GramFits of
+every cell of a group as one lasso batch; and the function
+:func:`start_nuisances` returned then collects the cell's predictions.
+:func:`cross_fit_nuisances` runs the stages for one cell, and
+:func:`estimate_nuisances` is its all-ones column.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,22 +150,46 @@ class ColumnNuisances:
     errors: list
 
 
-def cross_fit_nuisances(sl, plan: FoldPlan, config: LearnerConfig,
-                        counts: np.ndarray) -> ColumnNuisances:
-    """Cross-fit g(x) and nu(x) of a slice for every count column.
+def start_nuisances(sl, plan: FoldPlan, config: LearnerConfig, counts: np.ndarray):
+    """The first stage of a cell: its propensity fits and its regressions' Gram systems.
 
-    The propensity of every (fold, column) is one logistic engine call and
-    the two outcome regressions of every (fold, column) one lasso batch.
+    The propensity of every (fold, column) is one logistic engine call.
+    The outcome regressions are returned as GramFits, which
+    :func:`solve_regressions` solves together with those of other cells,
+    along with a function that then collects the cell's ColumnNuisances.
     A column's error is the first a fit-by-fit run on its copies meets:
     the propensity folds in order, then the regressions.
     """
     g_unit, g_errors = _cross_fit_propensity(sl.X, sl.g_flag, plan, counts, config)
-    pred, reg_errors = _cross_fit_regressions(sl.X, sl.y_pre, sl.y_post, plan, counts, config)
-    return ColumnNuisances(
-        g_hat=np.clip(g_unit, config.clip, 1.0 - config.clip),
-        nu_hat=pred[0] - pred[1],
-        errors=[a if a is not None else b for a, b in zip(g_errors, reg_errors)],
-    )
+    fits, live = _regression_systems(sl.X, sl.y_pre, sl.y_post, plan, counts, config)
+
+    def finish() -> ColumnNuisances:
+        pred, reg_errors = _regression_predictions(sl.X, plan, _solved(fits))
+        return ColumnNuisances(
+            g_hat=np.clip(g_unit, config.clip, 1.0 - config.clip),
+            nu_hat=pred[0] - pred[1],
+            errors=[a if a is not None else b for a, b in zip(g_errors, reg_errors)],
+        )
+
+    return live, finish
+
+
+def solve_regressions(fits: list[GramFit], config: LearnerConfig) -> None:
+    """Solve the outcome-regression GramFits of any number of cells as one batch."""
+    if fits:
+        fit_gram_batch(fits, l2=config.l2, pf=np.ones(fits[0].G.shape[0]),
+                       fit_intercept=True, cv_rule="min")
+
+
+def cross_fit_nuisances(sl, plan: FoldPlan, config: LearnerConfig,
+                        counts: np.ndarray) -> ColumnNuisances:
+    """Cross-fit g(x) and nu(x) of a slice for every count column.
+
+    The stages of :func:`start_nuisances` for this cell alone.
+    """
+    live, finish = start_nuisances(sl, plan, config, counts)
+    solve_regressions(live, config)
+    return finish()
 
 
 def estimate_nuisances(sl, plan: FoldPlan, config: LearnerConfig | None = None) -> NuisanceBundle:
@@ -265,17 +296,13 @@ def _cross_fit_propensity(X, g_flag, plan: FoldPlan, counts, config: LearnerConf
 _REGRESSIONS = (("t1", 1), ("t0", 0))
 
 
-def _cross_fit_regressions(X, y_pre, y_post, plan: FoldPlan, counts, config: LearnerConfig):
-    """Out-of-fold mu_t1 and mu_t0 on the unit rows, from one lasso batch.
+def _regression_predictions(X, plan: FoldPlan, fits):
+    """Out-of-fold predictions of solved regressions (see :func:`_regression_fits`).
 
-    Each regression is the fit ``cross_fit`` would make with
-    ``config.fit_regression`` on its training rows (see
-    :func:`_regression_fits`), and its predictions agree with that fit's to
-    rounding. Returns the (2, units, columns) predictions (zero where a
-    column has no model) and per column the DegenerateFold that
+    Returns the (2, units, columns) predictions of mu_t1 and mu_t0 (zero
+    where a column has no model) and per column the DegenerateFold that
     regression-by-regression cross-fitting would raise first, or None.
     """
-    fits = _regression_fits(X, y_pre, y_post, plan, counts, config)
     m = X.shape[0]
     fold = plan.assignment[:m]
     index = {name: i for i, (name, _) in enumerate(_REGRESSIONS)}
@@ -301,10 +328,28 @@ def _cross_fit_regressions(X, y_pre, y_post, plan: FoldPlan, counts, config: Lea
 def _regression_fits(X, y_pre, y_post, plan: FoldPlan, counts, config: LearnerConfig):
     """The LinearModel, or the MldidError, of every (regression, outer fold) of every column.
 
+    The systems of :func:`_regression_systems`, solved on their own.
+    """
+    fits, live = _regression_systems(X, y_pre, y_post, plan, counts, config)
+    solve_regressions(live, config)
+    return _solved(fits)
+
+
+def _solved(fits):
+    """Every GramFit of :func:`_regression_systems`'s dicts replaced by its result."""
+    return [{key: fit.result if isinstance(fit, GramFit) else fit for key, fit in col.items()}
+            for col in fits]
+
+
+def _regression_systems(X, y_pre, y_post, plan: FoldPlan, counts, config: LearnerConfig):
+    """The Gram systems of every (regression, outer fold) of every column.
+
     Returns one dict per column of ``counts``, keyed (regression name,
-    fold) over the folds that hold a drawn unit of the column. Both
-    regressions train on the units outside the fold, each weighted by its
-    count: mu_t1 on their y_post and mu_t0 on their y_pre.
+    fold) over the folds that hold a drawn unit of the column, and the
+    list of the dicts' GramFits. An entry is the regression's GramFit, or
+    the MldidError that stops it before any solve. Both regressions train
+    on the units outside the fold, each weighted by its count: mu_t1 on
+    their y_post and mu_t0 on their y_pre.
 
     The cell's unit rows are read once into rows
     ``[1, x - xbar, y_pre - ybar, y_post - ybar]``, and one count-weighted
@@ -316,8 +361,8 @@ def _regression_fits(X, y_pre, y_post, plan: FoldPlan, counts, config: LearnerCo
     ranks its training rows (inner fold j holds the ranks equal to j modulo
     K), so each inner training set is the regression's moments less those
     of one class of units, and the held-out residuals of all l1 of an inner
-    fold come from one product. All Gram systems of the cell then go to
-    :func:`fit_gram_batch` together.
+    fold come from one product; each GramFit carries those classes and the
+    inner folds' mean outcomes for its own scorer.
 
     A regression with fewer than 2 training rows gets the DegenerateFold a
     fold-by-fold cross-fit raises, and one with a non-finite covariate or
@@ -360,7 +405,7 @@ def _regression_fits(X, y_pre, y_post, plan: FoldPlan, counts, config: LearnerCo
             else:
                 live.append((name, r, k, out))
     if not live:
-        return fits
+        return fits, []
 
     _, rs, ks, outs = (np.array(col) for col in zip(*live))
     # Each regression's columns of V: [1, u] and its outcome.
@@ -382,9 +427,11 @@ def _regression_fits(X, y_pre, y_post, plan: FoldPlan, counts, config: LearnerCo
     G, c_vec, ybar = _gram_systems(N, mean, inv_scale)
     gram_fits = [GramFit(G[i], c_vec[i], center[i], scale[i], float(ybar[i] + y_shift),
                          config.fixed_l1) for i in range(len(live))]
+    for (name, r, k, _), fit in zip(live, gram_fits):
+        fits[r][name, k] = fit
 
     K_in = config.inner_cv_folds
-    path_N, path_owner, classes = [], [], {}
+    path_N, path_owner, classes, cv_fits = [], [], {}, []
     for i, fit in enumerate(gram_fits if config.fixed_l1 is None else []):
         cv_grid(fit, np.ones(p), config.l2, config.n_lambdas)
         if fit.grid is None:
@@ -399,32 +446,29 @@ def _regression_fits(X, y_pre, y_post, plan: FoldPlan, counts, config: LearnerCo
             classes[key] = cls, [weighted_gram(V[idx], c[idx, r]) for idx in cls]
         cls, cls_M = classes[key]
         for j in range(K_in):
-            fit.members.append((len(path_N), j))
             path_owner.append(i)
             path_N.append(N[i] - cls_M[j][np.ix_(sel[i], sel[i])])
-        fit.data = i, cls
-    path_G = path_c = path_ybar = ()
-    if path_N:
-        path_G, path_c, path_ybar = _gram_systems(
-            np.stack(path_N), mean[path_owner], inv_scale[path_owner])
+        cv_fits.append((i, fit, cls))
+    if not path_N:
+        return fits, gram_fits
 
-    def fold_errors(fit, path):
-        i, cls = fit.data
+    def fold_errors(i, cls, fold_ybar, path):
         fold_err = np.zeros((K_in, path.shape[1]))
-        for b, j in fit.members:
-            held = cls[j]
+        for j, held in enumerate(cls):
             if held.size:
                 Z = (V[held, 1:p + 1] - mean[i]) * inv_scale[i]
-                resid = (V[held, sel[i, -1]] - path_ybar[b])[:, None] - Z @ path[b].T
+                resid = (V[held, sel[i, -1]] - fold_ybar[j])[:, None] - Z @ path[j].T
                 w = c[held, rs[i]]
                 fold_err[j] = w @ resid**2 / w.sum()
         return fold_err
 
-    fit_gram_batch(gram_fits, path_G, path_c, fold_errors, l2=config.l2,
-                   pf=np.ones(p), fit_intercept=True, cv_rule="min")
-    for (name, r, k, _), fit in zip(live, gram_fits):
-        fits[r][name, k] = fit.result
-    return fits
+    path_G, path_c, path_ybar = _gram_systems(
+        np.stack(path_N), mean[path_owner], inv_scale[path_owner])
+    for n_cv, (i, fit, cls) in enumerate(cv_fits):
+        rows = slice(n_cv * K_in, (n_cv + 1) * K_in)
+        fit.fold_G, fit.fold_c = path_G[rows], path_c[rows]
+        fit.score = functools.partial(fold_errors, i, cls, path_ybar[rows])
+    return fits, gram_fits
 
 
 def _training_sums(V, bad, Xf, fold, n_folds, c):

@@ -156,7 +156,8 @@ def load_panel(source, schema: ColumnSchema | None = None) -> PanelDataset:
 
     ``source`` may be a path, a text file object, or bytes. Rows are keyed
     by (unit, period); the panel must be balanced over periods 1..T with a
-    constant group label per unit and no missing values.
+    constant group label per unit, no missing values and no covariate
+    that equals an earlier one on every row.
     """
     schema = schema or ColumnSchema()
     if isinstance(source, (str, Path)):
@@ -346,6 +347,14 @@ def _load_panel_stream(fh, schema: ColumnSchema) -> PanelDataset:
         seen[key] = True
         i, tm = divmod(int(np.argmin(seen)), T)
         raise UnbalancedPanel(f"unit {units[i]}: period {tm + 1} is missing")
+    # A copy of a covariate leaves every lasso of the cells without a unique
+    # solution, so coordinate descent cannot converge.
+    for j in range(1, p):
+        for i in range(j):
+            if np.array_equal(values[1 + i], values[1 + j]):
+                raise PanelValidationError(
+                    f"covariate {cov_names[j]!r} equals covariate {cov_names[i]!r} "
+                    "on every row")
 
     groups = np.empty(n, dtype=np.int64)
     groups[ui] = g
@@ -388,7 +397,7 @@ def read_catt_panel_csv(path):
     Returns the unit ids as read (strings), ``e`` as int64 and the two
     effect columns as float64. Empty lines are skipped. A missing or
     repeated column, a row without one of the four fields, an ``e`` that is
-    not an integer and an effect that is not a number raise a
+    not an integer and an effect that is not a finite number raise a
     ``PanelValidationError`` whose message starts with "catt panel".
     """
     names = ("unit", "e", "tau_hat", "score")
@@ -424,16 +433,22 @@ def read_catt_panel_csv(path):
             raise PanelValidationError(
                 f"catt panel line {line_no[k]}: {name} {raw[k].strip()!r} is not {kind}"
             )
-    return (units, np.array(e, dtype=np.int64), np.array(tau, dtype=np.float64),
-            np.array(score, dtype=np.float64))
+    tau, score = np.array(tau, dtype=np.float64), np.array(score, dtype=np.float64)
+    for name, raw, values in (("tau_hat", tau_raw, tau), ("score", score_raw, score)):
+        bad = ~np.isfinite(values)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise PanelValidationError(
+                f"catt panel line {line_no[k]}: {name} {raw[k].strip()!r} is not finite")
+    return units, np.array(e, dtype=np.int64), tau, score
 
 
-def slice_two_period(panel: PanelDataset, g: int, t: int) -> TwoPeriodSlice:
-    """Build the (g, t) estimation cell.
+def slice_rows(panel: PanelDataset, g: int, t: int) -> np.ndarray:
+    """Panel rows of the (g, t) cell's units, in panel order.
 
-    Treated rows are cohort g observed at periods (g-1, t); controls are
-    units with group > max(g-1, t) or never treated, observed at the same
-    two periods, so both of a control's outcomes predate its own treatment.
+    Treated units are cohort g; controls are units with group > max(g-1, t)
+    or never treated, so both of a control's outcomes predate its own
+    treatment. Raises what :func:`slice_two_period` raises.
     """
     T = panel.n_periods
     if not (2 <= g <= T):
@@ -443,9 +458,8 @@ def slice_two_period(panel: PanelDataset, g: int, t: int) -> TwoPeriodSlice:
     if t == g - 1:
         raise MldidError(f"(g={g}, t={t}) is the reference cell; nothing to estimate")
 
-    pre = g - 1
     treated = panel.groups == g
-    horizon = max(pre, t)
+    horizon = max(g - 1, t)
     # Controls are units outside cohort g whose treatment has not started
     # by either period the cell observes.
     control = (
@@ -455,16 +469,25 @@ def slice_two_period(panel: PanelDataset, g: int, t: int) -> TwoPeriodSlice:
         raise empty_treated_error(g)
     if not control.any():
         raise empty_control_error(g, t)
+    return np.flatnonzero(treated | control)
 
-    keep = treated | control
-    rows = np.flatnonzero(keep)
+
+def slice_two_period(panel: PanelDataset, g: int, t: int) -> TwoPeriodSlice:
+    """Build the (g, t) estimation cell.
+
+    Treated rows are cohort g observed at periods (g-1, t); controls are
+    the other units of :func:`slice_rows`, observed at the same two
+    periods.
+    """
+    rows = slice_rows(panel, g, t)
+    pre = g - 1
     return TwoPeriodSlice(
         g=g,
         t=t,
         pre_period=pre,
         unit_ids=panel.unit_ids[rows],
         unit_rows=rows,
-        g_flag=treated[rows].astype(np.int8),
+        g_flag=(panel.groups[rows] == g).astype(np.int8),
         y_pre=panel.outcomes[rows, pre - 1].copy(),
         y_post=panel.outcomes[rows, t - 1].copy(),
         X=panel.covariates[rows, pre - 1, :].copy(),

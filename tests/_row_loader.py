@@ -139,6 +139,13 @@ def _load_panel_stream(fh, schema: ColumnSchema) -> PanelDataset:
         i, tm = np.argwhere(missing)[0]
         raise UnbalancedPanel(f"unit {units[i]}: period {tm + 1} is missing")
 
+    for j in range(1, len(cov_names)):
+        for i in range(j):
+            if np.array_equal(covariates[..., i], covariates[..., j]):
+                raise PanelValidationError(
+                    f"covariate {cov_names[j]!r} equals covariate {cov_names[i]!r} "
+                    "on every row")
+
     return PanelDataset(
         unit_ids=np.array(units, dtype=object),
         groups=groups,

@@ -9,7 +9,13 @@ from numpy.testing import assert_allclose
 from mldid import DgpConfig, EstimatorConfig, LearnerConfig, bootstrap_se, run_mldid, simulate
 from mldid.amle import balancing_columns, build_function_class, solve_amle
 from mldid import estimator
-from mldid.estimator import _bootstrap_task, _cell_columns, _cell_plan, replicate_counts
+from mldid.estimator import (
+    _cell_plan,
+    _estimate_parts,
+    _Part,
+    _replicate_atts,
+    replicate_counts,
+)
 from mldid.exceptions import IllConditionedWarning
 from mldid.nuisance import _regression_fits
 from mldid.panel import enumerate_cells, slice_two_period
@@ -18,6 +24,19 @@ from _bootstrap_reference import reference_missing, reference_replicate
 from _utils import oracle_bundle, thin_cohort, two_period_dgp
 
 FIXED = EstimatorConfig(seed=4, learners=LearnerConfig(fixed_l1=0.01))
+
+
+def _cell_replicates(panel, g, t, config, counts):
+    """Every replicate's att of one cell and, where it has none, the reason."""
+    atts, reasons = _replicate_atts(panel, config, counts, [(g, t)])
+    return atts[g, t], reasons[g, t]
+
+
+def _cell_columns(sl, config, counts):
+    """A slice's estimate for every count column, as a group of its own."""
+    part, = _estimate_parts([_Part(sl.g, sl.t, sl=sl, counts=counts)], config)
+    assert part.error is None
+    return part.result
 
 
 def test_replicate_counts_are_the_resampling_draws():
@@ -34,7 +53,7 @@ def test_fixed_l1_columns_match_resampled_panels():
     want = [reference_replicate(panel, FIXED, b) for b in range(n_rep)]
     n_cmp = 0
     for g, t in enumerate_cells(panel, True):
-        att, reasons = _bootstrap_task((panel, g, t, FIXED, counts))
+        att, reasons = _cell_replicates(panel, g, t, FIXED, counts)
         for b in range(n_rep):
             ref = want[b].get((g, t))
             if isinstance(ref, float):
@@ -53,11 +72,11 @@ def test_missing_replicate_without_a_drawn_cohort():
     counts = replicate_counts(small.n_units, FIXED.seed, 40)
     none = counts[small.groups == 4].sum(axis=0) == 0
     assert none.any()
-    att, reasons = _bootstrap_task((small, 4, 4, FIXED, counts))
+    att, reasons = _cell_replicates(small, 4, 4, FIXED, counts)
     assert np.isnan(att[none]).all()
     assert {reasons[b] for b in np.flatnonzero(none)} == {
         "cell (g=4, t=4) skipped: no units in cohort g=4"}
-    other, _ = _bootstrap_task((small, 2, 2, FIXED, counts))
+    other, _ = _cell_replicates(small, 2, 2, FIXED, counts)
     assert np.isfinite(other[none]).all()
 
 
@@ -66,15 +85,14 @@ def test_undrawn_non_finite_unit_leaves_column_unchanged():
     # the estimate without that unit; the all-ones column fails.
     panel = simulate(DgpConfig(n_units=160, seed=8)).panel
     sl = slice_two_period(panel, 2, 2)
-    plan = _cell_plan(sl, FIXED, 2, 2)
     counts = np.ones((sl.n_units, 2))
     counts[5, 0] = 0
     X_nan, y_nan = sl.X.copy(), sl.y_post.copy()
     X_nan[5, 1], y_nan[5] = np.nan, np.inf
-    got = _cell_columns(dataclasses.replace(sl, X=X_nan, y_post=y_nan), plan, FIXED, counts)
+    got = _cell_columns(dataclasses.replace(sl, X=X_nan, y_post=y_nan), FIXED, counts)
     X_any = sl.X.copy()
     X_any[5, 1] = 123.0
-    want = _cell_columns(dataclasses.replace(sl, X=X_any), plan, FIXED, counts[:, :1])
+    want = _cell_columns(dataclasses.replace(sl, X=X_any), FIXED, counts[:, :1])
     assert got.errors[0] is None and abs(got.att[0] - want.att[0]) <= 1e-12
     assert str(got.errors[1]).startswith("fold ") and np.isnan(got.att[1])
 
@@ -100,9 +118,9 @@ def test_column_chunks_do_not_change_replicates(monkeypatch):
     # chunks of one column give the same replicates as one chunk.
     panel = simulate(DgpConfig(n_units=160, seed=21)).panel
     counts = replicate_counts(panel.n_units, FIXED.seed, 6)
-    whole = _bootstrap_task((panel, 2, 3, FIXED, counts))
-    monkeypatch.setattr(estimator, "MAX_CELL_ENTRIES", 10)
-    chunked = _bootstrap_task((panel, 2, 3, FIXED, counts))
+    whole = _cell_replicates(panel, 2, 3, FIXED, counts)
+    monkeypatch.setattr(estimator, "MAX_GROUP_ENTRIES", 10)
+    chunked = _cell_replicates(panel, 2, 3, FIXED, counts)
     assert np.isfinite(whole[0]).all()
     assert_allclose(chunked[0], whole[0], rtol=0, atol=1e-12)
     assert chunked[1] == whole[1]
@@ -114,7 +132,7 @@ def test_chunk_of_failed_columns_is_reported():
     # propensity fit fails; the others have no treated unit.
     small = thin_cohort(simulate(DgpConfig(n_units=150, seed=2)).panel, 4, 1)
     counts = replicate_counts(small.n_units, FIXED.seed, 6)
-    att, reasons = _bootstrap_task((small, 4, 4, FIXED, counts))
+    att, reasons = _cell_replicates(small, 4, 4, FIXED, counts)
     assert np.isnan(att).all()
     for b in range(counts.shape[1]):
         assert reasons[b] == reference_replicate(small, FIXED, b)[4, 4]
@@ -131,10 +149,10 @@ def test_cv_column_alone_equals_column_in_batch():
         sl = slice_two_period(panel, g, t)
         plan = _cell_plan(sl, config, g, t)
         c = counts[sl.unit_rows]
-        batch = _cell_columns(sl, plan, config, c)
+        batch = _cell_columns(sl, config, c)
         fits = _regression_fits(sl.X, sl.y_pre, sl.y_post, plan, c, config.learners)
         for r in range(c.shape[1]):
-            alone = _cell_columns(sl, plan, config, c[:, [r]])
+            alone = _cell_columns(sl, config, c[:, [r]])
             assert batch.errors[r] is None and alone.errors[0] is None
             assert abs(alone.att[0] - batch.att[r]) <= 1e-12
             # The same grid point (neighbouring points differ by a factor of

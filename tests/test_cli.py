@@ -308,6 +308,26 @@ def test_heterogeneity_rejects_malformed_catt_panel(sim_dir, est_dir, tmp_path,
     assert f"input validation failed: {message}" in res.output
 
 
+@pytest.mark.parametrize("column, value", [("score", "nan"), ("tau_hat", "-inf")])
+def test_heterogeneity_rejects_non_finite_effects(sim_dir, est_dir, tmp_path, column, value):
+    # A non-finite effect would turn every BLP and CLAN table into NaN.
+    with open(est_dir / "catt_panel.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[5][rows[0].index(column)] = value
+    bad = tmp_path / "catt_panel.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    out = tmp_path / "het"
+    res = CliRunner().invoke(cli, [
+        "heterogeneity", "--input", str(sim_dir / "panel.csv"),
+        "--catt", str(bad), "--out", str(out),
+    ])
+    assert res.exit_code == 2, res.output
+    assert f"input validation failed: catt panel line 6: {column} '{value}' is not finite" \
+        in res.output
+    assert not (out / "blp.csv").exists()
+
+
 def test_config_file_defaults(tmp_path, sim_dir):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# defaults\nseed = 5\nfixed-l1 = 0.02\n")

@@ -1,4 +1,7 @@
 import dataclasses
+import multiprocessing
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,8 +19,10 @@ from mldid import (
     run_mldid,
     simulate,
 )
+from mldid import amle
 from mldid.estimator import GroupTimeResult, _replicate_se, estimate_from_bundle
-from mldid.exceptions import CellSkipped, DegenerateFold, MldidError
+from mldid.exceptions import CellSkipped, DegenerateFold, IllConditionedWarning, MldidError
+from mldid.panel import enumerate_cells
 
 from _utils import make_panel, oracle_bundle, thin_cohort, two_period_dgp
 
@@ -276,5 +281,70 @@ def test_parallel_matches_serial():
     oracle = simulate(DgpConfig(n_units=300, seed=12))
     serial = run_mldid(oracle.panel, FAST)
     parallel = run_mldid(oracle.panel, dataclasses.replace(FAST, threads=2))
+    assert len(serial.cells) == len(parallel.cells)
     for c1, c2 in zip(serial.cells, parallel.cells):
+        assert (c1.g, c1.t) == (c2.g, c2.t)
         assert c1.att == c2.att
+        assert c1.tau_unit.tobytes() == c2.tau_unit.tobytes()
+        assert c1.score_unit.tobytes() == c2.score_unit.tobytes()
+    assert serial.skipped == parallel.skipped
+
+
+@pytest.mark.parametrize("panel, config", [
+    (simulate(DgpConfig(n_units=300, assignment="logit-x123", seed=4)).panel,
+     EstimatorConfig(seed=2)),
+    # Cohort 4 keeps one unit, so its cells are skipped.
+    (thin_cohort(simulate(DgpConfig(n_units=150, seed=2)).panel, 4, 1),
+     EstimatorConfig(seed=4, learners=LearnerConfig(fixed_l1=0.01))),
+], ids=["cv", "skipped-cells"])
+def test_run_cells_equal_estimate_cell(panel, config):
+    # A cell estimated in its run's group is the cell estimated alone, and
+    # a skipped cell gives the reason that estimating it alone raises.
+    run = run_mldid(panel, config)
+    skipped = {(g, t): why for g, t, why in run.skipped}
+    n_skipped = 0
+    for g, t in enumerate_cells(panel, config.include_placebo):
+        try:
+            own = estimate_cell(panel, g, t, config)
+        except MldidError as err:
+            assert skipped.pop((g, t)) == str(err)
+            n_skipped += 1
+            continue
+        cell = run.cell(g, t)
+        assert cell.att == own.att
+        assert cell.tau_unit.tobytes() == own.tau_unit.tobytes()
+        assert cell.score_unit.tobytes() == own.score_unit.tobytes()
+    assert not skipped
+    assert n_skipped == (0 if config.learners.fixed_l1 is None else 3)
+
+
+@pytest.mark.parametrize("threads", [
+    1,
+    pytest.param(2, marks=pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the workers must inherit the patched limit")),
+])
+def test_run_warnings_carry_their_own_cell(monkeypatch, threads):
+    # A condition limit of 5 makes every balancing-weight solve grow its
+    # ridge, to values of its own cell. The run raises each cell's warnings
+    # again, prefixed with that cell, whether it ran in a worker or not.
+    monkeypatch.setattr(amle, "COND_LIMIT", 5.0)
+    panel = simulate(DgpConfig(n_units=200, seed=9)).panel
+    config = EstimatorConfig(seed=0, learners=LearnerConfig(fixed_l1=0.02),
+                             include_placebo=False, threads=threads)
+    with pytest.warns(IllConditionedWarning) as caught:
+        run_mldid(panel, config)
+    got = {}
+    for w in caught:
+        prefix, message = str(w.message).split(": ", 1)
+        got.setdefault(prefix, []).append(message)
+    want = {}
+    for g, t in enumerate_cells(panel, False):
+        with warnings.catch_warnings(record=True) as own:
+            warnings.simplefilter("always")
+            estimate_cell(panel, g, t, config)
+        counts = Counter(str(w.message) for w in own)
+        want[f"cell (g={g}, t={t})"] = [m + (f" ({n} times)" if n > 1 else "")
+                                       for m, n in counts.items()]
+    assert got == want
+    assert len({tuple(m) for m in want.values()}) == len(want) == 6

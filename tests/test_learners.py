@@ -3,11 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mldid import (
+    DgpConfig,
     cross_fit,
     fit_penalized_ls,
     fit_penalized_ls_cv,
     fit_probability,
     make_fold_plan,
+    simulate,
 )
 from mldid.exceptions import (
     DegenerateFold,
@@ -25,6 +27,8 @@ from mldid.learners import (
     fit_penalized_ls_batch,
     fit_probability_batch,
 )
+from mldid.nuisance import LearnerConfig, _regression_systems, solve_regressions
+from mldid.panel import slice_two_period
 
 import _sequential_lasso as sequential
 import _sequential_newton as newton_ref
@@ -348,6 +352,51 @@ def test_batch_members_do_not_interact():
                                             fixed_l1=fixed, cv_rule="1se")
                 _assert_same_fit(got, want)
                 assert got.n_sweeps == want.n_sweeps
+
+
+def _two_cells_regressions():
+    """The outcome-regression GramFits of two cells, with CV, one inner fold forced to fail.
+
+    Inner fold 2 of the first cell's fourth regression gets a copy of its
+    first column, so coordinate descent on it cannot converge.
+    """
+    panel = simulate(DgpConfig(n_units=200, assignment="logit-x123", seed=6)).panel
+    cells = []
+    for g, t in ((2, 2), (3, 4)):
+        sl = slice_two_period(panel, g, t)
+        plan = make_fold_plan(sl.n_units, 5, seed=g * 10 + t)
+        _, fits = _regression_systems(sl.X, sl.y_pre, sl.y_post, plan,
+                                      np.ones((sl.n_units, 1)), LearnerConfig())
+        cells.append(fits)
+    fit = cells[0][3]
+    fit.fold_G, fit.fold_c = fit.fold_G.copy(), fit.fold_c.copy()
+    G, c = fit.fold_G[2], fit.fold_c[2]
+    G[1], c[1] = G[0], c[0]
+    G[:, 1] = G[:, 0]
+    return cells
+
+
+def test_merged_gram_batch_equals_a_batch_per_cell():
+    # Fits of two cells, with different grids, solved as one batch get the
+    # models (bit for bit) and errors of a batch per cell.
+    config = LearnerConfig()
+    merged, alone = _two_cells_regressions(), _two_cells_regressions()
+    assert not np.array_equal(merged[0][0].grid, merged[1][0].grid)
+    solve_regressions([fit for fits in merged for fit in fits], config)
+    for fits in alone:
+        solve_regressions(fits, config)
+    n_failed = 0
+    for got, want in zip([f for fits in merged for f in fits], [f for fits in alone for f in fits]):
+        if isinstance(want.result, MldidError):
+            assert type(got.result) is type(want.result) is NoConvergence
+            assert str(got.result) == str(want.result)
+            n_failed += 1
+            continue
+        assert got.result.coef.tobytes() == want.result.coef.tobytes()
+        assert got.result.intercept == want.result.intercept
+        assert got.result.l1 == want.result.l1
+        assert got.result.n_sweeps == want.result.n_sweeps
+    assert n_failed == 1 and isinstance(merged[0][3].result, NoConvergence)
 
 
 def test_batch_reports_bad_regression_without_failing_others():

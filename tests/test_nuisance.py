@@ -12,8 +12,8 @@ from mldid.nuisance import (
     LearnerConfig,
     NuisanceBundle,
     _cross_fit_propensity,
-    _cross_fit_regressions,
     _regression_fits,
+    _regression_predictions,
     compute_abch,
     estimate_nuisances,
 )
@@ -35,8 +35,8 @@ def _propensity(X, g_flag, plan, config):
 
 def _regressions(sl, plan, config):
     """mu_t1 and mu_t0 of the all-ones column on the unit rows."""
-    pred, errors = _cross_fit_regressions(sl.X, sl.y_pre, sl.y_post, plan,
-                                          np.ones((sl.n_units, 1)), config)
+    pred, errors = _regression_predictions(sl.X, plan, _regression_fits(
+        sl.X, sl.y_pre, sl.y_post, plan, np.ones((sl.n_units, 1)), config))
     if errors[0] is not None:
         raise errors[0]
     return [a[:, 0] for a in pred]

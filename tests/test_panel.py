@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -6,9 +7,11 @@ from numpy.testing import assert_allclose
 
 from mldid import (
     ColumnSchema,
+    DgpConfig,
     NEVER_TREATED,
     enumerate_cells,
     load_panel,
+    simulate,
     slice_two_period,
     write_panel_csv,
 )
@@ -109,6 +112,21 @@ def test_repeated_column_name_rejected(header, name):
     with pytest.raises(PanelValidationError) as err:
         load_panel(csv_bytes(rows, header=header))
     assert str(err.value) == f"duplicate column {name!r}"
+
+
+def test_repeated_covariate_rejected(tmp_path):
+    # A copy of x_1 would leave no lasso of any cell a unique solution.
+    panel = simulate(DgpConfig(n_units=200, seed=5)).panel
+    copy = dataclasses.replace(
+        panel, covariates=np.concatenate([panel.covariates, panel.covariates[:, :, :1]], axis=2),
+        covariate_names=panel.covariate_names + ("x_1_again",))
+    path = tmp_path / "panel.csv"
+    write_panel_csv(copy, path)
+    with pytest.raises(PanelValidationError,
+                       match="covariate 'x_1_again' equals covariate 'x_1' on every row"):
+        load_panel(path)
+    write_panel_csv(panel, path)
+    assert load_panel(path).covariate_names == panel.covariate_names
 
 
 def test_custom_delimiter():

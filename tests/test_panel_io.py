@@ -70,7 +70,7 @@ def _fuzz_case(rng):
     lines = [[r[h] for h in header] for r in rows]
     for _ in range(rng.choice([0, 1, 1, 2, 2, 3])):
         kind = rng.choice(["time", "dup", "drop", "group", "group-unit", "value",
-                           "blank", "extra", "pad-id", "short"])
+                           "blank", "extra", "pad-id", "short", "copy-covariate"])
         k = rng.randrange(len(lines)) if lines else None
         if k is None or len(lines[k]) < len(header):
             kind = "blank"
@@ -102,6 +102,11 @@ def _fuzz_case(rng):
             lines[k][header.index("id")] = " " + lines[k][header.index("id")] + "\t"
         elif kind == "short":
             lines[k] = lines[k][: rng.randrange(len(header))]
+        elif kind == "copy-covariate" and len(covs) == 2:
+            source, target = (header.index(c) for c in rng.sample(covs, 2))
+            for line in lines:
+                if len(line) == len(header):
+                    line[target] = line[source]
 
     delimiter = rng.choice([",", ",", ";"])
     buf = io.StringIO()
@@ -131,6 +136,7 @@ CATEGORIES = {
     "is missing": "missing period",
     ": time ": "bad time",
     "is not an integer": "bad group label",
+    "equals covariate": "repeated covariate",
 }
 
 
