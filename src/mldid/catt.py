@@ -11,23 +11,23 @@ folds hold out whole units.
 
 The fit of every bootstrap count column of a cell is built from unit
 moments in stages, for the stage-major engine of :mod:`mldid.estimator`:
-:func:`catt_fits` returns the columns' ``learners.GramFit`` systems, each
-with its own held-out scorer, :func:`solve_catt` solves those of every
-cell of a group as one lasso batch, and the function :func:`catt_fits`
+:func:`catt_fits` forms the moments and ``learners.moment_fits`` turns
+them into the columns' ``learners.GramFit`` systems, with their inner
+folds' held-out moments; :func:`solve_catt` solves those of every cell
+of a group as one lasso batch, and the function :func:`catt_fits`
 returned then collects the coefficients. :func:`fit_catt_columns` runs
-the stages for one cell, and :func:`fit_catt` is its one-column call on a
-bundle.
+the stages for one cell, and :func:`fit_catt` is its one-column call on
+a bundle.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import AllWeightsZero, MldidError, SchemaMismatch
-from .learners import GramFit, check_lasso_options, cv_grid, fit_gram_batch, weighted_gram
+from .learners import GramFit, check_lasso_options, fit_gram_batch, moment_fits, weighted_gram
 from .nuisance import LearnerConfig, NuisanceBundle
 
 # The benchmark's tracer (perfbench/tracing.py) wraps these names in this
@@ -117,68 +117,42 @@ def catt_fits(X, B, dH, counts, l1=None, config=None):
     With CV the inner folds rank the column's drawn units: fold j holds
     out the ranks equal to j modulo K, so an inner training set is the
     column's moments less those of one class of units, and its held-out
-    error is the count-weighted mean of (dH - B tau(x))^2 over that class.
+    error, a quadratic form in that class's moments, is a quarter of the
+    count-weighted mean of (dH - B tau(x))^2 over the class.
     Returns the GramFits and a function that then returns what
     :func:`fit_catt_columns` returns.
     """
     config = config or LearnerConfig()
     c = np.asarray(counts, dtype=float)
     m, p = X.shape
-    d = p + 1
     fixed = l1 if l1 is not None else config.fixed_l1
-    if fixed is None:
-        check_lasso_options(config.inner_cv_folds, config.n_lambdas, None, "1se")
+    check_lasso_options(config.inner_cv_folds, config.n_lambdas, fixed, "1se")
     Z = np.concatenate([np.ones((m, 1)), X], axis=1)
-    weight = c * B**2 / 4
-    product = c * B * dH / 4
-    n = c.sum(axis=0)
-    gram = np.stack([weighted_gram(Z, weight[:, r]) for r in range(c.shape[1])])
-    cross = product.T @ Z
-    scale = np.sqrt(np.diagonal(gram, axis1=1, axis2=2) / n[:, None])
-    scale[scale == 0.0] = 1.0
-
-    pf = np.concatenate([[0.0], np.ones(p)])
-    K = config.inner_cv_folds
-
-    def fold_errors(r, held, path):
-        fold_err = np.zeros((K, path.shape[1]))
-        for j, out in enumerate(held):
-            # tau on the held-out units is z / scale times the path's coefficients.
-            resid = dH[out, r, None] - B[out, r, None] * (Z[out] / scale[r] @ path[j].T)
-            w = c[out, r]
-            fold_err[j] = w / w.sum() @ resid**2
-        return fold_err
-
-    fits, cols, errors = [], [], [None] * c.shape[1]
+    N = _unit_moments(Z, c, B, dH)
+    cols, errors = [], [None] * c.shape[1]
     for r in range(c.shape[1]):
-        if n[r] < p + 2:
-            errors[r] = MldidError(f"need at least {p + 2} units to fit tau, have {int(n[r])}")
-            continue
-        if 4 * gram[r, 0, 0] < MIN_WEIGHT_MASS:
+        n = N[r, 0, 0]
+        if n < p + 2:
+            errors[r] = MldidError(f"need at least {p + 2} units to fit tau, have {int(n)}")
+        elif 4 * N[r, 1, 1] < MIN_WEIGHT_MASS:
             errors[r] = AllWeightsZero("sum of B^2 is numerically zero; tau is unidentified")
-            continue
-        s = scale[r]
-        fit = GramFit(gram[r] / (n[r] * np.outer(s, s)), cross[r] / (n[r] * s),
-                      np.zeros(d), s, 0.0, fixed)
-        if fixed is None:
-            cv_grid(fit, pf, config.l2, config.n_lambdas)
-        if fit.grid is not None:
+        else:
+            cols.append(r)
+    classes = None
+    if fixed is None and cols:
+        K = config.inner_cv_folds
+        classes = np.zeros((len(cols), K) + N.shape[1:])
+        for i, r in enumerate(cols):
             ranked = np.flatnonzero(c[:, r] > 0)
-            held = [ranked[j::K] for j in range(K)]
-            fold_G, fold_c = [], []
-            for out in held:
-                n_tr = n[r] - c[out, r].sum()
-                g_tr = gram[r] - weighted_gram(Z[out], weight[out, r])
-                c_tr = cross[r] - product[out, r] @ Z[out]
-                fold_G.append(g_tr / (n_tr * np.outer(s, s)))
-                fold_c.append(c_tr / (n_tr * s))
-            fit.fold_G, fit.fold_c = np.stack(fold_G), np.stack(fold_c)
-            fit.score = functools.partial(fold_errors, r, held)
-        fits.append(fit)
-        cols.append(r)
+            for j in range(K):
+                out = ranked[j::K]
+                classes[i, j] = _unit_moments(Z[out], *(a[out][:, [r]] for a in (c, B, dH)))[0]
+    fits = moment_fits(N[cols], classes, fit_intercept=False,
+                       pf=np.concatenate([[0.0], np.ones(p)]), l2=config.l2, l1=fixed,
+                       n_lambdas=config.n_lambdas)
 
     def collect():
-        coef, chosen = np.zeros((c.shape[1], d)), np.full(c.shape[1], np.nan)
+        coef, chosen = np.zeros((c.shape[1], p + 1)), np.full(c.shape[1], np.nan)
         for r, fit in zip(cols, fits):
             if isinstance(fit.result, MldidError):
                 errors[r] = fit.result
@@ -187,6 +161,29 @@ def catt_fits(X, B, dH, counts, l1=None, config=None):
         return coef, chosen, errors
 
     return fits, collect
+
+
+def _unit_moments(Z, c, B, dH):
+    """Moments of every count column's unit rows, one (q, q) block per column.
+
+    Column r's unit i is the row ``[1, (B_ir / 2) z_i, dH_ir / 2]`` with
+    weight ``c_ir``; the block of the design is the Gram matrix of z with
+    weights c B^2/4, and its cross product with the response has weights
+    c B dH/4.
+    """
+    n_cols, d = c.shape[1], Z.shape[1]
+    weight = c * B**2 / 4
+    product = c * B * dH / 4
+    N = np.empty((n_cols, d + 2, d + 2))
+    N[:, 0, 0] = c.sum(axis=0)
+    N[:, 0, 1:-1] = (c * B / 2).T @ Z
+    N[:, 0, -1] = (c * dH / 2).sum(axis=0)
+    N[:, 1:-1, 1:-1] = [weighted_gram(Z, weight[:, r]) for r in range(n_cols)]
+    N[:, 1:-1, -1] = product.T @ Z
+    N[:, -1, -1] = (c * dH**2 / 4).sum(axis=0)
+    N[:, 1:, 0] = N[:, 0, 1:]
+    N[:, -1, 1:-1] = N[:, 1:-1, -1]
+    return N
 
 
 def predict_catt(model: CattModel, X: np.ndarray) -> np.ndarray:

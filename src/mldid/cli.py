@@ -10,6 +10,7 @@ run; results never depend on ``--threads``.
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 import time
 from pathlib import Path
@@ -123,9 +124,16 @@ def _check_bootstrap(ctx, param, value):
     return value
 
 
+def _check_fixed_l1(ctx, param, value):
+    """Reject a penalty no lasso fit can use."""
+    if value is not None and not (math.isfinite(value) and value >= 0):
+        raise click.BadParameter(f"must be finite and nonnegative, got {value}")
+    return value
+
+
 def _estimator_options(f):
     opts = [
-        click.option("--folds", type=int, default=5, show_default=True),
+        click.option("--folds", type=click.IntRange(min=2), default=5, show_default=True),
         click.option("--bootstrap", type=int, default=0, show_default=True,
                      callback=_check_bootstrap,
                      help=f"Bootstrap replicates for standard errors (0 = off, "
@@ -133,7 +141,7 @@ def _estimator_options(f):
         click.option("--placebo", type=click.BOOL, default=True,
                      show_default=True, help="Include pre-treatment cells."),
         click.option("--threads", type=int, default=1, show_default=True),
-        click.option("--fixed-l1", type=float, default=None,
+        click.option("--fixed-l1", type=float, default=None, callback=_check_fixed_l1,
                      help="Pin every lasso penalty instead of cross-validating."),
     ]
     for opt in reversed(opts):

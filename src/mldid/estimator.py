@@ -595,9 +595,10 @@ def run_mldid(panel: PanelDataset, config: EstimatorConfig | None = None) -> Mld
     """Estimate every cell, aggregate, and assemble the per-unit panel.
 
     The cells are estimated in groups (:func:`_groups`), each group stage
-    by stage (:func:`_estimate_parts`). Skipped cells are recorded with their reason, never silently
-    dropped; reference cells (t = g-1) appear as hard zeros. Warnings of a
-    cell are raised again here, prefixed with its (g, t).
+    by stage (:func:`_estimate_parts`). Skipped cells are recorded with
+    their reason, never silently dropped; reference cells (t = g-1) appear
+    as hard zeros. Warnings of a cell are raised again here, prefixed with
+    its (g, t).
     """
     config = config or EstimatorConfig()
     keys = enumerate_cells(panel, config.include_placebo)
@@ -759,9 +760,10 @@ def bootstrap_se(
     on the original panel, and a cell is estimated once for all columns:
     each column is the estimate on the resampled panel, with a unit's
     copies in that unit's fold of the cell. ``--threads`` maps over the
-    groups of cells (:func:`_replicate_atts`). The SE is the replicate standard deviation. The run is invalid
-    if more than 10% of replicates fail, and a cell or event time gets no
-    SE if more than 10% of replicates did not supply it.
+    groups of cells (:func:`_replicate_atts`). The SE is the replicate
+    standard deviation. The run is invalid if more than 10% of replicates
+    fail, and a cell or event time gets no SE if more than 10% of
+    replicates did not supply it.
     """
     if n_replicates < MIN_BOOTSTRAP_REPLICATES:
         raise MldidError(

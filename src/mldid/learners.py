@@ -12,20 +12,24 @@ Every elastic-net fit goes through ``_lasso_path`` (covariance updates with
 warm starts along the l1 path, after Friedman, Hastie & Tibshirani 2010).
 It takes a batch of standardized Gram systems and runs each coordinate
 update as one vector operation over the batch. :func:`fit_gram_batch` holds
-the stages after the Gram matrices, shared by every front end: it solves
-the inner-CV paths of many fits as one batch, scores each fit on its
-held-out rows through the scorer that fit carries (:class:`GramFit`),
-chooses each l1 and refits every chosen (or fixed) l1 as a second batch.
-Because every fit carries its own scorer and held-out data, one batch can
-hold the fits of many cells: the stage-major engine of ``estimator``
-solves the outcome regressions of a group of cells as one batch, and
-their effect fits as another. The row front end,
-:func:`fit_penalized_ls_batch`, builds the Gram systems from each
-regression's training rows; :func:`fit_penalized_ls` and
-:func:`fit_penalized_ls_cv` are its one-regression calls, used by the
-doubly-robust baseline. The moment front ends in ``nuisance`` and ``catt``
-build the outcome regressions of a cell from sums of moment blocks
-instead of from rows, and the effect-function fit from unit moments.
+the stages after the Gram matrices: it solves the inner-CV paths of many
+fits as one batch, scores every (inner fold, l1) at once, chooses each l1
+and refits every chosen (or fixed) l1 as a second batch. A fit enters as a
+:class:`GramFit`, which is plain data: its Gram systems and, per inner
+fold, the second moments of the held-out rows, of which a fold's held-out
+squared error is a quadratic form. So one batch can hold the fits of many
+cells: the stage-major engine of ``estimator`` solves the outcome
+regressions of a group of cells as one batch, and their effect fits as
+another.
+
+The GramFits come from two front ends. :func:`moment_fits` builds them
+from the weighted moments of a fit's rows and of its inner classes of
+rows: ``nuisance`` forms those moments for a cell's outcome regressions
+from sums of per-fold blocks, and ``catt`` for the effect function from
+unit moments. :func:`row_gram_fit` builds one from its rows; it is behind
+:func:`fit_penalized_ls` and :func:`fit_penalized_ls_cv`, which the
+doubly-robust baseline uses and the tests take as the reference for the
+moment front end.
 
 Every logistic fit goes through :func:`fit_probability_batch`: fits that
 share one design and label vector and differ in their row weights (a
@@ -43,7 +47,7 @@ its result does not depend on what else is in the batch.
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -266,58 +270,6 @@ def _lasso_path(G, c, grid, l2, pf):
     return path, sweeps, failed
 
 
-@dataclass(frozen=True)
-class Regression:
-    """Training data for :func:`fit_penalized_ls_batch`.
-
-    The design is ``X[rows]`` (all of ``X`` when ``rows`` is None). Every
-    entry of ``responses`` is an outcome aligned with ``X`` and gets its
-    own model; responses of one Regression share the standardization, the
-    inner folds and the Gram matrices of their design. ``weights`` (aligned
-    with ``X``) default to uniform.
-    """
-
-    X: np.ndarray
-    responses: tuple[np.ndarray, ...]
-    rows: np.ndarray | None = None
-    weights: np.ndarray | None = None
-
-
-def _training_data(reg: Regression, penalty_factor):
-    """Validated training rows: (X, responses, normalized weights, pf).
-
-    Responses are not checked for finiteness here; each is checked on its
-    own so that one bad outcome fails only its own fit.
-    """
-    X = np.asarray(reg.X, dtype=float)
-    if X.ndim != 2:
-        raise MldidError("X must be 2-dimensional")
-    ys = [np.asarray(y, dtype=float) for y in reg.responses]
-    for y in ys:
-        if y.ndim != 1:
-            raise MldidError("y must be 1-dimensional")
-        if y.shape[0] != X.shape[0]:
-            raise MldidError("X and y have different lengths")
-    weights = reg.weights
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (X.shape[0],):
-            raise MldidError("weights and X have different lengths")
-    if reg.rows is not None:
-        X = X[reg.rows]
-        ys = [y[reg.rows] for y in ys]
-        weights = None if weights is None else weights[reg.rows]
-    n, p = X.shape
-    if n < 2:
-        raise MldidError("need at least 2 rows to fit")
-    _check_finite("X", X)
-    w = _normalized_weights(weights, n)
-    pf = np.ones(p) if penalty_factor is None else np.asarray(penalty_factor, float)
-    if pf.shape != (p,):
-        raise MldidError(f"penalty_factor has shape {pf.shape}, X has {p} columns")
-    return X, ys, w, pf
-
-
 def _lambda_max(G, c, pf, l2):
     """Smallest l1 at which every penalized coefficient is zero."""
     free = pf == 0.0
@@ -338,12 +290,16 @@ class GramFit:
     A front end fills in the standardized Gram system of the fit's training
     rows (``G``, ``c``), the standardization it undoes (``center``,
     ``scale``, ``ybar``) and, for an l1 chosen by cross-validation, the
-    ``grid`` (see :func:`cv_grid`), the Gram systems of its inner training
-    folds (``fold_G``, ``fold_c``, one row per inner fold) and ``score``,
-    which maps the fit's solved inner paths ``(folds, l1, p)`` to their
-    ``(folds, l1)`` held-out errors. Each fit carries its own scorer and
-    held-out data, so fits of different cells can share one batch.
-    ``result`` is preset to an MldidError for a fit that cannot be solved.
+    ``grid`` (see :func:`cv_grid`) and per inner fold: the Gram system of
+    its training rows (``fold_G``, ``fold_c``) and ``fold_held``, the
+    second moments of its held-out rows ``[z, y - ybar_j]``. These are in
+    the fit's standardized coordinates, with y centred at the fold's
+    training mean ``ybar_j`` (0 without an intercept), and normalized by
+    held-out weight; a fold that holds no weight gets zeros. The fold's
+    held-out squared error at coefficients b is then ``[-b, 1]' H [-b, 1]``,
+    so a GramFit is plain data and fits of different cells can share one
+    batch. ``result`` is preset to an MldidError for a fit that cannot be
+    solved.
     """
 
     G: np.ndarray | None
@@ -355,7 +311,7 @@ class GramFit:
     grid: np.ndarray | None = None
     fold_G: np.ndarray | None = None
     fold_c: np.ndarray | None = None
-    score: Callable[[np.ndarray], np.ndarray] | None = None
+    fold_held: np.ndarray | None = None
     result: object = None
 
 
@@ -363,6 +319,8 @@ def check_lasso_options(n_folds: int, n_lambdas: int, fixed_l1, cv_rule: str) ->
     """Reject settings no fit of a batch could use."""
     if cv_rule not in ("min", "1se"):
         raise MldidError(f"unknown cv_rule: {cv_rule}")
+    if fixed_l1 is not None and not (math.isfinite(fixed_l1) and fixed_l1 >= 0):
+        raise MldidError(f"fixed l1 must be finite and nonnegative, got {fixed_l1}")
     if fixed_l1 is None and n_folds < 2:
         raise MldidError("need at least 2 inner folds")
     if fixed_l1 is None and n_lambdas < 1:
@@ -390,12 +348,13 @@ def fit_gram_batch(
     """The stages after the Gram matrices: CV paths, l1 choice and refit.
 
     The inner-fold systems of every fit to choose by CV go to
-    :func:`_lasso_path` as one batch along their fit's grid, and each fit's
-    ``score`` rates its own rows of the solved paths, from which
-    :func:`_cv_choice` picks the l1. Then every fit without a result is
-    refit at its chosen (or fixed) l1 as a second batch of one-point paths,
-    and ``result`` becomes its LinearModel or NoConvergence. A fit's result
-    does not depend on the other fits of the batch.
+    :func:`_lasso_path` as one batch along their fit's grid. One batched
+    product scores every (inner fold, l1) of the batch on its fold's
+    held-out moments, and :func:`_cv_choice` picks each fit's l1 from its
+    rows. Then every fit without a result is refit at its chosen (or fixed)
+    l1 as a second batch of one-point paths, and ``result`` becomes its
+    LinearModel or NoConvergence. A fit's result does not depend on the
+    other fits of the batch.
     """
     cv = [fit for fit in fits if fit.grid is not None and fit.result is None]
     if cv:
@@ -406,6 +365,7 @@ def fit_gram_batch(
             np.repeat(np.stack([fit.grid for fit in cv]), sizes, axis=0),
             l2, pf,
         )
+        fold_err = _held_out_errors(path, np.concatenate([fit.fold_held for fit in cv]))
         for fit, stop, size in zip(cv, np.cumsum(sizes), sizes):
             rows = slice(stop - size, stop)
             fail = failed[rows][~np.isnan(failed[rows])]
@@ -413,7 +373,7 @@ def fit_gram_batch(
                 # The lowest failing fold, which a fold-by-fold solve meets first.
                 fit.result = _no_convergence(fail[0])
                 continue
-            fit.l1 = float(fit.grid[_cv_choice(fit.score(path[rows]), cv_rule)])
+            fit.l1 = float(fit.grid[_cv_choice(fold_err[rows], cv_rule)])
 
     refits = [fit for fit in fits if fit.result is None]
     if refits:
@@ -433,108 +393,194 @@ def fit_gram_batch(
                                      fit.scale, int(sweeps[b, 0]))
 
 
-def _inner_folds(n, n_folds):
-    fold_id = np.arange(n) % n_folds
-    return [fold_id == k for k in range(n_folds)]
+def _held_out_errors(path: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """Held-out squared errors ``[-b, 1]' H [-b, 1]`` of solved inner paths.
+
+    ``path`` is (folds, l1, p) and ``held`` the folds' (p + 1, p + 1)
+    held-out moments (see :class:`GramFit`); returns the (folds, l1) errors.
+    """
+    v = np.concatenate([-path, np.ones(path.shape[:2] + (1,))], axis=2)
+    return np.sum(v @ held * v, axis=2)
 
 
-def fit_penalized_ls_batch(
-    regressions: Sequence[Regression],
+def _standard_moments(N, center, ybar, inv_scale):
+    """Second moments of the rows ``[(u - center) * inv_scale, y - ybar]`` of row sets.
+
+    ``N[i]`` holds set i's moments ``sum_rows w [1, u, y][1, u, y]'``. The
+    result is normalized by the set's weight, ``N[i, 0, 0]``, and taken
+    about the set's own mean (the covariance plus the outer product of the
+    mean's offset), which keeps the cancellation of a shift small. A set of
+    zero weight gets zeros.
+    """
+    n = N[:, 0, 0]
+    empty = n == 0
+    n = np.where(empty, 1.0, n)
+    mean = N[:, 0, 1:] / n[:, None]
+    off = mean - np.concatenate([center, ybar[:, None]], axis=1)
+    cov = (N[:, 1:, 1:] / n[:, None, None] - mean[:, :, None] * mean[:, None, :]
+           + off[:, :, None] * off[:, None, :])
+    s = np.concatenate([inv_scale, np.ones((N.shape[0], 1))], axis=1)
+    out = cov * s[:, :, None] * s[:, None, :]
+    out[empty] = 0.0
+    return out
+
+
+def _rms_moments(N, scale):
+    """Second moments of the rows ``[u / scale, y]`` of row sets, not centred.
+
+    As :func:`_standard_moments`, for a fit without an intercept.
+    """
+    n = N[:, 0, 0]
+    empty = n == 0
+    s = np.concatenate([scale, np.ones((N.shape[0], 1))], axis=1)
+    out = N[:, 1:, 1:] / (np.where(empty, 1.0, n)[:, None, None]
+                          * (s[:, :, None] * s[:, None, :]))
+    out[empty] = 0.0
+    return out
+
+
+def moment_fits(
+    N: np.ndarray,
+    classes: np.ndarray | None = None,
     *,
-    l2: float = 1e-6,
-    penalty_factor: np.ndarray | None = None,
-    fit_intercept: bool = True,
-    n_folds: int = CV_FOLDS,
-    n_lambdas: int = CV_N_LAMBDAS,
-    fixed_l1: float | None = None,
-    cv_rule: str = "min",
-) -> list[list]:
-    """Elastic-net fits of many regressions from their training rows.
+    fit_intercept: bool,
+    pf: np.ndarray,
+    l2: float,
+    l1: float | None,
+    n_lambdas: int,
+    shift: np.ndarray | None = None,
+    ranges: tuple[np.ndarray, np.ndarray] | None = None,
+) -> list[GramFit]:
+    """GramFits of regressions from the moments of their rows.
 
-    Each (regression, response) is fit as by :func:`fit_penalized_ls_cv`
-    with the same settings. This is the row front end of
-    :func:`fit_gram_batch`: it standardizes each design's training rows and
-    forms the Gram systems of the full rows and of every inner fold. Only
-    those are kept between the stages; the held-out rows are standardized
-    again when the path errors are scored.
+    ``N[i]`` is ``sum_rows w [1, u, y][1, u, y]'`` over fit i's weighted
+    training rows, where u are the covariates and y the response, each less
+    its entry of ``shift`` (zero by default; a shift near the data keeps
+    the sums' cancellation small). With ``fit_intercept`` each covariate is
+    centred at its mean and scaled by its standard deviation, and y is
+    centred at its mean. A covariate constant on fit i's rows, which
+    ``ranges`` shows as equal minimum and maximum ``(lo[i], hi[i])`` in
+    original units, is centred at its value and standardizes to exact
+    zeros. Without an intercept the covariates are scaled by their root
+    mean square and nothing is centred, so the moments must be about zero
+    (``shift`` and ``ranges`` are unused).
 
-    All regressions of a batch have the same number of columns. Returns,
-    per regression, one entry per response: the LinearModel, or the
-    MldidError its fit raised (bad input or NoConvergence).
+    For a fit to choose its l1 by CV (``l1`` None), ``classes[i]`` holds
+    the ``(K, q, q)`` moments of the K classes of its rows: inner fold j
+    trains on ``N[i] - classes[i, j]`` and holds out class j, both in fit
+    i's standardization, and the fold's training mean of y centres its
+    held-out moments. A fit whose lambda_max is zero gets l1 = 0 instead.
+    """
+    n_fits, p = N.shape[0], N.shape[-1] - 2
+    shift = np.zeros(p + 1) if shift is None else shift
+    n = N[:, 0, 0]
+    cov_diag = np.diagonal(N[:, 1:p + 1, 1:p + 1], axis1=1, axis2=2) / n[:, None]
+    if fit_intercept:
+        mean = N[:, 0, 1:p + 1] / n[:, None]
+        scale = np.sqrt(np.maximum(cov_diag - mean**2, 0.0))
+        scale[scale == 0.0] = 1.0
+        const = np.zeros(mean.shape, dtype=bool)
+        center = shift[:p] + mean
+        if ranges is not None:
+            const = ranges[0] == ranges[1]
+            center = np.where(const, ranges[0], center)
+        scale[const] = 1.0
+        inv_scale = np.where(const, 0.0, 1.0 / scale)
+        ybar = N[:, 0, p + 1] / n
+        S = _standard_moments(N, mean, ybar, inv_scale)
+        ybar = ybar + shift[p]
+    else:
+        scale = np.sqrt(cov_diag)
+        scale[scale == 0.0] = 1.0
+        center, ybar = np.zeros((n_fits, p)), np.zeros(n_fits)
+        S = _rms_moments(N, scale)
+    fits = [GramFit(S[i, :p, :p], S[i, :p, p], center[i], scale[i], float(ybar[i]), l1)
+            for i in range(n_fits)]
+    if l1 is not None:
+        return fits
+    for fit in fits:
+        cv_grid(fit, pf, l2, n_lambdas)
+    cv = np.array([i for i, fit in enumerate(fits) if fit.grid is not None], dtype=np.int64)
+    if not cv.size:
+        return fits
+    held = classes[cv]
+    K = held.shape[1]
+    held = held.reshape((-1,) + held.shape[2:])
+    train = (N[cv, None] - classes[cv]).reshape(held.shape)
+    own = np.repeat(cv, K)
+    if fit_intercept:
+        ybar_in = train[:, 0, p + 1] / train[:, 0, 0]
+        train_S = _standard_moments(train, mean[own], ybar_in, inv_scale[own])
+        held_S = _standard_moments(held, mean[own], ybar_in, inv_scale[own])
+    else:
+        train_S, held_S = _rms_moments(train, scale[own]), _rms_moments(held, scale[own])
+    for a, i in enumerate(cv):
+        rows = slice(a * K, (a + 1) * K)
+        fits[i].fold_G, fits[i].fold_c = train_S[rows, :p, :p], train_S[rows, :p, p]
+        fits[i].fold_held = held_S[rows]
+    return fits
+
+
+def row_gram_fit(X, y, *, l2, weights=None, penalty_factor=None, fit_intercept=True,
+                 n_folds=CV_FOLDS, n_lambdas=CV_N_LAMBDAS, fixed_l1=None, cv_rule="min"):
+    """The GramFit of one regression from its rows, and its penalty factors.
+
+    This is the row front end of :func:`fit_gram_batch`. It standardizes
+    the rows and forms the Gram system of all of them and, with CV, of
+    every inner fold (row i is in fold i modulo ``n_folds``), with the
+    fold's held-out moments. Raises the MldidError of inputs no fit can use.
     """
     check_lasso_options(n_folds, n_lambdas, fixed_l1, cv_rule)
-    held_out = {}
-
-    def fold_errors(i, y, ybars, path):
-        if i not in held_out:
-            # Fits are scored in batch order, so one design is held at a time.
-            held_out.clear()
-            X, _, w, _ = _training_data(regressions[i], penalty_factor)
-            held_out[i] = (_standardize(X, w, center=fit_intercept)[0], w,
-                           _inner_folds(X.shape[0], n_folds))
-        Z, w, tests = held_out[i]
-        fold_err = np.zeros((n_folds, path.shape[1]))
-        for k, ybar_tr in enumerate(ybars):
-            test = tests[k]
-            Z_te = Z[test]
-            r_te = y[test] - ybar_tr
-            w_te = w[test] / w[test].sum()
-            for j in range(path.shape[1]):
-                resid = r_te - Z_te @ path[k, j]
-                fold_err[k, j] = float(w_te @ resid**2)
-        return fold_err
-
-    entries: list[MldidError | list[GramFit]] = []
-    pf = None
-    for i, reg in enumerate(regressions):
-        try:
-            X, ys, w, pf = _training_data(reg, penalty_factor)
-        except MldidError as err:
-            entries.append(err)
-            continue
-        Z, m, s = _standardize(X, w, center=fit_intercept)
-        wZ = Z * w[:, None]
-        G = Z.T @ wZ
-        fits, cv_fits = [], []
-        for y in ys:
-            fit = GramFit(G, None, m, s, 0.0, fixed_l1)
-            fits.append(fit)
-            try:
-                _check_finite("y", y)
-            except NonFiniteData as err:
-                fit.result = err
-                continue
-            if fit_intercept:
-                fit.ybar = float(w @ y)
-            fit.c = wZ.T @ (y - fit.ybar)
-            if fixed_l1 is None:
-                cv_grid(fit, pf, l2, n_lambdas)
-                if fit.grid is not None:
-                    cv_fits.append((fit, y, [], []))
-        entries.append(fits)
-        fold_G = []
-        for k, test in enumerate(_inner_folds(X.shape[0], n_folds) if cv_fits else ()):
-            train = ~test
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2:
+        raise MldidError("X must be 2-dimensional")
+    if y.ndim != 1:
+        raise MldidError("y must be 1-dimensional")
+    n, p = X.shape
+    if y.shape[0] != n:
+        raise MldidError("X and y have different lengths")
+    if weights is not None and np.shape(weights) != (n,):
+        raise MldidError("weights and X have different lengths")
+    if n < 2:
+        raise MldidError("need at least 2 rows to fit")
+    _check_finite("X", X)
+    w = _normalized_weights(weights, n)
+    pf = np.ones(p) if penalty_factor is None else np.asarray(penalty_factor, float)
+    if pf.shape != (p,):
+        raise MldidError(f"penalty_factor has shape {pf.shape}, X has {p} columns")
+    _check_finite("y", y)
+    Z, m, s = _standardize(X, w, center=fit_intercept)
+    ybar = float(w @ y) if fit_intercept else 0.0
+    wZ = Z * w[:, None]
+    fit = GramFit(Z.T @ wZ, wZ.T @ (y - ybar), m, s, ybar, fixed_l1)
+    if fixed_l1 is None:
+        cv_grid(fit, pf, l2, n_lambdas)
+    if fit.grid is not None:
+        systems, fold = [], np.arange(n) % n_folds
+        for k in range(n_folds):
+            test, train = fold == k, fold != k
             w_tr = w[train]
-            tot = w_tr.sum()
-            w_tr = w_tr / tot
+            w_tr = w_tr / w_tr.sum()
+            ybar_tr = float(w_tr @ y[train]) if fit_intercept else 0.0
             Z_tr = Z[train]
             wZ_tr = Z_tr * w_tr[:, None]
-            fold_G.append(Z_tr.T @ wZ_tr)
-            for _, y, fold_c, ybars in cv_fits:
-                ybars.append(float(w_tr @ y[train]) if fit_intercept else 0.0)
-                fold_c.append(wZ_tr.T @ (y[train] - ybars[-1]))
-        for fit, y, fold_c, ybars in cv_fits:
-            fit.fold_G, fit.fold_c = np.stack(fold_G), np.stack(fold_c)
-            fit.score = functools.partial(fold_errors, i, y, ybars)
+            w_te = w[test]
+            tot = w_te.sum()
+            systems.append((Z_tr.T @ wZ_tr, wZ_tr.T @ (y[train] - ybar_tr), weighted_gram(
+                np.column_stack([Z[test], y[test] - ybar_tr]), w_te / tot if tot > 0 else w_te)))
+        fit.fold_G, fit.fold_c, fit.fold_held = (np.stack(a) for a in zip(*systems))
+    return fit, pf
 
-    fits = [fit for fits in entries if not isinstance(fits, MldidError) for fit in fits]
-    fit_gram_batch(fits, l2=l2, pf=pf, fit_intercept=fit_intercept, cv_rule=cv_rule)
-    return [
-        [fits] * len(reg.responses) if isinstance(fits, MldidError)
-        else [fit.result for fit in fits]
-        for reg, fits in zip(regressions, entries)
-    ]
+
+def _row_fit(X, y, *, l2, fit_intercept, cv_rule="min", **options) -> LinearModel:
+    """The model of :func:`row_gram_fit`'s fit, solved on its own; raises its MldidError."""
+    fit, pf = row_gram_fit(X, y, l2=l2, fit_intercept=fit_intercept, cv_rule=cv_rule,
+                           **options)
+    fit_gram_batch([fit], l2=l2, pf=pf, fit_intercept=fit_intercept, cv_rule=cv_rule)
+    if isinstance(fit.result, MldidError):
+        raise fit.result
+    return fit.result
 
 
 def _no_convergence(delta: float) -> NoConvergence:
@@ -559,13 +605,6 @@ def _cv_choice(fold_err: np.ndarray, cv_rule: str) -> int:
     return best
 
 
-def _single(results: list[list]) -> LinearModel:
-    result = results[0][0]
-    if isinstance(result, MldidError):
-        raise result
-    return result
-
-
 def fit_penalized_ls(
     X: np.ndarray,
     y: np.ndarray,
@@ -583,11 +622,8 @@ def fit_penalized_ls(
     ``penalty_factor`` (0 leaves a column unpenalized). Features are
     standardized internally; penalties apply on the standardized scale.
     """
-    return _single(fit_penalized_ls_batch(
-        [Regression(X, (y,), weights=weights)],
-        l2=l2, penalty_factor=penalty_factor, fit_intercept=fit_intercept,
-        fixed_l1=l1,
-    ))
+    return _row_fit(X, y, l2=l2, weights=weights, penalty_factor=penalty_factor,
+                    fit_intercept=fit_intercept, fixed_l1=l1)
 
 
 def fit_penalized_ls_cv(
@@ -613,12 +649,9 @@ def fit_penalized_ls_cv(
     the usual choice when selection matters more than prediction).
     ``fixed_l1`` bypasses the search entirely.
     """
-    return _single(fit_penalized_ls_batch(
-        [Regression(X, (y,), weights=weights)],
-        l2=l2, penalty_factor=penalty_factor, fit_intercept=fit_intercept,
-        n_folds=n_folds, n_lambdas=n_lambdas, fixed_l1=fixed_l1,
-        cv_rule=cv_rule,
-    ))
+    return _row_fit(X, y, l2=l2, weights=weights, penalty_factor=penalty_factor,
+                    fit_intercept=fit_intercept, n_folds=n_folds, n_lambdas=n_lambdas,
+                    fixed_l1=fixed_l1, cv_rule=cv_rule)
 
 
 # ---------------------------------------------------------------------------

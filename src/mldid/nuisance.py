@@ -24,28 +24,29 @@ slice's fold plan, so a unit's copies share its fold. g(x) of every
 (fold, column) is one member of the batched logistic engine
 (:func:`_cross_fit_propensity`). The outcome regressions are built from
 moments, not rows (:func:`_regression_systems`): count-weighted products
-of the unit rows give moment blocks per outer fold, and every
-regression's standardized Gram system, and those of its inner CV folds,
-is a sum of blocks (the covariance-update form of Friedman, Hastie &
-Tibshirani 2010). Each prediction is the one a fold-by-fold cross-fit on
-the column's copies would make (to rounding, for the regressions), and a
-column that cannot be fit gets the DegenerateFold that fold-by-fold
-cross-fitting would raise first; the other columns are unaffected.
+of the unit rows give moment blocks per outer fold, every regression's
+moments are a sum of blocks, and so are those of its inner CV folds'
+training and held-out rows; ``learners.moment_fits`` turns them into
+standardized Gram systems (the covariance-update form of Friedman,
+Hastie & Tibshirani 2010) and held-out moments. Each prediction is the
+one a fold-by-fold cross-fit on the column's copies would make (to
+rounding, for the regressions), and a column that cannot be fit gets the
+DegenerateFold that fold-by-fold cross-fitting would raise first; the
+other columns are unaffected.
 
 The cross-fit is split into stages for the stage-major engine of
 :mod:`mldid.estimator`. :func:`start_nuisances` fits a cell's propensity
-and returns its regressions as ``learners.GramFit`` systems, each with its
-own held-out scorer; :func:`solve_regressions` solves the GramFits of
-every cell of a group as one lasso batch; and the function
-:func:`start_nuisances` returned then collects the cell's predictions.
-:func:`cross_fit_nuisances` runs the stages for one cell, and
-:func:`estimate_nuisances` is its all-ones column.
+and returns its regressions as ``learners.GramFit`` systems, which carry
+their inner folds' held-out moments; :func:`solve_regressions` solves
+the GramFits of every cell of a group as one lasso batch; and the
+function :func:`start_nuisances` returned then collects the cell's
+predictions. :func:`cross_fit_nuisances` runs the stages for one cell,
+and :func:`estimate_nuisances` is its all-ones column.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +60,10 @@ from .learners import (
     GramFit,
     _label_proba,
     check_lasso_options,
-    cv_grid,
     fit_gram_batch,
     fit_penalized_ls_cv,
     fit_probability_batch,
+    moment_fits,
     weighted_gram,
 )
 
@@ -94,7 +95,11 @@ class LearnerConfig:
 
     def fit_regression(self, X, y, *, weights=None, penalty_factor=None,
                        fit_intercept=True):
-        """One regression fit as :func:`estimate_nuisances` fits each."""
+        """One regression fit from its rows under this config.
+
+        This is the row path: the tests check the moment front end of
+        :func:`_regression_systems` against it, fold by fold.
+        """
         return fit_penalized_ls_cv(
             X, y, weights=weights, penalty_factor=penalty_factor,
             fit_intercept=fit_intercept, **self.lasso_options(),
@@ -354,15 +359,14 @@ def _regression_systems(X, y_pre, y_post, plan: FoldPlan, counts, config: Learne
     The cell's unit rows are read once into rows
     ``[1, x - xbar, y_pre - ybar, y_post - ybar]``, and one count-weighted
     product per outer fold and column gives the column's moments of that
-    fold. A regression's centre, scale, standardized Gram, ``c`` and mean
-    outcome come from the moments outside its fold; a column constant on
-    its drawn rows is pinned as ``learners._pin_constant_columns`` pins it.
-    With CV the inner folds rank the drawn training units as the row path
-    ranks its training rows (inner fold j holds the ranks equal to j modulo
-    K), so each inner training set is the regression's moments less those
-    of one class of units, and the held-out residuals of all l1 of an inner
-    fold come from one product; each GramFit carries those classes and the
-    inner folds' mean outcomes for its own scorer.
+    fold. A regression's moments are the sum of those outside its fold, and
+    ``learners.moment_fits`` turns them into its GramFit; the covariate
+    ranges over its drawn rows pin a constant column as
+    ``learners._pin_constant_columns`` pins it. With CV the inner folds
+    rank the drawn training units as the row path ranks its training rows
+    (inner fold j holds the ranks equal to j modulo K), so the moments of
+    the K classes of units are all an inner fold needs: it trains on the
+    regression's moments less one class and holds that class out.
 
     A regression with fewer than 2 training rows gets the DegenerateFold a
     fold-by-fold cross-fit raises, and one with a non-finite covariate or
@@ -412,62 +416,27 @@ def _regression_systems(X, y_pre, y_post, plan: FoldPlan, counts, config: Learne
     sel = np.concatenate([np.tile(np.arange(p + 1), (len(live), 1)),
                           (p + 1 + outs)[:, None]], axis=1)
     N = train_M[rs[:, None, None], ks[:, None, None], sel[:, :, None], sel[:, None, :]]
-    n = N[:, 0, 0]
-    mean = N[:, 0, 1:p + 1] / n[:, None]
-    var = np.diagonal(N[:, 1:p + 1, 1:p + 1], axis1=1, axis2=2) / n[:, None] - mean**2
-    scale = np.sqrt(np.maximum(var, 0.0))
-    scale[scale == 0.0] = 1.0
-    # A column constant on the rows is centred at its value with unit scale
-    # and standardizes to exact zeros.
-    lo, hi = train_lo[rs, ks], train_hi[rs, ks]
-    const = lo == hi
-    center = np.where(const, lo, x_shift + mean)
-    scale[const] = 1.0
-    inv_scale = np.where(const, 0.0, 1.0 / scale)
-    G, c_vec, ybar = _gram_systems(N, mean, inv_scale)
-    gram_fits = [GramFit(G[i], c_vec[i], center[i], scale[i], float(ybar[i] + y_shift),
-                         config.fixed_l1) for i in range(len(live))]
-    for (name, r, k, _), fit in zip(live, gram_fits):
-        fits[r][name, k] = fit
-
-    K_in = config.inner_cv_folds
-    path_N, path_owner, classes, cv_fits = [], [], {}, []
-    for i, fit in enumerate(gram_fits if config.fixed_l1 is None else []):
-        cv_grid(fit, np.ones(p), config.l2, config.n_lambdas)
-        if fit.grid is None:
-            continue
-        key = rs[i], ks[i]
-        if key not in classes:
+    classes = None
+    if config.fixed_l1 is None:
+        K_in = config.inner_cv_folds
+        keys = {}
+        owner = np.array([keys.setdefault(key, len(keys)) for key in zip(rs, ks)])
+        class_M = np.zeros((len(keys), K_in) + train_M.shape[-2:])
+        for (r, k), a in keys.items():
             # The drawn training units in order; class j holds those whose
             # rank is j modulo K_in.
-            r, k = key
             ranked = np.flatnonzero((fold != k) & (c[:, r] > 0))
-            cls = [ranked[j::K_in] for j in range(K_in)]
-            classes[key] = cls, [weighted_gram(V[idx], c[idx, r]) for idx in cls]
-        cls, cls_M = classes[key]
-        for j in range(K_in):
-            path_owner.append(i)
-            path_N.append(N[i] - cls_M[j][np.ix_(sel[i], sel[i])])
-        cv_fits.append((i, fit, cls))
-    if not path_N:
-        return fits, gram_fits
-
-    def fold_errors(i, cls, fold_ybar, path):
-        fold_err = np.zeros((K_in, path.shape[1]))
-        for j, held in enumerate(cls):
-            if held.size:
-                Z = (V[held, 1:p + 1] - mean[i]) * inv_scale[i]
-                resid = (V[held, sel[i, -1]] - fold_ybar[j])[:, None] - Z @ path[j].T
-                w = c[held, rs[i]]
-                fold_err[j] = w @ resid**2 / w.sum()
-        return fold_err
-
-    path_G, path_c, path_ybar = _gram_systems(
-        np.stack(path_N), mean[path_owner], inv_scale[path_owner])
-    for n_cv, (i, fit, cls) in enumerate(cv_fits):
-        rows = slice(n_cv * K_in, (n_cv + 1) * K_in)
-        fit.fold_G, fit.fold_c = path_G[rows], path_c[rows]
-        fit.score = functools.partial(fold_errors, i, cls, path_ybar[rows])
+            for j in range(K_in):
+                idx = ranked[j::K_in]
+                class_M[a, j] = weighted_gram(V[idx], c[idx, r])
+        classes = class_M[owner[:, None, None, None], np.arange(K_in)[:, None, None],
+                          sel[:, None, :, None], sel[:, None, None, :]]
+    gram_fits = moment_fits(
+        N, classes, fit_intercept=True, pf=np.ones(p), l2=config.l2, l1=config.fixed_l1,
+        n_lambdas=config.n_lambdas, shift=np.append(x_shift, y_shift),
+        ranges=(train_lo[rs, ks], train_hi[rs, ks]))
+    for (name, r, k, _), fit in zip(live, gram_fits):
+        fits[r][name, k] = fit
     return fits, gram_fits
 
 
@@ -504,26 +473,6 @@ def _training_sums(V, bad, Xf, fold, n_folds, c):
     hi = np.where(outside, hi[None], -np.inf).max(axis=1)
     # (fold, column, ...) -> (column, fold, ...)
     return tuple(np.moveaxis(a, 1, 0) for a in (M, n_bad > 0, lo, hi))
-
-
-def _gram_systems(N, center, inv_scale):
-    """Standardized Gram systems of row sets from their moments N of [1, u, y].
-
-    The covariates are standardized as ``(u - center) * inv_scale`` (an
-    inner fold keeps the standardization of its regression's training rows)
-    and y is centered at the row set's own mean. Returns G, c and that mean.
-    """
-    q = N.shape[-1] - 1
-    n = N[:, 0, 0]
-    mean = N[:, 0, 1:q] / n[:, None]
-    ybar = N[:, 0, q] / n
-    # sum (u - center)(u - center)' / n, taken about the row set's own mean
-    off = mean - center
-    cov = (N[:, 1:q, 1:q] / n[:, None, None] - mean[:, :, None] * mean[:, None, :]
-           + off[:, :, None] * off[:, None, :])
-    G = cov * inv_scale[:, :, None] * inv_scale[:, None, :]
-    c = (N[:, 1:q, q] / n[:, None] - ybar[:, None] * mean) * inv_scale
-    return G, c, ybar
 
 
 def compute_abch(bundle: NuisanceBundle) -> NuisanceBundle:

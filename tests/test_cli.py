@@ -222,6 +222,26 @@ def test_too_few_bootstrap_replicates_is_a_usage_error(command, replicates,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["estimate", "benchmark"])
+@pytest.mark.parametrize("option, value, message", [
+    ("--fixed-l1", "-1", "finite and nonnegative"),
+    ("--fixed-l1", "nan", "finite and nonnegative"),
+    ("--fixed-l1", "inf", "finite and nonnegative"),
+    ("--folds", "1", "x>=2"),
+])
+def test_bad_lasso_options_are_usage_errors(command, option, value, message,
+                                            sim_dir, tmp_path):
+    # Rejected before any estimation: no output directory is made.
+    out = tmp_path / "out"
+    data = (["--input", str(sim_dir / "panel.csv")] if command == "estimate"
+            else ["--n", "300", "--reps", "2"])
+    fixed = [] if option == "--fixed-l1" else ["--fixed-l1", "0.02"]
+    res = run_cli([command, *data, "--out", str(out), *fixed, option, value])
+    assert res.exit_code == 2, res.output
+    assert option in res.output and message in res.output
+    assert not out.exists()
+
+
 def test_bootstrap_off_and_fifty_replicates_accepted(sim_dir, tmp_path):
     for replicates, has_se in (("0", False), ("50", True)):
         out = tmp_path / f"est_{replicates}"

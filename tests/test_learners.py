@@ -20,12 +20,15 @@ from mldid.exceptions import (
 )
 from mldid import learners
 from mldid.learners import (
+    GramFit,
     ProbabilityModel,
-    Regression,
+    _held_out_errors,
     _lasso_path,
     _standardize,
-    fit_penalized_ls_batch,
+    fit_gram_batch,
     fit_probability_batch,
+    moment_fits,
+    row_gram_fit,
 )
 from mldid.nuisance import LearnerConfig, _regression_systems, solve_regressions
 from mldid.panel import slice_two_period
@@ -330,6 +333,23 @@ def test_engine_edge_cases_match_sequential_reference():
                          sequential.fit_ls(Xc, yc, 0.0, **kw))
 
 
+def _row_batch(cases, **opts):
+    """Solve the one-regression GramFits of (X, y) cases as one batch.
+
+    A case whose fit cannot be built enters the batch with its error as the
+    preset result. Returns each fit's result.
+    """
+    fits, pf = [], None
+    for X, y in cases:
+        try:
+            fit, pf = row_gram_fit(X, y, **opts)
+        except MldidError as err:
+            fit = GramFit(None, None, None, None, 0.0, None, result=err)
+        fits.append(fit)
+    fit_gram_batch(fits, l2=opts["l2"], pf=pf, fit_intercept=True, cv_rule=opts["cv_rule"])
+    return [fit.result for fit in fits]
+
+
 def test_batch_members_do_not_interact():
     # One batch of unlike regressions gives each the fit it gets alone, so
     # members converging at different speeds follow their own iterates.
@@ -338,20 +358,97 @@ def test_batch_members_do_not_interact():
     X[:, 3] = X[:, 0] + 0.2 * rng.standard_normal(90)  # slow convergence
     ys = (X @ np.array([1.0, 0.0, 2.0, -1.0]) + rng.standard_normal(90),
           rng.standard_normal(90))
-    regs = [
-        Regression(X, ys),
-        Regression(X, (ys[0],), rows=np.arange(90) % 3 != 0),
-        Regression(X, (ys[1],), rows=np.arange(90) < 7),
-    ]
+    cases = [(X, ys[0]), (X, ys[1]),
+             (X[np.arange(90) % 3 != 0], ys[0][np.arange(90) % 3 != 0]),
+             (X[:7], ys[1][:7])]
     for fixed in (None, 0.02):
-        results = fit_penalized_ls_batch(regs, fixed_l1=fixed, cv_rule="1se")
-        for reg, fits in zip(regs, results):
-            rows = slice(None) if reg.rows is None else reg.rows
-            for y, got in zip(reg.responses, fits):
-                want = sequential.fit_ls_cv(reg.X[rows], y[rows],
-                                            fixed_l1=fixed, cv_rule="1se")
-                _assert_same_fit(got, want)
-                assert got.n_sweeps == want.n_sweeps
+        results = _row_batch(cases, l2=1e-6, fixed_l1=fixed, cv_rule="1se")
+        for (Xc, yc), got in zip(cases, results):
+            want = sequential.fit_ls_cv(Xc, yc, fixed_l1=fixed, cv_rule="1se")
+            _assert_same_fit(got, want)
+            assert got.n_sweeps == want.n_sweeps
+
+
+def _random_row_gram_fit(rng, fit_intercept):
+    """A CV GramFit of random rows with zero-weight rows, a constant column
+    and more folds than rows of the smaller designs, so that an inner fold
+    may hold no row."""
+    n = int(rng.integers(3, 40))
+    p = int(rng.integers(1, 6))
+    X = rng.standard_normal((n, p)) * rng.uniform(0.1, 5.0, p) + rng.uniform(-3, 3, p)
+    X[:, int(rng.integers(p))] = 2.5
+    y = X @ rng.standard_normal(p) + rng.standard_normal(n) + 4.0
+    w = rng.uniform(0.2, 3.0, n)
+    w[rng.random(n) < 0.2] = 0.0
+    w[0] = 1.0
+    n_folds = int(rng.integers(2, 8))
+    fit, _ = row_gram_fit(X, y, l2=1e-6, weights=w, fit_intercept=fit_intercept,
+                          n_folds=n_folds)
+    return X, y, w, n_folds, fit
+
+
+def test_held_out_moments_score_as_residuals_by_rows():
+    # The engine's (fold, l1) errors, [-b, 1]' H [-b, 1] on a fold's
+    # held-out moments, against the weighted mean squared residual of the
+    # fold's held-out rows. The form sums terms of the size of the held-out
+    # response's mean square, H[-1, -1], so its rounding is relative to
+    # that: a fold predicted far better than its mean (here down to 1e-4 of
+    # it) agrees to 1e-12 of H[-1, -1], not of its own error.
+    rng = np.random.default_rng(36)
+    n_empty = n_cases = 0
+    while n_cases < 60:
+        fit_intercept = n_cases % 3 != 0
+        X, y, w, n_folds, fit = _random_row_gram_fit(rng, fit_intercept)
+        if fit.grid is None:
+            continue
+        n_cases += 1
+        K = fit.fold_G.shape[0]
+        path, _, _ = _lasso_path(fit.fold_G, fit.fold_c, np.tile(fit.grid, (K, 1)),
+                                 1e-6, np.ones(X.shape[1]))
+        got = _held_out_errors(path, fit.fold_held)
+        wn = w / w.sum()
+        Z, _, _ = _standardize(X, wn, center=fit_intercept)
+        fold = np.arange(X.shape[0]) % n_folds
+        for k in range(n_folds):
+            test, train = fold == k, fold != k
+            if wn[test].sum() == 0:
+                assert np.all(got[k] == 0.0)
+                n_empty += 1
+                continue
+            ybar = wn[train] @ y[train] / wn[train].sum() if fit_intercept else 0.0
+            resid = (y[test] - ybar)[:, None] - Z[test] @ path[k].T
+            want = wn[test] / wn[test].sum() @ resid**2
+            assert_allclose(got[k], want, rtol=1e-12, atol=1e-12 * fit.fold_held[k, -1, -1])
+    assert n_empty > 0
+
+
+@pytest.mark.parametrize("fit_intercept", [True, False])
+def test_moment_fits_match_row_front_end(fit_intercept):
+    # The shared builder, fed the moments of a regression's rows and of its
+    # inner classes, gives the GramFit the row front end builds.
+    rng = np.random.default_rng(37)
+    for _ in range(30):
+        X, y, w, n_folds, want = _random_row_gram_fit(rng, fit_intercept)
+        n, p = X.shape
+        # Moments about a row of the data; without centring, about zero.
+        shift = np.append(X[0], y[0]) if fit_intercept else np.zeros(p + 1)
+        V = np.column_stack([np.ones(n), X - shift[:p], y - shift[p]])
+        fold = np.arange(n) % n_folds
+        classes = np.stack([learners.weighted_gram(V[fold == k], w[fold == k])
+                            for k in range(n_folds)])
+        drawn = X[w > 0]
+        [got] = moment_fits(
+            learners.weighted_gram(V, w)[None], classes[None], fit_intercept=fit_intercept,
+            pf=np.ones(p), l2=1e-6, l1=None, n_lambdas=learners.CV_N_LAMBDAS, shift=shift,
+            ranges=(drawn.min(axis=0)[None], drawn.max(axis=0)[None]))
+        for name in ("G", "c", "center", "scale", "fold_G", "fold_c", "fold_held"):
+            a, b = getattr(got, name), getattr(want, name)
+            if a is None or b is None:
+                assert a is b, name
+            else:
+                assert_allclose(a, b, rtol=1e-9, atol=1e-9, err_msg=name)
+        assert got.ybar == pytest.approx(want.ybar, rel=1e-12, abs=1e-12)
+        assert got.l1 == want.l1
 
 
 def _two_cells_regressions():
@@ -405,12 +502,11 @@ def test_batch_reports_bad_regression_without_failing_others():
     y = rng.standard_normal(30)
     y_bad = y.copy()
     y_bad[4] = np.nan
-    results = fit_penalized_ls_batch(
-        [Regression(X, (y, y_bad)), Regression(X, (y,), rows=np.arange(30) < 1)])
-    assert isinstance(results[0][0], learners.LinearModel)
-    assert isinstance(results[0][1], NonFiniteData)
-    assert isinstance(results[1][0], MldidError)
-    _assert_same_fit(results[0][0], sequential.fit_ls_cv(X, y))
+    results = _row_batch([(X, y), (X, y_bad), (X[:1], y[:1])], l2=1e-6, cv_rule="min")
+    assert isinstance(results[0], learners.LinearModel)
+    assert isinstance(results[1], NonFiniteData)
+    assert isinstance(results[2], MldidError)
+    _assert_same_fit(results[0], sequential.fit_ls_cv(X, y))
 
 
 def test_cv_inputs_validated_before_any_work(monkeypatch):
@@ -437,6 +533,15 @@ def test_cv_inputs_validated_before_any_work(monkeypatch):
             fit(X, y, penalty_factor=np.ones(3))
     with pytest.raises(MldidError, match="folds"):
         fit_penalized_ls_cv(X, y, n_folds=1)
+
+
+@pytest.mark.parametrize("l1", [-1.0, np.nan, np.inf, -np.inf])
+def test_bad_fixed_l1_rejected(l1):
+    X, y = np.arange(20.0).reshape(10, 2), np.arange(10.0)
+    with pytest.raises(MldidError, match="finite and nonnegative"):
+        fit_penalized_ls(X, y, l1)
+    with pytest.raises(MldidError, match="finite and nonnegative"):
+        fit_penalized_ls_cv(X, y, fixed_l1=l1)
 
 
 # ---------------------------------------------------------------------------
