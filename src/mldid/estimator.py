@@ -53,7 +53,7 @@ from .exceptions import (
     MldidError,
     NoCellsForEventTime,
 )
-from .learners import make_fold_plan
+from .learners import check_lasso_options, make_fold_plan
 from .nuisance import LearnerConfig, NuisanceBundle, solve_regressions, start_nuisances
 from .panel import (
     PanelDataset,
@@ -369,6 +369,14 @@ def estimate_from_bundle(bundle: NuisanceBundle, config: EstimatorConfig):
             float(cols.sigma2[0]))
 
 
+def _check_config(config: EstimatorConfig) -> None:
+    """Reject settings on which every cell would fail, before estimating any."""
+    if config.n_folds < 2:
+        raise MldidError("need at least 2 folds")
+    opts = config.learners
+    check_lasso_options(opts.inner_cv_folds, opts.n_lambdas, opts.fixed_l1, "min")
+
+
 def _reference_result(panel: PanelDataset, g: int) -> GroupTimeResult:
     empty = np.empty(0)
     return GroupTimeResult(
@@ -425,6 +433,7 @@ def estimate_cell(
     module errors propagate.
     """
     config = config or EstimatorConfig()
+    _check_config(config)
     if t == g - 1:
         return _reference_result(panel, g)
     part, = _estimate_parts([_sliced(panel, g, t)], config)
@@ -598,9 +607,11 @@ def run_mldid(panel: PanelDataset, config: EstimatorConfig | None = None) -> Mld
     by stage (:func:`_estimate_parts`). Skipped cells are recorded with
     their reason, never silently dropped; reference cells (t = g-1) appear
     as hard zeros. Warnings of a cell are raised again here, prefixed with
-    its (g, t).
+    its (g, t). Settings on which every cell would fail (fewer than 2
+    folds, a lasso option no fit can use) raise MldidError up front.
     """
     config = config or EstimatorConfig()
+    _check_config(config)
     keys = enumerate_cells(panel, config.include_placebo)
     groups = _groups(keys, [_n_units(panel, g, t) for g, t in keys], config.threads)
     results: dict[tuple[int, int], GroupTimeResult] = {}
@@ -765,6 +776,7 @@ def bootstrap_se(
     fail, and a cell or event time gets no SE if more than 10% of
     replicates did not supply it.
     """
+    _check_config(config)
     if n_replicates < MIN_BOOTSTRAP_REPLICATES:
         raise MldidError(
             f"bootstrap needs at least {MIN_BOOTSTRAP_REPLICATES} replicates")

@@ -35,11 +35,10 @@ Every logistic fit goes through :func:`fit_probability_batch`: fits that
 share one design and label vector and differ in their row weights (a
 cross-fit's folds) iterate together on one shared standardized design, each
 in its own coordinates, so that one Newton step of the batch is one matrix
-product, one batched Hessian product and one batched d x d solve; a large
-batch is solved in chunks of members that bound its (members, rows)
-temporaries. ``nuisance`` cross-fits the propensity of a cell, for every
-fold and every bootstrap count column, as one such batch, and
-:func:`fit_probability` is the one-member call.
+product for the scores, one for the Hessians (on the design's row outer
+products) and one batched d x d solve. ``nuisance`` cross-fits the
+propensity of a cell, for every fold and every bootstrap count column, as
+one such batch, and :func:`fit_probability` is the one-member call.
 
 In both engines each member follows the iterates of a solve on its own, so
 its result does not depend on what else is in the batch.
@@ -74,11 +73,6 @@ CV_N_LAMBDAS = 20
 CV_LAMBDA_MIN_RATIO = 1e-4
 CV_LAMBDA_MAX_RATIO = 10.0
 
-# Most (member, row) entries one Newton batch holds at once. A batch with
-# more is solved in chunks of members, which bounds its (members, rows)
-# temporaries; a member's result depends on its chunk only through rounding.
-MAX_BATCH_ENTRIES = 1 << 14
-
 
 def weighted_gram(Z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_i w_i z_i z_i' over the rows z_i of Z."""
@@ -100,18 +94,21 @@ def _normalized_weights(weights: np.ndarray | None, n: int) -> np.ndarray:
     return weights / total
 
 
-def _pin_constant_columns(X, center, scale, rows=None):
+def _pin_constant_columns(X, center, scale, rows=None, candidates=None):
     """Center each column constant on the rows exactly at its value, with unit scale.
 
     A weighted mean can round off a constant column's value and leave it a
     spread of a few ulps, which would scale the column (and any other rows
     it is applied to) up by ~1e16. Only a column whose spread is at
-    rounding level can be constant, so only those are compared. ``center``
-    and ``scale`` are updated in place; returns the mask of constant
-    columns. ``rows`` (a boolean mask) restricts the rows considered.
+    rounding level can be constant, so only those are compared; a caller
+    whose spread carries more rounding passes its own ``candidates`` mask.
+    ``center`` and ``scale`` are updated in place; returns the mask of
+    constant columns. ``rows`` (a boolean mask) restricts the rows considered.
     """
+    if candidates is None:
+        candidates = scale <= 1e-6 * np.abs(center)
     const = np.zeros(X.shape[1], dtype=bool)
-    for j in np.flatnonzero(scale <= 1e-6 * np.abs(center)):
+    for j in np.flatnonzero(candidates):
         values = X[:, j] if rows is None else X[rows, j]
         if values.size and np.all(values == values[0]):
             const[j] = True
@@ -702,6 +699,11 @@ def _separable() -> SeparableWithoutPenalty:
     )
 
 
+def _row_products(D: np.ndarray, pairs) -> np.ndarray:
+    """D_ij D_il for every row i and every column pair (j, l) of ``pairs``."""
+    return D[:, pairs[0]] * D[:, pairs[1]]
+
+
 def _newton_steps(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Solve ``H[b] step[b] = grad[b]`` for a batch; lstsq where H[b] is singular."""
     try:
@@ -738,13 +740,16 @@ def fit_probability_batch(
     a_b``, so its coordinates, gradient and Hessian are those of the shared
     design mapped through that map, and each Newton step, which is
     affine-invariant, is the step of a fit on its own. One iteration is a
-    batch of linear scores, one batched Hessian product and one batched
-    d x d solve over the members still moving. A batch of more than
-    ``MAX_BATCH_ENTRIES`` (member, row) entries is solved in even chunks of
-    members. Each member keeps its own convergence test (gradient max-norm
-    in its coordinates below ``NEWTON_TOL``), step halving and iteration
-    count, and is frozen once it stops, so its result does not depend on
-    the rest of the batch.
+    batch of linear scores, one product of the members' Hessian weights
+    with the design's row outer products, and one batched d x d solve over
+    the members still moving; a member's Hessian is formed only when it
+    steps again. The working set is a few (members, rows) arrays, reused
+    across iterations, beside the row outer products (or, for a design
+    wider than about twice the members, the members' weighted copies of
+    the design). Each member keeps its own convergence test
+    (gradient max-norm in its coordinates below ``NEWTON_TOL``), step
+    halving and iteration count, and is frozen once it stops, so its result
+    does not depend on the rest of the batch.
 
     Returns per member the ProbabilityModel, or the MldidError its fit
     raised (non-finite covariates on its rows, a missing label,
@@ -763,10 +768,6 @@ def fit_probability_batch(
     if np.any(W < 0):
         raise MldidError("weights must be nonnegative")
     n_members, d = W.shape[1], p + 1
-    n_parts = -(-n_members * n // MAX_BATCH_ENTRIES)
-    if n_parts > 1 and n_members > 1:
-        return [res for part in np.array_split(np.arange(n_members), min(n_parts, n_members))
-                for res in fit_probability_batch(X, labels, W[:, part], l2=l2, clip=clip)]
 
     # Per member: its rows, the checks a fit on those rows alone makes (in
     # the same order), its normalized weights and its standardization.
@@ -783,24 +784,42 @@ def fit_probability_batch(
     live = np.flatnonzero([r is None for r in results])
     if not live.size:
         return results
-    Xf = np.where(finite[:, None], X, 0.0)
-    w = np.zeros((n_members, n))
-    w[live] = (W[:, live] / W[:, live].sum(axis=0)).T
-    center = w @ Xf
-    scale = np.sqrt((w[:, None, :] @ (Xf[None] - center[:, None]) ** 2)[:, 0])
-    # As in _standardize. A column constant on a member's rows carries
-    # nothing for it, so its map below is zero and its coefficient stays
-    # exactly zero.
-    const = np.zeros((n_members, p), dtype=bool)
-    for b in np.unique(np.nonzero(scale <= 1e-6 * np.abs(center))[0]):
-        const[b] = _pin_constant_columns(Xf, center[b], scale[b], rows[:, b])
-    scale[scale == 0.0] = 1.0
 
-    # The shared design [1, Z] and each member's map theta -> phi onto it:
-    # phi_0 = theta_0 + a_b . theta_s, phi_s = r_b * theta_s.
+    # The shared design [1, Z], standardized over every row. The members'
+    # Hessians are weighted sums of its row outer products D_i D_i'. When
+    # the products D_ij D_il (j <= l) of every row hold no more entries than
+    # the members' weighted copies of the design, a (members, d, rows)
+    # array, they are formed once and each Hessian batch is one matrix
+    # product with them; a design wider than about twice the members uses
+    # the weighted copies instead.
+    Xf = np.where(finite[:, None], X, 0.0)
     Z, m0, s0 = _standardize(Xf, np.full(n, 1.0 / n), center=True)
     D = np.concatenate([np.ones((n, 1)), Z], axis=1)
     DT = np.ascontiguousarray(D.T)
+    upper = np.triu_indices(d)
+    Q = _row_products(D, upper) if upper[0].size <= n_members * d else None
+
+    # A member's center and scale from its weighted first and second moments
+    # of Z, which is already centered at the unweighted column mean.
+    totals = W.sum(axis=0)
+    w = np.empty((n_members, n))
+    np.divide(W.T, np.where(totals > 0, totals, 1.0)[:, None], out=w)
+    mean_z = w @ Z
+    sq_z = w @ (Z * Z)
+    center = m0 + s0 * mean_z
+    scale = s0 * np.sqrt(np.maximum(sq_z - mean_z**2, 0.0))
+    # As in _standardize. A column constant on a member's rows carries
+    # nothing for it, so its map below is zero and its coefficient stays
+    # exactly zero. On such a column the moments leave a spread of rounding
+    # size relative to the column's root mean square, so the test allows it.
+    maybe_const = scale <= 1e-6 * (np.abs(center) + s0 * np.sqrt(sq_z))
+    const = np.zeros((n_members, p), dtype=bool)
+    for b in live[maybe_const[live].any(axis=1)]:
+        const[b] = _pin_constant_columns(Xf, center[b], scale[b], rows[:, b], maybe_const[b])
+    scale[scale == 0.0] = 1.0
+
+    # Each member's map theta -> phi onto the shared design:
+    # phi_0 = theta_0 + a_b . theta_s, phi_s = r_b * theta_s.
     T = np.zeros((n_members, d, d))
     T[:, 0, 0] = 1.0
     T[:, 0, 1:] = np.where(const, 0.0, (m0 - center) / scale)
@@ -808,67 +827,89 @@ def fit_probability_batch(
     pen = np.ones(d)
     pen[0] = 0.0
     y_float = y.astype(float)
+    # Work (members, rows) arrays: every evaluation writes into the
+    # leading rows of these, and ``kept`` holds the P(1) of members that
+    # accepted a step while others of the batch were still halving.
+    work = np.empty((3, n_members, n))
+    kept = None
 
     def objective(theta, idx):
-        """Penalized negative log-likelihood and P(1) for members ``idx``."""
-        eta = (T[idx] @ theta[..., None])[..., 0] @ DT
+        """Penalized negative log-likelihood and P(1) for members ``idx``.
+
+        P(1) is a view of the work arrays, valid until the next evaluation.
+        """
+        k = idx.shape[0]
+        eta = np.matmul((T[idx] @ theta[..., None])[..., 0], DT, out=work[0, :k])
         positive = eta >= 0.0
         # The label probabilities as _label_proba gives them from the
         # scores (0, eta): 1 / (1 + e) and e / (1 + e) with e = exp(-|eta|).
-        # The (members, rows) arrays are reused in place to bound memory.
         e = np.abs(eta, out=eta)
         np.exp(np.negative(e, out=e), out=e)
-        denom = 1.0 + e
-        high = np.divide(1.0, denom)
+        denom = np.add(1.0, e, out=work[1, :k])
+        high = np.divide(1.0, denom, out=work[2, :k])
         low = np.divide(e, denom, out=e)
-        p1 = np.where(positive, high, low)
+        p1 = denom
+        np.copyto(p1, low)
+        np.copyto(p1, high, where=positive)
         observed = high
         np.copyto(observed, low, where=positive != y)
         np.log(np.maximum(observed, 1e-300, out=observed), out=observed)
         loglik = np.sum(np.multiply(_members(w, idx), observed, out=observed), axis=1)
         return -loglik + 0.5 * l2 * np.sum((theta * pen) ** 2, axis=1), p1
 
-    def derivatives(theta, p1, idx):
-        """Gradient and Hessian in each member's coordinates."""
-        Tt = T[idx].transpose(0, 2, 1)
-        w_idx = _members(w, idx)
-        grad = (Tt @ (((p1 - y_float) * w_idx) @ D)[..., None])[..., 0] + l2 * theta * pen
-        r = p1 * (1.0 - p1) * w_idx
+    def gradient(theta, p1, idx):
+        """Gradient in each member's coordinates."""
+        resid = np.subtract(p1, y_float, out=work[0, :idx.shape[0]])
+        resid *= _members(w, idx)
+        g = (T[idx].transpose(0, 2, 1) @ (resid @ D)[..., None])[..., 0]
+        return g + l2 * theta * pen
+
+    def hessian(p1, idx):
+        """Hessian in each member's coordinates, from the row outer products."""
         k = idx.shape[0]
-        H_shared = ((DT[None] * r[:, None, :]).reshape(k * d, n) @ D).reshape(k, d, d)
-        H = Tt @ H_shared @ T[idx]
+        r = np.subtract(1.0, p1, out=work[0, :k])
+        np.multiply(p1, r, out=r)
+        r *= _members(w, idx)
+        if Q is None:
+            H = ((DT[None] * r[:, None, :]).reshape(k * d, n) @ D).reshape(k, d, d)
+        else:
+            H = np.empty((k, d, d))
+            H[:, upper[0], upper[1]] = H[:, upper[1], upper[0]] = r @ Q
+        H = T[idx].transpose(0, 2, 1) @ H @ T[idx]
         H[:, np.arange(d), np.arange(d)] += l2 * pen
-        return grad, H
+        return H
 
     theta = np.zeros((n_members, d))
     obj = np.zeros(n_members)
     grad = np.zeros((n_members, d))
-    H = np.zeros((n_members, d, d))
     n_iter = np.zeros(n_members, dtype=np.int64)
     obj[live], p1 = objective(theta[live], live)
-    grad[live], H[live] = derivatives(theta[live], p1, live)
+    grad[live] = gradient(theta[live], p1, live)
 
+    # ``p1`` holds P(1) of the members of ``moving``, row for row.
     moving = live
     while moving.size:
         gmax = np.max(np.abs(grad[moving]), axis=1)
         still = gmax >= NEWTON_TOL
-        moving, gmax = moving[still], gmax[still]
-        capped = n_iter[moving] >= NEWTON_MAX_ITER
+        capped = still & (n_iter[moving] >= NEWTON_MAX_ITER)
         for b, g in zip(moving[capped], gmax[capped]):
             results[b] = _separable() if l2 == 0.0 else NoConvergence(
                 f"probability fit did not converge in {NEWTON_MAX_ITER} iterations",
                 final_delta=float(g),
             )
-        moving = moving[~capped]
+        go_on = np.flatnonzero(still & ~capped)
+        moving, p1 = moving[go_on], _members(p1, go_on)
         if not moving.size:
             break
         n_iter[moving] += 1
-        step = _newton_steps(H[moving], grad[moving])
+        step = _newton_steps(hessian(p1, moving), grad[moving])
         # Step halving: every member starts at t = 1 and halves until its
         # objective does not rise, so the members still searching share t.
+        # When every member accepts t = 1, their P(1) stays where the
+        # evaluation put it.
         improved = np.zeros(moving.size, dtype=bool)
-        p1 = np.empty((moving.size, n))
         pending = np.arange(moving.size)
+        p1 = None
         t = 1.0
         while t > 1e-12 and pending.size:
             idx = moving[pending]
@@ -876,13 +917,20 @@ def fit_probability_batch(
             cand_obj, cand_p1 = objective(cand, idx)
             ok = cand_obj <= obj[idx] + 1e-12 * np.maximum(1.0, np.abs(obj[idx]))
             theta[idx[ok]], obj[idx[ok]] = cand[ok], cand_obj[ok]
-            p1[pending[ok]] = cand_p1[ok]
             improved[pending[ok]] = True
+            if t == 1.0 and ok.all():
+                p1 = cand_p1
+            else:
+                if kept is None:
+                    kept = np.empty((n_members, n))
+                kept[pending[ok]] = cand_p1[ok]
             pending = pending[~ok]
             t *= 0.5
+        if p1 is None:
+            p1 = kept[np.flatnonzero(improved)]
         up = moving[improved]
         if up.size:
-            grad[up], H[up] = derivatives(theta[up], p1[improved], up)
+            grad[up] = gradient(theta[up], p1, up)
         # A stalled line search (at numerical precision) accepts its point.
         stop = ~improved
         if l2 == 0.0:
@@ -890,8 +938,14 @@ def fit_probability_batch(
             for b in moving[diverged]:
                 results[b] = _separable()
             stop |= diverged
+        p1 = _members(p1, np.flatnonzero(~stop[improved]))
         moving = moving[~stop]
 
+    # Unscale back to the original covariate units, label-0 row first.
+    coef = np.zeros((n_members, 2, p))
+    coef[:, 1] = theta[:, 1:] / scale
+    intercepts = np.zeros((n_members, 2))
+    intercepts[:, 1] = theta[:, 0] - (coef[:, 1, None, :] @ center[..., None])[:, 0, 0]
     for b in live:
         if results[b] is not None:
             continue
@@ -900,13 +954,9 @@ def fit_probability_batch(
             # near-certainty: the unpenalized optimum sits at infinity.
             results[b] = _separable()
             continue
-        # Unscale back to the original covariate units, label-0 row first.
-        theta_full = np.stack([np.zeros(d), theta[b]])
-        slopes = theta_full[:, 1:] / scale[b]
-        intercepts = theta_full[:, 0] - slopes @ center[b]
         results[b] = ProbabilityModel(
-            intercepts=intercepts,
-            coef=slopes,
+            intercepts=intercepts[b],
+            coef=coef[b],
             l2=l2,
             clip=clip,
             center=center[b],

@@ -59,8 +59,6 @@ SCALE = {
     "clan": dict(n=10000),
 }
 
-FLAGGED_UNSTABLE = {(3, 3), (4, 2)}
-
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
@@ -143,7 +141,7 @@ def test_criterion_2_rmse_ordering(mc_2500):
             dr_not_worse += 1
         if rmse_dr > 0.25:
             ok = False
-        if rmse_ml > 0.5 and key not in FLAGGED_UNSTABLE:
+        if rmse_ml > 0.5:
             ok = False
     frac = dr_not_worse / len(orc)
     if frac < 0.75:

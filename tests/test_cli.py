@@ -9,7 +9,9 @@ from click.testing import CliRunner
 
 from mldid import DgpConfig, amle, load_panel, simulate, write_panel_csv
 from mldid.cli import cli
-from mldid.exceptions import IllConditionedWarning
+from mldid.estimator import EstimatorConfig, bootstrap_se, estimate_cell, run_mldid
+from mldid.exceptions import IllConditionedWarning, MldidError
+from mldid.nuisance import LearnerConfig
 
 from _utils import thin_cohort
 
@@ -240,6 +242,27 @@ def test_bad_lasso_options_are_usage_errors(command, option, value, message,
     assert res.exit_code == 2, res.output
     assert option in res.output and message in res.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    (EstimatorConfig(learners=LearnerConfig(fixed_l1=-1.0)), "finite and nonnegative"),
+    (EstimatorConfig(learners=LearnerConfig(fixed_l1=float("nan"))), "finite and nonnegative"),
+    (EstimatorConfig(learners=LearnerConfig(fixed_l1=float("inf"))), "finite and nonnegative"),
+    (EstimatorConfig(n_folds=1), "at least 2 folds"),
+    (EstimatorConfig(learners=LearnerConfig(inner_cv_folds=1)), "at least 2 inner folds"),
+    (EstimatorConfig(learners=LearnerConfig(n_lambdas=0)), "at least 1 penalty"),
+])
+@pytest.mark.parametrize("call", [
+    lambda panel, config: run_mldid(panel, config),
+    lambda panel, config: bootstrap_se(panel, config, 50),
+    lambda panel, config: estimate_cell(panel, 2, 2, config),
+], ids=["run_mldid", "bootstrap_se", "estimate_cell"])
+def test_bad_lasso_options_raise_in_the_library(call, config, message):
+    # The library rejects what the CLI rejects as usage errors, instead of
+    # returning a run in which every cell is skipped for the same reason.
+    panel = simulate(DgpConfig(n_units=200, seed=1)).panel
+    with pytest.raises(MldidError, match=message):
+        call(panel, config)
 
 
 def test_bootstrap_off_and_fifty_replicates_accepted(sim_dir, tmp_path):

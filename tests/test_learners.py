@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -35,6 +37,7 @@ from mldid.panel import slice_two_period
 
 import _sequential_lasso as sequential
 import _sequential_newton as newton_ref
+from _utils import thin_cohort
 
 
 # ---------------------------------------------------------------------------
@@ -739,6 +742,71 @@ def test_probability_batch_members_do_not_interact():
     repeated = newton_ref.fit_probability(np.repeat(X, 2, axis=0), np.repeat(labels, 2))
     doubled = fit_probability_batch(X, labels, np.full((n, 1), 2.0))[0]
     _assert_same_probability_fit(doubled, repeated, X)
+
+
+def test_probability_engine_step_halving_in_part_of_the_batch():
+    # A cohort of one unit: the fold fits are nearly separable, and at one
+    # iteration a single member halves its step while the others take the
+    # full step, so the batch carries P(1) of members that stopped searching.
+    panel = thin_cohort(simulate(DgpConfig(n_units=150, seed=2)).panel, 4, 1)
+    sl = slice_two_period(panel, 4, 1)
+    fold = make_fold_plan(sl.n_units, 5, 1).assignment
+    assert _assert_matches_reference(sl.X, sl.g_flag.astype(int), fold, 5, 1e-6) == 4
+
+
+def _bootstrap_shaped_batch():
+    """250 count-weighted cross-fit members on 750 rows: 50 count columns x 5 folds.
+
+    Member 0 weights only label-1 rows (it fails), and member 1 leaves out
+    the rows where the binary x3 is 1 (x3 is constant 0 on its rows).
+    """
+    rng = np.random.default_rng(45)
+    n = 750
+    X = np.column_stack([rng.standard_normal(n), rng.standard_normal(n) * 3.0 + 2.0,
+                         rng.integers(0, 2, n), rng.integers(0, 2, n),
+                         rng.standard_normal(n)]).astype(float)
+    labels = (rng.random(n) < 1 / (1 + np.exp(1.0 - X[:, 0] - 0.5 * X[:, 2]))).astype(int)
+    counts = rng.multinomial(n, np.full(n, 1.0 / n), size=50).T.astype(float)
+    fold = rng.permutation(n) % 5
+    W = np.concatenate([np.where((fold != k)[:, None], counts, 0.0) for k in range(5)],
+                       axis=1)
+    W[:, 0] *= labels
+    W[X[:, 2] == 1.0, 1] = 0.0
+    return X, labels, W
+
+
+def test_probability_batch_beyond_old_chunk_size_matches_one_member_calls():
+    # More (member, row) entries than a batch was once split at (1 << 14);
+    # every member is still the fit it makes alone.
+    X, labels, W = _bootstrap_shaped_batch()
+    assert W.size > 1 << 14
+    batch = fit_probability_batch(X, labels, W)
+    for b in range(W.shape[1]):
+        alone = fit_probability_batch(X, labels, W[:, [b]])[0]
+        if isinstance(alone, MldidError):
+            assert type(batch[b]) is type(alone) and str(batch[b]) == str(alone)
+            continue
+        assert batch[b].n_iter == alone.n_iter
+        assert_allclose(batch[b].predict_proba(X, clipped=False),
+                        alone.predict_proba(X, clipped=False), rtol=0, atol=1e-13)
+    assert "both labels 0 and 1" in str(batch[0])
+    assert batch[1].coef[1, 2] == 0.0
+    assert sum(isinstance(res, ProbabilityModel) for res in batch) == W.shape[1] - 1
+
+
+def test_probability_batch_working_set_is_a_few_member_row_arrays():
+    # The kernel keeps a few (members, rows) arrays. A (members, d, rows)
+    # Hessian temporary or a (members, rows, p) standardization temporary
+    # alone would take 48 or 40 bytes per entry on top of those.
+    X, labels, W = _bootstrap_shaped_batch()
+    fit_probability_batch(X, labels, W[:, :2])  # first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        fit_probability_batch(X, labels, W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * W.size, peak / W.size
 
 
 def test_probability_batch_validates_input():
