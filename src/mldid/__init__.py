@@ -44,7 +44,6 @@ from .learners import (
     make_fold_plan,
 )
 from .nuisance import (
-    LearnerConfig,
     NuisanceBundle,
     compute_abch,
     estimate_nuisances,
@@ -75,7 +74,6 @@ __all__ = [
     "EstimatorConfig",
     "FoldPlan",
     "GroupTimeResult",
-    "LearnerConfig",
     "LinearModel",
     "MldidRun",
     "NEVER_TREATED",

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import AllWeightsZero, MldidError, SchemaMismatch
-from .learners import GramFit, check_lasso_options, fit_gram_batch, moment_fits, weighted_gram
-from .nuisance import LearnerConfig, NuisanceBundle
+from .learners import (CV_FOLDS, CV_N_LAMBDAS, DEFAULT_L2, GramFit, check_fixed_l1,
+                       fit_gram_batch, moment_fits, weighted_gram)
+from .nuisance import NuisanceBundle
 
 # The benchmark's tracer (perfbench/tracing.py) wraps these names in this
 # module, so they stay importable here although no fit below calls them.
@@ -47,25 +48,20 @@ class CattModel:
     covariate_names: tuple[str, ...]
 
 
-def fit_catt(
-    bundle: NuisanceBundle,
-    l1: float | None = None,
-    config: LearnerConfig | None = None,
-) -> CattModel:
+def fit_catt(bundle: NuisanceBundle, fixed_l1: float | None = None) -> CattModel:
     """Minimize sum_i (dH_i - B_i * tau(X_i))^2 + l1 * ||slopes||_1 over the units.
 
     Writing tau(x) = a + x'b turns this into an l1-penalized regression
     of dH/2 on the design (B/2)[1, X] with the ``a`` column left
-    unpenalized (penalties on the standardized scale). ``l1=None`` selects
-    the penalty by inner cross-validation on the held-out loss, or uses
-    ``config.fixed_l1`` if set. This is the all-ones column of
-    :func:`fit_catt_columns`.
+    unpenalized (penalties on the standardized scale). The penalty is
+    ``fixed_l1``, or if None is chosen by inner cross-validation on the
+    held-out loss. This is the all-ones column of :func:`fit_catt_columns`.
     """
     if bundle.B is None or bundle.dH is None:
         raise MldidError("bundle is missing B/dH; run compute_abch first")
     coef, chosen, errors = fit_catt_columns(
         bundle.X, bundle.B[:, None], bundle.dH[:, None], np.ones((bundle.n_units, 1)),
-        l1=l1, config=config)
+        fixed_l1)
     if errors[0] is not None:
         raise errors[0]
     return CattModel(
@@ -76,20 +72,19 @@ def fit_catt(
     )
 
 
-def fit_catt_columns(X, B, dH, counts, l1=None, config=None):
+def fit_catt_columns(X, B, dH, counts, fixed_l1=None):
     """The effect-function fit of every count column, from unit moments.
 
     The stages of :func:`catt_fits` for these columns alone. Returns the
     (columns, 1 + p) coefficients (``a`` first), the chosen l1 of each
     column and per column the MldidError its fit raised, or None.
     """
-    config = config or LearnerConfig()
-    fits, collect = catt_fits(X, B, dH, counts, l1=l1, config=config)
-    solve_catt(fits, config)
+    fits, collect = catt_fits(X, B, dH, counts, fixed_l1)
+    solve_catt(fits)
     return collect()
 
 
-def solve_catt(fits: list[GramFit], config: LearnerConfig) -> None:
+def solve_catt(fits: list[GramFit]) -> None:
     """Solve the effect-function GramFits of any number of cells as one batch.
 
     The ``a`` column is unpenalized, and a CV-chosen l1 follows the 1se
@@ -98,11 +93,11 @@ def solve_catt(fits: list[GramFit], config: LearnerConfig) -> None:
     """
     if fits:
         d = fits[0].G.shape[0]
-        fit_gram_batch(fits, l2=config.l2, pf=np.concatenate([[0.0], np.ones(d - 1)]),
+        fit_gram_batch(fits, l2=DEFAULT_L2, pf=np.concatenate([[0.0], np.ones(d - 1)]),
                        fit_intercept=False, cv_rule="1se")
 
 
-def catt_fits(X, B, dH, counts, l1=None, config=None):
+def catt_fits(X, B, dH, counts, fixed_l1=None):
     """The Gram systems of every count column's effect-function fit.
 
     Column r's rows are ``counts[i, r]`` copies of unit i, with design
@@ -114,19 +109,18 @@ def catt_fits(X, B, dH, counts, l1=None, config=None):
     ``fit_penalized_ls_cv`` makes on the column's drawn units with their
     counts as weights.
 
-    With CV the inner folds rank the column's drawn units: fold j holds
-    out the ranks equal to j modulo K, so an inner training set is the
+    The fits pin l1 at ``fixed_l1``, or if None choose it by CV: the
+    K = CV_FOLDS inner folds rank the column's drawn units, and fold j
+    holds out the ranks equal to j modulo K, so an inner training set is the
     column's moments less those of one class of units, and its held-out
     error, a quadratic form in that class's moments, is a quarter of the
     count-weighted mean of (dH - B tau(x))^2 over the class.
     Returns the GramFits and a function that then returns what
     :func:`fit_catt_columns` returns.
     """
-    config = config or LearnerConfig()
     c = np.asarray(counts, dtype=float)
     m, p = X.shape
-    fixed = l1 if l1 is not None else config.fixed_l1
-    check_lasso_options(config.inner_cv_folds, config.n_lambdas, fixed, "1se")
+    check_fixed_l1(fixed_l1)
     Z = np.concatenate([np.ones((m, 1)), X], axis=1)
     N = _unit_moments(Z, c, B, dH)
     cols, errors = [], [None] * c.shape[1]
@@ -139,8 +133,8 @@ def catt_fits(X, B, dH, counts, l1=None, config=None):
         else:
             cols.append(r)
     classes = None
-    if fixed is None and cols:
-        K = config.inner_cv_folds
+    if fixed_l1 is None and cols:
+        K = CV_FOLDS
         classes = np.zeros((len(cols), K) + N.shape[1:])
         for i, r in enumerate(cols):
             ranked = np.flatnonzero(c[:, r] > 0)
@@ -148,8 +142,8 @@ def catt_fits(X, B, dH, counts, l1=None, config=None):
                 out = ranked[j::K]
                 classes[i, j] = _unit_moments(Z[out], *(a[out][:, [r]] for a in (c, B, dH)))[0]
     fits = moment_fits(N[cols], classes, fit_intercept=False,
-                       pf=np.concatenate([[0.0], np.ones(p)]), l2=config.l2, l1=fixed,
-                       n_lambdas=config.n_lambdas)
+                       pf=np.concatenate([[0.0], np.ones(p)]), l2=DEFAULT_L2, l1=fixed_l1,
+                       n_lambdas=CV_N_LAMBDAS)
 
     def collect():
         coef, chosen = np.zeros((c.shape[1], p + 1)), np.full(c.shape[1], np.nan)

@@ -32,7 +32,6 @@ from .estimator import (
 )
 from .exceptions import MldidError, PanelValidationError
 from .heterogeneity import blp, clan
-from .nuisance import LearnerConfig
 from .panel import (
     ColumnSchema,
     enumerate_cells,
@@ -140,7 +139,7 @@ def _estimator_options(f):
                           f"else at least {MIN_BOOTSTRAP_REPLICATES})."),
         click.option("--placebo", type=click.BOOL, default=True,
                      show_default=True, help="Include pre-treatment cells."),
-        click.option("--threads", type=int, default=1, show_default=True),
+        click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True),
         click.option("--fixed-l1", type=float, default=None, callback=_check_fixed_l1,
                      help="Pin every lasso penalty instead of cross-validating."),
     ]
@@ -149,15 +148,9 @@ def _estimator_options(f):
     return f
 
 
-def _estimator_config(seed, folds, bootstrap, placebo, threads, fixed_l1):
-    return EstimatorConfig(
-        n_folds=folds,
-        seed=seed,
-        learners=LearnerConfig(fixed_l1=fixed_l1),
-        include_placebo=placebo,
-        bootstrap=bootstrap,
-        threads=threads,
-    )
+def _estimator_config(seed, folds, placebo, threads, fixed_l1):
+    return EstimatorConfig(n_folds=folds, seed=seed, fixed_l1=fixed_l1,
+                           include_placebo=placebo, threads=threads)
 
 
 @cli.command("simulate")
@@ -279,7 +272,7 @@ def cmd_estimate(input_path, out, seed, delimiter, k_bins,
         click.echo(f"input validation failed: {err}", err=True)
         sys.exit(EXIT_VALIDATION)
 
-    config = _estimator_config(seed, folds, bootstrap, placebo, threads, fixed_l1)
+    config = _estimator_config(seed, folds, placebo, threads, fixed_l1)
     run = run_mldid(panel, config)
     if not any(not c.is_reference for c in run.cells):
         click.echo("estimation failed for every cell", err=True)
@@ -340,8 +333,7 @@ def _benchmark_rep(args):
     dgp = DgpConfig(seed=derive_seed(master_seed, _SEED_REP, rep), **dgp_kwargs)
     try:
         oracle = simulate(dgp)
-        run_config = dataclasses.replace(config, seed=dgp.seed, threads=1,
-                                         bootstrap=0)
+        run_config = dataclasses.replace(config, seed=dgp.seed, threads=1)
         run = run_mldid(oracle.panel, run_config)
         ml = {(c.g, c.t): c.att for c in run.cells if not c.is_reference}
         dr = {}
@@ -387,7 +379,7 @@ def cmd_benchmark(n, periods, tau, assignment, confounding, chi, reps, seed,
     t0 = time.time()
     dgp_kwargs = dict(n_units=n, n_periods=periods, assignment=assignment,
                       tau=tau, confounding=confounding, chi=chi)
-    config = _estimator_config(seed, folds, 0, placebo, 1, fixed_l1)
+    config = _estimator_config(seed, folds, placebo, threads, fixed_l1)
     tasks = [(seed, rep, dgp_kwargs, config, k_bins, bootstrap)
              for rep in range(reps)]
     payloads = []
@@ -470,6 +462,7 @@ def cmd_benchmark(n, periods, tau, assignment, confounding, chi, reps, seed,
         "dgp": dgp_kwargs | {"seed": seed},
         "config": dataclasses.asdict(config),
         "reps": reps,
+        "bootstrap": bootstrap,
         "failed_reps": len(failures),
         "failure_reasons": [p["error"] for p in failures][:10],
         "versions": environment_versions(),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EmptyControlGroup, KeyMismatch, NoOverlap
-from .learners import DEFAULT_CLIP, fit_penalized_ls, fit_probability
+from .learners import DEFAULT_CLIP, DEFAULT_L2, fit_penalized_ls, fit_probability
 from .panel import TwoPeriodSlice
 
 
@@ -32,8 +32,6 @@ class DrCellResult:
 
 def estimate_cell_dr(
     sl: TwoPeriodSlice,
-    clip: float = DEFAULT_CLIP,
-    l2: float = 1e-6,
     propensity: np.ndarray | None = None,
     outcome_change: np.ndarray | None = None,
 ) -> DrCellResult:
@@ -44,10 +42,11 @@ def estimate_cell_dr(
 
         att = mean_{G=1}(dY - mu) - sum_{G=0} w * (dY - mu),
 
-    where w is proportional to the clipped odds p/(1-p) and normalized to
-    one over controls. ``propensity`` / ``outcome_change`` accept
-    precomputed per-unit values so either nuisance can be swapped for an
-    oracle.
+    where w is proportional to the odds p/(1-p), with p clipped to
+    [DEFAULT_CLIP, 1 - DEFAULT_CLIP], and normalized to one over controls.
+    Both fits use the ridge DEFAULT_L2. ``propensity`` / ``outcome_change``
+    accept precomputed per-unit values so either nuisance can be swapped
+    for an oracle.
     """
     treated = sl.g_flag == 1
     control = ~treated
@@ -56,19 +55,18 @@ def estimate_cell_dr(
     dy = sl.y_post - sl.y_pre
 
     if propensity is None:
-        model_p = fit_probability(sl.X, sl.g_flag.astype(np.int64), l2=l2, clip=clip)
-        p_hat = model_p.predict_proba(sl.X)[:, 1]
-    else:
-        p_hat = np.clip(np.asarray(propensity, float), clip, 1.0 - clip)
+        model_p = fit_probability(sl.X, sl.g_flag.astype(np.int64))
+        propensity = model_p.predict_proba(sl.X)[:, 1]
+    p_hat = np.clip(np.asarray(propensity, float), DEFAULT_CLIP, 1.0 - DEFAULT_CLIP)
 
     if outcome_change is None:
-        model_mu = fit_penalized_ls(sl.X[control], dy[control], 0.0, l2)
+        model_mu = fit_penalized_ls(sl.X[control], dy[control], 0.0, DEFAULT_L2)
         mu_hat = model_mu.predict(sl.X)
     else:
         mu_hat = np.asarray(outcome_change, float)
 
     odds = p_hat[control] / (1.0 - p_hat[control])
-    at_bounds = (p_hat[control] <= clip) | (p_hat[control] >= 1.0 - clip)
+    at_bounds = (p_hat[control] <= DEFAULT_CLIP) | (p_hat[control] >= 1.0 - DEFAULT_CLIP)
     if at_bounds.all():
         raise NoOverlap(
             f"cell (g={sl.g}, t={sl.t}): every control propensity sits at the "

@@ -53,8 +53,8 @@ from .exceptions import (
     MldidError,
     NoCellsForEventTime,
 )
-from .learners import check_lasso_options, make_fold_plan
-from .nuisance import LearnerConfig, NuisanceBundle, solve_regressions, start_nuisances
+from .learners import check_fixed_l1, make_fold_plan
+from .nuisance import NuisanceBundle, solve_regressions, start_nuisances
 from .panel import (
     PanelDataset,
     TwoPeriodSlice,
@@ -93,13 +93,19 @@ def derive_seed(*parts: int) -> int:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Settings for a full estimation run."""
+    """Settings for a full estimation run.
+
+    ``fixed_l1`` pins the l1 penalty of every lasso fit, the outcome
+    regressions and the effect function, instead of choosing it by inner
+    cross-validation; the other learner settings are the constants of
+    :mod:`mldid.learners`. ``threads`` > 1 maps groups of cells over that
+    many worker processes; results do not depend on it.
+    """
 
     n_folds: int = 5
     seed: int = 0
-    learners: LearnerConfig = field(default_factory=LearnerConfig)
+    fixed_l1: float | None = None
     include_placebo: bool = True
-    bootstrap: int = 0
     threads: int = 1
 
 
@@ -205,11 +211,12 @@ class _Columns:
     errors: list
 
 
-def _effect_fits(X, g, B, dH, counts, config: EstimatorConfig, errors=None):
+def _effect_fits(X, g, B, dH, counts, fixed_l1: float | None, errors=None):
     """The effect fits of every count column, and the step that completes the columns.
 
     The inputs are per unit and column (``X`` and ``g`` per unit): B = G -
-    g_hat and dH = dY - nu_hat. Columns with an entry in ``errors`` have
+    g_hat and dH = dY - nu_hat. The effect fits pin l1 at ``fixed_l1`` or,
+    if None, choose it by CV. Columns with an entry in ``errors`` have
     failed already and are skipped. Returns the columns' effect-function
     GramFits (:func:`catt.catt_fits`) and a function that, once they are
     solved, forms the balancing weights and the robust unit scores and
@@ -224,7 +231,7 @@ def _effect_fits(X, g, B, dH, counts, config: EstimatorConfig, errors=None):
     if not live.size:
         return [], lambda: out
     counts, B, dH = _columns(live, counts, B, dH)
-    fits, collect = catt_fits(X, B, dH, counts, config=config.learners)
+    fits, collect = catt_fits(X, B, dH, counts, fixed_l1)
 
     def finish() -> _Columns:
         coef, l1, fit_errors = collect()
@@ -325,13 +332,13 @@ def _estimate_parts(parts: list[_Part], config: EstimatorConfig) -> list[_Part]:
     for part in live():
         with part.step():
             plan = _cell_plan(part.sl, config, part.g, part.t)
-            part.fits, finish = start_nuisances(part.sl, plan, config.learners, part.counts)
-            part.advance = functools.partial(_effect_stage, part, finish, config)
-    solve_regressions([fit for part in live() for fit in part.fits], config.learners)
+            part.fits, finish = start_nuisances(part.sl, plan, part.counts, config.fixed_l1)
+            part.advance = functools.partial(_effect_stage, part, finish, config.fixed_l1)
+    solve_regressions([fit for part in live() for fit in part.fits])
     for part in live():
         with part.step():
             part.fits, part.advance = part.advance()
-    solve_catt([fit for part in live() for fit in part.fits], config.learners)
+    solve_catt([fit for part in live() for fit in part.fits])
     for part in live():
         with part.step():
             part.result = part.advance()
@@ -340,7 +347,7 @@ def _estimate_parts(parts: list[_Part], config: EstimatorConfig) -> list[_Part]:
     return parts
 
 
-def _effect_stage(part: _Part, finish_nuisances, config: EstimatorConfig):
+def _effect_stage(part: _Part, finish_nuisances, fixed_l1: float | None):
     """B and dH of a part from its solved nuisances, and its effect fits."""
     sl = part.sl
     nuis = finish_nuisances()
@@ -349,7 +356,7 @@ def _effect_stage(part: _Part, finish_nuisances, config: EstimatorConfig):
     X, y_pre, y_post = (np.where(np.isfinite(a), a, 0.0) for a in (sl.X, sl.y_pre, sl.y_post))
     B = sl.g_flag[:, None] - nuis.g_hat
     dH = (y_post - y_pre)[:, None] - nuis.nu_hat
-    return _effect_fits(X, sl.g_flag, B, dH, part.counts, config, nuis.errors)
+    return _effect_fits(X, sl.g_flag, B, dH, part.counts, fixed_l1, nuis.errors)
 
 
 def estimate_from_bundle(bundle: NuisanceBundle, config: EstimatorConfig):
@@ -360,8 +367,8 @@ def estimate_from_bundle(bundle: NuisanceBundle, config: EstimatorConfig):
     values substituted for the fitted ones.
     """
     fits, finish = _effect_fits(bundle.X, bundle.g, bundle.B[:, None], bundle.dH[:, None],
-                                np.ones((bundle.n_units, 1)), config)
-    solve_catt(fits, config.learners)
+                                np.ones((bundle.n_units, 1)), config.fixed_l1)
+    solve_catt(fits)
     cols = finish()
     if cols.errors[0] is not None:
         raise cols.errors[0]
@@ -373,8 +380,9 @@ def _check_config(config: EstimatorConfig) -> None:
     """Reject settings on which every cell would fail, before estimating any."""
     if config.n_folds < 2:
         raise MldidError("need at least 2 folds")
-    opts = config.learners
-    check_lasso_options(opts.inner_cv_folds, opts.n_lambdas, opts.fixed_l1, "min")
+    if config.threads < 1:
+        raise MldidError(f"need at least 1 thread, got {config.threads}")
+    check_fixed_l1(config.fixed_l1)
 
 
 def _reference_result(panel: PanelDataset, g: int) -> GroupTimeResult:

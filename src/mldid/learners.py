@@ -65,6 +65,11 @@ CD_TOL = 1e-7
 CD_MAX_SWEEPS = 10_000
 NEWTON_TOL = 1e-6
 NEWTON_MAX_ITER = 500
+
+# The ridge penalty of every nuisance and effect fit (the l2 of the lasso
+# fits and of the logistic propensity), and the bounds [DEFAULT_CLIP,
+# 1 - DEFAULT_CLIP] at which a fitted propensity is used.
+DEFAULT_L2 = 1e-6
 DEFAULT_CLIP = 0.01
 
 # Inner cross-validation defaults for the l1 path.
@@ -312,12 +317,17 @@ class GramFit:
     result: object = None
 
 
+def check_fixed_l1(fixed_l1) -> None:
+    """Reject a pinned l1 no fit could use; None (choose by CV) passes."""
+    if fixed_l1 is not None and not (math.isfinite(fixed_l1) and fixed_l1 >= 0):
+        raise MldidError(f"fixed l1 must be finite and nonnegative, got {fixed_l1}")
+
+
 def check_lasso_options(n_folds: int, n_lambdas: int, fixed_l1, cv_rule: str) -> None:
     """Reject settings no fit of a batch could use."""
     if cv_rule not in ("min", "1se"):
         raise MldidError(f"unknown cv_rule: {cv_rule}")
-    if fixed_l1 is not None and not (math.isfinite(fixed_l1) and fixed_l1 >= 0):
-        raise MldidError(f"fixed l1 must be finite and nonnegative, got {fixed_l1}")
+    check_fixed_l1(fixed_l1)
     if fixed_l1 is None and n_folds < 2:
         raise MldidError("need at least 2 inner folds")
     if fixed_l1 is None and n_lambdas < 1:
@@ -627,7 +637,7 @@ def fit_penalized_ls_cv(
     X: np.ndarray,
     y: np.ndarray,
     *,
-    l2: float = 1e-6,
+    l2: float = DEFAULT_L2,
     weights: np.ndarray | None = None,
     penalty_factor: np.ndarray | None = None,
     fit_intercept: bool = True,
@@ -661,24 +671,19 @@ class ProbabilityModel:
 
     The model is kept in two-class form: ``coef`` and ``intercepts`` have
     one row per label, 0 then 1, and the label-0 row is zero.
-    ``predict_proba`` returns the columns P(0), P(1), clipped to
-    ``[clip, 1 - clip]`` unless ``clipped=False``; unclipped rows sum to one.
+    ``predict_proba`` returns the columns P(0), P(1), whose rows sum to one.
     """
 
     intercepts: np.ndarray  # (2,)
     coef: np.ndarray        # (2, p)
     l2: float
-    clip: float
     center: np.ndarray
     scale: np.ndarray
     n_iter: int = 0
 
-    def predict_proba(self, X: np.ndarray, clipped: bool = True) -> np.ndarray:
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        proba = _label_proba(X @ self.coef.T + self.intercepts)
-        if clipped and self.clip > 0:
-            proba = np.clip(proba, self.clip, 1.0 - self.clip)
-        return proba
+        return _label_proba(X @ self.coef.T + self.intercepts)
 
 
 def _label_proba(eta: np.ndarray) -> np.ndarray:
@@ -723,8 +728,7 @@ def fit_probability_batch(
     labels: np.ndarray,
     weights: np.ndarray,
     *,
-    l2: float = 1e-6,
-    clip: float = DEFAULT_CLIP,
+    l2: float = DEFAULT_L2,
 ) -> list:
     """Penalized logistic fits of 0/1 ``labels`` on one design, one per weight column.
 
@@ -958,7 +962,6 @@ def fit_probability_batch(
             intercepts=intercepts[b],
             coef=coef[b],
             l2=l2,
-            clip=clip,
             center=center[b],
             scale=scale[b],
             n_iter=int(n_iter[b]),
@@ -969,8 +972,7 @@ def fit_probability_batch(
 def fit_probability(
     X: np.ndarray,
     labels: np.ndarray,
-    l2: float = 1e-6,
-    clip: float = DEFAULT_CLIP,
+    l2: float = DEFAULT_L2,
 ) -> ProbabilityModel:
     """Fit a penalized logistic model of 0/1 ``labels``.
 
@@ -983,7 +985,7 @@ def fit_probability(
     if X.ndim != 2:
         raise MldidError("X must be 2-dimensional")
     result = fit_probability_batch(
-        X, labels, np.ones((X.shape[0], 1)), l2=l2, clip=clip)[0]
+        X, labels, np.ones((X.shape[0], 1)), l2=l2)[0]
     if isinstance(result, MldidError):
         raise result
     return result

@@ -56,12 +56,11 @@ from .learners import (
     CV_FOLDS,
     CV_N_LAMBDAS,
     DEFAULT_CLIP,
+    DEFAULT_L2,
     FoldPlan,
     GramFit,
-    _label_proba,
-    check_lasso_options,
+    check_fixed_l1,
     fit_gram_batch,
-    fit_penalized_ls_cv,
     fit_probability_batch,
     moment_fits,
     weighted_gram,
@@ -69,41 +68,7 @@ from .learners import (
 
 # The benchmark's tracer (perfbench/tracing.py) wraps these names in this
 # module, so they stay importable here although no fit below calls them.
-from .learners import cross_fit, fit_probability  # noqa: F401
-
-
-@dataclass(frozen=True)
-class LearnerConfig:
-    """Hyperparameters shared by all nuisance fits.
-
-    ``fixed_l1`` pins the l1 penalty of every regression fit (skipping
-    the inner cross-validation), which is useful for bootstrap replicates
-    and quick runs.
-    """
-
-    l2: float = 1e-6
-    prob_l2: float = 1e-6
-    clip: float = DEFAULT_CLIP
-    inner_cv_folds: int = CV_FOLDS
-    n_lambdas: int = CV_N_LAMBDAS
-    fixed_l1: float | None = None
-
-    def lasso_options(self) -> dict:
-        """Keyword arguments of the regression fits under this config."""
-        return dict(l2=self.l2, n_folds=self.inner_cv_folds,
-                    n_lambdas=self.n_lambdas, fixed_l1=self.fixed_l1)
-
-    def fit_regression(self, X, y, *, weights=None, penalty_factor=None,
-                       fit_intercept=True):
-        """One regression fit from its rows under this config.
-
-        This is the row path: the tests check the moment front end of
-        :func:`_regression_systems` against it, fold by fold.
-        """
-        return fit_penalized_ls_cv(
-            X, y, weights=weights, penalty_factor=penalty_factor,
-            fit_intercept=fit_intercept, **self.lasso_options(),
-        )
+from .learners import cross_fit, fit_penalized_ls_cv, fit_probability  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -145,9 +110,10 @@ class ColumnNuisances:
     fit of column r is the fit a resampled slice makes on the units'
     copies, with each copy in its unit's fold of the slice's plan, so the
     all-ones column is the plain cross-fit. The arrays are (units, columns)
-    and ``g_hat`` is clipped. ``errors[r]`` is the DegenerateFold that
-    cross-fitting column r's copies raises first, or None; the entries of
-    a failed column are meaningless.
+    and ``g_hat`` is clipped to [DEFAULT_CLIP, 1 - DEFAULT_CLIP].
+    ``errors[r]`` is the DegenerateFold that cross-fitting column r's
+    copies raises first, or None; the entries of a failed column are
+    meaningless.
     """
 
     g_hat: np.ndarray
@@ -155,23 +121,24 @@ class ColumnNuisances:
     errors: list
 
 
-def start_nuisances(sl, plan: FoldPlan, config: LearnerConfig, counts: np.ndarray):
+def start_nuisances(sl, plan: FoldPlan, counts: np.ndarray, fixed_l1: float | None = None):
     """The first stage of a cell: its propensity fits and its regressions' Gram systems.
 
     The propensity of every (fold, column) is one logistic engine call.
-    The outcome regressions are returned as GramFits, which
-    :func:`solve_regressions` solves together with those of other cells,
-    along with a function that then collects the cell's ColumnNuisances.
+    The outcome regressions are returned as GramFits, with l1 pinned at
+    ``fixed_l1`` or, if None, to be chosen by inner CV; :func:`solve_regressions`
+    solves them together with those of other cells, and the function
+    returned with them then collects the cell's ColumnNuisances.
     A column's error is the first a fit-by-fit run on its copies meets:
     the propensity folds in order, then the regressions.
     """
-    g_unit, g_errors = _cross_fit_propensity(sl.X, sl.g_flag, plan, counts, config)
-    fits, live = _regression_systems(sl.X, sl.y_pre, sl.y_post, plan, counts, config)
+    g_unit, g_errors = _cross_fit_propensity(sl.X, sl.g_flag, plan, counts)
+    fits, live = _regression_systems(sl.X, sl.y_pre, sl.y_post, plan, counts, fixed_l1)
 
     def finish() -> ColumnNuisances:
         pred, reg_errors = _regression_predictions(sl.X, plan, _solved(fits))
         return ColumnNuisances(
-            g_hat=np.clip(g_unit, config.clip, 1.0 - config.clip),
+            g_hat=np.clip(g_unit, DEFAULT_CLIP, 1.0 - DEFAULT_CLIP),
             nu_hat=pred[0] - pred[1],
             errors=[a if a is not None else b for a, b in zip(g_errors, reg_errors)],
         )
@@ -179,39 +146,39 @@ def start_nuisances(sl, plan: FoldPlan, config: LearnerConfig, counts: np.ndarra
     return live, finish
 
 
-def solve_regressions(fits: list[GramFit], config: LearnerConfig) -> None:
+def solve_regressions(fits: list[GramFit]) -> None:
     """Solve the outcome-regression GramFits of any number of cells as one batch."""
     if fits:
-        fit_gram_batch(fits, l2=config.l2, pf=np.ones(fits[0].G.shape[0]),
+        fit_gram_batch(fits, l2=DEFAULT_L2, pf=np.ones(fits[0].G.shape[0]),
                        fit_intercept=True, cv_rule="min")
 
 
-def cross_fit_nuisances(sl, plan: FoldPlan, config: LearnerConfig,
-                        counts: np.ndarray) -> ColumnNuisances:
+def cross_fit_nuisances(sl, plan: FoldPlan, counts: np.ndarray,
+                        fixed_l1: float | None = None) -> ColumnNuisances:
     """Cross-fit g(x) and nu(x) of a slice for every count column.
 
     The stages of :func:`start_nuisances` for this cell alone.
     """
-    live, finish = start_nuisances(sl, plan, config, counts)
-    solve_regressions(live, config)
+    live, finish = start_nuisances(sl, plan, counts, fixed_l1)
+    solve_regressions(live)
     return finish()
 
 
-def estimate_nuisances(sl, plan: FoldPlan, config: LearnerConfig | None = None) -> NuisanceBundle:
+def estimate_nuisances(sl, plan: FoldPlan, fixed_l1: float | None = None) -> NuisanceBundle:
     """Cross-fit the nuisance functions of a slice.
 
     g(x) comes from a binary logistic fit on the slice's unit rows, and
     nu(x) is the difference of the regressions of y_post and of y_pre on
-    x. Every prediction for a unit is produced by models that never saw
-    it. This is the all-ones column of :func:`cross_fit_nuisances`.
+    x, with l1 pinned at ``fixed_l1`` or chosen by inner CV. Every
+    prediction for a unit is produced by models that never saw it. This
+    is the all-ones column of :func:`cross_fit_nuisances`.
     """
-    config = config or LearnerConfig()
     n_treated = int(np.count_nonzero(sl.g_flag))
     if n_treated in (0, sl.n_units):
         missing = "treated" if n_treated == 0 else "control"
         raise MissingStratum(f"slice has no {missing} units")
 
-    cols = cross_fit_nuisances(sl, plan, config, np.ones((sl.n_units, 1)))
+    cols = cross_fit_nuisances(sl, plan, np.ones((sl.n_units, 1)), fixed_l1)
     if cols.errors[0] is not None:
         raise cols.errors[0]
     return NuisanceBundle(
@@ -248,7 +215,7 @@ def _first_errors(failed: dict, n_columns: int) -> list:
     return errors
 
 
-def _cross_fit_propensity(X, g_flag, plan: FoldPlan, counts, config: LearnerConfig):
+def _cross_fit_propensity(X, g_flag, plan: FoldPlan, counts):
     """Out-of-fold unclipped g(x) on the slice's unit rows from one engine call.
 
     Member (k, r) weights the units outside fold k by their counts in
@@ -280,7 +247,7 @@ def _cross_fit_propensity(X, g_flag, plan: FoldPlan, counts, config: LearnerConf
     if ks.size:
         weights = c[:, rs]
         weights[fold[:, None] == ks] = 0.0
-        models = fit_probability_batch(X, labels, weights, l2=config.prob_l2, clip=config.clip)
+        models = fit_probability_batch(X, labels, weights)
         ok = np.array([not isinstance(mod, MldidError) for mod in models])
         for j in np.flatnonzero(~ok):
             failed[ks[j], rs[j]] = _in_fold(ks[j], models[j])
@@ -290,9 +257,11 @@ def _cross_fit_propensity(X, g_flag, plan: FoldPlan, counts, config: LearnerConf
             test = np.flatnonzero(fold == k)
             eta = (Xf[test] @ np.stack([models[j].coef[1] for j in members]).T
                    + [models[j].intercepts[1] for j in members])
-            # P(1) as ProbabilityModel.predict_proba gives it: label 0 scores 0.
-            out[np.ix_(test, rs[members])] = _label_proba(
-                np.stack([np.zeros_like(eta), eta], axis=-1))[..., 1]
+            # P(1) as the Newton kernel's objective forms it from the scores
+            # (label 0 scores 0): 1 / (1 + e) for eta >= 0 and e / (1 + e)
+            # otherwise, with e = exp(-|eta|).
+            e = np.exp(-np.abs(eta))
+            out[np.ix_(test, rs[members])] = np.where(eta >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     return out, _first_errors(failed, c.shape[1])
 
 
@@ -330,13 +299,13 @@ def _regression_predictions(X, plan: FoldPlan, fits):
     return pred, _first_errors(failed, len(fits))
 
 
-def _regression_fits(X, y_pre, y_post, plan: FoldPlan, counts, config: LearnerConfig):
+def _regression_fits(X, y_pre, y_post, plan: FoldPlan, counts, fixed_l1=None):
     """The LinearModel, or the MldidError, of every (regression, outer fold) of every column.
 
     The systems of :func:`_regression_systems`, solved on their own.
     """
-    fits, live = _regression_systems(X, y_pre, y_post, plan, counts, config)
-    solve_regressions(live, config)
+    fits, live = _regression_systems(X, y_pre, y_post, plan, counts, fixed_l1)
+    solve_regressions(live)
     return _solved(fits)
 
 
@@ -346,7 +315,7 @@ def _solved(fits):
             for col in fits]
 
 
-def _regression_systems(X, y_pre, y_post, plan: FoldPlan, counts, config: LearnerConfig):
+def _regression_systems(X, y_pre, y_post, plan: FoldPlan, counts, fixed_l1=None):
     """The Gram systems of every (regression, outer fold) of every column.
 
     Returns one dict per column of ``counts``, keyed (regression name,
@@ -354,7 +323,8 @@ def _regression_systems(X, y_pre, y_post, plan: FoldPlan, counts, config: Learne
     list of the dicts' GramFits. An entry is the regression's GramFit, or
     the MldidError that stops it before any solve. Both regressions train
     on the units outside the fold, each weighted by its count: mu_t1 on
-    their y_post and mu_t0 on their y_pre.
+    their y_post and mu_t0 on their y_pre. Their l1 is ``fixed_l1`` or,
+    if None, chosen by CV over CV_FOLDS inner folds.
 
     The cell's unit rows are read once into rows
     ``[1, x - xbar, y_pre - ybar, y_post - ybar]``, and one count-weighted
@@ -373,7 +343,7 @@ def _regression_systems(X, y_pre, y_post, plan: FoldPlan, counts, config: Learne
     outcome on its rows the NonFiniteData of a fit on those rows; the
     other regressions are unaffected.
     """
-    check_lasso_options(config.inner_cv_folds, config.n_lambdas, config.fixed_l1, "min")
+    check_fixed_l1(fixed_l1)
     m, p = X.shape
     fold = plan.assignment[:m]
     c = np.asarray(counts, dtype=float)
@@ -417,8 +387,8 @@ def _regression_systems(X, y_pre, y_post, plan: FoldPlan, counts, config: Learne
                           (p + 1 + outs)[:, None]], axis=1)
     N = train_M[rs[:, None, None], ks[:, None, None], sel[:, :, None], sel[:, None, :]]
     classes = None
-    if config.fixed_l1 is None:
-        K_in = config.inner_cv_folds
+    if fixed_l1 is None:
+        K_in = CV_FOLDS
         keys = {}
         owner = np.array([keys.setdefault(key, len(keys)) for key in zip(rs, ks)])
         class_M = np.zeros((len(keys), K_in) + train_M.shape[-2:])
@@ -432,8 +402,8 @@ def _regression_systems(X, y_pre, y_post, plan: FoldPlan, counts, config: Learne
         classes = class_M[owner[:, None, None, None], np.arange(K_in)[:, None, None],
                           sel[:, None, :, None], sel[:, None, None, :]]
     gram_fits = moment_fits(
-        N, classes, fit_intercept=True, pf=np.ones(p), l2=config.l2, l1=config.fixed_l1,
-        n_lambdas=config.n_lambdas, shift=np.append(x_shift, y_shift),
+        N, classes, fit_intercept=True, pf=np.ones(p), l2=DEFAULT_L2, l1=fixed_l1,
+        n_lambdas=CV_N_LAMBDAS, shift=np.append(x_shift, y_shift),
         ranges=(train_lo[rs, ks], train_hi[rs, ks]))
     for (name, r, k, _), fit in zip(live, gram_fits):
         fits[r][name, k] = fit

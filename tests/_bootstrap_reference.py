@@ -60,11 +60,8 @@ def unit_att(bundle, config) -> float:
         raise AllWeightsZero("sum of B^2 is numerically zero; tau is unidentified")
     design = B[:, None] / 2 * np.concatenate([np.ones((n, 1)), X], axis=1)
     pf = np.concatenate([[0.0], np.ones(p)])
-    lc = config.learners
-    model = fit_penalized_ls_cv(design, dH / 2, l2=lc.l2, penalty_factor=pf,
-                                fit_intercept=False, n_folds=lc.inner_cv_folds,
-                                n_lambdas=lc.n_lambdas, fixed_l1=lc.fixed_l1,
-                                cv_rule="1se")
+    model = fit_penalized_ls_cv(design, dH / 2, penalty_factor=pf, fit_intercept=False,
+                                fixed_l1=config.fixed_l1, cv_rule="1se")
     tau = model.coef[0] + X @ model.coef[1:]
     sigma2 = max(1.5 * float(np.var(dH, ddof=1)), 1e-8)
     w = solve_amle(build_function_class(bundle, sigma2))
@@ -84,7 +81,7 @@ def reference_cell(panel, resampled, idx, g, t, config) -> float:
     fold[original.unit_rows] = plan.assignment
     # Copies of a unit share its fold, so the folds need not be balanced.
     shared = SimpleNamespace(n_folds=plan.n_folds, assignment=fold[idx[sl.unit_rows]])
-    return unit_att(compute_abch(estimate_nuisances(sl, shared, config.learners)), config)
+    return unit_att(compute_abch(estimate_nuisances(sl, shared, config.fixed_l1)), config)
 
 
 def reference_replicate(panel, config, b) -> dict:

@@ -13,7 +13,6 @@ import numpy as np
 
 from mldid.exceptions import DegenerateFold, MldidError, NoConvergence, SeparableWithoutPenalty
 from mldid.learners import (
-    DEFAULT_CLIP,
     NEWTON_MAX_ITER,
     NEWTON_TOL,
     ProbabilityModel,
@@ -43,7 +42,7 @@ def logistic_nll_grad_hess(theta, Xd, y, w, l2, pen):
     return obj, grad, H
 
 
-def fit_probability(X, labels, l2=1e-6, clip=DEFAULT_CLIP):
+def fit_probability(X, labels, l2=1e-6):
     """Newton iterations with step halving on one fit's standardized design."""
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
@@ -101,11 +100,11 @@ def fit_probability(X, labels, l2=1e-6, clip=DEFAULT_CLIP):
     theta_full = np.stack([np.zeros(d), theta])
     slopes = theta_full[:, 1:] / s
     intercepts = theta_full[:, 0] - slopes @ m
-    return ProbabilityModel(intercepts=intercepts, coef=slopes, l2=l2, clip=clip,
+    return ProbabilityModel(intercepts=intercepts, coef=slopes, l2=l2,
                             center=m, scale=s, n_iter=n_iter)
 
 
-def cross_fit_propensity(X, labels, fold, n_folds, l2=1e-6, clip=DEFAULT_CLIP):
+def cross_fit_propensity(X, labels, fold, n_folds, l2=1e-6):
     """Out-of-fold P(1) fold by fold, as the nuisance cross-fit made it.
 
     Returns the predictions and the models per fold; raises the
@@ -125,9 +124,9 @@ def cross_fit_propensity(X, labels, fold, n_folds, l2=1e-6, clip=DEFAULT_CLIP):
         try:
             if np.unique(labels[train]).shape[0] < 2:
                 raise MldidError("training fold lacks both binary classes")
-            model = fit_probability(X[train], labels[train], l2=l2, clip=clip)
+            model = fit_probability(X[train], labels[train], l2=l2)
         except MldidError as err:
             raise DegenerateFold(f"fold {k}: {err}") from err
         models[k] = model
-        out[test] = model.predict_proba(X[test], clipped=False)[:, 1]
+        out[test] = model.predict_proba(X[test])[:, 1]
     return out, models

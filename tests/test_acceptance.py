@@ -21,7 +21,6 @@ from numpy.testing import assert_allclose
 from mldid import (
     DgpConfig,
     EstimatorConfig,
-    LearnerConfig,
     amle_objective,
     attach_bootstrap_se,
     blp,
@@ -155,7 +154,7 @@ def _placebo_rep(args):
     rep, n, n_boot = args
     seed = derive_seed(MASTER_SEED, 404, rep)
     oracle = simulate(DgpConfig(n_units=n, seed=seed))
-    config = EstimatorConfig(seed=seed, learners=LearnerConfig(fixed_l1=0.02))
+    config = EstimatorConfig(seed=seed, fixed_l1=0.02)
     run = attach_bootstrap_se(
         run_mldid(oracle.panel, config),
         bootstrap_se(oracle.panel, config, n_boot),
@@ -342,7 +341,7 @@ def test_criterion_7_algebraic_suite(tmp_path):
 
     # Determinism: identical seeded runs produce byte-identical tables.
     oracle = simulate(DgpConfig(n_units=250, seed=1234))
-    config = EstimatorConfig(seed=99, learners=LearnerConfig(fixed_l1=0.02))
+    config = EstimatorConfig(seed=99, fixed_l1=0.02)
     paths = []
     for name in ("a.csv", "b.csv"):
         run = run_mldid(oracle.panel, config)

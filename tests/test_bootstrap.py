@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mldid import DgpConfig, EstimatorConfig, LearnerConfig, bootstrap_se, run_mldid, simulate
+from mldid import DgpConfig, EstimatorConfig, bootstrap_se, run_mldid, simulate
 from mldid.amle import balancing_columns, build_function_class, solve_amle
 from mldid import estimator
 from mldid.estimator import (
@@ -23,7 +23,7 @@ from mldid.panel import enumerate_cells, slice_two_period
 from _bootstrap_reference import reference_missing, reference_replicate
 from _utils import oracle_bundle, thin_cohort, two_period_dgp
 
-FIXED = EstimatorConfig(seed=4, learners=LearnerConfig(fixed_l1=0.01))
+FIXED = EstimatorConfig(seed=4, fixed_l1=0.01)
 
 
 def _cell_replicates(panel, g, t, config, counts):
@@ -105,7 +105,7 @@ def test_undrawn_non_finite_unit_leaves_column_unchanged():
     (thin_cohort(simulate(DgpConfig(n_units=150, seed=2)).panel, 4, 2), 4),
 ], ids=["thin-cells", "two-unit-cohort"])
 def test_missing_counts_and_messages_match_reference(panel, seed):
-    config = EstimatorConfig(seed=seed, learners=LearnerConfig(fixed_l1=0.01))
+    config = EstimatorConfig(seed=seed, fixed_l1=0.01)
     cells, thetas, reasons = reference_missing(panel, config, 50)
     boot = bootstrap_se(panel, config, 50)
     assert boot.n_failed == 0
@@ -150,7 +150,7 @@ def test_cv_column_alone_equals_column_in_batch():
         plan = _cell_plan(sl, config, g, t)
         c = counts[sl.unit_rows]
         batch = _cell_columns(sl, config, c)
-        fits = _regression_fits(sl.X, sl.y_pre, sl.y_post, plan, c, config.learners)
+        fits = _regression_fits(sl.X, sl.y_pre, sl.y_post, plan, c, config.fixed_l1)
         for r in range(c.shape[1]):
             alone = _cell_columns(sl, config, c[:, [r]])
             assert batch.errors[r] is None and alone.errors[0] is None
@@ -159,7 +159,7 @@ def test_cv_column_alone_equals_column_in_batch():
             # about 1.8); the grids agree to rounding.
             assert alone.catt_l1[0] == pytest.approx(batch.catt_l1[r], rel=1e-9, abs=0)
             own = _regression_fits(sl.X, sl.y_pre, sl.y_post, plan, c[:, [r]],
-                                   config.learners)[0]
+                                   config.fixed_l1)[0]
             assert own.keys() == fits[r].keys()
             for key, fit in own.items():
                 assert fit.l1 == pytest.approx(fits[r][key].l1, rel=1e-9, abs=0), key
@@ -186,7 +186,7 @@ def test_balancing_columns_match_row_basis():
 @pytest.mark.slow
 def test_bootstrap_se_does_not_depend_on_threads():
     panel = thin_cohort(simulate(DgpConfig(n_units=120, seed=3)).panel, 4, 4)
-    config = EstimatorConfig(seed=1, learners=LearnerConfig(fixed_l1=0.01))
+    config = EstimatorConfig(seed=1, fixed_l1=0.01)
     serial = bootstrap_se(panel, config, 50)
     parallel = bootstrap_se(panel, dataclasses.replace(config, threads=2), 50)
     assert serial.cell_se == parallel.cell_se
@@ -208,7 +208,7 @@ def test_worker_warnings_reach_the_caller():
         covariates=np.concatenate([panel.covariates] + [panel.covariates[:, :, :1]] * 4,
                                   axis=2),
         covariate_names=panel.covariate_names + tuple(f"x_dup{k}" for k in range(4)))
-    config = EstimatorConfig(seed=0, learners=LearnerConfig(fixed_l1=0.02),
+    config = EstimatorConfig(seed=0, fixed_l1=0.02,
                              include_placebo=False, threads=2)
     with pytest.warns(IllConditionedWarning, match=r"cell \(g=\d, t=\d\): .*ridge") as caught:
         run_mldid(dup, config)

@@ -11,7 +11,6 @@ from mldid import DgpConfig, amle, load_panel, simulate, write_panel_csv
 from mldid.cli import cli
 from mldid.estimator import EstimatorConfig, bootstrap_se, estimate_cell, run_mldid
 from mldid.exceptions import IllConditionedWarning, MldidError
-from mldid.nuisance import LearnerConfig
 
 from _utils import thin_cohort
 
@@ -101,11 +100,11 @@ def test_estimate_deterministic_byte_identical(sim_dir, tmp_path):
 
 
 def test_estimate_round_trip_matches_library(sim_dir, est_dir):
-    from mldid import EstimatorConfig, LearnerConfig, run_mldid
+    from mldid import EstimatorConfig, run_mldid
 
     panel = load_panel(sim_dir / "panel.csv")
     run = run_mldid(panel, EstimatorConfig(
-        seed=5, learners=LearnerConfig(fixed_l1=0.02)))
+        seed=5, fixed_l1=0.02))
     with open(est_dir / "cells.csv", newline="") as fh:
         rows = {(int(r["g"]), int(r["t"])): float(r["att"])
                 for r in csv.DictReader(fh)}
@@ -187,6 +186,19 @@ def test_benchmark_small_run(tmp_path):
     assert (out / "rmse.csv").read_bytes() == (out2 / "rmse.csv").read_bytes()
 
 
+def test_benchmark_manifest_records_threads_and_bootstrap(tmp_path):
+    out = tmp_path / "bench"
+    res = run_cli(["benchmark", "--n", "200", "--reps", "2", "--seed", "9",
+                   "--fixed-l1", "0.02", "--placebo", "false", "--threads", "2",
+                   "--bootstrap", "50", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert (out / "coverage.csv").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {"n_folds": 5, "seed": 9, "fixed_l1": 0.02,
+                                  "include_placebo": False, "threads": 2}
+    assert manifest["bootstrap"] == 50
+
+
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the workers must inherit the patched limit")
 def test_benchmark_worker_warnings_reach_the_caller(tmp_path, monkeypatch):
@@ -230,6 +242,8 @@ def test_too_few_bootstrap_replicates_is_a_usage_error(command, replicates,
     ("--fixed-l1", "nan", "finite and nonnegative"),
     ("--fixed-l1", "inf", "finite and nonnegative"),
     ("--folds", "1", "x>=2"),
+    ("--threads", "0", "x>=1"),
+    ("--threads", "-1", "x>=1"),
 ])
 def test_bad_lasso_options_are_usage_errors(command, option, value, message,
                                             sim_dir, tmp_path):
@@ -245,12 +259,12 @@ def test_bad_lasso_options_are_usage_errors(command, option, value, message,
 
 
 @pytest.mark.parametrize("config, message", [
-    (EstimatorConfig(learners=LearnerConfig(fixed_l1=-1.0)), "finite and nonnegative"),
-    (EstimatorConfig(learners=LearnerConfig(fixed_l1=float("nan"))), "finite and nonnegative"),
-    (EstimatorConfig(learners=LearnerConfig(fixed_l1=float("inf"))), "finite and nonnegative"),
+    (EstimatorConfig(fixed_l1=-1.0), "finite and nonnegative"),
+    (EstimatorConfig(fixed_l1=float("nan")), "finite and nonnegative"),
+    (EstimatorConfig(fixed_l1=float("inf")), "finite and nonnegative"),
     (EstimatorConfig(n_folds=1), "at least 2 folds"),
-    (EstimatorConfig(learners=LearnerConfig(inner_cv_folds=1)), "at least 2 inner folds"),
-    (EstimatorConfig(learners=LearnerConfig(n_lambdas=0)), "at least 1 penalty"),
+    (EstimatorConfig(threads=0), "at least 1 thread"),
+    (EstimatorConfig(threads=-1), "at least 1 thread"),
 ])
 @pytest.mark.parametrize("call", [
     lambda panel, config: run_mldid(panel, config),
@@ -380,7 +394,7 @@ def test_config_file_defaults(tmp_path, sim_dir):
     assert res.exit_code == 0, res.output
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 5
-    assert manifest["config"]["learners"]["fixed_l1"] == 0.02
+    assert manifest["config"]["fixed_l1"] == 0.02
 
 
 def test_env_var_override(tmp_path, sim_dir, monkeypatch):

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 from mldid import (
     DgpConfig,
     EstimatorConfig,
-    LearnerConfig,
     aggregate_event_study,
     attach_bootstrap_se,
     bootstrap_se,
@@ -19,14 +18,15 @@ from mldid import (
     run_mldid,
     simulate,
 )
-from mldid import amle
+from mldid import amle, estimator
 from mldid.estimator import GroupTimeResult, _replicate_se, estimate_from_bundle
 from mldid.exceptions import CellSkipped, DegenerateFold, IllConditionedWarning, MldidError
+from mldid.nuisance import start_nuisances
 from mldid.panel import enumerate_cells
 
 from _utils import make_panel, oracle_bundle, thin_cohort, two_period_dgp
 
-FAST = EstimatorConfig(seed=0, learners=LearnerConfig(fixed_l1=0.02))
+FAST = EstimatorConfig(seed=0, fixed_l1=0.02)
 
 
 def test_reference_cell_is_hard_zero():
@@ -135,6 +135,32 @@ def test_run_covers_all_cells_with_references():
     assert ref_dyn.is_reference and ref_dyn.theta == 0.0
 
 
+@pytest.mark.parametrize("fixed_l1", [0.013, None])
+def test_one_l1_setting_reaches_both_lasso_stages(fixed_l1, monkeypatch):
+    # The config's fixed_l1 pins the effect fit of every cell and every
+    # outcome regression; without it every regression searches a CV grid.
+    regressions = []
+
+    def spy(*args, **kwargs):
+        fits, finish = start_nuisances(*args, **kwargs)
+        regressions.extend(fits)
+        return fits, finish
+
+    monkeypatch.setattr(estimator, "start_nuisances", spy)
+    oracle = simulate(DgpConfig(n_units=250, seed=5))
+    run = run_mldid(oracle.panel, EstimatorConfig(seed=0, fixed_l1=fixed_l1))
+    cells = [c for c in run.cells if not c.is_reference]
+    assert len(cells) == 9 and run.skipped == []
+    # 9 cells, 5 folds, 2 regressions.
+    assert len(regressions) == 90
+    if fixed_l1 is None:
+        assert all(fit.grid is not None for fit in regressions)
+        return
+    assert all(c.catt_l1 == fixed_l1 for c in cells)
+    assert all(fit.l1 == fixed_l1 and fit.grid is None for fit in regressions)
+    assert all(fit.result.l1 == fixed_l1 for fit in regressions)
+
+
 def test_run_deterministic_given_seed():
     oracle = simulate(DgpConfig(n_units=250, seed=5))
     r1 = run_mldid(oracle.panel, FAST)
@@ -220,7 +246,7 @@ def test_bootstrap_reproducible_and_attaches():
 # them all in one fold, whose training set then lacks cohort 4. The counts
 # are those of tests/_bootstrap_reference.py (one run per resampled panel).
 THIN_CELLS_PANEL = DgpConfig(n_units=120, seed=3)
-THIN_CELLS_CONFIG = EstimatorConfig(seed=1, learners=LearnerConfig(fixed_l1=0.01))
+THIN_CELLS_CONFIG = EstimatorConfig(seed=1, fixed_l1=0.01)
 THIN_CELLS_MISSING = {(4, 1): 7, (4, 2): 6, (4, 4): 9}
 
 
@@ -248,7 +274,7 @@ def test_cell_with_a_one_class_training_fold_is_skipped():
     # Cohort 4 keeps one unit, so the training set of its fold has no
     # cohort-4 unit and that fold's propensity cannot be fit.
     panel = thin_cohort(simulate(DgpConfig(n_units=150, seed=2)).panel, 4, 1)
-    config = EstimatorConfig(seed=4, learners=LearnerConfig(fixed_l1=0.01))
+    config = EstimatorConfig(seed=4, fixed_l1=0.01)
     with pytest.raises(DegenerateFold, match="training fold lacks both binary classes"):
         estimate_cell(panel, 4, 4, config)
     run = run_mldid(panel, config)
@@ -295,7 +321,7 @@ def test_parallel_matches_serial():
      EstimatorConfig(seed=2)),
     # Cohort 4 keeps one unit, so its cells are skipped.
     (thin_cohort(simulate(DgpConfig(n_units=150, seed=2)).panel, 4, 1),
-     EstimatorConfig(seed=4, learners=LearnerConfig(fixed_l1=0.01))),
+     EstimatorConfig(seed=4, fixed_l1=0.01)),
 ], ids=["cv", "skipped-cells"])
 def test_run_cells_equal_estimate_cell(panel, config):
     # A cell estimated in its run's group is the cell estimated alone, and
@@ -315,7 +341,7 @@ def test_run_cells_equal_estimate_cell(panel, config):
         assert cell.tau_unit.tobytes() == own.tau_unit.tobytes()
         assert cell.score_unit.tobytes() == own.score_unit.tobytes()
     assert not skipped
-    assert n_skipped == (0 if config.learners.fixed_l1 is None else 3)
+    assert n_skipped == (0 if config.fixed_l1 is None else 3)
 
 
 @pytest.mark.parametrize("threads", [
@@ -330,7 +356,7 @@ def test_run_warnings_carry_their_own_cell(monkeypatch, threads):
     # again, prefixed with that cell, whether it ran in a worker or not.
     monkeypatch.setattr(amle, "COND_LIMIT", 5.0)
     panel = simulate(DgpConfig(n_units=200, seed=9)).panel
-    config = EstimatorConfig(seed=0, learners=LearnerConfig(fixed_l1=0.02),
+    config = EstimatorConfig(seed=0, fixed_l1=0.02,
                              include_placebo=False, threads=threads)
     with pytest.warns(IllConditionedWarning) as caught:
         run_mldid(panel, config)

@@ -22,6 +22,7 @@ from mldid.exceptions import (
 )
 from mldid import learners
 from mldid.learners import (
+    DEFAULT_CLIP,
     GramFit,
     ProbabilityModel,
     _held_out_errors,
@@ -32,7 +33,7 @@ from mldid.learners import (
     moment_fits,
     row_gram_fit,
 )
-from mldid.nuisance import LearnerConfig, _regression_systems, solve_regressions
+from mldid.nuisance import _regression_systems, solve_regressions
 from mldid.panel import slice_two_period
 
 import _sequential_lasso as sequential
@@ -116,7 +117,7 @@ def test_column_constant_on_training_rows_is_ignored():
     prob = fit_probability(X, labels)
     assert lin.coef[1] == 0.0 and prob.coef[1, 1] == 0.0
     assert lin.predict(moved)[0] == lin.predict(moved)[1]
-    proba = prob.predict_proba(moved, clipped=False)
+    proba = prob.predict_proba(moved)
     assert np.array_equal(proba[0], proba[1])
 
 
@@ -466,7 +467,7 @@ def _two_cells_regressions():
         sl = slice_two_period(panel, g, t)
         plan = make_fold_plan(sl.n_units, 5, seed=g * 10 + t)
         _, fits = _regression_systems(sl.X, sl.y_pre, sl.y_post, plan,
-                                      np.ones((sl.n_units, 1)), LearnerConfig())
+                                      np.ones((sl.n_units, 1)))
         cells.append(fits)
     fit = cells[0][3]
     fit.fold_G, fit.fold_c = fit.fold_G.copy(), fit.fold_c.copy()
@@ -479,12 +480,11 @@ def _two_cells_regressions():
 def test_merged_gram_batch_equals_a_batch_per_cell():
     # Fits of two cells, with different grids, solved as one batch get the
     # models (bit for bit) and errors of a batch per cell.
-    config = LearnerConfig()
     merged, alone = _two_cells_regressions(), _two_cells_regressions()
     assert not np.array_equal(merged[0][0].grid, merged[1][0].grid)
-    solve_regressions([fit for fits in merged for fit in fits], config)
+    solve_regressions([fit for fits in merged for fit in fits])
     for fits in alone:
-        solve_regressions(fits, config)
+        solve_regressions(fits)
     n_failed = 0
     for got, want in zip([f for fits in merged for f in fits], [f for fits in alone for f in fits]):
         if isinstance(want.result, MldidError):
@@ -572,10 +572,10 @@ def test_probability_clipping_and_preclip_sum():
     rng = np.random.default_rng(10)
     X = rng.standard_normal((200, 2)) * 4.0
     labels = (X[:, 0] + 0.5 * rng.standard_normal(200) > 0).astype(int)
-    m = fit_probability(X, labels, l2=1e-6, clip=0.01)
-    proba = m.predict_proba(X)
+    m = fit_probability(X, labels, l2=1e-6)
+    proba = np.clip(m.predict_proba(X), DEFAULT_CLIP, 1.0 - DEFAULT_CLIP)
     assert proba.min() >= 0.01 and proba.max() <= 0.99
-    raw = m.predict_proba(X, clipped=False)
+    raw = m.predict_proba(X)
     assert_allclose(raw.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -605,8 +605,8 @@ def _fold_weights(fold, n_folds):
 def _assert_same_probability_fit(got, want, X):
     assert isinstance(got, ProbabilityModel), got
     assert got.n_iter == want.n_iter
-    assert_allclose(got.predict_proba(X, clipped=False),
-                    want.predict_proba(X, clipped=False), rtol=0, atol=1e-10)
+    assert_allclose(got.predict_proba(X),
+                    want.predict_proba(X), rtol=0, atol=1e-10)
 
 
 def _assert_matches_reference(X, labels, fold, n_folds, l2):
@@ -735,8 +735,8 @@ def test_probability_batch_members_do_not_interact():
             assert type(batch[b]) is type(alone) and str(batch[b]) == str(alone)
             continue
         assert batch[b].n_iter == alone.n_iter
-        assert_allclose(batch[b].predict_proba(X, clipped=False),
-                        alone.predict_proba(X, clipped=False), rtol=0, atol=1e-13)
+        assert_allclose(batch[b].predict_proba(X),
+                        alone.predict_proba(X), rtol=0, atol=1e-13)
     assert isinstance(batch[2], MldidError)
     # Integer weights act as repeated rows.
     repeated = newton_ref.fit_probability(np.repeat(X, 2, axis=0), np.repeat(labels, 2))
@@ -787,8 +787,8 @@ def test_probability_batch_beyond_old_chunk_size_matches_one_member_calls():
             assert type(batch[b]) is type(alone) and str(batch[b]) == str(alone)
             continue
         assert batch[b].n_iter == alone.n_iter
-        assert_allclose(batch[b].predict_proba(X, clipped=False),
-                        alone.predict_proba(X, clipped=False), rtol=0, atol=1e-13)
+        assert_allclose(batch[b].predict_proba(X),
+                        alone.predict_proba(X), rtol=0, atol=1e-13)
     assert "both labels 0 and 1" in str(batch[0])
     assert batch[1].coef[1, 2] == 0.0
     assert sum(isinstance(res, ProbabilityModel) for res in batch) == W.shape[1] - 1

@@ -7,9 +7,8 @@ from numpy.testing import assert_allclose
 from mldid import DgpConfig, cross_fit, make_fold_plan, simulate
 from mldid.estimator import _SEED_FOLDS, EstimatorConfig, derive_seed
 from mldid.exceptions import DegenerateFold, MissingStratum, MldidError
-from mldid.learners import DEFAULT_CLIP, fit_probability
+from mldid.learners import DEFAULT_CLIP, fit_penalized_ls_cv, fit_probability
 from mldid.nuisance import (
-    LearnerConfig,
     NuisanceBundle,
     _cross_fit_propensity,
     _regression_fits,
@@ -25,27 +24,36 @@ from _stacked_rows import stack_slice, stacked_decomposition
 from _utils import oracle_bundle, two_period_dgp
 
 
-def _propensity(X, g_flag, plan, config):
+def _propensity(X, g_flag, plan):
     """Unclipped out-of-fold g(x) of the all-ones column; raises its first error."""
-    out, errors = _cross_fit_propensity(X, g_flag, plan, np.ones((len(g_flag), 1)), config)
+    out, errors = _cross_fit_propensity(X, g_flag, plan, np.ones((len(g_flag), 1)))
     if errors[0] is not None:
         raise errors[0]
     return out[:, 0]
 
 
-def _regressions(sl, plan, config):
+def _regressions(sl, plan, fixed_l1):
     """mu_t1 and mu_t0 of the all-ones column on the unit rows."""
     pred, errors = _regression_predictions(sl.X, plan, _regression_fits(
-        sl.X, sl.y_pre, sl.y_post, plan, np.ones((sl.n_units, 1)), config))
+        sl.X, sl.y_pre, sl.y_post, plan, np.ones((sl.n_units, 1)), fixed_l1))
     if errors[0] is not None:
         raise errors[0]
     return [a[:, 0] for a in pred]
 
 
-def _fits(sl, plan, config):
+def _fits(sl, plan, fixed_l1):
     """Every (regression, fold) fit of the all-ones column."""
     return _regression_fits(sl.X, sl.y_pre, sl.y_post, plan,
-                            np.ones((sl.n_units, 1)), config)[0]
+                            np.ones((sl.n_units, 1)), fixed_l1)[0]
+
+
+def _fit_regression(X, y, fixed_l1, weights=None):
+    """One regression fit from its rows, by the row path.
+
+    The tests check the moment front end of ``_regression_systems``
+    against it, fold by fold.
+    """
+    return fit_penalized_ls_cv(X, y, weights=weights, fixed_l1=fixed_l1)
 
 
 def straight_line_abc(g_flag, t_flag, g, t, iota11, delta):
@@ -123,7 +131,7 @@ def test_random_draws_against_independent_transcription():
     sl, _ = two_period_dgp(300, seed=1, tau_fn=lambda x: x[:, 0],
                            g_fn=lambda x: 1 / (1 + np.exp(-2.0 * x[:, 1])))
     plan = make_fold_plan(sl.n_units, 5, seed=0)
-    bundle = compute_abch(estimate_nuisances(sl, plan, LearnerConfig(fixed_l1=0.02)))
+    bundle = compute_abch(estimate_nuisances(sl, plan, fixed_l1=0.02))
     g_flag = bundle.g.astype(float)
     n = bundle.n_units
     c = {}
@@ -163,8 +171,8 @@ def test_propensity_clip_applied():
     sl, _ = two_period_dgp(300, seed=5, tau_fn=lambda x: x[:, 0],
                            g_fn=lambda x: 1 / (1 + np.exp(-3.0 * x[:, 1])))
     plan = make_fold_plan(sl.n_units, 5, seed=3)
-    bundle = estimate_nuisances(sl, plan, LearnerConfig(clip=0.05))
-    assert bundle.g_hat.min() == 0.05 and bundle.g_hat.max() == 0.95
+    bundle = estimate_nuisances(sl, plan)
+    assert bundle.g_hat.min() == DEFAULT_CLIP and bundle.g_hat.max() == 1.0 - DEFAULT_CLIP
 
 
 def test_propensity_on_unit_rows_matches_stacked_rows():
@@ -178,14 +186,14 @@ def test_propensity_on_unit_rows_matches_stacked_rows():
         unit = fit_probability(sl.X, labels)
         stacked = fit_probability(np.vstack([sl.X, sl.X]),
                                   np.concatenate([labels, labels]))
-        assert_allclose(unit.predict_proba(sl.X, clipped=False),
-                        stacked.predict_proba(sl.X, clipped=False),
+        assert_allclose(unit.predict_proba(sl.X),
+                        stacked.predict_proba(sl.X),
                         rtol=0, atol=1e-10)
         plan = make_fold_plan(sl.n_units, 5, seed=seed)
         y, g, t, X, units = stack_slice(sl)
         stacked_cf = cross_fit(
             X, g.astype(np.int64), units, plan, fit_probability,
-            predict=lambda mod, Xn: mod.predict_proba(Xn, clipped=False)[:, 1])
+            predict=lambda mod, Xn: mod.predict_proba(Xn)[:, 1])
         bundle = estimate_nuisances(sl, plan)
         clipped = np.clip(stacked_cf, DEFAULT_CLIP, 1.0 - DEFAULT_CLIP)
         for rows in (clipped[:sl.n_units], clipped[sl.n_units:]):
@@ -197,23 +205,20 @@ def test_propensity_engine_matches_per_fold_loop():
     for seed, n in ((0, 60), (1, 157), (2, 400)):
         sl, _ = two_period_dgp(n, seed=30 + seed, tau_fn=lambda x: x[:, 0], p=3,
                                g_fn=lambda x: 1 / (1 + np.exp(-x[:, 0] + x[:, 2])))
-        for n_folds, prob_l2 in ((2, 1e-6), (5, 1e-6), (7, 1e-4)):
+        for n_folds in (2, 5, 7):
             plan = make_fold_plan(sl.n_units, n_folds, seed=seed)
-            config = LearnerConfig(prob_l2=prob_l2, fixed_l1=0.02)
             want, _ = newton_ref.cross_fit_propensity(
-                sl.X, sl.g_flag.astype(np.int64), plan.assignment, n_folds,
-                l2=prob_l2)
-            got = _propensity(sl.X, sl.g_flag, plan, config)
+                sl.X, sl.g_flag.astype(np.int64), plan.assignment, n_folds)
+            got = _propensity(sl.X, sl.g_flag, plan)
             assert_allclose(got, want, rtol=0, atol=1e-10)
-            bundle = estimate_nuisances(sl, plan, config)
-            clipped = np.clip(want, config.clip, 1.0 - config.clip)
+            bundle = estimate_nuisances(sl, plan, fixed_l1=0.02)
+            clipped = np.clip(want, DEFAULT_CLIP, 1.0 - DEFAULT_CLIP)
             assert_allclose(bundle.g_hat, clipped, rtol=0, atol=1e-10)
 
 
 def test_propensity_engine_raises_per_fold_errors():
     sl, _ = two_period_dgp(40, seed=11, tau_fn=lambda x: x[:, 0])
     plan = make_fold_plan(sl.n_units, 5, seed=6)
-    config = LearnerConfig()
     # One treated unit: its fold's training units are all controls.
     one_treated = (np.arange(sl.n_units) == 7).astype(np.int8)
     # A non-finite covariate fails every fold that trains on its unit.
@@ -224,12 +229,12 @@ def test_propensity_engine_raises_per_fold_errors():
     tiny = make_fold_plan(2, 2, seed=0)
     cases.append((sl.X[:2], np.array([0, 1], np.int8), tiny))
     for X, g_flag, fold_plan in cases:
-        got = _first_error(lambda: _propensity(X, g_flag, fold_plan, config))
+        got = _first_error(lambda: _propensity(X, g_flag, fold_plan))
         want = _first_error(lambda: newton_ref.cross_fit_propensity(
             X, g_flag.astype(np.int64), fold_plan.assignment, fold_plan.n_folds))
         assert got == want
         assert got.startswith("fold ")
-    lone = _first_error(lambda: _propensity(sl.X, one_treated, plan, config))
+    lone = _first_error(lambda: _propensity(sl.X, one_treated, plan))
     k = plan.assignment[7]
     assert lone == f"fold {k}: training fold lacks both binary classes"
 
@@ -244,12 +249,10 @@ def test_missing_stratum_detected():
             estimate_nuisances(one_group, plan)
 
 
-def _per_fold_regressions(sl, plan, config, fit=None):
+def _per_fold_regressions(sl, plan, fixed_l1, fit=None):
     """mu_t1 and mu_t0 fit one regression and fold at a time on the unit rows."""
     if fit is None:
-        opts = config.lasso_options()
-        opts.pop("l2")
-        fit = lambda a, b: sequential.fit_ls_cv(a, b, l2=config.l2, **opts)
+        fit = lambda a, b: sequential.fit_ls_cv(a, b, fixed_l1=fixed_l1)
     units = np.arange(sl.n_units)
     return [cross_fit(sl.X, y, units, plan, fit) for y in (sl.y_post, sl.y_pre)]
 
@@ -258,12 +261,11 @@ def _per_fold_regressions(sl, plan, config, fit=None):
 def test_batched_regressions_match_per_fold_cross_fit(fixed_l1):
     sl, _ = two_period_dgp(150, seed=9, tau_fn=lambda x: x[:, 0], p=3)
     plan = make_fold_plan(sl.n_units, 5, seed=5)
-    config = LearnerConfig(fixed_l1=fixed_l1)
-    got = _regressions(sl, plan, config)
-    want = _per_fold_regressions(sl, plan, config)
+    got = _regressions(sl, plan, fixed_l1)
+    want = _per_fold_regressions(sl, plan, fixed_l1)
     for a, b in zip(got, want):
         assert_allclose(a, b, rtol=0, atol=1e-12)
-    bundle = estimate_nuisances(sl, plan, config)
+    bundle = estimate_nuisances(sl, plan, fixed_l1)
     assert_allclose(bundle.nu_hat, want[0] - want[1], rtol=0, atol=1e-12)
 
 
@@ -276,8 +278,7 @@ def _first_error(thunk):
 def test_batched_regressions_raise_per_fold_errors():
     sl, _ = two_period_dgp(40, seed=10, tau_fn=lambda x: x[:, 0])
     plan = make_fold_plan(sl.n_units, 5, seed=6)
-    config = LearnerConfig(fixed_l1=0.02)
-    fit = lambda a, b: config.fit_regression(a, b)
+    fit = lambda a, b: _fit_regression(a, b, 0.02)
     # Two units in two folds: each training complement holds one row.
     tiny = dataclasses.replace(sl, X=sl.X[:2], g_flag=np.array([0, 1], np.int8),
                                y_pre=sl.y_pre[:2], y_post=sl.y_post[:2],
@@ -286,17 +287,17 @@ def test_batched_regressions_raise_per_fold_errors():
     bad_y = dataclasses.replace(sl, y_post=np.where(
         np.arange(sl.n_units) == 3, np.nan, sl.y_post))
     for case, fold_plan in ((tiny, make_fold_plan(2, 2, seed=0)), (bad_y, plan)):
-        got = _first_error(lambda: _regressions(case, fold_plan, config))
-        want = _first_error(lambda: _per_fold_regressions(case, fold_plan, config, fit))
+        got = _first_error(lambda: _regressions(case, fold_plan, 0.02))
+        want = _first_error(lambda: _per_fold_regressions(case, fold_plan, 0.02, fit))
         assert got == want
         assert got.startswith("fold ")
 
 
-def _member_reference(case, plan, config):
+def _member_reference(case, plan, fixed_l1):
     """Every (regression, outer fold) of a cell fit on its own rows by the row path.
 
     Each entry is the LinearModel, or the (error type, message) that a
-    fold-by-fold cross-fit with ``config.fit_regression`` reports for it.
+    fold-by-fold cross-fit with ``_fit_regression`` reports for it.
     """
     outcomes = dict(t1=case.y_post, t0=case.y_pre)
     out = {}
@@ -311,13 +312,13 @@ def _member_reference(case, plan, config):
                 out[name, k] = (DegenerateFold, f"fold {k}: training complement has {n} rows")
                 continue
             try:
-                out[name, k] = config.fit_regression(case.X[train], y[train])
+                out[name, k] = _fit_regression(case.X[train], y[train], fixed_l1)
             except MldidError as err:
                 out[name, k] = (type(err), f"fold {k}: {err}")
     return out
 
 
-def _assert_members_match_reference(case, plan, config):
+def _assert_members_match_reference(case, plan, fixed_l1):
     """Block-moment fits equal the row path's fits, one regression at a time.
 
     Predictions agree to 1e-12 and every l1 sits on the reference's grid
@@ -325,8 +326,8 @@ def _assert_members_match_reference(case, plan, config):
     regression that fails does so with the reference's error type and
     message. Returns the number of regressions fit.
     """
-    got = _fits(case, plan, config)
-    want = _member_reference(case, plan, config)
+    got = _fits(case, plan, fixed_l1)
+    want = _member_reference(case, plan, fixed_l1)
     assert got.keys() == want.keys()
     n_fit = 0
     for (name, k), ref in want.items():
@@ -381,25 +382,24 @@ def _block_front_end_cases():
 def test_block_front_end_matches_per_fold_reference(name, fixed_l1):
     plan, cases = _block_front_end_cases()
     case = cases[name]
-    config = LearnerConfig(fixed_l1=fixed_l1)
-    assert _assert_members_match_reference(case, plan, config) > 0
+    assert _assert_members_match_reference(case, plan, fixed_l1) > 0
     if name in ("resampled", "constant-on-fold", "empty-g1-fold"):
-        got = _regressions(case, plan, config)
-        for a, b in zip(got, _per_fold_regressions(case, plan, config)):
+        got = _regressions(case, plan, fixed_l1)
+        for a, b in zip(got, _per_fold_regressions(case, plan, fixed_l1)):
             assert_allclose(a, b, rtol=0, atol=1e-12)
         return
-    fit = lambda a, b: config.fit_regression(a, b)
+    fit = lambda a, b: _fit_regression(a, b, fixed_l1)
     with pytest.raises(DegenerateFold) as got:
-        _regressions(case, plan, config)
+        _regressions(case, plan, fixed_l1)
     with pytest.raises(DegenerateFold) as want, np.errstate(invalid="ignore"):
-        _per_fold_regressions(case, plan, config, fit)
+        _per_fold_regressions(case, plan, fixed_l1, fit)
     assert str(got.value) == str(want.value)
     assert type(got.value.__cause__) is type(want.value.__cause__)
 
 
 def test_constant_column_is_pinned_on_its_fold_only():
     plan, cases = _block_front_end_cases()
-    fits = _fits(cases["constant-on-fold"], plan, LearnerConfig(fixed_l1=0.02))
+    fits = _fits(cases["constant-on-fold"], plan, 0.02)
     for name in ("t1", "t0"):
         assert fits[name, 2].center[1] == 3.7 and fits[name, 2].scale[1] == 1.0
         assert fits[name, 2].coef[1] == 0.0
@@ -412,12 +412,11 @@ def test_count_column_matches_weighted_fit_on_drawn_units():
     sl, _ = two_period_dgp(150, seed=16, tau_fn=lambda x: x[:, 0], p=3)
     plan = make_fold_plan(sl.n_units, 5, seed=8)
     counts = np.random.default_rng(17).integers(0, 3, sl.n_units)
-    config = LearnerConfig()
-    fits = _regression_fits(sl.X, sl.y_pre, sl.y_post, plan, counts[:, None], config)[0]
+    fits = _regression_fits(sl.X, sl.y_pre, sl.y_post, plan, counts[:, None])[0]
     for (name, k), fit in fits.items():
         train = (plan.assignment != k) & (counts > 0)
         y = sl.y_post if name == "t1" else sl.y_pre
-        ref = config.fit_regression(sl.X[train], y[train], weights=counts[train])
+        ref = _fit_regression(sl.X[train], y[train], None, weights=counts[train])
         assert_allclose(fit.predict(sl.X), ref.predict(sl.X), rtol=0, atol=1e-12)
         assert fit.l1 == pytest.approx(ref.l1, rel=1e-9, abs=0), (name, k)
     assert len(fits) == 10
@@ -434,7 +433,7 @@ def test_nuisance_l1_matches_row_path_on_covariate_driven_panel():
         sl = slice_two_period(panel, g, t)
         plan = make_fold_plan(sl.n_units, config.n_folds,
                               derive_seed(config.seed, _SEED_FOLDS, g, t))
-        n_fit += _assert_members_match_reference(sl, plan, config.learners)
+        n_fit += _assert_members_match_reference(sl, plan, config.fixed_l1)
     # 9 cells, 5 folds, 2 regressions: every one fits.
     assert n_fit == 90
 
