@@ -11,9 +11,10 @@ of phi(x, 1) - phi(x, 0), which is 1 on g and 0 elsewhere),
     minimize ||Phi' w / n - target||^2 + (sigma^2 / n^2) ||w||^2
 
 has solution w = n * Phi (Phi'Phi + sigma^2 I)^{-1} target
-(Hirshberg & Wager 2021). :func:`balancing_columns` solves every bootstrap
-count column of a cell from count-weighted unit moments, as one batch,
-without forming the basis; :func:`build_function_class` and
+(Hirshberg & Wager 2021). :func:`balancing_columns` forms the systems of
+every bootstrap count column of a slice from count-weighted unit moments,
+once for all its cells, and solves each cell's as one batch with its own
+sigma^2, without forming the basis; :func:`build_function_class` and
 :func:`solve_amle` are the same program on a basis matrix.
 """
 
@@ -147,7 +148,7 @@ def _solve_normal(gram, target, sigma2, ridge):
     return u
 
 
-def balancing_columns(X, g, counts, sigma2):
+def balancing_columns(X, g, counts):
     """Balancing weights of every count column's units, from unit moments.
 
     Column r's units are ``counts[i, r]`` copies of unit i, with x
@@ -155,9 +156,11 @@ def balancing_columns(X, g, counts, sigma2):
     z = phi(x, g) = [1, x, G, x*G] on unstandardized x, the column's
     Phi'Phi is its count-weighted sum of z z' mapped through the column's
     affine standardization, and the target is 1 on G and 0 elsewhere
-    (standardized x has mean zero). The columns' systems are solved as one
-    batch with noise bounds ``sigma2``; no basis is formed. Returns the
-    (units, columns) weights.
+    (standardized x has mean zero). These systems do not involve the
+    outcome, so they are formed once for the cells of a slice. Returns a
+    function of the noise bounds ``sigma2`` and the columns ``idx`` (all
+    by default) that solves those columns' systems as one batch and
+    returns their (units, columns) weights; no basis is formed.
     """
     c = np.asarray(counts, dtype=float)
     m, p = X.shape
@@ -183,12 +186,18 @@ def balancing_columns(X, g, counts, sigma2):
         idx = np.arange(first, first + p)
         A[:, idx, anchor] = -center / scale
         A[:, idx, idx] = 1.0 / scale
-    target = np.zeros((n_cols, dz))
-    target[:, p + 1] = 1.0
-    u = _solve_normal(A @ S @ A.transpose(0, 2, 1), target, sigma2, 0.0)
-    # A unit's weight is n phi'u = n z'(A'u).
-    v = (A.transpose(0, 2, 1) @ u[..., None])[..., 0] * total[:, None]
-    return Z @ v.T
+    gram = A @ S @ A.transpose(0, 2, 1)
+    target = np.zeros(dz)
+    target[p + 1] = 1.0
+
+    def weights(sigma2, idx=None):
+        idx = np.arange(n_cols) if idx is None else idx
+        u = _solve_normal(gram[idx], np.tile(target, (idx.size, 1)), sigma2, 0.0)
+        # A unit's weight is n phi'u = n z'(A'u).
+        v = (A[idx].transpose(0, 2, 1) @ u[..., None])[..., 0] * total[idx, None]
+        return Z @ v.T
+
+    return weights
 
 
 def amle_objective(problem: AmleProblem, gamma: np.ndarray) -> float:

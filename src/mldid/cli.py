@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .drdid import estimate_cell_dr, compare_rmse, DrCellResult
+from .drdid import compare_rmse
 from .estimator import (
     MIN_BOOTSTRAP_REPLICATES,
     EstimatorConfig,
@@ -34,10 +34,8 @@ from .exceptions import MldidError, PanelValidationError
 from .heterogeneity import blp, clan
 from .panel import (
     ColumnSchema,
-    enumerate_cells,
     load_panel,
     read_catt_panel_csv,
-    slice_two_period,
     write_panel_csv,
 )
 from .report import (
@@ -65,6 +63,12 @@ from .simulate import (
     DgpConfig,
     simulate,
 )
+
+# The benchmark's tracer (perfbench/tracing.py) wraps these names in this
+# module, so they stay importable here although the DR baseline of a run now
+# comes from run_mldid.
+from .drdid import estimate_cell_dr  # noqa: F401
+from .panel import slice_two_period  # noqa: F401
 
 EXIT_OK = 0
 EXIT_ESTIMATION = 1
@@ -123,6 +127,17 @@ def _check_bootstrap(ctx, param, value):
     return value
 
 
+def _check_delimiter(ctx, param, value):
+    """Reject a delimiter the CSV reader cannot use."""
+    if len(value) != 1:
+        raise click.BadParameter(f"must be a single character, got {value!r}")
+    return value
+
+
+# Fewest bins CLAN can compare: the least and the most affected.
+_K_BINS = click.IntRange(min=2)
+
+
 def _check_fixed_l1(ctx, param, value):
     """Reject a penalty no lasso fit can use."""
     if value is not None and not (math.isfinite(value) and value >= 0):
@@ -177,19 +192,6 @@ def cmd_simulate(n, periods, tau, assignment, confounding, chi, seed, out):
         "outputs": ["panel.csv", "oracle_cells.csv", "oracle_catt.csv"],
     })
     click.echo(f"wrote panel of {n} units x {periods} periods to {out_dir}")
-
-
-def _dr_results(panel, run):
-    """DR baseline on the same cells the main estimator covered."""
-    dr_cells = []
-    for cell in run.cells:
-        if cell.is_reference:
-            dr_cells.append(DrCellResult(cell.g, cell.t, 0.0,
-                                         cell.n_treated, cell.n_control))
-            continue
-        sl = slice_two_period(panel, cell.g, cell.t)
-        dr_cells.append(estimate_cell_dr(sl))
-    return dr_cells
 
 
 def _heterogeneity_results(catt_panel, k_bins, oracle_values=None,
@@ -258,8 +260,9 @@ def _bootstrap_summary(boot) -> dict:
               required=True, help="Long-format panel CSV.")
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--delimiter", type=str, default=",", show_default=True)
-@click.option("--k-bins", type=int, default=4, show_default=True,
+@click.option("--delimiter", type=str, default=",", show_default=True,
+              callback=_check_delimiter)
+@click.option("--k-bins", type=_K_BINS, default=4, show_default=True,
               help="Affectedness bins for the classification analysis.")
 @_estimator_options
 def cmd_estimate(input_path, out, seed, delimiter, k_bins,
@@ -289,7 +292,7 @@ def cmd_estimate(input_path, out, seed, delimiter, k_bins,
     write_cells_csv(out_dir / "cells.csv", run.cells)
     write_dynamics_csv(out_dir / "dynamics.csv", run.dynamics)
     event_study_svg(out_dir / "event_study.svg", run.dynamics)
-    write_dr_cells_csv(out_dir / "dr_cells.csv", _dr_results(panel, run))
+    write_dr_cells_csv(out_dir / "dr_cells.csv", run.dr_cells)
     outputs = ["cells.csv", "dynamics.csv", "dr_cells.csv", "event_study.svg"]
     heterogeneity_skipped = []
     if run.catt_panel is not None:
@@ -306,6 +309,9 @@ def cmd_estimate(input_path, out, seed, delimiter, k_bins,
         "config": dataclasses.asdict(config),
         "skipped_cells": [
             {"g": g, "t": t, "reason": r} for g, t, r in run.skipped
+        ],
+        "skipped_dr_cells": [
+            {"g": g, "t": t, "reason": r} for g, t, r in run.dr_skipped
         ],
         "skipped_heterogeneity": heterogeneity_skipped,
         "bootstrap": None if boot is None else _bootstrap_summary(boot),
@@ -336,11 +342,8 @@ def _benchmark_rep(args):
         run_config = dataclasses.replace(config, seed=dgp.seed, threads=1)
         run = run_mldid(oracle.panel, run_config)
         ml = {(c.g, c.t): c.att for c in run.cells if not c.is_reference}
-        dr = {}
-        for g, t in ml:
-            dr[(g, t)] = estimate_cell_dr(
-                slice_two_period(oracle.panel, g, t)
-            ).att_dr
+        dr = {(c.g, c.t): c.att_dr for c in run.dr_cells
+              if (c.g, c.t) in ml and c.att_dr is not None}
         orc = {k: oracle.oracle_att(*k) for k in ml}
         payload = {"ml": ml, "dr": dr, "oracle": orc,
                    "skipped": len(run.skipped), "blp": [], "clan": []}
@@ -371,7 +374,7 @@ def _benchmark_rep(args):
 @click.option("--reps", type=int, default=20, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(file_okay=False), required=True)
-@click.option("--k-bins", type=int, default=4, show_default=True)
+@click.option("--k-bins", type=_K_BINS, default=4, show_default=True)
 @_estimator_options
 def cmd_benchmark(n, periods, tau, assignment, confounding, chi, reps, seed,
                   out, k_bins, folds, bootstrap, placebo, threads, fixed_l1):
@@ -482,8 +485,9 @@ def cmd_benchmark(n, periods, tau, assignment, confounding, chi, reps, seed,
 @click.option("--catt", "catt_path", type=click.Path(exists=True, dir_okay=False),
               required=True, help="catt_panel.csv from a previous run.")
 @click.option("--out", type=click.Path(file_okay=False), required=True)
-@click.option("--k-bins", type=int, default=4, show_default=True)
-@click.option("--delimiter", type=str, default=",", show_default=True)
+@click.option("--k-bins", type=_K_BINS, default=4, show_default=True)
+@click.option("--delimiter", type=str, default=",", show_default=True,
+              callback=_check_delimiter)
 @click.option("--most-affected", type=click.Choice(["highest", "lowest"]),
               default="highest", show_default=True,
               help="Which tail counts as most affected.")

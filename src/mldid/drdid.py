@@ -2,7 +2,10 @@
 
 Combines an outcome-change regression on controls with normalized
 inverse-propensity-odds weighting of the control outcome changes, the
-standard panel doubly-robust construction.
+standard panel doubly-robust construction. A run (``estimator.run_mldid``)
+fits each slice's propensity as one more member of the slice's Newton
+batch and passes it to :func:`estimate_cell_dr` for each of the slice's
+cells; called without one, :func:`estimate_cell_dr` fits it itself.
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ from .panel import TwoPeriodSlice
 
 @dataclass(frozen=True)
 class DrCellResult:
+    """A cell's DR estimate; ``att_dr`` is None where a run's baseline failed."""
+
     g: int
     t: int
-    att_dr: float
+    att_dr: float | None
     n_treated: int
     n_control: int
     se: float | None = None

@@ -10,24 +10,36 @@ cell's att is the mean score. Cell estimates then aggregate into
 event-study effects with cohort-share weights, and a unit-level clustered
 bootstrap supplies standard errors.
 
-A cell is estimated for a matrix of unit counts at once: each column is
+The unit of work is a slice, not a cell. Cell (g, t) compares cohort g
+with the units untreated through max(g - 1, t) at base period g - 1, so
+every placebo cell (g, t < g - 1) has the units, x, group flag and y_pre
+of the post cell (g, g); only y_t differs. Slice (g, s) is estimated once
+for all its cells (g, t) with max(g, t) = s: it has one fold plan, seeded
+by (g, s), one propensity Newton batch, one set of moment blocks, one
+mu_t0 and one balancing system, and each cell adds only its mu_t, its
+effect fit, its balancing solve and its scores. So a post cell's estimate
+does not depend on whether placebo cells are estimated. A run's slices
+also fit the doubly-robust baseline's propensity as one more member of
+their Newton batch, and finish every cell's DR estimate.
+
+A slice is estimated for a matrix of unit counts at once: each column is
 one estimate, with the slice's units weighted by their counts. A run uses
 the single all-ones column. The bootstrap draws every replicate as a
-column of counts over the original panel's units and estimates each cell
-once for all of them, with the cell's own fold plan, so a unit's copies
+column of counts over the original panel's units and estimates each slice
+once for all of them, with the slice's own fold plan, so a unit's copies
 share its fold.
 
-The engine is stage-major. Cells (for the bootstrap, parts of a cell's
+The engine is stage-major. Slices (for the bootstrap, parts of a slice's
 columns) are estimated in groups of at most MAX_GROUP_ENTRIES (unit,
 column) entries, and a group goes through the stages together
-(:func:`_estimate_parts`): every cell cross-fits its propensity and builds
-its outcome regressions, all the group's regressions are one lasso batch,
-every cell then builds its effect fit, and all of those are a second
-batch, before each cell forms its balancing weights and scores. Every
-member of a lasso batch follows the iterates of its own solve, so a cell's
-estimate does not depend on its group. Between stages a cell keeps only
-what the next stage reads. ``--threads`` maps over the groups, and the
-warnings of each cell are raised again with its (g, t).
+(:func:`_estimate_parts`): every slice cross-fits its propensity and
+builds its outcome regressions, all the group's regressions are one
+lasso batch, every cell then builds its effect fit, and all of those are
+a second batch, before each cell forms its balancing weights and scores.
+Every member of a lasso batch follows the iterates of its own solve, so a
+slice's estimate does not depend on its group. Between stages a slice
+keeps only what the next stage reads. ``--threads`` maps over the groups,
+and the warnings of each cell are raised again with its (g, t).
 """
 
 from __future__ import annotations
@@ -45,6 +57,7 @@ import numpy as np
 
 from .amle import balancing_columns, sigma2_columns
 from .catt import catt_fits, solve_catt
+from .drdid import DrCellResult, estimate_cell_dr
 from .exceptions import (
     BootstrapFailed,
     CellSkipped,
@@ -173,13 +186,22 @@ class CattPanel:
 
 @dataclass(frozen=True)
 class MldidRun:
-    """Everything a full run produces."""
+    """Everything a full run produces.
+
+    ``skipped`` lists the cells that could not be estimated, each with its
+    reason. ``dr_cells`` is the doubly-robust baseline of every cell of
+    ``cells``, estimated in the same pass (its propensity is a member of
+    the slice's Newton batch); a cell whose baseline failed has att None
+    there and is listed in ``dr_skipped`` with the reason.
+    """
 
     cells: list[GroupTimeResult]
     dynamics: list[DynamicEffect]
     catt_panel: CattPanel | None
     skipped: list[tuple[int, int, str]]
     config: EstimatorConfig
+    dr_cells: list[DrCellResult] = field(default_factory=list)
+    dr_skipped: list[tuple[int, int, str]] = field(default_factory=list)
 
     def cell(self, g: int, t: int) -> GroupTimeResult:
         for c in self.cells:
@@ -211,47 +233,59 @@ class _Columns:
     errors: list
 
 
-def _effect_fits(X, g, B, dH, counts, fixed_l1: float | None, errors=None):
-    """The effect fits of every count column, and the step that completes the columns.
+def _effect_fits(X, B, dH, counts, fixed_l1: float | None, errors=None):
+    """The effect fits of a cell's count columns, and the function that collects them.
 
-    The inputs are per unit and column (``X`` and ``g`` per unit): B = G -
-    g_hat and dH = dY - nu_hat. The effect fits pin l1 at ``fixed_l1`` or,
-    if None, choose it by CV. Columns with an entry in ``errors`` have
-    failed already and are skipped. Returns the columns' effect-function
-    GramFits (:func:`catt.catt_fits`) and a function that, once they are
-    solved, forms the balancing weights and the robust unit scores and
-    returns the _Columns. A unit's score is tau(x) + w (dH - B tau(x)), and
-    the column's att is the count-weighted mean of the scores.
+    The inputs are per unit and column (``X`` per unit): B = G - g_hat and
+    dH = dY - nu_hat. The effect fits pin l1 at ``fixed_l1`` or, if None,
+    choose it by CV. Columns with an entry in ``errors`` have failed
+    already and are skipped. Returns the columns' effect-function GramFits
+    (:func:`catt.catt_fits`) and a function that, once they are solved,
+    returns the (columns, 1 + p) coefficients, the chosen l1s and the
+    errors of every column.
+    """
+    n_cols, p = counts.shape[1], X.shape[1]
+    errors = list(errors or [None] * n_cols)
+    coef, l1 = np.full((n_cols, p + 1), np.nan), np.full(n_cols, np.nan)
+    live = np.flatnonzero([err is None for err in errors])
+    if not live.size:
+        return [], lambda: (coef, l1, errors)
+    fits, collect = catt_fits(X, *_columns(live, B, dH, counts), fixed_l1)
+
+    def collected():
+        fit_coef, fit_l1, fit_errors = collect()
+        coef[live], l1[live] = fit_coef, fit_l1
+        for r, err in zip(live, fit_errors):
+            errors[r] = err
+        return coef, l1, errors
+
+    return fits, collected
+
+
+def _scores(X, B, dH, counts, coef, l1, errors, balance) -> _Columns:
+    """The balancing weights, robust unit scores and att of a cell's collected columns.
+
+    ``balance(sigma2, idx)`` gives the balancing weights of columns ``idx``
+    with noise bounds ``sigma2`` (:func:`amle.balancing_columns`). A unit's
+    score is tau(x) + w (dH - B tau(x)), and the column's att is the
+    count-weighted mean of the scores.
     """
     m, n_cols = counts.shape
     out = _Columns(np.full(n_cols, np.nan), np.full((m, n_cols), np.nan),
                    np.full((m, n_cols), np.nan), np.full(n_cols, np.nan),
-                   np.full(n_cols, np.nan), list(errors or [None] * n_cols))
-    live = np.flatnonzero([err is None for err in out.errors])
-    if not live.size:
-        return [], lambda: out
-    counts, B, dH = _columns(live, counts, B, dH)
-    fits, collect = catt_fits(X, B, dH, counts, fixed_l1)
-
-    def finish() -> _Columns:
-        coef, l1, fit_errors = collect()
-        for r, err in zip(live, fit_errors):
-            out.errors[r] = err
-        fit = np.flatnonzero([err is None for err in fit_errors])
-        ok = live[fit]
-        if not ok.size:
-            return out
-        c, b, dh = _columns(fit, counts, B, dH)
-        tau = coef[fit, 0] + X @ coef[fit, 1:].T
-        sigma2 = sigma2_columns(dh, c)
-        w = balancing_columns(X, g.astype(float), c, sigma2)
-        score = tau + w * (dh - b * tau)
-        out.att[ok] = (c * score).sum(axis=0) / c.sum(axis=0)
-        out.tau_unit[:, ok], out.score_unit[:, ok] = tau, score
-        out.sigma2[ok], out.catt_l1[ok] = sigma2, l1[fit]
+                   np.full(n_cols, np.nan), errors)
+    ok = np.flatnonzero([err is None for err in errors])
+    if not ok.size:
         return out
-
-    return fits, finish
+    c, b, dh = _columns(ok, counts, B, dH)
+    tau = coef[ok, 0] + X @ coef[ok, 1:].T
+    sigma2 = sigma2_columns(dh, c)
+    w = balance(sigma2, ok)
+    score = tau + w * (dh - b * tau)
+    out.att[ok] = (c * score).sum(axis=0) / c.sum(axis=0)
+    out.tau_unit[:, ok], out.score_unit[:, ok] = tau, score
+    out.sigma2[ok], out.catt_l1[ok] = sigma2, l1[ok]
+    return out
 
 
 def _columns(idx, *arrays):
@@ -263,76 +297,126 @@ def _columns(idx, *arrays):
 
 @dataclass
 class _Part:
-    """A cell's slice and count columns on their way through the stages.
+    """A slice's cells and count columns on their way through the stages.
 
-    ``counts`` weights the slice's units, one column per estimate, and
-    ``columns`` names those columns among the bootstrap's replicates (None
-    for a run's all-ones column). Between stages ``fits`` holds the part's
-    GramFits of the next lasso batch and ``advance`` the step that reads
-    them; only these are kept. ``result`` is the final _Columns, ``error``
-    an MldidError that stopped the whole part, and ``caught`` the
-    (category, message) of every warning the part's steps raised.
+    The slice (g, s) is cohort g against the units untreated through
+    period s, at base period g - 1 (``panel.slice_rows``). It serves every
+    cell (g, t) with max(g, t) = s: the post cell (g, s) and, for s = g,
+    the placebo cells (g, t < g - 1), whose controls are the same units.
+    ``periods`` are the cells' t, s first, and ``slices`` their
+    TwoPeriodSlices, which share units, x, group flag and y_pre and differ
+    in t and y_post. ``counts`` weights the slice's units, one column per
+    estimate, and ``columns`` names those columns among the bootstrap's
+    replicates (None for a run's all-ones column). With ``full`` the
+    all-ones column also fits the DR baseline's propensity on every unit,
+    and ``dr`` then holds each cell's DrCellResult or the MldidError that
+    stopped it. Between stages ``fits`` holds the part's GramFits of the
+    next lasso batch and ``advance`` the step that reads them; only these
+    are kept. ``results`` holds each cell's final _Columns, ``error`` an
+    MldidError that stopped the whole part, and ``caught`` per cell the
+    (category, message) of every warning its steps raised; a step shared
+    by the cells records its warnings for each of them.
     """
 
     g: int
-    t: int
-    sl: TwoPeriodSlice | None = None
+    periods: tuple[int, ...]
+    slices: list = field(default_factory=list)
     counts: np.ndarray | None = None
     columns: np.ndarray | None = None
+    full: bool = False
     fits: list = field(default_factory=list)
     advance: Callable | None = None
-    result: _Columns | None = None
+    results: list = field(default_factory=list)
+    dr: list = field(default_factory=list)
     error: MldidError | None = None
-    caught: list = field(default_factory=list)
+    caught: list = field(init=False)
+
+    def __post_init__(self):
+        self.caught = [[] for _ in self.periods]
 
     @contextlib.contextmanager
-    def step(self):
-        """Run one step of the part: record its warnings, and an MldidError as its error."""
+    def step(self, j: int | None = None):
+        """Run one step of cell j, or of every cell.
+
+        The step's warnings are recorded for those cells, and an MldidError
+        as the part's error.
+        """
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
                 yield
             except MldidError as err:
                 self.error = err
-        self.caught += [(w.category, str(w.message)) for w in caught]
+        for i in range(len(self.periods)) if j is None else [j]:
+            self.caught[i] += [(w.category, str(w.message)) for w in caught]
 
 
-def _sliced(panel: PanelDataset, g: int, t: int, counts=None, columns=None) -> _Part:
-    """The part of cell (g, t) for ``columns`` of ``counts``, or its all-ones column.
+def _slices(keys) -> list[tuple[int, tuple[int, ...]]]:
+    """The slices of the cells ``keys``: (g, periods) each, in order of first cell.
+
+    Cell (g, t) belongs to slice (g, max(g, t)); the periods start with
+    that post period s, and the placebo periods follow in order.
+    """
+    by_slice: dict[tuple[int, int], set] = {}
+    for g, t in keys:
+        by_slice.setdefault((g, max(g, t)), set()).add(t)
+    return [(g, (s, *sorted(ts - {s}))) for (g, s), ts in by_slice.items()]
+
+
+def _sliced(panel: PanelDataset, g: int, periods, counts=None, columns=None,
+            full: bool = False) -> _Part:
+    """The part of slice (g, periods[0]) for ``columns`` of ``counts``, or its all-ones column.
 
     ``counts`` holds draw counts over the panel's units. A slice that
-    cannot be built is the part's error, a CellSkipped with the (g, t).
+    cannot be built is the part's error (see :func:`_cell_error`).
     """
-    part = _Part(g, t, columns=columns)
+    part = _Part(g, tuple(periods), columns=columns, full=full)
     with part.step():
-        try:
-            part.sl = slice_two_period(panel, g, t)
-        except (EmptyControlGroup, EmptyTreatedGroup) as err:
-            raise CellSkipped(g, t, err) from err
-        part.counts = (np.ones((part.sl.n_units, 1)) if columns is None
-                       else counts[part.sl.unit_rows][:, columns])
+        sl = slice_two_period(panel, g, periods[0])
+        part.slices = [sl] + [
+            dataclasses.replace(sl, t=t, y_post=panel.outcomes[sl.unit_rows, t - 1])
+            for t in periods[1:]]
+        part.counts = (np.ones((sl.n_units, 1)) if columns is None
+                       else counts[sl.unit_rows][:, columns])
     return part
+
+
+def _cell_error(part: _Part, t: int) -> MldidError | None:
+    """The error that stopped cell (g, t) with its whole part, or None.
+
+    A slice that cannot be built skips the cell with a CellSkipped that
+    names it, wrapping what slicing the cell raises.
+    """
+    err = part.error
+    if isinstance(err, EmptyControlGroup):
+        return CellSkipped(part.g, t, empty_control_error(part.g, t))
+    if isinstance(err, EmptyTreatedGroup):
+        return CellSkipped(part.g, t, err)
+    return err
 
 
 def _estimate_parts(parts: list[_Part], config: EstimatorConfig) -> list[_Part]:
     """Estimate a group of sliced parts stage by stage.
 
-    Every part cross-fits its propensity (its own Newton batch: each cell
-    takes x at its own base period) and builds its outcome regressions;
-    the regressions of all parts are solved as one lasso batch. Then every
-    part forms B and dH and builds its effect fits, and those of all parts
-    are a second batch. Last, every part forms its balancing weights,
-    scores and att. A batch member's result does not depend on the rest
-    of the batch, so a part's estimate is the one of a group of its own.
-    A part whose step raises an MldidError stops with it; the others go on.
+    Every part cross-fits its slice's propensity (one Newton batch, shared
+    by its cells, with the DR member if ``full``) and builds its outcome
+    regressions: mu_t0 once, and mu_t per cell. The regressions of all
+    parts are solved as one lasso batch. Then every part forms B and each
+    cell's dH and builds the cells' effect fits, and those of all parts
+    are a second batch. Last, every part forms its balancing systems once
+    and each cell its balancing weights, scores and att (and DR att). A
+    batch member's result does not depend on the rest of the batch, so a
+    part's estimate is the one of a group of its own. A part whose step
+    raises an MldidError stops with it; the others go on.
     """
     def live():
         return [part for part in parts if part.error is None]
 
     for part in live():
         with part.step():
-            plan = _cell_plan(part.sl, config, part.g, part.t)
-            part.fits, finish = start_nuisances(part.sl, plan, part.counts, config.fixed_l1)
+            plan = _cell_plan(part.slices[0], config, part.g, part.periods[0])
+            part.fits, finish = start_nuisances(part.slices, plan, part.counts,
+                                                config.fixed_l1, full=part.full)
             part.advance = functools.partial(_effect_stage, part, finish, config.fixed_l1)
     solve_regressions([fit for part in live() for fit in part.fits])
     for part in live():
@@ -341,22 +425,63 @@ def _estimate_parts(parts: list[_Part], config: EstimatorConfig) -> list[_Part]:
     solve_catt([fit for part in live() for fit in part.fits])
     for part in live():
         with part.step():
-            part.result = part.advance()
+            part.advance()
     for part in parts:
         part.fits, part.advance = [], None
     return parts
 
 
+def _finite(a):
+    return np.where(np.isfinite(a), a, 0.0)
+
+
 def _effect_stage(part: _Part, finish_nuisances, fixed_l1: float | None):
-    """B and dH of a part from its solved nuisances, and its effect fits."""
-    sl = part.sl
+    """B and every cell's dH from the part's solved nuisances, and the cells' effect fits."""
     nuis = finish_nuisances()
     # A non-finite value of a unit that a column did not draw must not reach
     # its sums; one of a drawn unit has failed the column's nuisance fits.
-    X, y_pre, y_post = (np.where(np.isfinite(a), a, 0.0) for a in (sl.X, sl.y_pre, sl.y_post))
-    B = sl.g_flag[:, None] - nuis.g_hat
-    dH = (y_post - y_pre)[:, None] - nuis.nu_hat
-    return _effect_fits(X, sl.g_flag, B, dH, part.counts, fixed_l1, nuis.errors)
+    X, y_pre = _finite(part.slices[0].X), _finite(part.slices[0].y_pre)
+    B = part.slices[0].g_flag[:, None] - nuis.g_hat
+    fits, cells = [], []
+    for j, sl in enumerate(part.slices):
+        dH = (_finite(sl.y_post) - y_pre)[:, None] - nuis.nu_hat[j]
+        cell_fits, collect = _effect_fits(X, B, dH, part.counts, fixed_l1, nuis.errors[j])
+        fits += cell_fits
+        cells.append((dH, collect))
+    return fits, functools.partial(_score_stage, part, X, B, cells, nuis.propensity)
+
+
+def _score_stage(part: _Part, X, B, cells, propensity) -> None:
+    """Every cell's scores and att, and with ``part.full`` its DR att.
+
+    The balancing systems are formed once, for the columns that some cell
+    fit, and each cell solves those of its own columns.
+    """
+    g = part.slices[0].g_flag
+    collected = [collect() for _, collect in cells]
+    ok = [np.flatnonzero([err is None for err in errors]) for _, _, errors in collected]
+    fitted = functools.reduce(np.union1d, ok)
+    solve = (balancing_columns(X, g.astype(float), *_columns(fitted, part.counts))
+             if fitted.size else None)
+
+    def balance(sigma2, idx):
+        return solve(sigma2, np.searchsorted(fitted, idx))
+
+    for j, ((dH, _), (coef, l1, errors)) in enumerate(zip(cells, collected)):
+        with part.step(j):
+            part.results.append(_scores(X, B, dH, part.counts, coef, l1, errors, balance))
+            part.dr.append(_dr_cell(part.slices[j], propensity)
+                           if part.full and errors[0] is None else None)
+
+
+def _dr_cell(sl: TwoPeriodSlice, propensity):
+    """The DR baseline of a cell from its slice's full-sample propensity, or its error."""
+    if isinstance(propensity, MldidError):
+        return propensity
+    try:
+        return estimate_cell_dr(sl, propensity=propensity)
+    except MldidError as err:
+        return err
 
 
 def estimate_from_bundle(bundle: NuisanceBundle, config: EstimatorConfig):
@@ -366,10 +491,11 @@ def estimate_from_bundle(bundle: NuisanceBundle, config: EstimatorConfig):
     exposed separately so properties can be checked with known nuisance
     values substituted for the fitted ones.
     """
-    fits, finish = _effect_fits(bundle.X, bundle.g, bundle.B[:, None], bundle.dH[:, None],
-                                np.ones((bundle.n_units, 1)), config.fixed_l1)
+    counts, B, dH = np.ones((bundle.n_units, 1)), bundle.B[:, None], bundle.dH[:, None]
+    fits, collect = _effect_fits(bundle.X, B, dH, counts, config.fixed_l1)
     solve_catt(fits)
-    cols = finish()
+    solve = balancing_columns(bundle.X, bundle.g.astype(float), counts)
+    cols = _scores(bundle.X, B, dH, counts, *collect(), solve)
     if cols.errors[0] is not None:
         raise cols.errors[0]
     return (float(cols.att[0]), cols.score_unit[:, 0], cols.tau_unit[:, 0],
@@ -403,21 +529,26 @@ def _reference_result(panel: PanelDataset, g: int) -> GroupTimeResult:
 
 
 def _cell_plan(sl, config: EstimatorConfig, g: int, t: int):
+    """The fold plan of cell (g, t): its slice's, seeded by (g, max(g, t)).
+
+    So a placebo cell shares the plan of the post cell (g, g), whose units
+    it has.
+    """
     return make_fold_plan(
         sl.n_units, min(config.n_folds, sl.n_units),
-        derive_seed(config.seed, _SEED_FOLDS, g, t),
+        derive_seed(config.seed, _SEED_FOLDS, g, max(g, t)),
     )
 
 
-def _cell_result(part: _Part) -> GroupTimeResult:
-    """The result of a part's all-ones column; raises the error that stopped it."""
-    error = part.error or part.result.errors[0]
+def _cell_result(part: _Part, j: int) -> GroupTimeResult:
+    """The result of cell j's all-ones column; raises the error that stopped it."""
+    error = _cell_error(part, part.periods[j]) or part.results[j].errors[0]
     if error is not None:
         raise error
-    sl, cols = part.sl, part.result
+    sl, cols = part.slices[j], part.results[j]
     return GroupTimeResult(
         g=part.g,
-        t=part.t,
+        t=sl.t,
         att=float(cols.att[0]),
         n_treated=sl.n_treated,
         n_control=sl.n_control,
@@ -434,20 +565,29 @@ def _cell_result(part: _Part) -> GroupTimeResult:
 def estimate_cell(
     panel: PanelDataset, g: int, t: int, config: EstimatorConfig | None = None
 ) -> GroupTimeResult:
-    """Estimate one group-time effect, as a group of one cell.
+    """Estimate one group-time effect as a run does.
 
-    The reference cell t = g-1 returns a fixed zero. Slice construction
-    failures are wrapped as CellSkipped with the (g, t) context; other
-    module errors propagate.
+    A run estimates the cells of a slice together (see :class:`_Part`), so
+    the cell is estimated with the other cells of its slice that
+    ``config`` enumerates, as a group of its own, and its result is
+    returned with its warnings. The reference cell t = g-1 returns a fixed
+    zero. Slice construction failures are wrapped as CellSkipped with the
+    (g, t) context; other module errors propagate.
     """
     config = config or EstimatorConfig()
     _check_config(config)
     if t == g - 1:
         return _reference_result(panel, g)
-    part, = _estimate_parts([_sliced(panel, g, t)], config)
-    for category, message in part.caught:
+    if not 1 <= t <= panel.n_periods:
+        raise MldidError(f"t={t} outside 1..{panel.n_periods}")
+    keys = [(h, u) for h, u in enumerate_cells(panel, config.include_placebo)
+            if h == g and max(h, u) == max(g, t)]
+    (_, periods), = _slices(keys + [(g, t)])
+    part, = _estimate_parts([_sliced(panel, g, periods, full=True)], config)
+    j = periods.index(t)
+    for category, message in part.caught[j]:
         warnings.warn(message, category, stacklevel=2)
-    return _cell_result(part)
+    return _cell_result(part, j)
 
 
 def event_study_weights(
@@ -572,9 +712,10 @@ def _reemit(prefix: str | None, caught) -> None:
 def _groups(items: list, sizes: list[int], threads: int) -> list[list]:
     """Consecutive items in groups of at most MAX_GROUP_ENTRIES entries.
 
-    An item larger than that is a group of its own. With ``threads`` > 1 a
-    group holds at most 1/threads of all entries, so that every process of
-    the pool gets a group.
+    An item is a part of a slice, whose size counts its (unit, column)
+    entries once whatever its cells. An item larger than the cap is a group
+    of its own. With ``threads`` > 1 a group holds at most 1/threads of all
+    entries, so that every process of the pool gets a group.
     """
     cap = min(MAX_GROUP_ENTRIES, -(-sum(sizes) // max(threads, 1)))
     groups, total = [], 0
@@ -596,49 +737,73 @@ def _n_units(panel: PanelDataset, g: int, t: int) -> int:
 
 
 def _run_task(args):
-    """The GroupTimeResult, or the skip reason, and the warnings of each cell of a group."""
-    panel, config, keys = args
+    """Each cell's GroupTimeResult or skip reason, DR result and warnings, of a group of slices.
+
+    The DR result is a DrCellResult, the message of the error that
+    stopped it, or None for a skipped cell.
+    """
+    panel, config, slices = args
     out = []
-    for part in _estimate_parts([_sliced(panel, g, t) for g, t in keys], config):
-        try:
-            res = _cell_result(part)
-        except MldidError as err:
-            res = str(err)
-        out.append(((part.g, part.t), res, part.caught))
+    parts = _estimate_parts([_sliced(panel, g, periods, full=True) for g, periods in slices],
+                            config)
+    for part in parts:
+        for j, t in enumerate(part.periods):
+            try:
+                res = _cell_result(part, j)
+            except MldidError as err:
+                res, dr = str(err), None
+            else:
+                dr = part.dr[j]
+                dr = str(dr) if isinstance(dr, MldidError) else dr
+            out.append(((part.g, t), res, dr, part.caught[j]))
     return out
 
 
 def run_mldid(panel: PanelDataset, config: EstimatorConfig | None = None) -> MldidRun:
     """Estimate every cell, aggregate, and assemble the per-unit panel.
 
-    The cells are estimated in groups (:func:`_groups`), each group stage
-    by stage (:func:`_estimate_parts`). Skipped cells are recorded with
-    their reason, never silently dropped; reference cells (t = g-1) appear
-    as hard zeros. Warnings of a cell are raised again here, prefixed with
-    its (g, t). Settings on which every cell would fail (fewer than 2
-    folds, a lasso option no fit can use) raise MldidError up front.
+    The cells are estimated by slice (:func:`_slices`), the slices in
+    groups (:func:`_groups`), each group stage by stage
+    (:func:`_estimate_parts`); the DR baseline of every estimated cell
+    comes from the same pass. Skipped cells are recorded with their
+    reason, never silently dropped, and so are cells whose DR baseline
+    failed; reference cells (t = g-1) appear as hard zeros. Warnings of a
+    cell are raised again here, prefixed with its (g, t). Settings on
+    which every cell would fail (fewer than 2 folds, a lasso option no fit
+    can use) raise MldidError up front.
     """
     config = config or EstimatorConfig()
     _check_config(config)
-    keys = enumerate_cells(panel, config.include_placebo)
-    groups = _groups(keys, [_n_units(panel, g, t) for g, t in keys], config.threads)
+    slices = _slices(enumerate_cells(panel, config.include_placebo))
+    groups = _groups(slices, [_n_units(panel, g, periods[0]) for g, periods in slices],
+                     config.threads)
     results: dict[tuple[int, int], GroupTimeResult] = {}
+    dr: dict[tuple[int, int], DrCellResult | str] = {}
     skipped: list[tuple[int, int, str]] = []
     outputs = _map_tasks(_run_task, [(panel, config, group) for group in groups],
                          config.threads)
     for cells, caught in outputs:
-        for (g, t), res, cell_caught in cells:
+        for (g, t), res, dr_res, cell_caught in cells:
             _reemit(f"cell (g={g}, t={t})", cell_caught)
             if isinstance(res, str):
                 skipped.append((g, t, res))
             else:
-                results[(g, t)] = res
+                results[(g, t)], dr[(g, t)] = res, dr_res
         _reemit(None, caught)
 
     cells = [results[k] for k in sorted(results)]
     for g in panel.cohorts:
         cells.append(_reference_result(panel, g))
     cells.sort(key=lambda c: (c.g, c.t))
+    dr_cells, dr_skipped = [], []
+    for c in cells:
+        res = dr.get((c.g, c.t))
+        if isinstance(res, str):
+            dr_skipped.append((c.g, c.t, res))
+            res = DrCellResult(c.g, c.t, None, c.n_treated, c.n_control)
+        elif c.is_reference:
+            res = DrCellResult(c.g, c.t, 0.0, c.n_treated, c.n_control)
+        dr_cells.append(res)
 
     dynamics = aggregate_event_study(
         [c for c in cells if not c.is_reference], panel.group_sizes, panel.n_periods
@@ -652,8 +817,10 @@ def run_mldid(panel: PanelDataset, config: EstimatorConfig | None = None) -> Mld
         cells=cells,
         dynamics=dynamics,
         catt_panel=_build_catt_panel(cells, panel.covariate_names),
-        skipped=skipped,
+        skipped=sorted(skipped),
         config=config,
+        dr_cells=dr_cells,
+        dr_skipped=dr_skipped,
     )
 
 
@@ -695,51 +862,56 @@ def replicate_counts(n_units: int, seed: int, n_replicates: int) -> np.ndarray:
 
 
 def _bootstrap_task(args):
-    """Every replicate's att, and where it has none the reason, of each part of a group."""
+    """Every replicate's att, and where it has none the reason, of each cell of a group of parts."""
     panel, config, counts, items = args
-    parts = _estimate_parts([_sliced(panel, g, t, counts, cols) for g, t, cols in items], config)
+    parts = _estimate_parts([_sliced(panel, g, periods, counts, cols)
+                             for g, periods, cols in items], config)
     out = []
     for part in parts:
-        if part.error is not None:
-            att = np.full(part.columns.size, np.nan)
-            reasons = [str(part.error)] * part.columns.size
-        else:
-            att = part.result.att
-            reasons = [None if err is None else str(err) for err in part.result.errors]
-        out.append(((part.g, part.t), part.columns, att, reasons, part.caught))
+        for j, t in enumerate(part.periods):
+            if part.error is not None:
+                att = np.full(part.columns.size, np.nan)
+                reasons = [str(_cell_error(part, t))] * part.columns.size
+            else:
+                att = part.results[j].att
+                reasons = [None if err is None else str(err) for err in part.results[j].errors]
+            out.append(((part.g, t), part.columns, att, reasons, part.caught[j]))
     return out
 
 
 def _replicate_atts(panel: PanelDataset, config: EstimatorConfig, counts, keys):
     """Every replicate's att of each cell and, where it has none, the reason.
 
-    A cell's live replicates are estimated in parts of columns, of at most
-    MAX_GROUP_ENTRIES (unit, column) entries or one column each, and the
-    parts in groups (:func:`_groups`). A column's estimate depends on its
-    part only through rounding. Warnings are raised again with the cell's
-    (g, t). Returns the atts and the reasons, each a dict by cell.
+    The cells are estimated by slice. A slice's live replicates are
+    estimated in parts of columns, of at most MAX_GROUP_ENTRIES (unit,
+    column) entries or one column each, and the parts in groups
+    (:func:`_groups`), each part counted once whatever its cells. A
+    column's estimate depends on its part only through rounding. Warnings
+    are raised again with the cell's (g, t). Returns the atts and the
+    reasons, each a dict by cell.
     """
     n_cols = counts.shape[1]
     atts = {key: np.full(n_cols, np.nan) for key in keys}
     reasons: dict = {key: [None] * n_cols for key in keys}
     items, sizes = [], []
-    for g, t in keys:
+    for g, periods in _slices(keys):
         # A replicate that drew no unit of cohort g, or no control, has no
         # slice; its reason is what slicing its panel raises.
         treated = counts[panel.groups == g].sum(axis=0) > 0
         try:
-            rows = slice_rows(panel, g, t)
+            rows = slice_rows(panel, g, periods[0])
             control = counts[rows[panel.groups[rows] != g]].sum(axis=0) > 0
         except EmptyControlGroup:
             rows, control = None, np.zeros(n_cols, dtype=bool)
         for r in np.flatnonzero(~(treated & control)):
-            cause = empty_control_error(g, t) if treated[r] else empty_treated_error(g)
-            reasons[g, t][r] = str(CellSkipped(g, t, cause))
+            for t in (t for t in periods if (g, t) in reasons):
+                cause = empty_control_error(g, t) if treated[r] else empty_treated_error(g)
+                reasons[g, t][r] = str(CellSkipped(g, t, cause))
         live = np.flatnonzero(treated & control)
         if live.size:
             n_parts = -(-live.size * rows.size // MAX_GROUP_ENTRIES)
             for cols in np.array_split(live, min(n_parts, live.size)):
-                items.append((g, t, cols))
+                items.append((g, periods, cols))
                 sizes.append(rows.size * cols.size)
     groups = _groups(items, sizes, config.threads)
     outputs = _map_tasks(_bootstrap_task, [(panel, config, counts, group) for group in groups],
@@ -748,6 +920,9 @@ def _replicate_atts(panel: PanelDataset, config: EstimatorConfig, counts, keys):
     leftover = []
     for parts, group_caught in outputs:
         for key, cols, att, why, part_caught in parts:
+            if key not in atts:
+                # A post cell that its slice's placebo cells need, not asked for.
+                continue
             atts[key][cols] = att
             for r, reason in zip(cols, why):
                 reasons[key][r] = reason
@@ -778,8 +953,8 @@ def bootstrap_se(
     A replicate is a column of unit draw counts (:func:`replicate_counts`)
     on the original panel, and a cell is estimated once for all columns:
     each column is the estimate on the resampled panel, with a unit's
-    copies in that unit's fold of the cell. ``--threads`` maps over the
-    groups of cells (:func:`_replicate_atts`). The SE is the replicate
+    copies in that unit's fold of the cell's slice. ``--threads`` maps over
+    the groups of slices (:func:`_replicate_atts`). The SE is the replicate
     standard deviation. The run is invalid if more than 10% of replicates
     fail, and a cell or event time gets no SE if more than 10% of
     replicates did not supply it.

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import RankDeficient, TooFewUnits
+from .exceptions import MldidError, RankDeficient, TooFewUnits
 
 Z_95 = 1.959963984540054
 # Residuals this small relative to the target are rounding, not noise.
@@ -184,6 +184,8 @@ def clan(
     ``most_affected="lowest"`` flips the sign convention for
     negative-effect applications.
     """
+    if n_bins < 2:
+        raise MldidError(f"CLAN needs at least 2 bins, got {n_bins}")
     values = np.asarray(values, float)
     X = np.asarray(X, float)
     n = values.shape[0]

@@ -1,10 +1,13 @@
-"""Cross-fitted nuisance functions of a cell, on its units' first differences.
+"""Cross-fitted nuisance functions of a slice, on its units' first differences.
 
 For one two-period slice this module estimates the treatment propensity
 g(x) and the time contrast nu(x) = mu_t1(x) - mu_t0(x) of the period
 outcome regressions, and derives per unit B = G - g(x) and the
 differenced partial residual dH = (y_post - y_pre) - nu(x) that feed the
-effect-function fit.
+effect-function fit. A slice can serve several cells that differ only in
+their post period (a post cell and its cohort's placebo cells): g(x),
+mu_t0 and the moment blocks are then fit once, and each cell adds its
+own mu_t.
 
 The MLDID loss of Lu, Nie & Wager (2019) sums over a cell's stacked pre
 and post rows. Every unit contributes one row of each with the same
@@ -17,14 +20,16 @@ nuisances (the pooled regression m(x) and the group contrast zeta(x))
 enter only that term, so a cell does not fit them: per fold it fits g(x),
 mu_t1(x) and mu_t0(x).
 
-A cell is cross-fit for a matrix of unit counts at once: column r
+A slice is cross-fit for a matrix of unit counts at once: column r
 weights each unit by the number of times a bootstrap replicate drew it,
 and the all-ones column is the sample itself. Every column uses the
 slice's fold plan, so a unit's copies share its fold. g(x) of every
 (fold, column) is one member of the batched logistic engine
-(:func:`_cross_fit_propensity`). The outcome regressions are built from
-moments, not rows (:func:`_regression_systems`): count-weighted products
-of the unit rows give moment blocks per outer fold, every regression's
+(:func:`_cross_fit_propensity`), and for a run so is the doubly-robust
+baseline's propensity, fit on every unit. The outcome regressions are
+built from moments, not rows (:func:`_regression_systems`): count-weighted
+products of the unit rows ``[1, x, y_pre, y_t...]`` give moment blocks per
+outer fold, shared by the slice's cells, every regression's
 moments are a sum of blocks, and so are those of its inner CV folds'
 training and held-out rows; ``learners.moment_fits`` turns them into
 standardized Gram systems (the covariance-update form of Friedman,
@@ -35,11 +40,11 @@ DegenerateFold that fold-by-fold cross-fitting would raise first; the
 other columns are unaffected.
 
 The cross-fit is split into stages for the stage-major engine of
-:mod:`mldid.estimator`. :func:`start_nuisances` fits a cell's propensity
+:mod:`mldid.estimator`. :func:`start_nuisances` fits a slice's propensity
 and returns its regressions as ``learners.GramFit`` systems, which carry
 their inner folds' held-out moments; :func:`solve_regressions` solves
-the GramFits of every cell of a group as one lasso batch; and the
-function :func:`start_nuisances` returned then collects the cell's
+the GramFits of every slice of a group as one lasso batch; and the
+function :func:`start_nuisances` returned then collects the slice's
 predictions. :func:`cross_fit_nuisances` runs the stages for one cell,
 and :func:`estimate_nuisances` is its all-ones column.
 """
@@ -109,38 +114,56 @@ class ColumnNuisances:
     bootstrap replicate drew the unit, or one for the sample itself. Every
     fit of column r is the fit a resampled slice makes on the units'
     copies, with each copy in its unit's fold of the slice's plan, so the
-    all-ones column is the plain cross-fit. The arrays are (units, columns)
-    and ``g_hat`` is clipped to [DEFAULT_CLIP, 1 - DEFAULT_CLIP].
-    ``errors[r]`` is the DegenerateFold that cross-fitting column r's
-    copies raises first, or None; the entries of a failed column are
-    meaningless.
+    all-ones column is the plain cross-fit. ``g_hat`` is (units, columns),
+    clipped to [DEFAULT_CLIP, 1 - DEFAULT_CLIP], and ``nu_hat`` is
+    (periods, units, columns), one nu(x) per outcome period of the slice.
+    ``errors[j][r]`` is the DegenerateFold that cross-fitting column r's
+    copies for period j raises first, or None; the entries of a failed
+    column are meaningless. ``propensity`` is the unclipped in-sample P(1)
+    of the logistic fit on every unit of the all-ones column (the DR
+    baseline's), or the MldidError of that fit; None unless asked for.
     """
 
     g_hat: np.ndarray
     nu_hat: np.ndarray
     errors: list
+    propensity: np.ndarray | MldidError | None = None
 
 
-def start_nuisances(sl, plan: FoldPlan, counts: np.ndarray, fixed_l1: float | None = None):
-    """The first stage of a cell: its propensity fits and its regressions' Gram systems.
+def start_nuisances(slices, plan: FoldPlan, counts: np.ndarray,
+                    fixed_l1: float | None = None, full: bool = False):
+    """The first stage of a slice: its propensity fits and its regressions' Gram systems.
 
-    The propensity of every (fold, column) is one logistic engine call.
-    The outcome regressions are returned as GramFits, with l1 pinned at
-    ``fixed_l1`` or, if None, to be chosen by inner CV; :func:`solve_regressions`
-    solves them together with those of other cells, and the function
-    returned with them then collects the cell's ColumnNuisances.
-    A column's error is the first a fit-by-fit run on its copies meets:
-    the propensity folds in order, then the regressions.
+    ``slices`` are the cells of one slice, which share its units, x,
+    group flag and y_pre and differ in their post-period outcome; the
+    first sets the regressions' outcome shift. The propensity of every
+    (fold, column) is one logistic engine call, shared by the cells, and
+    so is mu_t0; each cell adds its own mu_t. With ``full`` the engine
+    call also fits the all-ones column on every unit, for the DR
+    baseline. The outcome regressions are returned as GramFits, with l1
+    pinned at ``fixed_l1`` or, if None, to be chosen by inner CV;
+    :func:`solve_regressions` solves them together with those of other
+    slices, and the function returned with them then collects the slice's
+    ColumnNuisances. A column's error for a cell is the first a fit-by-fit
+    run on its copies meets: the propensity folds in order, then the
+    cell's regressions.
     """
-    g_unit, g_errors = _cross_fit_propensity(sl.X, sl.g_flag, plan, counts)
-    fits, live = _regression_systems(sl.X, sl.y_pre, sl.y_post, plan, counts, fixed_l1)
+    sl = slices[0]
+    g_unit, g_errors, model = _cross_fit_propensity(sl.X, sl.g_flag, plan, counts, full)
+    Y = np.column_stack([cell.y_post for cell in slices])
+    fits, live = _regression_systems(sl.X, sl.y_pre, Y, plan, counts, fixed_l1)
 
     def finish() -> ColumnNuisances:
-        pred, reg_errors = _regression_predictions(sl.X, plan, _solved(fits))
+        pred, reg_errors = _regression_predictions(sl.X, plan, _solved(fits), len(slices))
+        propensity = model
+        if model is not None and not isinstance(model, MldidError):
+            propensity = model.predict_proba(sl.X)[:, 1]
         return ColumnNuisances(
             g_hat=np.clip(g_unit, DEFAULT_CLIP, 1.0 - DEFAULT_CLIP),
-            nu_hat=pred[0] - pred[1],
-            errors=[a if a is not None else b for a, b in zip(g_errors, reg_errors)],
+            nu_hat=pred[1:] - pred[0],
+            errors=[[a if a is not None else b for a, b in zip(g_errors, period)]
+                    for period in reg_errors],
+            propensity=propensity,
         )
 
     return live, finish
@@ -157,11 +180,13 @@ def cross_fit_nuisances(sl, plan: FoldPlan, counts: np.ndarray,
                         fixed_l1: float | None = None) -> ColumnNuisances:
     """Cross-fit g(x) and nu(x) of a slice for every count column.
 
-    The stages of :func:`start_nuisances` for this cell alone.
+    The stages of :func:`start_nuisances` for this cell alone; ``nu_hat``
+    and ``errors`` are those of its one period.
     """
-    live, finish = start_nuisances(sl, plan, counts, fixed_l1)
+    live, finish = start_nuisances([sl], plan, counts, fixed_l1)
     solve_regressions(live)
-    return finish()
+    cols = finish()
+    return dataclasses.replace(cols, nu_hat=cols.nu_hat[0], errors=cols.errors[0])
 
 
 def estimate_nuisances(sl, plan: FoldPlan, fixed_l1: float | None = None) -> NuisanceBundle:
@@ -215,15 +240,18 @@ def _first_errors(failed: dict, n_columns: int) -> list:
     return errors
 
 
-def _cross_fit_propensity(X, g_flag, plan: FoldPlan, counts):
+def _cross_fit_propensity(X, g_flag, plan: FoldPlan, counts, full: bool = False):
     """Out-of-fold unclipped g(x) on the slice's unit rows from one engine call.
 
     Member (k, r) weights the units outside fold k by their counts in
     column r, so its fit is the one a fold-by-fold cross-fit makes on the
-    copies of its training units. Returns the (units, columns) predictions
-    and per column the DegenerateFold that fold-by-fold cross-fitting would
-    raise first, or None. A fold that holds no drawn unit of a column is
-    not fit for it; its units keep a placeholder of 0.5.
+    copies of its training units. With ``full``, one more member weights
+    every unit by its count in the first column and holds no fold out.
+    Returns the (units, columns) predictions, per column the DegenerateFold
+    that fold-by-fold cross-fitting would raise first, or None, and the
+    ProbabilityModel or MldidError of the ``full`` member (None without
+    it). A fold that holds no drawn unit of a column is not fit for it; its
+    units keep a placeholder of 0.5.
     """
     labels = g_flag.astype(np.int64)
     fold = plan.assignment[:labels.shape[0]]
@@ -244,51 +272,48 @@ def _cross_fit_propensity(X, g_flag, plan: FoldPlan, counts):
 
     out = np.full(c.shape, 0.5)
     ks, rs = np.nonzero(tested & ~few & ~one_class)
-    if ks.size:
-        weights = c[:, rs]
-        weights[fold[:, None] == ks] = 0.0
-        models = fit_probability_batch(X, labels, weights)
-        ok = np.array([not isinstance(mod, MldidError) for mod in models])
-        for j in np.flatnonzero(~ok):
-            failed[ks[j], rs[j]] = _in_fold(ks[j], models[j])
-        Xf = np.where(np.isfinite(X), X, 0.0)
-        for k in np.unique(ks[ok]):
-            members = np.flatnonzero(ok & (ks == k))
-            test = np.flatnonzero(fold == k)
-            eta = (Xf[test] @ np.stack([models[j].coef[1] for j in members]).T
-                   + [models[j].intercepts[1] for j in members])
-            # P(1) as the Newton kernel's objective forms it from the scores
-            # (label 0 scores 0): 1 / (1 + e) for eta >= 0 and e / (1 + e)
-            # otherwise, with e = exp(-|eta|).
-            e = np.exp(-np.abs(eta))
-            out[np.ix_(test, rs[members])] = np.where(eta >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return out, _first_errors(failed, c.shape[1])
+    weights = c[:, rs]
+    weights[fold[:, None] == ks] = 0.0
+    if full:
+        weights = np.concatenate([weights, c[:, :1]], axis=1)
+    models = fit_probability_batch(X, labels, weights) if weights.shape[1] else []
+    whole = models.pop() if full else None
+    ok = np.array([not isinstance(mod, MldidError) for mod in models], dtype=bool)
+    for j in np.flatnonzero(~ok):
+        failed[ks[j], rs[j]] = _in_fold(ks[j], models[j])
+    Xf = np.where(np.isfinite(X), X, 0.0)
+    for k in np.unique(ks[ok]):
+        members = np.flatnonzero(ok & (ks == k))
+        test = np.flatnonzero(fold == k)
+        eta = (Xf[test] @ np.stack([models[j].coef[1] for j in members]).T
+               + [models[j].intercepts[1] for j in members])
+        # P(1) as the Newton kernel's objective forms it from the scores
+        # (label 0 scores 0): 1 / (1 + e) for eta >= 0 and e / (1 + e)
+        # otherwise, with e = exp(-|eta|).
+        e = np.exp(-np.abs(eta))
+        out[np.ix_(test, rs[members])] = np.where(eta >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return out, _first_errors(failed, c.shape[1]), whole
 
 
-# The outcome regressions of a cross-fit fold: name and the outcome it fits
-# (0 for y_pre, 1 for y_post). Both train on the unit rows outside the fold.
-_REGRESSIONS = (("t1", 1), ("t0", 0))
+def _regression_predictions(X, plan: FoldPlan, fits, n_periods: int = 1):
+    """Out-of-fold predictions of solved regressions (see :func:`_regression_systems`).
 
-
-def _regression_predictions(X, plan: FoldPlan, fits):
-    """Out-of-fold predictions of solved regressions (see :func:`_regression_fits`).
-
-    Returns the (2, units, columns) predictions of mu_t1 and mu_t0 (zero
-    where a column has no model) and per column the DegenerateFold that
-    regression-by-regression cross-fitting would raise first, or None.
+    Returns the (1 + n_periods, units, columns) predictions, mu_t0 first
+    and then mu_t of each period (zero where a column has no model), and
+    per period and column the DegenerateFold that regression-by-regression
+    cross-fitting of that period's mu_t and then mu_t0 would raise first,
+    or None.
     """
     m = X.shape[0]
     fold = plan.assignment[:m]
-    index = {name: i for i, (name, _) in enumerate(_REGRESSIONS)}
     failed, models = {}, {}
     for r, col in enumerate(fits):
-        for (name, k), fit in col.items():
-            i = index[name]
+        for (out, k), fit in col.items():
             if isinstance(fit, MldidError):
-                failed[i, k, r] = _in_fold(k, fit)
+                failed[out, k, r] = _in_fold(k, fit)
             else:
-                models.setdefault(k, []).append((i, r, fit))
-    pred = np.zeros((len(_REGRESSIONS), m, len(fits)))
+                models.setdefault(k, []).append((out, r, fit))
+    pred = np.zeros((1 + n_periods, m, len(fits)))
     Xf = np.where(np.isfinite(X), X, 0.0)
     for k, entries in models.items():
         test = np.flatnonzero(fold == k)
@@ -296,15 +321,20 @@ def _regression_predictions(X, plan: FoldPlan, fits):
         vals = (Xf[test] @ np.stack([mod.coef for mod in mods]).T
                 + [mod.intercept for mod in mods])
         pred[np.array(idx), test[:, None], np.array(cols)] = vals
-    return pred, _first_errors(failed, len(fits))
+    errors = []
+    for j in range(n_periods):
+        # The period's mu_t, then mu_t0, each in fold order.
+        own = {(out == 0, k, r): err for (out, k, r), err in failed.items() if out in (1 + j, 0)}
+        errors.append(_first_errors(own, len(fits)))
+    return pred, errors
 
 
-def _regression_fits(X, y_pre, y_post, plan: FoldPlan, counts, fixed_l1=None):
+def _regression_fits(X, y_pre, Y, plan: FoldPlan, counts, fixed_l1=None):
     """The LinearModel, or the MldidError, of every (regression, outer fold) of every column.
 
     The systems of :func:`_regression_systems`, solved on their own.
     """
-    fits, live = _regression_systems(X, y_pre, y_post, plan, counts, fixed_l1)
+    fits, live = _regression_systems(X, y_pre, Y, plan, counts, fixed_l1)
     solve_regressions(live)
     return _solved(fits)
 
@@ -315,24 +345,27 @@ def _solved(fits):
             for col in fits]
 
 
-def _regression_systems(X, y_pre, y_post, plan: FoldPlan, counts, fixed_l1=None):
+def _regression_systems(X, y_pre, Y, plan: FoldPlan, counts, fixed_l1=None):
     """The Gram systems of every (regression, outer fold) of every column.
 
-    Returns one dict per column of ``counts``, keyed (regression name,
-    fold) over the folds that hold a drawn unit of the column, and the
-    list of the dicts' GramFits. An entry is the regression's GramFit, or
-    the MldidError that stops it before any solve. Both regressions train
-    on the units outside the fold, each weighted by its count: mu_t1 on
-    their y_post and mu_t0 on their y_pre. Their l1 is ``fixed_l1`` or,
-    if None, chosen by CV over CV_FOLDS inner folds.
+    ``Y`` holds the post-period outcomes, one column per period (a vector
+    is one period). The regressions are mu_t0 of y_pre, keyed 0, and mu_t
+    of the outcome of each period j, keyed 1 + j. Returns one dict per
+    column of ``counts``, keyed (regression, fold) over the folds that
+    hold a drawn unit of the column, and the list of the dicts' GramFits.
+    An entry is the regression's GramFit, or the MldidError that stops it
+    before any solve. Every regression trains on the units outside the
+    fold, each weighted by its count, on its outcome. Their l1 is
+    ``fixed_l1`` or, if None, chosen by CV over CV_FOLDS inner folds.
 
-    The cell's unit rows are read once into rows
-    ``[1, x - xbar, y_pre - ybar, y_post - ybar]``, and one count-weighted
+    The slice's unit rows are read once into rows
+    ``[1, x - xbar, y_pre - ybar, y_1 - ybar, ...]``, with ybar the mean
+    of y_pre and of the first period's outcome, and one count-weighted
     product per outer fold and column gives the column's moments of that
-    fold. A regression's moments are the sum of those outside its fold, and
-    ``learners.moment_fits`` turns them into its GramFit; the covariate
-    ranges over its drawn rows pin a constant column as
-    ``learners._pin_constant_columns`` pins it. With CV the inner folds
+    fold (:func:`_moments`). A regression's moments are the sum of those
+    outside its fold, and ``learners.moment_fits`` turns them into its
+    GramFit; the covariate ranges over its drawn rows pin a constant column
+    as ``learners._pin_constant_columns`` pins it. With CV the inner folds
     rank the drawn training units as the row path ranks its training rows
     (inner fold j holds the ranks equal to j modulo K), so the moments of
     the K classes of units are all an inner fold needs: it trains on the
@@ -348,40 +381,42 @@ def _regression_systems(X, y_pre, y_post, plan: FoldPlan, counts, fixed_l1=None)
     fold = plan.assignment[:m]
     c = np.asarray(counts, dtype=float)
     n_cols = c.shape[1]
-    y_unit = np.stack([y_pre, y_post], axis=1)
+    y_unit = np.column_stack([y_pre, Y])
     finite_x, finite_y = np.isfinite(X), np.isfinite(y_unit)
     Xf = np.where(finite_x, X, 0.0)
     yf = np.where(finite_y, y_unit, 0.0)
     x_shift = Xf.mean(axis=0)
-    y_shift = yf.sum() / max(int(finite_y.sum()), 1)
+    y_shift = np.ascontiguousarray(yf[:, :2]).sum() / max(int(finite_y[:, :2].sum()), 1)
     V = np.concatenate([np.ones((m, 1)), Xf - x_shift, yf - y_shift], axis=1)
-    # Per unit: whether its X, y_pre, y_post are non-finite.
+    # Per unit: whether its X, y_pre and each outcome are non-finite.
     bad = np.column_stack([~finite_x.all(axis=1), ~finite_y]).astype(float)
     train_M, train_bad, train_lo, train_hi = _training_sums(V, bad, Xf, fold, plan.n_folds, c)
     train_size = train_M[..., 0, 0].astype(np.int64)
     drawn = (fold[:, None] == np.arange(plan.n_folds)).T.astype(float) @ c > 0
 
-    # The checks, in their order, of a fit on the regression's own rows.
+    # The checks, in their order, of a fit on the regression's own rows:
+    # each period's mu_t, then mu_t0.
+    outcomes = list(range(1, y_unit.shape[1])) + [0]
     fits, live = [{} for _ in range(n_cols)], []
     sizes, flags = train_size.tolist(), train_bad.tolist()
     for k, r in zip(*np.nonzero(drawn)):
         k, r = int(k), int(r)
         n_rows = sizes[r][k]
         bad_x, *bad_y = flags[r][k]
-        for name, out in _REGRESSIONS:
+        for out in outcomes:
             if n_rows < 2:
-                fits[r][name, k] = DegenerateFold(
+                fits[r][out, k] = DegenerateFold(
                     f"fold {k}: training complement has {n_rows} rows")
             elif bad_x:
-                fits[r][name, k] = NonFiniteData("X contains NaN or infinite entries")
+                fits[r][out, k] = NonFiniteData("X contains NaN or infinite entries")
             elif bad_y[out]:
-                fits[r][name, k] = NonFiniteData("y contains NaN or infinite entries")
+                fits[r][out, k] = NonFiniteData("y contains NaN or infinite entries")
             else:
-                live.append((name, r, k, out))
+                live.append((out, r, k))
     if not live:
         return fits, []
 
-    _, rs, ks, outs = (np.array(col) for col in zip(*live))
+    outs, rs, ks = (np.array(col) for col in zip(*live))
     # Each regression's columns of V: [1, u] and its outcome.
     sel = np.concatenate([np.tile(np.arange(p + 1), (len(live), 1)),
                           (p + 1 + outs)[:, None]], axis=1)
@@ -398,25 +433,43 @@ def _regression_systems(X, y_pre, y_post, plan: FoldPlan, counts, fixed_l1=None)
             ranked = np.flatnonzero((fold != k) & (c[:, r] > 0))
             for j in range(K_in):
                 idx = ranked[j::K_in]
-                class_M[a, j] = weighted_gram(V[idx], c[idx, r])
+                class_M[a, j] = _moments(V[idx], c[idx, r], p + 3)
         classes = class_M[owner[:, None, None, None], np.arange(K_in)[:, None, None],
                           sel[:, None, :, None], sel[:, None, None, :]]
     gram_fits = moment_fits(
         N, classes, fit_intercept=True, pf=np.ones(p), l2=DEFAULT_L2, l1=fixed_l1,
         n_lambdas=CV_N_LAMBDAS, shift=np.append(x_shift, y_shift),
         ranges=(train_lo[rs, ks], train_hi[rs, ks]))
-    for (name, r, k, _), fit in zip(live, gram_fits):
-        fits[r][name, k] = fit
+    for (out, r, k), fit in zip(live, gram_fits):
+        fits[r][out, k] = fit
     return fits, gram_fits
+
+
+def _moments(V, w, q):
+    """``learners.weighted_gram`` of rows ``V`` whose leading ``q`` columns are its own product.
+
+    The rows are ``[1, x, y_pre, y_1, ...]`` and q covers them through y_1,
+    so the moments of a regression on those columns do not depend on how
+    many more outcomes the rows carry; the other outcomes' columns are a
+    second product.
+    """
+    if V.shape[1] == q:
+        return weighted_gram(V, w)
+    M = np.empty((V.shape[1], V.shape[1]))
+    M[:q, :q] = weighted_gram(V[:, :q], w)
+    M[:, q:] = (V * w[:, None]).T @ V[:, q:]
+    M[q:, :q] = M[:q, q:].T
+    return M
 
 
 def _training_sums(V, bad, Xf, fold, n_folds, c):
     """Moments, non-finite flags and covariate ranges of every training set.
 
     Entry ``[r, k]`` covers the units of column r outside fold k: the
-    count-weighted moments of their rows of ``V``, whether any drawn one
-    has a ``bad`` flag, and the min and max of each covariate over the
-    drawn ones. Each is combined from the per-fold blocks it spans.
+    count-weighted moments of their rows of ``V`` (:func:`_moments`),
+    whether any drawn one has a ``bad`` flag, and the min and max of each
+    covariate over the drawn ones. Each is combined from the per-fold
+    blocks it spans.
     """
     n_cols, p, q = c.shape[1], Xf.shape[1], V.shape[1]
     order = np.argsort(fold, kind="stable")
@@ -431,7 +484,7 @@ def _training_sums(V, bad, Xf, fold, n_folds, c):
         rows = slice(starts[b], starts[b] + size[b])
         Vb, cb = Vs[rows], cs[rows]
         for r in range(n_cols):
-            M[b, r] = weighted_gram(Vb, cb[:, r])
+            M[b, r] = _moments(Vb, cb[:, r], p + 3)
         n_bad[b] = cb.T @ bs[rows]
         drawn = (cb > 0)[:, :, None]
         lo[b] = np.where(drawn, Xs[rows, None, :], np.inf).min(axis=0)

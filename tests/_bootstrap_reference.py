@@ -5,7 +5,7 @@ Replicate b draws the panel's units with the generator of
 resampled panel is then estimated on its units' first differences, one
 row per copy, the way the package would estimate the replicate as a panel
 of its own, except that each copy sits in its original unit's fold of the
-cell's plan. The effect fit, sigma^2 and balancing weights are computed
+plan of the cell's slice, which is seeded by (g, max(g, t)). The effect fit, sigma^2 and balancing weights are computed
 on the copies' rows: the lasso of dH/2 on the design (B/2)[1, x] and the
 basis of ``build_function_class``. With CV the effect fit's inner folds
 rank the copies, not the drawn units, so only fixed-l1 replicates are
@@ -76,7 +76,7 @@ def reference_cell(panel, resampled, idx, g, t, config) -> float:
         raise CellSkipped(g, t, err) from err
     original = slice_two_period(panel, g, t)
     plan = make_fold_plan(original.n_units, min(config.n_folds, original.n_units),
-                          derive_seed(config.seed, _SEED_FOLDS, g, t))
+                          derive_seed(config.seed, _SEED_FOLDS, g, max(g, t)))
     fold = np.full(panel.n_units, -1)
     fold[original.unit_rows] = plan.assignment
     # Copies of a unit share its fold, so the folds need not be balanced.

@@ -34,9 +34,9 @@ def _cell_replicates(panel, g, t, config, counts):
 
 def _cell_columns(sl, config, counts):
     """A slice's estimate for every count column, as a group of its own."""
-    part, = _estimate_parts([_Part(sl.g, sl.t, sl=sl, counts=counts)], config)
+    part, = _estimate_parts([_Part(sl.g, (sl.t,), slices=[sl], counts=counts)], config)
     assert part.error is None
-    return part.result
+    return part.results[0]
 
 
 def test_replicate_counts_are_the_resampling_draws():
@@ -172,7 +172,7 @@ def test_balancing_columns_match_row_basis():
     rng = np.random.default_rng(0)
     counts = rng.integers(0, 3, size=(sl.n_units, 4))
     sigma2 = np.array([0.5, 1.0, 2.0, 1e-3])
-    w = balancing_columns(sl.X, sl.g_flag.astype(float), counts, sigma2)
+    w = balancing_columns(sl.X, sl.g_flag.astype(float), counts)(sigma2)
     for r in range(counts.shape[1]):
         idx = np.repeat(np.arange(sl.n_units), counts[:, r])
         copies = dataclasses.replace(

@@ -316,9 +316,9 @@ def test_estimate_manifest_counts_replicates_missing_a_cell(tmp_path):
     assert boot["replicates"] == 50 and boot["failed"] == 0
     # The counts of tests/_bootstrap_reference.py on the panel read back.
     assert {(c["g"], c["t"]): c["replicates"] for c in boot["missing_cells"]} == {
-        (4, 1): 8, (4, 2): 6, (4, 4): 6}
+        (4, 1): 6, (4, 2): 6, (4, 4): 6}
     assert {d["e"]: d["replicates"] for d in boot["missing_event_times"]} == {
-        -3: 8, -2: 6, 0: 6}
+        -3: 6, -2: 6, 0: 6}
     # Each missing cell says why.
     for cell in boot["missing_cells"]:
         assert sum(cell["reasons"].values()) == cell["replicates"]
@@ -440,3 +440,68 @@ def test_estimate_skips_thin_event_time_in_heterogeneity(tmp_path):
     with open(out / "blp.csv", newline="") as fh:
         blp_rows = list(csv.DictReader(fh))
     assert {r["e"] for r in blp_rows} == {"0", "1", "pooled"}
+
+
+def test_failing_dr_cell_is_skipped_not_fatal(tmp_path):
+    # Cohort 4's x_5 moved far from every control's separates it: every
+    # control propensity of its cells sits at the clip bounds, so their DR
+    # baseline fails with NoOverlap. MLDID still estimates every cell, and
+    # every output is written.
+    panel = simulate(DgpConfig(n_units=300, seed=3)).panel
+    covariates = panel.covariates.copy()
+    cohort = panel.groups == 4
+    covariates[cohort, :, 4] = 20 + 0.01 * covariates[cohort, :, 4]
+    path = tmp_path / "panel.csv"
+    write_panel_csv(type(panel)(
+        unit_ids=panel.unit_ids, groups=panel.groups, n_periods=panel.n_periods,
+        outcomes=panel.outcomes, covariates=covariates,
+        covariate_names=panel.covariate_names), path)
+    out = tmp_path / "out"
+    res = run_cli(["estimate", "--input", str(path), "--out", str(out),
+                   "--fixed-l1", "0.01"])
+    assert res.exit_code == 0, res.output
+    manifest = json.loads((out / "manifest.json").read_text())
+    for name in manifest["outputs"] + ["manifest.json"]:
+        assert (out / name).exists(), name
+    assert {"catt_panel.csv", "blp.csv", "clan.csv"} <= set(manifest["outputs"])
+    assert manifest["skipped_cells"] == []
+    skipped = {(c["g"], c["t"]): c["reason"] for c in manifest["skipped_dr_cells"]}
+    assert set(skipped) == {(4, 1), (4, 2), (4, 4)}
+    assert all(why == f"cell (g=4, t={t}): every control propensity sits at the clip bounds"
+               for (_, t), why in skipped.items())
+    with open(out / "dr_cells.csv", newline="") as fh:
+        rows = {(int(r["g"]), int(r["t"])): r for r in csv.DictReader(fh)}
+    with open(out / "cells.csv", newline="") as fh:
+        assert set(rows) == {(int(r["g"]), int(r["t"])) for r in csv.DictReader(fh)}
+    for key, row in rows.items():
+        assert (row["att"] == "") == (key in skipped), key
+        assert row["n_control"] != ""
+
+
+@pytest.mark.parametrize("command", ["estimate", "benchmark", "heterogeneity"])
+@pytest.mark.parametrize("value", ["1", "0", "-1"])
+def test_fewer_than_two_k_bins_is_a_usage_error(command, value, sim_dir, est_dir, tmp_path):
+    # CLAN compares the least and the most affected bin, so it needs two.
+    # Rejected before any estimation: no output directory is made.
+    out = tmp_path / "out"
+    data = {"estimate": ["--input", str(sim_dir / "panel.csv"), "--fixed-l1", "0.02"],
+            "benchmark": ["--n", "300", "--reps", "2", "--fixed-l1", "0.02"],
+            "heterogeneity": ["--input", str(sim_dir / "panel.csv"),
+                              "--catt", str(est_dir / "catt_panel.csv")]}[command]
+    res = run_cli([command, *data, "--out", str(out), "--k-bins", value])
+    assert res.exit_code == 2, res.output
+    assert "--k-bins" in res.output and "x>=2" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "heterogeneity"])
+@pytest.mark.parametrize("value", [";;", "", ",,"])
+def test_delimiter_must_be_one_character(command, value, sim_dir, est_dir, tmp_path):
+    out = tmp_path / "out"
+    data = ["--input", str(sim_dir / "panel.csv")]
+    if command == "heterogeneity":
+        data += ["--catt", str(est_dir / "catt_panel.csv")]
+    res = run_cli([command, *data, "--out", str(out), "--delimiter", value])
+    assert res.exit_code == 2, res.output
+    assert "--delimiter" in res.output and "single character" in res.output
+    assert not out.exists()

@@ -18,11 +18,13 @@ from mldid import (
     run_mldid,
     simulate,
 )
-from mldid import amle, estimator
+from mldid import amle, estimator, learners, nuisance
+from mldid.drdid import estimate_cell_dr
 from mldid.estimator import GroupTimeResult, _replicate_se, estimate_from_bundle
 from mldid.exceptions import CellSkipped, DegenerateFold, IllConditionedWarning, MldidError
-from mldid.nuisance import start_nuisances
-from mldid.panel import enumerate_cells
+from mldid.learners import fit_probability_batch
+from mldid.nuisance import cross_fit_nuisances, start_nuisances
+from mldid.panel import enumerate_cells, slice_two_period
 
 from _utils import make_panel, oracle_bundle, thin_cohort, two_period_dgp
 
@@ -151,8 +153,9 @@ def test_one_l1_setting_reaches_both_lasso_stages(fixed_l1, monkeypatch):
     run = run_mldid(oracle.panel, EstimatorConfig(seed=0, fixed_l1=fixed_l1))
     cells = [c for c in run.cells if not c.is_reference]
     assert len(cells) == 9 and run.skipped == []
-    # 9 cells, 5 folds, 2 regressions.
-    assert len(regressions) == 90
+    # 6 slices, 5 folds, and a regression per cell plus mu_t0 per slice:
+    # slice (3, 3) serves 2 cells and slice (4, 4) serves 3.
+    assert len(regressions) == 75
     if fixed_l1 is None:
         assert all(fit.grid is not None for fit in regressions)
         return
@@ -247,7 +250,7 @@ def test_bootstrap_reproducible_and_attaches():
 # are those of tests/_bootstrap_reference.py (one run per resampled panel).
 THIN_CELLS_PANEL = DgpConfig(n_units=120, seed=3)
 THIN_CELLS_CONFIG = EstimatorConfig(seed=1, fixed_l1=0.01)
-THIN_CELLS_MISSING = {(4, 1): 7, (4, 2): 6, (4, 4): 9}
+THIN_CELLS_MISSING = {(4, 1): 9, (4, 2): 9, (4, 4): 9}
 
 
 @pytest.mark.slow
@@ -256,15 +259,16 @@ def test_bootstrap_counts_replicates_missing_a_cell():
     boot = bootstrap_se(panel, THIN_CELLS_CONFIG, 50)
     assert boot.n_failed == 0
     assert {k: n for k, n in boot.cell_missing.items() if n} == THIN_CELLS_MISSING
-    # theta(e) is missing where a replicate that drew cohort 4 lacks its
-    # cell: one replicate drew no cohort-4 unit, so e = -2 and e = 0 miss
-    # one replicate less than their cells; e = -3 has no cell at all there.
-    assert {e: n for e, n in boot.dynamic_missing.items() if n} == {-3: 7, -2: 5, 0: 8}
+    # Cohort 4's cells share one slice and its fold plan, so a replicate
+    # that skips one skips all three. theta(e) is missing where a replicate
+    # that drew cohort 4 lacks its cell: one replicate drew no cohort-4
+    # unit, so e = -2 and e = 0 miss one replicate less than their cells;
+    # e = -3 has no cell at all there.
+    assert {e: n for e, n in boot.dynamic_missing.items() if n} == {-3: 9, -2: 8, 0: 8}
     assert len(boot.cell_missing) == 9 and set(boot.dynamic_missing) == {-3, -2, 0, 1, 2}
-    # A key has an SE only if at least 45 of 50 replicates supplied it:
-    # theta(-2) keeps its SE with 5 missing, and (4, 2) loses it with 6.
+    # A key has an SE only if at least 45 of 50 replicates supplied it.
     assert set(boot.cell_se) == {k for k, n in boot.cell_missing.items() if n <= 5}
-    assert set(boot.dynamic_se) == {-2, 1, 2}
+    assert set(boot.dynamic_se) == {1, 2}
     # Every skip says why, and the messages add up to the counts.
     assert {k: sum(why.values()) for k, why in boot.cell_reasons.items()} == THIN_CELLS_MISSING
     assert "cell (g=4, t=4) skipped: no units in cohort g=4" in boot.cell_reasons[4, 4]
@@ -374,3 +378,91 @@ def test_run_warnings_carry_their_own_cell(monkeypatch, threads):
                                        for m, n in counts.items()]
     assert got == want
     assert len({tuple(m) for m in want.values()}) == len(want) == 6
+
+
+def _post(cells):
+    return {(c.g, c.t): c for c in cells if c.t >= c.g}
+
+
+def test_placebo_cell_shares_its_post_cells_plan_and_propensity():
+    # Placebo cell (g, t < g - 1) and post cell (g, g) have the same units,
+    # x and group flag, so they share the slice's fold plan, and with it
+    # every cross-fitted propensity, bit for bit.
+    panel = simulate(DgpConfig(n_units=300, n_periods=5, assignment="logit-x123",
+                               seed=7)).panel
+    config = EstimatorConfig(seed=3, fixed_l1=0.02)
+    n_placebo = 0
+    for g, t in enumerate_cells(panel, True):
+        if t >= g:
+            continue
+        n_placebo += 1
+        placebo, post = slice_two_period(panel, g, t), slice_two_period(panel, g, g)
+        assert placebo.unit_ids.tolist() == post.unit_ids.tolist()
+        plans = [estimator._cell_plan(sl, config, g, sl.t) for sl in (placebo, post)]
+        assert plans[0].seed == plans[1].seed
+        assert plans[0].assignment.tobytes() == plans[1].assignment.tobytes()
+        g_hat = [cross_fit_nuisances(sl, plan, np.ones((sl.n_units, 1)), 0.02).g_hat
+                 for sl, plan in zip((placebo, post), plans)]
+        assert g_hat[0].tobytes() == g_hat[1].tobytes()
+    assert n_placebo == 6
+    # A post cell's plan is keyed by the cell itself, as before slices.
+    sl = slice_two_period(panel, 3, 5)
+    assert estimator._cell_plan(sl, config, 3, 5).seed == estimator.derive_seed(
+        config.seed, estimator._SEED_FOLDS, 3, 5)
+
+
+@pytest.mark.slow
+def test_post_cells_do_not_depend_on_placebo_cells():
+    panel = simulate(DgpConfig(n_units=200, assignment="logit-x123", seed=4)).panel
+    config = EstimatorConfig(seed=2, fixed_l1=0.02)
+    runs = {placebo: run_mldid(panel, dataclasses.replace(config, include_placebo=placebo))
+            for placebo in (True, False)}
+    with_placebo, without = (_post(runs[p].cells) for p in (True, False))
+    assert with_placebo.keys() == without.keys() and len(without) == 6
+    for key, cell in without.items():
+        assert cell.att == with_placebo[key].att
+        assert cell.tau_unit.tobytes() == with_placebo[key].tau_unit.tobytes()
+        assert cell.score_unit.tobytes() == with_placebo[key].score_unit.tobytes()
+    assert [d for d in runs[False].dynamics if d.e >= 0] == [
+        d for d in runs[True].dynamics if d.e >= 0]
+    boots = {placebo: bootstrap_se(panel, dataclasses.replace(config, include_placebo=placebo),
+                                   50)
+             for placebo in (True, False)}
+    assert boots[False].cell_se == {k: se for k, se in boots[True].cell_se.items()
+                                    if k in without}
+    assert boots[False].dynamic_se == {e: se for e, se in boots[True].dynamic_se.items()
+                                       if e >= 0}
+
+
+def test_run_dr_cells_equal_the_dr_estimate_of_each_slice():
+    panel = simulate(DgpConfig(n_units=300, assignment="logit-x123", seed=5)).panel
+    run = run_mldid(panel, FAST)
+    assert [(d.g, d.t) for d in run.dr_cells] == [(c.g, c.t) for c in run.cells]
+    assert run.dr_skipped == []
+    for cell, dr in zip(run.cells, run.dr_cells):
+        assert (dr.n_treated, dr.n_control) == (cell.n_treated, cell.n_control)
+        if cell.is_reference:
+            assert dr.att_dr == 0.0
+            continue
+        own = estimate_cell_dr(slice_two_period(panel, cell.g, cell.t)).att_dr
+        assert dr.att_dr == pytest.approx(own, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("placebo", [True, False])
+def test_one_newton_batch_per_slice(monkeypatch, placebo):
+    # T = 8: 28 post cells, each the post cell of its own slice, and 21
+    # placebo cells that join the slices (g, g). One Newton batch per slice
+    # fits every fold's propensity and the DR baseline's.
+    calls = []
+
+    def spy(X, labels, weights, **kwargs):
+        calls.append(weights.shape[1])
+        return fit_probability_batch(X, labels, weights, **kwargs)
+
+    monkeypatch.setattr(nuisance, "fit_probability_batch", spy)
+    monkeypatch.setattr(learners, "fit_probability_batch", spy)
+    panel = simulate(DgpConfig(n_units=400, n_periods=8, seed=6)).panel
+    run = run_mldid(panel, dataclasses.replace(FAST, include_placebo=placebo))
+    n_cells = sum(not c.is_reference for c in run.cells)
+    assert n_cells == (49 if placebo else 28) and run.skipped == []
+    assert calls == [6] * 28

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mldid import blp, clan
-from mldid.exceptions import RankDeficient, TooFewUnits
+from mldid.exceptions import MldidError, RankDeficient, TooFewUnits
 
 NAMES = ("x_1", "x_2", "x_3")
 
@@ -179,3 +179,12 @@ def test_clan_sign_flip():
 def test_clan_too_few_units():
     with pytest.raises(TooFewUnits):
         clan(np.zeros(5), np.zeros((5, 1)), np.arange(5), ("x_1",), n_bins=4)
+
+
+@pytest.mark.parametrize("n_bins", [1, 0, -1])
+def test_clan_needs_two_bins(n_bins):
+    # One bin would compare the units with themselves (diff exactly 0).
+    rng = np.random.default_rng(0)
+    with pytest.raises(MldidError, match="at least 2 bins"):
+        clan(rng.normal(size=40), rng.normal(size=(40, 2)), np.arange(40),
+             ("x_1", "x_2"), n_bins=n_bins)

@@ -7,10 +7,11 @@ from numpy.testing import assert_allclose
 from mldid import DgpConfig, cross_fit, make_fold_plan, simulate
 from mldid.estimator import _SEED_FOLDS, EstimatorConfig, derive_seed
 from mldid.exceptions import DegenerateFold, MissingStratum, MldidError
-from mldid.learners import DEFAULT_CLIP, fit_penalized_ls_cv, fit_probability
+from mldid.learners import DEFAULT_CLIP, fit_penalized_ls_cv, fit_probability, weighted_gram
 from mldid.nuisance import (
     NuisanceBundle,
     _cross_fit_propensity,
+    _moments,
     _regression_fits,
     _regression_predictions,
     compute_abch,
@@ -26,7 +27,7 @@ from _utils import oracle_bundle, two_period_dgp
 
 def _propensity(X, g_flag, plan):
     """Unclipped out-of-fold g(x) of the all-ones column; raises its first error."""
-    out, errors = _cross_fit_propensity(X, g_flag, plan, np.ones((len(g_flag), 1)))
+    out, errors, _ = _cross_fit_propensity(X, g_flag, plan, np.ones((len(g_flag), 1)))
     if errors[0] is not None:
         raise errors[0]
     return out[:, 0]
@@ -36,9 +37,9 @@ def _regressions(sl, plan, fixed_l1):
     """mu_t1 and mu_t0 of the all-ones column on the unit rows."""
     pred, errors = _regression_predictions(sl.X, plan, _regression_fits(
         sl.X, sl.y_pre, sl.y_post, plan, np.ones((sl.n_units, 1)), fixed_l1))
-    if errors[0] is not None:
-        raise errors[0]
-    return [a[:, 0] for a in pred]
+    if errors[0][0] is not None:
+        raise errors[0][0]
+    return [pred[1][:, 0], pred[0][:, 0]]
 
 
 def _fits(sl, plan, fixed_l1):
@@ -299,7 +300,7 @@ def _member_reference(case, plan, fixed_l1):
     Each entry is the LinearModel, or the (error type, message) that a
     fold-by-fold cross-fit with ``_fit_regression`` reports for it.
     """
-    outcomes = dict(t1=case.y_post, t0=case.y_pre)
+    outcomes = {1: case.y_post, 0: case.y_pre}
     out = {}
     for name, y in outcomes.items():
         for k in range(plan.n_folds):
@@ -400,7 +401,7 @@ def test_block_front_end_matches_per_fold_reference(name, fixed_l1):
 def test_constant_column_is_pinned_on_its_fold_only():
     plan, cases = _block_front_end_cases()
     fits = _fits(cases["constant-on-fold"], plan, 0.02)
-    for name in ("t1", "t0"):
+    for name in (1, 0):
         assert fits[name, 2].center[1] == 3.7 and fits[name, 2].scale[1] == 1.0
         assert fits[name, 2].coef[1] == 0.0
         assert all(fits[name, k].scale[1] != 1.0 for k in (0, 1, 3, 4))
@@ -415,7 +416,7 @@ def test_count_column_matches_weighted_fit_on_drawn_units():
     fits = _regression_fits(sl.X, sl.y_pre, sl.y_post, plan, counts[:, None])[0]
     for (name, k), fit in fits.items():
         train = (plan.assignment != k) & (counts > 0)
-        y = sl.y_post if name == "t1" else sl.y_pre
+        y = sl.y_post if name == 1 else sl.y_pre
         ref = _fit_regression(sl.X[train], y[train], None, weights=counts[train])
         assert_allclose(fit.predict(sl.X), ref.predict(sl.X), rtol=0, atol=1e-12)
         assert fit.l1 == pytest.approx(ref.l1, rel=1e-9, abs=0), (name, k)
@@ -432,7 +433,7 @@ def test_nuisance_l1_matches_row_path_on_covariate_driven_panel():
             continue
         sl = slice_two_period(panel, g, t)
         plan = make_fold_plan(sl.n_units, config.n_folds,
-                              derive_seed(config.seed, _SEED_FOLDS, g, t))
+                              derive_seed(config.seed, _SEED_FOLDS, g, max(g, t)))
         n_fit += _assert_members_match_reference(sl, plan, config.fixed_l1)
     # 9 cells, 5 folds, 2 regressions: every one fits.
     assert n_fit == 90
@@ -470,3 +471,19 @@ def test_oracle_nuisance_reduction_matches_reduced_formulas():
     # With the true nuisances dH is B tau(x) plus the differenced noise.
     noise = (sl.y_post - sl.y_pre) - truth["rho"] - truth["tau"] * g
     assert_allclose(bundle.dH - bundle.B * truth["tau"], noise, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_rows, q, n_extra", [(2999, 18, 1), (2999, 16, 3), (150, 8, 2)])
+def test_post_cell_moments_do_not_depend_on_placebo_outcomes(n_rows, q, n_extra):
+    # A slice's rows [1, x, y_pre, y_s] carry one more outcome column per
+    # placebo cell. The block of the leading q columns must be the product a
+    # slice without placebo cells forms: with OpenBLAS, one product over all
+    # columns rounds that block differently for the first two shapes.
+    rng = np.random.default_rng(q)
+    V = rng.normal(size=(n_rows, q + n_extra))
+    V[:, 0] = 1.0
+    for w in (np.ones(n_rows), rng.integers(0, 3, n_rows).astype(float)):
+        M = _moments(V, w, q)
+        assert M[:q, :q].tobytes() == weighted_gram(V[:, :q], w).tobytes()
+        assert_allclose(M, weighted_gram(V, w), rtol=1e-12, atol=1e-9)
+        assert M[q:, :q].tobytes() == M[:q, q:].T.tobytes()
