@@ -11,13 +11,13 @@ folds hold out whole units.
 
 The fit of every bootstrap count column of a cell is built from unit
 moments in stages, for the stage-major engine of :mod:`mldid.estimator`:
-:func:`catt_fits` forms the moments and ``learners.moment_fits`` turns
-them into the columns' ``learners.GramFit`` systems, with their inner
-folds' held-out moments; :func:`solve_catt` solves those of every cell
-of a group as one lasso batch, and the function :func:`catt_fits`
-returned then collects the coefficients. :func:`fit_catt_columns` runs
-the stages for one cell, and :func:`fit_catt` is its one-column call on
-a bundle.
+:func:`catt_fits` forms the moments of the columns whose nuisances were
+fit and ``learners.moment_fits`` turns them into the columns'
+``learners.GramFit`` systems, with their inner folds' held-out moments;
+:func:`solve_catt` solves those of every cell of a group as one lasso
+batch, and the function :func:`catt_fits` returned then collects the
+coefficients of every column. :func:`fit_catt` runs the stages for the
+one column of a bundle.
 """
 
 from __future__ import annotations
@@ -55,13 +55,14 @@ def fit_catt(bundle: NuisanceBundle, fixed_l1: float | None = None) -> CattModel
     of dH/2 on the design (B/2)[1, X] with the ``a`` column left
     unpenalized (penalties on the standardized scale). The penalty is
     ``fixed_l1``, or if None is chosen by inner cross-validation on the
-    held-out loss. This is the all-ones column of :func:`fit_catt_columns`.
+    held-out loss. This is the all-ones column of :func:`catt_fits`.
     """
     if bundle.B is None or bundle.dH is None:
         raise MldidError("bundle is missing B/dH; run compute_abch first")
-    coef, chosen, errors = fit_catt_columns(
-        bundle.X, bundle.B[:, None], bundle.dH[:, None], np.ones((bundle.n_units, 1)),
-        fixed_l1)
+    fits, collect = catt_fits(bundle.X, bundle.B[:, None], bundle.dH[:, None],
+                              np.ones((bundle.n_units, 1)), fixed_l1)
+    solve_catt(fits)
+    coef, chosen, errors = collect()
     if errors[0] is not None:
         raise errors[0]
     return CattModel(
@@ -70,18 +71,6 @@ def fit_catt(bundle: NuisanceBundle, fixed_l1: float | None = None) -> CattModel
         l1=float(chosen[0]),
         covariate_names=bundle.covariate_names,
     )
-
-
-def fit_catt_columns(X, B, dH, counts, fixed_l1=None):
-    """The effect-function fit of every count column, from unit moments.
-
-    The stages of :func:`catt_fits` for these columns alone. Returns the
-    (columns, 1 + p) coefficients (``a`` first), the chosen l1 of each
-    column and per column the MldidError its fit raised, or None.
-    """
-    fits, collect = catt_fits(X, B, dH, counts, fixed_l1)
-    solve_catt(fits)
-    return collect()
 
 
 def solve_catt(fits: list[GramFit]) -> None:
@@ -97,7 +86,7 @@ def solve_catt(fits: list[GramFit]) -> None:
                        fit_intercept=False, cv_rule="1se")
 
 
-def catt_fits(X, B, dH, counts, fixed_l1=None):
+def catt_fits(X, B, dH, counts, fixed_l1=None, errors=None):
     """The Gram systems of every count column's effect-function fit.
 
     Column r's rows are ``counts[i, r]`` copies of unit i, with design
@@ -115,39 +104,50 @@ def catt_fits(X, B, dH, counts, fixed_l1=None):
     column's moments less those of one class of units, and its held-out
     error, a quadratic form in that class's moments, is a quarter of the
     count-weighted mean of (dH - B tau(x))^2 over the class.
-    Returns the GramFits and a function that then returns what
-    :func:`fit_catt_columns` returns.
+
+    ``errors[r]``, if given, is the MldidError that stopped column r
+    before this stage (its nuisance fits), or None; a failed column forms
+    no moments and keeps its error. Returns the GramFits and a function
+    that, once they are solved, returns the (columns, 1 + p) coefficients
+    (``a`` first), the chosen l1 of each column and per column the
+    MldidError that stopped it, or None.
     """
-    c = np.asarray(counts, dtype=float)
     m, p = X.shape
     check_fixed_l1(fixed_l1)
+    errors = list(errors or [None] * counts.shape[1])
+    coef, chosen = np.zeros((len(errors), p + 1)), np.full(len(errors), np.nan)
+    live = np.flatnonzero([err is None for err in errors])
+    if not live.size:
+        return [], lambda: (coef, chosen, errors)
+    if live.size < len(errors):
+        counts, B, dH = counts[:, live], B[:, live], dH[:, live]
+    c = np.asarray(counts, dtype=float)
     Z = np.concatenate([np.ones((m, 1)), X], axis=1)
     N = _unit_moments(Z, c, B, dH)
-    cols, errors = [], [None] * c.shape[1]
-    for r in range(c.shape[1]):
-        n = N[r, 0, 0]
+    cols = []
+    for i, r in enumerate(live):
+        n = N[i, 0, 0]
         if n < p + 2:
             errors[r] = MldidError(f"need at least {p + 2} units to fit tau, have {int(n)}")
-        elif 4 * N[r, 1, 1] < MIN_WEIGHT_MASS:
+        elif 4 * N[i, 1, 1] < MIN_WEIGHT_MASS:
             errors[r] = AllWeightsZero("sum of B^2 is numerically zero; tau is unidentified")
         else:
-            cols.append(r)
+            cols.append(i)
     classes = None
     if fixed_l1 is None and cols:
         K = CV_FOLDS
         classes = np.zeros((len(cols), K) + N.shape[1:])
-        for i, r in enumerate(cols):
-            ranked = np.flatnonzero(c[:, r] > 0)
+        for a, i in enumerate(cols):
+            ranked = np.flatnonzero(c[:, i] > 0)
             for j in range(K):
                 out = ranked[j::K]
-                classes[i, j] = _unit_moments(Z[out], *(a[out][:, [r]] for a in (c, B, dH)))[0]
+                classes[a, j] = _unit_moments(Z[out], *(v[out][:, [i]] for v in (c, B, dH)))[0]
     fits = moment_fits(N[cols], classes, fit_intercept=False,
                        pf=np.concatenate([[0.0], np.ones(p)]), l2=DEFAULT_L2, l1=fixed_l1,
                        n_lambdas=CV_N_LAMBDAS)
 
     def collect():
-        coef, chosen = np.zeros((c.shape[1], p + 1)), np.full(c.shape[1], np.nan)
-        for r, fit in zip(cols, fits):
+        for r, fit in zip(live[cols], fits):
             if isinstance(fit.result, MldidError):
                 errors[r] = fit.result
             else:

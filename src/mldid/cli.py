@@ -76,7 +76,11 @@ EXIT_VALIDATION = 2
 
 
 def _load_config_defaults(path: str) -> dict:
-    """Parse a key = value config file into a per-command default map."""
+    """Parse a key = value config file into a per-command default map.
+
+    A key that is a parameter of no command (a typo) is a usage error.
+    """
+    known = {param.name for cmd in cli.commands.values() for param in cmd.params}
     values: dict[str, str] = {}
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -84,8 +88,10 @@ def _load_config_defaults(path: str) -> dict:
             continue
         if "=" not in line:
             raise click.UsageError(f"{path}:{line_no}: expected key = value")
-        key, val = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key.replace("-", "_") not in known:
+            raise click.UsageError(f"{path}:{line_no}: unknown key {key!r}")
+        values[key.replace("-", "_")] = val
     return {cmd: dict(values) for cmd in
             ("simulate", "estimate", "benchmark", "heterogeneity")}
 

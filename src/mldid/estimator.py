@@ -31,27 +31,28 @@ share its fold.
 
 The engine is stage-major. Slices (for the bootstrap, parts of a slice's
 columns) are estimated in groups of at most MAX_GROUP_ENTRIES (unit,
-column) entries, and a group goes through the stages together
-(:func:`_estimate_parts`): every slice cross-fits its propensity and
-builds its outcome regressions, all the group's regressions are one
-lasso batch, every cell then builds its effect fit, and all of those are
-a second batch, before each cell forms its balancing weights and scores.
+column) entries. A part's stages are one generator (:func:`_stages`),
+and a group advances its parts together (:func:`_estimate_parts`): every
+slice cross-fits its propensity and yields its outcome regressions, all
+the group's regressions are one lasso batch, every cell then yields its
+effect fits, and all of those are a second batch, before each cell forms
+its balancing weights and scores. A column whose nuisance fits failed is
+skipped by the effect fit (:func:`catt.catt_fits`) and keeps its error.
 Every member of a lasso batch follows the iterates of its own solve, so a
-slice's estimate does not depend on its group. Between stages a slice
-keeps only what the next stage reads. ``--threads`` maps over the groups,
-and the warnings of each cell are raised again with its (g, t).
+slice's estimate does not depend on its group. ``--threads`` maps over
+the groups, and the warnings of each cell are raised again with its
+(g, t). The data are finite: a panel and a slice check that when they
+are built (:mod:`mldid.panel`), so the engine carries no NaN guard.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -233,35 +234,6 @@ class _Columns:
     errors: list
 
 
-def _effect_fits(X, B, dH, counts, fixed_l1: float | None, errors=None):
-    """The effect fits of a cell's count columns, and the function that collects them.
-
-    The inputs are per unit and column (``X`` per unit): B = G - g_hat and
-    dH = dY - nu_hat. The effect fits pin l1 at ``fixed_l1`` or, if None,
-    choose it by CV. Columns with an entry in ``errors`` have failed
-    already and are skipped. Returns the columns' effect-function GramFits
-    (:func:`catt.catt_fits`) and a function that, once they are solved,
-    returns the (columns, 1 + p) coefficients, the chosen l1s and the
-    errors of every column.
-    """
-    n_cols, p = counts.shape[1], X.shape[1]
-    errors = list(errors or [None] * n_cols)
-    coef, l1 = np.full((n_cols, p + 1), np.nan), np.full(n_cols, np.nan)
-    live = np.flatnonzero([err is None for err in errors])
-    if not live.size:
-        return [], lambda: (coef, l1, errors)
-    fits, collect = catt_fits(X, *_columns(live, B, dH, counts), fixed_l1)
-
-    def collected():
-        fit_coef, fit_l1, fit_errors = collect()
-        coef[live], l1[live] = fit_coef, fit_l1
-        for r, err in zip(live, fit_errors):
-            errors[r] = err
-        return coef, l1, errors
-
-    return fits, collected
-
-
 def _scores(X, B, dH, counts, coef, l1, errors, balance) -> _Columns:
     """The balancing weights, robust unit scores and att of a cell's collected columns.
 
@@ -310,9 +282,7 @@ class _Part:
     replicates (None for a run's all-ones column). With ``full`` the
     all-ones column also fits the DR baseline's propensity on every unit,
     and ``dr`` then holds each cell's DrCellResult or the MldidError that
-    stopped it. Between stages ``fits`` holds the part's GramFits of the
-    next lasso batch and ``advance`` the step that reads them; only these
-    are kept. ``results`` holds each cell's final _Columns, ``error`` an
+    stopped it. ``results`` holds each cell's final _Columns, ``error`` an
     MldidError that stopped the whole part, and ``caught`` per cell the
     (category, message) of every warning its steps raised; a step shared
     by the cells records its warnings for each of them.
@@ -324,8 +294,6 @@ class _Part:
     counts: np.ndarray | None = None
     columns: np.ndarray | None = None
     full: bool = False
-    fits: list = field(default_factory=list)
-    advance: Callable | None = None
     results: list = field(default_factory=list)
     dr: list = field(default_factory=list)
     error: MldidError | None = None
@@ -398,70 +366,62 @@ def _cell_error(part: _Part, t: int) -> MldidError | None:
 def _estimate_parts(parts: list[_Part], config: EstimatorConfig) -> list[_Part]:
     """Estimate a group of sliced parts stage by stage.
 
-    Every part cross-fits its slice's propensity (one Newton batch, shared
-    by its cells, with the DR member if ``full``) and builds its outcome
-    regressions: mu_t0 once, and mu_t per cell. The regressions of all
-    parts are solved as one lasso batch. Then every part forms B and each
-    cell's dH and builds the cells' effect fits, and those of all parts
-    are a second batch. Last, every part forms its balancing systems once
-    and each cell its balancing weights, scores and att (and DR att). A
-    batch member's result does not depend on the rest of the batch, so a
-    part's estimate is the one of a group of its own. A part whose step
-    raises an MldidError stops with it; the others go on.
+    Each part runs as the generator :func:`_stages`, and every round
+    advances all parts still without an error by one step: the
+    regressions they yield are solved as one lasso batch, then the effect
+    fits they yield as a second batch, and the last round scores their
+    cells. A batch member's result does not depend on the rest of the
+    batch, so a part's estimate is the one of a group of its own. A part
+    whose step raises an MldidError stops with it; the others go on.
     """
-    def live():
-        return [part for part in parts if part.error is None]
+    stages = [_stages(part, config) for part in parts]
 
-    for part in live():
-        with part.step():
-            plan = _cell_plan(part.slices[0], config, part.g, part.periods[0])
-            part.fits, finish = start_nuisances(part.slices, plan, part.counts,
-                                                config.fixed_l1, full=part.full)
-            part.advance = functools.partial(_effect_stage, part, finish, config.fixed_l1)
-    solve_regressions([fit for part in live() for fit in part.fits])
-    for part in live():
-        with part.step():
-            part.fits, part.advance = part.advance()
-    solve_catt([fit for part in live() for fit in part.fits])
-    for part in live():
-        with part.step():
-            part.advance()
-    for part in parts:
-        part.fits, part.advance = [], None
+    def advance() -> list:
+        fits = []
+        for part, stage in zip(parts, stages):
+            if part.error is None:
+                with part.step():
+                    fits += next(stage, [])
+        return fits
+
+    solve_regressions(advance())
+    solve_catt(advance())
+    advance()
     return parts
 
 
-def _finite(a):
-    return np.where(np.isfinite(a), a, 0.0)
+def _stages(part: _Part, config: EstimatorConfig):
+    """The stages of one part, as a generator of its lasso batches.
 
-
-def _effect_stage(part: _Part, finish_nuisances, fixed_l1: float | None):
-    """B and every cell's dH from the part's solved nuisances, and the cells' effect fits."""
-    nuis = finish_nuisances()
-    # A non-finite value of a unit that a column did not draw must not reach
-    # its sums; one of a drawn unit has failed the column's nuisance fits.
-    X, y_pre = _finite(part.slices[0].X), _finite(part.slices[0].y_pre)
-    B = part.slices[0].g_flag[:, None] - nuis.g_hat
+    It cross-fits the slice's propensity (one Newton batch, shared by the
+    cells, with the DR member if ``part.full``) and yields the outcome
+    regressions: mu_t0 once, and mu_t per cell. Once they are solved it
+    forms B and each cell's dH and yields the cells' effect fits, of the
+    columns whose nuisances were fit. Once those are solved it forms the
+    balancing systems once, for the columns that some cell fit, and each
+    cell solves those of its own columns for its weights, scores and att
+    (and DR att).
+    """
+    sl = part.slices[0]
+    plan = _cell_plan(sl, config, part.g, part.periods[0])
+    fits, finish = start_nuisances(part.slices, plan, part.counts, config.fixed_l1,
+                                   full=part.full)
+    yield fits
+    nuis = finish()
+    del finish  # drops the solved regressions before the next batch
+    B = sl.g_flag[:, None] - nuis.g_hat
     fits, cells = [], []
-    for j, sl in enumerate(part.slices):
-        dH = (_finite(sl.y_post) - y_pre)[:, None] - nuis.nu_hat[j]
-        cell_fits, collect = _effect_fits(X, B, dH, part.counts, fixed_l1, nuis.errors[j])
+    for j, cell in enumerate(part.slices):
+        dH = (cell.y_post - sl.y_pre)[:, None] - nuis.nu_hat[j]
+        cell_fits, collect = catt_fits(sl.X, B, dH, part.counts, config.fixed_l1,
+                                       nuis.errors[j])
         fits += cell_fits
         cells.append((dH, collect))
-    return fits, functools.partial(_score_stage, part, X, B, cells, nuis.propensity)
-
-
-def _score_stage(part: _Part, X, B, cells, propensity) -> None:
-    """Every cell's scores and att, and with ``part.full`` its DR att.
-
-    The balancing systems are formed once, for the columns that some cell
-    fit, and each cell solves those of its own columns.
-    """
-    g = part.slices[0].g_flag
+    yield fits
     collected = [collect() for _, collect in cells]
-    ok = [np.flatnonzero([err is None for err in errors]) for _, _, errors in collected]
-    fitted = functools.reduce(np.union1d, ok)
-    solve = (balancing_columns(X, g.astype(float), *_columns(fitted, part.counts))
+    fitted = np.flatnonzero(np.any([[err is None for err in errors]
+                                    for _, _, errors in collected], axis=0))
+    solve = (balancing_columns(sl.X, sl.g_flag.astype(float), *_columns(fitted, part.counts))
              if fitted.size else None)
 
     def balance(sigma2, idx):
@@ -469,8 +429,8 @@ def _score_stage(part: _Part, X, B, cells, propensity) -> None:
 
     for j, ((dH, _), (coef, l1, errors)) in enumerate(zip(cells, collected)):
         with part.step(j):
-            part.results.append(_scores(X, B, dH, part.counts, coef, l1, errors, balance))
-            part.dr.append(_dr_cell(part.slices[j], propensity)
+            part.results.append(_scores(sl.X, B, dH, part.counts, coef, l1, errors, balance))
+            part.dr.append(_dr_cell(part.slices[j], nuis.propensity)
                            if part.full and errors[0] is None else None)
 
 
@@ -492,7 +452,7 @@ def estimate_from_bundle(bundle: NuisanceBundle, config: EstimatorConfig):
     values substituted for the fitted ones.
     """
     counts, B, dH = np.ones((bundle.n_units, 1)), bundle.B[:, None], bundle.dH[:, None]
-    fits, collect = _effect_fits(bundle.X, B, dH, counts, config.fixed_l1)
+    fits, collect = catt_fits(bundle.X, B, dH, counts, config.fixed_l1)
     solve_catt(fits)
     solve = balancing_columns(bundle.X, bundle.g.astype(float), counts)
     cols = _scores(bundle.X, B, dH, counts, *collect(), solve)

@@ -24,12 +24,15 @@ another.
 
 The GramFits come from two front ends. :func:`moment_fits` builds them
 from the weighted moments of a fit's rows and of its inner classes of
-rows: ``nuisance`` forms those moments for a cell's outcome regressions
+rows: ``nuisance`` forms those moments for a slice's outcome regressions
 from sums of per-fold blocks, and ``catt`` for the effect function from
-unit moments. :func:`row_gram_fit` builds one from its rows; it is behind
-:func:`fit_penalized_ls` and :func:`fit_penalized_ls_cv`, which the
-doubly-robust baseline uses and the tests take as the reference for the
-moment front end.
+unit moments, of the count columns whose nuisances were fit. Its moments
+come from a slice, whose data are finite (``panel.TwoPeriodSlice``
+checks them), so it makes no finite check of its own.
+:func:`row_gram_fit` builds one from its rows, which it checks for NaN
+and infinities; it is behind :func:`fit_penalized_ls` and
+:func:`fit_penalized_ls_cv`, which the doubly-robust baseline uses and
+the tests take as the reference for the moment front end.
 
 Every logistic fit goes through :func:`fit_probability_batch`: fits that
 share one design and label vector and differ in their row weights (a
@@ -756,8 +759,8 @@ def fit_probability_batch(
     does not depend on the rest of the batch.
 
     Returns per member the ProbabilityModel, or the MldidError its fit
-    raised (non-finite covariates on its rows, a missing label,
-    NoConvergence or SeparableWithoutPenalty).
+    raised (a missing label, NoConvergence or SeparableWithoutPenalty). A
+    non-finite entry of ``X`` raises NonFiniteData for the whole call.
     """
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
@@ -771,20 +774,18 @@ def fit_probability_batch(
         raise MldidError("weights must be an (n, members) array aligned with X")
     if np.any(W < 0):
         raise MldidError("weights must be nonnegative")
+    _check_finite("X", X)
     n_members, d = W.shape[1], p + 1
 
-    # Per member: its rows, the checks a fit on those rows alone makes (in
-    # the same order), its normalized weights and its standardization.
+    # Per member: its rows, the label check a fit on those rows alone
+    # makes, its normalized weights and its standardization.
     rows = W > 0
-    finite = np.isfinite(X).all(axis=1)
     y = labels == 1
-    bad_x = np.any(rows & ~finite[:, None], axis=0)
     bad_label = np.any(rows & ~(y | (labels == 0))[:, None], axis=0)
     has_both = np.any(rows & y[:, None], axis=0) & np.any(rows & ~y[:, None], axis=0)
     results: list = [None] * n_members
-    for b in np.flatnonzero(bad_x | bad_label | ~has_both):
-        results[b] = (NonFiniteData("X contains NaN or infinite entries") if bad_x[b]
-                      else MldidError("binary logistic requires both labels 0 and 1 present"))
+    for b in np.flatnonzero(bad_label | ~has_both):
+        results[b] = MldidError("binary logistic requires both labels 0 and 1 present")
     live = np.flatnonzero([r is None for r in results])
     if not live.size:
         return results
@@ -796,8 +797,7 @@ def fit_probability_batch(
     # array, they are formed once and each Hessian batch is one matrix
     # product with them; a design wider than about twice the members uses
     # the weighted copies instead.
-    Xf = np.where(finite[:, None], X, 0.0)
-    Z, m0, s0 = _standardize(Xf, np.full(n, 1.0 / n), center=True)
+    Z, m0, s0 = _standardize(X, np.full(n, 1.0 / n), center=True)
     D = np.concatenate([np.ones((n, 1)), Z], axis=1)
     DT = np.ascontiguousarray(D.T)
     upper = np.triu_indices(d)
@@ -819,7 +819,7 @@ def fit_probability_batch(
     maybe_const = scale <= 1e-6 * (np.abs(center) + s0 * np.sqrt(sq_z))
     const = np.zeros((n_members, p), dtype=bool)
     for b in live[maybe_const[live].any(axis=1)]:
-        const[b] = _pin_constant_columns(Xf, center[b], scale[b], rows[:, b], maybe_const[b])
+        const[b] = _pin_constant_columns(X, center[b], scale[b], rows[:, b], maybe_const[b])
     scale[scale == 0.0] = 1.0
 
     # Each member's map theta -> phi onto the shared design:

@@ -45,8 +45,9 @@ and returns its regressions as ``learners.GramFit`` systems, which carry
 their inner folds' held-out moments; :func:`solve_regressions` solves
 the GramFits of every slice of a group as one lasso batch; and the
 function :func:`start_nuisances` returned then collects the slice's
-predictions. :func:`cross_fit_nuisances` runs the stages for one cell,
-and :func:`estimate_nuisances` is its all-ones column.
+predictions. :func:`estimate_nuisances` runs the stages for the all-ones
+column of one cell. A slice's data are finite (``panel.TwoPeriodSlice``
+checks them), so no fit here guards against NaN.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateFold, MissingStratum, MldidError, NonFiniteData
+from .exceptions import DegenerateFold, MissingStratum, MldidError
 from .learners import (
     CV_FOLDS,
     CV_N_LAMBDAS,
@@ -176,36 +177,26 @@ def solve_regressions(fits: list[GramFit]) -> None:
                        fit_intercept=True, cv_rule="min")
 
 
-def cross_fit_nuisances(sl, plan: FoldPlan, counts: np.ndarray,
-                        fixed_l1: float | None = None) -> ColumnNuisances:
-    """Cross-fit g(x) and nu(x) of a slice for every count column.
-
-    The stages of :func:`start_nuisances` for this cell alone; ``nu_hat``
-    and ``errors`` are those of its one period.
-    """
-    live, finish = start_nuisances([sl], plan, counts, fixed_l1)
-    solve_regressions(live)
-    cols = finish()
-    return dataclasses.replace(cols, nu_hat=cols.nu_hat[0], errors=cols.errors[0])
-
-
 def estimate_nuisances(sl, plan: FoldPlan, fixed_l1: float | None = None) -> NuisanceBundle:
     """Cross-fit the nuisance functions of a slice.
 
     g(x) comes from a binary logistic fit on the slice's unit rows, and
     nu(x) is the difference of the regressions of y_post and of y_pre on
     x, with l1 pinned at ``fixed_l1`` or chosen by inner CV. Every
-    prediction for a unit is produced by models that never saw it. This
-    is the all-ones column of :func:`cross_fit_nuisances`.
+    prediction for a unit is produced by models that never saw it. These
+    are the stages of :func:`start_nuisances` for the slice's all-ones
+    column alone.
     """
     n_treated = int(np.count_nonzero(sl.g_flag))
     if n_treated in (0, sl.n_units):
         missing = "treated" if n_treated == 0 else "control"
         raise MissingStratum(f"slice has no {missing} units")
 
-    cols = cross_fit_nuisances(sl, plan, np.ones((sl.n_units, 1)), fixed_l1)
-    if cols.errors[0] is not None:
-        raise cols.errors[0]
+    live, finish = start_nuisances([sl], plan, np.ones((sl.n_units, 1)), fixed_l1)
+    solve_regressions(live)
+    cols = finish()
+    if cols.errors[0][0] is not None:
+        raise cols.errors[0][0]
     return NuisanceBundle(
         y_pre=sl.y_pre,
         y_post=sl.y_post,
@@ -214,7 +205,7 @@ def estimate_nuisances(sl, plan: FoldPlan, fixed_l1: float | None = None) -> Nui
         unit_ids=sl.unit_ids,
         covariate_names=sl.covariate_names,
         g_hat=cols.g_hat[:, 0],
-        nu_hat=cols.nu_hat[:, 0],
+        nu_hat=cols.nu_hat[0, :, 0],
     )
 
 
@@ -281,11 +272,10 @@ def _cross_fit_propensity(X, g_flag, plan: FoldPlan, counts, full: bool = False)
     ok = np.array([not isinstance(mod, MldidError) for mod in models], dtype=bool)
     for j in np.flatnonzero(~ok):
         failed[ks[j], rs[j]] = _in_fold(ks[j], models[j])
-    Xf = np.where(np.isfinite(X), X, 0.0)
     for k in np.unique(ks[ok]):
         members = np.flatnonzero(ok & (ks == k))
         test = np.flatnonzero(fold == k)
-        eta = (Xf[test] @ np.stack([models[j].coef[1] for j in members]).T
+        eta = (X[test] @ np.stack([models[j].coef[1] for j in members]).T
                + [models[j].intercepts[1] for j in members])
         # P(1) as the Newton kernel's objective forms it from the scores
         # (label 0 scores 0): 1 / (1 + e) for eta >= 0 and e / (1 + e)
@@ -314,11 +304,10 @@ def _regression_predictions(X, plan: FoldPlan, fits, n_periods: int = 1):
             else:
                 models.setdefault(k, []).append((out, r, fit))
     pred = np.zeros((1 + n_periods, m, len(fits)))
-    Xf = np.where(np.isfinite(X), X, 0.0)
     for k, entries in models.items():
         test = np.flatnonzero(fold == k)
         idx, cols, mods = zip(*entries)
-        vals = (Xf[test] @ np.stack([mod.coef for mod in mods]).T
+        vals = (X[test] @ np.stack([mod.coef for mod in mods]).T
                 + [mod.intercept for mod in mods])
         pred[np.array(idx), test[:, None], np.array(cols)] = vals
     errors = []
@@ -327,16 +316,6 @@ def _regression_predictions(X, plan: FoldPlan, fits, n_periods: int = 1):
         own = {(out == 0, k, r): err for (out, k, r), err in failed.items() if out in (1 + j, 0)}
         errors.append(_first_errors(own, len(fits)))
     return pred, errors
-
-
-def _regression_fits(X, y_pre, Y, plan: FoldPlan, counts, fixed_l1=None):
-    """The LinearModel, or the MldidError, of every (regression, outer fold) of every column.
-
-    The systems of :func:`_regression_systems`, solved on their own.
-    """
-    fits, live = _regression_systems(X, y_pre, Y, plan, counts, fixed_l1)
-    solve_regressions(live)
-    return _solved(fits)
 
 
 def _solved(fits):
@@ -372,9 +351,7 @@ def _regression_systems(X, y_pre, Y, plan: FoldPlan, counts, fixed_l1=None):
     regression's moments less one class and holds that class out.
 
     A regression with fewer than 2 training rows gets the DegenerateFold a
-    fold-by-fold cross-fit raises, and one with a non-finite covariate or
-    outcome on its rows the NonFiniteData of a fit on those rows; the
-    other regressions are unaffected.
+    fold-by-fold cross-fit raises; the other regressions are unaffected.
     """
     check_fixed_l1(fixed_l1)
     m, p = X.shape
@@ -382,35 +359,24 @@ def _regression_systems(X, y_pre, Y, plan: FoldPlan, counts, fixed_l1=None):
     c = np.asarray(counts, dtype=float)
     n_cols = c.shape[1]
     y_unit = np.column_stack([y_pre, Y])
-    finite_x, finite_y = np.isfinite(X), np.isfinite(y_unit)
-    Xf = np.where(finite_x, X, 0.0)
-    yf = np.where(finite_y, y_unit, 0.0)
-    x_shift = Xf.mean(axis=0)
-    y_shift = np.ascontiguousarray(yf[:, :2]).sum() / max(int(finite_y[:, :2].sum()), 1)
-    V = np.concatenate([np.ones((m, 1)), Xf - x_shift, yf - y_shift], axis=1)
-    # Per unit: whether its X, y_pre and each outcome are non-finite.
-    bad = np.column_stack([~finite_x.all(axis=1), ~finite_y]).astype(float)
-    train_M, train_bad, train_lo, train_hi = _training_sums(V, bad, Xf, fold, plan.n_folds, c)
+    x_shift = X.mean(axis=0)
+    y_shift = np.ascontiguousarray(y_unit[:, :2]).sum() / (2 * m)
+    V = np.concatenate([np.ones((m, 1)), X - x_shift, y_unit - y_shift], axis=1)
+    train_M, train_lo, train_hi = _training_sums(V, X, fold, plan.n_folds, c)
     train_size = train_M[..., 0, 0].astype(np.int64)
     drawn = (fold[:, None] == np.arange(plan.n_folds)).T.astype(float) @ c > 0
 
-    # The checks, in their order, of a fit on the regression's own rows:
-    # each period's mu_t, then mu_t0.
+    # Each period's mu_t, then mu_t0.
     outcomes = list(range(1, y_unit.shape[1])) + [0]
     fits, live = [{} for _ in range(n_cols)], []
-    sizes, flags = train_size.tolist(), train_bad.tolist()
+    sizes = train_size.tolist()
     for k, r in zip(*np.nonzero(drawn)):
         k, r = int(k), int(r)
         n_rows = sizes[r][k]
-        bad_x, *bad_y = flags[r][k]
         for out in outcomes:
             if n_rows < 2:
                 fits[r][out, k] = DegenerateFold(
                     f"fold {k}: training complement has {n_rows} rows")
-            elif bad_x:
-                fits[r][out, k] = NonFiniteData("X contains NaN or infinite entries")
-            elif bad_y[out]:
-                fits[r][out, k] = NonFiniteData("y contains NaN or infinite entries")
             else:
                 live.append((out, r, k))
     if not live:
@@ -462,22 +428,20 @@ def _moments(V, w, q):
     return M
 
 
-def _training_sums(V, bad, Xf, fold, n_folds, c):
-    """Moments, non-finite flags and covariate ranges of every training set.
+def _training_sums(V, X, fold, n_folds, c):
+    """Moments and covariate ranges of every training set.
 
     Entry ``[r, k]`` covers the units of column r outside fold k: the
-    count-weighted moments of their rows of ``V`` (:func:`_moments`),
-    whether any drawn one has a ``bad`` flag, and the min and max of each
-    covariate over the drawn ones. Each is combined from the per-fold
-    blocks it spans.
+    count-weighted moments of their rows of ``V`` (:func:`_moments`), and
+    the min and max of each covariate over the drawn ones. Each is
+    combined from the per-fold blocks it spans.
     """
-    n_cols, p, q = c.shape[1], Xf.shape[1], V.shape[1]
+    n_cols, p, q = c.shape[1], X.shape[1], V.shape[1]
     order = np.argsort(fold, kind="stable")
     size = np.bincount(fold, minlength=n_folds)
     starts = np.cumsum(size) - size
-    Vs, bs, Xs, cs = V[order], bad[order], Xf[order], c[order]
+    Vs, Xs, cs = V[order], X[order], c[order]
     M = np.zeros((n_folds, n_cols, q, q))
-    n_bad = np.zeros((n_folds, n_cols, bad.shape[1]))
     lo = np.full((n_folds, n_cols, p), np.inf)
     hi = np.full((n_folds, n_cols, p), -np.inf)
     for b in np.flatnonzero(size):
@@ -485,17 +449,16 @@ def _training_sums(V, bad, Xf, fold, n_folds, c):
         Vb, cb = Vs[rows], cs[rows]
         for r in range(n_cols):
             M[b, r] = _moments(Vb, cb[:, r], p + 3)
-        n_bad[b] = cb.T @ bs[rows]
         drawn = (cb > 0)[:, :, None]
         lo[b] = np.where(drawn, Xs[rows, None, :], np.inf).min(axis=0)
         hi[b] = np.where(drawn, Xs[rows, None, :], -np.inf).max(axis=0)
 
-    M, n_bad = (a.sum(axis=0) - a for a in (M, n_bad))
+    M = M.sum(axis=0) - M
     outside = ~np.eye(n_folds, dtype=bool)[:, :, None, None]
     lo = np.where(outside, lo[None], np.inf).min(axis=1)
     hi = np.where(outside, hi[None], -np.inf).max(axis=1)
     # (fold, column, ...) -> (column, fold, ...)
-    return tuple(np.moveaxis(a, 1, 0) for a in (M, n_bad > 0, lo, hi))
+    return tuple(np.moveaxis(a, 1, 0) for a in (M, lo, hi))
 
 
 def compute_abch(bundle: NuisanceBundle) -> NuisanceBundle:

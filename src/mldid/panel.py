@@ -17,6 +17,7 @@ from .exceptions import (
     GroupOne,
     MissingValue,
     MldidError,
+    NonFiniteData,
     NonMonotoneTreatment,
     PanelValidationError,
     UnbalancedPanel,
@@ -49,7 +50,7 @@ class PanelDataset:
     Units are stored in a fixed deterministic order; ``groups[i]`` is the
     first treated period of unit i (``NEVER_TREATED`` if none), outcomes
     and covariates are dense ``(n_units, T)`` and ``(n_units, T, p)``
-    arrays over periods 1..T.
+    arrays over periods 1..T, every entry finite.
     """
 
     unit_ids: np.ndarray
@@ -66,6 +67,9 @@ class PanelDataset:
             raise PanelValidationError("outcome array shape does not match panel")
         if self.covariates.shape[:2] != (n, T):
             raise PanelValidationError("covariate array shape does not match panel")
+        for name in ("outcomes", "covariates"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise PanelValidationError(f"{name} contain NaN or infinite entries")
         if np.any(self.groups == 1):
             bad = self.unit_ids[self.groups == 1][0]
             raise GroupOne(f"unit {bad}: treatment cannot start in period 1")
@@ -102,7 +106,8 @@ class TwoPeriodSlice:
     """One (g, t) estimation cell: cohort g versus not-yet-treated controls.
 
     The baseline period is always g-1. ``g_flag`` is 1 for cohort-g rows;
-    covariates are the baseline-period values.
+    covariates are the baseline-period values. ``X``, ``y_pre`` and
+    ``y_post`` must be finite, so no estimator downstream meets a NaN.
     """
 
     g: int
@@ -116,6 +121,11 @@ class TwoPeriodSlice:
     X: np.ndarray
     covariate_names: tuple[str, ...]
     control_rule: str = "not-yet-treated"
+
+    def __post_init__(self):
+        for name in ("X", "y_pre", "y_post"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise NonFiniteData(f"{name} contains NaN or infinite entries")
 
     @property
     def e(self) -> int:

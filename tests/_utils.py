@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from mldid import PanelDataset, TwoPeriodSlice
-from mldid.nuisance import NuisanceBundle, compute_abch
+from mldid.catt import catt_fits, solve_catt
+from mldid.nuisance import (NuisanceBundle, _regression_systems, _solved, compute_abch,
+                            solve_regressions)
 
 
 def make_panel(groups, n_periods, outcomes, covariates=None, unit_ids=None):
@@ -86,6 +88,27 @@ def oracle_bundle(sl, truth, y_shift=0.0):
         nu_hat=truth["rho"] + truth["tau"] * truth["g"],
     )
     return compute_abch(bundle)
+
+
+def regression_fits(X, y_pre, Y, plan, counts, fixed_l1=None):
+    """The LinearModel, or the MldidError, of every (regression, outer fold) of every column.
+
+    The Gram systems of ``nuisance._regression_systems``, solved as a batch
+    of their own.
+    """
+    fits, live = _regression_systems(X, y_pre, Y, plan, counts, fixed_l1)
+    solve_regressions(live)
+    return _solved(fits)
+
+
+def catt_columns(X, B, dH, counts, fixed_l1=None):
+    """The (columns, 1 + p) coefficients, chosen l1s and errors of every column's effect fit.
+
+    The GramFits of ``catt.catt_fits``, solved as a batch of their own.
+    """
+    fits, collect = catt_fits(X, B, dH, counts, fixed_l1)
+    solve_catt(fits)
+    return collect()
 
 
 def thin_cohort(panel, g, n_keep):

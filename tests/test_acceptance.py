@@ -72,17 +72,24 @@ def _map(fn, tasks):
 
 
 def _mc_rep(args):
-    """One repetition: estimate every cell plus the DR baseline."""
+    """One repetition: every cell's estimate and the run's DR baseline of it.
+
+    On repetition 0 each cell's DR att is first checked against the DR
+    estimate of its own slice.
+    """
     rep, n, include_placebo = args
     seed = derive_seed(MASTER_SEED, 303, rep)
     oracle = simulate(DgpConfig(n_units=n, seed=seed))
     run = run_mldid(oracle.panel,
                     EstimatorConfig(seed=seed, include_placebo=include_placebo))
+    assert run.dr_skipped == []
     out = {}
-    for c in run.cells:
+    for c, dr in zip(run.cells, run.dr_cells):
         if c.is_reference:
             continue
-        dr = estimate_cell_dr(slice_two_period(oracle.panel, c.g, c.t))
+        if rep == 0:
+            own = estimate_cell_dr(slice_two_period(oracle.panel, c.g, c.t)).att_dr
+            assert dr.att_dr == pytest.approx(own, rel=1e-12, abs=0), (c.g, c.t)
         out[(c.g, c.t)] = (c.att, dr.att_dr, oracle.oracle_att(c.g, c.t))
     return out
 

@@ -17,11 +17,10 @@ from mldid.estimator import (
     replicate_counts,
 )
 from mldid.exceptions import IllConditionedWarning
-from mldid.nuisance import _regression_fits
 from mldid.panel import enumerate_cells, slice_two_period
 
 from _bootstrap_reference import reference_missing, reference_replicate
-from _utils import oracle_bundle, thin_cohort, two_period_dgp
+from _utils import oracle_bundle, regression_fits, thin_cohort, two_period_dgp
 
 FIXED = EstimatorConfig(seed=4, fixed_l1=0.01)
 
@@ -80,23 +79,6 @@ def test_missing_replicate_without_a_drawn_cohort():
     assert np.isfinite(other[none]).all()
 
 
-def test_undrawn_non_finite_unit_leaves_column_unchanged():
-    # A column that does not draw a unit with a NaN covariate and outcome is
-    # the estimate without that unit; the all-ones column fails.
-    panel = simulate(DgpConfig(n_units=160, seed=8)).panel
-    sl = slice_two_period(panel, 2, 2)
-    counts = np.ones((sl.n_units, 2))
-    counts[5, 0] = 0
-    X_nan, y_nan = sl.X.copy(), sl.y_post.copy()
-    X_nan[5, 1], y_nan[5] = np.nan, np.inf
-    got = _cell_columns(dataclasses.replace(sl, X=X_nan, y_post=y_nan), FIXED, counts)
-    X_any = sl.X.copy()
-    X_any[5, 1] = 123.0
-    want = _cell_columns(dataclasses.replace(sl, X=X_any), FIXED, counts[:, :1])
-    assert got.errors[0] is None and abs(got.att[0] - want.att[0]) <= 1e-12
-    assert str(got.errors[1]).startswith("fold ") and np.isnan(got.att[1])
-
-
 @pytest.mark.slow
 @pytest.mark.parametrize("panel, seed", [
     # Replicates that draw cohort 4's four units all in one fold skip its cells.
@@ -150,7 +132,7 @@ def test_cv_column_alone_equals_column_in_batch():
         plan = _cell_plan(sl, config, g, t)
         c = counts[sl.unit_rows]
         batch = _cell_columns(sl, config, c)
-        fits = _regression_fits(sl.X, sl.y_pre, sl.y_post, plan, c, config.fixed_l1)
+        fits = regression_fits(sl.X, sl.y_pre, sl.y_post, plan, c, config.fixed_l1)
         for r in range(c.shape[1]):
             alone = _cell_columns(sl, config, c[:, [r]])
             assert batch.errors[r] is None and alone.errors[0] is None
@@ -158,8 +140,8 @@ def test_cv_column_alone_equals_column_in_batch():
             # The same grid point (neighbouring points differ by a factor of
             # about 1.8); the grids agree to rounding.
             assert alone.catt_l1[0] == pytest.approx(batch.catt_l1[r], rel=1e-9, abs=0)
-            own = _regression_fits(sl.X, sl.y_pre, sl.y_post, plan, c[:, [r]],
-                                   config.fixed_l1)[0]
+            own = regression_fits(sl.X, sl.y_pre, sl.y_post, plan, c[:, [r]],
+                                  config.fixed_l1)[0]
             assert own.keys() == fits[r].keys()
             for key, fit in own.items():
                 assert fit.l1 == pytest.approx(fits[r][key].l1, rel=1e-9, abs=0), key

@@ -5,12 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mldid import fit_catt, fit_penalized_ls_cv, predict_catt
-from mldid.catt import catt_loss, fit_catt_columns
+from mldid.catt import catt_loss
 from mldid.exceptions import AllWeightsZero, SchemaMismatch
 from mldid.learners import DEFAULT_L2
 
 from _stacked_rows import stacked_tau
-from _utils import oracle_bundle, two_period_dgp
+from _utils import catt_columns, oracle_bundle, two_period_dgp
 
 
 def bundle_with_tau(n, seed, tau_fn, noise=1.0):
@@ -116,7 +116,7 @@ def test_fixed_l1_unit_fit_matches_stacked_rows():
     # arbitrary: the all-ones column and a column of counts.
     X, B, dH, counts, rng = _unit_rows(14)
     level = 5.0 * rng.standard_normal(X.shape[0])
-    coef, chosen, errors = fit_catt_columns(
+    coef, chosen, errors = catt_columns(
         X, np.tile(B[:, None], 2), np.tile(dH[:, None], 2), counts, fixed_l1=0.01)
     assert errors == [None, None] and (chosen == 0.01).all()
     for r in range(2):
@@ -129,7 +129,7 @@ def test_cv_fit_matches_penalized_cv_on_drawn_units():
     # Each column's CV fit is fit_penalized_ls_cv on its drawn units, with
     # design (B/2)[1, x], response dH/2 and the counts as weights.
     X, B, dH, counts, _ = _unit_rows(15)
-    coef, chosen, errors = fit_catt_columns(
+    coef, chosen, errors = catt_columns(
         X, np.tile(B[:, None], 2), np.tile(dH[:, None], 2), counts)
     assert errors == [None, None]
     Z = np.concatenate([np.ones((X.shape[0], 1)), X], axis=1)

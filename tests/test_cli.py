@@ -397,6 +397,33 @@ def test_config_file_defaults(tmp_path, sim_dir):
     assert manifest["config"]["fixed_l1"] == 0.02
 
 
+@pytest.mark.parametrize("text, line, key", [
+    ("foldz = 3\nseeed = 9\n", 1, "foldz"),
+    ("# defaults\nseed = 5\nfixed_l = 0.02\n", 3, "fixed_l"),
+    ("config = other.cfg\n", 1, "config"),
+], ids=["typo", "after-comment", "group-option"])
+def test_config_file_unknown_key_is_a_usage_error(tmp_path, sim_dir, text, line, key):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "cfg_out"
+    res = run_cli(["--config", str(cfg), "estimate",
+                   "--input", str(sim_dir / "panel.csv"), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert f"{cfg}:{line}: unknown key '{key}'" in res.output
+    assert not out.exists()
+
+
+def test_config_file_key_of_another_command_passes(tmp_path, sim_dir):
+    # `reps` is a benchmark flag; estimate ignores it.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("reps = 3\nfixed-l1 = 0.02\n")
+    out = tmp_path / "cfg_out"
+    res = run_cli(["--config", str(cfg), "estimate",
+                   "--input", str(sim_dir / "panel.csv"), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert json.loads((out / "manifest.json").read_text())["config"]["fixed_l1"] == 0.02
+
+
 def test_env_var_override(tmp_path, sim_dir, monkeypatch):
     out = tmp_path / "env_out"
     runner = CliRunner()

@@ -23,7 +23,7 @@ from mldid.drdid import estimate_cell_dr
 from mldid.estimator import GroupTimeResult, _replicate_se, estimate_from_bundle
 from mldid.exceptions import CellSkipped, DegenerateFold, IllConditionedWarning, MldidError
 from mldid.learners import fit_probability_batch
-from mldid.nuisance import cross_fit_nuisances, start_nuisances
+from mldid.nuisance import estimate_nuisances, start_nuisances
 from mldid.panel import enumerate_cells, slice_two_period
 
 from _utils import make_panel, oracle_bundle, thin_cohort, two_period_dgp
@@ -401,7 +401,7 @@ def test_placebo_cell_shares_its_post_cells_plan_and_propensity():
         plans = [estimator._cell_plan(sl, config, g, sl.t) for sl in (placebo, post)]
         assert plans[0].seed == plans[1].seed
         assert plans[0].assignment.tobytes() == plans[1].assignment.tobytes()
-        g_hat = [cross_fit_nuisances(sl, plan, np.ones((sl.n_units, 1)), 0.02).g_hat
+        g_hat = [estimate_nuisances(sl, plan, 0.02).g_hat
                  for sl, plan in zip((placebo, post), plans)]
         assert g_hat[0].tobytes() == g_hat[1].tobytes()
     assert n_placebo == 6

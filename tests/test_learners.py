@@ -676,10 +676,12 @@ def test_probability_engine_edge_cases(l2):
     assert _assert_matches_reference(X, one_class, fold, 3, l2) == 2
     got = fit_probability_batch(X, one_class, _fold_weights(fold, 3), l2=l2)
     assert "both labels 0 and 1" in str(got[0])
-    # A non-finite covariate fails the members whose rows hold it.
+    # A non-finite covariate fails the whole call, not only the members
+    # whose rows hold it.
     X_bad = X.copy()
     X_bad[0, 1] = np.nan  # row 0 is in fold 0
-    assert _assert_matches_reference(X_bad, labels, fold, 3, l2) == 1
+    with pytest.raises(NonFiniteData):
+        fit_probability_batch(X_bad, labels, _fold_weights(fold, 3), l2=l2)
 
 
 def test_probability_engine_separable_without_penalty():
@@ -820,6 +822,17 @@ def test_probability_batch_validates_input():
         fit_probability_batch(X, labels, np.ones(4))
     with pytest.raises(MldidError, match="nonnegative"):
         fit_probability_batch(X, labels, -np.ones((4, 1)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_probability_batch_rejects_non_finite_x(value):
+    # Even on a row that no member weights: the whole call fails.
+    X = np.random.default_rng(44).standard_normal((30, 2))
+    X[5, 1] = value
+    weights = np.ones((30, 2))
+    weights[5] = 0.0
+    with pytest.raises(NonFiniteData, match="^X contains NaN or infinite"):
+        fit_probability_batch(X, np.arange(30) % 2, weights)
 
 
 # ---------------------------------------------------------------------------

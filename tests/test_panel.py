@@ -21,6 +21,7 @@ from mldid.exceptions import (
     GroupOne,
     MissingValue,
     MldidError,
+    NonFiniteData,
     NonMonotoneTreatment,
     PanelValidationError,
     UnbalancedPanel,
@@ -162,6 +163,27 @@ def four_group_panel(n_per=5, seed=0):
     n = groups.shape[0]
     return make_panel(groups, 4, rng.standard_normal((n, 4)),
                       rng.standard_normal((n, 4, 2)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["outcomes", "covariates"])
+def test_panel_rejects_non_finite_entries(name, value):
+    # Checked where a panel is built, so no estimate meets a NaN.
+    panel = four_group_panel()
+    bad = getattr(panel, name).copy()
+    bad[3, 1, ...] = value
+    with pytest.raises(PanelValidationError, match=f"^{name} contain NaN or infinite"):
+        dataclasses.replace(panel, **{name: bad})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["X", "y_pre", "y_post"])
+def test_slice_rejects_non_finite_entries(name, value):
+    sl = slice_two_period(four_group_panel(), 2, 3)
+    bad = getattr(sl, name).copy()
+    bad[2, ...] = value
+    with pytest.raises(NonFiniteData, match=f"^{name} contains NaN or infinite"):
+        dataclasses.replace(sl, **{name: bad})
 
 
 def test_slice_2_3_controls_are_not_yet_treated():
