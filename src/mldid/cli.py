@@ -108,9 +108,9 @@ def cli(ctx, config):
 
 def _dgp_options(f):
     opts = [
-        click.option("--n", type=int, default=1000, show_default=True,
+        click.option("--n", type=click.IntRange(min=10), default=1000, show_default=True,
                      help="Units in the simulated panel."),
-        click.option("--periods", type=int, default=4, show_default=True),
+        click.option("--periods", type=click.IntRange(min=2), default=4, show_default=True),
         click.option("--tau", type=click.Choice(TAU_SCENARIOS), default="x1",
                      show_default=True, help="Effect heterogeneity scenario."),
         click.option("--assignment", type=click.Choice(ASSIGNMENTS),
@@ -377,7 +377,7 @@ def _benchmark_rep(args):
 
 @cli.command("benchmark")
 @_dgp_options
-@click.option("--reps", type=int, default=20, show_default=True)
+@click.option("--reps", type=click.IntRange(min=1), default=20, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(file_okay=False), required=True)
 @click.option("--k-bins", type=_K_BINS, default=4, show_default=True)

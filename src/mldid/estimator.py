@@ -23,11 +23,14 @@ also fit the doubly-robust baseline's propensity as one more member of
 their Newton batch, and finish every cell's DR estimate.
 
 A slice is estimated for a matrix of unit counts at once: each column is
-one estimate, with the slice's units weighted by their counts. A run uses
-the single all-ones column. The bootstrap draws every replicate as a
-column of counts over the original panel's units and estimates each slice
-once for all of them, with the slice's own fold plan, so a unit's copies
-share its fold.
+one estimate, with the slice's units weighted by their counts and split
+by the slice's own fold plan, so a unit's copies share its fold. The
+bootstrap draws every replicate as a column of counts over the original
+panel's units, and a run is the single all-ones column: both are one
+driver (:func:`_collect`). Its columns are screened once
+(:func:`_screen`, which :func:`estimate_cell` uses too): a column without
+a unit of cohort g, or without a control of the slice, skips the slice's
+cells with the CellSkipped that slicing its panel raises.
 
 The engine is stage-major. Slices (for the bootstrap, parts of a slice's
 columns) are estimated in groups of at most MAX_GROUP_ENTRIES (unit,
@@ -278,20 +281,21 @@ class _Part:
     ``periods`` are the cells' t, s first, and ``slices`` their
     TwoPeriodSlices, which share units, x, group flag and y_pre and differ
     in t and y_post. ``counts`` weights the slice's units, one column per
-    estimate, and ``columns`` names those columns among the bootstrap's
-    replicates (None for a run's all-ones column). With ``full`` the
-    all-ones column also fits the DR baseline's propensity on every unit,
-    and ``dr`` then holds each cell's DrCellResult or the MldidError that
-    stopped it. ``results`` holds each cell's final _Columns, ``error`` an
-    MldidError that stopped the whole part, and ``caught`` per cell the
-    (category, message) of every warning its steps raised; a step shared
-    by the cells records its warnings for each of them.
+    estimate, and ``columns`` names those columns among the driver's count
+    columns: a bootstrap replicate, or column 0, the all-ones column of a
+    run. With ``full`` the all-ones column also fits the DR baseline's
+    propensity on every unit, and ``dr`` then holds each cell's
+    DrCellResult or the MldidError that stopped it. ``results`` holds each
+    cell's final _Columns, ``error`` an MldidError that stopped the whole
+    part, and ``caught`` per cell the (category, message) of every warning
+    its steps raised; a step shared by the cells records its warnings for
+    each of them.
     """
 
     g: int
     periods: tuple[int, ...]
-    slices: list = field(default_factory=list)
-    counts: np.ndarray | None = None
+    slices: list
+    counts: np.ndarray
     columns: np.ndarray | None = None
     full: bool = False
     results: list = field(default_factory=list)
@@ -331,36 +335,16 @@ def _slices(keys) -> list[tuple[int, tuple[int, ...]]]:
     return [(g, (s, *sorted(ts - {s}))) for (g, s), ts in by_slice.items()]
 
 
-def _sliced(panel: PanelDataset, g: int, periods, counts=None, columns=None,
-            full: bool = False) -> _Part:
-    """The part of slice (g, periods[0]) for ``columns`` of ``counts``, or its all-ones column.
+def _sliced(panel: PanelDataset, counts, g: int, periods, columns, full: bool) -> _Part:
+    """The part of slice (g, periods[0]) for ``columns`` of ``counts``.
 
-    ``counts`` holds draw counts over the panel's units. A slice that
-    cannot be built is the part's error (see :func:`_cell_error`).
+    ``counts`` holds draw counts over the panel's units, and the columns
+    passed :func:`_screen`, so the slice exists.
     """
-    part = _Part(g, tuple(periods), columns=columns, full=full)
-    with part.step():
-        sl = slice_two_period(panel, g, periods[0])
-        part.slices = [sl] + [
-            dataclasses.replace(sl, t=t, y_post=panel.outcomes[sl.unit_rows, t - 1])
-            for t in periods[1:]]
-        part.counts = (np.ones((sl.n_units, 1)) if columns is None
-                       else counts[sl.unit_rows][:, columns])
-    return part
-
-
-def _cell_error(part: _Part, t: int) -> MldidError | None:
-    """The error that stopped cell (g, t) with its whole part, or None.
-
-    A slice that cannot be built skips the cell with a CellSkipped that
-    names it, wrapping what slicing the cell raises.
-    """
-    err = part.error
-    if isinstance(err, EmptyControlGroup):
-        return CellSkipped(part.g, t, empty_control_error(part.g, t))
-    if isinstance(err, EmptyTreatedGroup):
-        return CellSkipped(part.g, t, err)
-    return err
+    sl = slice_two_period(panel, g, periods[0])
+    slices = [sl] + [dataclasses.replace(sl, t=t, y_post=panel.outcomes[sl.unit_rows, t - 1])
+                     for t in periods[1:]]
+    return _Part(g, tuple(periods), slices, counts[sl.unit_rows][:, columns], columns, full)
 
 
 def _estimate_parts(parts: list[_Part], config: EstimatorConfig) -> list[_Part]:
@@ -501,10 +485,7 @@ def _cell_plan(sl, config: EstimatorConfig, g: int, t: int):
 
 
 def _cell_result(part: _Part, j: int) -> GroupTimeResult:
-    """The result of cell j's all-ones column; raises the error that stopped it."""
-    error = _cell_error(part, part.periods[j]) or part.results[j].errors[0]
-    if error is not None:
-        raise error
+    """The result of cell j's all-ones column, which was estimated."""
     sl, cols = part.slices[j], part.results[j]
     return GroupTimeResult(
         g=part.g,
@@ -531,8 +512,8 @@ def estimate_cell(
     the cell is estimated with the other cells of its slice that
     ``config`` enumerates, as a group of its own, and its result is
     returned with its warnings. The reference cell t = g-1 returns a fixed
-    zero. Slice construction failures are wrapped as CellSkipped with the
-    (g, t) context; other module errors propagate.
+    zero. A cell without treated units or controls raises the run's
+    CellSkipped (:func:`_screen`); other module errors propagate.
     """
     config = config or EstimatorConfig()
     _check_config(config)
@@ -542,11 +523,17 @@ def estimate_cell(
         raise MldidError(f"t={t} outside 1..{panel.n_periods}")
     keys = [(h, u) for h, u in enumerate_cells(panel, config.include_placebo)
             if h == g and max(h, u) == max(g, t)]
-    (_, periods), = _slices(keys + [(g, t)])
-    part, = _estimate_parts([_sliced(panel, g, periods, full=True)], config)
-    j = periods.index(t)
+    ones = np.ones((panel.n_units, 1))
+    parts, _, skips = _screen(panel, [*keys, (g, t)], ones)
+    if skips[g, t][0] is not None:
+        raise skips[g, t][0]
+    part, = _estimate_parts([_sliced(panel, ones, *parts[0], full=True)], config)
+    j = part.periods.index(t)
     for category, message in part.caught[j]:
         warnings.warn(message, category, stacklevel=2)
+    error = part.error or part.results[j].errors[0]
+    if error is not None:
+        raise error
     return _cell_result(part, j)
 
 
@@ -661,12 +648,16 @@ def _recording(job):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
-def _reemit(prefix: str | None, caught) -> None:
-    """Warn again, once per distinct message, with ``prefix`` and its count."""
+def _reemit(prefix: str | None, caught, stacklevel: int = 3) -> None:
+    """Warn again, once per distinct message, with ``prefix`` and its count.
+
+    ``stacklevel`` counts frames from here, so the default 3 names the line
+    that called the caller.
+    """
     head = f"{prefix}: " if prefix else ""
     for (category, message), n in Counter(caught).items():
         times = f" ({n} times)" if n > 1 else ""
-        warnings.warn(f"{head}{message}{times}", category, stacklevel=3)
+        warnings.warn(f"{head}{message}{times}", category, stacklevel=stacklevel)
 
 
 def _groups(items: list, sizes: list[int], threads: int) -> list[list]:
@@ -688,72 +679,130 @@ def _groups(items: list, sizes: list[int], threads: int) -> list[list]:
     return groups
 
 
-def _n_units(panel: PanelDataset, g: int, t: int) -> int:
-    """Units of the (g, t) slice; 0 if it has none, which its group then reports."""
-    try:
-        return int(slice_rows(panel, g, t).size)
-    except MldidError:
-        return 0
+def _screen(panel: PanelDataset, keys, counts):
+    """The parts of the cells ``keys`` for the count columns ``counts``, screened once.
 
-
-def _run_task(args):
-    """Each cell's GroupTimeResult or skip reason, DR result and warnings, of a group of slices.
-
-    The DR result is a DrCellResult, the message of the error that
-    stopped it, or None for a skipped cell.
+    A column that drew no unit of cohort g, or no control of slice (g, s),
+    has no slice: each cell of the slice gets, for that column, the
+    CellSkipped that slicing its panel raises. A slice's other columns are
+    split into parts of at most MAX_GROUP_ENTRIES (unit, column) entries,
+    or one column each. Returns the parts (g, periods, columns), their
+    sizes in entries, and per cell a list of every column's CellSkipped or
+    None.
     """
-    panel, config, slices = args
+    n_cols = counts.shape[1]
+    skips = {key: [None] * n_cols for key in keys}
+    parts, sizes = [], []
+    for g, periods in _slices(keys):
+        treated = counts[panel.groups == g].sum(axis=0) > 0
+        try:
+            rows = slice_rows(panel, g, periods[0])
+            control = counts[rows[panel.groups[rows] != g]].sum(axis=0) > 0
+        except (EmptyTreatedGroup, EmptyControlGroup):
+            rows, control = None, np.zeros(n_cols, dtype=bool)
+        live = treated & control
+        for t in (t for t in periods if (g, t) in skips):
+            no_control = CellSkipped(g, t, empty_control_error(g, t))
+            no_treated = CellSkipped(g, t, empty_treated_error(g))
+            for r in np.flatnonzero(~live):
+                skips[g, t][r] = no_control if treated[r] else no_treated
+        live = np.flatnonzero(live)
+        if live.size:
+            n_parts = -(-live.size * rows.size // MAX_GROUP_ENTRIES)
+            for cols in np.array_split(live, min(n_parts, live.size)):
+                parts.append((g, periods, cols))
+                sizes.append(rows.size * cols.size)
+    return parts, sizes, skips
+
+
+def _task(args):
+    """Each cell's columns, their atts and reasons, its result and warnings, of a group of parts.
+
+    A column's reason is the message of the error that stopped it, or
+    None. With ``full`` a cell whose all-ones column was estimated has as
+    result its GroupTimeResult and DR result, a DrCellResult or the message
+    of the error that stopped it; other cells have None.
+    """
+    panel, config, counts, items, full = args
+    parts = _estimate_parts([_sliced(panel, counts, *item, full) for item in items], config)
     out = []
-    parts = _estimate_parts([_sliced(panel, g, periods, full=True) for g, periods in slices],
-                            config)
     for part in parts:
         for j, t in enumerate(part.periods):
-            try:
-                res = _cell_result(part, j)
-            except MldidError as err:
-                res, dr = str(err), None
+            if part.error is not None:
+                att, errors = np.full(part.columns.size, np.nan), [part.error] * part.columns.size
             else:
+                att, errors = part.results[j].att, part.results[j].errors
+            result = None
+            if full and errors[0] is None:
                 dr = part.dr[j]
-                dr = str(dr) if isinstance(dr, MldidError) else dr
-            out.append(((part.g, t), res, dr, part.caught[j]))
+                result = _cell_result(part, j), str(dr) if isinstance(dr, MldidError) else dr
+            out.append(((part.g, t), part.columns, att,
+                        [None if err is None else str(err) for err in errors], result,
+                        part.caught[j]))
     return out
+
+
+def _collect(panel: PanelDataset, config: EstimatorConfig, counts, keys, prefix: str,
+             full: bool = False):
+    """Every column's att of each cell ``keys`` and, where it has none, the reason.
+
+    The one driver of the run and the bootstrap. Its columns are screened
+    once (:func:`_screen`), the parts estimated in groups (:func:`_groups`)
+    mapped over ``--threads``, and each cell's warnings raised again with
+    ``prefix`` and its (g, t), at the line that called the caller. A
+    column's estimate depends on its part only through rounding. Returns
+    the atts and the reasons, each a dict by cell, and the results
+    (:func:`_task`) by estimated cell, which only ``full`` gives.
+    """
+    parts, sizes, skips = _screen(panel, keys, counts)
+    atts = {key: np.full(counts.shape[1], np.nan) for key in keys}
+    reasons = {key: [None if err is None else str(err) for err in errs]
+               for key, errs in skips.items()}
+    results, caught, leftover = {}, {key: [] for key in keys}, []
+    groups = _groups(parts, sizes, config.threads)
+    outputs = _map_tasks(_task, [(panel, config, counts, group, full) for group in groups],
+                         config.threads)
+    for cells, group_caught in outputs:
+        for key, cols, att, why, result, cell_caught in cells:
+            if key not in atts:
+                # A post cell that its slice's placebo cells need, not asked for.
+                continue
+            atts[key][cols] = att
+            for r, reason in zip(cols, why):
+                reasons[key][r] = reason
+            if result is not None:
+                results[key] = result
+            caught[key] += cell_caught
+        leftover += group_caught
+    for (g, t), cell_caught in caught.items():
+        _reemit(f"{prefix} (g={g}, t={t})", cell_caught, stacklevel=4)
+    _reemit(None, leftover, stacklevel=4)
+    return atts, reasons, results
 
 
 def run_mldid(panel: PanelDataset, config: EstimatorConfig | None = None) -> MldidRun:
     """Estimate every cell, aggregate, and assemble the per-unit panel.
 
-    The cells are estimated by slice (:func:`_slices`), the slices in
-    groups (:func:`_groups`), each group stage by stage
-    (:func:`_estimate_parts`); the DR baseline of every estimated cell
-    comes from the same pass. Skipped cells are recorded with their
-    reason, never silently dropped, and so are cells whose DR baseline
-    failed; reference cells (t = g-1) appear as hard zeros. Warnings of a
-    cell are raised again here, prefixed with its (g, t). Settings on
-    which every cell would fail (fewer than 2 folds, a lasso option no fit
-    can use) raise MldidError up front.
+    The run is the all-ones column of the driver :func:`_collect`: the
+    cells are estimated by slice (:func:`_slices`), the slices in groups
+    (:func:`_groups`), each group stage by stage (:func:`_estimate_parts`);
+    the DR baseline of every estimated cell comes from the same pass.
+    Skipped cells are recorded with their reason, never silently dropped,
+    and so are cells whose DR baseline failed; reference cells (t = g-1)
+    appear as hard zeros. Warnings of a cell are raised again at the line
+    that called this, prefixed with its (g, t). Settings on which every
+    cell would fail (fewer than 2 folds, a lasso option no fit can use)
+    raise MldidError up front.
     """
     config = config or EstimatorConfig()
     _check_config(config)
-    slices = _slices(enumerate_cells(panel, config.include_placebo))
-    groups = _groups(slices, [_n_units(panel, g, periods[0]) for g, periods in slices],
-                     config.threads)
-    results: dict[tuple[int, int], GroupTimeResult] = {}
-    dr: dict[tuple[int, int], DrCellResult | str] = {}
-    skipped: list[tuple[int, int, str]] = []
-    outputs = _map_tasks(_run_task, [(panel, config, group) for group in groups],
-                         config.threads)
-    for cells, caught in outputs:
-        for (g, t), res, dr_res, cell_caught in cells:
-            _reemit(f"cell (g={g}, t={t})", cell_caught)
-            if isinstance(res, str):
-                skipped.append((g, t, res))
-            else:
-                results[(g, t)], dr[(g, t)] = res, dr_res
-        _reemit(None, caught)
-
-    cells = [results[k] for k in sorted(results)]
-    for g in panel.cohorts:
-        cells.append(_reference_result(panel, g))
+    keys = enumerate_cells(panel, config.include_placebo)
+    _, reasons, estimated = _collect(panel, config, np.ones((panel.n_units, 1)), keys,
+                                     "cell", full=True)
+    skipped = [(g, t, why[0]) for (g, t), why in reasons.items() if why[0] is not None]
+    dr = {key: dr_res for key, (_, dr_res) in estimated.items()}
+    cells = [res for res, _ in estimated.values()]
+    cells += [_reference_result(panel, g) for g in panel.cohorts]
     cells.sort(key=lambda c: (c.g, c.t))
     dr_cells, dr_skipped = [], []
     for c in cells:
@@ -821,79 +870,6 @@ def replicate_counts(n_units: int, seed: int, n_replicates: int) -> np.ndarray:
     return counts
 
 
-def _bootstrap_task(args):
-    """Every replicate's att, and where it has none the reason, of each cell of a group of parts."""
-    panel, config, counts, items = args
-    parts = _estimate_parts([_sliced(panel, g, periods, counts, cols)
-                             for g, periods, cols in items], config)
-    out = []
-    for part in parts:
-        for j, t in enumerate(part.periods):
-            if part.error is not None:
-                att = np.full(part.columns.size, np.nan)
-                reasons = [str(_cell_error(part, t))] * part.columns.size
-            else:
-                att = part.results[j].att
-                reasons = [None if err is None else str(err) for err in part.results[j].errors]
-            out.append(((part.g, t), part.columns, att, reasons, part.caught[j]))
-    return out
-
-
-def _replicate_atts(panel: PanelDataset, config: EstimatorConfig, counts, keys):
-    """Every replicate's att of each cell and, where it has none, the reason.
-
-    The cells are estimated by slice. A slice's live replicates are
-    estimated in parts of columns, of at most MAX_GROUP_ENTRIES (unit,
-    column) entries or one column each, and the parts in groups
-    (:func:`_groups`), each part counted once whatever its cells. A
-    column's estimate depends on its part only through rounding. Warnings
-    are raised again with the cell's (g, t). Returns the atts and the
-    reasons, each a dict by cell.
-    """
-    n_cols = counts.shape[1]
-    atts = {key: np.full(n_cols, np.nan) for key in keys}
-    reasons: dict = {key: [None] * n_cols for key in keys}
-    items, sizes = [], []
-    for g, periods in _slices(keys):
-        # A replicate that drew no unit of cohort g, or no control, has no
-        # slice; its reason is what slicing its panel raises.
-        treated = counts[panel.groups == g].sum(axis=0) > 0
-        try:
-            rows = slice_rows(panel, g, periods[0])
-            control = counts[rows[panel.groups[rows] != g]].sum(axis=0) > 0
-        except EmptyControlGroup:
-            rows, control = None, np.zeros(n_cols, dtype=bool)
-        for r in np.flatnonzero(~(treated & control)):
-            for t in (t for t in periods if (g, t) in reasons):
-                cause = empty_control_error(g, t) if treated[r] else empty_treated_error(g)
-                reasons[g, t][r] = str(CellSkipped(g, t, cause))
-        live = np.flatnonzero(treated & control)
-        if live.size:
-            n_parts = -(-live.size * rows.size // MAX_GROUP_ENTRIES)
-            for cols in np.array_split(live, min(n_parts, live.size)):
-                items.append((g, periods, cols))
-                sizes.append(rows.size * cols.size)
-    groups = _groups(items, sizes, config.threads)
-    outputs = _map_tasks(_bootstrap_task, [(panel, config, counts, group) for group in groups],
-                         config.threads)
-    caught = {key: [] for key in keys}
-    leftover = []
-    for parts, group_caught in outputs:
-        for key, cols, att, why, part_caught in parts:
-            if key not in atts:
-                # A post cell that its slice's placebo cells need, not asked for.
-                continue
-            atts[key][cols] = att
-            for r, reason in zip(cols, why):
-                reasons[key][r] = reason
-            caught[key] += part_caught
-        leftover += group_caught
-    for (g, t), cell_caught in caught.items():
-        _reemit(f"bootstrap cell (g={g}, t={t})", cell_caught)
-    _reemit(None, leftover)
-    return atts, reasons
-
-
 def _replicate_se(values: dict, keys, n_replicates: int, n_ran: int):
     """SE and missing-replicate count of every key, by the 90% rule."""
     se, missing = {}, {}
@@ -913,8 +889,9 @@ def bootstrap_se(
     A replicate is a column of unit draw counts (:func:`replicate_counts`)
     on the original panel, and a cell is estimated once for all columns:
     each column is the estimate on the resampled panel, with a unit's
-    copies in that unit's fold of the cell's slice. ``--threads`` maps over
-    the groups of slices (:func:`_replicate_atts`). The SE is the replicate
+    copies in that unit's fold of the cell's slice. The columns go through
+    the run's driver (:func:`_collect`), and ``--threads`` maps over its
+    groups of parts. The SE is the replicate
     standard deviation. The run is invalid if more than 10% of replicates
     fail, and a cell or event time gets no SE if more than 10% of
     replicates did not supply it.
@@ -925,7 +902,7 @@ def bootstrap_se(
             f"bootstrap needs at least {MIN_BOOTSTRAP_REPLICATES} replicates")
     counts = replicate_counts(panel.n_units, config.seed, n_replicates)
     keys = enumerate_cells(panel, config.include_placebo)
-    atts, reasons = _replicate_atts(panel, config, counts, keys)
+    atts, reasons, _ = _collect(panel, config, counts, keys, "bootstrap cell")
     sizes = {g: counts[panel.groups == g].sum(axis=0) for g in panel.cohorts}
 
     cell_values: dict[tuple[int, int], list[float]] = {}

@@ -11,9 +11,9 @@ from mldid.amle import balancing_columns, build_function_class, solve_amle
 from mldid import estimator
 from mldid.estimator import (
     _cell_plan,
+    _collect,
     _estimate_parts,
     _Part,
-    _replicate_atts,
     replicate_counts,
 )
 from mldid.exceptions import IllConditionedWarning
@@ -27,7 +27,7 @@ FIXED = EstimatorConfig(seed=4, fixed_l1=0.01)
 
 def _cell_replicates(panel, g, t, config, counts):
     """Every replicate's att of one cell and, where it has none, the reason."""
-    atts, reasons = _replicate_atts(panel, config, counts, [(g, t)])
+    atts, reasons, _ = _collect(panel, config, counts, [(g, t)], "bootstrap cell")
     return atts[g, t], reasons[g, t]
 
 

@@ -236,22 +236,35 @@ def test_too_few_bootstrap_replicates_is_a_usage_error(command, replicates,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["estimate", "benchmark"])
-@pytest.mark.parametrize("option, value, message", [
-    ("--fixed-l1", "-1", "finite and nonnegative"),
-    ("--fixed-l1", "nan", "finite and nonnegative"),
-    ("--fixed-l1", "inf", "finite and nonnegative"),
-    ("--folds", "1", "x>=2"),
-    ("--threads", "0", "x>=1"),
-    ("--threads", "-1", "x>=1"),
+@pytest.mark.parametrize("option, value, message, command", [
+    *[(option, value, message, command)
+      for option, value, message in [
+          ("--fixed-l1", "-1", "finite and nonnegative"),
+          ("--fixed-l1", "nan", "finite and nonnegative"),
+          ("--fixed-l1", "inf", "finite and nonnegative"),
+          ("--folds", "1", "x>=2"),
+          ("--threads", "0", "x>=1"),
+          ("--threads", "-1", "x>=1"),
+      ]
+      for command in ("estimate", "benchmark")],
+    # Panels the simulation cannot draw, and benchmarks of no repetition.
+    ("--n", "5", "x>=10", "simulate"),
+    ("--n", "5", "x>=10", "benchmark"),
+    ("--periods", "1", "x>=2", "simulate"),
+    ("--periods", "1", "x>=2", "benchmark"),
+    ("--reps", "0", "x>=1", "benchmark"),
+    ("--reps", "-2", "x>=1", "benchmark"),
 ])
-def test_bad_lasso_options_are_usage_errors(command, option, value, message,
+def test_bad_lasso_options_are_usage_errors(option, value, message, command,
                                             sim_dir, tmp_path):
-    # Rejected before any estimation: no output directory is made.
+    # Rejected before any estimation: no output directory is made. A later
+    # flag overrides the benchmark's own --n and --reps.
     out = tmp_path / "out"
-    data = (["--input", str(sim_dir / "panel.csv")] if command == "estimate"
-            else ["--n", "300", "--reps", "2"])
-    fixed = [] if option == "--fixed-l1" else ["--fixed-l1", "0.02"]
+    data = {"estimate": ["--input", str(sim_dir / "panel.csv")],
+            "benchmark": ["--n", "300", "--reps", "2"],
+            "simulate": []}[command]
+    fixed = ([] if option == "--fixed-l1" or command == "simulate"
+             else ["--fixed-l1", "0.02"])
     res = run_cli([command, *data, "--out", str(out), *fixed, option, value])
     assert res.exit_code == 2, res.output
     assert option in res.output and message in res.output

@@ -208,6 +208,12 @@ def test_run_skips_cells_without_controls():
     assert skipped_keys == expected
     estimated = {(c.g, c.t) for c in run.cells if not c.is_reference}
     assert estimated and not (estimated & skipped_keys)
+    # Every replicate lacks those controls too, and says so as the run does.
+    boot = bootstrap_se(panel, FAST, 50)
+    assert boot.n_failed == 0
+    for g, t, why in run.skipped:
+        assert boot.cell_missing[g, t] == 50
+        assert boot.cell_reasons[g, t] == {why: 50}
 
 
 def test_catt_panel_covers_treated_units_at_each_event_time():
@@ -378,6 +384,22 @@ def test_run_warnings_carry_their_own_cell(monkeypatch, threads):
                                        for m, n in counts.items()]
     assert got == want
     assert len({tuple(m) for m in want.values()}) == len(want) == 6
+
+
+@pytest.mark.parametrize("call, prefix", [
+    (run_mldid, "cell"),
+    (lambda panel, config: bootstrap_se(panel, config, 50), "bootstrap cell"),
+], ids=["run_mldid", "bootstrap_se"])
+def test_warnings_point_at_the_caller(monkeypatch, call, prefix):
+    # Each cell's warnings, raised again with its (g, t), name the line that
+    # called the run or the bootstrap, not a line of the engine.
+    monkeypatch.setattr(amle, "COND_LIMIT", 5.0)
+    panel = simulate(DgpConfig(n_units=200, seed=9)).panel
+    config = EstimatorConfig(seed=0, fixed_l1=0.02, include_placebo=False)
+    with pytest.warns(IllConditionedWarning) as caught:
+        call(panel, config)
+    assert {w.filename for w in caught} == {__file__}
+    assert all(str(w.message).startswith(f"{prefix} (g=") for w in caught)
 
 
 def _post(cells):
