@@ -393,7 +393,8 @@ def cmd_benchmark(n, periods, tau, assignment, confounding, chi, reps, seed,
              for rep in range(reps)]
     payloads = []
     for rep, (payload, caught) in enumerate(_map_tasks(_benchmark_rep, tasks, threads)):
-        _reemit(f"benchmark repetition {rep}", caught)
+        # Name this line: the caller of this command is click's dispatcher.
+        _reemit(f"benchmark repetition {rep}", caught, stacklevel=2)
         payloads.append(payload)
 
     failures = [p for p in payloads if "error" in p]

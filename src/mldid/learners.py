@@ -1,17 +1,21 @@
 """Penalized base learners and the unit-level cross-fitting engine.
 
 All nuisance quantities are estimated with the two model families here:
-an elastic-net linear model solved by covariance-update coordinate descent
-(the outcome regressions and the effect function), and a penalized binary
+an elastic-net linear model solved along certified l1 paths (the outcome
+regressions and the effect function), and a penalized binary
 logistic model solved by damped Newton iterations (the treatment
 propensity). Both are deterministic given their inputs, which keeps every
 downstream estimate reproducible from a single seed. Each family has one
 batched engine, and its one-fit entry points are one-member calls into it.
 
-Every elastic-net fit goes through ``_lasso_path`` (covariance updates with
-warm starts along the l1 path, after Friedman, Hastie & Tibshirani 2010).
-It takes a batch of standardized Gram systems and runs each coordinate
-update as one vector operation over the batch. :func:`fit_gram_batch` holds
+Every elastic-net fit goes through ``_lasso_path``, which follows warm-started
+l1 paths for a batch of standardized Gram systems. Between changes of its
+support a lasso path is affine in l1 (Efron et al. 2004), so each point is
+first tried as the exact solution on the warm support and signs, and one
+certificate checks that solution at the later points too. Only where it is
+not optimal does covariance-update coordinate descent (Friedman, Hastie &
+Tibshirani 2010) repair the support, one vector operation per coordinate
+over the members still moving. :func:`fit_gram_batch` holds
 the stages after the Gram matrices: it solves the inner-CV paths of many
 fits as one batch, scores every (inner fold, l1) at once, chooses each l1
 and refits every chosen (or fixed) l1 as a second batch. A fit enters as a
@@ -43,7 +47,7 @@ products) and one batched d x d solve. ``nuisance`` cross-fits the
 propensity of a cell, for every fold and every bootstrap count column, as
 one such batch, and :func:`fit_probability` is the one-member call.
 
-In both engines each member follows the iterates of a solve on its own, so
+In both engines each member's solves, checks and iterates are its own, so
 its result does not depend on what else is in the batch.
 """
 
@@ -66,6 +70,13 @@ from .exceptions import (
 # Convergence constants for the coordinate-descent and Newton solvers.
 CD_TOL = 1e-7
 CD_MAX_SWEEPS = 10_000
+# A lasso point is certified exact when its optimality conditions hold to
+# CERT_TOL relative to the size of the terms they sum, and those terms
+# cancel by no more than CERT_GROWTH (see ``_Certificates``). So a
+# certified point's conditions hold to 1e-8 of the problem's scale, finer
+# than coordinate descent's own stopping rule.
+CERT_TOL = 1e-12
+CERT_GROWTH = 1e4
 NEWTON_TOL = 1e-6
 NEWTON_MAX_ITER = 500
 
@@ -191,21 +202,130 @@ def _ridge_solve(G, c, l2, pf):
     return np.linalg.lstsq(A, c, rcond=None)[0]
 
 
+def _pattern(beta, pf):
+    """Support and signs of coefficients: the sign of a penalized one, 1 for a
+    nonzero unpenalized one (whose sign the optimality conditions ignore)."""
+    sign = (beta > 0.0).astype(np.int8) - (beta < 0.0)
+    return np.where(pf > 0.0, sign, beta != 0.0).astype(np.int8)
+
+
+class _Certificates:
+    """Exact solutions on a warm support, and where they are optimal.
+
+    On a fixed support S with signs theta the solution is affine in l1:
+    ``b_S(l1) = u - l1 v`` with ``A_SS u = c_S`` and ``A_SS v = (pf theta)_S``,
+    where ``A = G + l2 diag(pf)`` (Efron et al. 2004). :meth:`refresh` solves
+    each member's system for its current pattern (see :func:`_pattern`) and
+    marks the grid points from the current one on at which ``u - l1 v``
+    meets the optimality conditions: on S the penalized signs agree with
+    theta, and off S ``|c_j - (A b)_j| <= l1 pf_j`` up to ``CERT_TOL`` times
+    the size of the terms the check sums, ``max|c| + ||A|| max|b|`` (the
+    infinity norm). A point at which ``||A|| max|b|`` exceeds ``CERT_GROWTH``
+    times ``max(|c| + l1 pf)`` cancels too many digits to trust (a
+    near-singular solve) and is not certified; nor is a member whose system
+    is singular. An empty support needs no solve: its points are those with
+    ``l1 >= lambda_max``. A member's solve and checks are its own: one
+    LAPACK solve per matrix and elementwise products, summed over
+    coordinates in order.
+    """
+
+    def __init__(self, G, c, grid, l2, pf):
+        B, p = c.shape
+        self.A = G + l2 * pf * np.eye(p)
+        self.cols = self.A.transpose(2, 1, 0).copy()  # cols[j, r, b] = A[b, r, j]
+        row_sums = np.zeros((p, B))
+        for j in range(p):
+            row_sums += np.abs(self.cols[j])
+        self.norm = np.max(row_sums, axis=0)
+        self.c, self.c_max = c.T.copy(), np.max(np.abs(c), axis=1)  # c[j, b]
+        self.grid, self.pf = grid, pf
+        self.pattern = np.full((B, p), 2, dtype=np.int8)  # no pattern yet
+        self.uv = np.zeros((B, p, 2))
+        self.ok = np.zeros(grid.shape, dtype=bool)
+
+    def refresh(self, members, i, pattern):
+        """Re-solve the members whose pattern changed; returns their point-i mask."""
+        stale = np.any(pattern != self.pattern[members], axis=1)
+        if stale.any():
+            self._solve(members[stale], i, pattern[stale])
+        return self.ok[members, i]
+
+    def beta(self, members, lam):
+        uv = self.uv[members]
+        return uv[..., 0] - lam[:, None] * uv[..., 1]
+
+    def _solve(self, m, i, pattern):
+        on = pattern != 0
+        # From here arrays are (coordinate, grid point, member): the checks
+        # reduce over the leading axis and run over the members innermost.
+        lam = self.grid[m, i:].T
+        bound = lam * self.pf[:, None, None]
+        c = self.c[:, None, m]
+        if not on.any():
+            self.ok[m, i:] = np.all(np.abs(c) <= bound + CERT_TOL * self.c_max[m], axis=0).T
+            self.uv[m], self.pattern[m] = 0.0, pattern
+            return
+        p = pattern.shape[1]
+        M = np.where(on[:, :, None] & on[:, None, :], self.A[m], 0.0)
+        diag = np.arange(p)
+        M[:, diag, diag] = np.where(on, M[:, diag, diag], 1.0)
+        rhs = np.stack([np.where(on, self.c[:, m].T, 0.0), self.pf * pattern], axis=2)
+        uv = _solve_each(M, rhs)
+        self.uv[m], self.pattern[m] = uv, pattern
+        uv = uv.transpose(1, 2, 0).copy()  # (coordinate, u or v, member)
+        cols = self.cols[:, :, None, m]
+        with np.errstate(over="ignore", invalid="ignore"):
+            Auv = np.zeros(uv.shape)
+            for j in range(p):
+                Auv += cols[j] * uv[j]
+            b = uv[:, :1] - lam * uv[:, 1:]
+            size = self.norm[m] * np.max(np.abs(b), axis=0)
+            kkt_off = (np.abs(c - (Auv[:, :1] - lam * Auv[:, 1:]))
+                       <= bound + CERT_TOL * (self.c_max[m] + size))
+            kkt_on = (pattern.T[:, None] * b > 0.0) | (self.pf == 0.0)[:, None, None]
+            kept = size <= CERT_GROWTH * np.max(np.abs(c) + bound, axis=0)
+        ok = np.all(np.where(on.T[:, None], kkt_on, kkt_off), axis=0) & kept
+        self.ok[m, i:] = ok.T
+
+
+def _solve_each(M, rhs):
+    """Solve ``M[b] x = rhs[b]`` per member; NaN for a singular M[b]."""
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for b in range(M.shape[0]):
+            try:
+                out[b] = np.linalg.solve(M[b], rhs[b])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
 def _lasso_path(G, c, grid, l2, pf):
-    """Warm-started coordinate descent along l1 paths for a batch of Gram systems.
+    """Certified warm-started paths along l1 for a batch of Gram systems.
 
     Member b minimizes ``0.5 b'G[b]b - c[b]'b + l1*sum(pf|b|) +
     0.5*l2*sum(pf b^2)`` at each ``l1 = grid[b, i]``, starting from its
     solution at the previous grid point (zeros at the first); an l1 of zero
-    is solved in closed form. Each coordinate update is one vector operation
-    over the members still moving at the current grid point. A member whose
-    largest step falls below ``CD_TOL`` is frozen until the next point, so
-    every member follows exactly the iterates of a solve on its own.
+    is solved in closed form. Between changes of its support the solution
+    is affine in l1, so a point is first tried as the exact solution on
+    the warm support and signs (:class:`_Certificates`): one solve serves
+    every later point at which it stays optimal. Where it is not optimal,
+    covariance-update coordinate descent (Friedman, Hastie & Tibshirani
+    2010) repairs the support: each sweep is one vector operation per
+    coordinate over the members still moving; after sweeps 4, 8, 16, ...
+    a member whose support or signs changed since its last try tries the
+    certificate again, and a member whose largest step falls below
+    ``CD_TOL`` keeps its descent iterate.
+    A member is frozen until the next point once it stops, and every
+    product it makes is its own, so its path does not depend on the batch.
 
     Returns ``(path, sweeps, failed)``: the solutions ``(B, L, p)``, the
-    sweeps taken at each point ``(B, L)``, and per member the last largest
-    step of a solve that hit ``CD_MAX_SWEEPS`` (NaN if none did). A member
-    that fails is dropped from the later points of its path.
+    sweeps run at each point ``(B, L)`` (0 for a point certified before
+    any sweep), and per member the last largest step of a descent that hit
+    ``CD_MAX_SWEEPS`` (NaN if none did). A member that fails is dropped
+    from the later points of its path.
     """
     B, p = c.shape
     L = grid.shape[1]
@@ -224,6 +344,7 @@ def _lasso_path(G, c, grid, l2, pf):
     diag_all = diag.T
     c_all = c.T
     cols_all = G.transpose(2, 1, 0)  # cols_all[j, i, b] = G[b, i, j]
+    cert = _Certificates(G, c, grid, l2, pf)
     beta = np.zeros((B, p))
     alive = np.ones(B, dtype=bool)
     for i in range(L):
@@ -232,18 +353,18 @@ def _lasso_path(G, c, grid, l2, pf):
             beta[b] = _ridge_solve(G[b], c[b], l2, pf)
             sweeps[b, i] = 1
         idx = np.flatnonzero(alive & (lam != 0.0))
+        hit = cert.refresh(idx, i, _pattern(beta[idx], pf))
+        beta[idx[hit]] = cert.beta(idx[hit], lam[idx[hit]])
+        idx = idx[~hit]
         if idx.size:
-            # q = G @ beta is rebuilt per member at each grid point, as the
-            # solve on its own does, so its rounding is the same.
-            q = np.zeros((p, idx.size))
-            if i > 0:
-                for a, b in enumerate(idx):
-                    q[:, a] = G[b] @ beta[b]
             bt = beta[idx].T.copy()
             ct = c_all[:, idx].copy()
             dg = diag_all[:, idx].copy()
             den = den_all[:, idx].copy()
             cols = cols_all[:, :, idx].copy()
+            q = np.zeros((p, idx.size))
+            for j in range(p):
+                q += cols[j] * bt[j]
             hi = (lam[idx, None] * pf).T.copy()
             lo = -hi
             for sweep in range(1, CD_MAX_SWEEPS + 1):
@@ -257,10 +378,17 @@ def _lasso_path(G, c, grid, l2, pf):
                     bt[j] = new
                     q += cols[j] * step
                     np.maximum(delta, np.abs(step), out=delta)
-                done = delta < CD_TOL
+                # A member still sweeping tries the certificate again after
+                # sweeps 4, 8, 16, ...: most converge sooner, and a try costs
+                # a few sweeps of its batch.
+                hit = np.zeros(idx.size, dtype=bool)
+                if sweep >= 4 and sweep & (sweep - 1) == 0:
+                    hit = cert.refresh(idx, i, _pattern(bt.T, pf))
+                done = hit | (delta < CD_TOL)
                 if not done.any():
                     continue
                 beta[idx[done]] = bt[:, done].T
+                beta[idx[hit]] = cert.beta(idx[hit], lam[idx[hit]])
                 sweeps[idx[done], i] = sweep
                 if done.all():
                     break
@@ -276,16 +404,18 @@ def _lasso_path(G, c, grid, l2, pf):
 
 
 def _lambda_max(G, c, pf, l2):
-    """Smallest l1 at which every penalized coefficient is zero."""
+    """Per member of a batch, the smallest l1 at which every penalized coefficient is zero."""
     free = pf == 0.0
-    resid = c.copy()
-    if free.any():
-        b_free = np.linalg.lstsq(G[np.ix_(free, free)], c[free], rcond=None)[0]
-        resid = c - G[:, free] @ b_free
     pen = pf > 0.0
     if not pen.any():
-        return 0.0
-    return float(np.max(np.abs(resid[pen]) / pf[pen]))
+        return np.zeros(c.shape[0])
+    resid = c
+    if free.any():
+        # The unpenalized fit of each member; its lstsq keeps the grid's bits.
+        b_free = np.stack([np.linalg.lstsq(g[np.ix_(free, free)], r[free], rcond=None)[0]
+                           for g, r in zip(G, c)])
+        resid = c - (G[:, :, free] @ b_free[:, :, None])[..., 0]
+    return np.max(np.abs(resid[:, pen]) / pf[pen], axis=1)
 
 
 @dataclass
@@ -337,14 +467,20 @@ def check_lasso_options(n_folds: int, n_lambdas: int, fixed_l1, cv_rule: str) ->
         raise MldidError("need at least 1 penalty on the l1 grid")
 
 
-def cv_grid(fit: GramFit, pf: np.ndarray, l2: float, n_lambdas: int) -> None:
-    """Set the l1 grid of a fit to choose by CV, or l1 = 0 when lambda_max <= 0."""
-    lam_max = _lambda_max(fit.G, fit.c, pf, l2)
-    if lam_max <= 0.0:
-        fit.l1 = 0.0
-    else:
-        fit.grid = np.geomspace(
-            lam_max * CV_LAMBDA_MAX_RATIO, lam_max * CV_LAMBDA_MIN_RATIO, n_lambdas)
+def cv_grid(fits: Sequence[GramFit], pf: np.ndarray, l2: float, n_lambdas: int) -> None:
+    """Set the l1 grid of fits to choose by CV, or l1 = 0 where lambda_max <= 0."""
+    if not fits:
+        return
+    lam_max = _lambda_max(np.stack([fit.G for fit in fits]), np.stack([fit.c for fit in fits]),
+                          pf, l2)
+    top = np.where(lam_max > 0.0, lam_max, 1.0)
+    grids = np.geomspace(top * CV_LAMBDA_MAX_RATIO, top * CV_LAMBDA_MIN_RATIO, n_lambdas,
+                         axis=1)
+    for fit, positive, grid in zip(fits, lam_max > 0.0, grids):
+        if positive:
+            fit.grid = grid
+        else:
+            fit.l1 = 0.0
 
 
 def fit_gram_batch(
@@ -508,8 +644,7 @@ def moment_fits(
             for i in range(n_fits)]
     if l1 is not None:
         return fits
-    for fit in fits:
-        cv_grid(fit, pf, l2, n_lambdas)
+    cv_grid(fits, pf, l2, n_lambdas)
     cv = np.array([i for i, fit in enumerate(fits) if fit.grid is not None], dtype=np.int64)
     if not cv.size:
         return fits
@@ -565,7 +700,7 @@ def row_gram_fit(X, y, *, l2, weights=None, penalty_factor=None, fit_intercept=T
     wZ = Z * w[:, None]
     fit = GramFit(Z.T @ wZ, wZ.T @ (y - ybar), m, s, ybar, fixed_l1)
     if fixed_l1 is None:
-        cv_grid(fit, pf, l2, n_lambdas)
+        cv_grid([fit], pf, l2, n_lambdas)
     if fit.grid is not None:
         systems, fold = [], np.arange(n) % n_folds
         for k in range(n_folds):

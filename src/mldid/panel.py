@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import warnings
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
@@ -168,11 +169,16 @@ def load_panel(source, schema: ColumnSchema | None = None) -> PanelDataset:
     by (unit, period); the panel must be balanced over periods 1..T with a
     constant group label per unit, no missing values and no covariate
     that equals an earlier one on every row.
+
+    A path whose mapped fields all parse is read by numpy's C reader
+    (:func:`_read_columns`); any other input, and any path that reader
+    cannot take as the row reader would, is read row by row. Both feed the
+    same checks, so they give the same panel or raise the same error.
     """
     schema = schema or ColumnSchema()
     if isinstance(source, (str, Path)):
         with open(source, "r", newline="", encoding="utf-8") as fh:
-            return _load_panel_stream(fh, schema)
+            return _load_panel_stream(fh, schema, source)
     if isinstance(source, bytes):
         return _load_panel_stream(io.StringIO(source.decode("utf-8")), schema)
     return _load_panel_stream(source, schema)
@@ -228,16 +234,8 @@ def _check_value(raw: str, where: str, label: str) -> None:
         raise MissingValue(f"{where}: {label} is not finite")
 
 
-def _load_panel_stream(fh, schema: ColumnSchema) -> PanelDataset:
-    """Read the rows once, then parse and validate the panel a column at a time.
-
-    Every check is a mask over the rows. When one fails, the first failing
-    row in file order raises the message of the first check it fails, in
-    the order a row-by-row read makes them: too few fields or a bad time
-    (before any other check, over all rows), then a repeated period, the
-    group (too few fields, label, change within the unit), the outcome and
-    each covariate. Missing periods are reported last.
-    """
+def _load_panel_stream(fh, schema: ColumnSchema, path=None) -> PanelDataset:
+    """Map the header, read the mapped columns and check them into a panel."""
     reader = csv.reader(fh, delimiter=schema.delimiter)
     try:
         header = next(reader)
@@ -259,6 +257,61 @@ def _load_panel_stream(fh, schema: ColumnSchema) -> PanelDataset:
     # Fields in read order: unit, time, group, outcome, covariates.
     index = [col[name] for name in
              (schema.unit, schema.time, schema.group, schema.outcome, *cov_names)]
+    columns = None if path is None else _read_columns(path, schema.delimiter, index)
+    if columns is None:
+        columns = _read_rows(reader, index)
+    return _checked_panel(*columns, cov_names)
+
+
+def _read_columns(path, delimiter: str, index: list[int]):
+    """The mapped columns of a well-formed delimited file, read by ``np.loadtxt``.
+
+    Returns None wherever the row reader might read the file otherwise: a
+    quote character (which ``csv`` reads as quoting) anywhere in the file,
+    a field that does not parse, no data row, or a unit id with
+    surrounding white space. Otherwise ids and groups are the fields as
+    ``csv`` reads them, and each number is what the row reader makes of
+    its stripped text.
+    """
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            if b'"' in chunk:
+                return None
+    fields = np.dtype([("id", object), ("t", np.int64), ("g", object)]
+                      + [(f"v{k}", np.float64) for k in range(len(index) - 3)])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(path, dtype=fields, delimiter=delimiter, comments=None,
+                               skiprows=1, usecols=index, ndmin=1, encoding="utf-8")
+    except (ValueError, Warning):
+        return None
+    ids = table["id"].tolist()
+    if list(map(str.strip, ids)) != ids:
+        return None
+    values = [np.ascontiguousarray(table[f"v{k}"]) for k in range(len(index) - 3)]
+    return ids, np.ascontiguousarray(table["t"]), table["g"].tolist(), values, None
+
+
+@dataclass(frozen=True)
+class _RowFields:
+    """What the row reader kept of each data row for its error messages."""
+
+    fields: list    # the mapped fields as read, one list per mapped column
+    lens: np.ndarray  # fields per row
+    index: list     # column of each mapped field
+    line_no: np.ndarray
+
+
+def _read_rows(reader, index: list[int]):
+    """The mapped columns of the data rows, read row by row by ``csv``.
+
+    Every check is a mask over the rows. Too few fields for the unit and
+    time, or a time that is not an integer, raise here at the first such
+    row; blank rows are dropped. A field that does not parse reads as a NaN
+    (a bad group as -1 later), and a row too short for a later field keeps
+    an empty one; :func:`_checked_panel` reports both from ``_RowFields``.
+    """
     width = max(index) + 1
     rows = list(reader)
     lens = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
@@ -293,20 +346,37 @@ def _load_panel_stream(fh, schema: ColumnSchema) -> PanelDataset:
         fields = [list(compress(f, keep)) for f in fields]
         t_list = list(compress(t_list, keep))
         lens, line_no = lens[keep], line_no[keep]
-    if not t_list:
+    # A field that is not a number reads NaN, so it fails the finite check.
+    values = [np.array(_parse_column(f, float, np.nan), dtype=np.float64)
+              for f in fields[3:]]
+    return (list(map(str.strip, fields[0])), t_list, fields[2], values,
+            _RowFields(fields, lens, index, line_no))
+
+
+def _checked_panel(ids, t, g_raw, values, rows, cov_names) -> PanelDataset:
+    """Check the mapped columns of the data rows and build the panel.
+
+    ``ids`` are the stripped unit ids, ``t`` the periods (an int64 array,
+    or a list of ints from the row reader), ``g_raw``
+    the group fields as read and ``values`` the outcome and covariate
+    columns (NaN where a field did not parse). When a check fails, the
+    first failing row in file order raises the message of the first check
+    it fails, in the order a row-by-row read makes them: a repeated period,
+    the group (too few fields, label, change within the unit), the outcome
+    and each covariate. Missing periods are reported last. ``rows`` (None
+    when every field parsed) gives a short row's line and a bad field's
+    text.
+    """
+    if not ids:
         raise PanelValidationError("no data rows found")
-
-    times = set(t_list)
-    T = max(times)
+    # The row reader's times are Python ints of any size.
+    times = np.unique(t).tolist() if isinstance(t, np.ndarray) else sorted(set(t))
+    T = times[-1]
     # Distinct integers from 1 to T cover 1..T exactly when there are T.
-    if min(times) != 1 or len(times) != T:
-        raise UnbalancedPanel(
-            f"time values must cover 1..{T} exactly; saw {sorted(times)}"
-        )
-    t = np.fromiter(t_list, dtype=np.int64, count=len(t_list))
-    del t_list
+    if times[0] != 1 or len(times) != T:
+        raise UnbalancedPanel(f"time values must cover 1..{T} exactly; saw {times}")
+    t = np.asarray(t, dtype=np.int64)
 
-    ids = list(map(str.strip, fields[0]))
     units = sorted(set(ids))
     unit_index = {u: i for i, u in enumerate(units)}
     ui = np.fromiter(map(unit_index.__getitem__, ids), dtype=np.intp, count=len(ids))
@@ -317,19 +387,17 @@ def _load_panel_stream(fh, schema: ColumnSchema) -> PanelDataset:
     repeated = np.zeros(key.shape[0], dtype=bool)
     repeated[order[1:][key[order[1:]] == key[order[:-1]]]] = True
     parsed = {}
-    for raw in set(fields[2]):
+    for raw in set(g_raw):
         try:
             parsed[raw] = _parse_group(raw, None, T)
         except PanelValidationError:
             parsed[raw] = -1
-    g = np.fromiter(map(parsed.__getitem__, fields[2]), dtype=np.int64,
-                    count=key.shape[0])
+    g = np.fromiter(map(parsed.__getitem__, g_raw), dtype=np.int64, count=key.shape[0])
     first_row = np.unique(ui, return_index=True)[1]
     first_g = g[first_row[ui]]
-    # A field that is not a number reads NaN, so it fails the finite check.
-    values = [np.array(_parse_column(f, float, np.nan), dtype=np.float64)
-              for f in fields[3:]]
-    fail = repeated | (g < 0) | (g != first_g) | (lens < width)
+    fail = repeated | (g < 0) | (g != first_g)
+    if rows is not None:
+        fail |= rows.lens <= max(rows.index)
     for v in values:
         fail |= ~np.isfinite(v)
     if fail.any():
@@ -339,26 +407,29 @@ def _load_panel_stream(fh, schema: ColumnSchema) -> PanelDataset:
             raise UnbalancedPanel(f"unit {unit}: period {period} appears more than once")
         where = f"unit {unit}, period {period}"
         for m, label in enumerate(("group", "outcome", *cov_names), start=2):
-            if lens[k] <= index[m]:
-                raise PanelValidationError(f"line {line_no[k]}: too few fields")
+            if rows is not None and rows.lens[k] <= rows.index[m]:
+                raise PanelValidationError(f"line {rows.line_no[k]}: too few fields")
             if m > 2:
-                _check_value(fields[m][k], where, label)
+                if not np.isfinite(values[m - 3][k]):
+                    if rows is not None:
+                        _check_value(rows.fields[m][k], where, label)
+                    raise MissingValue(f"{where}: {label} is not finite")
                 continue
-            g_k = _parse_group(fields[2][k], unit, T)
+            g_k = _parse_group(g_raw[k], unit, T)
             if g_k != first_g[k]:
                 raise NonMonotoneTreatment(
                     f"unit {unit}: group changes from {first_g[k]} to {g_k} "
                     f"at period {period}"
                 )
-    del fields
 
     if key.shape[0] < n * T:
         seen = np.zeros(n * T, dtype=bool)
         seen[key] = True
         i, tm = divmod(int(np.argmin(seen)), T)
         raise UnbalancedPanel(f"unit {units[i]}: period {tm + 1} is missing")
-    # A copy of a covariate leaves every lasso of the cells without a unique
-    # solution, so coordinate descent cannot converge.
+    # Two equal covariates enter every fit with the same data, so how a fit
+    # splits its coefficient between them, and so tau-hat's slope on each,
+    # is arbitrary.
     for j in range(1, p):
         for i in range(j):
             if np.array_equal(values[1 + i], values[1 + j]):

@@ -221,6 +221,19 @@ def test_benchmark_worker_warnings_reach_the_caller(tmp_path, monkeypatch):
                    for m in messages["2"])
 
 
+def test_benchmark_warnings_name_the_command(tmp_path, monkeypatch):
+    # Re-raised repetition warnings point into mldid's benchmark command,
+    # not into click, which is what called it.
+    monkeypatch.setattr(amle, "COND_LIMIT", 10.0)
+    with pytest.warns(IllConditionedWarning) as caught:
+        res = run_cli(["benchmark", "--n", "200", "--reps", "1", "--seed", "9",
+                       "--fixed-l1", "0.02", "--placebo", "false",
+                       "--out", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
+    assert {Path(w.filename).name for w in caught} == {"cli.py"}
+    assert {Path(w.filename).parent.name for w in caught} == {"mldid"}
+
+
 @pytest.mark.parametrize("command", ["estimate", "benchmark"])
 @pytest.mark.parametrize("replicates", ["1", "10", "49"])
 def test_too_few_bootstrap_replicates_is_a_usage_error(command, replicates,

@@ -67,6 +67,17 @@ def test_unbalanced_panel_rejected():
         load_panel(csv_bytes(minimal_rows(skip=("b", 3))))
 
 
+@pytest.mark.parametrize("as_path", [False, True])
+def test_time_coverage_names_periods_past_int64(as_path, tmp_path):
+    # A time that does not fit in 64 bits is named exactly as read.
+    text = b"id,time,group,y\na,1,0,1\na,18446744073709551615,0,2\n"
+    source = tmp_path / "p.csv" if as_path else text
+    if as_path:
+        source.write_bytes(text)
+    with pytest.raises(UnbalancedPanel, match=r"saw \[1, 18446744073709551615\]$"):
+        load_panel(source)
+
+
 def test_non_monotone_group_rejected():
     rows = minimal_rows(group_override=lambda u, t:
                         ("2" if t < 3 else "4") if u == "a" else "3")

@@ -16,7 +16,7 @@ import random
 import numpy as np
 import pytest
 
-from mldid import ColumnSchema, load_panel, write_panel_csv
+from mldid import ColumnSchema, load_panel, panel as panel_module, write_panel_csv
 from mldid.estimator import CattPanel
 from mldid.exceptions import PanelValidationError
 from mldid.report import write_catt_panel_csv
@@ -215,6 +215,101 @@ def test_reference_panels_load_bit_identical(tmp_path):
         path = tmp_path / f"panel_{n}.csv"
         write_panel_csv(panel, path)
         _assert_same_panel(load_panel(path), load_panel_rows(path), str(path))
+
+
+def _rows(edit=None):
+    """The data rows of a small well-formed panel, after ``edit(rows)``."""
+    rows = []
+    for k, (unit, group) in enumerate((("a", "2"), ("b", "0"), ("c", "3"))):
+        for t in (1, 2, 3):
+            rows.append([unit, str(t), group, repr(0.5 * t + k), repr(k - 0.25 * t),
+                         str(k * t % 3)])
+    if edit is not None:
+        edit(rows)
+    return rows
+
+
+def _text(rows, end="\n", delimiter=","):
+    lines = [["id", "time", "group", "y", "x1", "x2"], *rows]
+    return end.join(delimiter.join(line) for line in lines) + end
+
+
+def _set(row, column, value):
+    def edit(rows):
+        rows[row][column] = value
+    return edit
+
+
+def _each(column, value_of):
+    def edit(rows):
+        for row in rows:
+            row[column] = value_of(row)
+    return edit
+
+
+def _pad_numbers(rows):
+    for row in (rows[0], rows[4]):
+        row[1:5] = [f" {field}\t" for field in row[1:5]]
+
+
+# Each case: (file text, schema options, read by numpy's reader). The rest
+# go to the row reader.
+READER_CASES = {
+    "plain": (_text(_rows()), {}, True),
+    "crlf": (_text(_rows(), end="\r\n"), {}, True),
+    "blank lines": (_text(_rows()).replace("\nb,1", "\n\n\nb,1") + "\n\n", {}, True),
+    "spaces around numbers": (_text(_rows(_pad_numbers)), {}, True),
+    "U+001C around a number": (_text(_rows(_set(2, 3, "\x1c1.5\x1f"))), {}, True),
+    "non-ASCII ids": (_text(_rows(_each(0, lambda row: {"a": "é", "b": "日本",
+                                                         "c": "ü1"}[row[0]]))), {}, True),
+    "tab-delimited": (_text(_rows(), delimiter="\t"), {"delimiter": "\t"}, True),
+    "extra field": (_text(_rows(lambda rows: rows[3].append("note"))), {}, True),
+    "nan outcome": (_text(_rows(_set(4, 3, "nan"))), {}, True),
+    "inf covariate": (_text(_rows(_set(5, 4, "-inf"))), {}, True),
+    "repeated key": (_text(_rows(lambda rows: rows.insert(6, list(rows[2])))), {}, True),
+    "missing period": (_text(_rows(lambda rows: rows.pop(4))), {}, True),
+    "time gap": (_text(_rows(_each(1, lambda row: "4" if row[1] == "3" else row[1]))),
+                 {}, True),
+    "group change": (_text(_rows(_set(1, 2, "3"))), {}, True),
+    "bad group label": (_text(_rows(_set(7, 2, "x"))), {}, True),
+    "duplicate covariate": (_text(_rows(_each(5, lambda row: row[4]))), {}, True),
+    "quoted id": (_text(_rows(_set(0, 0, '"a"'))), {}, False),
+    "quoted number": (_text(_rows(_set(3, 3, '"1.25"'))), {}, False),
+    "spaces around ids": (_text(_rows(_set(0, 0, " a"))), {}, False),
+    "U+001C around an id": (_text(_rows(_set(0, 0, "a\x1c"))), {}, False),
+    "Unicode digits": (_text(_rows(_set(2, 3, "\u0661.\u0665"))), {}, False),
+    "underscored number": (_text(_rows(_set(2, 4, "1_0"))), {}, False),
+    "white-space line": (_text(_rows()).replace("\nb,1", "\n  \nb,1"), {}, False),
+    "short row": (_text(_rows(lambda rows: rows[5].pop())), {}, False),
+    "empty outcome": (_text(_rows(_set(1, 3, ""))), {}, False),
+    "time not an integer": (_text(_rows(_set(1, 1, "2.0"))), {}, False),
+    "no data rows": (_text([]), {}, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_path_reader_matches_row_reader(case, tmp_path, monkeypatch):
+    # A path is read by numpy's reader exactly when the row reader would
+    # read it the same way; either way it loads the row reader's panel bit
+    # for bit, or raises its exception type and message.
+    text, options, fast = READER_CASES[case]
+    path = tmp_path / "panel.csv"
+    path.write_bytes(text.encode("utf-8"))
+    schema = ColumnSchema(**options)
+    row_reads = []
+    read_rows = panel_module._read_rows
+    monkeypatch.setattr(panel_module, "_read_rows",
+                        lambda *args: row_reads.append(args) or read_rows(*args))
+    got, got_err = _run(lambda _, schema: load_panel(path, schema), text, schema)
+    assert bool(row_reads) is not fast, case
+    want, want_err = _run(lambda _, schema: load_panel(path.read_bytes(), schema), text, schema)
+    if want_err is None:
+        assert got_err is None, (case, got_err)
+        _assert_same_panel(got, want, case)
+    else:
+        assert isinstance(want_err, PanelValidationError), (case, want_err)
+        assert type(got_err) is type(want_err), (case, got_err, want_err)
+        assert str(got_err) == str(want_err), case
 
 
 def _panel_for_writing(unit_ids, p):
