@@ -30,6 +30,7 @@ from .estimator import (
     bootstrap_se,
     estimate_cell,
     event_study_weights,
+    multiplier_se,
     run_mldid,
 )
 from .heterogeneity import BlpResult, ClanResult, blp, clan
@@ -104,6 +105,7 @@ __all__ = [
     "fit_probability",
     "load_panel",
     "make_fold_plan",
+    "multiplier_se",
     "oracle_dynamic",
     "predict_catt",
     "run_mldid",

@@ -23,8 +23,8 @@ from .estimator import (
     MIN_BOOTSTRAP_REPLICATES,
     EstimatorConfig,
     attach_bootstrap_se,
-    bootstrap_se,
     derive_seed,
+    multiplier_se,
     run_mldid,
     _SEED_REP,
     _map_tasks,
@@ -66,8 +66,9 @@ from .simulate import (
 
 # The benchmark's tracer (perfbench/tracing.py) wraps these names in this
 # module, so they stay importable here although the DR baseline of a run now
-# comes from run_mldid.
+# comes from run_mldid and its SEs from multiplier_se.
 from .drdid import estimate_cell_dr  # noqa: F401
+from .estimator import bootstrap_se  # noqa: F401
 from .panel import slice_two_period  # noqa: F401
 
 EXIT_OK = 0
@@ -126,7 +127,7 @@ def _dgp_options(f):
 
 
 def _check_bootstrap(ctx, param, value):
-    """Reject replicate counts the bootstrap would refuse after estimation."""
+    """Reject draw counts the bootstrap would refuse after estimation."""
     if value != 0 and value < MIN_BOOTSTRAP_REPLICATES:
         raise click.BadParameter(
             f"must be 0 (off) or at least {MIN_BOOTSTRAP_REPLICATES}, got {value}")
@@ -156,7 +157,7 @@ def _estimator_options(f):
         click.option("--folds", type=click.IntRange(min=2), default=5, show_default=True),
         click.option("--bootstrap", type=int, default=0, show_default=True,
                      callback=_check_bootstrap,
-                     help=f"Bootstrap replicates for standard errors (0 = off, "
+                     help=f"Multiplier-bootstrap draws for standard errors (0 = off, "
                           f"else at least {MIN_BOOTSTRAP_REPLICATES})."),
         click.option("--placebo", type=click.BOOL, default=True,
                      show_default=True, help="Include pre-treatment cells."),
@@ -244,23 +245,6 @@ def _heterogeneity_results(catt_panel, k_bins, oracle_values=None,
     return blps, clans, skipped
 
 
-def _bootstrap_summary(boot) -> dict:
-    """Replicate counts of a bootstrap, with every key some replicates missed.
-
-    A missing cell lists the messages of the replicates that skipped it,
-    with their counts.
-    """
-    return {
-        "replicates": boot.n_replicates,
-        "failed": boot.n_failed,
-        "missing_cells": [{"g": g, "t": t, "replicates": n,
-                           "reasons": boot.cell_reasons.get((g, t), {})}
-                          for (g, t), n in sorted(boot.cell_missing.items()) if n],
-        "missing_event_times": [{"e": e, "replicates": n}
-                                for e, n in sorted(boot.dynamic_missing.items()) if n],
-    }
-
-
 @cli.command("estimate")
 @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False),
               required=True, help="Long-format panel CSV.")
@@ -290,7 +274,7 @@ def cmd_estimate(input_path, out, seed, delimiter, k_bins,
         sys.exit(EXIT_ESTIMATION)
     boot = None
     if bootstrap > 0:
-        boot = bootstrap_se(panel, config, bootstrap)
+        boot = multiplier_se(panel, run, bootstrap, config.seed)
         run = attach_bootstrap_se(run, boot)
 
     out_dir = Path(out)
@@ -320,7 +304,8 @@ def cmd_estimate(input_path, out, seed, delimiter, k_bins,
             {"g": g, "t": t, "reason": r} for g, t, r in run.dr_skipped
         ],
         "skipped_heterogeneity": heterogeneity_skipped,
-        "bootstrap": None if boot is None else _bootstrap_summary(boot),
+        "bootstrap": None if boot is None else {"method": "multiplier",
+                                                "draws": boot.n_replicates},
         "versions": environment_versions(),
         "wall_seconds": time.time() - t0,
         "outputs": outputs,
@@ -368,8 +353,7 @@ def _benchmark_rep(args):
                 for r in clans for row in r.rows
             ]
         if coverage > 0:
-            boot = bootstrap_se(oracle.panel, run_config, coverage)
-            payload["se"] = boot.cell_se
+            payload["se"] = multiplier_se(oracle.panel, run, coverage, run_config.seed).cell_se
         return payload
     except MldidError as err:
         return {"error": str(err)}

@@ -7,8 +7,10 @@ B[1, x] gives the effect function tau(x) (:mod:`mldid.catt`), and
 balancing weights w on the features [1, x, G, x*G] (:mod:`mldid.amle`)
 correct it: a unit's robust score is tau(x) + w (dH - B tau(x)) and the
 cell's att is the mean score. Cell estimates then aggregate into
-event-study effects with cohort-share weights, and a unit-level clustered
-bootstrap supplies standard errors.
+event-study effects with cohort-share weights. Standard errors come from
+a multiplier bootstrap on the run's unit scores (:func:`multiplier_se`);
+the unit-level clustered bootstrap that refits every replicate
+(:func:`bootstrap_se`) is its reference.
 
 The unit of work is a slice, not a cell. Cell (g, t) compares cohort g
 with the units untreated through max(g - 1, t) at base period g - 1, so
@@ -94,9 +96,20 @@ from .nuisance import compute_abch, estimate_nuisances  # noqa: F401
 _SEED_FOLDS = 101
 _SEED_BOOT = 202
 _SEED_REP = 303
+_SEED_MULTIPLIER = 404
 
-# Fewest replicates whose standard deviation the bootstrap reports.
+# Fewest replicates (or multiplier draws) whose standard deviation the
+# bootstrap reports.
 MIN_BOOTSTRAP_REPLICATES = 50
+
+# Mammen's (1993) two-point multiplier weights: -(sqrt 5 - 1)/2 with
+# probability (sqrt 5 + 1)/(2 sqrt 5), else (sqrt 5 + 1)/2; mean 0, variance 1.
+_MAMMEN_LOW = -(np.sqrt(5.0) - 1.0) / 2.0
+_MAMMEN_HIGH = (np.sqrt(5.0) + 1.0) / 2.0
+_MAMMEN_P_LOW = (np.sqrt(5.0) + 1.0) / (2.0 * np.sqrt(5.0))
+
+# Most (unit, draw) multiplier weights held at once.
+MAX_MULTIPLIER_ENTRIES = 1 << 18
 
 # Most (unit, count column) entries a group of cells holds through the
 # stages; a bootstrap cell with more is estimated in parts of columns, at
@@ -835,15 +848,17 @@ def run_mldid(panel: PanelDataset, config: EstimatorConfig | None = None) -> Mld
 
 @dataclass(frozen=True)
 class BootstrapSE:
-    """Replicate standard deviations of the cell atts and event-study thetas.
+    """Bootstrap standard deviations of the cell atts and event-study thetas.
 
+    From :func:`bootstrap_se`, over ``n_replicates`` replicate refits:
     ``n_failed`` counts replicates that failed as a whole. Per key,
     ``cell_missing`` and ``dynamic_missing`` count the other replicates
     that did not supply the value: a skipped cell, or an event time whose
     aggregate lacked one of its cohorts (and so averaged other cohorts).
     ``cell_reasons`` counts, per cell, the messages of the replicates that
     skipped it. A key has an SE only if at least 90% of all replicates
-    supplied it.
+    supplied it. From :func:`multiplier_se`, ``n_replicates`` multiplier
+    draws, none of which fails or misses a key.
     """
 
     cell_se: dict[tuple[int, int], float]
@@ -939,6 +954,80 @@ def bootstrap_se(
     return BootstrapSE(cell_se, dynamic_se, n_replicates, n_failed,
                        cell_missing, dynamic_missing,
                        {key: dict(why) for key, why in cell_reasons.items() if why})
+
+
+def _multiplier_weights(n_units: int, seed: int, draws: range) -> np.ndarray:
+    """(draws, units) Mammen weights of the multiplier bootstrap.
+
+    Draw b comes from a generator seeded by (seed, _SEED_MULTIPLIER, b), so
+    its weights do not depend on how many draws are made or in which chunk.
+    """
+    xi = np.empty((len(draws), n_units))
+    for k, b in enumerate(draws):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, _SEED_MULTIPLIER, b]))
+        xi[k] = np.where(rng.random(n_units) < _MAMMEN_P_LOW, _MAMMEN_LOW, _MAMMEN_HIGH)
+    return xi
+
+
+def _multiplier_draws(panel: PanelDataset, run: MldidRun, n_draws: int, seed: int):
+    """Every estimated cell's and event time's multiplier draws, as dicts of arrays.
+
+    Draw b gives each panel unit one weight xi (:func:`_multiplier_weights`),
+    shared by every cell the unit enters. A cell's draw is att + sum_i xi_i
+    (score_i - att) / n over its slice's n units, and theta(e)'s draw
+    weights the draws of the cells of the run's theta(e) by their cohorts'
+    drawn sizes sum_{i in g} (1 + xi_i), as a replicate redraws them. The
+    weights are drawn and applied in chunks of at most
+    MAX_MULTIPLIER_ENTRIES, and each draw's sums run over its own row, so
+    its bits do not depend on its chunk.
+    """
+    by_slice: dict[tuple[int, int], list] = {}
+    for c in run.cells:
+        if not c.is_reference:
+            by_slice.setdefault((c.g, max(c.g, c.t)), []).append(
+                ((c.g, c.t), c.att, c.score_unit - c.att))
+    rows = {key: slice_rows(panel, *key) for key in by_slice}
+    dynamics = [(d.e, sorted(d.weights)) for d in run.dynamics if not d.is_reference]
+    cohorts = {g: np.flatnonzero(panel.groups == g) for _, gs in dynamics for g in gs}
+    cell_draws = {key: np.empty(n_draws) for cells in by_slice.values() for key, *_ in cells}
+    theta_draws = {e: np.empty(n_draws) for e, _ in dynamics}
+    step = max(1, MAX_MULTIPLIER_ENTRIES // panel.n_units)
+    for start in range(0, n_draws, step):
+        draws = range(start, min(start + step, n_draws))
+        chunk = slice(draws.start, draws.stop)
+        xi = _multiplier_weights(panel.n_units, seed, draws)
+        for key, cells in by_slice.items():
+            # np.take keeps a draw's weights a contiguous row, which sum()
+            # adds pairwise whatever the number of rows; xi[:, rows] would
+            # be Fortran-ordered and summed in another order.
+            xi_slice = np.take(xi, rows[key], axis=1)
+            for cell, att, centred in cells:
+                cell_draws[cell][chunk] = att + (xi_slice * centred).sum(axis=1) / centred.size
+        sizes = {g: units.size + np.take(xi, units, axis=1).sum(axis=1)
+                 for g, units in cohorts.items()}
+        for e, gs in dynamics:
+            total = sum(sizes[g] for g in gs)
+            theta_draws[e][chunk] = sum(sizes[g] / total * cell_draws[g, g + e][chunk]
+                                        for g in gs)
+    return cell_draws, theta_draws
+
+
+def multiplier_se(panel: PanelDataset, run: MldidRun, n_draws: int, seed: int) -> BootstrapSE:
+    """Multiplier-bootstrap SEs of a run's cells and event times, without a refit.
+
+    Each draw perturbs the run's unit scores with one Mammen (1993) weight
+    per unit (Callaway & Sant'Anna 2021, section 4; see
+    :func:`_multiplier_draws`), and an SE is the standard deviation of a
+    key's ``n_draws`` draws (at least MIN_BOOTSTRAP_REPLICATES). Every
+    estimated cell and event time of ``run`` gets one; a cell the run
+    skipped gets none. ``panel`` is the panel ``run`` was estimated on.
+    """
+    if n_draws < MIN_BOOTSTRAP_REPLICATES:
+        raise MldidError(f"bootstrap needs at least {MIN_BOOTSTRAP_REPLICATES} draws")
+    cell_draws, theta_draws = _multiplier_draws(panel, run, n_draws, seed)
+    return BootstrapSE({key: float(np.std(d, ddof=1)) for key, d in cell_draws.items()},
+                       {e: float(np.std(d, ddof=1)) for e, d in theta_draws.items()},
+                       n_draws, 0)
 
 
 def attach_bootstrap_se(run: MldidRun, boot: BootstrapSE) -> MldidRun:

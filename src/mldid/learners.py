@@ -317,23 +317,27 @@ def _lasso_path(G, c, grid, l2, pf):
     coordinate over the members still moving; after sweeps 4, 8, 16, ...
     a member whose support or signs changed since its last try tries the
     certificate again, and a member whose largest step falls below
-    ``CD_TOL`` keeps its descent iterate.
+    ``CD_TOL`` keeps its descent iterate. A member fails when its descent
+    hits ``CD_MAX_SWEEPS``, or at once when its largest step is not finite
+    (a non-finite system, which no sweep can mend).
     A member is frozen until the next point once it stops, and every
     product it makes is its own, so its path does not depend on the batch.
 
-    Returns ``(path, sweeps, failed)``: the solutions ``(B, L, p)``, the
-    sweeps run at each point ``(B, L)`` (0 for a point certified before
-    any sweep), and per member the last largest step of a descent that hit
-    ``CD_MAX_SWEEPS`` (NaN if none did). A member that fails is dropped
-    from the later points of its path.
+    Returns ``(path, sweeps, failed, last_step)``: the solutions
+    ``(B, L, p)``, the sweeps run at each point ``(B, L)`` (0 for a point
+    certified before any sweep; a failed member's at the point where it
+    failed), and per member whether it failed and the
+    largest step of its last sweep if it did (NaN otherwise). A member that
+    fails is dropped from the later points of its path.
     """
     B, p = c.shape
     L = grid.shape[1]
     path = np.zeros((B, L, p))
     sweeps = np.zeros((B, L), dtype=np.int64)
-    failed = np.full(B, np.nan)
+    failed = np.zeros(B, dtype=bool)
+    last_step = np.full(B, np.nan)
     if p == 0:
-        return path, sweeps, failed
+        return path, sweeps, failed, last_step
     # Working arrays are coordinate-major, (p, members), so that every
     # per-coordinate slice is contiguous. A column with a zero denominator
     # has an all-zero Gram row and column; an infinite denominator keeps it
@@ -385,22 +389,27 @@ def _lasso_path(G, c, grid, l2, pf):
                 if sweep >= 4 and sweep & (sweep - 1) == 0:
                     hit = cert.refresh(idx, i, _pattern(bt.T, pf))
                 done = hit | (delta < CD_TOL)
-                if not done.any():
+                bad = ~(done | np.isfinite(delta))
+                stop = done | bad
+                if not stop.any():
                     continue
                 beta[idx[done]] = bt[:, done].T
                 beta[idx[hit]] = cert.beta(idx[hit], lam[idx[hit]])
-                sweeps[idx[done], i] = sweep
-                if done.all():
+                sweeps[idx[stop], i] = sweep
+                failed[idx[bad]], last_step[idx[bad]] = True, delta[bad]
+                alive[idx[bad]] = False
+                if stop.all():
                     break
-                keep = ~done
+                keep = ~stop
                 idx = idx[keep]
                 bt, q, ct, dg, den = (a[:, keep] for a in (bt, q, ct, dg, den))
                 hi, lo, cols = hi[:, keep], lo[:, keep], cols[:, :, keep]
             else:
-                failed[idx] = delta[~done]
+                sweeps[idx, i] = CD_MAX_SWEEPS
+                failed[idx], last_step[idx] = True, delta[~stop]
                 alive[idx] = False
         path[:, i] = beta
-    return path, sweeps, failed
+    return path, sweeps, failed, last_step
 
 
 def _lambda_max(G, c, pf, l2):
@@ -505,7 +514,7 @@ def fit_gram_batch(
     cv = [fit for fit in fits if fit.grid is not None and fit.result is None]
     if cv:
         sizes = [fit.fold_G.shape[0] for fit in cv]
-        path, _, failed = _lasso_path(
+        path, _, failed, last_step = _lasso_path(
             np.concatenate([fit.fold_G for fit in cv]),
             np.concatenate([fit.fold_c for fit in cv]),
             np.repeat(np.stack([fit.grid for fit in cv]), sizes, axis=0),
@@ -514,24 +523,23 @@ def fit_gram_batch(
         fold_err = _held_out_errors(path, np.concatenate([fit.fold_held for fit in cv]))
         for fit, stop, size in zip(cv, np.cumsum(sizes), sizes):
             rows = slice(stop - size, stop)
-            fail = failed[rows][~np.isnan(failed[rows])]
-            if fail.size:
+            if failed[rows].any():
                 # The lowest failing fold, which a fold-by-fold solve meets first.
-                fit.result = _no_convergence(fail[0])
+                fit.result = _no_convergence(last_step[rows][failed[rows]][0])
                 continue
             fit.l1 = float(fit.grid[_cv_choice(fold_err[rows], cv_rule)])
 
     refits = [fit for fit in fits if fit.result is None]
     if refits:
-        path, sweeps, failed = _lasso_path(
+        path, sweeps, failed, last_step = _lasso_path(
             np.stack([fit.G for fit in refits]),
             np.stack([fit.c for fit in refits]),
             np.array([[fit.l1] for fit in refits], dtype=float),
             l2, pf,
         )
         for b, fit in enumerate(refits):
-            if not np.isnan(failed[b]):
-                fit.result = _no_convergence(failed[b])
+            if failed[b]:
+                fit.result = _no_convergence(last_step[b])
                 continue
             coef = path[b, 0] / fit.scale
             intercept = fit.ybar - float(fit.center @ coef) if fit_intercept else 0.0
@@ -729,6 +737,9 @@ def _row_fit(X, y, *, l2, fit_intercept, cv_rule="min", **options) -> LinearMode
 
 
 def _no_convergence(delta: float) -> NoConvergence:
+    if not math.isfinite(delta):
+        return NoConvergence(f"coordinate descent took a non-finite step ({delta}): "
+                             "the Gram system is not finite", final_delta=float(delta))
     return NoConvergence(
         f"coordinate descent did not converge in {CD_MAX_SWEEPS} sweeps "
         f"(last max step {delta:.3e})",

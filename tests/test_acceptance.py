@@ -30,6 +30,7 @@ from mldid import (
     estimate_cell_dr,
     fit_penalized_ls,
     make_fold_plan,
+    multiplier_se,
     run_mldid,
     simulate,
     slice_two_period,
@@ -157,37 +158,40 @@ def test_criterion_2_rmse_ordering(mc_2500):
     assert ok, details
 
 
+def _both_engines(panel, config, run, n_boot):
+    """The run with the SEs of each bootstrap engine: replicate refits and multiplier draws."""
+    return {
+        "replicate": attach_bootstrap_se(run, bootstrap_se(panel, config, n_boot)),
+        "multiplier": attach_bootstrap_se(run, multiplier_se(panel, run, n_boot, config.seed)),
+    }
+
+
 def _placebo_rep(args):
     rep, n, n_boot = args
     seed = derive_seed(MASTER_SEED, 404, rep)
     oracle = simulate(DgpConfig(n_units=n, seed=seed))
     config = EstimatorConfig(seed=seed, fixed_l1=0.02)
-    run = attach_bootstrap_se(
-        run_mldid(oracle.panel, config),
-        bootstrap_se(oracle.panel, config, n_boot),
-    )
-    cells = {
-        (c.g, c.t): (c.att, c.se)
-        for c in run.cells if not c.is_reference and c.e < 0
-    }
-    dyns = {
-        d.e: (d.theta, d.se)
-        for d in run.dynamics if not d.is_reference and d.e < 0
-    }
-    return cells, dyns
+    out = []
+    for engine, run in _both_engines(oracle.panel, config,
+                                     run_mldid(oracle.panel, config), n_boot).items():
+        for c in run.cells:
+            if not c.is_reference and c.e < 0:
+                out.append(((engine, "cell", (c.g, c.t)), c.att, c.se))
+        for d in run.dynamics:
+            if not d.is_reference and d.e < 0:
+                out.append(((engine, "dyn", d.e), d.theta, d.se))
+    return out
 
 
 def test_criterion_3_placebo_zeros():
-    """Pre-treatment estimates stay within 3 bootstrap SEs of zero."""
+    """Pre-treatment estimates stay within 3 bootstrap SEs of zero, under either engine."""
     cfg = SCALE["placebo"]
     reps = _map(_placebo_rep,
                 [(r, cfg["n"], cfg["bootstrap"]) for r in range(cfg["reps"])])
     counts = {}
-    for cells, dyns in reps:
-        for key, (att, se) in cells.items():
-            counts.setdefault(("cell", key), []).append(abs(att) <= 3 * se)
-        for e, (theta, se) in dyns.items():
-            counts.setdefault(("dyn", e), []).append(abs(theta) <= 3 * se)
+    for rows in reps:
+        for key, est, se in rows:
+            counts.setdefault(key, []).append(abs(est) <= 3 * se)
     ok = True
     details = []
     for key, flags in sorted(counts.items(), key=str):
@@ -200,17 +204,16 @@ def test_criterion_3_placebo_zeros():
 
 
 def test_criterion_4_dynamic_aggregation():
-    """Event-study point at e=2 within 3 SE of its oracle; exact weights."""
+    """Event-study point at e=2 within 3 SE of its oracle under either engine; exact weights."""
     cfg = SCALE["dynamic"]
     seed = derive_seed(MASTER_SEED, 505, 0)
     oracle = simulate(DgpConfig(n_units=cfg["n"], seed=seed))
     config = EstimatorConfig(seed=seed)
-    run = attach_bootstrap_se(
-        run_mldid(oracle.panel, config),
-        bootstrap_se(oracle.panel, config, cfg["bootstrap"]),
-    )
+    runs = _both_engines(oracle.panel, config, run_mldid(oracle.panel, config),
+                         cfg["bootstrap"])
     from mldid import oracle_dynamic
 
+    run = runs["replicate"]
     weights_ok = all(
         abs(sum(d.weights.values()) - 1.0) <= 1e-12
         for d in run.dynamics if not d.is_reference
@@ -218,10 +221,12 @@ def test_criterion_4_dynamic_aggregation():
     truth = oracle_dynamic(oracle)
     d2 = run.dynamic(2)
     gap = abs(d2.theta - truth[2])
-    ok = weights_ok and gap <= 3 * d2.se
+    ses = {engine: r.dynamic(2).se for engine, r in runs.items()}
+    ok = weights_ok and all(gap <= 3 * se for se in ses.values())
     report("4 dynamic-aggregation", ok,
-           f"theta(2) {d2.theta:+.3f} oracle {truth[2]:+.3f} se {d2.se:.3f} "
-           f"weights_ok={weights_ok}")
+           f"theta(2) {d2.theta:+.3f} oracle {truth[2]:+.3f} se "
+           + ", ".join(f"{se:.3f} ({engine})" for engine, se in ses.items())
+           + f" weights_ok={weights_ok}")
     assert ok
 
 

@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mldid import DgpConfig, EstimatorConfig, bootstrap_se, run_mldid, simulate
+from mldid import DgpConfig, EstimatorConfig, bootstrap_se, multiplier_se, run_mldid, simulate
 from mldid.amle import balancing_columns, build_function_class, solve_amle
 from mldid import estimator
 from mldid.estimator import (
     _cell_plan,
     _collect,
     _estimate_parts,
+    _multiplier_draws,
+    _multiplier_weights,
     _Part,
     replicate_counts,
 )
-from mldid.exceptions import IllConditionedWarning
+from mldid.exceptions import IllConditionedWarning, MldidError
 from mldid.panel import enumerate_cells, slice_two_period
 
 from _bootstrap_reference import reference_missing, reference_replicate
@@ -196,3 +198,56 @@ def test_worker_warnings_reach_the_caller():
         run_mldid(dup, config)
     assert any(str(w.message).startswith("cell (g=2, t=2): balancing-weight system ill "
                                          "conditioned; ridge increased") for w in caught)
+
+
+def test_multiplier_weights_are_mammens():
+    xi = _multiplier_weights(20_000, 3, range(2))
+    assert set(np.unique(xi)) == {-(5**0.5 - 1) / 2, (5**0.5 + 1) / 2}
+    assert abs(xi.mean()) < 0.02 and abs(xi.var() - 1.0) < 0.02
+    # A draw's weights depend on its index only.
+    assert np.array_equal(_multiplier_weights(20_000, 3, range(1, 2))[0], xi[1])
+
+
+def test_multiplier_draws_do_not_depend_on_their_number_or_chunks(monkeypatch):
+    panel = simulate(DgpConfig(n_units=300, seed=8)).panel
+    run = run_mldid(panel, FIXED)
+    cells, thetas = _multiplier_draws(panel, run, 100, 7)
+    se = multiplier_se(panel, run, 50, 7)
+    assert se.cell_se == {key: float(np.std(d[:50], ddof=1)) for key, d in cells.items()}
+    assert se.dynamic_se == {e: float(np.std(d[:50], ddof=1)) for e, d in thetas.items()}
+    assert multiplier_se(panel, run, 50, 7) == se
+    # Chunks of one draw, then of seven, give the same bits.
+    for entries in (1, 7 * panel.n_units):
+        monkeypatch.setattr(estimator, "MAX_MULTIPLIER_ENTRIES", entries)
+        assert multiplier_se(panel, run, 50, 7) == se
+    assert se.n_replicates == 50 and se.n_failed == 0
+    assert multiplier_se(panel, run, 50, 8) != se
+    with pytest.raises(MldidError, match="at least 50 draws"):
+        multiplier_se(panel, run, 49, 7)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("assignment", ["random", "logit-x123"])
+def test_multiplier_se_agrees_with_replicates(assignment):
+    panel = simulate(DgpConfig(n_units=600, assignment=assignment, seed=5)).panel
+    config = EstimatorConfig(seed=3, fixed_l1=0.01)
+    mult = multiplier_se(panel, run_mldid(panel, config), 999, config.seed)
+    boot = bootstrap_se(panel, config, 200)
+    assert mult.cell_se.keys() == boot.cell_se.keys()
+    assert mult.dynamic_se.keys() == boot.dynamic_se.keys()
+    for key, se in [*boot.cell_se.items(), *boot.dynamic_se.items()]:
+        got = mult.cell_se[key] if isinstance(key, tuple) else mult.dynamic_se[key]
+        assert 0.8 <= got / se <= 1.25, (key, got, se)
+
+
+def test_skipped_cell_gets_no_multiplier_se():
+    # Cohort 4 keeps one unit, so the run skips its cells; the event times
+    # average the other cohorts, as the run's thetas do.
+    small = thin_cohort(simulate(DgpConfig(n_units=150, seed=2)).panel, 4, 1)
+    run = run_mldid(small, FIXED)
+    assert {(g, t) for g, t, _ in run.skipped} == {(4, 1), (4, 2), (4, 4)}
+    se = multiplier_se(small, run, 50, FIXED.seed)
+    assert se.cell_se.keys() == {(c.g, c.t) for c in run.cells if not c.is_reference}
+    assert se.dynamic_se.keys() == {d.e for d in run.dynamics if not d.is_reference}
+    assert all(np.isfinite(v) and v > 0 for v in [*se.cell_se.values(),
+                                                 *se.dynamic_se.values()])

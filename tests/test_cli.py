@@ -327,28 +327,40 @@ def test_bootstrap_off_and_fifty_replicates_accepted(sim_dir, tmp_path):
     assert (out / "coverage.csv").exists()
 
 
-def test_estimate_manifest_counts_replicates_missing_a_cell(tmp_path):
+def test_thin_cohort_bootstrap_counts_and_multiplier_manifest(tmp_path):
     # A panel on which some bootstrap replicates skip the cells of a thin
     # cohort. Read back from CSV its units are sorted as id strings ("0",
     # "1", "10", ...), so the resamples differ from those of the in-memory
     # panel.
     thin = thin_cohort(simulate(DgpConfig(n_units=120, seed=3)).panel, 4, 4)
     write_panel_csv(thin, tmp_path / "panel.csv")
+    panel = load_panel(tmp_path / "panel.csv")
+    boot = bootstrap_se(panel, EstimatorConfig(seed=1, fixed_l1=0.01), 50)
+    assert boot.n_replicates == 50 and boot.n_failed == 0
+    # The counts of tests/_bootstrap_reference.py on the panel read back.
+    assert {key: n for key, n in boot.cell_missing.items() if n} == {
+        (4, 1): 6, (4, 2): 6, (4, 4): 6}
+    assert {e: n for e, n in boot.dynamic_missing.items() if n} == {-3: 6, -2: 6, 0: 6}
+    # Each missing cell says why.
+    assert boot.cell_reasons.keys() == {(4, 1), (4, 2), (4, 4)}
+    for key, reasons in boot.cell_reasons.items():
+        assert sum(reasons.values()) == boot.cell_missing[key]
+        assert all(isinstance(why, str) and why for why in reasons)
+
+    # estimate reports multiplier SEs, which every estimated cell and event
+    # time gets, those that 6 of the 50 replicates missed too.
     out = tmp_path / "est"
     res = run_cli(["estimate", "--input", str(tmp_path / "panel.csv"), "--out", str(out),
                    "--seed", "1", "--fixed-l1", "0.01", "--bootstrap", "50"])
     assert res.exit_code == 0, res.output
-    boot = json.loads((out / "manifest.json").read_text())["bootstrap"]
-    assert boot["replicates"] == 50 and boot["failed"] == 0
-    # The counts of tests/_bootstrap_reference.py on the panel read back.
-    assert {(c["g"], c["t"]): c["replicates"] for c in boot["missing_cells"]} == {
-        (4, 1): 6, (4, 2): 6, (4, 4): 6}
-    assert {d["e"]: d["replicates"] for d in boot["missing_event_times"]} == {
-        -3: 6, -2: 6, 0: 6}
-    # Each missing cell says why.
-    for cell in boot["missing_cells"]:
-        assert sum(cell["reasons"].values()) == cell["replicates"]
-        assert all(isinstance(why, str) and why for why in cell["reasons"])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["bootstrap"] == {"method": "multiplier", "draws": 50}
+    assert manifest["skipped_cells"] == []
+    for name, key in (("cells.csv", "g"), ("dynamics.csv", "e")):
+        with open(out / name, newline="") as fh:
+            rows = [r for r in csv.DictReader(fh)
+                    if (int(r["t"]) != int(r["g"]) - 1 if key == "g" else r["e"] != "-1")]
+        assert rows and all(float(r["se"]) > 0 for r in rows)
 
 
 def test_heterogeneity_from_exported_tables(sim_dir, est_dir, tmp_path):
@@ -362,7 +374,9 @@ def test_heterogeneity_from_exported_tables(sim_dir, est_dir, tmp_path):
         rows = list(csv.DictReader(fh))
     targets = {r["target"] for r in rows}
     assert targets == {"catt", "score"}
-    assert (out / "clan.csv").exists()
+    # The exported tables give the run's own heterogeneity tables back.
+    for name in ("blp.csv", "clan.csv"):
+        assert (out / name).read_bytes() == (est_dir / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("edit,message", [

@@ -220,8 +220,8 @@ def test_objective_monotone_on_random_instances():
         l2 = float(rng.uniform(0, 0.5)) * (trial % 2)
         top = float(np.max(np.abs(c))) * 2.0
         grid = np.tile(np.geomspace(top, top * 1e-4, 12), (G.shape[0], 1))
-        path, sweeps, failed = _lasso_path(G, c, grid, l2, pf)
-        assert np.all(np.isnan(failed))
+        path, sweeps, failed, _ = _lasso_path(G, c, grid, l2, pf)
+        assert not failed.any()
         assert np.all(sweeps >= 0)
         for b in range(G.shape[0]):
             objs = [_enet_objective(path[b, i], G[b], c[b], grid[b, i], l2, pf)
@@ -319,12 +319,12 @@ def test_certified_paths_no_worse_than_plain_descent(monkeypatch):
         l2 = (0.0, 1e-6, 0.3)[trial % 3]
         top = float(np.max(np.abs(c))) * 2.0
         grid = np.tile(np.geomspace(top, top * 1e-4, 15), (G.shape[0], 1))
-        path, sweeps, failed = _lasso_path(G, c, grid, l2, pf)
+        path, sweeps, failed, _ = _lasso_path(G, c, grid, l2, pf)
         for b in range(G.shape[0]):
             live = np.diag(G[b]) > 0
             assert np.linalg.cond(G[b][np.ix_(live, live)]) >= 1e8
             plain = _plain_descent_path(G[b], c[b], grid[b], l2, pf)
-            if not np.isnan(failed[b]):
+            if failed[b]:
                 assert len(plain) < grid.shape[1], (trial, b)
                 n_failed += 1
                 continue
@@ -456,6 +456,45 @@ def test_batch_members_do_not_interact():
             assert got.n_sweeps == want.n_sweeps
 
 
+@pytest.mark.parametrize("fixed", [None, 0.02])
+def test_non_finite_member_fails_at_once_and_alone(fixed):
+    # A member whose Gram system holds a NaN takes NaN steps, which no sweep
+    # mends: it fails at its first sweep, and the other members of its
+    # batch keep the bits they get without it.
+    rng = np.random.default_rng(35)
+    X = rng.standard_normal((80, 4))
+    cases = [(X, X @ rng.standard_normal(4) + rng.standard_normal(80)) for _ in range(3)]
+
+    def batch(bad):
+        fits, pf = [], None
+        for b, (Xc, yc) in enumerate(cases):
+            fit, pf = row_gram_fit(Xc, yc, l2=1e-6, fixed_l1=fixed, cv_rule="min")
+            if b == bad:
+                fit.c[2] = np.nan
+                if fit.fold_c is not None:
+                    fit.fold_c[:, 2] = np.nan
+            fits.append(fit)
+        fit_gram_batch(fits, l2=1e-6, pf=pf, fit_intercept=True, cv_rule="min")
+        return [fit.result for fit in fits]
+
+    clean, broken = batch(None), batch(1)
+    assert isinstance(broken[1], NoConvergence)
+    assert "non-finite step" in str(broken[1]) and np.isnan(broken[1].final_delta)
+    for b in (0, 2):
+        assert broken[b].l1 == clean[b].l1 and broken[b].n_sweeps == clean[b].n_sweeps
+        assert np.array_equal(broken[b].coef, clean[b].coef)
+        assert broken[b].intercept == clean[b].intercept
+    # The path engine itself: an explicit failure after one sweep, the NaN step.
+    G, c = _random_gram_batch(rng, 3, 3)
+    c[1, 2] = np.nan
+    grid = np.tile([0.5, 0.1, 0.01], (3, 1))
+    path, sweeps, failed, last_step = _lasso_path(G, c, grid, 0.0, np.ones(3))
+    assert failed.tolist() == [False, True, False]
+    assert np.isnan(last_step).all() and sweeps[1].tolist() == [1, 0, 0]
+    alone, alone_sweeps, *_ = _lasso_path(G[[0, 2]], c[[0, 2]], grid[[0, 2]], 0.0, np.ones(3))
+    assert np.array_equal(path[[0, 2]], alone) and np.array_equal(sweeps[[0, 2]], alone_sweeps)
+
+
 def _random_row_gram_fit(rng, fit_intercept):
     """A CV GramFit of random rows with zero-weight rows, a constant column
     and more folds than rows of the smaller designs, so that an inner fold
@@ -490,8 +529,8 @@ def test_held_out_moments_score_as_residuals_by_rows():
             continue
         n_cases += 1
         K = fit.fold_G.shape[0]
-        path, _, _ = _lasso_path(fit.fold_G, fit.fold_c, np.tile(fit.grid, (K, 1)),
-                                 1e-6, np.ones(X.shape[1]))
+        path, *_ = _lasso_path(fit.fold_G, fit.fold_c, np.tile(fit.grid, (K, 1)),
+                               1e-6, np.ones(X.shape[1]))
         got = _held_out_errors(path, fit.fold_held)
         wn = w / w.sum()
         Z, _, _ = _standardize(X, wn, center=fit_intercept)
