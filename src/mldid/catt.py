@@ -142,8 +142,7 @@ def catt_fits(X, B, dH, counts, fixed_l1=None, errors=None):
             for j in range(K):
                 out = ranked[j::K]
                 classes[a, j] = _unit_moments(Z[out], *(v[out][:, [i]] for v in (c, B, dH)))[0]
-    fits = moment_fits(N[cols], classes, fit_intercept=False,
-                       pf=np.concatenate([[0.0], np.ones(p)]), l2=DEFAULT_L2, l1=fixed_l1,
+    fits = moment_fits(N[cols], classes, fit_intercept=False, l1=fixed_l1,
                        n_lambdas=CV_N_LAMBDAS)
 
     def collect():

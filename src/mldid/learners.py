@@ -1,21 +1,22 @@
 """Penalized base learners and the unit-level cross-fitting engine.
 
 All nuisance quantities are estimated with the two model families here:
-an elastic-net linear model solved along certified l1 paths (the outcome
+an elastic-net linear model solved along exact l1 paths (the outcome
 regressions and the effect function), and a penalized binary
 logistic model solved by damped Newton iterations (the treatment
 propensity). Both are deterministic given their inputs, which keeps every
 downstream estimate reproducible from a single seed. Each family has one
 batched engine, and its one-fit entry points are one-member calls into it.
 
-Every elastic-net fit goes through ``_lasso_path``, which follows warm-started
-l1 paths for a batch of standardized Gram systems. Between changes of its
-support a lasso path is affine in l1 (Efron et al. 2004), so each point is
-first tried as the exact solution on the warm support and signs, and one
-certificate checks that solution at the later points too. Only where it is
-not optimal does covariance-update coordinate descent (Friedman, Hastie &
-Tibshirani 2010) repair the support, one vector operation per coordinate
-over the members still moving. :func:`fit_gram_batch` holds
+Every elastic-net fit goes through ``_lasso_path``, which follows the l1
+paths of a batch of standardized Gram systems exactly, event by event.
+Between changes of its support a lasso path is affine in l1, so one
+linear solve per support gives every grid point down to the next change,
+the l1 at which a coefficient reaches zero or an inactive column reaches
+its bound (the LARS-lasso homotopy of Efron et al. 2004 and Osborne,
+Presnell & Turlach 2000). One step of the batch is one batched solve over
+the members still moving, and a path takes one step per change of its
+support, with no tolerance to iterate to. :func:`fit_gram_batch` holds
 the stages after the Gram matrices: it solves the inner-CV paths of many
 fits as one batch, scores every (inner fold, l1) at once, chooses each l1
 and refits every chosen (or fixed) l1 as a second batch. A fit enters as a
@@ -67,16 +68,7 @@ from .exceptions import (
     SeparableWithoutPenalty,
 )
 
-# Convergence constants for the coordinate-descent and Newton solvers.
-CD_TOL = 1e-7
-CD_MAX_SWEEPS = 10_000
-# A lasso point is certified exact when its optimality conditions hold to
-# CERT_TOL relative to the size of the terms they sum, and those terms
-# cancel by no more than CERT_GROWTH (see ``_Certificates``). So a
-# certified point's conditions hold to 1e-8 of the problem's scale, finer
-# than coordinate descent's own stopping rule.
-CERT_TOL = 1e-12
-CERT_GROWTH = 1e4
+# Convergence constants for the Newton solver.
 NEWTON_TOL = 1e-6
 NEWTON_MAX_ITER = 500
 
@@ -158,7 +150,9 @@ class LinearModel:
 
     ``center``/``scale`` record the standardization used at fit time;
     predictions are identical whether computed from the original-scale
-    coefficients or by standardizing first.
+    coefficients or by standardizing first. ``n_sweeps`` counts the steps
+    of the path the model was read from: its support solves, or 1 for the
+    closed-form l1 = 0 fit.
     """
 
     intercept: float
@@ -202,92 +196,6 @@ def _ridge_solve(G, c, l2, pf):
     return np.linalg.lstsq(A, c, rcond=None)[0]
 
 
-def _pattern(beta, pf):
-    """Support and signs of coefficients: the sign of a penalized one, 1 for a
-    nonzero unpenalized one (whose sign the optimality conditions ignore)."""
-    sign = (beta > 0.0).astype(np.int8) - (beta < 0.0)
-    return np.where(pf > 0.0, sign, beta != 0.0).astype(np.int8)
-
-
-class _Certificates:
-    """Exact solutions on a warm support, and where they are optimal.
-
-    On a fixed support S with signs theta the solution is affine in l1:
-    ``b_S(l1) = u - l1 v`` with ``A_SS u = c_S`` and ``A_SS v = (pf theta)_S``,
-    where ``A = G + l2 diag(pf)`` (Efron et al. 2004). :meth:`refresh` solves
-    each member's system for its current pattern (see :func:`_pattern`) and
-    marks the grid points from the current one on at which ``u - l1 v``
-    meets the optimality conditions: on S the penalized signs agree with
-    theta, and off S ``|c_j - (A b)_j| <= l1 pf_j`` up to ``CERT_TOL`` times
-    the size of the terms the check sums, ``max|c| + ||A|| max|b|`` (the
-    infinity norm). A point at which ``||A|| max|b|`` exceeds ``CERT_GROWTH``
-    times ``max(|c| + l1 pf)`` cancels too many digits to trust (a
-    near-singular solve) and is not certified; nor is a member whose system
-    is singular. An empty support needs no solve: its points are those with
-    ``l1 >= lambda_max``. A member's solve and checks are its own: one
-    LAPACK solve per matrix and elementwise products, summed over
-    coordinates in order.
-    """
-
-    def __init__(self, G, c, grid, l2, pf):
-        B, p = c.shape
-        self.A = G + l2 * pf * np.eye(p)
-        self.cols = self.A.transpose(2, 1, 0).copy()  # cols[j, r, b] = A[b, r, j]
-        row_sums = np.zeros((p, B))
-        for j in range(p):
-            row_sums += np.abs(self.cols[j])
-        self.norm = np.max(row_sums, axis=0)
-        self.c, self.c_max = c.T.copy(), np.max(np.abs(c), axis=1)  # c[j, b]
-        self.grid, self.pf = grid, pf
-        self.pattern = np.full((B, p), 2, dtype=np.int8)  # no pattern yet
-        self.uv = np.zeros((B, p, 2))
-        self.ok = np.zeros(grid.shape, dtype=bool)
-
-    def refresh(self, members, i, pattern):
-        """Re-solve the members whose pattern changed; returns their point-i mask."""
-        stale = np.any(pattern != self.pattern[members], axis=1)
-        if stale.any():
-            self._solve(members[stale], i, pattern[stale])
-        return self.ok[members, i]
-
-    def beta(self, members, lam):
-        uv = self.uv[members]
-        return uv[..., 0] - lam[:, None] * uv[..., 1]
-
-    def _solve(self, m, i, pattern):
-        on = pattern != 0
-        # From here arrays are (coordinate, grid point, member): the checks
-        # reduce over the leading axis and run over the members innermost.
-        lam = self.grid[m, i:].T
-        bound = lam * self.pf[:, None, None]
-        c = self.c[:, None, m]
-        if not on.any():
-            self.ok[m, i:] = np.all(np.abs(c) <= bound + CERT_TOL * self.c_max[m], axis=0).T
-            self.uv[m], self.pattern[m] = 0.0, pattern
-            return
-        p = pattern.shape[1]
-        M = np.where(on[:, :, None] & on[:, None, :], self.A[m], 0.0)
-        diag = np.arange(p)
-        M[:, diag, diag] = np.where(on, M[:, diag, diag], 1.0)
-        rhs = np.stack([np.where(on, self.c[:, m].T, 0.0), self.pf * pattern], axis=2)
-        uv = _solve_each(M, rhs)
-        self.uv[m], self.pattern[m] = uv, pattern
-        uv = uv.transpose(1, 2, 0).copy()  # (coordinate, u or v, member)
-        cols = self.cols[:, :, None, m]
-        with np.errstate(over="ignore", invalid="ignore"):
-            Auv = np.zeros(uv.shape)
-            for j in range(p):
-                Auv += cols[j] * uv[j]
-            b = uv[:, :1] - lam * uv[:, 1:]
-            size = self.norm[m] * np.max(np.abs(b), axis=0)
-            kkt_off = (np.abs(c - (Auv[:, :1] - lam * Auv[:, 1:]))
-                       <= bound + CERT_TOL * (self.c_max[m] + size))
-            kkt_on = (pattern.T[:, None] * b > 0.0) | (self.pf == 0.0)[:, None, None]
-            kept = size <= CERT_GROWTH * np.max(np.abs(c) + bound, axis=0)
-        ok = np.all(np.where(on.T[:, None], kkt_on, kkt_off), axis=0) & kept
-        self.ok[m, i:] = ok.T
-
-
 def _solve_each(M, rhs):
     """Solve ``M[b] x = rhs[b]`` per member; NaN for a singular M[b]."""
     try:
@@ -302,114 +210,119 @@ def _solve_each(M, rhs):
         return out
 
 
+# Why a member of ``_lasso_path`` failed, by the code it returns (0: it did not).
+_PATH_FAILURES = (
+    None,
+    "the lasso path met a singular or non-finite support system",
+    "the lasso path did not end within its step bound (it cycles)",
+)
+
+
 def _lasso_path(G, c, grid, l2, pf):
-    """Certified warm-started paths along l1 for a batch of Gram systems.
+    """Exact l1 paths of a batch of Gram systems, followed event by event.
 
     Member b minimizes ``0.5 b'G[b]b - c[b]'b + l1*sum(pf|b|) +
-    0.5*l2*sum(pf b^2)`` at each ``l1 = grid[b, i]``, starting from its
-    solution at the previous grid point (zeros at the first); an l1 of zero
-    is solved in closed form. Between changes of its support the solution
-    is affine in l1, so a point is first tried as the exact solution on
-    the warm support and signs (:class:`_Certificates`): one solve serves
-    every later point at which it stays optimal. Where it is not optimal,
-    covariance-update coordinate descent (Friedman, Hastie & Tibshirani
-    2010) repairs the support: each sweep is one vector operation per
-    coordinate over the members still moving; after sweeps 4, 8, 16, ...
-    a member whose support or signs changed since its last try tries the
-    certificate again, and a member whose largest step falls below
-    ``CD_TOL`` keeps its descent iterate. A member fails when its descent
-    hits ``CD_MAX_SWEEPS``, or at once when its largest step is not finite
-    (a non-finite system, which no sweep can mend).
-    A member is frozen until the next point once it stops, and every
-    product it makes is its own, so its path does not depend on the batch.
+    0.5*l2*sum(pf b^2)`` at each ``l1 = grid[b, i]``, a non-increasing
+    row. With ``A = G + l2 diag(pf)``, on a support S with signs theta the
+    solution is affine in l1, ``b_S = u - l1 v`` with ``A_SS u = c_S`` and
+    ``A_SS v = (pf theta)_S``, which the ridge keeps positive definite
+    (the LARS-lasso homotopy of Efron, Hastie, Johnstone & Tibshirani 2004
+    and Osborne, Presnell & Turlach 2000). A member starts above
+    lambda_max with its unpenalized columns solved and the others at zero.
+    Each step solves its support and goes down to the next event: the
+    largest l1 at which an active penalized coefficient ``u_j - l1 v_j``
+    reaches zero (it leaves) or an inactive residual ``(c - A b)_j``
+    reaches ``±l1 pf_j`` (it enters with that sign). The grid points on
+    the way are read off as ``u - l1 v``. Events are taken largest first,
+    and one that a tie or rounding puts at or above the current l1 is
+    taken before any further point is read, so several events at one l1
+    take a step each. A column whose residual runs along its bound, to
+    within the rounding of ``A v``, does not enter: it would make the
+    support singular (a copy of an active column) or take back the exit
+    just made. Unpenalized columns never leave, all-zero columns never
+    enter, and a point with l1 = 0 is solved in closed form.
 
-    Returns ``(path, sweeps, failed, last_step)``: the solutions
-    ``(B, L, p)``, the sweeps run at each point ``(B, L)`` (0 for a point
-    certified before any sweep; a failed member's at the point where it
-    failed), and per member whether it failed and the
-    largest step of its last sweep if it did (NaN otherwise). A member that
-    fails is dropped from the later points of its path.
+    One step of the batch is one batched solve of the members still
+    moving, whose solves and checks are their own, so a member's path
+    does not depend on the batch. A member fails, keeping the points it
+    has read off, when a support system is singular or not finite, or when
+    it takes more than ``2 p (L + 1)`` steps, two changes of every column
+    per grid interval: paths take far fewer (one per change of support),
+    so more means it cycles on rounding ties.
+
+    Returns ``(path, steps, failed)``: the solutions ``(B, L, p)``, each
+    member's steps (its support solves, and one per closed-form point),
+    and per member the index into ``_PATH_FAILURES`` of why it failed (0
+    if it did not).
     """
     B, p = c.shape
     L = grid.shape[1]
     path = np.zeros((B, L, p))
-    sweeps = np.zeros((B, L), dtype=np.int64)
-    failed = np.zeros(B, dtype=bool)
-    last_step = np.full(B, np.nan)
+    steps = np.zeros(B, dtype=np.int64)
+    failed = np.zeros(B, dtype=np.int8)
     if p == 0:
-        return path, sweeps, failed, last_step
-    # Working arrays are coordinate-major, (p, members), so that every
-    # per-coordinate slice is contiguous. A column with a zero denominator
-    # has an all-zero Gram row and column; an infinite denominator keeps it
-    # at zero, which is what skipping it would do.
-    diag = np.diagonal(G, axis1=1, axis2=2)
-    denom = diag + l2 * pf
-    den_all = np.where(denom > 0, denom, np.inf).T
-    diag_all = diag.T
-    c_all = c.T
-    cols_all = G.transpose(2, 1, 0)  # cols_all[j, i, b] = G[b, i, j]
-    cert = _Certificates(G, c, grid, l2, pf)
-    beta = np.zeros((B, p))
-    alive = np.ones(B, dtype=bool)
-    for i in range(L):
-        lam = grid[:, i]
-        for b in np.flatnonzero(alive & (lam == 0.0)):
-            beta[b] = _ridge_solve(G[b], c[b], l2, pf)
-            sweeps[b, i] = 1
-        idx = np.flatnonzero(alive & (lam != 0.0))
-        hit = cert.refresh(idx, i, _pattern(beta[idx], pf))
-        beta[idx[hit]] = cert.beta(idx[hit], lam[idx[hit]])
-        idx = idx[~hit]
-        if idx.size:
-            bt = beta[idx].T.copy()
-            ct = c_all[:, idx].copy()
-            dg = diag_all[:, idx].copy()
-            den = den_all[:, idx].copy()
-            cols = cols_all[:, :, idx].copy()
-            q = np.zeros((p, idx.size))
-            for j in range(p):
-                q += cols[j] * bt[j]
-            hi = (lam[idx, None] * pf).T.copy()
-            lo = -hi
-            for sweep in range(1, CD_MAX_SWEEPS + 1):
-                delta = np.zeros(idx.size)
-                for j in range(p):
-                    old = bt[j]
-                    z = ct[j] - q[j] + dg[j] * old
-                    # Soft threshold: z minus its clip to [-l1*pf, l1*pf].
-                    new = (z - np.minimum(np.maximum(z, lo[j]), hi[j])) / den[j]
-                    step = new - old
-                    bt[j] = new
-                    q += cols[j] * step
-                    np.maximum(delta, np.abs(step), out=delta)
-                # A member still sweeping tries the certificate again after
-                # sweeps 4, 8, 16, ...: most converge sooner, and a try costs
-                # a few sweeps of its batch.
-                hit = np.zeros(idx.size, dtype=bool)
-                if sweep >= 4 and sweep & (sweep - 1) == 0:
-                    hit = cert.refresh(idx, i, _pattern(bt.T, pf))
-                done = hit | (delta < CD_TOL)
-                bad = ~(done | np.isfinite(delta))
-                stop = done | bad
-                if not stop.any():
-                    continue
-                beta[idx[done]] = bt[:, done].T
-                beta[idx[hit]] = cert.beta(idx[hit], lam[idx[hit]])
-                sweeps[idx[stop], i] = sweep
-                failed[idx[bad]], last_step[idx[bad]] = True, delta[bad]
-                alive[idx[bad]] = False
-                if stop.all():
-                    break
-                keep = ~stop
-                idx = idx[keep]
-                bt, q, ct, dg, den = (a[:, keep] for a in (bt, q, ct, dg, den))
-                hi, lo, cols = hi[:, keep], lo[:, keep], cols[:, :, keep]
-            else:
-                sweeps[idx, i] = CD_MAX_SWEEPS
-                failed[idx], last_step[idx] = True, delta[~stop]
-                alive[idx] = False
-        path[:, i] = beta
-    return path, sweeps, failed, last_step
+        return path, steps, failed
+    for b, i in zip(*np.nonzero(grid == 0.0)):
+        path[b, i] = _ridge_solve(G[b], c[b], l2, pf)
+        steps[b] += 1
+    failed[~np.all(np.isfinite(path), axis=(1, 2))] = 1
+    A = G + l2 * pf * np.eye(p)
+    pen = pf > 0.0
+    # Unpenalized columns start in the support, all-zero ones aside. An
+    # all-zero column's residual stays exactly zero, so it never enters.
+    pattern = (~pen & (np.diagonal(G, axis1=1, axis2=2) > 0.0)).astype(np.int8)
+    n_pos = np.sum(grid > 0.0, axis=1)
+    read = np.zeros(B, dtype=np.int64)  # grid points read off so far
+    diag, points, cap = np.arange(p), np.arange(L), 2 * p * (L + 1)
+    # (A v)_j is within p eps sum_i |A_ji v_i| of pf_j theta_j on the support
+    # (the residual of a backward-stable solve) and of its exact value off
+    # it (the rounding of the product; Higham 2002, sec. 3.1).
+    A_abs, rounding = np.abs(A), p * np.finfo(float).eps
+    moving = np.flatnonzero((n_pos > 0) & (failed == 0))
+    while moving.size:
+        m = moving
+        pat = pattern[m]
+        on = pat != 0
+        M = np.where(on[:, :, None] & on[:, None, :], A[m], 0.0)
+        M[:, diag, diag] = np.where(on, M[:, diag, diag], 1.0)
+        rhs = np.stack([np.where(on, c[m], 0.0), pf * pat], axis=2)
+        uv = _solve_each(M, rhs)
+        steps[m] += 1
+        # The residual c - A b = a + l1 w along the segment.
+        Auv = A[m] @ uv
+        a, w = c[m] - Auv[..., 0], Auv[..., 1]
+        bad = ~(np.all(np.isfinite(Auv), axis=(1, 2)) & np.all(np.isfinite(a), axis=1))
+        failed[m[bad]] = 1
+        if bad.any():
+            m, pat, on, uv, a, w = (x[~bad] for x in (m, pat, on, uv, a, w))
+        u, v = uv[..., 0], uv[..., 1]
+        s = np.sign(a).astype(np.int8)
+        # An inactive column enters at the sign s of a when the bound
+        # l1 pf_j closes on s (a_j + l1 w_j), at l1 = |a_j| / (pf_j - s w_j),
+        # if that slope is more than rounding.
+        slope = pf - s * w
+        noise = rounding * (pf + (A_abs[m] @ np.abs(v)[..., None])[..., 0])
+        enter = ~on & pen & (s != 0) & (slope > noise)
+        # An active one leaves when theta (u_j - l1 v_j) falls to zero.
+        leave = on & pen & (pat * v < 0.0) & (pat * u < 0.0)
+        with np.errstate(over="ignore"):
+            at = np.divide(np.abs(a), slope, out=np.zeros(a.shape), where=enter)
+            np.divide(u, v, out=at, where=leave)
+        col = np.argmax(at, axis=1)
+        event = at[np.arange(m.size), col]
+        # Read off the grid points down to the event, none if it is above them.
+        now = ((points >= read[m, None]) & (points < n_pos[m, None])
+               & (grid[m] >= event[:, None]))
+        k, i = np.nonzero(now)
+        path[m[k], i] = u[k] - grid[m[k], i, None] * v[k]
+        read[m] += now.sum(axis=1)
+        go = read[m] < n_pos[m]
+        m, col = m[go], col[go]
+        pattern[m, col] = np.where(pat[go, col] != 0, 0, s[go, col])
+        over = steps[m] >= cap
+        failed[m[over]] = 2
+        moving = m[~over]
+    return path, steps, failed
 
 
 def _lambda_max(G, c, pf, l2):
@@ -433,9 +346,11 @@ class GramFit:
 
     A front end fills in the standardized Gram system of the fit's training
     rows (``G``, ``c``), the standardization it undoes (``center``,
-    ``scale``, ``ybar``) and, for an l1 chosen by cross-validation, the
-    ``grid`` (see :func:`cv_grid`) and per inner fold: the Gram system of
-    its training rows (``fold_G``, ``fold_c``) and ``fold_held``, the
+    ``scale``, ``ybar``) and, for an l1 chosen by cross-validation
+    (``l1`` None), the size of its grid, ``n_lambdas``, which
+    :func:`fit_gram_batch` sets as ``grid`` (see :func:`cv_grid`), and per
+    inner fold: the Gram system of its training rows (``fold_G``,
+    ``fold_c``) and ``fold_held``, the
     second moments of its held-out rows ``[z, y - ybar_j]``. These are in
     the fit's standardized coordinates, with y centred at the fold's
     training mean ``ybar_j`` (0 without an intercept), and normalized by
@@ -457,6 +372,7 @@ class GramFit:
     fold_c: np.ndarray | None = None
     fold_held: np.ndarray | None = None
     result: object = None
+    n_lambdas: int = CV_N_LAMBDAS
 
 
 def check_fixed_l1(fixed_l1) -> None:
@@ -476,18 +392,21 @@ def check_lasso_options(n_folds: int, n_lambdas: int, fixed_l1, cv_rule: str) ->
         raise MldidError("need at least 1 penalty on the l1 grid")
 
 
-def cv_grid(fits: Sequence[GramFit], pf: np.ndarray, l2: float, n_lambdas: int) -> None:
-    """Set the l1 grid of fits to choose by CV, or l1 = 0 where lambda_max <= 0."""
+def cv_grid(fits: Sequence[GramFit], pf: np.ndarray, l2: float) -> None:
+    """Set the l1 grid of fits to choose by CV, or l1 = 0 where lambda_max <= 0.
+
+    One call serves a whole batch; a fit's grid does not depend on the others.
+    """
     if not fits:
         return
     lam_max = _lambda_max(np.stack([fit.G for fit in fits]), np.stack([fit.c for fit in fits]),
                           pf, l2)
     top = np.where(lam_max > 0.0, lam_max, 1.0)
-    grids = np.geomspace(top * CV_LAMBDA_MAX_RATIO, top * CV_LAMBDA_MIN_RATIO, n_lambdas,
-                         axis=1)
-    for fit, positive, grid in zip(fits, lam_max > 0.0, grids):
+    grids = {n: np.geomspace(top * CV_LAMBDA_MAX_RATIO, top * CV_LAMBDA_MIN_RATIO, n, axis=1)
+             for n in {fit.n_lambdas for fit in fits}}
+    for b, (fit, positive) in enumerate(zip(fits, lam_max > 0.0)):
         if positive:
-            fit.grid = grid
+            fit.grid = grids[fit.n_lambdas][b]
         else:
             fit.l1 = 0.0
 
@@ -502,7 +421,8 @@ def fit_gram_batch(
 ) -> None:
     """The stages after the Gram matrices: CV paths, l1 choice and refit.
 
-    The inner-fold systems of every fit to choose by CV go to
+    One :func:`cv_grid` call sets the grid of every fit to choose by CV
+    (or l1 = 0 where lambda_max is zero), and their inner-fold systems go to
     :func:`_lasso_path` as one batch along their fit's grid. One batched
     product scores every (inner fold, l1) of the batch on its fold's
     held-out moments, and :func:`_cv_choice` picks each fit's l1 from its
@@ -511,10 +431,12 @@ def fit_gram_batch(
     LinearModel or NoConvergence. A fit's result does not depend on the
     other fits of the batch.
     """
-    cv = [fit for fit in fits if fit.grid is not None and fit.result is None]
+    pending = [fit for fit in fits if fit.l1 is None and fit.result is None]
+    cv_grid(pending, pf, l2)
+    cv = [fit for fit in pending if fit.l1 is None]
     if cv:
         sizes = [fit.fold_G.shape[0] for fit in cv]
-        path, _, failed, last_step = _lasso_path(
+        path, _, failed = _lasso_path(
             np.concatenate([fit.fold_G for fit in cv]),
             np.concatenate([fit.fold_c for fit in cv]),
             np.repeat(np.stack([fit.grid for fit in cv]), sizes, axis=0),
@@ -522,16 +444,16 @@ def fit_gram_batch(
         )
         fold_err = _held_out_errors(path, np.concatenate([fit.fold_held for fit in cv]))
         for fit, stop, size in zip(cv, np.cumsum(sizes), sizes):
-            rows = slice(stop - size, stop)
-            if failed[rows].any():
+            codes = failed[stop - size:stop]
+            if codes.any():
                 # The lowest failing fold, which a fold-by-fold solve meets first.
-                fit.result = _no_convergence(last_step[rows][failed[rows]][0])
+                fit.result = NoConvergence(_PATH_FAILURES[codes[codes > 0][0]])
                 continue
-            fit.l1 = float(fit.grid[_cv_choice(fold_err[rows], cv_rule)])
+            fit.l1 = float(fit.grid[_cv_choice(fold_err[stop - size:stop], cv_rule)])
 
     refits = [fit for fit in fits if fit.result is None]
     if refits:
-        path, sweeps, failed, last_step = _lasso_path(
+        path, steps, failed = _lasso_path(
             np.stack([fit.G for fit in refits]),
             np.stack([fit.c for fit in refits]),
             np.array([[fit.l1] for fit in refits], dtype=float),
@@ -539,12 +461,12 @@ def fit_gram_batch(
         )
         for b, fit in enumerate(refits):
             if failed[b]:
-                fit.result = _no_convergence(last_step[b])
+                fit.result = NoConvergence(_PATH_FAILURES[failed[b]])
                 continue
             coef = path[b, 0] / fit.scale
             intercept = fit.ybar - float(fit.center @ coef) if fit_intercept else 0.0
             fit.result = LinearModel(intercept, coef, fit.l1, l2, fit.center,
-                                     fit.scale, int(sweeps[b, 0]))
+                                     fit.scale, int(steps[b]))
 
 
 def _held_out_errors(path: np.ndarray, held: np.ndarray) -> np.ndarray:
@@ -598,8 +520,6 @@ def moment_fits(
     classes: np.ndarray | None = None,
     *,
     fit_intercept: bool,
-    pf: np.ndarray,
-    l2: float,
     l1: float | None,
     n_lambdas: int,
     shift: np.ndarray | None = None,
@@ -623,7 +543,8 @@ def moment_fits(
     the ``(K, q, q)`` moments of the K classes of its rows: inner fold j
     trains on ``N[i] - classes[i, j]`` and holds out class j, both in fit
     i's standardization, and the fold's training mean of y centres its
-    held-out moments. A fit whose lambda_max is zero gets l1 = 0 instead.
+    held-out moments. Its grid of ``n_lambdas`` points is set when it is
+    solved (see :func:`fit_gram_batch`).
     """
     n_fits, p = N.shape[0], N.shape[-1] - 2
     shift = np.zeros(p + 1) if shift is None else shift
@@ -648,29 +569,27 @@ def moment_fits(
         scale[scale == 0.0] = 1.0
         center, ybar = np.zeros((n_fits, p)), np.zeros(n_fits)
         S = _rms_moments(N, scale)
-    fits = [GramFit(S[i, :p, :p], S[i, :p, p], center[i], scale[i], float(ybar[i]), l1)
-            for i in range(n_fits)]
-    if l1 is not None:
+    fits = [GramFit(S[i, :p, :p], S[i, :p, p], center[i], scale[i], float(ybar[i]), l1,
+                    n_lambdas=n_lambdas) for i in range(n_fits)]
+    if l1 is not None or not n_fits:
         return fits
-    cv_grid(fits, pf, l2, n_lambdas)
-    cv = np.array([i for i, fit in enumerate(fits) if fit.grid is not None], dtype=np.int64)
-    if not cv.size:
-        return fits
-    held = classes[cv]
-    K = held.shape[1]
-    held = held.reshape((-1,) + held.shape[2:])
-    train = (N[cv, None] - classes[cv]).reshape(held.shape)
-    own = np.repeat(cv, K)
+    K = classes.shape[1]
+    held = classes.reshape((-1,) + classes.shape[2:])
+    train = (N[:, None] - classes).reshape(held.shape)
+    own = np.repeat(np.arange(n_fits), K)
     if fit_intercept:
-        ybar_in = train[:, 0, p + 1] / train[:, 0, 0]
+        # A fold that trains on no weight (a fit of one unit's copies,
+        # whose lambda_max is zero, so it is not cross-validated) gets ybar 0.
+        n_in = train[:, 0, 0]
+        ybar_in = train[:, 0, p + 1] / np.where(n_in > 0, n_in, 1.0)
         train_S = _standard_moments(train, mean[own], ybar_in, inv_scale[own])
         held_S = _standard_moments(held, mean[own], ybar_in, inv_scale[own])
     else:
         train_S, held_S = _rms_moments(train, scale[own]), _rms_moments(held, scale[own])
-    for a, i in enumerate(cv):
-        rows = slice(a * K, (a + 1) * K)
-        fits[i].fold_G, fits[i].fold_c = train_S[rows, :p, :p], train_S[rows, :p, p]
-        fits[i].fold_held = held_S[rows]
+    for i, fit in enumerate(fits):
+        rows = slice(i * K, (i + 1) * K)
+        fit.fold_G, fit.fold_c = train_S[rows, :p, :p], train_S[rows, :p, p]
+        fit.fold_held = held_S[rows]
     return fits
 
 
@@ -706,10 +625,8 @@ def row_gram_fit(X, y, *, l2, weights=None, penalty_factor=None, fit_intercept=T
     Z, m, s = _standardize(X, w, center=fit_intercept)
     ybar = float(w @ y) if fit_intercept else 0.0
     wZ = Z * w[:, None]
-    fit = GramFit(Z.T @ wZ, wZ.T @ (y - ybar), m, s, ybar, fixed_l1)
+    fit = GramFit(Z.T @ wZ, wZ.T @ (y - ybar), m, s, ybar, fixed_l1, n_lambdas=n_lambdas)
     if fixed_l1 is None:
-        cv_grid([fit], pf, l2, n_lambdas)
-    if fit.grid is not None:
         systems, fold = [], np.arange(n) % n_folds
         for k in range(n_folds):
             test, train = fold == k, fold != k
@@ -734,17 +651,6 @@ def _row_fit(X, y, *, l2, fit_intercept, cv_rule="min", **options) -> LinearMode
     if isinstance(fit.result, MldidError):
         raise fit.result
     return fit.result
-
-
-def _no_convergence(delta: float) -> NoConvergence:
-    if not math.isfinite(delta):
-        return NoConvergence(f"coordinate descent took a non-finite step ({delta}): "
-                             "the Gram system is not finite", final_delta=float(delta))
-    return NoConvergence(
-        f"coordinate descent did not converge in {CD_MAX_SWEEPS} sweeps "
-        f"(last max step {delta:.3e})",
-        final_delta=float(delta),
-    )
 
 
 def _cv_choice(fold_err: np.ndarray, cv_rule: str) -> int:

@@ -403,9 +403,8 @@ def _regression_systems(X, y_pre, Y, plan: FoldPlan, counts, fixed_l1=None):
         classes = class_M[owner[:, None, None, None], np.arange(K_in)[:, None, None],
                           sel[:, None, :, None], sel[:, None, None, :]]
     gram_fits = moment_fits(
-        N, classes, fit_intercept=True, pf=np.ones(p), l2=DEFAULT_L2, l1=fixed_l1,
-        n_lambdas=CV_N_LAMBDAS, shift=np.append(x_shift, y_shift),
-        ranges=(train_lo[rs, ks], train_hi[rs, ks]))
+        N, classes, fit_intercept=True, l1=fixed_l1, n_lambdas=CV_N_LAMBDAS,
+        shift=np.append(x_shift, y_shift), ranges=(train_lo[rs, ks], train_hi[rs, ks]))
     for (out, r, k), fit in zip(live, gram_fits):
         fits[r][out, k] = fit
     return fits, gram_fits

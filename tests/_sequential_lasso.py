@@ -1,13 +1,15 @@
-"""Sequential reference for the batched lasso engine.
+"""Sequential coordinate-descent reference for the batched lasso engine.
 
-This is the one-problem-at-a-time solver the batched engine in
-``mldid.learners`` replaced: one solve per (inner fold, l1) with a
-per-sweep objective check. A solve first tries the exact solution on the
-support and signs of its warm start, and sweeps coordinate descent only
-where that is not optimal, trying again after sweeps 4, 8, 16, ... when
-the support or signs changed since the last try; ``certify=False`` gives
-plain coordinate descent. The tests compare the engine against it and
-require identical l1 choices, coefficients and sweep counts.
+This is a one-problem-at-a-time solver of another kind than the engine in
+``mldid.learners``, which follows each l1 path exactly by homotopy: one
+coordinate-descent solve per (inner fold, l1), warm-started along the
+grid, with a per-sweep objective check. A solve first tries the exact
+solution on the support and signs of its warm start, and sweeps
+coordinate descent only where that is not optimal, trying again after
+sweeps 4, 8, 16, ... when the support or signs changed since the last
+try; ``certify=False`` gives plain coordinate descent. The tests compare
+the engine against it: the same chosen l1, and coefficients within a
+stated tolerance.
 """
 
 from __future__ import annotations
@@ -15,10 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from mldid.learners import (
-    CD_MAX_SWEEPS,
-    CD_TOL,
-    CERT_GROWTH,
-    CERT_TOL,
     CV_FOLDS,
     CV_LAMBDA_MAX_RATIO,
     CV_LAMBDA_MIN_RATIO,
@@ -29,6 +27,29 @@ from mldid.learners import (
     _standardize,
 )
 from mldid.exceptions import NoConvergence
+
+# Coordinate descent stops when its largest step falls below CD_TOL, and
+# fails after CD_MAX_SWEEPS sweeps.
+CD_TOL = 1e-7
+CD_MAX_SWEEPS = 10_000
+# A point is certified exact when its optimality conditions hold to
+# CERT_TOL relative to the size of the terms they sum, and those terms
+# cancel by no more than CERT_GROWTH (see ``certified``). So a certified
+# point's conditions hold to 1e-8 of the problem's scale, finer than
+# coordinate descent's own stopping rule.
+CERT_TOL = 1e-12
+CERT_GROWTH = 1e4
+# The engine's points are exact, and this reference's descent iterates
+# stop within CD_TOL of them in step size: its coefficients and
+# predictions agree with the engine's to AGREEMENT of their size.
+AGREEMENT = 1e-8
+
+
+def assert_agrees(got, want):
+    """``got`` within AGREEMENT of the reference's ``want``, relative to its size."""
+    want = np.asarray(want, dtype=float)
+    atol = AGREEMENT * max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    np.testing.assert_allclose(got, want, rtol=0, atol=atol)
 
 
 def soft_threshold(z: float, thresh: float) -> float:

@@ -261,9 +261,10 @@ def test_batched_regressions_match_per_fold_cross_fit(fixed_l1):
     got = _regressions(sl, plan, fixed_l1)
     want = _per_fold_regressions(sl, plan, fixed_l1)
     for a, b in zip(got, want):
-        assert_allclose(a, b, rtol=0, atol=1e-12)
+        sequential.assert_agrees(a, b)
     bundle = estimate_nuisances(sl, plan, fixed_l1)
-    assert_allclose(bundle.nu_hat, want[0] - want[1], rtol=0, atol=1e-12)
+    assert_allclose(bundle.nu_hat, got[0] - got[1], rtol=0, atol=1e-12)
+    sequential.assert_agrees(bundle.nu_hat, want[0] - want[1])
 
 
 def _first_error(thunk):
@@ -370,7 +371,7 @@ def test_block_front_end_matches_per_fold_reference(name, fixed_l1):
     assert _assert_members_match_reference(case, plan, fixed_l1) > 0
     got = _regressions(case, plan, fixed_l1)
     for a, b in zip(got, _per_fold_regressions(case, plan, fixed_l1)):
-        assert_allclose(a, b, rtol=0, atol=1e-12)
+        sequential.assert_agrees(a, b)
 
 
 def test_constant_column_is_pinned_on_its_fold_only():
