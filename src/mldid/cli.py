@@ -229,19 +229,17 @@ def _heterogeneity_results(catt_panel, k_bins, oracle_values=None,
                             "reason": f"{n} rows cannot fill 2x{k_bins} bins"})
         else:
             clan_times.append(e)
-    blps, clans = [], []
-    for label, values in targets:
-        blps.append(blp(values[blp_rows], catt_panel.e[blp_rows],
-                        catt_panel.X[blp_rows], names,
-                        mode="per-event", target=label))
-        blps.append(blp(values, catt_panel.e, catt_panel.X, names,
-                        mode="pooled", target=label))
-        for e in clan_times:
-            rows = catt_panel.e == e
-            clans.append(clan(values[rows], catt_panel.X[rows],
-                              catt_panel.unit_ids[rows], names,
-                              n_bins=k_bins, e=e, target=label,
-                              most_affected=most_affected))
+    # One call per mode fits every target on each design.
+    labels = [label for label, _ in targets]
+    per_event = blp([values[blp_rows] for _, values in targets], catt_panel.e[blp_rows],
+                    catt_panel.X[blp_rows], names, mode="per-event", target=labels)
+    pooled = blp([values for _, values in targets], catt_panel.e, catt_panel.X, names,
+                 mode="pooled", target=labels)
+    blps = [res for pair in zip(per_event, pooled) for res in pair]
+    clan_rows = [(e, catt_panel.e == e) for e in clan_times]
+    clans = [clan(values[rows], catt_panel.X[rows], catt_panel.unit_ids[rows], names,
+                  n_bins=k_bins, e=e, target=label, most_affected=most_affected)
+             for label, values in targets for e, rows in clan_rows]
     return blps, clans, skipped
 
 

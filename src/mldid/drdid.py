@@ -2,10 +2,20 @@
 
 Combines an outcome-change regression on controls with normalized
 inverse-propensity-odds weighting of the control outcome changes, the
-standard panel doubly-robust construction. A run (``estimator.run_mldid``)
-fits each slice's propensity as one more member of the slice's Newton
-batch and passes it to :func:`estimate_cell_dr` for each of the slice's
-cells; called without one, :func:`estimate_cell_dr` fits it itself.
+standard panel doubly-robust construction (Sant'Anna & Zhao 2020).
+
+The unit of work is a slice: cells (g, t) that share their units, x,
+group flag and y_pre, and differ only in y_post, as the post cell (g, g)
+and its placebo cells do. :func:`estimate_slice_dr` forms what they share
+once: the propensity (fitted unless passed), the controls' standardized
+design and its Gram matrix (``learners.ridge_fits``) and the odds
+weights. Each cell then adds only its own one-response operations: the
+outcome regression's mean, matrix-vector product and closed-form solve,
+its predictions and its att. So a cell's estimate has the bits it has
+alone and does not depend on the other cells of the slice. A run
+(``estimator.run_mldid``) fits each slice's propensity as one more member
+of the slice's Newton batch and passes it in; :func:`estimate_cell_dr` is
+the one-cell case.
 """
 
 from __future__ import annotations
@@ -14,9 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import EmptyControlGroup, KeyMismatch, NoOverlap
-from .learners import DEFAULT_CLIP, DEFAULT_L2, fit_penalized_ls, fit_probability
+from .exceptions import EmptyControlGroup, KeyMismatch, MldidError, NoOverlap
+from .learners import DEFAULT_CLIP, DEFAULT_L2, fit_probability, ridge_fits
 from .panel import TwoPeriodSlice
+
+# The benchmark's tracer (perfbench/tracing.py) wraps this name in this
+# module, so it stays importable here, though the outcome fits go
+# through ``ridge_fits``.
+from .learners import fit_penalized_ls  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -35,59 +50,83 @@ class DrCellResult:
         return self.t - self.g
 
 
-def estimate_cell_dr(
-    sl: TwoPeriodSlice,
+def estimate_slice_dr(
+    slices: list[TwoPeriodSlice],
     propensity: np.ndarray | None = None,
-    outcome_change: np.ndarray | None = None,
-) -> DrCellResult:
-    """Doubly-robust effect for one cell.
+    outcome_changes: list[np.ndarray] | None = None,
+) -> list[DrCellResult | MldidError]:
+    """Doubly-robust effects of cells that share their units.
 
-    With dY = Y_post - Y_pre, fitted propensity p(x) and control
-    outcome-change regression mu(x) = E[dY | X, G=0]:
+    ``slices`` are the cells' TwoPeriodSlices, which share units, x, group
+    flag and y_pre (a post cell and its placebo cells do). With
+    dY = Y_post - Y_pre, fitted propensity p(x) and control
+    outcome-change regression mu(x) = E[dY | X, G=0], each cell's
 
         att = mean_{G=1}(dY - mu) - sum_{G=0} w * (dY - mu),
 
     where w is proportional to the odds p/(1-p), with p clipped to
     [DEFAULT_CLIP, 1 - DEFAULT_CLIP], and normalized to one over controls.
-    Both fits use the ridge DEFAULT_L2. ``propensity`` / ``outcome_change``
-    accept precomputed per-unit values so either nuisance can be swapped
-    for an oracle.
+    Both fits use the ridge DEFAULT_L2. ``propensity`` (one per slice) and
+    ``outcome_changes`` (one per cell) accept precomputed per-unit values
+    so either nuisance can be swapped for an oracle. Returns per cell its
+    DrCellResult, or the MldidError that stopped it: the same one, in the
+    same order of checks, as the cell estimated alone.
     """
-    treated = sl.g_flag == 1
-    control = ~treated
-    if not control.any():
-        raise EmptyControlGroup(f"cell (g={sl.g}, t={sl.t}) has no controls")
-    dy = sl.y_post - sl.y_pre
+    sl = slices[0]
+    treated = np.flatnonzero(sl.g_flag == 1)
+    control = np.flatnonzero(sl.g_flag != 1)
+    if not control.size:
+        return [EmptyControlGroup(f"cell (g={cell.g}, t={cell.t}) has no controls")
+                for cell in slices]
+    try:
+        if propensity is None:
+            model_p = fit_probability(sl.X, sl.g_flag.astype(np.int64))
+            propensity = model_p.predict_proba(sl.X)[:, 1]
+        fit_mu = ridge_fits(sl.X[control], DEFAULT_L2) if outcome_changes is None else None
+    except MldidError as err:
+        return [err] * len(slices)
+    p_hat = np.clip(np.asarray(propensity, float)[control], DEFAULT_CLIP, 1.0 - DEFAULT_CLIP)
+    odds = p_hat / (1.0 - p_hat)
+    at_bounds = (p_hat <= DEFAULT_CLIP) | (p_hat >= 1.0 - DEFAULT_CLIP)
+    w = None if at_bounds.all() else odds / odds.sum()
 
-    if propensity is None:
-        model_p = fit_probability(sl.X, sl.g_flag.astype(np.int64))
-        propensity = model_p.predict_proba(sl.X)[:, 1]
-    p_hat = np.clip(np.asarray(propensity, float), DEFAULT_CLIP, 1.0 - DEFAULT_CLIP)
+    results: list[DrCellResult | MldidError] = []
+    for j, cell in enumerate(slices):
+        dy = cell.y_post - cell.y_pre
+        try:
+            if fit_mu is None:
+                mu_hat = np.asarray(outcome_changes[j], float)
+            else:
+                mu_hat = fit_mu(dy[control]).predict(sl.X)
+            if w is None:
+                raise NoOverlap(
+                    f"cell (g={cell.g}, t={cell.t}): every control propensity sits "
+                    f"at the clip bounds"
+                )
+        except MldidError as err:
+            results.append(err)
+            continue
+        resid = dy - mu_hat
+        att = float(resid[treated].mean() - w @ resid[control])
+        results.append(DrCellResult(g=cell.g, t=cell.t, att_dr=att,
+                                    n_treated=treated.size, n_control=control.size))
+    return results
 
-    if outcome_change is None:
-        model_mu = fit_penalized_ls(sl.X[control], dy[control], 0.0, DEFAULT_L2)
-        mu_hat = model_mu.predict(sl.X)
-    else:
-        mu_hat = np.asarray(outcome_change, float)
 
-    odds = p_hat[control] / (1.0 - p_hat[control])
-    at_bounds = (p_hat[control] <= DEFAULT_CLIP) | (p_hat[control] >= 1.0 - DEFAULT_CLIP)
-    if at_bounds.all():
-        raise NoOverlap(
-            f"cell (g={sl.g}, t={sl.t}): every control propensity sits at the "
-            f"clip bounds"
-        )
-    w = odds / odds.sum()
+def estimate_cell_dr(
+    sl: TwoPeriodSlice,
+    propensity: np.ndarray | None = None,
+    outcome_change: np.ndarray | None = None,
+) -> DrCellResult:
+    """Doubly-robust effect for one cell: :func:`estimate_slice_dr` of it alone.
 
-    resid = dy - mu_hat
-    att = float(resid[treated].mean() - w @ resid[control])
-    return DrCellResult(
-        g=sl.g,
-        t=sl.t,
-        att_dr=att,
-        n_treated=int(treated.sum()),
-        n_control=int(control.sum()),
-    )
+    Raises the MldidError that stops it.
+    """
+    result, = estimate_slice_dr(
+        [sl], propensity, None if outcome_change is None else [outcome_change])
+    if isinstance(result, MldidError):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)

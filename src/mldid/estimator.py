@@ -22,7 +22,8 @@ mu_t0 and one balancing system, and each cell adds only its mu_t, its
 effect fit, its balancing solve and its scores. So a post cell's estimate
 does not depend on whether placebo cells are estimated. A run's slices
 also fit the doubly-robust baseline's propensity as one more member of
-their Newton batch, and finish every cell's DR estimate.
+their Newton batch, and finish their cells' DR estimates in one pass
+(:func:`drdid.estimate_slice_dr`).
 
 A slice is estimated for a matrix of unit counts at once: each column is
 one estimate, with the slice's units weighted by their counts and split
@@ -63,7 +64,7 @@ import numpy as np
 
 from .amle import balancing_columns, sigma2_columns
 from .catt import catt_fits, solve_catt
-from .drdid import DrCellResult, estimate_cell_dr
+from .drdid import DrCellResult, estimate_slice_dr
 from .exceptions import (
     BootstrapFailed,
     CellSkipped,
@@ -320,8 +321,8 @@ class _Part:
         self.caught = [[] for _ in self.periods]
 
     @contextlib.contextmanager
-    def step(self, j: int | None = None):
-        """Run one step of cell j, or of every cell.
+    def step(self, cells: list[int] | None = None):
+        """Run one step of the ``cells`` (indices), or of every cell.
 
         The step's warnings are recorded for those cells, and an MldidError
         as the part's error.
@@ -332,7 +333,7 @@ class _Part:
                 yield
             except MldidError as err:
                 self.error = err
-        for i in range(len(self.periods)) if j is None else [j]:
+        for i in range(len(self.periods)) if cells is None else cells:
             self.caught[i] += [(w.category, str(w.message)) for w in caught]
 
 
@@ -396,8 +397,9 @@ def _stages(part: _Part, config: EstimatorConfig):
     forms B and each cell's dH and yields the cells' effect fits, of the
     columns whose nuisances were fit. Once those are solved it forms the
     balancing systems once, for the columns that some cell fit, and each
-    cell solves those of its own columns for its weights, scores and att
-    (and DR att).
+    cell solves those of its own columns for its weights, scores and att.
+    With ``part.full`` one DR pass over the cells whose all-ones column
+    was estimated then gives their DR atts.
     """
     sl = part.slices[0]
     plan = _cell_plan(sl, config, part.g, part.periods[0])
@@ -425,20 +427,27 @@ def _stages(part: _Part, config: EstimatorConfig):
         return solve(sigma2, np.searchsorted(fitted, idx))
 
     for j, ((dH, _), (coef, l1, errors)) in enumerate(zip(cells, collected)):
-        with part.step(j):
+        with part.step([j]):
             part.results.append(_scores(sl.X, B, dH, part.counts, coef, l1, errors, balance))
-            part.dr.append(_dr_cell(part.slices[j], nuis.propensity)
-                           if part.full and errors[0] is None else None)
+    if part.full and part.error is None:
+        live = [j for j, (_, _, errors) in enumerate(collected) if errors[0] is None]
+        with part.step(live):
+            part.dr = _dr_cells(part.slices, live, nuis.propensity)
 
 
-def _dr_cell(sl: TwoPeriodSlice, propensity):
-    """The DR baseline of a cell from its slice's full-sample propensity, or its error."""
-    if isinstance(propensity, MldidError):
-        return propensity
-    try:
-        return estimate_cell_dr(sl, propensity=propensity)
-    except MldidError as err:
-        return err
+def _dr_cells(slices: list[TwoPeriodSlice], live: list[int], propensity) -> list:
+    """The DR baseline of the cells ``live`` from their slice's full-sample propensity.
+
+    One :func:`drdid.estimate_slice_dr` pass; a cell's entry is its
+    DrCellResult or the MldidError that stopped it, None off ``live``.
+    """
+    dr = [None] * len(slices)
+    if live:
+        results = ([propensity] * len(live) if isinstance(propensity, MldidError)
+                   else estimate_slice_dr([slices[j] for j in live], propensity))
+        for j, result in zip(live, results):
+            dr[j] = result
+    return dr
 
 
 def estimate_from_bundle(bundle: NuisanceBundle, config: EstimatorConfig):

@@ -4,6 +4,7 @@ classification of most/least affected groups."""
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,19 +30,24 @@ def _collinear_columns(X: np.ndarray, names: list[str]) -> list[str]:
     return bad
 
 
-def ols_hc1(X: np.ndarray, y: np.ndarray, names: list[str]):
-    """OLS with heteroskedasticity-robust (HC1) standard errors.
-
-    When the fit is exact (residual norm within ``EXACT_FIT_RTOL`` of the
-    target's), the standard errors measure rounding only: t and p are
-    NaN, while the coefficients and standard errors are returned as
-    computed.
-    """
-    n, k = X.shape
-    if np.linalg.matrix_rank(X) < k:
+def _design_inverse(X: np.ndarray, names: list[str]) -> np.ndarray:
+    """(X'X)^-1 of a full-rank design; raises RankDeficient naming the collinear columns."""
+    if np.linalg.matrix_rank(X) < X.shape[1]:
         cols = _collinear_columns(X, names)
         raise RankDeficient(f"design is rank deficient; collinear: {cols}", cols)
-    xtx_inv = np.linalg.inv(X.T @ X)
+    return np.linalg.inv(X.T @ X)
+
+
+def _hc1(X: np.ndarray, xtx_inv: np.ndarray, y: np.ndarray):
+    """OLS of y on X with heteroskedasticity-robust (HC1) standard errors.
+
+    ``xtx_inv`` is the design's (X'X)^-1 (:func:`_design_inverse`), which
+    the targets of a design share. When the fit is exact (residual norm
+    within ``EXACT_FIT_RTOL`` of the target's), the standard errors
+    measure rounding only: t and p are NaN, while the coefficients and
+    standard errors are returned as computed.
+    """
+    n, k = X.shape
     beta = xtx_inv @ (X.T @ y)
     resid = y - X @ beta
     meat = X.T @ (X * resid[:, None] ** 2)
@@ -85,20 +91,36 @@ def blp(
     X: np.ndarray,
     covariate_names,
     mode: str = "per-event",
-    target: str = "catt",
-) -> BlpResult:
+    target: str | Sequence[str] = "catt",
+) -> BlpResult | list[BlpResult]:
     """Regress per-unit effect values on covariates.
 
     ``per-event`` runs one OLS per event time e >= 0; ``pooled`` runs a
     single OLS with indicator dummies for each event time beyond the
     smallest. Standard errors are HC1.
+
+    ``values`` may also be a sequence of several targets' values, with
+    ``target`` the sequence of their labels. Each design, its rank check
+    and its (X'X)^-1 are then formed once and shared by the targets, and a
+    list of BlpResult is returned, one per target, each equal to the
+    target's own call.
     """
-    values = np.asarray(values, float)
+    single = isinstance(target, str)
+    targets = [target] if single else list(target)
+    Y = [np.asarray(v, float) for v in ([values] if single else values)]
     event_times = np.asarray(event_times)
     X = np.asarray(X, float)
     names = list(covariate_names)
     p = X.shape[1]
-    coefs: list[BlpCoefficient] = []
+    coefs: list[list[BlpCoefficient]] = [[] for _ in targets]
+
+    def fit(design, ys, e, col_names):
+        xtx_inv = _design_inverse(design, col_names)
+        for label, y, out in zip(targets, ys, coefs):
+            beta, se, t_stat, pvals = _hc1(design, xtx_inv, y)
+            for j, name in enumerate(col_names):
+                out.append(BlpCoefficient(label, e, name, float(beta[j]), float(se[j]),
+                                          float(t_stat[j]), float(pvals[j])))
 
     if mode == "per-event":
         for e in sorted({int(v) for v in np.unique(event_times) if v >= 0}):
@@ -107,36 +129,24 @@ def blp(
             if n < p + 2:
                 raise TooFewUnits(f"event time {e}: {n} rows for {p} covariates")
             design = np.concatenate([np.ones((n, 1)), X[rows]], axis=1)
-            beta, se, t_stat, pvals = ols_hc1(
-                design, values[rows], ["(intercept)", *names]
-            )
-            for j, name in enumerate(["(intercept)", *names]):
-                coefs.append(
-                    BlpCoefficient(target, e, name, float(beta[j]), float(se[j]),
-                                   float(t_stat[j]), float(pvals[j]))
-                )
-        return BlpResult(target, mode, coefs)
-
-    if mode != "pooled":
+            fit(design, [y[rows] for y in Y], e, ["(intercept)", *names])
+    elif mode == "pooled":
+        uniq = sorted({int(v) for v in np.unique(event_times)})
+        base = uniq[0]
+        dummies = [
+            (event_times == e).astype(float)[:, None] for e in uniq if e != base
+        ]
+        dummy_names = [f"e={e}" for e in uniq if e != base]
+        n = event_times.shape[0]
+        design = np.concatenate([np.ones((n, 1)), X, *dummies], axis=1)
+        col_names = ["(intercept)", *names, *dummy_names]
+        if n < len(col_names) + 1:
+            raise TooFewUnits(f"{n} rows for {len(col_names)} regressors")
+        fit(design, Y, None, col_names)
+    else:
         raise ValueError(f"unknown blp mode: {mode}")
-    uniq = sorted({int(v) for v in np.unique(event_times)})
-    base = uniq[0]
-    dummies = [
-        (event_times == e).astype(float)[:, None] for e in uniq if e != base
-    ]
-    dummy_names = [f"e={e}" for e in uniq if e != base]
-    n = values.shape[0]
-    design = np.concatenate([np.ones((n, 1)), X, *dummies], axis=1)
-    col_names = ["(intercept)", *names, *dummy_names]
-    if n < len(col_names) + 1:
-        raise TooFewUnits(f"{n} rows for {len(col_names)} regressors")
-    beta, se, t_stat, pvals = ols_hc1(design, values, col_names)
-    for j, name in enumerate(col_names):
-        coefs.append(
-            BlpCoefficient(target, None, name, float(beta[j]), float(se[j]),
-                           float(t_stat[j]), float(pvals[j]))
-        )
-    return BlpResult(target, mode, coefs)
+    results = [BlpResult(label, mode, out) for label, out in zip(targets, coefs)]
+    return results[0] if single else results
 
 
 @dataclass(frozen=True)
@@ -192,7 +202,11 @@ def clan(
     if n < 2 * n_bins:
         raise TooFewUnits(f"{n} units cannot fill 2x{n_bins} bins")
     sort_vals = -values if most_affected == "lowest" else values
-    order = np.lexsort((np.asarray(unit_ids, dtype=object), sort_vals))
+    order = np.argsort(sort_vals, kind="stable")
+    ranked = sort_vals[order]
+    if np.isnan(ranked[-1]) or np.any(ranked[1:] == ranked[:-1]):
+        # Only tied (or NaN) values need the unit ids; a NaN sorts last.
+        order = np.lexsort((np.asarray(unit_ids, dtype=object), sort_vals))
     chunks = np.array_split(order, n_bins)
     low, high = chunks[0], chunks[-1]
 

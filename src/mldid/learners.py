@@ -36,8 +36,11 @@ come from a slice, whose data are finite (``panel.TwoPeriodSlice``
 checks them), so it makes no finite check of its own.
 :func:`row_gram_fit` builds one from its rows, which it checks for NaN
 and infinities; it is behind :func:`fit_penalized_ls` and
-:func:`fit_penalized_ls_cv`, which the doubly-robust baseline uses and
-the tests take as the reference for the moment front end.
+:func:`fit_penalized_ls_cv`, which the tests take as the reference for
+the moment front end. The doubly-robust baseline's l1 = 0 outcome fits,
+several responses on one design, go through :func:`ridge_fits`, which
+forms the design's Gram matrix once and solves each response as
+:func:`fit_penalized_ls` would.
 
 Every logistic fit goes through :func:`fit_probability_batch`: fits that
 share one design and label vector and differ in their row weights (a
@@ -686,6 +689,42 @@ def fit_penalized_ls(
     """
     return _row_fit(X, y, l2=l2, weights=weights, penalty_factor=penalty_factor,
                     fit_intercept=fit_intercept, fixed_l1=l1)
+
+
+def ridge_fits(X: np.ndarray, l2: float) -> Callable[[np.ndarray], LinearModel]:
+    """The l1 = 0 fits of several responses on one design, which share its Gram matrix.
+
+    The rows of X are standardized and their Gram matrix formed once. The
+    returned function fits one response y with the operations that
+    ``fit_penalized_ls(X, y, 0.0, l2)`` applies to it (its mean, one
+    matrix-vector product, the closed-form solve and the unscaling), so
+    its model has the same bits and does not depend on the other
+    responses. Raises the MldidError of a design no fit can use, and the
+    function that of its response.
+    """
+    X = np.asarray(X, dtype=float)
+    n, p = X.shape
+    if n < 2:
+        raise MldidError("need at least 2 rows to fit")
+    _check_finite("X", X)
+    w = _normalized_weights(None, n)
+    pf = np.ones(p)
+    Z, center, scale = _standardize(X, w, center=True)
+    wZ = Z * w[:, None]
+    G = Z.T @ wZ
+
+    def fit(y: np.ndarray) -> LinearModel:
+        y = np.asarray(y, dtype=float)
+        _check_finite("y", y)
+        ybar = float(w @ y)
+        beta = _ridge_solve(G, wZ.T @ (y - ybar), l2, pf)
+        if not np.all(np.isfinite(beta)):
+            raise NoConvergence(_PATH_FAILURES[1])
+        coef = beta / scale
+        return LinearModel(ybar - float(center @ coef), coef, 0.0, l2, center, scale,
+                           int(p > 0))
+
+    return fit
 
 
 def fit_penalized_ls_cv(

@@ -8,6 +8,7 @@ byte-identical files.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import platform
 import sys
@@ -62,13 +63,60 @@ def write_dynamics_csv(path, dynamics) -> None:
     )
 
 
+# Most catt panel rows formatted at once, which bounds the text held.
+CATT_CHUNK_ROWS = 512
+
+
+def _csv_field(value) -> str:
+    """``value`` as csv.writer writes it in a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((value, "x"))
+    return buf.getvalue()[:-len(",x\r\n")]
+
+
+def _plain(text: str) -> bool:
+    """Whether csv writes the string as it is, unquoted."""
+    return (text != "" and text.isprintable() and text.strip(" ") == text
+            and "," not in text and '"' not in text)
+
+
+def _id_fields(ids: list) -> list[str]:
+    """csv's fields of a column of unit ids, quoted where csv quotes them.
+
+    A plain string or int is its own field; any other id goes through
+    csv itself.
+    """
+    if not all(type(u) is str or type(u) is int for u in ids):
+        return [_csv_field(u) for u in ids]
+    text = list(map(str, ids))
+    joined = "".join(text)
+    if all(text) and " " not in joined and _plain(joined):
+        return text
+    return [s if _plain(s) else _csv_field(s) for s in text]
+
+
+def _number_fields(values: np.ndarray) -> list[str]:
+    """csv's fields of a numeric column: the element reprs of its list's repr."""
+    return repr(values.tolist())[1:-1].split(", ") if values.size else []
+
+
+def _catt_rows(panel, rows: slice) -> str:
+    """The csv lines of ``rows`` of the per-unit effect panel."""
+    columns = [_id_fields(panel.unit_ids[rows].tolist()),
+               *(_number_fields(c[rows]) for c in (panel.e, panel.tau, panel.score))]
+    return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+
+
 def write_catt_panel_csv(path, panel) -> None:
+    """The per-unit effect panel, formatted column by column in chunks of rows.
+
+    The bytes are those of csv.writer writing each row: a Python float's
+    field is its repr, and the repr of a list holds its elements' reprs.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit", "e", "tau_hat", "score"])
-        # csv writes a Python float as str(), which is its repr.
-        writer.writerows(zip(panel.unit_ids.tolist(), panel.e.tolist(),
-                             panel.tau.tolist(), panel.score.tolist()))
+        csv.writer(fh).writerow(["unit", "e", "tau_hat", "score"])
+        for lo in range(0, panel.n_rows, CATT_CHUNK_ROWS):
+            fh.write(_catt_rows(panel, slice(lo, lo + CATT_CHUNK_ROWS)))
 
 
 def write_blp_csv(path, results) -> None:

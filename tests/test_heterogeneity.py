@@ -1,11 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mldid import blp, clan
+from mldid import DgpConfig, EstimatorConfig, blp, clan, run_mldid, simulate
+from mldid.cli import _heterogeneity_results
 from mldid.exceptions import MldidError, RankDeficient, TooFewUnits
+from mldid.report import write_blp_csv, write_clan_csv
+
+from _heterogeneity_reference import clan_one, heterogeneity_results
 
 NAMES = ("x_1", "x_2", "x_3")
 
@@ -188,3 +193,87 @@ def test_clan_needs_two_bins(n_bins):
     with pytest.raises(MldidError, match="at least 2 bins"):
         clan(rng.normal(size=40), rng.normal(size=(40, 2)), np.arange(40),
              ("x_1", "x_2"), n_bins=n_bins)
+
+
+# ---------------------------------------------------------------------------
+# Shared designs against the per-target reference
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def run_catt():
+    oracle = simulate(DgpConfig(n_units=400, assignment="logit-x123", seed=3))
+    run = run_mldid(oracle.panel, EstimatorConfig(seed=1, fixed_l1=0.01))
+    return run.catt_panel
+
+
+def _table_bytes(tmp_path, name, blps, clans):
+    write_blp_csv(tmp_path / f"{name}_blp.csv", blps)
+    write_clan_csv(tmp_path / f"{name}_clan.csv", clans)
+    return ((tmp_path / f"{name}_blp.csv").read_bytes(),
+            (tmp_path / f"{name}_clan.csv").read_bytes())
+
+
+def _assert_tables_match_reference(tmp_path, catt_panel, **kwargs):
+    blps, clans, _ = _heterogeneity_results(catt_panel, 4, **kwargs)
+    ref_blps, ref_clans = heterogeneity_results(catt_panel, 4, **kwargs)
+    assert (_table_bytes(tmp_path, "new", blps, clans)
+            == _table_bytes(tmp_path, "ref", ref_blps, ref_clans))
+
+
+@pytest.mark.parametrize("most_affected", ["highest", "lowest"])
+def test_tables_of_a_run_match_per_target_reference(tmp_path, run_catt, most_affected):
+    oracle = np.where(run_catt.e >= 0, run_catt.X[:, 0] * (run_catt.e + 1.0), 0.0)
+    _assert_tables_match_reference(tmp_path, run_catt, oracle_values=oracle,
+                                   most_affected=most_affected)
+
+
+def test_tied_effects_match_per_target_reference(tmp_path, run_catt):
+    # A constant effect within each event time, as when every slope is
+    # zero: CLAN orders the tied units by id, which the rows do not follow.
+    order = np.random.default_rng(3).permutation(run_catt.n_rows)
+    shuffled = dataclasses.replace(
+        run_catt,
+        **{f.name: getattr(run_catt, f.name)[order]
+           for f in dataclasses.fields(run_catt) if f.name != "covariate_names"})
+    tied = dataclasses.replace(shuffled, tau=shuffled.e + 1.0)
+    assert not np.all(np.diff(tied.unit_ids[tied.e == 0].astype(int)) > 0)
+    _assert_tables_match_reference(tmp_path, tied)
+
+
+def test_rank_deficient_design_raises_as_per_target_reference(run_catt):
+    X = run_catt.X.copy()
+    X[:, 2] = 2.0 * X[:, 0]
+    broken = dataclasses.replace(run_catt, X=X)
+    with pytest.raises(RankDeficient) as new:
+        _heterogeneity_results(broken, 4)
+    with pytest.raises(RankDeficient) as ref:
+        heterogeneity_results(broken, 4)
+    assert str(new.value) == str(ref.value)
+    assert new.value.columns == ref.value.columns == ["x_3"]
+
+
+@pytest.mark.parametrize("values", [
+    [3.0, 1.0, 2.0, 5.0, 4.0, 0.5, 7.0, 6.0],
+    [1.0, -0.0, 2.0, 0.0, 4.0, 0.0, 7.0, -0.0],
+    # NaNs sort last, and the ids order the three across the top bin's edge.
+    [np.nan, np.nan, 2.0, 5.0, 4.0, 0.5, np.nan, 6.0],
+    [1.0] * 8,
+])
+@pytest.mark.parametrize("most_affected", ["highest", "lowest"])
+def test_clan_sort_matches_id_tiebreak_reference(values, most_affected):
+    X = np.arange(16, dtype=float).reshape(8, 2) ** 2
+    ids = np.array(["h", "c", "a", "g", "b", "f", "e", "d"], dtype=object)
+    args = (np.array(values), X, ids, ("x_1", "x_2"))
+    assert (clan(*args, n_bins=4, most_affected=most_affected)
+            == clan_one(*args, n_bins=4, most_affected=most_affected))
+
+
+def test_blp_of_several_targets_equals_each_target_alone():
+    vals, es, X = linear_target_panel()
+    noisy = vals + np.random.default_rng(2).standard_normal(vals.shape[0])
+    for mode in ("per-event", "pooled"):
+        both = blp([vals, noisy], es, X, NAMES, mode=mode, target=["a", "b"])
+        # repr, not ==: the exact fit of ``vals`` has NaN t and p, and a
+        # float's repr gives its bits back.
+        assert repr(both) == repr([blp(vals, es, X, NAMES, mode=mode, target="a"),
+                                   blp(noisy, es, X, NAMES, mode=mode, target="b")])

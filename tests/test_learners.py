@@ -32,6 +32,7 @@ from mldid.learners import (
     fit_gram_batch,
     fit_probability_batch,
     moment_fits,
+    ridge_fits,
     row_gram_fit,
 )
 from mldid.nuisance import _regression_systems, solve_regressions
@@ -50,6 +51,26 @@ def test_exact_linear_fit():
     m = fit_penalized_ls(np.array([[1.0], [2.0], [3.0]]), np.array([2.0, 4.0, 6.0]))
     assert_allclose(m.coef, [2.0], atol=1e-10)
     assert_allclose(m.intercept, 0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("p, constant", [(0, None), (1, None), (4, None), (4, 2)])
+@pytest.mark.parametrize("l2", [0.0, 1e-6])
+def test_ridge_fits_equal_the_row_front_end(p, constant, l2):
+    # Several responses on one design: each model has the bits of its own
+    # l1 = 0 fit, whatever the other responses.
+    rng = np.random.default_rng(p + 7)
+    X = rng.standard_normal((60, p)) * 10.0 ** rng.integers(-3, 3, p)
+    if constant is not None:
+        X[:, constant] = 0.7
+    fit = ridge_fits(X, l2)
+    for y in rng.standard_normal((3, 60)) * [[1.0], [1e8], [1e-8]]:
+        got, ref = fit(y), fit_penalized_ls(X, y, 0.0, l2)
+        for name in ("intercept", "coef", "l1", "l2", "center", "scale", "n_sweeps"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    with pytest.raises(NonFiniteData, match="y contains"):
+        fit(np.full(60, np.inf))
+    with pytest.raises(MldidError, match="at least 2 rows"):
+        ridge_fits(X[:1], l2)
 
 
 def test_total_shrinkage():

@@ -19,7 +19,7 @@ import pytest
 from mldid import ColumnSchema, load_panel, panel as panel_module, write_panel_csv
 from mldid.estimator import CattPanel
 from mldid.exceptions import PanelValidationError
-from mldid.report import write_catt_panel_csv
+from mldid.report import CATT_CHUNK_ROWS, write_catt_panel_csv
 
 from _row_loader import (
     load_panel_rows,
@@ -337,18 +337,27 @@ def test_write_panel_csv_matches_row_writer(tmp_path, unit_ids, p, delimiter):
 @pytest.mark.parametrize("unit_ids", [
     np.array(["u3", "u1", "a,b", "7"], dtype=object),
     np.arange(4, dtype=object),
+    # Ids that csv quotes, or that look as if it might.
+    np.array(['a"b', "c,d", "e\nf", "g\r\nh", " lead", "", "u 1", "\x1c"], dtype=object),
+    np.array([], dtype=object),
+    # More rows than one chunk: ints, and strings with a few quoted ids.
+    np.arange(2 * CATT_CHUNK_ROWS + 5),
+    np.array([f"u{i}" if i % 997 else f"u,{i}" for i in range(CATT_CHUNK_ROWS + 3)],
+             dtype=object),
 ])
 def test_write_catt_panel_csv_matches_row_writer(tmp_path, unit_ids):
+    n = unit_ids.shape[0]
     rng = np.random.default_rng(9)
-    tau = rng.standard_normal(4) * 10.0 ** rng.integers(-30, 30, 4)
-    tau[1] = -0.0
+    tau = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    tau[1:2] = -0.0
+    tau[2:3] = np.inf
     catt = CattPanel(
         unit_ids=unit_ids,
-        g=np.array([2, 2, 3, 3]),
-        e=np.array([-2, 0, 1, 5], dtype=np.int64),
+        g=np.resize(np.array([2, 2, 3, 3]), n),
+        e=np.resize(np.array([-2, 0, 1, 5], dtype=np.int64), n),
         tau=tau,
-        score=np.array([np.nan, 1e-300, -2.5, 1 / 3]),
-        X=np.zeros((4, 1)),
+        score=np.resize([np.nan, 1e-300, -2.5, 1 / 3, -np.inf, -0.0, np.inf, 0.0], n),
+        X=np.zeros((n, 1)),
         covariate_names=("x_1",),
     )
     write_catt_panel_csv(tmp_path / "new.csv", catt)
