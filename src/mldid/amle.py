@@ -42,7 +42,6 @@ class AmleProblem:
     basis: np.ndarray          # (n, q) features at the observed (x, g)
     target: np.ndarray         # (q,) averaged treatment contrast per feature
     sigma2: float
-    ridge: float = 0.0
     feature_names: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -106,29 +105,29 @@ def solve_amle(problem: AmleProblem) -> np.ndarray:
     and an IllConditionedWarning is emitted.
     """
     psi = problem.basis
-    u = _solve_normal((psi.T @ psi)[None], problem.target[None], problem.sigma2,
-                      problem.ridge)[0]
+    u = _solve_normal((psi.T @ psi)[None], problem.target[None], problem.sigma2)[0]
     return problem.n * (psi @ u)
 
 
-def _solve_normal(gram, target, sigma2, ridge):
+def _solve_normal(gram, target, sigma2):
     """Solve (gram + (sigma2 + ridge) I) u = target for a batch of systems.
 
-    Each system grows its own ridge, with an IllConditionedWarning per
-    increase, until its condition number is at most COND_LIMIT, takes one
-    refinement step, and warns if its residual stays above tolerance, so
-    its solution does not depend on the rest of the batch.
+    The ridge starts at zero. Each system grows its own, with an
+    IllConditionedWarning per increase, until its condition number is at
+    most COND_LIMIT, takes one refinement step, and warns if its residual
+    stays above tolerance, so its solution does not depend on the rest of
+    the batch.
     """
     k, q = target.shape
     eye = np.eye(q)
     sigma2 = np.broadcast_to(np.asarray(sigma2, dtype=float), (k,))
-    ridge = np.broadcast_to(np.asarray(ridge, dtype=float), (k,)).copy()
-    M = gram + (sigma2 + ridge)[:, None, None] * eye
+    ridge = np.zeros(k)
+    M = gram + sigma2[:, None, None] * eye
     scale = np.trace(M, axis1=1, axis2=2) / q
     bad = np.flatnonzero(np.linalg.cond(M) > COND_LIMIT)
     while bad.size:
         for b in bad:
-            ridge[b] = max(ridge[b], 1e-10 * scale[b]) * 10.0 if ridge[b] > 0 else 1e-10 * scale[b]
+            ridge[b] = ridge[b] * 10.0 if ridge[b] > 0 else 1e-10 * scale[b]
             warnings.warn(
                 f"balancing-weight system ill conditioned; ridge increased to {ridge[b]:.3e}",
                 IllConditionedWarning,
@@ -192,7 +191,7 @@ def balancing_columns(X, g, counts):
 
     def weights(sigma2, idx=None):
         idx = np.arange(n_cols) if idx is None else idx
-        u = _solve_normal(gram[idx], np.tile(target, (idx.size, 1)), sigma2, 0.0)
+        u = _solve_normal(gram[idx], np.tile(target, (idx.size, 1)), sigma2)
         # A unit's weight is n phi'u = n z'(A'u).
         v = (A[idx].transpose(0, 2, 1) @ u[..., None])[..., 0] * total[idx, None]
         return Z @ v.T
@@ -207,17 +206,12 @@ def amle_objective(problem: AmleProblem, gamma: np.ndarray) -> float:
     return float(bias @ bias) + problem.sigma2 / n**2 * float(gamma @ gamma)
 
 
-def estimate_sigma2(
-    bundle: NuisanceBundle,
-    tau: np.ndarray | None = None,
-    inflation: float = SIGMA2_INFLATION,
-    floor: float = SIGMA2_FLOOR,
-) -> float:
+def estimate_sigma2(bundle: NuisanceBundle, tau: np.ndarray | None = None) -> float:
     """Upper bound on the noise variance of the units' first differences.
 
     The residual is dH, or dH - B * tau(x) when an effect function is
-    supplied; its sample variance is inflated by a fixed factor and
-    floored away from zero. A cell uses dH alone: the bound then does not
+    supplied; its sample variance is inflated by SIGMA2_INFLATION and
+    floored at SIGMA2_FLOOR. A cell uses dH alone: the bound then does not
     depend on the effect fit, and it is no smaller than the variance of
     the residual the balancing weights correct, dH - B * tau(x), when tau
     explains part of dH.
@@ -225,11 +219,10 @@ def estimate_sigma2(
     resid = bundle.dH
     if tau is not None:
         resid = resid - bundle.B * tau
-    return float(sigma2_columns(resid[:, None], np.ones((resid.shape[0], 1)),
-                                inflation, floor)[0])
+    return float(sigma2_columns(resid[:, None], np.ones((resid.shape[0], 1)))[0])
 
 
-def sigma2_columns(resid, counts, inflation=SIGMA2_INFLATION, floor=SIGMA2_FLOOR):
+def sigma2_columns(resid, counts):
     """:func:`estimate_sigma2` of every count column's units.
 
     ``resid`` holds the units' residuals and ``counts`` the copies of each
@@ -241,4 +234,4 @@ def sigma2_columns(resid, counts, inflation=SIGMA2_INFLATION, floor=SIGMA2_FLOOR
     mean = (c * resid).sum(axis=0) / n
     sq = (c * (resid - mean) ** 2).sum(axis=0)
     var = np.where(n > 1, sq / np.maximum(n - 1, 1), 0.0)
-    return np.maximum(inflation * var, floor)
+    return np.maximum(SIGMA2_INFLATION * var, SIGMA2_FLOOR)

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import AllWeightsZero, MldidError, SchemaMismatch
-from .learners import (CV_FOLDS, CV_N_LAMBDAS, DEFAULT_L2, GramFit, check_fixed_l1,
-                       fit_gram_batch, moment_fits, weighted_gram)
+from .learners import (CV_FOLDS, DEFAULT_L2, GramFit, check_fixed_l1, fit_gram_batch,
+                       moment_fits, weighted_gram)
 from .nuisance import NuisanceBundle
 
 # The benchmark's tracer (perfbench/tracing.py) wraps these names in this
@@ -142,8 +142,7 @@ def catt_fits(X, B, dH, counts, fixed_l1=None, errors=None):
             for j in range(K):
                 out = ranked[j::K]
                 classes[a, j] = _unit_moments(Z[out], *(v[out][:, [i]] for v in (c, B, dH)))[0]
-    fits = moment_fits(N[cols], classes, fit_intercept=False, l1=fixed_l1,
-                       n_lambdas=CV_N_LAMBDAS)
+    fits = moment_fits(N[cols], classes, fit_intercept=False, l1=fixed_l1)
 
     def collect():
         for r, fit in zip(live[cols], fits):

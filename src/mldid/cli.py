@@ -10,7 +10,6 @@ run; results never depend on ``--threads``.
 from __future__ import annotations
 
 import dataclasses
-import math
 import sys
 import time
 from pathlib import Path
@@ -31,7 +30,8 @@ from .estimator import (
     _reemit,
 )
 from .exceptions import MldidError, PanelValidationError
-from .heterogeneity import blp, clan
+from .heterogeneity import BlpResult, blp, clan
+from .learners import check_fixed_l1
 from .panel import (
     ColumnSchema,
     load_panel,
@@ -146,9 +146,11 @@ _K_BINS = click.IntRange(min=2)
 
 
 def _check_fixed_l1(ctx, param, value):
-    """Reject a penalty no lasso fit can use."""
-    if value is not None and not (math.isfinite(value) and value >= 0):
-        raise click.BadParameter(f"must be finite and nonnegative, got {value}")
+    """Reject a penalty no lasso fit can use, as ``learners.check_fixed_l1`` does."""
+    try:
+        check_fixed_l1(value)
+    except MldidError as err:
+        raise click.BadParameter(str(err)) from err
     return value
 
 
@@ -206,8 +208,12 @@ def _heterogeneity_results(catt_panel, k_bins, oracle_values=None,
     """BLP and CLAN tables for each emitted target, and what they leave out.
 
     An event time with fewer than p + 2 rows has no per-event BLP, and one
-    with fewer than 2 * k_bins rows no CLAN; each such skip is returned as
-    a ``{"table", "e", "reason"}`` record. The pooled BLP keeps every row.
+    with fewer than 2 * k_bins rows no CLAN. Each BLP design (one per event
+    time and the pooled one, which keeps every row) is fit for every target
+    in its own ``blp`` call, and a design that call rejects (rank deficient,
+    or too few rows for the pooled regressors) has no table. Each skip is
+    returned as a ``{"table", "e", "reason"}`` record, with e "pooled" for
+    the pooled design.
     """
     targets = [("catt", catt_panel.tau), ("score", catt_panel.score)]
     if oracle_values is not None:
@@ -215,27 +221,34 @@ def _heterogeneity_results(catt_panel, k_bins, oracle_values=None,
     names = catt_panel.covariate_names
     p = len(names)
     skipped = []
-    blp_rows = np.ones(catt_panel.e.shape[0], dtype=bool)
-    clan_times = []
+    blp_designs, clan_times = [], []
     for e in sorted({int(v) for v in np.unique(catt_panel.e) if v >= 0}):
         rows = catt_panel.e == e
         n = int(rows.sum())
         if n < p + 2:
-            blp_rows &= ~rows
             skipped.append({"table": "blp", "e": e,
                             "reason": f"{n} rows for {p} covariates"})
+        else:
+            blp_designs.append((e, "per-event", rows))
         if n < 2 * k_bins:
             skipped.append({"table": "clan", "e": e,
                             "reason": f"{n} rows cannot fill 2x{k_bins} bins"})
         else:
             clan_times.append(e)
-    # One call per mode fits every target on each design.
+    blp_designs.append(("pooled", "pooled", slice(None)))
     labels = [label for label, _ in targets]
-    per_event = blp([values[blp_rows] for _, values in targets], catt_panel.e[blp_rows],
-                    catt_panel.X[blp_rows], names, mode="per-event", target=labels)
-    pooled = blp([values for _, values in targets], catt_panel.e, catt_panel.X, names,
-                 mode="pooled", target=labels)
-    blps = [res for pair in zip(per_event, pooled) for res in pair]
+    fitted = {"per-event": [], "pooled": []}
+    for e, mode, rows in blp_designs:
+        try:
+            fitted[mode].append(blp([values[rows] for _, values in targets], catt_panel.e[rows],
+                                    catt_panel.X[rows], names, mode=mode, target=labels))
+        except MldidError as err:
+            skipped.append({"table": "blp", "e": e, "reason": str(err)})
+    blps = []
+    for j, label in enumerate(labels):
+        blps.append(BlpResult(label, "per-event",
+                              [c for res in fitted["per-event"] for c in res[j].coefficients]))
+        blps += [res[j] for res in fitted["pooled"]]
     clan_rows = [(e, catt_panel.e == e) for e in clan_times]
     clans = [clan(values[rows], catt_panel.X[rows], catt_panel.unit_ids[rows], names,
                   n_bins=k_bins, e=e, target=label, most_affected=most_affected)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EmptyControlGroup, KeyMismatch, MldidError, NoOverlap
-from .learners import DEFAULT_CLIP, DEFAULT_L2, fit_probability, ridge_fits
+from .learners import DEFAULT_CLIP, fit_probability, ridge_fits
 from .panel import TwoPeriodSlice
 
 # The benchmark's tracer (perfbench/tracing.py) wraps this name in this
@@ -82,7 +82,7 @@ def estimate_slice_dr(
         if propensity is None:
             model_p = fit_probability(sl.X, sl.g_flag.astype(np.int64))
             propensity = model_p.predict_proba(sl.X)[:, 1]
-        fit_mu = ridge_fits(sl.X[control], DEFAULT_L2) if outcome_changes is None else None
+        fit_mu = ridge_fits(sl.X[control]) if outcome_changes is None else None
     except MldidError as err:
         return [err] * len(slices)
     p_hat = np.clip(np.asarray(propensity, float)[control], DEFAULT_CLIP, 1.0 - DEFAULT_CLIP)

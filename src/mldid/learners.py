@@ -81,7 +81,8 @@ NEWTON_MAX_ITER = 500
 DEFAULT_L2 = 1e-6
 DEFAULT_CLIP = 0.01
 
-# Inner cross-validation defaults for the l1 path.
+# Inner cross-validation of the l1 path: its folds (the row front end's
+# default), its grid size and the grid's range relative to lambda_max.
 CV_FOLDS = 5
 CV_N_LAMBDAS = 20
 CV_LAMBDA_MIN_RATIO = 1e-4
@@ -350,18 +351,16 @@ class GramFit:
     A front end fills in the standardized Gram system of the fit's training
     rows (``G``, ``c``), the standardization it undoes (``center``,
     ``scale``, ``ybar``) and, for an l1 chosen by cross-validation
-    (``l1`` None), the size of its grid, ``n_lambdas``, which
-    :func:`fit_gram_batch` sets as ``grid`` (see :func:`cv_grid`), and per
-    inner fold: the Gram system of its training rows (``fold_G``,
-    ``fold_c``) and ``fold_held``, the
-    second moments of its held-out rows ``[z, y - ybar_j]``. These are in
-    the fit's standardized coordinates, with y centred at the fold's
-    training mean ``ybar_j`` (0 without an intercept), and normalized by
-    held-out weight; a fold that holds no weight gets zeros. The fold's
-    held-out squared error at coefficients b is then ``[-b, 1]' H [-b, 1]``,
-    so a GramFit is plain data and fits of different cells can share one
-    batch. ``result`` is preset to an MldidError for a fit that cannot be
-    solved.
+    (``l1`` None), per inner fold: the Gram system of its training rows
+    (``fold_G``, ``fold_c``) and ``fold_held``, the second moments of its
+    held-out rows ``[z, y - ybar_j]``. These are in the fit's standardized
+    coordinates, with y centred at the fold's training mean ``ybar_j`` (0
+    without an intercept), and normalized by held-out weight; a fold that
+    holds no weight gets zeros. The fold's held-out squared error at
+    coefficients b is then ``[-b, 1]' H [-b, 1]``, so a GramFit is plain
+    data and fits of different cells can share one batch.
+    :func:`fit_gram_batch` sets ``grid`` (see :func:`cv_grid`). ``result``
+    is preset to an MldidError for a fit that cannot be solved.
     """
 
     G: np.ndarray | None
@@ -375,7 +374,6 @@ class GramFit:
     fold_c: np.ndarray | None = None
     fold_held: np.ndarray | None = None
     result: object = None
-    n_lambdas: int = CV_N_LAMBDAS
 
 
 def check_fixed_l1(fixed_l1) -> None:
@@ -384,15 +382,13 @@ def check_fixed_l1(fixed_l1) -> None:
         raise MldidError(f"fixed l1 must be finite and nonnegative, got {fixed_l1}")
 
 
-def check_lasso_options(n_folds: int, n_lambdas: int, fixed_l1, cv_rule: str) -> None:
+def check_lasso_options(n_folds: int, fixed_l1, cv_rule: str) -> None:
     """Reject settings no fit of a batch could use."""
     if cv_rule not in ("min", "1se"):
         raise MldidError(f"unknown cv_rule: {cv_rule}")
     check_fixed_l1(fixed_l1)
     if fixed_l1 is None and n_folds < 2:
         raise MldidError("need at least 2 inner folds")
-    if fixed_l1 is None and n_lambdas < 1:
-        raise MldidError("need at least 1 penalty on the l1 grid")
 
 
 def cv_grid(fits: Sequence[GramFit], pf: np.ndarray, l2: float) -> None:
@@ -405,11 +401,11 @@ def cv_grid(fits: Sequence[GramFit], pf: np.ndarray, l2: float) -> None:
     lam_max = _lambda_max(np.stack([fit.G for fit in fits]), np.stack([fit.c for fit in fits]),
                           pf, l2)
     top = np.where(lam_max > 0.0, lam_max, 1.0)
-    grids = {n: np.geomspace(top * CV_LAMBDA_MAX_RATIO, top * CV_LAMBDA_MIN_RATIO, n, axis=1)
-             for n in {fit.n_lambdas for fit in fits}}
-    for b, (fit, positive) in enumerate(zip(fits, lam_max > 0.0)):
+    grids = np.geomspace(top * CV_LAMBDA_MAX_RATIO, top * CV_LAMBDA_MIN_RATIO, CV_N_LAMBDAS,
+                         axis=1)
+    for fit, grid, positive in zip(fits, grids, lam_max > 0.0):
         if positive:
-            fit.grid = grids[fit.n_lambdas][b]
+            fit.grid = grid
         else:
             fit.l1 = 0.0
 
@@ -524,7 +520,6 @@ def moment_fits(
     *,
     fit_intercept: bool,
     l1: float | None,
-    n_lambdas: int,
     shift: np.ndarray | None = None,
     ranges: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[GramFit]:
@@ -546,8 +541,8 @@ def moment_fits(
     the ``(K, q, q)`` moments of the K classes of its rows: inner fold j
     trains on ``N[i] - classes[i, j]`` and holds out class j, both in fit
     i's standardization, and the fold's training mean of y centres its
-    held-out moments. Its grid of ``n_lambdas`` points is set when it is
-    solved (see :func:`fit_gram_batch`).
+    held-out moments. Its grid is set when it is solved (see
+    :func:`fit_gram_batch`).
     """
     n_fits, p = N.shape[0], N.shape[-1] - 2
     shift = np.zeros(p + 1) if shift is None else shift
@@ -572,8 +567,8 @@ def moment_fits(
         scale[scale == 0.0] = 1.0
         center, ybar = np.zeros((n_fits, p)), np.zeros(n_fits)
         S = _rms_moments(N, scale)
-    fits = [GramFit(S[i, :p, :p], S[i, :p, p], center[i], scale[i], float(ybar[i]), l1,
-                    n_lambdas=n_lambdas) for i in range(n_fits)]
+    fits = [GramFit(S[i, :p, :p], S[i, :p, p], center[i], scale[i], float(ybar[i]), l1)
+            for i in range(n_fits)]
     if l1 is not None or not n_fits:
         return fits
     K = classes.shape[1]
@@ -597,7 +592,7 @@ def moment_fits(
 
 
 def row_gram_fit(X, y, *, l2, weights=None, penalty_factor=None, fit_intercept=True,
-                 n_folds=CV_FOLDS, n_lambdas=CV_N_LAMBDAS, fixed_l1=None, cv_rule="min"):
+                 n_folds=CV_FOLDS, fixed_l1=None, cv_rule="min"):
     """The GramFit of one regression from its rows, and its penalty factors.
 
     This is the row front end of :func:`fit_gram_batch`. It standardizes
@@ -605,7 +600,7 @@ def row_gram_fit(X, y, *, l2, weights=None, penalty_factor=None, fit_intercept=T
     every inner fold (row i is in fold i modulo ``n_folds``), with the
     fold's held-out moments. Raises the MldidError of inputs no fit can use.
     """
-    check_lasso_options(n_folds, n_lambdas, fixed_l1, cv_rule)
+    check_lasso_options(n_folds, fixed_l1, cv_rule)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
@@ -628,7 +623,7 @@ def row_gram_fit(X, y, *, l2, weights=None, penalty_factor=None, fit_intercept=T
     Z, m, s = _standardize(X, w, center=fit_intercept)
     ybar = float(w @ y) if fit_intercept else 0.0
     wZ = Z * w[:, None]
-    fit = GramFit(Z.T @ wZ, wZ.T @ (y - ybar), m, s, ybar, fixed_l1, n_lambdas=n_lambdas)
+    fit = GramFit(Z.T @ wZ, wZ.T @ (y - ybar), m, s, ybar, fixed_l1)
     if fixed_l1 is None:
         systems, fold = [], np.arange(n) % n_folds
         for k in range(n_folds):
@@ -691,12 +686,12 @@ def fit_penalized_ls(
                     fit_intercept=fit_intercept, fixed_l1=l1)
 
 
-def ridge_fits(X: np.ndarray, l2: float) -> Callable[[np.ndarray], LinearModel]:
+def ridge_fits(X: np.ndarray) -> Callable[[np.ndarray], LinearModel]:
     """The l1 = 0 fits of several responses on one design, which share its Gram matrix.
 
     The rows of X are standardized and their Gram matrix formed once. The
     returned function fits one response y with the operations that
-    ``fit_penalized_ls(X, y, 0.0, l2)`` applies to it (its mean, one
+    ``fit_penalized_ls(X, y, 0.0, DEFAULT_L2)`` applies to it (its mean, one
     matrix-vector product, the closed-form solve and the unscaling), so
     its model has the same bits and does not depend on the other
     responses. Raises the MldidError of a design no fit can use, and the
@@ -717,11 +712,11 @@ def ridge_fits(X: np.ndarray, l2: float) -> Callable[[np.ndarray], LinearModel]:
         y = np.asarray(y, dtype=float)
         _check_finite("y", y)
         ybar = float(w @ y)
-        beta = _ridge_solve(G, wZ.T @ (y - ybar), l2, pf)
+        beta = _ridge_solve(G, wZ.T @ (y - ybar), DEFAULT_L2, pf)
         if not np.all(np.isfinite(beta)):
             raise NoConvergence(_PATH_FAILURES[1])
         coef = beta / scale
-        return LinearModel(ybar - float(center @ coef), coef, 0.0, l2, center, scale,
+        return LinearModel(ybar - float(center @ coef), coef, 0.0, DEFAULT_L2, center, scale,
                            int(p > 0))
 
     return fit
@@ -736,13 +731,12 @@ def fit_penalized_ls_cv(
     penalty_factor: np.ndarray | None = None,
     fit_intercept: bool = True,
     n_folds: int = CV_FOLDS,
-    n_lambdas: int = CV_N_LAMBDAS,
     fixed_l1: float | None = None,
     cv_rule: str = "min",
 ) -> LinearModel:
     """Elastic-net fit with l1 chosen by K-fold cross-validation.
 
-    The grid is ``n_lambdas`` log-spaced points on
+    The grid is ``CV_N_LAMBDAS`` log-spaced points on
     ``[CV_LAMBDA_MIN_RATIO, CV_LAMBDA_MAX_RATIO] * lambda_max``; the path is
     fit warm-started from large to small l1, and the l1 minimizing held-out
     squared error is refit on the full data. ``cv_rule="1se"`` instead takes
@@ -751,8 +745,8 @@ def fit_penalized_ls_cv(
     ``fixed_l1`` bypasses the search entirely.
     """
     return _row_fit(X, y, l2=l2, weights=weights, penalty_factor=penalty_factor,
-                    fit_intercept=fit_intercept, n_folds=n_folds, n_lambdas=n_lambdas,
-                    fixed_l1=fixed_l1, cv_rule=cv_rule)
+                    fit_intercept=fit_intercept, n_folds=n_folds, fixed_l1=fixed_l1,
+                    cv_rule=cv_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -1119,13 +1113,11 @@ def cross_fit(
     fit: Callable[[np.ndarray, np.ndarray], object],
     *,
     predict: Callable[[object, np.ndarray], np.ndarray] | None = None,
-    train_mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Out-of-fold predictions with fold membership defined by unit.
 
     The model predicting row i is trained on all rows whose unit lies
-    outside fold(i), optionally restricted to ``train_mask`` (used for
-    the conditional regressions). Fit failures surface as DegenerateFold.
+    outside fold(i). Fit failures surface as DegenerateFold.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -1138,8 +1130,6 @@ def cross_fit(
         if not test.any():
             continue
         train = ~test
-        if train_mask is not None:
-            train = train & train_mask
         if int(train.sum()) < 2:
             raise DegenerateFold(
                 f"fold {k}: training complement has {int(train.sum())} rows"

@@ -97,10 +97,6 @@ class PanelDataset:
     def group_sizes(self) -> dict[int, int]:
         return {g: int(np.sum(self.groups == g)) for g in self.cohorts}
 
-    @property
-    def never_treated_mask(self) -> np.ndarray:
-        return self.groups == NEVER_TREATED
-
 
 @dataclass(frozen=True)
 class TwoPeriodSlice:
@@ -121,7 +117,6 @@ class TwoPeriodSlice:
     y_post: np.ndarray
     X: np.ndarray
     covariate_names: tuple[str, ...]
-    control_rule: str = "not-yet-treated"
 
     def __post_init__(self):
         for name in ("X", "y_pre", "y_post"):

@@ -232,21 +232,9 @@ def simulate(config: DgpConfig) -> OraclePanel:
 
 
 def oracle_dynamic(oracle: OraclePanel, include_placebo: bool = True) -> dict[int, float]:
-    """True event-study aggregates using the estimator's weighting scheme."""
-    from .estimator import event_study_weights
+    """True event-study aggregates: the estimator's thetas on the true cells."""
+    from .estimator import _event_thetas
 
-    cells = oracle.oracle_cells(include_placebo)
-    sizes = oracle.panel.group_sizes
-    T = oracle.panel.n_periods
-    events = sorted({t - g for g, t in cells})
-    out = {}
-    for e in events:
-        weights = event_study_weights(sizes, e, T)
-        contributing = {g: w for g, w in weights.items() if (g, g + e) in cells}
-        total = sum(contributing.values())
-        if total <= 0:
-            continue
-        out[e] = sum(
-            w / total * cells[(g, g + e)] for g, w in contributing.items()
-        )
-    return out
+    thetas = _event_thetas(oracle.oracle_cells(include_placebo), oracle.panel.group_sizes,
+                           oracle.panel.n_periods)
+    return {e: theta for e, (theta, _, _) in thetas.items()}

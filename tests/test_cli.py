@@ -11,6 +11,7 @@ from mldid import DgpConfig, amle, load_panel, simulate, write_panel_csv
 from mldid.cli import cli
 from mldid.estimator import EstimatorConfig, bootstrap_se, estimate_cell, run_mldid
 from mldid.exceptions import IllConditionedWarning, MldidError
+from mldid.report import write_catt_panel_csv
 
 from _utils import thin_cohort
 
@@ -572,3 +573,61 @@ def test_delimiter_must_be_one_character(command, value, sim_dir, est_dir, tmp_p
     assert res.exit_code == 2, res.output
     assert "--delimiter" in res.output and "single character" in res.output
     assert not out.exists()
+
+
+def _constant_x4(groups, covariates):
+    covariates[:, :, 3] = 0.5
+
+
+def _constant_x4_in_cohort_2(groups, covariates):
+    # Only event time 2 holds cohort 2 alone; its per-event design loses rank.
+    covariates[groups == 2, :, 3] = 0.5
+
+
+@pytest.mark.parametrize("command", ["estimate", "heterogeneity"])
+@pytest.mark.parametrize("n_units, seed, edit, blp_skips", [
+    (12, 2, None, {"pooled": "design is rank deficient; collinear: ['x_5']"}),
+    (12, 5, None, {"pooled": "3 rows for 6 regressors"}),
+    (250, 11, _constant_x4,
+     {e: "design is rank deficient; collinear: ['x_4']" for e in (0, 1, 2, "pooled")}),
+    (250, 11, _constant_x4_in_cohort_2, {2: "design is rank deficient; collinear: ['x_4']"}),
+], ids=["pooled-rank-deficient", "pooled-too-few-rows", "constant-covariate",
+        "constant-within-one-event-time"])
+def test_rejected_blp_design_is_skipped_not_fatal(command, n_units, seed, edit, blp_skips,
+                                                  tmp_path):
+    # A BLP design that heterogeneity.blp rejects loses its own table only:
+    # every output is written, and each BLP table is either in blp.csv or
+    # listed, with its reason, under skipped_heterogeneity.
+    panel = simulate(DgpConfig(n_units=n_units, seed=seed)).panel
+    covariates = panel.covariates.copy()
+    if edit is not None:
+        edit(panel.groups, covariates)
+    panel = type(panel)(
+        unit_ids=panel.unit_ids, groups=panel.groups, n_periods=panel.n_periods,
+        outcomes=panel.outcomes, covariates=covariates,
+        covariate_names=panel.covariate_names)
+    path = tmp_path / "panel.csv"
+    write_panel_csv(panel, path)
+    out = tmp_path / "out"
+    if command == "estimate":
+        catt = out / "catt_panel.csv"
+        res = run_cli(["estimate", "--input", str(path), "--out", str(out),
+                       "--fixed-l1", "0.01", "--folds", "2"])
+    else:
+        catt = tmp_path / "catt_panel.csv"
+        write_catt_panel_csv(catt, run_mldid(load_panel(path), EstimatorConfig(
+            n_folds=2, fixed_l1=0.01)).catt_panel)
+        res = run_cli(["heterogeneity", "--input", str(path), "--catt", str(catt),
+                       "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    manifest = json.loads((out / "manifest.json").read_text())
+    for name in manifest["outputs"]:
+        assert (out / name).exists(), name
+    skipped = {str(r["e"]): r["reason"] for r in manifest["skipped_heterogeneity"]
+               if r["table"] == "blp"}
+    assert {e: skipped.get(str(e)) for e in blp_skips} == blp_skips
+    with open(catt, newline="") as fh:
+        tables = {r["e"] for r in csv.DictReader(fh) if int(r["e"]) >= 0} | {"pooled"}
+    with open(out / "blp.csv", newline="") as fh:
+        written = {r["e"] for r in csv.DictReader(fh)}
+    assert set(skipped) <= tables and written == tables - set(skipped)

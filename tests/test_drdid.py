@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from mldid import DgpConfig, compare_rmse, estimate_cell_dr, simulate, slice_two_period
 from mldid.drdid import estimate_slice_dr
 from mldid.exceptions import KeyMismatch, MldidError, NoOverlap
-from mldid.learners import DEFAULT_L2, fit_probability, ridge_fits
+from mldid.learners import fit_probability, ridge_fits
 
 from _dr_reference import estimate_cell_dr_rows
 from _utils import two_period_dgp
@@ -140,8 +140,7 @@ def test_covariate_constant_on_controls_stays_pinned(slice_cells):
     X[control, 1] = 0.1 + 0.2  # constant, at a value a weighted mean rounds off
     cells = [dataclasses.replace(c, X=X) for c in slice_cells]
     _assert_each_cell_as_alone(cells, _propensity(cells[0]))
-    fit = ridge_fits(X[control], DEFAULT_L2)(cells[0].y_post[control]
-                                              - cells[0].y_pre[control])
+    fit = ridge_fits(X[control])(cells[0].y_post[control] - cells[0].y_pre[control])
     # Centred exactly at its value with unit scale, the column standardizes to zeros.
     assert fit.center[1] == 0.1 + 0.2 and fit.scale[1] == 1.0
 

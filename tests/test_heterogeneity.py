@@ -240,16 +240,22 @@ def test_tied_effects_match_per_target_reference(tmp_path, run_catt):
     _assert_tables_match_reference(tmp_path, tied)
 
 
-def test_rank_deficient_design_raises_as_per_target_reference(run_catt):
+def test_rank_deficient_design_is_skipped_as_per_target_reference(run_catt):
+    # x_3 = 2 x_1 makes every BLP design rank deficient. Each is skipped
+    # with the message of the reference's RankDeficient, which names the
+    # collinear column, and the CLAN tables are still made.
     X = run_catt.X.copy()
     X[:, 2] = 2.0 * X[:, 0]
     broken = dataclasses.replace(run_catt, X=X)
-    with pytest.raises(RankDeficient) as new:
-        _heterogeneity_results(broken, 4)
+    blps, clans, skipped = _heterogeneity_results(broken, 4)
     with pytest.raises(RankDeficient) as ref:
         heterogeneity_results(broken, 4)
-    assert str(new.value) == str(ref.value)
-    assert new.value.columns == ref.value.columns == ["x_3"]
+    assert ref.value.columns == ["x_3"]
+    times = sorted({int(v) for v in np.unique(broken.e) if v >= 0})
+    assert skipped == [{"table": "blp", "e": e, "reason": str(ref.value)}
+                       for e in [*times, "pooled"]]
+    assert not any(res.coefficients for res in blps)
+    assert len(clans) == 2 * len(times)
 
 
 @pytest.mark.parametrize("values", [

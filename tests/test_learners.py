@@ -23,6 +23,7 @@ from mldid.exceptions import (
 from mldid import learners
 from mldid.learners import (
     DEFAULT_CLIP,
+    DEFAULT_L2,
     GramFit,
     ProbabilityModel,
     _held_out_errors,
@@ -54,15 +55,16 @@ def test_exact_linear_fit():
 
 
 @pytest.mark.parametrize("p, constant", [(0, None), (1, None), (4, None), (4, 2)])
-@pytest.mark.parametrize("l2", [0.0, 1e-6])
+@pytest.mark.parametrize("l2", [DEFAULT_L2])
 def test_ridge_fits_equal_the_row_front_end(p, constant, l2):
     # Several responses on one design: each model has the bits of its own
-    # l1 = 0 fit, whatever the other responses.
+    # l1 = 0 fit at the ridge of every nuisance fit, whatever the other
+    # responses.
     rng = np.random.default_rng(p + 7)
     X = rng.standard_normal((60, p)) * 10.0 ** rng.integers(-3, 3, p)
     if constant is not None:
         X[:, constant] = 0.7
-    fit = ridge_fits(X, l2)
+    fit = ridge_fits(X)
     for y in rng.standard_normal((3, 60)) * [[1.0], [1e8], [1e-8]]:
         got, ref = fit(y), fit_penalized_ls(X, y, 0.0, l2)
         for name in ("intercept", "coef", "l1", "l2", "center", "scale", "n_sweeps"):
@@ -70,7 +72,7 @@ def test_ridge_fits_equal_the_row_front_end(p, constant, l2):
     with pytest.raises(NonFiniteData, match="y contains"):
         fit(np.full(60, np.inf))
     with pytest.raises(MldidError, match="at least 2 rows"):
-        ridge_fits(X[:1], l2)
+        ridge_fits(X[:1])
 
 
 def test_total_shrinkage():
@@ -767,7 +769,7 @@ def test_moment_fits_match_row_front_end(fit_intercept):
         drawn = X[w > 0]
         [got] = moment_fits(
             learners.weighted_gram(V, w)[None], classes[None], fit_intercept=fit_intercept,
-            l1=None, n_lambdas=learners.CV_N_LAMBDAS, shift=shift,
+            l1=None, shift=shift,
             ranges=(drawn.min(axis=0)[None], drawn.max(axis=0)[None]))
         for name in ("G", "c", "center", "scale", "fold_G", "fold_c", "fold_held"):
             a, b = getattr(got, name), getattr(want, name)
