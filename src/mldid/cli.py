@@ -61,6 +61,7 @@ from .simulate import (
     CHI_CHOICES,
     TAU_SCENARIOS,
     DgpConfig,
+    effect_path,
     simulate,
 )
 
@@ -327,47 +328,78 @@ def cmd_estimate(input_path, out, seed, delimiter, k_bins,
     )
 
 
-def _aligned_oracle_catt(oracle, catt_panel) -> np.ndarray:
-    """Noise-free true conditional effects aligned to the catt panel rows."""
-    row_of = {uid: i for i, uid in enumerate(oracle.panel.unit_ids)}
-    rows = np.array([row_of[u] for u in catt_panel.unit_ids])
-    tau = oracle.tau_unit[rows]
-    return np.where(catt_panel.e >= 0, (catt_panel.e + 1.0) * tau, 0.0)
-
-
 def _benchmark_rep(args):
-    """One benchmark repetition; returns None-keyed payload on failure."""
-    (master_seed, rep, dgp_kwargs, config, k_bins, coverage) = args
-    dgp = DgpConfig(seed=derive_seed(master_seed, _SEED_REP, rep), **dgp_kwargs)
+    """One Monte Carlo repetition: draw a panel, estimate it, score it against its truth.
+
+    ``args`` is (seeded DgpConfig, EstimatorConfig, k_bins, draws). The run
+    takes the draw's seed and one thread. The record holds, per estimated
+    cell (g, t), the tuple (att, att_dr, oracle_att, se): att_dr is None
+    where the DR baseline failed, oracle_att is the drawn panel's ATT(g, t)
+    (``OraclePanel.oracle_att``) and se the multiplier-bootstrap SE of
+    ``draws`` draws (None without draws). It also holds the rows of
+    :func:`_heterogeneity_results` with the true conditional effects as the
+    "oracle" target: the per-event BLP rows (target, e, covariate, coef,
+    se, p) and the CLAN rows (target, e, covariate, delta_low, delta_high,
+    diff, ci_low, ci_high). A repetition that raises MldidError returns
+    ``{"error": message}``.
+    """
+    dgp, config, k_bins, draws = args
     try:
         oracle = simulate(dgp)
         run_config = dataclasses.replace(config, seed=dgp.seed, threads=1)
         run = run_mldid(oracle.panel, run_config)
-        ml = {(c.g, c.t): c.att for c in run.cells if not c.is_reference}
-        dr = {(c.g, c.t): c.att_dr for c in run.dr_cells
-              if (c.g, c.t) in ml and c.att_dr is not None}
-        orc = {k: oracle.oracle_att(*k) for k in ml}
-        payload = {"ml": ml, "dr": dr, "oracle": orc,
-                   "skipped": len(run.skipped), "blp": [], "clan": []}
-        if run.catt_panel is not None:
-            oracle_vals = _aligned_oracle_catt(oracle, run.catt_panel)
-            blps, clans, _ = _heterogeneity_results(run.catt_panel, k_bins,
-                                                    oracle_vals)
-            payload["blp"] = [
-                (r.target, c.e, c.covariate, c.coef, c.se, c.p)
-                for r in blps for c in r.coefficients
-                if r.mode == "per-event"
-            ]
-            payload["clan"] = [
-                (r.target, r.e, row.covariate, row.delta_low, row.delta_high,
-                 row.diff, row.ci_low, row.ci_high)
-                for r in clans for row in r.rows
-            ]
-        if coverage > 0:
-            payload["se"] = multiplier_se(oracle.panel, run, coverage, run_config.seed).cell_se
-        return payload
+        cell_se = (multiplier_se(oracle.panel, run, draws, run_config.seed).cell_se
+                   if draws > 0 else {})
+        cells = {(c.g, c.t): (c.att, dr.att_dr, oracle.oracle_att(c.g, c.t),
+                              cell_se.get((c.g, c.t)))
+                 for c, dr in zip(run.cells, run.dr_cells) if not c.is_reference}
+        record = {"cells": cells, "blp": [], "clan": []}
+        cp = run.catt_panel
+        if cp is not None:
+            row_of = {uid: i for i, uid in enumerate(oracle.panel.unit_ids)}
+            tau = oracle.tau_unit[[row_of[u] for u in cp.unit_ids]]
+            blps, clans, _ = _heterogeneity_results(cp, k_bins, effect_path(cp.e, tau))
+            record["blp"] = [(r.target, c.e, c.covariate, c.coef, c.se, c.p)
+                             for r in blps if r.mode == "per-event" for c in r.coefficients]
+            record["clan"] = [(r.target, r.e, row.covariate, row.delta_low, row.delta_high,
+                               row.diff, row.ci_low, row.ci_high)
+                              for r in clans for row in r.rows]
+        return record
     except MldidError as err:
         return {"error": str(err)}
+
+
+def _rmse_rows(records) -> list:
+    """``compare_rmse`` of the records' cells, each over the records with its DR att."""
+    ml, dr, truth = {}, {}, {}
+    for record in records:
+        for key, (att, att_dr, oracle_att, _) in record["cells"].items():
+            if att_dr is not None:
+                ml.setdefault(key, []).append(att)
+                dr.setdefault(key, []).append(att_dr)
+                truth.setdefault(key, []).append(oracle_att)
+    return compare_rmse(ml, dr, truth)
+
+
+def _table_rows(records, table: str) -> list:
+    """Sorted (target, e, covariate) keys of a record table, each with its rows' values."""
+    acc: dict = {}
+    for record in records:
+        for target, e, covariate, *values in record[table]:
+            acc.setdefault((target, e, covariate), []).append(values)
+    return [(key, np.array(values)) for key, values in sorted(acc.items())]
+
+
+def _coverage_rows(records, keys) -> list:
+    """Per cell, the share of records with an SE whose 95% interval covers oracle_att."""
+    rows = []
+    for key in keys:
+        cells = [record["cells"][key] for record in records if key in record["cells"]]
+        covered = [abs(att - oracle_att) <= 1.96 * se
+                   for att, _, oracle_att, se in cells if se is not None]
+        if covered:
+            rows.append((key[0], key[1], float(sum(covered) / len(covered)), len(covered)))
+    return rows
 
 
 @cli.command("benchmark")
@@ -379,87 +411,48 @@ def _benchmark_rep(args):
 @_estimator_options
 def cmd_benchmark(n, periods, tau, assignment, confounding, chi, reps, seed,
                   out, k_bins, folds, bootstrap, placebo, threads, fixed_l1):
-    """Repeat simulate -> estimate and report RMSE against the oracle."""
+    """Repeat simulate -> estimate and score each repetition against its truth.
+
+    rmse.csv and coverage.csv measure each cell against the sample ATT(g,t)
+    of the panel drawn in that repetition (the mean of Y(g) - Y(0) over the
+    cohort's drawn units), not against a population effect. With the
+    defaults, --seed 20260810 and either --n 5000 --reps 20 or --n 2500
+    --reps 50 give the cells of acceptance criteria 1 and 2.
+    """
     t0 = time.time()
     dgp_kwargs = dict(n_units=n, n_periods=periods, assignment=assignment,
                       tau=tau, confounding=confounding, chi=chi)
     config = _estimator_config(seed, folds, placebo, threads, fixed_l1)
-    tasks = [(seed, rep, dgp_kwargs, config, k_bins, bootstrap)
-             for rep in range(reps)]
-    payloads = []
-    for rep, (payload, caught) in enumerate(_map_tasks(_benchmark_rep, tasks, threads)):
+    tasks = [(DgpConfig(seed=derive_seed(seed, _SEED_REP, rep), **dgp_kwargs),
+              config, k_bins, bootstrap) for rep in range(reps)]
+    records = []
+    for rep, (record, caught) in enumerate(_map_tasks(_benchmark_rep, tasks, threads)):
         # Name this line: the caller of this command is click's dispatcher.
         _reemit(f"benchmark repetition {rep}", caught, stacklevel=2)
-        payloads.append(payload)
+        records.append(record)
 
-    failures = [p for p in payloads if "error" in p]
-    good = [p for p in payloads if "error" not in p]
+    failures = [r for r in records if "error" in r]
+    good = [r for r in records if "error" not in r]
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    ml_cells: dict = {}
-    dr_cells: dict = {}
-    oracle_cells: dict = {}
-    for p in good:
-        for key in p["ml"]:
-            if key in p["dr"] and key in p["oracle"]:
-                ml_cells.setdefault(key, []).append(p["ml"][key])
-                dr_cells.setdefault(key, []).append(p["dr"][key])
-                oracle_cells.setdefault(key, []).append(p["oracle"][key])
     outputs = []
-    if ml_cells:
-        rows = compare_rmse(
-            {k: np.array(v) for k, v in ml_cells.items()},
-            {k: np.array(v) for k, v in dr_cells.items()},
-            {k: np.array(v) for k, v in oracle_cells.items()},
-        )
-        write_rmse_csv(out_dir / "rmse.csv", rows)
+    rmse = _rmse_rows(good)
+    if rmse:
+        write_rmse_csv(out_dir / "rmse.csv", rmse)
         outputs.append("rmse.csv")
-
-    blp_acc: dict = {}
-    for p in good:
-        for target, e, covariate, coef, se, pval in p["blp"]:
-            blp_acc.setdefault((target, e, covariate), []).append(
-                (coef, se, pval)
-            )
-    if blp_acc:
-        rows = []
-        for (target, e, covariate), vals in sorted(blp_acc.items()):
-            arr = np.array(vals)
-            rows.append((target, e, covariate, float(arr[:, 0].mean()),
-                         float(arr[:, 1].mean()),
-                         float(np.mean(arr[:, 2] < 0.05))))
-        write_blp_avg_csv(out_dir / "blp_avg.csv", rows)
+    blp_rows = [(*key, float(v[:, 0].mean()), float(v[:, 1].mean()),
+                 float(np.mean(v[:, 2] < 0.05))) for key, v in _table_rows(good, "blp")]
+    if blp_rows:
+        write_blp_avg_csv(out_dir / "blp_avg.csv", blp_rows)
         outputs.append("blp_avg.csv")
-
-    clan_acc: dict = {}
-    for p in good:
-        for target, e, covariate, d1, dk, diff, lo, hi in p["clan"]:
-            clan_acc.setdefault((target, e, covariate), []).append(
-                (d1, dk, diff, lo, hi)
-            )
-    if clan_acc:
-        rows = []
-        for (target, e, covariate), vals in sorted(clan_acc.items()):
-            arr = np.array(vals).mean(axis=0)
-            rows.append((target, e, covariate, *[float(v) for v in arr]))
-        write_benchmark_clan_csv(out_dir / "clan.csv", rows)
+    clan_rows = [(*key, *(float(m) for m in v.mean(axis=0)))
+                 for key, v in _table_rows(good, "clan")]
+    if clan_rows:
+        write_benchmark_clan_csv(out_dir / "clan.csv", clan_rows)
         outputs.append("clan.csv")
-
     if bootstrap > 0 and good:
-        cov_rows = []
-        for key in sorted(oracle_cells):
-            hits, total = 0, 0
-            for p in good:
-                se = p.get("se", {}).get(key)
-                if se is None or key not in p["oracle"]:
-                    continue
-                total += 1
-                if abs(p["ml"][key] - p["oracle"][key]) <= 1.96 * se:
-                    hits += 1
-            if total:
-                cov_rows.append((key[0], key[1], float(hits / total), total))
-        write_coverage_csv(out_dir / "coverage.csv", cov_rows)
+        write_coverage_csv(out_dir / "coverage.csv",
+                           _coverage_rows(good, [(r.g, r.t) for r in rmse]))
         outputs.append("coverage.csv")
 
     write_manifest(out_dir / "manifest.json", {
@@ -469,7 +462,7 @@ def cmd_benchmark(n, periods, tau, assignment, confounding, chi, reps, seed,
         "reps": reps,
         "bootstrap": bootstrap,
         "failed_reps": len(failures),
-        "failure_reasons": [p["error"] for p in failures][:10],
+        "failure_reasons": [r["error"] for r in failures][:10],
         "versions": environment_versions(),
         "wall_seconds": time.time() - t0,
         "outputs": outputs,

@@ -97,10 +97,9 @@ class OraclePanel:
     def oracle_catt(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Per-unit noise-free conditional effects keyed by event time.
 
-        At event time e >= 0 a cohort-g unit's conditional effect is
-        (e+1) * tau_i; pre-treatment event times are identically zero.
-        Returns ``e -> (unit row indices, values)`` covering every (g, e)
-        with a corresponding panel period.
+        A cohort-g unit's conditional effect at event time e is
+        ``effect_path(e, tau_i)``. Returns ``e -> (unit row indices,
+        values)`` covering every (g, e) with a corresponding panel period.
         """
         T = self.panel.n_periods
         out: dict[int, list] = {}
@@ -110,17 +109,22 @@ class OraclePanel:
                 e = t - g
                 if e == -1:
                     continue
-                vals = (
-                    (e + 1.0) * self.tau_unit[rows]
-                    if e >= 0
-                    else np.zeros(rows.shape[0])
-                )
-                out.setdefault(e, []).append((rows, vals))
+                out.setdefault(e, []).append((rows, effect_path(e, self.tau_unit[rows])))
         return {
             e: (np.concatenate([r for r, _ in parts]),
                 np.concatenate([v for _, v in parts]))
             for e, parts in sorted(out.items())
         }
+
+
+def effect_path(e, tau):
+    """True conditional effect at event time ``e`` of a unit with effect ``tau``.
+
+    It is (e + 1) * tau from the start period on (e >= 0) and zero before;
+    ``e`` and ``tau`` broadcast.
+    """
+    e = np.asarray(e, float)
+    return np.where(e >= 0, (e + 1.0) * tau, 0.0)
 
 
 def _assignment_probs(config: DgpConfig, x: np.ndarray) -> np.ndarray:
@@ -146,7 +150,7 @@ def simulate(config: DgpConfig) -> OraclePanel:
 
     Untreated outcomes are delta_t + eta_i + beta_t*chi_i + u_it with
     delta_t = t and eta | class ~ N(class, 1); treated outcomes add the
-    dynamic effect (t - g + 1) * tau_i and swap the noise draw, so
+    dynamic effect ``effect_path(t - g, tau_i)`` and swap the noise draw, so
     Y(g) = Y(0) + (e+1)*tau + (v - u) in post periods.
     """
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
@@ -195,10 +199,9 @@ def simulate(config: DgpConfig) -> OraclePanel:
         if not members.any():
             continue
         post = periods >= g
-        exposure = periods[post] - g + 1.0
         yg[np.ix_(members, post)] = (
             base[np.ix_(members, post)]
-            + exposure[None, :] * tau[members, None]
+            + effect_path(periods[None, post] - g, tau[members, None])
             + v[np.ix_(members, post)]
         )
 

@@ -6,17 +6,21 @@ test). Monte Carlo designs, seeds and tolerances are pinned in this
 module, and oracles always come from the simulator's stored
 potential-outcome series, never from closed forms.
 
+Criteria 1, 2, 5 and 6 read the records of ``mldid benchmark``'s own
+repetition (``cli._benchmark_rep``), and 1 and 2 its RMSE fold
+(``cli._rmse_rows``), so ``mldid benchmark --seed 20260810`` with
+``--n 5000 --reps 20`` or ``--n 2500 --reps 50`` writes their cells to
+rmse.csv. Criteria 3 and 4 also run the replicate bootstrap.
+
 Run with ``pytest -m acceptance`` (or plain ``pytest`` for everything).
-``MLDID_TEST_THREADS`` parallelizes the repetition loops.
+``MLDID_TEST_THREADS`` maps the repetitions over that many processes, as
+``--threads`` does, and their warnings reach pytest.
 """
 
-import dataclasses
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from mldid import (
     DgpConfig,
@@ -25,19 +29,17 @@ from mldid import (
     attach_bootstrap_se,
     blp,
     bootstrap_se,
-    clan,
     cross_fit,
-    estimate_cell_dr,
     fit_penalized_ls,
     make_fold_plan,
     multiplier_se,
     run_mldid,
     simulate,
-    slice_two_period,
     solve_amle,
 )
 from mldid.amle import AmleProblem
-from mldid.estimator import derive_seed
+from mldid.cli import _benchmark_rep, _rmse_rows
+from mldid.estimator import _map_tasks, _reemit, derive_seed
 from mldid.nuisance import NuisanceBundle, compute_abch
 from mldid.report import write_cells_csv
 
@@ -66,66 +68,45 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 
 
 def _map(fn, tasks):
-    if THREADS > 1:
-        with ProcessPoolExecutor(max_workers=THREADS) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+    """``fn`` over ``tasks`` as the engine maps them, re-raising each task's warnings."""
+    results = []
+    for i, (result, caught) in enumerate(_map_tasks(fn, tasks, THREADS)):
+        _reemit(f"repetition {i}", caught)
+        results.append(result)
+    return results
 
 
-def _mc_rep(args):
-    """One repetition: every cell's estimate and the run's DR baseline of it.
-
-    On repetition 0 each cell's DR att is first checked against the DR
-    estimate of its own slice.
-    """
-    rep, n, include_placebo = args
-    seed = derive_seed(MASTER_SEED, 303, rep)
-    oracle = simulate(DgpConfig(n_units=n, seed=seed))
-    run = run_mldid(oracle.panel,
-                    EstimatorConfig(seed=seed, include_placebo=include_placebo))
-    assert run.dr_skipped == []
-    out = {}
-    for c, dr in zip(run.cells, run.dr_cells):
-        if c.is_reference:
-            continue
-        if rep == 0:
-            own = estimate_cell_dr(slice_two_period(oracle.panel, c.g, c.t)).att_dr
-            assert dr.att_dr == pytest.approx(own, rel=1e-12, abs=0), (c.g, c.t)
-        out[(c.g, c.t)] = (c.att, dr.att_dr, oracle.oracle_att(c.g, c.t))
-    return out
+def _records(stream, reps, n, include_placebo=True):
+    """Benchmark records of ``reps`` draws of the default design, seeded from ``stream``."""
+    config = EstimatorConfig(include_placebo=include_placebo)
+    records = _map(_benchmark_rep, [
+        (DgpConfig(n_units=n, seed=derive_seed(MASTER_SEED, stream, rep)), config, 4, 0)
+        for rep in range(reps)])
+    for record in records:
+        assert "error" not in record, record["error"]
+        assert all(att_dr is not None for _, att_dr, _, _ in record["cells"].values())
+    return records
 
 
 @pytest.fixture(scope="module")
 def mc_5000():
     cfg = SCALE["oracle_recovery"]
-    return _map(_mc_rep, [(r, cfg["n"], True) for r in range(cfg["reps"])])
+    return _records(303, cfg["reps"], cfg["n"])
 
 
 @pytest.fixture(scope="module")
 def mc_2500():
     cfg = SCALE["rmse"]
-    return _map(_mc_rep, [(r, cfg["n"], True) for r in range(cfg["reps"])])
-
-
-def _collect(reps):
-    ml, dr, orc = {}, {}, {}
-    for rep in reps:
-        for key, (a, d, o) in rep.items():
-            ml.setdefault(key, []).append(a)
-            dr.setdefault(key, []).append(d)
-            orc.setdefault(key, []).append(o)
-    return ml, dr, orc
+    return _records(303, cfg["reps"], cfg["n"])
 
 
 def test_criterion_1_oracle_recovery(mc_5000):
     """Cell means track the stored-potential-outcome oracle means."""
-    ml, dr, orc = _collect(mc_5000)
     ok = True
     details = []
-    for key in sorted(orc):
-        gap_ml = abs(np.mean(ml[key]) - np.mean(orc[key]))
-        gap_dr = abs(np.mean(dr[key]) - np.mean(orc[key]))
-        details.append(f"{key}: ml {gap_ml:.3f} dr {gap_dr:.3f}")
+    for row in _rmse_rows(mc_5000):
+        gap_ml, gap_dr = abs(row.bias_ml), abs(row.bias_dr)
+        details.append(f"{(row.g, row.t)}: ml {gap_ml:.3f} dr {gap_dr:.3f}")
         if gap_ml > 0.15 or gap_dr > 0.10:
             ok = False
     report("1 oracle-recovery", ok, "; ".join(details))
@@ -134,23 +115,19 @@ def test_criterion_1_oracle_recovery(mc_5000):
 
 def test_criterion_2_rmse_ordering(mc_2500):
     """Per-cell RMSE magnitudes and the DR-vs-ML ordering."""
-    ml, dr, orc = _collect(mc_2500)
+    rows = _rmse_rows(mc_2500)
     ok = True
     dr_not_worse = 0
     details = []
-    for key in sorted(orc):
-        e_ml = np.array(ml[key]) - np.array(orc[key])
-        e_dr = np.array(dr[key]) - np.array(orc[key])
-        rmse_ml = float(np.sqrt(np.mean(e_ml**2)))
-        rmse_dr = float(np.sqrt(np.mean(e_dr**2)))
-        details.append(f"{key}: ml {rmse_ml:.3f} dr {rmse_dr:.3f}")
-        if rmse_dr <= rmse_ml:
+    for row in rows:
+        details.append(f"{(row.g, row.t)}: ml {row.rmse_ml:.3f} dr {row.rmse_dr:.3f}")
+        if row.rmse_dr <= row.rmse_ml:
             dr_not_worse += 1
-        if rmse_dr > 0.25:
+        if row.rmse_dr > 0.25:
             ok = False
-        if rmse_ml > 0.5:
+        if row.rmse_ml > 0.5:
             ok = False
-    frac = dr_not_worse / len(orc)
+    frac = dr_not_worse / len(rows)
     if frac < 0.75:
         ok = False
     report("2 rmse-ordering", ok,
@@ -230,36 +207,23 @@ def test_criterion_4_dynamic_aggregation():
     assert ok
 
 
-def _blp_rep(args):
-    (rep, n) = args
-    seed = derive_seed(MASTER_SEED, 606, rep)
-    oracle = simulate(DgpConfig(n_units=n, seed=seed))
-    run = run_mldid(oracle.panel,
-                    EstimatorConfig(seed=seed, include_placebo=False))
-    cp = run.catt_panel
-    res = blp(cp.score, cp.e, cp.X, cp.covariate_names, mode="per-event",
-              target="score")
-    x1 = [(res.coef("x_1", e).coef, res.coef("x_1", e).p) for e in (0, 1, 2)]
-    others = {name: res.coef(name, 2).p
-              for name in ("x_2", "x_3", "x_4", "x_5")}
-    return x1, others
-
-
 def test_criterion_5_blp_detection():
     """Score regressions find the true heterogeneity driver, and only it."""
     cfg = SCALE["blp"]
-    reps = _map(_blp_rep, [(r, cfg["n"]) for r in range(cfg["reps"])])
-    n_reps = len(reps)
+    records = _records(606, cfg["reps"], cfg["n"], include_placebo=False)
+    n_reps = len(records)
     sig_increasing = 0
     insig = {name: 0 for name in ("x_2", "x_3", "x_4", "x_5")}
-    for x1, others in reps:
-        coefs = [c for c, _ in x1]
-        pvals = [p for _, p in x1]
+    for record in records:
+        score = {(e, covariate): (coef, p)
+                 for target, e, covariate, coef, _, p in record["blp"] if target == "score"}
+        coefs = [score[(e, "x_1")][0] for e in (0, 1, 2)]
+        pvals = [score[(e, "x_1")][1] for e in (0, 1, 2)]
         if all(p < 0.01 for p in pvals) and all(c > 0 for c in coefs) \
                 and coefs[0] < coefs[1] < coefs[2]:
             sig_increasing += 1
-        for name, p in others.items():
-            if p >= 0.05:
+        for name in insig:
+            if score[(2, name)][1] >= 0.05:
                 insig[name] += 1
     ok = sig_increasing >= 0.8 * n_reps
     details = [f"x_1 sig+increasing {sig_increasing}/{n_reps}"]
@@ -273,20 +237,15 @@ def test_criterion_5_blp_detection():
 
 def test_criterion_6_clan_detection():
     """Most/least affected groups differ in the true driver only."""
-    cfg = SCALE["clan"]
-    seed = derive_seed(MASTER_SEED, 707, 0)
-    oracle = simulate(DgpConfig(n_units=cfg["n"], seed=seed))
-    run = run_mldid(oracle.panel,
-                    EstimatorConfig(seed=seed, include_placebo=False))
-    cp = run.catt_panel
-    rows = cp.e == 0
-    res = clan(cp.tau[rows], cp.X[rows], cp.unit_ids[rows],
-               cp.covariate_names, n_bins=4, e=0)
-    r1, r4 = res.row("x_1"), res.row("x_4")
-    ok = (r1.diff > 0 and r1.ci_low > 0) and (r4.ci_low <= 0 <= r4.ci_high)
+    (record,) = _records(707, 1, SCALE["clan"]["n"], include_placebo=False)
+    rows = {covariate: (diff, lo, hi)
+            for target, e, covariate, _, _, diff, lo, hi in record["clan"]
+            if target == "catt" and e == 0}
+    (diff1, lo1, hi1), (_, lo4, hi4) = rows["x_1"], rows["x_4"]
+    ok = (diff1 > 0 and lo1 > 0) and (lo4 <= 0 <= hi4)
     report("6 clan-detection", ok,
-           f"x_1 diff {r1.diff:+.3f} CI [{r1.ci_low:+.3f},{r1.ci_high:+.3f}]; "
-           f"x_4 CI [{r4.ci_low:+.3f},{r4.ci_high:+.3f}]")
+           f"x_1 diff {diff1:+.3f} CI [{lo1:+.3f},{hi1:+.3f}]; "
+           f"x_4 CI [{lo4:+.3f},{hi4:+.3f}]")
     assert ok
 
 

@@ -6,10 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from numpy.testing import assert_equal
 
 from mldid import DgpConfig, amle, load_panel, simulate, write_panel_csv
-from mldid.cli import cli
-from mldid.estimator import EstimatorConfig, bootstrap_se, estimate_cell, run_mldid
+from mldid.cli import _benchmark_rep, _heterogeneity_results, cli
+from mldid.estimator import (EstimatorConfig, bootstrap_se, estimate_cell, multiplier_se,
+                             run_mldid)
 from mldid.exceptions import IllConditionedWarning, MldidError
 from mldid.report import write_catt_panel_csv
 
@@ -185,6 +187,35 @@ def test_benchmark_small_run(tmp_path):
     ])
     assert res2.exit_code == 0
     assert (out / "rmse.csv").read_bytes() == (out2 / "rmse.csv").read_bytes()
+
+
+def test_benchmark_record_is_the_run_its_bootstrap_and_its_tables():
+    # A repetition's record is simulate -> run_mldid -> multiplier_se ->
+    # _heterogeneity_results at the draw's seed, whatever the config's seed,
+    # with the oracle target read from OraclePanel.oracle_catt.
+    dgp = DgpConfig(n_units=300, seed=9)
+    record = _benchmark_rep((dgp, EstimatorConfig(seed=1, fixed_l1=0.02), 4, 50))
+
+    oracle = simulate(dgp)
+    run = run_mldid(oracle.panel, EstimatorConfig(seed=9, fixed_l1=0.02))
+    se = multiplier_se(oracle.panel, run, 50, 9).cell_se
+    dr = {(d.g, d.t): d.att_dr for d in run.dr_cells}
+    assert record["cells"] == {
+        (c.g, c.t): (c.att, dr[(c.g, c.t)], oracle.oracle_att(c.g, c.t), se[(c.g, c.t)])
+        for c in run.cells if not c.is_reference}
+    truth = {(int(row), e): value for e, (rows, values) in oracle.oracle_catt().items()
+             for row, value in zip(rows, values)}
+    cp = run.catt_panel
+    blps, clans, _ = _heterogeneity_results(
+        cp, 4, np.array([truth[(int(u), int(e))] for u, e in zip(cp.unit_ids, cp.e)]))
+    assert {target for target, *_ in record["blp"]} == {"catt", "score", "oracle"}
+    # An exact fit (the catt target at this penalty) has NaN t and p, which
+    # assert_equal matches.
+    assert_equal(record["blp"], [(r.target, c.e, c.covariate, c.coef, c.se, c.p)
+                                 for r in blps if r.mode == "per-event" for c in r.coefficients])
+    assert_equal(record["clan"], [(r.target, r.e, row.covariate, row.delta_low, row.delta_high,
+                                   row.diff, row.ci_low, row.ci_high)
+                                  for r in clans for row in r.rows])
 
 
 def test_benchmark_manifest_records_threads_and_bootstrap(tmp_path):
