@@ -30,9 +30,10 @@ from .estimator import (
     _reemit,
 )
 from .exceptions import MldidError, PanelValidationError
-from .heterogeneity import BlpResult, blp, clan
+from .heterogeneity import blp, clan
 from .learners import check_fixed_l1
 from .panel import (
+    NEVER_TREATED,
     ColumnSchema,
     load_panel,
     read_catt_panel_csv,
@@ -208,53 +209,41 @@ def _heterogeneity_results(catt_panel, k_bins, oracle_values=None,
                            most_affected="highest"):
     """BLP and CLAN tables for each emitted target, and what they leave out.
 
-    An event time with fewer than p + 2 rows has no per-event BLP, and one
-    with fewer than 2 * k_bins rows no CLAN. Each BLP design (one per event
-    time and the pooled one, which keeps every row) is fit for every target
-    in its own ``blp`` call, and a design that call rejects (rank deficient,
-    or too few rows for the pooled regressors) has no table. Each skip is
-    returned as a ``{"table", "e", "reason"}`` record, with e "pooled" for
-    the pooled design.
+    One loop runs over the post event times and then the pooled design.
+    Each event time gets one ``blp`` call on its rows (the design [1, x])
+    and one ``clan`` call per target; the pooled design is one ``blp`` call
+    on every row with their event times. Whatever ``blp`` or ``clan``
+    raises (too few rows for the design's columns or for CLAN's bins, a
+    rank-deficient design) leaves out that table and is returned as a
+    ``{"table", "e", "reason"}`` record, with e "pooled" for the pooled
+    design. The tables come per target: its per-event BLPs, its pooled
+    BLP, then its CLANs.
     """
     targets = [("catt", catt_panel.tau), ("score", catt_panel.score)]
     if oracle_values is not None:
         targets.append(("oracle", oracle_values))
     names = catt_panel.covariate_names
-    p = len(names)
-    skipped = []
-    blp_designs, clan_times = [], []
-    for e in sorted({int(v) for v in np.unique(catt_panel.e) if v >= 0}):
-        rows = catt_panel.e == e
-        n = int(rows.sum())
-        if n < p + 2:
-            skipped.append({"table": "blp", "e": e,
-                            "reason": f"{n} rows for {p} covariates"})
-        else:
-            blp_designs.append((e, "per-event", rows))
-        if n < 2 * k_bins:
-            skipped.append({"table": "clan", "e": e,
-                            "reason": f"{n} rows cannot fill 2x{k_bins} bins"})
-        else:
-            clan_times.append(e)
-    blp_designs.append(("pooled", "pooled", slice(None)))
-    labels = [label for label, _ in targets]
-    fitted = {"per-event": [], "pooled": []}
-    for e, mode, rows in blp_designs:
+    blps, clans, skipped = [], [], []
+    for e in [*sorted({int(v) for v in np.unique(catt_panel.e) if v >= 0}), "pooled"]:
+        rows = slice(None) if e == "pooled" else catt_panel.e == e
+        X = catt_panel.X[rows]
+        design = {"event_times": catt_panel.e} if e == "pooled" else {"e": e}
         try:
-            fitted[mode].append(blp([values[rows] for _, values in targets], catt_panel.e[rows],
-                                    catt_panel.X[rows], names, mode=mode, target=labels))
+            blps += blp([(label, values[rows]) for label, values in targets], X, names,
+                        **design)
         except MldidError as err:
             skipped.append({"table": "blp", "e": e, "reason": str(err)})
-    blps = []
-    for j, label in enumerate(labels):
-        blps.append(BlpResult(label, "per-event",
-                              [c for res in fitted["per-event"] for c in res[j].coefficients]))
-        blps += [res[j] for res in fitted["pooled"]]
-    clan_rows = [(e, catt_panel.e == e) for e in clan_times]
-    clans = [clan(values[rows], catt_panel.X[rows], catt_panel.unit_ids[rows], names,
-                  n_bins=k_bins, e=e, target=label, most_affected=most_affected)
-             for label, values in targets for e, rows in clan_rows]
-    return blps, clans, skipped
+        if e != "pooled":
+            try:
+                clans += [clan(values[rows], X, catt_panel.unit_ids[rows], names, n_bins=k_bins,
+                               e=e, target=label, most_affected=most_affected)
+                          for label, values in targets]
+            except MldidError as err:
+                skipped.append({"table": "clan", "e": e, "reason": str(err)})
+    rank = {label: j for j, (label, _) in enumerate(targets)}
+    # Stable sorts: each target's tables stay in design order.
+    return (sorted(blps, key=lambda res: rank[res.target]),
+            sorted(clans, key=lambda res: rank[res.target]), skipped)
 
 
 @cli.command("estimate")
@@ -390,6 +379,12 @@ def _table_rows(records, table: str) -> list:
     return [(key, np.array(values)) for key, values in sorted(acc.items())]
 
 
+def _sig_frac(p: np.ndarray) -> float | None:
+    """Share of the finite p-values below 0.05; None without one (every fit exact)."""
+    p = p[np.isfinite(p)]
+    return float(np.mean(p < 0.05)) if p.size else None
+
+
 def _coverage_rows(records, keys) -> list:
     """Per cell, the share of records with an SE whose 95% interval covers oracle_att."""
     rows = []
@@ -440,8 +435,8 @@ def cmd_benchmark(n, periods, tau, assignment, confounding, chi, reps, seed,
     if rmse:
         write_rmse_csv(out_dir / "rmse.csv", rmse)
         outputs.append("rmse.csv")
-    blp_rows = [(*key, float(v[:, 0].mean()), float(v[:, 1].mean()),
-                 float(np.mean(v[:, 2] < 0.05))) for key, v in _table_rows(good, "blp")]
+    blp_rows = [(*key, float(v[:, 0].mean()), float(v[:, 1].mean()), _sig_frac(v[:, 2]))
+                for key, v in _table_rows(good, "blp")]
     if blp_rows:
         write_blp_avg_csv(out_dir / "blp_avg.csv", blp_rows)
         outputs.append("blp_avg.csv")
@@ -515,12 +510,21 @@ def cmd_heterogeneity(input_path, catt_path, out, k_bins, delimiter,
                    err=True)
         sys.exit(EXIT_VALIDATION)
     groups = panel.groups[rows]
-    baseline = np.maximum(groups - 1, 1)
-    X = panel.covariates[rows, baseline - 1, :]
+    periods = groups + es
+    bad = (groups == NEVER_TREATED) | (periods < 1) | (periods > panel.n_periods)
+    if bad.any():
+        k = int(np.argmax(bad))
+        reason = (f"unit {units[k]!r} is never treated in the input panel"
+                  if groups[k] == NEVER_TREATED else
+                  f"unit {units[k]!r} of cohort {groups[k]} has e {es[k]}, outside "
+                  f"{1 - groups[k]}..{panel.n_periods - groups[k]}")
+        click.echo(f"input validation failed: catt panel: {reason}", err=True)
+        sys.exit(EXIT_VALIDATION)
+    # Covariates at the cohort's baseline period g - 1 (1-based).
+    X = panel.covariates[rows, groups - 2, :]
 
     catt_panel = CattPanel(
         unit_ids=np.array(units, dtype=object),
-        g=groups,
         e=es,
         tau=taus,
         score=scores,

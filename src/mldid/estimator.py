@@ -190,7 +190,6 @@ class CattPanel:
     """Long-format per-unit effect panel for heterogeneity analysis."""
 
     unit_ids: np.ndarray
-    g: np.ndarray
     e: np.ndarray
     tau: np.ndarray
     score: np.ndarray
@@ -622,7 +621,7 @@ def aggregate_event_study(
 
 
 def _build_catt_panel(cells: list[GroupTimeResult], covariate_names) -> CattPanel | None:
-    ids, gs, es, taus, scores, xs = [], [], [], [], [], []
+    ids, es, taus, scores, xs = [], [], [], [], []
     for cell in cells:
         if cell.is_reference:
             continue
@@ -630,7 +629,6 @@ def _build_catt_panel(cells: list[GroupTimeResult], covariate_names) -> CattPane
         if not treated.any():
             continue
         ids.append(cell.unit_ids[treated])
-        gs.append(np.full(int(treated.sum()), cell.g))
         es.append(np.full(int(treated.sum()), cell.e))
         taus.append(cell.tau_unit[treated])
         scores.append(cell.score_unit[treated])
@@ -639,7 +637,6 @@ def _build_catt_panel(cells: list[GroupTimeResult], covariate_names) -> CattPane
         return None
     return CattPanel(
         unit_ids=np.concatenate(ids),
-        g=np.concatenate(gs).astype(np.int64),
         e=np.concatenate(es).astype(np.int64),
         tau=np.concatenate(taus),
         score=np.concatenate(scores),

@@ -64,7 +64,7 @@ def _hc1(X: np.ndarray, xtx_inv: np.ndarray, y: np.ndarray):
 @dataclass(frozen=True)
 class BlpCoefficient:
     target: str
-    e: int | None  # None in pooled mode
+    e: int | None  # None in the pooled design
     covariate: str
     coef: float
     se: float
@@ -86,67 +86,47 @@ class BlpResult:
 
 
 def blp(
-    values: np.ndarray,
-    event_times: np.ndarray,
+    targets: Sequence[tuple[str, np.ndarray]],
     X: np.ndarray,
     covariate_names,
-    mode: str = "per-event",
-    target: str | Sequence[str] = "catt",
-) -> BlpResult | list[BlpResult]:
-    """Regress per-unit effect values on covariates.
+    e: int | None = None,
+    event_times: np.ndarray | None = None,
+) -> list[BlpResult]:
+    """Fit one BLP design: regress each target's values on the design rows' covariates.
 
-    ``per-event`` runs one OLS per event time e >= 0; ``pooled`` runs a
-    single OLS with indicator dummies for each event time beyond the
-    smallest. Standard errors are HC1.
-
-    ``values`` may also be a sequence of several targets' values, with
-    ``target`` the sequence of their labels. Each design, its rank check
-    and its (X'X)^-1 are then formed once and shared by the targets, and a
-    list of BlpResult is returned, one per target, each equal to the
-    target's own call.
+    ``targets`` holds (label, values) pairs, one value per row of ``X``.
+    Give exactly one of ``e``, which makes the per-event design [1, x] of
+    event time e's rows, or ``event_times``, the rows' event times, which
+    make the pooled design: [1, x] plus one indicator per event time beyond
+    the smallest. A design needs one more row than it has columns
+    (TooFewUnits) and full rank (RankDeficient). Its rank check and its
+    (X'X)^-1 are formed once and shared by the targets; standard errors
+    are HC1. Returns one BlpResult per target, in order.
     """
-    single = isinstance(target, str)
-    targets = [target] if single else list(target)
-    Y = [np.asarray(v, float) for v in ([values] if single else values)]
-    event_times = np.asarray(event_times)
+    if (e is None) == (event_times is None):
+        raise ValueError("blp takes exactly one of e and event_times")
     X = np.asarray(X, float)
-    names = list(covariate_names)
-    p = X.shape[1]
-    coefs: list[list[BlpCoefficient]] = [[] for _ in targets]
-
-    def fit(design, ys, e, col_names):
-        xtx_inv = _design_inverse(design, col_names)
-        for label, y, out in zip(targets, ys, coefs):
-            beta, se, t_stat, pvals = _hc1(design, xtx_inv, y)
-            for j, name in enumerate(col_names):
-                out.append(BlpCoefficient(label, e, name, float(beta[j]), float(se[j]),
-                                          float(t_stat[j]), float(pvals[j])))
-
-    if mode == "per-event":
-        for e in sorted({int(v) for v in np.unique(event_times) if v >= 0}):
-            rows = event_times == e
-            n = int(rows.sum())
-            if n < p + 2:
-                raise TooFewUnits(f"event time {e}: {n} rows for {p} covariates")
-            design = np.concatenate([np.ones((n, 1)), X[rows]], axis=1)
-            fit(design, [y[rows] for y in Y], e, ["(intercept)", *names])
-    elif mode == "pooled":
-        uniq = sorted({int(v) for v in np.unique(event_times)})
-        base = uniq[0]
-        dummies = [
-            (event_times == e).astype(float)[:, None] for e in uniq if e != base
-        ]
-        dummy_names = [f"e={e}" for e in uniq if e != base]
-        n = event_times.shape[0]
-        design = np.concatenate([np.ones((n, 1)), X, *dummies], axis=1)
-        col_names = ["(intercept)", *names, *dummy_names]
-        if n < len(col_names) + 1:
-            raise TooFewUnits(f"{n} rows for {len(col_names)} regressors")
-        fit(design, Y, None, col_names)
-    else:
-        raise ValueError(f"unknown blp mode: {mode}")
-    results = [BlpResult(label, mode, out) for label, out in zip(targets, coefs)]
-    return results[0] if single else results
+    n, p = X.shape
+    columns, names = [np.ones((n, 1)), X], ["(intercept)", *covariate_names]
+    if event_times is not None:
+        event_times = np.asarray(event_times)
+        later = sorted({int(v) for v in np.unique(event_times)})[1:]
+        columns += [(event_times == d).astype(float)[:, None] for d in later]
+        names += [f"e={d}" for d in later]
+    if n < len(names) + 1:
+        what = f"{p} covariates" if event_times is None else f"{len(names)} regressors"
+        raise TooFewUnits(f"{n} rows for {what}")
+    design = np.concatenate(columns, axis=1)
+    xtx_inv = _design_inverse(design, names)
+    mode = "per-event" if event_times is None else "pooled"
+    results = []
+    for label, values in targets:
+        beta, se, t_stat, pvals = _hc1(design, xtx_inv, np.asarray(values, float))
+        results.append(BlpResult(label, mode, [
+            BlpCoefficient(label, e, name, float(beta[j]), float(se[j]), float(t_stat[j]),
+                           float(pvals[j]))
+            for j, name in enumerate(names)]))
+    return results
 
 
 @dataclass(frozen=True)
@@ -200,7 +180,7 @@ def clan(
     X = np.asarray(X, float)
     n = values.shape[0]
     if n < 2 * n_bins:
-        raise TooFewUnits(f"{n} units cannot fill 2x{n_bins} bins")
+        raise TooFewUnits(f"{n} rows cannot fill 2x{n_bins} bins")
     sort_vals = -values if most_affected == "lowest" else values
     order = np.argsort(sort_vals, kind="stable")
     ranked = sort_vals[order]

@@ -329,7 +329,7 @@ def _lasso_path(G, c, grid, l2, pf):
     return path, steps, failed
 
 
-def _lambda_max(G, c, pf, l2):
+def _lambda_max(G, c, pf):
     """Per member of a batch, the smallest l1 at which every penalized coefficient is zero."""
     free = pf == 0.0
     pen = pf > 0.0
@@ -391,15 +391,15 @@ def check_lasso_options(n_folds: int, fixed_l1, cv_rule: str) -> None:
         raise MldidError("need at least 2 inner folds")
 
 
-def cv_grid(fits: Sequence[GramFit], pf: np.ndarray, l2: float) -> None:
+def cv_grid(fits: Sequence[GramFit], pf: np.ndarray) -> None:
     """Set the l1 grid of fits to choose by CV, or l1 = 0 where lambda_max <= 0.
 
     One call serves a whole batch; a fit's grid does not depend on the others.
     """
     if not fits:
         return
-    lam_max = _lambda_max(np.stack([fit.G for fit in fits]), np.stack([fit.c for fit in fits]),
-                          pf, l2)
+    lam_max = _lambda_max(np.stack([fit.G for fit in fits]),
+                          np.stack([fit.c for fit in fits]), pf)
     top = np.where(lam_max > 0.0, lam_max, 1.0)
     grids = np.geomspace(top * CV_LAMBDA_MAX_RATIO, top * CV_LAMBDA_MIN_RATIO, CV_N_LAMBDAS,
                          axis=1)
@@ -431,7 +431,7 @@ def fit_gram_batch(
     other fits of the batch.
     """
     pending = [fit for fit in fits if fit.l1 is None and fit.result is None]
-    cv_grid(pending, pf, l2)
+    cv_grid(pending, pf)
     cv = [fit for fit in pending if fit.l1 is None]
     if cv:
         sizes = [fit.fold_G.shape[0] for fit in cv]

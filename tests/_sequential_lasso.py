@@ -231,7 +231,7 @@ def fit_ls_cv(X, y, *, l2=1e-6, weights=None, penalty_factor=None,
     wZ = Z * w[:, None]
     G_full = Z.T @ wZ
     c_full = wZ.T @ r
-    lam_max = _lambda_max(G_full[None], c_full[None], pf, l2)[0]
+    lam_max = _lambda_max(G_full[None], c_full[None], pf)[0]
     if lam_max <= 0.0:
         return fit_ls(X, y, 0.0, l2, **kw)
     grid = np.geomspace(

@@ -295,8 +295,7 @@ def test_criterion_7_algebraic_suite(tmp_path):
     # OLS recovery of an exactly linear oracle effect, to 1e-8.
     Xb = rng.standard_normal((500, 5))
     target = 3.0 * Xb[:, 0]
-    res = blp(target, np.zeros(500, dtype=int), Xb,
-              tuple(f"x_{j+1}" for j in range(5)))
+    res, = blp([("oracle", target)], Xb, tuple(f"x_{j+1}" for j in range(5)), e=0)
     ok &= abs(res.coef("x_1", 0).coef - 3.0) < 1e-8
     ok &= all(abs(res.coef(f"x_{j}", 0).coef) < 1e-8 for j in (2, 3, 4, 5))
 

@@ -189,6 +189,24 @@ def test_benchmark_small_run(tmp_path):
     assert (out / "rmse.csv").read_bytes() == (out2 / "rmse.csv").read_bytes()
 
 
+def test_benchmark_blp_avg_leaves_exact_fits_without_a_significance_share(tmp_path):
+    # Event time 2 is served by one cell, so tau-hat is linear in x there and
+    # the catt BLP is an exact fit in every repetition: SE ~1e-16, p NaN.
+    # Such a row's share of p-values below 0.05 is empty, not 0.
+    out = tmp_path / "bench"
+    res = run_cli(["benchmark", "--n", "300", "--reps", "3", "--seed", "9",
+                   "--fixed-l1", "0.02", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    with open(out / "blp_avg.csv", newline="") as fh:
+        rows = {(r["target"], r["e"], r["covariate"]): r for r in csv.DictReader(fh)}
+    row = rows[("catt", "2", "x_1")]
+    assert float(row["avg_coef"]) == pytest.approx(2.924862965449211, rel=1e-12)
+    assert float(row["avg_se"]) < 1e-12 and row["sig_frac_5pct"] == ""
+    # The noisy score target keeps its p-values and its share.
+    assert all(r["sig_frac_5pct"] != "" for key, r in rows.items() if key[0] == "score")
+    assert rows[("score", "0", "x_1")]["sig_frac_5pct"] == "1.0"
+
+
 def test_benchmark_record_is_the_run_its_bootstrap_and_its_tables():
     # A repetition's record is simulate -> run_mldid -> multiplier_se ->
     # _heterogeneity_results at the draw's seed, whatever the config's seed,
@@ -420,6 +438,12 @@ def test_heterogeneity_from_exported_tables(sim_dir, est_dir, tmp_path):
      "catt panel line 3: tau_hat 'x' is not a number"),
     (lambda rows: [rows[0] + ["e"]] + [r + ["0"] for r in rows[1:]],
      "catt panel: duplicate column 'e'"),
+    # Rows the input panel cannot have: a never-treated unit has no cohort,
+    # and unit 113 of cohort 2 is observed at e -1..2 only.
+    (lambda rows: rows[:3] + [["100", *rows[3][1:]]] + rows[4:],
+     "catt panel: unit '100' is never treated in the input panel"),
+    (lambda rows: rows[:5] + [["113", "57", *rows[5][2:]]] + rows[6:],
+     "catt panel: unit '113' of cohort 2 has e 57, outside -1..2"),
 ])
 def test_heterogeneity_rejects_malformed_catt_panel(sim_dir, est_dir, tmp_path,
                                                      edit, message):

@@ -28,22 +28,24 @@ def linear_target_panel(n_per_e=400, seed=0):
 
 def test_per_event_exact_recovery_of_linear_target():
     vals, es, X = linear_target_panel()
-    res = blp(vals, es, X, NAMES, mode="per-event")
     for e in (0, 1, 2):
+        rows = es == e
+        res, = blp([("catt", vals[rows])], X[rows], NAMES, e=e)
+        assert res.mode == "per-event"
         assert_allclose(res.coef("x_1", e).coef, e + 1.0, atol=1e-8)
         assert_allclose(res.coef("x_2", e).coef, 0.0, atol=1e-8)
         assert_allclose(res.coef("(intercept)", e).coef, 0.0, atol=1e-8)
-    # An exact fit leaves residuals at rounding level: no t or p is reported.
-    for c in res.coefficients:
-        assert np.isnan(c.t) and np.isnan(c.p), c
-        assert np.isfinite(c.coef) and np.isfinite(c.se)
+        # An exact fit leaves residuals at rounding level: no t or p is reported.
+        for c in res.coefficients:
+            assert np.isnan(c.t) and np.isnan(c.p), c
+            assert np.isfinite(c.coef) and np.isfinite(c.se)
 
 
 def test_noisy_target_keeps_t_and_p():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((300, 3))
     vals = 2.0 * X[:, 0] + rng.standard_normal(300)
-    res = blp(vals, np.zeros(300, dtype=int), X, NAMES, mode="per-event")
+    res, = blp([("catt", vals)], X, NAMES, e=0)
     design = np.column_stack([np.ones(300), X])
     beta = np.linalg.solve(design.T @ design, design.T @ vals)
     resid = vals - design @ beta
@@ -64,7 +66,7 @@ def test_constant_target():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((100, 3))
     vals = np.full(100, 4.5)
-    res = blp(vals, np.zeros(100, dtype=int), X, NAMES, mode="per-event")
+    res, = blp([("catt", vals)], X, NAMES, e=0)
     assert_allclose(res.coef("(intercept)", 0).coef, 4.5, atol=1e-10)
     for name in NAMES:
         assert_allclose(res.coef(name, 0).coef, 0.0, atol=1e-10)
@@ -74,9 +76,7 @@ def test_shift_moves_only_intercept():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((200, 3))
     vals = X[:, 0] + 0.3 * rng.standard_normal(200)
-    es = np.zeros(200, dtype=int)
-    base = blp(vals, es, X, NAMES, mode="per-event")
-    shifted = blp(vals + 11.0, es, X, NAMES, mode="per-event")
+    base, shifted = blp([("catt", vals), ("shifted", vals + 11.0)], X, NAMES, e=0)
     for name in NAMES:
         assert_allclose(shifted.coef(name, 0).coef, base.coef(name, 0).coef,
                         atol=1e-10)
@@ -86,7 +86,8 @@ def test_shift_moves_only_intercept():
 
 def test_pooled_mode_has_event_dummies():
     vals, es, X = linear_target_panel(seed=3)
-    res = blp(vals, es, X, NAMES, mode="pooled")
+    res, = blp([("catt", vals)], X, NAMES, event_times=es)
+    assert res.mode == "pooled"
     labels = {c.covariate for c in res.coefficients}
     assert {"e=1", "e=2"} <= labels
     assert "e=0" not in labels  # base level absorbed by the intercept
@@ -97,7 +98,7 @@ def test_blp_robust_se_positive_and_significance():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((500, 3))
     vals = 2.0 * X[:, 0] + rng.standard_normal(500)
-    res = blp(vals, np.zeros(500, dtype=int), X, NAMES)
+    res, = blp([("catt", vals)], X, NAMES, e=0)
     c1 = res.coef("x_1", 0)
     assert c1.se > 0 and c1.p < 1e-10
     c2 = res.coef("x_2", 0)
@@ -109,13 +110,22 @@ def test_rank_deficient_names_columns():
     X = rng.standard_normal((50, 3))
     X[:, 2] = X[:, 0]
     with pytest.raises(RankDeficient) as err:
-        blp(X[:, 0], np.zeros(50, dtype=int), X, NAMES)
+        blp([("catt", X[:, 0])], X, NAMES, e=0)
     assert "x_3" in err.value.columns
 
 
 def test_blp_too_few_rows():
-    with pytest.raises(TooFewUnits):
-        blp(np.zeros(3), np.zeros(3, dtype=int), np.zeros((3, 3)), NAMES)
+    # A design needs one more row than it has columns.
+    for n, design, message in ((4, {"e": 0}, "4 rows for 3 covariates"),
+                               (5, {"event_times": [0, 1, 1, 2, 2]}, "5 rows for 6 regressors")):
+        with pytest.raises(TooFewUnits, match=f"^{message}$"):
+            blp([("catt", np.arange(n, dtype=float))], np.eye(n, 3), NAMES, **design)
+
+
+@pytest.mark.parametrize("design", [{}, {"e": 0, "event_times": np.zeros(10, dtype=int)}])
+def test_blp_takes_exactly_one_design(design):
+    with pytest.raises(ValueError, match="exactly one of e and event_times"):
+        blp([("catt", np.zeros(10))], np.eye(10, 3), NAMES, **design)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +287,10 @@ def test_clan_sort_matches_id_tiebreak_reference(values, most_affected):
 def test_blp_of_several_targets_equals_each_target_alone():
     vals, es, X = linear_target_panel()
     noisy = vals + np.random.default_rng(2).standard_normal(vals.shape[0])
-    for mode in ("per-event", "pooled"):
-        both = blp([vals, noisy], es, X, NAMES, mode=mode, target=["a", "b"])
+    rows = es == 1
+    for design, r in (({"e": 1}, rows), ({"event_times": es}, slice(None))):
+        both = blp([("a", vals[r]), ("b", noisy[r])], X[r], NAMES, **design)
         # repr, not ==: the exact fit of ``vals`` has NaN t and p, and a
         # float's repr gives its bits back.
-        assert repr(both) == repr([blp(vals, es, X, NAMES, mode=mode, target="a"),
-                                   blp(noisy, es, X, NAMES, mode=mode, target="b")])
+        assert repr(both) == repr(blp([("a", vals[r])], X[r], NAMES, **design)
+                                  + blp([("b", noisy[r])], X[r], NAMES, **design))

@@ -464,7 +464,7 @@ def test_unpenalized_and_all_zero_columns():
     for j in (1, 3):
         G[j], G[:, j], c[j] = 0.0, 0.0, 0.0
     pf = np.array([0.0, 0.0, 1.0, 1.0, 1.5])
-    top = _lambda_max(G[None], c[None], pf, 0.0)[0]
+    top = _lambda_max(G[None], c[None], pf)[0]
     grid = np.geomspace(10.0 * top, 1e-4 * top, 20)
     for l2 in (0.0, 1e-6, 0.3):
         path, _ = _assert_exact_path(G, c, grid, l2, pf)
@@ -479,7 +479,7 @@ def test_grid_points_at_and_above_lambda_max():
     rng = np.random.default_rng(21)
     G, c = _random_gram_batch(rng, 4, 4)
     pf = np.array([0.0, 1.0, 1.0, 2.0])
-    top = _lambda_max(G, c, pf, 1e-6)
+    top = _lambda_max(G, c, pf)
     grid = top[:, None] * np.array([10.0, 3.0, 1.0, 0.999, 0.5])
     path, _, failed = _lasso_path(G, c, grid, 1e-6, pf)
     assert not failed.any()
@@ -500,7 +500,7 @@ def test_l2_zero_paths_match_reference():
         p = int(rng.integers(2, 7))
         G, c = _random_gram_batch(rng, 1, p)
         pf = rng.uniform(0.5, 2.0, p)
-        top = _lambda_max(G, c, pf, 0.0)[0]
+        top = _lambda_max(G, c, pf)[0]
         _assert_exact_path(G[0], c[0], np.geomspace(2.0 * top, 1e-4 * top, 15), 0.0, pf)
 
 
@@ -728,7 +728,7 @@ def test_held_out_moments_score_as_residuals_by_rows():
     while n_cases < 60:
         fit_intercept = n_cases % 3 != 0
         X, y, w, n_folds, fit = _random_row_gram_fit(rng, fit_intercept)
-        learners.cv_grid([fit], np.ones(X.shape[1]), 1e-6)
+        learners.cv_grid([fit], np.ones(X.shape[1]))
         if fit.grid is None:
             continue
         n_cases += 1

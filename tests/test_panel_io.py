@@ -353,7 +353,6 @@ def test_write_catt_panel_csv_matches_row_writer(tmp_path, unit_ids):
     tau[2:3] = np.inf
     catt = CattPanel(
         unit_ids=unit_ids,
-        g=np.resize(np.array([2, 2, 3, 3]), n),
         e=np.resize(np.array([-2, 0, 1, 5], dtype=np.int64), n),
         tau=tau,
         score=np.resize([np.nan, 1e-300, -2.5, 1 / 3, -np.inf, -0.0, np.inf, 0.0], n),
